@@ -21,54 +21,50 @@ import sys
 from . import models, reports
 from .errors import ThreeWaveError
 from .numerics import NumericAtlas, TrajectoryPoint, fit_pole, integrate, monodromy_check
-from .parsing import load_model, parse_expr
+from .parsing import ModelFile, parse_expr
 
 REPORT_DIR_ENV = "THREEWAVE_REPORT_DIR"
+NUMERIC_COMMANDS = ("integrate", "monodromy")
+# claims about the five-parameter family itself, whatever --system says
+FAMILY_COMMANDS = ("verify-symmetry", "uniqueness")
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_exact_params(kind: str, text: str | None):
-    """'delta=0,gamma=-1' with exact values only; floats are refused."""
-    if not text:
-        return None
-    names = models.THREE_WAVE_PARAMS if kind == "three-wave" else models.MODIFIED_PARAMS
-    values = {}
-    table = models.model(kind).table
-    for item in text.split(","):
+def _parse_params(system: ModelFile, text: str | None, numeric: bool):
+    """'delta=0,gamma=-1' over the model's parameter names.
+
+    Symbolic commands get a list of exact values (None = symbolic) and refuse
+    floats; numeric commands get a name -> complex map (unset = 0).
+    """
+    names = [s.name for s in system.table.parameters()]
+    values: dict = {}
+    for item in text.split(",") if text else ():
         if "=" not in item:
             raise UsageError(f"malformed parameter binding {item!r} (need name=value)")
         name, _, raw = item.partition("=")
         name, raw = name.strip(), raw.strip()
         if name not in names:
-            raise UsageError(f"unknown parameter {name!r} for system {kind!r}")
+            raise UsageError(f"unknown parameter {name!r} for system {system.name!r}")
+        if numeric:
+            values[name] = complex(raw.replace("i", "j"))
+            continue
         if any(ch in raw for ch in (".", "e", "E")) and not raw.lstrip("+-").isdigit():
             raise UsageError(
                 f"parameter {name}={raw!r}: symbolic commands take exact values only"
             )
         try:
-            rf = parse_expr(raw, table)
+            rf = parse_expr(raw, system.table)
         except Exception as exc:
             raise UsageError(f"cannot parse parameter {name}={raw!r}: {exc}") from exc
         if not rf.is_constant():
             raise UsageError(f"parameter {name}={raw!r} is not a constant")
         values[name] = rf.constant_value()
-    return [values.get(n) for n in names]
-
-
-def _parse_numeric_params(kind: str, text: str | None) -> dict[str, complex]:
-    if not text:
-        return {n: 0j for n in (models.THREE_WAVE_PARAMS if kind == "three-wave" else models.MODIFIED_PARAMS)}
-    out = {}
-    for item in text.split(","):
-        name, _, raw = item.partition("=")
-        out[name.strip()] = complex(raw.strip().replace("i", "j"))
-    names = models.THREE_WAVE_PARAMS if kind == "three-wave" else models.MODIFIED_PARAMS
-    for n in names:
-        out.setdefault(n, 0j)
-    return out
+    if numeric:
+        return {n: values.get(n, 0j) for n in names}
+    return [values.get(n) for n in names] if text else None
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -125,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="threewave",
         description="Exact singularity analysis, phase-space verification, and "
-        "numeric continuation for the built-in quadratic systems.",
+        "numeric continuation for quadratic systems, built in or read from model files.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -190,111 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _system_kind(args) -> str:
-    if args.system in ("three-wave", "modified"):
-        return args.system
-    if os.path.exists(args.system):
-        return "file"
-    raise UsageError(f"unknown system {args.system!r} (not a built-in, not a file)")
-
-
-def _load_file_system(args):
-    """A user model file: one system plus optional maps used as the atlas.
-
-    Parameter bindings apply to the field *and* to the chart maps, which may
-    themselves depend on the parameters.
-    """
-    model = load_model(args.system)
-    if len(model.fields) != 1:
-        raise UsageError("model file must define exactly one system")
-    ((base_name, field),) = model.fields.items()
-    if args.params:
-        bindings = {}
-        for item in args.params.split(","):
-            name, _, raw = item.partition("=")
-            sym = model.table.get(name.strip())
-            if sym is None:
-                raise UsageError(f"unknown parameter {name.strip()!r} in model file")
-            bindings[sym] = parse_expr(raw.strip(), model.table)
-        field = models.bind_field(field, bindings)
-        model.maps = [models.bind_map(m, bindings) for m in model.maps]
-    return model, base_name, field
-
-
-def _run_file_command(args) -> int:
-    from .geometry import identity_map, jacobian_determinant, power_scaled_chart, pushforward
-    from .singular import find_accessible, painleve_leading_orders, resolution_pipeline
-    from .symbols import state
-
-    model, base_name, field = _load_file_system(args)
-    cmd = args.command
-    if cmd == "painleve":
-        balances = painleve_leading_orders(field, args.bound)
-        rep = {
-            "system": args.system,
-            "balances": [
-                {"exponents": list(b.exponents), "coefficients": [c.text() for c in b.coefficients]}
-                for b in balances
-            ],
-        }
-        _emit(rep, args, cmd)
-        return 0
-    if cmd == "singularities":
-        per_chart = {}
-        for cmap in model.maps:
-            if cmap.target.boundary is None or cmap.source.name != base_name:
-                continue
-            w = pushforward(field, cmap)
-            scan = find_accessible(w)
-            per_chart[cmap.target.name] = {
-                "points": [
-                    {"coords": [c.text() for c in p.coords], "multiplicity": p.multiplicity}
-                    for p in scan.points
-                ],
-                "residual_branches": list(scan.residuals),
-            }
-        _emit({"system": args.system, "charts": per_chart}, args, cmd)
-        return 0
-    if cmd == "verify-atlas":
-        atlas = [identity_map(model.chart(base_name), model.table)] + [
-            m for m in model.maps if m.source.name == base_name
-        ]
-        verdicts = models.verify_atlas_holomorphy(field, atlas)
-        jac = [
-            {"chart": m.target.name, "jacobian_determinant": jacobian_determinant(m).text()}
-            for m in atlas
-        ]
-        rep = {
-            "system": args.system,
-            "charts": verdicts,
-            "jacobians": jac,
-            "all_polynomial": all(d["polynomial"] for d in verdicts),
-        }
-        _emit(rep, args, cmd)
-        return 0 if rep["all_polynomial"] else 1
-    if cmd in ("obstructions", "blowup"):
-        table = field.table
-        missing = [state(n) for n in ("XW", "YW", "ZW") if table.get(n) is None]
-        if missing:
-            table = table.extend(missing)
-            field = field.retable(table)
-        wvars = tuple(table.get(n) for n in ("XW", "YW", "ZW"))
-
-        def factory(exps):
-            return power_scaled_chart(field.chart, table, "W", wvars, exps)
-
-        rep_obj = resolution_pipeline(field, factory)
-        rep = {
-            "system": args.system,
-            "obstructions": rep_obj.obstruction.texts(),
-            "solution_branches": [b.text() for b in rep_obj.branches],
-            "resolvable_without_conditions": rep_obj.obstruction.is_empty(),
-        }
-        _emit(rep, args, cmd)
-        return 0
-    raise UsageError(f"command {cmd!r} does not support model files")
-
-
 def run(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
@@ -310,40 +201,41 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args) -> int:
     cmd = args.command
-    kind = _system_kind(args)
-    if cmd in ("integrate", "monodromy"):
-        if kind == "file":
-            raise UsageError("numeric commands work with the built-in systems")
-        return _run_numeric(args)
-    if kind == "file":
-        return _run_file_command(args)
-    params = _parse_exact_params(kind, args.params)
+    if cmd in FAMILY_COMMANDS and args.system not in models.BUILTINS:
+        raise UsageError(f"{cmd} is a claim about the five-parameter family; it takes no model file")
+    system = models.model(args.system)
+    numeric = cmd in NUMERIC_COMMANDS
+    params = _parse_params(system, args.params, numeric)
+    if numeric:
+        return _run_numeric(args, system, params)
 
     if cmd == "singularities":
         charts = (args.chart,) if args.chart else None
-        rep = reports.singularities_report(kind, params, charts)
+        rep = reports.singularities_report(system, params, charts)
         _emit(rep, args, cmd)
         return 0
     if cmd == "index":
-        rep = reports.index_report(kind, params, args.point)
+        rep = reports.index_report(system, params, args.point)
         _emit(rep, args, cmd)
         return 0
     if cmd == "alpha-test":
-        rep = reports.alpha_report(kind, params, args.point)
+        rep = reports.alpha_report(system, params, args.point)
         _emit(rep, args, cmd)
         return 0
     if cmd == "painleve":
-        rep = reports.painleve_report(kind, params, args.bound)
+        rep = reports.painleve_report(system, params, args.bound)
         _emit(rep, args, cmd)
         return 0 if all(b["verified"] for b in rep["balances"]) else 1
     if cmd in ("blowup", "obstructions"):
-        rep = reports.pipeline_report(kind, params)
+        rep = reports.pipeline_report(system, params)
         if cmd == "obstructions":
             rep = {
                 "system": rep["system"],
@@ -354,11 +246,11 @@ def _dispatch(args) -> int:
         _emit(rep, args, cmd)
         return 0
     if cmd == "verify-atlas":
-        rep = reports.atlas_report(kind, params, args.atlas)
+        rep = reports.atlas_report(system, params, args.atlas)
         _emit(rep, args, cmd)
         if args.atlas != "resolved":
             return 0  # informational: the reciprocal charts make no holomorphy claim
-        return 0 if rep["all_polynomial"] and rep["all_unit_jacobian"] else 1
+        return 0 if rep["all_polynomial"] else 1
     if cmd == "verify-symmetry":
         rep = reports.symmetry_report(args.map)
         _emit(rep, args, cmd)
@@ -371,18 +263,16 @@ def _dispatch(args) -> int:
     raise UsageError(f"unhandled command {cmd!r}")
 
 
-def _run_numeric(args) -> int:
-    kind = _system_kind(args)
-    params = _parse_numeric_params(kind, args.params)
+def _run_numeric(args, system: ModelFile, params: dict[str, complex]) -> int:
     # numeric parameters enter at compile time; the symbolic field stays generic
-    v = models.model(kind).fields["U0"]
-    maps = models.resolved_atlas(kind, None)
+    v = models.system_field(system)
+    maps = models.resolved_atlas(system)
     atlas = NumericAtlas(v, maps, params, require_polynomial=not args.allow_rational)
     start_state = tuple(_parse_complex_list(args.start))
     if len(start_state) != 3:
         raise UsageError("--start needs three components 'x;y;z'")
     t0 = complex(args.t0.replace("i", "j"))
-    start = TrajectoryPoint(t0, start_state, "U0")
+    start = TrajectoryPoint(t0, start_state, atlas.base)
     if args.command == "integrate":
         path = [t0] + _parse_complex_list(args.path)
         traj = integrate(v, maps, start, path, tol=args.tol, atlas=atlas)

@@ -168,14 +168,17 @@ def jacobian_matrix(cmap: ChartMap) -> list[list[RationalFn]]:
     return [[f.derivative(s) for s in cmap.source.vars] for f in cmap.forward]
 
 
-def jacobian_determinant(cmap: ChartMap) -> RationalFn:
-    m = jacobian_matrix(cmap)
-    det = (
+def det3(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
+    """Determinant of a 3x3 matrix by cofactor expansion along the first row."""
+    return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-    return det
+
+
+def jacobian_determinant(cmap: ChartMap) -> RationalFn:
+    return det3(jacobian_matrix(cmap))
 
 
 def pushforward(v: VectorField, cmap: ChartMap) -> VectorField:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import MultiPoly, poly_gcd_many
-from .ratfunc import RationalFn
+from .ratfunc import RationalFn, clear_denominators
 from .symbols import SymbolTable
 
 
@@ -146,15 +146,7 @@ def linear_solve(
 
 def _clear_row(row: list[RationalFn], b: RationalFn) -> list[MultiPoly]:
     entries = list(row) + [b]
-    table = entries[0].table
-    den = MultiPoly.const(table, 1)
-    from .poly import poly_gcd
-
-    for e in entries:
-        if not e.den.is_constant():
-            den = den * e.den.exact_divide(poly_gcd(den, e.den))
-    cleared = [e.num * den.exact_divide(e.den) for e in entries]
-    return _normalize_row(cleared)
+    return _normalize_row(clear_denominators(entries, entries[0].table))
 
 
 def _normalize_row(row: list[MultiPoly]) -> list[MultiPoly]:

@@ -12,22 +12,22 @@ Two model families are provided:
 
 Everything is built by parsing canonical-syntax sources, so the model
 constructors double as round-trip tests of the file format, and every chart
-map proves its own invertibility on load.
+map proves its own invertibility on load. A built-in is one model file among
+others: every function taking a ``system`` accepts a built-in name, a
+model-file path or a parsed :class:`~threewave.parsing.ModelFile`.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .gaussian import GaussianRational
-from .geometry import Chart, ChartMap, VectorField, identity_map, pushforward
-from .parsing import ModelFile, parse_model
+from .geometry import Chart, ChartMap, VectorField, power_scaled_chart, pushforward
+from .parsing import ModelFile, load_model, parse_model, render_model
 from .ratfunc import RationalFn, substitute
-from .symbols import Symbol, SymbolTable
-
-THREE_WAVE_PARAMS = ("delta", "gamma")
-MODIFIED_PARAMS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")
+from .symbols import Symbol, SymbolTable, state
 
 _THREE_WAVE_SRC = """
 params delta gamma
@@ -46,6 +46,8 @@ map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
 map U0 T2-1 : 1/x ; -(y - i*x)*x ; z*x | 1/x1 ; i/x1 - x1*y1 ; x1*z1
 map U0 T2-2 : 1/x ; -(y + i*x)*x ; z*x | 1/x2 ; -i/x2 - x2*y2 ; x2*z2
 map U0 T2-3 : 1/x ; -((y - delta/2)*x + delta*gamma/2)*x ; z + x^2 + 2*(gamma + 1)*x | 1/x3 ; delta/2 - delta*gamma*x3/2 - x3^2*y3 ; z3 - 1/x3^2 - 2*(gamma + 1)/x3
+atlas projective : U1 U2 U3
+atlas resolved : T2-1 T2-2 T2-3
 """
 
 _MODIFIED_SRC = """
@@ -65,7 +67,11 @@ map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
 map U0 T3-1 : 1/x ; -(y - i*x + alpha1)*x ; (z + alpha2)*x | 1/x1 ; i/x1 - alpha1 - x1*y1 ; x1*z1 - alpha2
 map U0 T3-2 : 1/x ; -(y + i*x + alpha3)*x ; (z + alpha4)*x | 1/x2 ; -i/x2 - alpha3 - x2*y2 ; x2*z2 - alpha4
 map U0 T3-3 : 1/x ; -((y - alpha5)*x - i*(alpha2 - alpha4)/2)*x ; z + x^2 + i*(alpha1 - alpha3)*x | 1/x3 ; alpha5 + i*(alpha2 - alpha4)*x3/2 - x3^2*y3 ; z3 - 1/x3^2 - i*(alpha1 - alpha3)/x3
+atlas projective : U1 U2 U3
+atlas resolved : T3-1 T3-2 T3-3
 """
+
+BUILTINS = {"three-wave": _THREE_WAVE_SRC, "modified": _MODIFIED_SRC}
 
 _S_STATE_Z = (
     "(4*y^2*z - 8*alpha5*y*z + 4*i*(alpha2 - alpha4)*x*y - 4*i*(alpha2 - alpha4)*alpha5*x"
@@ -75,33 +81,34 @@ _S_STATE_Z = (
 
 
 @lru_cache(maxsize=None)
-def _model(kind: str) -> ModelFile:
-    if kind == "three-wave":
-        return parse_model(_THREE_WAVE_SRC)
-    if kind == "modified":
-        return parse_model(_MODIFIED_SRC)
-    raise KeyError(f"unknown model {kind!r}")
+def _builtin(kind: str) -> ModelFile:
+    return parse_model(BUILTINS[kind], kind)
 
 
-def model(kind: str) -> ModelFile:
-    """The cached, fully symbolic model for 'three-wave' or 'modified'."""
-    return _model(kind)
+def model(system: str | ModelFile) -> ModelFile:
+    """The model of a built-in name (parsed once and cached), a model-file
+    path, or a ModelFile, which is returned as is."""
+    if isinstance(system, ModelFile):
+        return system
+    if system in BUILTINS:
+        return _builtin(system)
+    if os.path.isfile(system):
+        return load_model(system)
+    raise KeyError(f"unknown system {system!r} (not a built-in, not a file)")
 
 
-def param_symbols(kind: str) -> tuple[Symbol, ...]:
-    names = THREE_WAVE_PARAMS if kind == "three-wave" else MODIFIED_PARAMS
-    table = _model(kind).table
-    return tuple(table.get(n) for n in names)
+def param_symbols(system) -> tuple[Symbol, ...]:
+    return model(system).table.parameters()
 
 
-def bind_parameters(kind: str, values: Sequence | None) -> dict[Symbol, RationalFn]:
+def bind_parameters(system, values: Sequence | None) -> dict[Symbol, RationalFn]:
     """Turn user parameter values into substitution bindings (None = symbolic)."""
-    syms = param_symbols(kind)
+    m = model(system)
+    syms = m.table.parameters()
     if values is None:
         return {}
     if len(values) != len(syms):
         raise ValueError(f"expected {len(syms)} parameters, got {len(values)}")
-    table = _model(kind).table
     out: dict[Symbol, RationalFn] = {}
     for sym, val in zip(syms, values):
         if val is None:
@@ -109,7 +116,7 @@ def bind_parameters(kind: str, values: Sequence | None) -> dict[Symbol, Rational
         if isinstance(val, RationalFn):
             out[sym] = val
         else:
-            out[sym] = RationalFn.const(table, GaussianRational(val))
+            out[sym] = RationalFn.const(m.table, GaussianRational(val))
     return out
 
 
@@ -129,44 +136,50 @@ def bind_map(m: ChartMap, bindings: Mapping[Symbol, RationalFn]) -> ChartMap:
     return ChartMap(m.source, m.target, fwd, inv)
 
 
+def system_field(system, params: Sequence | None = None) -> VectorField:
+    """The model's vector field on its base chart, parameters bound."""
+    m = model(system)
+    return bind_field(m.fields[m.base.name], bind_parameters(m, params))
+
+
 def three_wave_system(delta=None, gamma=None) -> VectorField:
     """The two-parameter interaction system on the base chart U0."""
-    m = _model("three-wave")
-    return bind_field(m.fields["U0"], bind_parameters("three-wave", (delta, gamma)))
+    return system_field("three-wave", (delta, gamma))
 
 
 def modified_system(alphas: Sequence | None = None) -> VectorField:
     """The five-parameter family on the base chart U0."""
-    m = _model("modified")
-    return bind_field(m.fields["U0"], bind_parameters("modified", alphas))
+    return system_field("modified", alphas)
 
 
-def projective_atlas(kind: str = "three-wave") -> list[ChartMap]:
-    """U0 plus the three reciprocal charts covering the plane at infinity."""
-    m = _model(kind)
-    maps = [cm for cm in m.maps if cm.target.name in ("U1", "U2", "U3")]
-    return [identity_map(m.charts["U0"], m.table)] + maps
+def atlas(system, name: str, params: Sequence | None = None) -> list[ChartMap]:
+    """The model's atlas ``name`` (identity chart first), parameters bound."""
+    m = model(system)
+    maps = m.atlas(name)
+    bindings = bind_parameters(m, params)
+    return maps[:1] + [bind_map(cm, bindings) for cm in maps[1:]]
 
 
-def resolved_atlas(kind: str, params: Sequence | None = None) -> list[ChartMap]:
-    """The glued-phase-space atlas (identity chart plus three twisted charts)."""
-    m = _model(kind)
-    prefix = "T2-" if kind == "three-wave" else "T3-"
-    bindings = bind_parameters(kind, params)
-    maps = [
-        bind_map(cm, bindings) for cm in m.maps if cm.target.name.startswith(prefix)
-    ]
-    return [identity_map(m.charts["U0"], m.table)] + maps
+def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
+    """The glued-phase-space atlas (identity chart plus the twisted charts)."""
+    return atlas(system, "resolved", params)
 
 
-def weighted_chart_map(kind: str, exponents: tuple[int, int, int]) -> ChartMap:
-    """Chart (1/x, y/x^n, z/x^p) adapted to pole orders (m, n, p)."""
-    from .geometry import power_scaled_chart
+def weighted_chart_map(system, exponents: tuple[int, int, int]) -> ChartMap:
+    """Chart (1/x, y/x^n, z/x^p) adapted to pole orders (m, n, p).
 
-    m = _model(kind)
+    Its variables are those of the model's chart ``W``; a model without one
+    gets the fresh variables XW YW ZW on an extension of its table.
+    """
+    m = model(system)
     table = m.table
-    w = m.charts["W"]
-    return power_scaled_chart(m.charts["U0"], table, "W", w.vars, exponents)
+    if "W" in m.charts:
+        wvars = m.charts["W"].vars
+    else:
+        names = ("XW", "YW", "ZW")
+        table = table.extend(state(n) for n in names if table.get(n) is None)
+        wvars = tuple(table.get(n) for n in names)
+    return power_scaled_chart(m.base, table, "W", wvars, exponents)
 
 
 # -- holomorphy verification --------------------------------------------------------
@@ -269,11 +282,11 @@ class SymmetryMap:
 
 def symmetry_generators() -> dict[str, SymmetryMap]:
     """The two generating symmetries of the five-parameter family."""
-    m = _model("modified")
+    m = model("modified")
     table = m.table
-    chart = m.charts["U0"]
-    a1, a2, a3, a4, a5 = (RationalFn.var(table, n) for n in MODIFIED_PARAMS)
-    syms = {n: table.get(n) for n in MODIFIED_PARAMS}
+    chart = m.base
+    a1, a2, a3, a4, a5 = (RationalFn.var(table, p) for p in table.parameters())
+    syms = {p.name: p for p in table.parameters()}
     from .parsing import parse_expr
 
     x, y, z = (RationalFn.var(table, s) for s in chart.vars)
@@ -337,20 +350,10 @@ def verify_group_relations(gens: Mapping[str, SymmetryMap] | None = None) -> dic
     return {"relations": checks, "all_hold": all(checks.values())}
 
 
-def export_model(kind: str, which: str = "resolved") -> str:
-    """Serialize a built-in system plus one of its atlases to the model-file
-    format, so modified copies can be fed back through the CLI."""
-    from .parsing import render_model
-
-    m = _model(kind)
-    if which == "resolved":
-        maps = [cm for cm in m.maps if cm.target.name.startswith(("T2-", "T3-"))]
-    elif which == "projective":
-        maps = [cm for cm in m.maps if cm.target.name in ("U1", "U2", "U3")]
-    else:
-        raise KeyError(f"unknown atlas {which!r}")
-    charts = [m.charts["U0"]] + [cm.target for cm in maps]
-    return render_model(charts, maps, {"U0": m.fields["U0"]}, list(m.table.parameters()))
+def export_model(kind: str) -> str:
+    """Serialize a whole built-in model (every chart, map and atlas) to the
+    model-file format, so modified copies can be fed back through the CLI."""
+    return render_model(model(kind))
 
 
 # -- cross-family comparison ------------------------------------------------------------
@@ -371,7 +374,7 @@ def compare_with_three_wave(delta=0) -> dict:
         pe("2*x*y", t) - d * RationalFn.var(t, "x"),
         pe("-2*x*z - 2*z", t),
     ]
-    m = _model("modified")
+    m = model("modified")
     half = GaussianRational(1) / GaussianRational(2)
     alpha_vals = [RationalFn.const(t, 0)] * 4 + [d * half]
     bindings = dict(zip(param_symbols("modified"), alpha_vals))

@@ -23,7 +23,6 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import FitAmbiguous, StepUnderflow
 from .geometry import ChartMap, VectorField, pushforward
-from .models import verify_atlas_holomorphy
 from .ratfunc import RationalFn
 
 SWITCH_THRESHOLD = 10.0
@@ -176,9 +175,9 @@ class NumericAtlas:
         params: Mapping[str, complex],
         require_polynomial: bool = True,
     ):
+        pushed = [(cmap, pushforward(v, cmap)) for cmap in maps]
         if require_polynomial:
-            verdicts = verify_atlas_holomorphy(v, maps)
-            bad = [d["chart"] for d in verdicts if not d["polynomial"]]
+            bad = [cmap.target.name for cmap, w in pushed if not w.is_polynomial()]
             if bad:
                 raise ValueError(
                     f"field is not polynomial on charts {bad}; "
@@ -191,10 +190,9 @@ class NumericAtlas:
         self.to_base: dict[str, Callable] = {}
         self.from_base: dict[str, Callable] = {}
         base_vars = tuple(s.name for s in v.chart.vars)
-        for cmap in maps:
+        for cmap, w in pushed:
             name = cmap.target.name
             tvars = tuple(s.name for s in cmap.target.vars)
-            w = pushforward(v, cmap)
             self.chart_vars[name] = tvars
             self.fields[name] = compile_triple(w.components, tvars, params)
             self.to_base[name] = compile_triple(cmap.inverse, tvars, params)

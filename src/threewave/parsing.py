@@ -12,10 +12,14 @@ Model files are line oriented; ``#`` starts a comment. Recognized directives::
     chart U1 : x1 y1 z1 @ x1        # '@ boundary-variable' is optional
     system U0 : expr ; expr ; expr
     map U0 U1 : f1 ; f2 ; f3 | g1 ; g2 ; g3
+    atlas projective : U1 U2 U3
 
 ``system`` attaches a vector field to a declared chart; ``map`` gives the
 forward triple (in source variables) and the inverse triple (in target
-variables), which is verified symbolically on load.
+variables), which is verified symbolically on load. ``atlas`` names a list of
+charts reached by maps out of the base chart (the chart of the ``system``
+line); a file without ``atlas`` lines uses every map out of its base chart
+under every atlas name.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 from .gaussian import GaussianRational
-from .geometry import Chart, ChartMap, VectorField
+from .geometry import Chart, ChartMap, VectorField, identity_map
 from .ratfunc import RationalFn
 from .symbols import Symbol, SymbolTable, parameter, state
 
@@ -143,20 +147,44 @@ def parse_triple(text: str, table: SymbolTable) -> tuple[RationalFn, RationalFn,
 
 @dataclass
 class ModelFile:
-    """Parsed contents of a model/atlas file over one symbol table."""
+    """Parsed contents of a model/atlas file over one symbol table.
+
+    ``name`` is the built-in name or the path the file was loaded from.
+    """
 
     table: SymbolTable
+    name: str = "<model>"
     charts: dict[str, Chart] = field(default_factory=dict)
     maps: list[ChartMap] = field(default_factory=list)
     fields: dict[str, VectorField] = field(default_factory=dict)  # chart name -> field
+    atlases: dict[str, tuple[str, ...]] = field(default_factory=dict)  # name -> charts
 
     def chart(self, name: str) -> Chart:
         if name not in self.charts:
             raise KeyError(f"chart {name!r} not declared")
         return self.charts[name]
 
+    @property
+    def base(self) -> Chart:
+        """The chart of the model's single ``system`` line."""
+        if len(self.fields) != 1:
+            raise ValueError(f"model {self.name} must define exactly one system")
+        return next(iter(self.fields.values())).chart
 
-def parse_model(text: str) -> ModelFile:
+    def atlas(self, name: str) -> list[ChartMap]:
+        """The identity chart of the base, then the maps of atlas ``name``
+        (every map out of the base when the model declares no atlas)."""
+        base = self.base
+        out = [m for m in self.maps if m.source == base]
+        if self.atlases:
+            if name not in self.atlases:
+                raise KeyError(f"atlas {name!r} not declared; known: {sorted(self.atlases)}")
+            by_target = {m.target.name: m for m in out}
+            out = [by_target[c] for c in self.atlases[name]]
+        return [identity_map(base, self.table)] + out
+
+
+def parse_model(text: str, name: str = "<model>") -> ModelFile:
     """Parse a model file (two passes: declarations, then expressions)."""
     lines = []
     for raw in text.splitlines():
@@ -171,20 +199,20 @@ def parse_model(text: str) -> ModelFile:
         if head == "params":
             symbols.extend(parameter(n) for n in rest.split())
         elif head == "chart":
-            name, _, spec = rest.partition(":")
+            chart_name, _, spec = rest.partition(":")
             spec, _, boundary = spec.partition("@")
             var_names = spec.split()
             if len(var_names) != 3:
-                raise ExprError(f"chart {name.strip()!r} needs exactly three variables")
-            chart_specs.append((name.strip(), var_names, boundary.strip() or None))
+                raise ExprError(f"chart {chart_name.strip()!r} needs exactly three variables")
+            chart_specs.append((chart_name.strip(), var_names, boundary.strip() or None))
 
     states = [state(n) for _, names, _ in chart_specs for n in names]
     table = SymbolTable(tuple(states) + tuple(symbols))
-    model = ModelFile(table=table)
-    for name, var_names, boundary in chart_specs:
+    model = ModelFile(table=table, name=name)
+    for chart_name, var_names, boundary in chart_specs:
         vars3 = tuple(table.get(n) for n in var_names)
         bsym = table.get(boundary) if boundary else None
-        model.charts[name] = Chart(name, vars3, boundary=bsym)
+        model.charts[chart_name] = Chart(chart_name, vars3, boundary=bsym)
 
     for line in lines:
         head, _, rest = line.partition(" ")
@@ -207,36 +235,44 @@ def parse_model(text: str) -> ModelFile:
                 parse_triple(inv_text, table),
             )
             model.maps.append(cmap)
+        elif head == "atlas":
+            atlas_name, _, chart_names = rest.partition(":")
+            model.atlases[atlas_name.strip()] = tuple(chart_names.split())
         elif head in ("params", "chart"):
             continue
         else:
             raise ExprError(f"unknown directive {head!r}")
+    if model.atlases:
+        reached = {m.target.name for m in model.maps if m.source == model.base}
+        for atlas_name, chart_names in model.atlases.items():
+            missing = [c for c in chart_names if c not in reached]
+            if missing:
+                raise ExprError(f"atlas {atlas_name!r}: no map from the base chart to {missing}")
     return model
 
 
 def load_model(path: str) -> ModelFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        return parse_model(fh.read(), path)
 
 
-def render_model(
-    charts: list[Chart],
-    maps: list[ChartMap],
-    fields: dict[str, VectorField],
-    params: list[Symbol],
-) -> str:
-    """Serialize charts/maps/fields back into the model file format."""
+def render_model(model: ModelFile) -> str:
+    """Serialize a model back into the file format, in declaration order, so
+    that parsing the text rebuilds the same symbol table."""
     out = []
+    params = model.table.parameters()
     if params:
         out.append("params " + " ".join(s.name for s in params))
-    for c in charts:
+    for c in model.charts.values():
         boundary = f" @ {c.boundary.name}" if c.boundary else ""
         out.append(f"chart {c.name} : {' '.join(s.name for s in c.vars)}{boundary}")
-    for name, v in fields.items():
+    for name, v in model.fields.items():
         exprs = " ; ".join(c.text() for c in v.components)
         out.append(f"system {name} : {exprs}")
-    for m in maps:
+    for m in model.maps:
         fwd = " ; ".join(f.text() for f in m.forward)
         inv = " ; ".join(g.text() for g in m.inverse)
         out.append(f"map {m.source.name} {m.target.name} : {fwd} | {inv}")
+    for name, chart_names in model.atlases.items():
+        out.append(f"atlas {name} : {' '.join(chart_names)}")
     return "\n".join(out) + "\n"

@@ -14,7 +14,7 @@ from accumulating junk factors.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DenominatorVanishes, NotDivisible
 from .gaussian import GaussianRational
@@ -295,6 +295,15 @@ def _substitute_poly(
         if d:
             den = den * den_pow[k][d]
     return RationalFn(total, den)
+
+
+def clear_denominators(fns: Sequence[RationalFn], table: SymbolTable) -> list[MultiPoly]:
+    """The numerators of ``fns`` over their least common denominator."""
+    den = MultiPoly.const(table, 1)
+    for f in fns:
+        if not f.den.is_constant():
+            den = den * f.den.exact_divide(poly_gcd(den, f.den))
+    return [f.num * den.exact_divide(f.den) for f in fns]
 
 
 def _powers(p: MultiPoly, n: int) -> list[MultiPoly]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import models
-from .geometry import VectorField, jacobian_determinant, pushforward
+from .geometry import ChartMap, VectorField, jacobian_determinant, pushforward
 from .ratfunc import RationalFn
 from .singular import (
     AccessiblePoint,
@@ -19,10 +19,10 @@ from .singular import (
     find_accessible,
     linear_part,
     local_index,
+    painleve_leading_orders,
     resolution_pipeline,
+    verify_balance,
 )
-
-PROJECTIVE_CHARTS = ("U1", "U2", "U3")
 
 
 def _point_dict(p: AccessiblePoint) -> dict:
@@ -34,50 +34,64 @@ def _point_dict(p: AccessiblePoint) -> dict:
     }
 
 
-def homogeneous_key(p: AccessiblePoint) -> str:
-    """Canonical projective representative [z0:z1:z2:z3] for U1/U2/U3 points."""
-    table = p.coords[0].table
-    one = RationalFn.const(table, 1)
-    a, b, c = p.coords
-    if p.chart.name == "U1":
-        coords = [a, one, b, c]
-    elif p.chart.name == "U2":
-        coords = [b, a, one, c]
-    elif p.chart.name == "U3":
-        coords = [c, a, b, one]
-    else:
-        raise ValueError(f"chart {p.chart.name} is not projective")
+def reciprocal_slot(cmap: ChartMap) -> int | None:
+    """Slot b of the boundary when the chart's inverse is the reciprocal map
+    of that slot (base_b = 1/X_b, base_k = X_k/X_b), else None."""
+    target = cmap.target
+    if target.boundary is None:
+        return None
+    b = target.var_index(target.boundary)
+    table = cmap.table
+    xs = [RationalFn.var(table, s) for s in target.vars]
+    want = [1 / xs[b] if k == b else xs[k] / xs[b] for k in range(3)]
+    return b if list(cmap.inverse) == want else None
+
+
+def homogeneous_key(p: AccessiblePoint, slot: int) -> str:
+    """Canonical projective representative [w : x : y : z] of a boundary point
+    of the reciprocal chart with boundary slot ``slot``."""
+    one = RationalFn.const(p.coords[0].table, 1)
+    coords = [p.coords[slot]] + [one if k == slot else p.coords[k] for k in range(3)]
     pivot = next(x for x in coords if not x.is_zero())
     return "[" + " : ".join((x / pivot).text() for x in coords) + "]"
 
 
-def scan_chart(kind: str, params, chart_name: str) -> tuple[VectorField, AccessibleScan]:
-    if chart_name == "W":
-        cmap = models.weighted_chart_map(kind, (1, 0, 2))
-    else:
-        cmap = next(m for m in models.projective_atlas(kind) if m.target.name == chart_name)
-    bindings = models.bind_parameters(kind, params)
-    system = models.model(kind).fields["U0"]
-    if bindings:
-        system = models.bind_field(system, bindings)
-    w = pushforward(system, cmap)
+def scan_charts(system) -> dict[str, ChartMap | None]:
+    """The charts the singularity scan covers: the boundary charts of the
+    projective atlas, then ``W`` (mapped to None) when the model declares it."""
+    m = models.model(system)
+    out = {cm.target.name: cm for cm in m.atlas("projective") if cm.target.boundary is not None}
+    if "W" in m.charts:
+        out["W"] = None
+    return out
+
+
+def scan_chart(system, params, chart_name: str) -> tuple[VectorField, AccessibleScan]:
+    charts = scan_charts(system)
+    if chart_name not in charts:
+        raise KeyError(f"unknown chart {chart_name!r}; known: {list(charts)}")
+    cmap = charts[chart_name] or models.weighted_chart_map(system, (1, 0, 2))
+    w = pushforward(models.system_field(system, params), cmap)
     return w, find_accessible(w)
 
 
-def singularities_report(kind: str, params=None, charts: Sequence[str] | None = None) -> dict:
+def singularities_report(system, params=None, charts: Sequence[str] | None = None) -> dict:
     """Accessible points per chart, plus the deduplicated projective census."""
-    charts = tuple(charts) if charts else PROJECTIVE_CHARTS + ("W",)
+    m = models.model(system)
+    known = scan_charts(m)
+    charts = tuple(charts) if charts else tuple(known)
     per_chart = {}
     census: dict[str, dict] = {}
     for name in charts:
-        field_w, scan = scan_chart(kind, params, name)
+        _, scan = scan_chart(m, params, name)
         per_chart[name] = {
             "points": [_point_dict(p) for p in scan.points],
             "residual_branches": list(scan.residuals),
         }
-        if name in PROJECTIVE_CHARTS:
+        slot = reciprocal_slot(known[name]) if known[name] else None
+        if slot is not None:
             for p in scan.points:
-                key = homogeneous_key(p)
+                key = homogeneous_key(p, slot)
                 entry = census.setdefault(
                     key, {"projective": key, "seen_in": [], "multiplicity": 0}
                 )
@@ -86,7 +100,7 @@ def singularities_report(kind: str, params=None, charts: Sequence[str] | None = 
     distinct = sorted(census.values(), key=lambda e: e["projective"])
     total_mult = sum(e["multiplicity"] for e in distinct)
     return {
-        "system": kind,
+        "system": m.name,
         "charts": per_chart,
         "projective_census": distinct,
         "distinct_boundary_points": len(distinct),
@@ -94,35 +108,44 @@ def singularities_report(kind: str, params=None, charts: Sequence[str] | None = 
     }
 
 
-def named_points(kind: str, params=None) -> dict[str, tuple[VectorField, AccessiblePoint]]:
+def named_points(system, params=None) -> dict[str, tuple[VectorField, AccessiblePoint]]:
     """The classical labels: P1..P3 on U1, P4 on U3, P4_1/P4_2 on the
-    weighted chart, matched by computed coordinates (never hardcoded)."""
+    weighted chart, matched by computed coordinates (never hardcoded); a
+    label whose chart the model lacks is left out."""
     out = {}
-    vu1, scan1 = scan_chart(kind, params, "U1")
-    zeros = [p for p in scan1.points if all(c.is_zero() for c in p.coords)]
-    others = [p for p in scan1.points if p not in zeros]
-    if zeros:
-        out["P1"] = (vu1, zeros[0])
-    # sort the pair off the origin by the sign of the imaginary part (i first)
-    others.sort(key=lambda p: p.coords[1].text(), reverse=True)
-    for label, p in zip(("P2", "P3"), others):
-        out[label] = (vu1, p)
-    vu3, scan3 = scan_chart(kind, params, "U3")
-    for p in scan3.points:
-        if all(c.is_zero() for c in p.coords):
-            out["P4"] = (vu3, p)
-    vw, scanw = scan_chart(kind, params, "W")
-    for p in scanw.points:
-        label = "P4_1" if p.coords[2].is_zero() else "P4_2"
-        out[label] = (vw, p)
+    charts = scan_charts(system)
+    if "U1" in charts:
+        vu1, scan1 = scan_chart(system, params, "U1")
+        zeros = [p for p in scan1.points if all(c.is_zero() for c in p.coords)]
+        others = [p for p in scan1.points if p not in zeros]
+        if zeros:
+            out["P1"] = (vu1, zeros[0])
+        # sort the pair off the origin by the sign of the imaginary part (i first)
+        others.sort(key=lambda p: p.coords[1].text(), reverse=True)
+        for label, p in zip(("P2", "P3"), others):
+            out[label] = (vu1, p)
+    if "U3" in charts:
+        vu3, scan3 = scan_chart(system, params, "U3")
+        for p in scan3.points:
+            if all(c.is_zero() for c in p.coords):
+                out["P4"] = (vu3, p)
+    if "W" in charts:
+        vw, scanw = scan_chart(system, params, "W")
+        for p in scanw.points:
+            label = "P4_1" if p.coords[2].is_zero() else "P4_2"
+            out[label] = (vw, p)
     return out
 
 
-def index_report(kind: str, params=None, point: str = "P1") -> dict:
-    registry = named_points(kind, params)
+def _named_point(system, params, point: str) -> tuple[VectorField, AccessiblePoint]:
+    registry = named_points(system, params)
     if point not in registry:
         raise KeyError(f"unknown point {point!r}; known: {sorted(registry)}")
-    v, p = registry[point]
+    return registry[point]
+
+
+def index_report(system, params=None, point: str = "P1") -> dict:
+    v, p = _named_point(system, params, point)
     A = linear_part(v, p)
     idx = local_index(v, p)
     return {
@@ -138,9 +161,8 @@ def index_report(kind: str, params=None, point: str = "P1") -> dict:
     }
 
 
-def alpha_report(kind: str, params=None, point: str = "P4_2", specialization=None) -> dict:
-    registry = named_points(kind, params)
-    v, p = registry[point]
+def alpha_report(system, params=None, point: str = "P4_2", specialization=None) -> dict:
+    v, p = _named_point(system, params, point)
     rep = alpha_test(v, p, specialization)
     return {
         "point": point,
@@ -154,39 +176,34 @@ def alpha_report(kind: str, params=None, point: str = "P4_2", specialization=Non
     }
 
 
-def painleve_report(kind: str, params=None, bound: int = 2) -> dict:
-    bindings = models.bind_parameters(kind, params)
-    system = models.model(kind).fields["U0"]
-    if bindings:
-        system = models.bind_field(system, bindings)
-    from .singular import painleve_leading_orders, verify_balance
-
-    balances = painleve_leading_orders(system, bound)
+def painleve_report(system, params=None, bound: int = 2) -> dict:
+    m = models.model(system)
+    v = models.system_field(m, params)
+    balances = painleve_leading_orders(v, bound)
     return {
-        "system": kind,
+        "system": m.name,
         "bound": bound,
         "balances": [
             {
                 "exponents": list(b.exponents),
                 "coefficients": [c.text() for c in b.coefficients],
                 "free": list(b.free),
-                "verified": verify_balance(system, b),
+                "verified": verify_balance(v, b),
             }
             for b in balances
         ],
     }
 
 
-def pipeline_report(kind: str, params=None, bound: int = 2) -> dict:
-    bindings = models.bind_parameters(kind, params)
-    system = models.model(kind).fields["U0"]
-    if bindings:
-        system = models.bind_field(system, bindings)
+def pipeline_report(system, params=None, bound: int = 2) -> dict:
+    m = models.model(system)
     rep = resolution_pipeline(
-        system, lambda exps: models.weighted_chart_map(kind, exps), bound=bound
+        models.system_field(m, params),
+        lambda exps: models.weighted_chart_map(m, exps),
+        bound=bound,
     )
     return {
-        "system": kind,
+        "system": m.name,
         "balance": {
             "exponents": list(rep.balance.exponents),
             "coefficients": [c.text() for c in rep.balance.coefficients],
@@ -201,7 +218,7 @@ def pipeline_report(kind: str, params=None, bound: int = 2) -> dict:
         ],
         "entry_point": _point_dict(rep.entry_point),
         "blowup_centers": [_point_dict(c) for c in rep.centers],
-        "chart_lineage": [m.target.name for m in rep.chart_maps],
+        "chart_lineage": [cm.target.name for cm in rep.chart_maps],
         "composed_forward": [f.text() for f in rep.composed_map().forward],
         "final_chart": rep.final_field.chart.name,
         "final_components": [c.text() for c in rep.final_field.components],
@@ -211,24 +228,16 @@ def pipeline_report(kind: str, params=None, bound: int = 2) -> dict:
     }
 
 
-def atlas_report(kind: str, params=None, atlas_name: str = "resolved") -> dict:
-    bindings = models.bind_parameters(kind, params)
-    system = models.model(kind).fields["U0"]
-    if bindings:
-        system = models.bind_field(system, bindings)
-    if atlas_name == "resolved":
-        atlas = models.resolved_atlas(kind, params)
-    elif atlas_name == "projective":
-        atlas = models.projective_atlas(kind)
-    else:
-        raise KeyError(f"unknown atlas {atlas_name!r}")
-    verdicts = models.verify_atlas_holomorphy(system, atlas)
+def atlas_report(system, params=None, atlas_name: str = "resolved") -> dict:
+    m = models.model(system)
+    atlas = models.atlas(m, atlas_name, params)
+    verdicts = models.verify_atlas_holomorphy(models.system_field(m, params), atlas)
     jacobians = [
-        {"chart": m.target.name, "jacobian_determinant": jacobian_determinant(m).text()}
-        for m in atlas
+        {"chart": cm.target.name, "jacobian_determinant": jacobian_determinant(cm).text()}
+        for cm in atlas
     ]
     return {
-        "system": kind,
+        "system": m.name,
         "atlas": atlas_name,
         "charts": verdicts,
         "jacobians": jacobians,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational
-from .poly import MultiPoly, content_in, poly_gcd, poly_sqrt
-from .ratfunc import RationalFn, substitute
+from .poly import MultiPoly, content_in, poly_sqrt
+from .ratfunc import RationalFn, clear_denominators, substitute
 from .symbols import Symbol
 
 
@@ -117,13 +117,10 @@ def _deflate(p: MultiPoly, var: Symbol, root: RationalFn) -> MultiPoly:
     for k in range(deg - 1, 0, -1):
         b = RationalFn.from_poly(cs.get(k, zero)) + root * b
         quot[k - 1] = b
-    den = MultiPoly.const(p.table, 1)
-    for q in quot.values():
-        den = den * q.den.exact_divide(poly_gcd(den, q.den))
     v = MultiPoly.var(p.table, var)
     out = zero
-    for k, q in quot.items():
-        out = out + q.num * den.exact_divide(q.den) * v**k
+    for k, num in zip(quot, clear_denominators(list(quot.values()), p.table)):
+        out = out + num * v**k
     cont = content_in(out, var)
     return out.exact_divide(cont) if not cont.is_constant() else out
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .errors import PositiveDimensional, UnresolvedSpectrum
 from .gaussian import GaussianRational
-from .geometry import Chart, ChartMap, VectorField, log_pole_decomposition, pushforward
+from .geometry import Chart, ChartMap, VectorField, det3, log_pole_decomposition, pushforward
 from .poly import MultiPoly, poly_gcd, resultant
 from .ratfunc import RationalFn, substitute
 from .roots import find_roots
@@ -300,17 +300,8 @@ def _spectrum(A: list[list[RationalFn]], table) -> tuple[RationalFn, ...]:
     else:
         work = table
     lam = RationalFn.var(work, lam_sym)
-    m = [
-        [lam - A[0][0], -A[0][1], -A[0][2]],
-        [-A[1][0], lam - A[1][1], -A[1][2]],
-        [-A[2][0], -A[2][1], lam - A[2][2]],
-    ]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    charpoly = det.num
+    m = [[lam - A[k][j] if j == k else -A[k][j] for j in range(3)] for k in range(3)]
+    charpoly = det3(m).num
     roots = find_roots(charpoly, lam_sym)
     if not roots.fully_split():
         raise UnresolvedSpectrum(
@@ -418,21 +409,12 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> list[Balance]:
     """
     if not v.is_polynomial():
         raise ValueError("dominant-balance search expects a polynomial field")
-    table = v.table
-    missing = [parameter(n) for n in LEAD_NAMES if table.get(n) is None]
-    if missing:
-        table = table.extend(missing)
-    leads = tuple(table.get(n) for n in LEAD_NAMES)
-    comps = [c.retable(table).as_poly() for c in v.components]
-    state_idx = [table.index(s) for s in v.chart.vars]
-
+    table, leads, comps, state_idx = _lead_setup(v)
     balances = []
     for orders in itertools.product(range(-bound, bound + 1), repeat=3):
         if max(orders) < 1:
             continue
         eqs = _balance_equations(comps, state_idx, leads, orders, table)
-        if eqs is None:
-            continue
         for branch in _solve_poly_system(eqs, leads, table):
             coeffs = tuple(branch.get(l, RationalFn.var(table, l)) for l in leads)
             if any(c.is_zero() for c in coeffs):
@@ -442,9 +424,21 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> list[Balance]:
     return balances
 
 
-def _balance_equations(comps, state_idx, leads, orders, table):
+def _lead_setup(v: VectorField):
+    """The field's table extended by the leading-coefficient unknowns, those
+    unknowns, the components over that table, and the state slots."""
+    table = v.table
+    missing = [parameter(n) for n in LEAD_NAMES if table.get(n) is None]
+    if missing:
+        table = table.extend(missing)
+    leads = tuple(table.get(n) for n in LEAD_NAMES)
+    comps = [c.retable(table).as_poly() for c in v.components]
+    return table, leads, comps, [table.index(s) for s in v.chart.vars]
+
+
+def _balance_equations(comps, state_idx, leads, orders, table) -> list[MultiPoly]:
     """Equations forcing the ansatz x_k = L_k * tau^-m_k to balance at the
-    lowest orders; None when the balance is impossible syntactically."""
+    lowest orders."""
     eqs = []
     for k, comp in enumerate(comps):
         buckets: dict[int, MultiPoly] = {}
@@ -474,12 +468,16 @@ def _solve_poly_system(eqs, unknowns, table) -> list[dict[Symbol, RationalFn]]:
     ``unknowns`` over the parameter field; zero roots are pruned."""
     results: list[dict[Symbol, RationalFn]] = []
 
-    def recurse(pending: list[MultiPoly], branch: dict[Symbol, RationalFn]):
+    def recurse(pending: list[MultiPoly], branch: dict[Symbol, RationalFn], suspect: bool):
         live = []
         for eq in pending:
             cur = eq
             if branch:
-                cur = substitute(RationalFn.from_poly(eq), branch, table).num
+                value = substitute(RationalFn.from_poly(eq), branch, table)
+                # a denominator in an unknown solved later can vanish at its
+                # root, where the numerator's zero is no zero of the equation
+                suspect = suspect or any(s in unknowns for s in value.den.variables())
+                cur = value.num
             if cur.is_zero():
                 continue
             if not any(s in unknowns for s in cur.variables()):
@@ -487,7 +485,7 @@ def _solve_poly_system(eqs, unknowns, table) -> list[dict[Symbol, RationalFn]]:
             live.append(cur)
         if not live:
             key = _resolve_branch(branch, table)
-            if key not in results:
+            if key not in results and not (suspect and not _solves(eqs, key, table)):
                 results.append(key)
             return
         eq = min(live, key=lambda q: (len(q.variables()), q.total_degree()))
@@ -501,9 +499,9 @@ def _solve_poly_system(eqs, unknowns, table) -> list[dict[Symbol, RationalFn]]:
             seen.add(r)
             nb = dict(branch)
             nb[sym] = r
-            recurse(rest, nb)
+            recurse(rest, nb, suspect)
 
-    recurse(list(eqs), {})
+    recurse(list(eqs), {}, False)
     return results
 
 
@@ -524,25 +522,18 @@ def _resolve_branch(branch: dict[Symbol, RationalFn], table) -> dict[Symbol, Rat
     return branch
 
 
+def _solves(eqs, bindings: dict[Symbol, RationalFn], table) -> bool:
+    return all(substitute(RationalFn.from_poly(eq), bindings, table).is_zero() for eq in eqs)
+
+
 def verify_balance(v: VectorField, balance: Balance) -> bool:
     """Exact re-check of a reported balance: the defining order-by-order
     equations, evaluated at the solved coefficients, must vanish identically
     (free coefficients stay symbolic and must cancel symbolically)."""
-    table = v.table
-    missing = [parameter(n) for n in LEAD_NAMES if table.get(n) is None]
-    if missing:
-        table = table.extend(missing)
-    leads = tuple(table.get(n) for n in LEAD_NAMES)
-    comps = [c.retable(table).as_poly() for c in v.components]
-    state_idx = [table.index(s) for s in v.chart.vars]
+    table, leads, comps, state_idx = _lead_setup(v)
     eqs = _balance_equations(comps, state_idx, leads, balance.exponents, table)
-    bindings = {
-        leads[k]: balance.coefficients[k].retable(table) for k in range(3)
-    }
-    for eq in eqs:
-        if not substitute(RationalFn.from_poly(eq), bindings, table).is_zero():
-            return False
-    return True
+    bindings = {leads[k]: balance.coefficients[k].retable(table) for k in range(3)}
+    return _solves(eqs, bindings, table)
 
 
 # -- blow-ups ---------------------------------------------------------------------------
@@ -645,32 +636,30 @@ def holomorphy_obstructions(v: VectorField, exceptional: Symbol) -> Obstruction:
     are collected, normalized monic, and deduplicated. An empty condition
     set means the field is already polynomial.
     """
-    table = v.table
-    k_exc = table.index(exceptional)
     conditions: dict[str, MultiPoly] = {}
     for comp in v.components:
-        if comp.is_polynomial():
-            continue
-        den = comp.den
-        if not den.is_monomial():
-            raise ValueError(
-                f"component denominator {den.text()} is not a power of {exceptional.name}"
-            )
-        ((dexp, _),) = den.terms.items()
-        if any(dexp[j] for j in range(len(dexp)) if j != k_exc):
-            raise ValueError(
-                f"component has a pole along {den.text()}, not only along {exceptional.name}"
-            )
-        order = dexp[k_exc]
-        low_terms = {e: c for e, c in comp.num.terms.items() if e[k_exc] < order}
-        if not low_terms:
-            continue
-        low = MultiPoly(table, low_terms)
-        for param_poly in low.split_by_state_monomial().values():
+        for param_poly in negative_power_part(comp, exceptional).split_by_state_monomial().values():
             normalized = param_poly.monic()
             conditions[normalized.text()] = normalized
     ordered = tuple(conditions[k] for k in sorted(conditions))
     return Obstruction(ordered)
+
+
+def negative_power_part(comp: RationalFn, boundary: Symbol) -> MultiPoly:
+    """The numerator terms of ``comp = num / boundary^k`` of degree below k in
+    the boundary variable: the part that carries a pole (zero when ``comp``
+    is polynomial). Raises ValueError for any other denominator."""
+    table = comp.table
+    if comp.is_polynomial():
+        return MultiPoly.zero(table)
+    den = comp.den
+    if not den.is_monomial():
+        raise ValueError(f"component denominator {den.text()} is not a power of {boundary.name}")
+    k_b = table.index(boundary)
+    ((dexp, _),) = den.terms.items()
+    if any(dexp[j] for j in range(len(dexp)) if j != k_b):
+        raise ValueError(f"component has a pole along {den.text()}, not only along {boundary.name}")
+    return MultiPoly(table, {e: c for e, c in comp.num.terms.items() if e[k_b] < dexp[k_b]})
 
 
 # -- parameter condition solving ----------------------------------------------------------------
@@ -809,7 +798,8 @@ def resolution_pipeline(
         raise ValueError("no dominant balance with a pole in the first variable")
     balance = max(balances, key=lambda b: sum(b.exponents))
     weighted_map = weighted_map_factory(balance.exponents)
-    vw = pushforward(v, weighted_map)
+    # the weighted chart's variables may extend the field's table
+    vw = pushforward(v.retable(weighted_map.table), weighted_map)
     scan = find_accessible(vw)
     decorated = tuple((p, local_index(vw, p)) for p in scan.points)
     entries = [(p, ix) for p, ix in decorated if not ix.eigenvalues[0].is_zero()]

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ThreeWaveError
-from .geometry import Chart, ChartMap, VectorField
+from .geometry import Chart, ChartMap, VectorField, pushforward
 from .linalg import LinearSolution, linear_solve
-from .models import MODIFIED_PARAMS, model, modified_system
+from .models import model, modified_system
 from .poly import MultiPoly
 from .ratfunc import RationalFn
-from .symbols import Symbol, SymbolTable, parameter, state
+from .singular import negative_power_part
+from .symbols import Symbol, SymbolTable, parameter
 
 # monomial basis per component: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
 MONOMIAL_EXPONENTS = (
@@ -74,14 +75,14 @@ class UniquenessReport:
 
 def ansatz_context() -> AnsatzContext:
     """The 30-coefficient quadratic ansatz over a lean symbol table holding
-    only the base chart, the three twisted charts, the parameters, and the
-    coefficient unknowns."""
+    only the base chart, the charts of the resolved atlas, the parameters,
+    and the coefficient unknowns."""
     m = model("modified")
-    states = [state(n) for n in ("x", "y", "z", "x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3")]
-    params = [parameter(n) for n in MODIFIED_PARAMS]
+    atlas = m.atlas("resolved")
+    states = [s for cmap in atlas for s in cmap.target.vars]
     coeffs = [parameter(f"c{i}") for i in range(1, 31)]
-    table = SymbolTable(tuple(states) + tuple(params) + tuple(coeffs))
-    chart = Chart("U0", (table.get("x"), table.get("y"), table.get("z")))
+    table = SymbolTable(tuple(states) + m.table.parameters() + tuple(coeffs))
+    chart = m.base
     comps = []
     idx = 0
     for comp in range(3):
@@ -96,13 +97,10 @@ def ansatz_context() -> AnsatzContext:
         comps.append(RationalFn.from_poly(acc))
     field = VectorField(chart, comps)
     twisted = []
-    for cmap in m.maps:
-        if not cmap.target.name.startswith("T3-"):
-            continue
+    for cmap in atlas[1:]:
         fwd = [f.retable(table) for f in cmap.forward]
         inv = [g.retable(table) for g in cmap.inverse]
-        source = Chart("U0", chart.vars)
-        twisted.append(ChartMap(source, cmap.target, fwd, inv, check=False))
+        twisted.append(ChartMap(chart, cmap.target, fwd, inv, check=False))
     return AnsatzContext(table, chart, field, tuple(coeffs), tuple(twisted))
 
 
@@ -114,30 +112,15 @@ def build_constraints(context: AnsatzContext | None = None) -> ConstraintSystem:
     are linear forms in c1..c30 with entries polynomial in the parameters;
     the identity chart contributes nothing.
     """
-    from .geometry import pushforward
-
     if context is None:
         context = ansatz_context()
     table = context.table
     rows: list[tuple[RationalFn, ...]] = []
     origins: list[str] = []
-    zero = RationalFn.const(table, 0)
     for cmap in context.atlas:
-        boundary = cmap.target.boundary
-        k_b = table.index(boundary)
         w = pushforward(context.field, cmap)
         for ci, comp in enumerate(w.components):
-            if comp.is_polynomial():
-                continue
-            den = comp.den
-            if not den.is_monomial():
-                raise ThreeWaveError(f"unexpected denominator {den.text()} in ansatz pushforward")
-            ((dexp, _),) = den.terms.items()
-            order = dexp[k_b]
-            low = {e: c for e, c in comp.num.terms.items() if e[k_b] < order}
-            if not low:
-                continue
-            groups = MultiPoly(table, low).split_by_state_monomial()
+            groups = negative_power_part(comp, cmap.target.boundary).split_by_state_monomial()
             for key, poly in groups.items():
                 linear, const = _linear_form(poly, context.coefficients, table)
                 if not const.is_zero():

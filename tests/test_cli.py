@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from threewave import models
 from threewave.cli import run
 
 
@@ -152,10 +155,8 @@ map C0 C1 : 1/x ; y ; z | 1/X ; Y ; Z
 def test_exported_model_reanalyzed_through_cli(tmp_path, capsys):
     # export the built-in system, perturb nothing, and drive the CLI on the
     # file: the analyses must reproduce the built-in results
-    from threewave import models
-
     path = tmp_path / "exported.model"
-    path.write_text(models.export_model("three-wave", "resolved"))
+    path.write_text(models.export_model("three-wave"))
     code, out = _capture(capsys, ["obstructions", "--system", str(path)])
     assert code == 0
     rep = json.loads(out)
@@ -179,3 +180,71 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "eigenvalues" in out
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    paths = {}
+    for kind in ("three-wave", "modified"):
+        path = tmp_path_factory.mktemp("export") / f"{kind}.model"
+        path.write_text(models.export_model(kind))
+        paths[kind] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("three-wave", ["singularities"]),
+        ("three-wave", ["index", "--point", "P4_1"]),
+        ("three-wave", ["alpha-test"]),
+        ("three-wave", ["painleve"]),
+        ("three-wave", ["blowup"]),
+        ("three-wave", ["obstructions", "--params", "delta=1"]),
+        ("three-wave", ["verify-atlas"]),
+        ("three-wave", ["verify-atlas", "--atlas", "projective"]),
+        ("modified", ["singularities", "--params", "alpha1=0,alpha2=1,alpha5=1/2"]),
+        ("modified", ["index", "--point", "P2"]),
+        ("modified", ["painleve"]),
+        ("modified", ["verify-atlas"]),
+    ],
+)
+def test_exported_file_matches_builtin(capsys, exported, kind, argv):
+    # one code path: the exported model file gives the built-in's report
+    code_b, out_b = _capture(capsys, argv + ["--system", kind])
+    code_f, out_f = _capture(capsys, argv + ["--system", exported[kind]])
+    rep_b, rep_f = json.loads(out_b), json.loads(out_f)
+    assert rep_b.pop("system", kind) == kind
+    assert rep_f.pop("system", exported[kind]) == exported[kind]
+    assert (code_f, rep_f) == (code_b, rep_b)
+
+
+TOY_WITH_ATLAS = """
+chart C0 : x y z
+chart C1 : X Y Z @ X
+system C0 : x^2 ; -y ; z
+map C0 C1 : 1/x ; y ; z | 1/X ; Y ; Z
+atlas resolved : C1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singularities", "--system", "three-wave", "--chart", "U9"],
+        ["integrate", "--system", "modified", "--params", "bogus=1",
+         "--start=-2;0.1;-3", "--path", "1.2"],
+        ["verify-atlas", "--system", "TOY", "--atlas", "projective"],
+        ["index", "--system", "TOY", "--point", "P1"],
+    ],
+)
+def test_usage_errors_are_one_line(tmp_path, capsys, argv):
+    toy = tmp_path / "toy.model"
+    toy.write_text(TOY_WITH_ATLAS)
+    code = run([str(toy) if a == "TOY" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err

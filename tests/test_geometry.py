@@ -107,7 +107,7 @@ def test_resolved_atlas_unit_jacobians():
 
 def test_log_pole_decomposition_on_projective_chart():
     v = models.three_wave_system()
-    u1 = next(m for m in models.projective_atlas("three-wave") if m.target.name == "U1")
+    u1 = next(m for m in models.atlas("three-wave", "projective") if m.target.name == "U1")
     w = pushforward(v, u1)
     lp = log_pole_decomposition(w, w.chart.boundary)
     assert lp.boundary_part is not None

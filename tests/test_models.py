@@ -152,10 +152,16 @@ def test_export_model_round_trip():
     from threewave.parsing import parse_model
 
     for kind in ("three-wave", "modified"):
-        text = models.export_model(kind, "resolved")
+        text = models.export_model(kind)
         reloaded = parse_model(text)  # chart maps re-verify their inverses on load
-        assert len(reloaded.maps) == 3
-        orig = models.model(kind).fields["U0"]
+        model = models.model(kind)
+        assert reloaded.table == model.table
+        assert list(reloaded.charts) == list(model.charts)
+        assert [(m.source.name, m.target.name) for m in reloaded.maps] == [
+            (m.source.name, m.target.name) for m in model.maps
+        ]
+        assert reloaded.atlases == model.atlases
+        orig = model.fields["U0"]
         again = reloaded.fields["U0"]
         assert [c.text() for c in again.components] == [c.text() for c in orig.components]
 

@@ -55,12 +55,7 @@ map C0 C1 : 1/x ; y ; z | 1/X ; Y ; Z
     assert model.charts["C1"].boundary.name == "X"
     assert "C0" in model.fields
     assert len(model.maps) == 1
-    rendered = render_model(
-        list(model.charts.values()),
-        model.maps,
-        model.fields,
-        [s for s in model.table.parameters()],
-    )
+    rendered = render_model(model)
     model2 = parse_model(rendered)
     assert model2.fields["C0"].components == tuple(
         c.retable(model2.table) for c in model.fields["C0"].components
@@ -76,6 +71,25 @@ map C0 C1 : x^2 ; y ; z | X ; Y ; Z
 """
     with pytest.raises(ValueError):
         parse_model(src)
+
+
+def test_atlas_directive():
+    src = """
+chart C0 : x y z
+chart C1 : X Y Z @ X
+chart C2 : P Q R @ P
+system C0 : x^2 ; -y ; z
+map C0 C1 : 1/x ; y ; z | 1/X ; Y ; Z
+map C0 C2 : 1/x ; y*x ; z | 1/P ; Q*P ; R
+"""
+    # no atlas line: every map out of the base chart, under any name
+    assert [m.target.name for m in parse_model(src).atlas("resolved")] == ["C0", "C1", "C2"]
+    declared = parse_model(src + "atlas resolved : C2\n")
+    assert [m.target.name for m in declared.atlas("resolved")] == ["C0", "C2"]
+    with pytest.raises(KeyError):
+        declared.atlas("projective")
+    with pytest.raises(ExprError):
+        parse_model(src + "atlas resolved : C3\n")
 
 
 def test_builtin_models_parse_and_verify():

@@ -21,6 +21,7 @@ from threewave.singular import (
     solve_parameter_conditions,
     verify_balance,
 )
+from threewave.parsing import parse_triple
 from threewave.symbols import table
 
 
@@ -28,7 +29,7 @@ def _chart_field(kind, chart_name, params=None):
     if chart_name == "W":
         cmap = models.weighted_chart_map(kind, (1, 0, 2))
     else:
-        cmap = next(m for m in models.projective_atlas(kind) if m.target.name == chart_name)
+        cmap = next(m for m in models.atlas(kind, "projective") if m.target.name == chart_name)
     v = models.model(kind).fields["U0"]
     if params is not None:
         v = models.bind_field(v, models.bind_parameters(kind, params))
@@ -223,6 +224,22 @@ def test_painleve_riccati_toy():
     assert any(
         b.exponents[0] == 1 and b.coefficients[0].text() == "-1" for b in balances
     )
+
+
+def test_painleve_returns_only_verified_balances():
+    # a root with a denominator in a later-solved unknown used to yield the
+    # (1, 1, 1) "balances" x = y = (-4 +- 2i)/5, z = (1 +- 2i)/5 of this field,
+    # which fail its y and z equations; the field has no (1, 1, 1) balance
+    t = table("x", "y", "z")
+    chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
+    v = VectorField(chart, parse_triple(
+        "x*y - x*z - 1/2*y^2 - 2*z^2 - 2*z - 2 ; 2*x*y - 2*x*z - y^2 + 1/2*y - z ;"
+        " 1/2*x*y + 1/2*y*z",
+        t,
+    ))
+    balances = painleve_leading_orders(v, 2)
+    assert all(b.exponents != (1, 1, 1) for b in balances)
+    assert all(verify_balance(v, b) for b in balances)
 
 
 def test_painleve_linear_system_has_no_balance():

@@ -84,7 +84,7 @@ def test_round_trip_polynomiality(solved):
 def test_specialization_commutes_with_solving(constraints, solved):
     rng = random.Random(77)
     ctx = constraints.context
-    alpha_syms = [ctx.table.get(n) for n in models.MODIFIED_PARAMS]
+    alpha_syms = list(models.param_symbols("modified"))
     for _ in range(3):
         values = {s: gr(rng.randint(-3, 3)) for s in alpha_syms}
         spec_rows = [[e.specialize(values) for e in row] for row in constraints.rows]
