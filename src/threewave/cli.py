@@ -3,7 +3,8 @@
 Every analysis is a subcommand producing a deterministic report (canonical
 term order, sorted JSON keys, no timestamps), so identical inputs give
 byte-identical output. Exit codes: 0 all checks passed, 1 a verification
-failed (the report carries the witness), 2 usage or input error.
+failed (the report carries the witness) or the analysis does not apply to
+the system, 2 usage or input error.
 
 Symbolic subcommands insist on exact parameter values (integers, rationals,
 or expressions like ``-1/2`` or ``i``); floating-point input is rejected
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -207,8 +209,18 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _check_numbers(args) -> None:
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"--tol must be a finite number > 0, got {tol!r}")
+    bound = getattr(args, "bound", None)
+    if bound is not None and bound < 1:
+        raise UsageError(f"--bound must be at least 1, got {bound}")
+
+
 def _dispatch(args) -> int:
     cmd = args.command
+    _check_numbers(args)
     if cmd in FAMILY_COMMANDS and args.system not in models.BUILTINS:
         raise UsageError(f"{cmd} is a claim about the five-parameter family; it takes no model file")
     system = models.model(args.system)

@@ -31,6 +31,11 @@ class PoleTooHigh(ThreeWaveError):
         self.witness = witness
 
 
+class AnalysisFailed(ThreeWaveError, ValueError):
+    """An analysis cannot be carried out on this system: a verdict about the
+    field (no pole balance, a non-polynomial atlas), not about how it was asked."""
+
+
 class PositiveDimensional(ThreeWaveError):
     """The singular locus on the boundary divisor is not a finite set of points."""
 

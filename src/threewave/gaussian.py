@@ -62,9 +62,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def is_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1
 

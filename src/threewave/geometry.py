@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .errors import PoleTooHigh
 from .gaussian import GaussianRational
 from .poly import MultiPoly
-from .ratfunc import RationalFn, substitute
+from .ratfunc import RationalFn, clear_denominators, substitute
 from .symbols import Symbol, SymbolTable
 
 
@@ -184,23 +184,32 @@ def jacobian_determinant(cmap: ChartMap) -> RationalFn:
 def pushforward(v: VectorField, cmap: ChartMap) -> VectorField:
     """Transform ``v`` by ``cmap``: chain rule, then rewrite in target coords.
 
-    Component k of the result is sum_j d(forward_k)/d(x_j) * v_j composed
-    with the inverse map; everything is exact and returned reduced.
+    With the field over one common denominator, v = a/c, and forward_k = n/d,
+    component k is the single fraction (L(n)*d - n*L(d)) / (c*d^2), where
+    L(p) = sum_j dp/dx_j * a_j is polynomial arithmetic. That fraction is
+    reduced once and composed with the inverse map, which reduces once more.
     """
     if v.chart != cmap.source:
         raise ValueError(f"field lives on {v.chart.name}, map starts at {cmap.source.name}")
     table = v.table
-    inv_binding = {cmap.source.vars[j]: cmap.inverse[j] for j in range(3)}
-    out = []
-    for k in range(3):
-        acc = RationalFn.const(table, 0)
-        fk = cmap.forward[k]
+    c, a = clear_denominators(v.components, table)
+    src = cmap.source.vars
+
+    def lie(p: MultiPoly) -> MultiPoly:
+        out = MultiPoly.zero(table)
         for j in range(3):
-            dkj = fk.derivative(cmap.source.vars[j])
-            if dkj.is_zero() or v.components[j].is_zero():
-                continue
-            acc = acc + dkj * v.components[j]
-        out.append(substitute(acc, inv_binding, table))
+            if not a[j].is_zero():
+                dp = p.derivative(src[j])
+                if not dp.is_zero():
+                    out = out + dp * a[j]
+        return out
+
+    inv_binding = {src[j]: cmap.inverse[j] for j in range(3)}
+    out = []
+    for fk in cmap.forward:
+        n, d = fk.num, fk.den
+        chain = RationalFn(lie(n) * d - n * lie(d), c * d * d)
+        out.append(substitute(chain, inv_binding, table))
     return VectorField(cmap.target, out)
 
 
@@ -213,11 +222,6 @@ class LogPoleForm:
     boundary: Symbol
     boundary_part: MultiPoly  # g for the boundary variable itself
     transverse: tuple[tuple[Symbol, MultiPoly], ...]  # (variable, g) pairs
-
-    def parts_in_chart_order(self, chart: Chart) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-        lookup = dict(self.transverse)
-        lookup[self.boundary] = self.boundary_part
-        return tuple(lookup[s] for s in chart.vars)
 
 
 def log_pole_decomposition(v: VectorField, boundary: Symbol) -> LogPoleForm:

@@ -146,7 +146,7 @@ def linear_solve(
 
 def _clear_row(row: list[RationalFn], b: RationalFn) -> list[MultiPoly]:
     entries = list(row) + [b]
-    return _normalize_row(clear_denominators(entries, entries[0].table))
+    return _normalize_row(clear_denominators(entries, entries[0].table)[1])
 
 
 def _normalize_row(row: list[MultiPoly]) -> list[MultiPoly]:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import FitAmbiguous, StepUnderflow
+from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
 from .geometry import ChartMap, VectorField, pushforward
 from .ratfunc import RationalFn
 
@@ -48,9 +48,6 @@ class TrajectoryPoint:
     state: tuple[complex, complex, complex]
     chart: str
     err: float = 0.0  # local error estimate of the step that produced this point
-
-    def max_norm(self) -> float:
-        return max(abs(c) for c in self.state)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ class NumericAtlas:
         if require_polynomial:
             bad = [cmap.target.name for cmap, w in pushed if not w.is_polynomial()]
             if bad:
-                raise ValueError(
+                raise AnalysisFailed(
                     f"field is not polynomial on charts {bad}; "
                     "pass require_polynomial=False to integrate a rational field"
                 )

@@ -77,9 +77,6 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         return c
 
-    def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * len(self.table), ZERO)
-
     def degree(self, sym: Symbol | str) -> int:
         """Maximum exponent of ``sym``; -1 for the zero polynomial."""
         if not self.terms:

@@ -7,9 +7,12 @@ over one table, kept in the canonical reduced form
 * den is monic under the graded-lex order (the unit is pushed into num).
 
 With both rules a value has exactly one representation, so equality and
-hashing are structural. Construction always reduces; the arithmetic here is
-therefore "reduce-always", which keeps long pushforward/substitution chains
-from accumulating junk factors.
+hashing are structural. Construction reduces, at the cost of one gcd, so
+every operator result is reduced. Composite operations therefore build their
+result as one polynomial fraction and construct it once: :func:`substitute`
+maps numerator and denominator over a shared denominator that cancels, and
+:func:`clear_denominators` puts a list of values over one common denominator
+(the pushforward's field, a linear-system row, a deflated quotient).
 """
 
 from __future__ import annotations
@@ -229,81 +232,58 @@ def substitute(
     and must exist in the target table. Raises
     :class:`~threewave.errors.DenominatorVanishes` when the composed
     denominator is identically zero.
+
+    With d_s the maximal exponent of each bound symbol s = num_s/den_s over
+    the terms of both ``f.num`` and ``f.den``, a term c * prod s^{e_s} maps
+    to c * prod num_s^{e_s} den_s^{d_s - e_s}. Both images then share the
+    denominator prod den_s^{d_s}, which cancels, so the result is the single
+    fraction image(f.num) / image(f.den), reduced once.
     """
     table = target_table
     if table is None:
-        for v in bindings.values():
-            table = v.table
-            break
-        else:
-            table = f.table
-    num = _substitute_poly(f.num, bindings, table)
-    den = _substitute_poly(f.den, bindings, table)
-    if den.is_zero():
-        raise DenominatorVanishes("denominator identically zero after composition")
-    return num / den
-
-
-def _substitute_poly(
-    p: MultiPoly, bindings: Mapping[Symbol, RationalFn], table: SymbolTable
-) -> RationalFn:
-    """Substitute into a polynomial via a single common denominator.
-
-    With d_s the maximal exponent of each bound symbol s, each term
-    c * prod s^{e_s} maps to c * prod num_s^{e_s} den_s^{d_s - e_s} over the
-    global denominator prod den_s^{d_s}; this avoids quadratic blowup from
-    term-by-term fraction addition.
-    """
+        table = next((v.table for v in bindings.values()), f.table)
     by_name = {s.name: v for s, v in bindings.items()}
-    for s in p.variables():
+    for s in f.variables():
         if s.name not in by_name and s not in table:
             raise KeyError(f"symbol {s.name!r} neither bound nor present in target table")
-    src = p.table.symbols
-    maxdeg = [0] * len(src)
-    for e in p.terms:
-        for k, d in enumerate(e):
-            if d > maxdeg[k]:
-                maxdeg[k] = d
-    num_pow: dict[int, list[MultiPoly]] = {}
-    den_pow: dict[int, list[MultiPoly]] = {}
-    one = MultiPoly.const(table, 1)
-    for k, s in enumerate(src):
-        if maxdeg[k] == 0:
-            continue
-        b = by_name.get(s.name)
-        if b is None:
-            b = RationalFn.var(table, table.get(s.name))
-        elif b.table != table:
-            b = b.retable(table)
-        num_pow[k] = _powers(b.num, maxdeg[k])
-        den_pow[k] = _powers(b.den, maxdeg[k])
-    total = MultiPoly.zero(table)
-    for e, c in p.terms.items():
-        term = MultiPoly.const(table, c)
-        for k, d in enumerate(e):
-            if maxdeg[k] == 0:
-                continue
-            if d:
-                term = term * num_pow[k][d]
-            if maxdeg[k] - d:
-                term = term * den_pow[k][maxdeg[k] - d]
-        total = total + term
-    if total.is_zero():
-        return RationalFn.from_poly(total)
-    den = one
-    for k, d in enumerate(maxdeg):
-        if d:
-            den = den * den_pow[k][d]
-    return RationalFn(total, den)
+    maxdeg = [max(col) for col in zip(*f.num.terms, *f.den.terms)]
+    powers: dict[int, tuple[list[MultiPoly], list[MultiPoly]]] = {}
+    for k, s in enumerate(f.table.symbols):
+        if maxdeg[k]:
+            b = by_name.get(s.name)
+            if b is None:
+                b = RationalFn.var(table, table.get(s.name))
+            elif b.table != table:
+                b = b.retable(table)
+            powers[k] = (_powers(b.num, maxdeg[k]), _powers(b.den, maxdeg[k]))
+
+    def image(p: MultiPoly) -> MultiPoly:
+        total = MultiPoly.zero(table)
+        for e, c in p.terms.items():
+            term = MultiPoly.const(table, c)
+            for k, (num_pow, den_pow) in powers.items():
+                if e[k]:
+                    term = term * num_pow[e[k]]
+                if maxdeg[k] - e[k]:
+                    term = term * den_pow[maxdeg[k] - e[k]]
+            total = total + term
+        return total
+
+    den = image(f.den)
+    if den.is_zero():
+        raise DenominatorVanishes("denominator identically zero after composition")
+    return RationalFn(image(f.num), den)
 
 
-def clear_denominators(fns: Sequence[RationalFn], table: SymbolTable) -> list[MultiPoly]:
-    """The numerators of ``fns`` over their least common denominator."""
+def clear_denominators(
+    fns: Sequence[RationalFn], table: SymbolTable
+) -> tuple[MultiPoly, list[MultiPoly]]:
+    """The least common denominator of ``fns`` and their numerators over it."""
     den = MultiPoly.const(table, 1)
     for f in fns:
         if not f.den.is_constant():
             den = den * f.den.exact_divide(poly_gcd(den, f.den))
-    return [f.num * den.exact_divide(f.den) for f in fns]
+    return den, [f.num * den.exact_divide(f.den) for f in fns]
 
 
 def _powers(p: MultiPoly, n: int) -> list[MultiPoly]:

@@ -108,40 +108,51 @@ def singularities_report(system, params=None, charts: Sequence[str] | None = Non
     }
 
 
-def named_points(system, params=None) -> dict[str, tuple[VectorField, AccessiblePoint]]:
-    """The classical labels: P1..P3 on U1, P4 on U3, P4_1/P4_2 on the
-    weighted chart, matched by computed coordinates (never hardcoded); a
-    label whose chart the model lacks is left out."""
+# the chart each classical label lives on
+POINT_CHARTS = {"P1": "U1", "P2": "U1", "P3": "U1", "P4": "U3", "P4_1": "W", "P4_2": "W"}
+
+
+def _chart_labels(system, params, chart: str) -> dict[str, tuple[VectorField, AccessiblePoint]]:
+    """The classical labels on one chart, matched by computed coordinates
+    (never hardcoded); empty when the model lacks the chart."""
+    if chart not in scan_charts(system):
+        return {}
+    v, scan = scan_chart(system, params, chart)
     out = {}
-    charts = scan_charts(system)
-    if "U1" in charts:
-        vu1, scan1 = scan_chart(system, params, "U1")
-        zeros = [p for p in scan1.points if all(c.is_zero() for c in p.coords)]
-        others = [p for p in scan1.points if p not in zeros]
+    if chart == "U1":
+        zeros = [p for p in scan.points if all(c.is_zero() for c in p.coords)]
+        others = [p for p in scan.points if p not in zeros]
         if zeros:
-            out["P1"] = (vu1, zeros[0])
+            out["P1"] = (v, zeros[0])
         # sort the pair off the origin by the sign of the imaginary part (i first)
         others.sort(key=lambda p: p.coords[1].text(), reverse=True)
         for label, p in zip(("P2", "P3"), others):
-            out[label] = (vu1, p)
-    if "U3" in charts:
-        vu3, scan3 = scan_chart(system, params, "U3")
-        for p in scan3.points:
+            out[label] = (v, p)
+    elif chart == "U3":
+        for p in scan.points:
             if all(c.is_zero() for c in p.coords):
-                out["P4"] = (vu3, p)
-    if "W" in charts:
-        vw, scanw = scan_chart(system, params, "W")
-        for p in scanw.points:
-            label = "P4_1" if p.coords[2].is_zero() else "P4_2"
-            out[label] = (vw, p)
+                out["P4"] = (v, p)
+    else:
+        for p in scan.points:
+            out["P4_1" if p.coords[2].is_zero() else "P4_2"] = (v, p)
+    return out
+
+
+def named_points(system, params=None) -> dict[str, tuple[VectorField, AccessiblePoint]]:
+    """The classical labels: P1..P3 on U1, P4 on U3, P4_1/P4_2 on the
+    weighted chart W; a label whose chart the model lacks is left out."""
+    out = {}
+    for chart in dict.fromkeys(POINT_CHARTS.values()):
+        out.update(_chart_labels(system, params, chart))
     return out
 
 
 def _named_point(system, params, point: str) -> tuple[VectorField, AccessiblePoint]:
-    registry = named_points(system, params)
-    if point not in registry:
-        raise KeyError(f"unknown point {point!r}; known: {sorted(registry)}")
-    return registry[point]
+    """One label, scanning only the chart it lives on."""
+    found = _chart_labels(system, params, POINT_CHARTS[point]) if point in POINT_CHARTS else {}
+    if point not in found:
+        raise KeyError(f"unknown point {point!r}; known: {sorted(named_points(system, params))}")
+    return found[point]
 
 
 def index_report(system, params=None, point: str = "P1") -> dict:

@@ -119,7 +119,8 @@ def _deflate(p: MultiPoly, var: Symbol, root: RationalFn) -> MultiPoly:
         quot[k - 1] = b
     v = MultiPoly.var(p.table, var)
     out = zero
-    for k, num in zip(quot, clear_denominators(list(quot.values()), p.table)):
+    _, nums = clear_denominators(list(quot.values()), p.table)
+    for k, num in zip(quot, nums):
         out = out + num * v**k
     cont = content_in(out, var)
     return out.exact_divide(cont) if not cont.is_constant() else out

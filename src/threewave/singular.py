@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PositiveDimensional, UnresolvedSpectrum
+from .errors import AnalysisFailed, PositiveDimensional, UnresolvedSpectrum
 from .gaussian import GaussianRational
 from .geometry import Chart, ChartMap, VectorField, det3, log_pole_decomposition, pushforward
 from .poly import MultiPoly, poly_gcd, resultant
@@ -61,9 +61,6 @@ class AccessibleScan:
 
     def __len__(self):
         return len(self.points)
-
-    def total_multiplicity(self) -> int:
-        return sum(p.multiplicity for p in self.points)
 
 
 def find_accessible(v: VectorField, boundary: Symbol | None = None) -> AccessibleScan:
@@ -673,9 +670,6 @@ class ConditionBranch:
     pinned: tuple[tuple[Symbol, RationalFn], ...]
     residuals: tuple[MultiPoly, ...] = ()
 
-    def as_dict(self) -> dict[Symbol, RationalFn]:
-        return dict(self.pinned)
-
     def text(self) -> str:
         parts = [f"{s.name} = {v.text()}" for s, v in self.pinned]
         parts += [f"{r.text()} = 0" for r in self.residuals]
@@ -795,7 +789,7 @@ def resolution_pipeline(
     """
     balances = [b for b in painleve_leading_orders(v, bound) if b.exponents[0] >= 1]
     if not balances:
-        raise ValueError("no dominant balance with a pole in the first variable")
+        raise AnalysisFailed("no dominant balance with a pole in the first variable")
     balance = max(balances, key=lambda b: sum(b.exponents))
     weighted_map = weighted_map_factory(balance.exponents)
     # the weighted chart's variables may extend the field's table
@@ -804,7 +798,7 @@ def resolution_pipeline(
     decorated = tuple((p, local_index(vw, p)) for p in scan.points)
     entries = [(p, ix) for p, ix in decorated if not ix.eigenvalues[0].is_zero()]
     if not entries:
-        raise ValueError("no accessible point with nonzero leading index on the weighted chart")
+        raise AnalysisFailed("no accessible point with nonzero leading index on the weighted chart")
     entry, entry_index = entries[0]
     if steps is None:
         steps = 1
@@ -825,7 +819,7 @@ def resolution_pipeline(
         if step < steps - 1:
             inner = find_accessible(current_field, exceptional)
             if len(inner) != 1:
-                raise ValueError(
+                raise AnalysisFailed(
                     f"expected a unique accessible point on the exceptional divisor, got "
                     f"{[p.text() for p in inner.points]}"
                 )

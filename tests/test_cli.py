@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from threewave import models
+from threewave import models, reports
 from threewave.cli import run
 
 
@@ -236,6 +236,13 @@ atlas resolved : C1
          "--start=-2;0.1;-3", "--path", "1.2"],
         ["verify-atlas", "--system", "TOY", "--atlas", "projective"],
         ["index", "--system", "TOY", "--point", "P1"],
+        ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "1.2", "--tol", "0"],
+        ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "1.2", "--tol", "-1"],
+        ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "1.2", "--tol", "nan"],
+        ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0",
+         "--center", "0.55", "--tol", "inf"],
+        ["painleve", "--system", "three-wave", "--bound", "-1"],
+        ["painleve", "--system", "three-wave", "--bound", "0"],
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
@@ -248,3 +255,46 @@ def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# a field with no pole in x, and one that is not polynomial on U1
+PROJECTIVE_TOY = """
+chart U0 : x y z
+chart U1 : X1 Y1 Z1 @ X1
+system U0 : {field}
+map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
+"""
+
+
+@pytest.mark.parametrize(
+    "field, argv, message",
+    [
+        ("x ; y ; z", ["obstructions"], "no dominant balance with a pole in the first variable"),
+        ("x ; y ; z", ["blowup"], "no dominant balance with a pole in the first variable"),
+        ("x^2 ; y ; z", ["integrate", "--start=1;1;1", "--path", "0.5"],
+         "field is not polynomial on charts ['U1']"),
+    ],
+)
+def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
+    path = tmp_path / "toy.model"
+    path.write_text(PROJECTIVE_TOY.format(field=field))
+    code = run(argv[:1] + ["--system", str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
+def test_named_point_scans_one_chart(capsys, monkeypatch):
+    calls = []
+    real = reports.find_accessible
+
+    def counting(v, *args, **kwargs):
+        calls.append(v.chart.name)
+        return real(v, *args, **kwargs)
+
+    monkeypatch.setattr(reports, "find_accessible", counting)
+    code, _ = _capture(capsys, ["index", "--system", "three-wave", "--point", "P1"])
+    assert code == 0
+    assert calls == ["U1"]

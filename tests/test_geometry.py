@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import oracle_pushforward
+from oracles import differential_maps, naive_substitute, oracle_pushforward, random_ratfn
 from threewave import models
 from threewave.errors import PoleTooHigh
 from threewave.poly import MultiPoly
@@ -175,3 +175,24 @@ def test_pushforward_matches_oracle_on_atlas_charts():
         w = pushforward(v, cmap)
         ref = oracle_pushforward(v, cmap)
         assert list(w.components) == ref
+
+
+def test_pushforward_matches_term_by_term_chain_rule():
+    # seeded random rational fields through every built-in map and a blow-up
+    # chart: the single-fraction pushforward against sum_j d(f_k)/d(x_j) * v_j
+    # accumulated in RationalFn arithmetic, then composed term by term
+    rng = random.Random(2024)
+    for cmap in differential_maps():
+        src = cmap.source.vars
+        for _ in range(2):
+            comps = [random_ratfn(rng, cmap.table, src) for _ in range(3)]
+            comps[rng.randrange(3)] = RationalFn.const(cmap.table, 0)
+            v = VectorField(cmap.source, comps)
+            inverse = {src[j]: cmap.inverse[j] for j in range(3)}
+            want = []
+            for fk in cmap.forward:
+                acc = RationalFn.const(cmap.table, 0)
+                for j in range(3):
+                    acc = acc + fk.derivative(src[j]) * comps[j]
+                want.append(naive_substitute(acc, inverse))
+            assert list(pushforward(v, cmap).components) == want, cmap

@@ -1,0 +1,55 @@
+"""Golden reports: the README's symbolic CLI examples, byte for byte.
+
+Each case's stdout is stored in ``tests/golden/<name>.out`` and its exit code
+in ``tests/golden/exit_codes.json``. A change that moves a report on purpose
+(a fixed defect) regenerates them with ``PYTHONPATH=src python
+tests/test_golden.py`` and the diff of ``tests/golden/`` shows what moved.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from threewave.cli import run
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+CASES = {
+    "singularities": ["singularities", "--system", "three-wave"],
+    "index-P1": ["index", "--system", "three-wave", "--point", "P1"],
+    "alpha-test-P4_2": ["alpha-test", "--system", "three-wave", "--point", "P4_2"],
+    "painleve": ["painleve", "--system", "three-wave", "--bound", "2"],
+    "blowup": ["blowup", "--system", "three-wave"],
+    "obstructions": ["obstructions", "--system", "three-wave"],
+    "verify-atlas-three-wave": ["verify-atlas", "--system", "three-wave", "--params", "delta=0,gamma=-1"],
+    "verify-atlas-modified": ["verify-atlas", "--system", "modified"],
+    "verify-symmetry": ["verify-symmetry", "--system", "modified"],
+    "uniqueness": ["uniqueness"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name):
+    code = run(CASES[name])
+    out = capsys.readouterr().out
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def regenerate() -> None:
+    """Rewrite every golden file from fresh ``python -m threewave.cli`` runs."""
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        proc = subprocess.run([sys.executable, "-m", "threewave.cli", *argv], capture_output=True)
+        (GOLDEN / f"{name}.out").write_bytes(proc.stdout)
+        codes[name] = proc.returncode
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_substitute
+from oracles import differential_maps, naive_substitute, random_ratfn
 from threewave.errors import DenominatorVanishes
 from threewave.gaussian import gr
 from threewave.poly import MultiPoly, poly_gcd
@@ -113,3 +113,21 @@ def test_is_polynomial_and_as_poly():
     assert r.is_polynomial()
     assert r.as_poly() == (MultiPoly.var(t, "x") * MultiPoly.var(t, "y") + 1)
     assert not (1 / x).is_polynomial()
+
+
+def test_substitute_equals_separate_images_divided():
+    # one fraction reduced once against the images of num and den, each
+    # substituted on its own and then divided
+    rng = random.Random(77)
+    for cmap in differential_maps():
+        t = cmap.table
+        for bindings in (
+            {cmap.source.vars[j]: cmap.inverse[j] for j in range(3)},
+            {cmap.target.vars[j]: cmap.forward[j] for j in range(3)},
+        ):
+            syms = list(bindings)
+            for _ in range(3):
+                f = random_ratfn(rng, t, syms)
+                num = substitute(RationalFn.from_poly(f.num), bindings, t)
+                den = substitute(RationalFn.from_poly(f.den), bindings, t)
+                assert substitute(f, bindings, t) == num / den
