@@ -9,19 +9,23 @@ the system, 2 usage or input error.
 Symbolic subcommands insist on exact parameter values (integers, rationals,
 or expressions like ``-1/2`` or ``i``); floating-point input is rejected
 there so exactness is never silently lost. The numeric subcommands
-(``integrate``, ``monodromy``) accept floats and complex values.
+(``integrate``, ``monodromy``) accept finite floats and complex values and
+bind each as the exact value of the parsed double.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from . import models, reports
 from .errors import ThreeWaveError
+from .gaussian import GaussianRational
 from .numerics import NumericAtlas, TrajectoryPoint, fit_pole, integrate, monodromy_check
 from .parsing import ModelFile, parse_expr
 
@@ -36,10 +40,13 @@ class UsageError(Exception):
 
 
 def _parse_params(system: ModelFile, text: str | None, numeric: bool):
-    """'delta=0,gamma=-1' over the model's parameter names.
+    """'delta=0,gamma=-1' over the model's parameter names, as a list of
+    exact values in the model's parameter order.
 
-    Symbolic commands get a list of exact values (None = symbolic) and refuse
-    floats; numeric commands get a name -> complex map (unset = 0).
+    Symbolic commands refuse floats and leave unset names symbolic (None; the
+    result is None without ``--params``). Numeric commands take finite floats
+    and complex values, each the exact value of the parsed double, and set
+    unset names to 0.
     """
     names = [s.name for s in system.table.parameters()]
     values: dict = {}
@@ -51,7 +58,10 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
         if name not in names:
             raise UsageError(f"unknown parameter {name!r} for system {system.name!r}")
         if numeric:
-            values[name] = complex(raw.replace("i", "j"))
+            z = complex(raw.replace("i", "j"))
+            if not cmath.isfinite(z):
+                raise UsageError(f"parameter {name}={raw!r} is not a finite number")
+            values[name] = GaussianRational(Fraction(z.real), Fraction(z.imag))
             continue
         if any(ch in raw for ch in (".", "e", "E")) and not raw.lstrip("+-").isdigit():
             raise UsageError(
@@ -65,7 +75,7 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
             raise UsageError(f"parameter {name}={raw!r} is not a constant")
         values[name] = rf.constant_value()
     if numeric:
-        return {n: values.get(n, 0j) for n in names}
+        return [values.get(n, GaussianRational(0)) for n in names]
     return [values.get(n) for n in names] if text else None
 
 
@@ -275,11 +285,12 @@ def _dispatch(args) -> int:
     raise UsageError(f"unhandled command {cmd!r}")
 
 
-def _run_numeric(args, system: ModelFile, params: dict[str, complex]) -> int:
-    # numeric parameters enter at compile time; the symbolic field stays generic
-    v = models.system_field(system)
-    maps = models.resolved_atlas(system)
-    atlas = NumericAtlas(v, maps, params, require_polynomial=not args.allow_rational)
+def _run_numeric(args, system: ModelFile, params: list[GaussianRational]) -> int:
+    # every parameter is bound exactly, so the polynomiality test sees the
+    # field that is integrated
+    v = models.system_field(system, params)
+    maps = models.resolved_atlas(system, params)
+    atlas = NumericAtlas(v, maps, {}, require_polynomial=not args.allow_rational)
     start_state = tuple(_parse_complex_list(args.start))
     if len(start_state) != 3:
         raise UsageError("--start needs three components 'x;y;z'")

@@ -222,7 +222,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-IMAG = GaussianRational(0, 1)
 
 
 def gr(re=0, im=0) -> GaussianRational:

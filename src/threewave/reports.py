@@ -17,8 +17,8 @@ from .singular import (
     AccessibleScan,
     alpha_test,
     find_accessible,
+    index_of_linear_part,
     linear_part,
-    local_index,
     painleve_leading_orders,
     resolution_pipeline,
     verify_balance,
@@ -158,7 +158,7 @@ def _named_point(system, params, point: str) -> tuple[VectorField, AccessiblePoi
 def index_report(system, params=None, point: str = "P1") -> dict:
     v, p = _named_point(system, params, point)
     A = linear_part(v, p)
-    idx = local_index(v, p)
+    idx = index_of_linear_part(A, v.table)
     return {
         "point": point,
         "chart": p.chart.name,
@@ -172,9 +172,9 @@ def index_report(system, params=None, point: str = "P1") -> dict:
     }
 
 
-def alpha_report(system, params=None, point: str = "P4_2", specialization=None) -> dict:
+def alpha_report(system, params=None, point: str = "P4_2") -> dict:
     v, p = _named_point(system, params, point)
-    rep = alpha_test(v, p, specialization)
+    rep = alpha_test(v, p)
     return {
         "point": point,
         "chart": p.chart.name,

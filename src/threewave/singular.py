@@ -10,8 +10,9 @@ divisor gets resolved:
    classifies each point and predicts how many blow-ups are needed,
 3. :func:`painleve_leading_orders` searches dominant balances, whose pole
    orders pick the weighted chart suited to a multiple point,
-4. :func:`blow_up` produces the directional charts of a point blow-up with
-   the transformed field, and
+4. :func:`blow_up` produces the chart of a point blow-up along one
+   direction (the pipeline follows the exceptional direction) with the
+   transformed field, and
 5. :func:`holomorphy_obstructions` reads off the parameter conditions under
    which the final field is polynomial.
 
@@ -268,8 +269,11 @@ def local_index(v: VectorField, p: AccessiblePoint) -> LocalIndex:
     computed from the characteristic polynomial and sorted canonically,
     flagged "spectral".
     """
-    A = linear_part(v, p)
-    table = v.table
+    return index_of_linear_part(linear_part(v, p), v.table)
+
+
+def index_of_linear_part(A: list[list[RationalFn]], table) -> LocalIndex:
+    """The :class:`LocalIndex` of a linear part computed by :func:`linear_part`."""
     perm = _triangular_permutation(A)
     if perm is not None:
         eig = tuple(A[perm[k]][perm[k]] for k in range(3))
@@ -329,17 +333,17 @@ def classify_alpha_matrix(A) -> AlphaTestReport:
     a_kk == a_11 the explicit solution carries a logarithm unless the
     coupling a_k1 vanishes. Entries may be exact constants or rational
     functions of parameters, but every ratio must come out constant (else a
-    specialization is required and ValueError is raised).
+    specialization is required and AnalysisFailed is raised).
     """
     n = len(A)
     a11 = A[0][0]
     if a11.is_zero():
-        raise ValueError("the scaling-limit classification needs a_11 != 0")
+        raise AnalysisFailed("the scaling-limit classification needs a_11 != 0")
     lower = all(A[i][j].is_zero() for i in range(n) for j in range(i + 1, n))
     ratios = tuple(A[k][k] / a11 for k in range(n))
     for r in ratios:
         if isinstance(r, RationalFn) and not r.is_constant():
-            raise ValueError(
+            raise AnalysisFailed(
                 f"eigenvalue ratio {r.text()} depends on parameters; specialize them"
             )
     verdicts = []
@@ -361,21 +365,14 @@ def classify_alpha_matrix(A) -> AlphaTestReport:
     )
 
 
-def alpha_test(
-    v: VectorField,
-    p: AccessiblePoint,
-    specialization: dict[Symbol, GaussianRational] | None = None,
-) -> AlphaTestReport:
+def alpha_test(v: VectorField, p: AccessiblePoint) -> AlphaTestReport:
     """Scaling limit t = t0 + alpha*T, x = alpha*X at the point ``p``.
 
     The limit system is the linear part over x_1. Parameters may stay
-    symbolic as long as the eigenvalue ratios are constant; otherwise pass
-    an exact specialization.
+    symbolic as long as the eigenvalue ratios are constant; otherwise bind
+    them in ``v``.
     """
-    A = linear_part(v, p)
-    if specialization:
-        A = [[e.specialize(specialization) for e in row] for row in A]
-    return classify_alpha_matrix(A)
+    return classify_alpha_matrix(linear_part(v, p))
 
 
 # -- dominant balance search ------------------------------------------------------------
@@ -404,13 +401,17 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> list[Balance]:
     are discarded (a vanishing leading coefficient is no balance), and
     coefficients that stay unconstrained are reported as free symbols.
     """
+    span = range(-bound, bound + 1)
+    return _balances(v, (o for o in itertools.product(span, repeat=3) if max(o) >= 1))
+
+
+def _balances(v: VectorField, orders_seq) -> list[Balance]:
+    """The balances of every pole-order triple of ``orders_seq``, in its order."""
     if not v.is_polynomial():
         raise ValueError("dominant-balance search expects a polynomial field")
     table, leads, comps, state_idx = _lead_setup(v)
     balances = []
-    for orders in itertools.product(range(-bound, bound + 1), repeat=3):
-        if max(orders) < 1:
-            continue
+    for orders in orders_seq:
         eqs = _balance_equations(comps, state_idx, leads, orders, table)
         for branch in _solve_poly_system(eqs, leads, table):
             coeffs = tuple(branch.get(l, RationalFn.var(table, l)) for l in leads)
@@ -541,71 +542,37 @@ class BlowUpChart:
     cmap: ChartMap
     field: VectorField
     exceptional: Symbol
-    direction: Symbol  # source variable giving this directional chart
 
 
-def blow_up(
-    v: VectorField,
-    center_point: AccessiblePoint | None = None,
-    shifts: Sequence[RationalFn] | None = None,
-    center: Sequence[RationalFn] | None = None,
-    level: int | None = None,
-) -> list[BlowUpChart]:
-    """Point blow-up of ``v.chart`` at a center, one chart per direction.
+def blow_up(v: VectorField, center: Sequence, k: int) -> BlowUpChart:
+    """Point blow-up of ``v.chart`` at ``center``, seen in the direction-k chart.
 
-    The center is ``center_point.coords`` (plus optional ``shifts``) or an
-    explicit coordinate triple. In the direction-k chart the k-th new
-    variable is the shifted old one and the others are divided by it; each
-    chart comes with its verified ChartMap and the pushed-forward field.
+    The k-th new variable is the shifted k-th old one and the others are
+    divided by it, so the k-th new variable cuts out the exceptional divisor.
+    The chart comes with its verified ChartMap and the pushed-forward field.
     """
     table = v.table
     chart = v.chart
-    if center is None:
-        if center_point is None:
-            raise ValueError("need a center point or explicit center coordinates")
-        center = list(center_point.coords)
-        if shifts is not None:
-            center = [c + s for c, s in zip(center, shifts)]
-    center = [c if isinstance(c, RationalFn) else RationalFn.const(table, c) for c in center]
-
-    if level is None:
-        level = 1
-        while table.get(f"bu{level}_1") is not None:
-            level += 1
+    level = 1
+    while table.get(f"bu{level}_1") is not None:
+        level += 1
     names = [f"bu{level}_{j + 1}" for j in range(3)]
-    new_syms = tuple(Symbol(n, "state") for n in names)
-    new_table = table.extend(new_syms)
-    vv = v.retable(new_table)
-    center = [c.retable(new_table) for c in center]
-
-    out = []
-    for k in range(3):
-        tvars = tuple(new_table.get(n) for n in names)
-        target = Chart(f"{chart.name}.b{level}{chart.vars[k].name}", tvars, boundary=tvars[k])
-        fwd = []
-        base_k = RationalFn.var(new_table, chart.vars[k]) - center[k]
-        for j in range(3):
-            if j == k:
-                fwd.append(base_k)
-            else:
-                fwd.append((RationalFn.var(new_table, chart.vars[j]) - center[j]) / base_k)
-        inv = []
-        dk = RationalFn.var(new_table, tvars[k])
-        for j in range(3):
-            if j == k:
-                inv.append(dk + center[k])
-            else:
-                inv.append(dk * RationalFn.var(new_table, tvars[j]) + center[j])
-        cmap = ChartMap(chart, target, fwd, inv)
-        out.append(
-            BlowUpChart(
-                cmap=cmap,
-                field=pushforward(vv, cmap),
-                exceptional=tvars[k],
-                direction=chart.vars[k],
-            )
-        )
-    return out
+    new_table = table.extend(Symbol(n, "state") for n in names)
+    center = [
+        (c if isinstance(c, RationalFn) else RationalFn.const(table, c)).retable(new_table)
+        for c in center
+    ]
+    tvars = tuple(new_table.get(n) for n in names)
+    target = Chart(f"{chart.name}.b{level}{chart.vars[k].name}", tvars, boundary=tvars[k])
+    shifted = [RationalFn.var(new_table, s) - c for s, c in zip(chart.vars, center)]
+    fwd = [shifted[j] if j == k else shifted[j] / shifted[k] for j in range(3)]
+    dk = RationalFn.var(new_table, tvars[k])
+    inv = [
+        dk + center[j] if j == k else dk * RationalFn.var(new_table, tvars[j]) + center[j]
+        for j in range(3)
+    ]
+    cmap = ChartMap(chart, target, fwd, inv)
+    return BlowUpChart(cmap, pushforward(v.retable(new_table), cmap), tvars[k])
 
 
 # -- holomorphy obstructions ----------------------------------------------------------------
@@ -770,24 +737,21 @@ class ResolutionReport:
         return out
 
 
-def resolution_pipeline(
-    v: VectorField,
-    weighted_map_factory,
-    steps: int | None = None,
-    bound: int = 2,
-) -> ResolutionReport:
+def resolution_pipeline(v: VectorField, weighted_map_factory, bound: int = 2) -> ResolutionReport:
     """Resolve the degenerate boundary point of ``v`` and read off the
     parameter conditions for polynomiality.
 
     The dominant balance with a pole in the first variable selects the
     weighted chart (``weighted_map_factory`` maps its pole orders to a
-    ChartMap); the accessible point there with a nonzero first index entry
-    is blown up repeatedly (the resonance ratio fixes the number of steps),
-    each time at the unique accessible point of the exceptional divisor,
-    following the exceptional direction. The final field's holomorphy
+    ChartMap); only pole-order triples with m >= 1 are searched. The
+    accessible point there with a nonzero first index entry is blown up
+    repeatedly (the resonance ratio fixes the number of steps), each time at
+    the unique accessible point of the exceptional divisor and only in the
+    chart of the exceptional direction. The final field's holomorphy
     obstructions and their solution branches are returned.
     """
-    balances = [b for b in painleve_leading_orders(v, bound) if b.exponents[0] >= 1]
+    span = range(-bound, bound + 1)
+    balances = _balances(v, itertools.product(range(1, bound + 1), span, span))
     if not balances:
         raise AnalysisFailed("no dominant balance with a pole in the first variable")
     balance = max(balances, key=lambda b: sum(b.exponents))
@@ -800,19 +764,18 @@ def resolution_pipeline(
     if not entries:
         raise AnalysisFailed("no accessible point with nonzero leading index on the weighted chart")
     entry, entry_index = entries[0]
-    if steps is None:
-        steps = 1
-        if entry_index.ratios is not None:
-            for r in entry_index.ratios[1:]:
-                if r.is_integer():
-                    steps = max(steps, int(r.constant_value().re))
+    steps = 1
+    if entry_index.ratios is not None:
+        for r in entry_index.ratios[1:]:
+            if r.is_integer():
+                steps = max(steps, int(r.constant_value().re))
     current_field, current_point = vw, entry
     centers = []
     chart_maps = [weighted_map]
     exceptional = None
     for step in range(steps):
-        charts = blow_up(current_field, current_point)
-        nxt = next(c for c in charts if c.direction == current_field.chart.boundary)
+        chart = current_field.chart
+        nxt = blow_up(current_field, current_point.coords, chart.var_index(chart.boundary))
         current_field = nxt.field
         exceptional = nxt.exceptional
         chart_maps.append(nxt.cmap)

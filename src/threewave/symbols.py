@@ -89,9 +89,6 @@ class SymbolTable:
         """Table with ``new_symbols`` appended (names must be fresh)."""
         return SymbolTable(self.symbols + tuple(new_symbols))
 
-    def states(self) -> tuple[Symbol, ...]:
-        return tuple(s for s in self.symbols if s.kind == STATE)
-
     def parameters(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self.symbols if s.kind == PARAMETER)
 

@@ -104,5 +104,5 @@ def differential_maps() -> list[ChartMap]:
         maps += [cm for name in ("projective", "resolved") for cm in m.atlas(name)[1:]]
         maps.append(models.weighted_chart_map(kind, (1, 0, 2)))
     v = models.system_field("three-wave")
-    maps += [c.cmap for c in blow_up(v, center=[1, 0, -1])]
+    maps += [blow_up(v, [1, 0, -1], k).cmap for k in range(3)]
     return maps

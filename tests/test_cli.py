@@ -4,6 +4,7 @@ import pytest
 
 from threewave import models, reports
 from threewave.cli import run
+from threewave.numerics import NumericAtlas, TrajectoryPoint, integrate
 
 
 def _capture(capsys, argv):
@@ -109,6 +110,28 @@ def test_integrate_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("t_re,t_im,chart")
     assert len(lines) > 3
+
+
+def test_integrate_binds_parameters_exactly(capsys):
+    # with delta=2, gamma=0 the resolved atlas is polynomial only once the
+    # parameters are bound; the run must match the generic field evaluated
+    # at the same values
+    start = (-3 + 0j, 1.02 + 0j, -3 + 0j)
+    code, out = _capture(
+        capsys,
+        ["integrate", "--system", "three-wave", "--start=-3;1.02;-3", "--path", "1.5",
+         "--params", "delta=2,gamma=0"],
+    )
+    assert code == 0
+    rep = json.loads(out)
+    v = models.system_field("three-wave")
+    maps = models.resolved_atlas("three-wave")
+    atlas = NumericAtlas(v, maps, {"delta": 2, "gamma": 0}, require_polynomial=False)
+    traj = integrate(v, maps, TrajectoryPoint(0j, start, atlas.base), [0j, 1.5], atlas=atlas)
+    end = atlas.transition(traj.end.state, traj.end.chart, atlas.base)
+    assert rep["end_chart"] == traj.end.chart
+    for got, want in zip(rep["end_state_base_chart"], end):
+        assert abs(complex(got) - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_monodromy_command(capsys):
@@ -243,6 +266,12 @@ atlas resolved : C1
          "--center", "0.55", "--tol", "inf"],
         ["painleve", "--system", "three-wave", "--bound", "-1"],
         ["painleve", "--system", "three-wave", "--bound", "0"],
+        ["integrate", "--system", "modified", "--params", "alpha5=1e400",
+         "--start=-2;0.1;-3", "--path", "1.2"],
+        ["integrate", "--system", "modified", "--params", "alpha1=nan",
+         "--start=-2;0.1;-3", "--path", "1.2"],
+        ["monodromy", "--system", "modified", "--params", "alpha2=inf", "--start=-2;0.1;-3",
+         "--t0", "0", "--center", "0.55"],
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
@@ -273,12 +302,18 @@ map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
         ("x ; y ; z", ["blowup"], "no dominant balance with a pole in the first variable"),
         ("x^2 ; y ; z", ["integrate", "--start=1;1;1", "--path", "0.5"],
          "field is not polynomial on charts ['U1']"),
+        ("three-wave", ["alpha-test", "--point", "P4_1"], "the scaling-limit classification"),
+        ("three-wave", ["alpha-test", "--point", "P1"], "the scaling-limit classification"),
+        ("modified", ["alpha-test", "--point", "P4_1"], "the scaling-limit classification"),
     ],
 )
 def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
-    path = tmp_path / "toy.model"
-    path.write_text(PROJECTIVE_TOY.format(field=field))
-    code = run(argv[:1] + ["--system", str(path)] + argv[1:])
+    """``field`` is a toy model file's field, or the name of a built-in system."""
+    system = field
+    if field not in models.BUILTINS:
+        system = tmp_path / "toy.model"
+        system.write_text(PROJECTIVE_TOY.format(field=field))
+    code = run(argv[:1] + ["--system", str(system)] + argv[1:])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -24,7 +24,10 @@ CASES = {
     "alpha-test-P4_2": ["alpha-test", "--system", "three-wave", "--point", "P4_2"],
     "painleve": ["painleve", "--system", "three-wave", "--bound", "2"],
     "blowup": ["blowup", "--system", "three-wave"],
+    "blowup-modified": ["blowup", "--system", "modified"],
+    "blowup-three-wave-delta1-gamma0": ["blowup", "--system", "three-wave", "--params", "delta=1,gamma=0"],
     "obstructions": ["obstructions", "--system", "three-wave"],
+    "obstructions-modified": ["obstructions", "--system", "modified"],
     "verify-atlas-three-wave": ["verify-atlas", "--system", "three-wave", "--params", "delta=0,gamma=-1"],
     "verify-atlas-modified": ["verify-atlas", "--system", "modified"],
     "verify-symmetry": ["verify-symmetry", "--system", "modified"],

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from threewave import models
-from threewave.errors import PositiveDimensional
+from threewave import models, reports, singular
+from threewave.errors import AnalysisFailed, PositiveDimensional
 from threewave.gaussian import gr
 from threewave.geometry import Chart, VectorField, pushforward
 from threewave.poly import MultiPoly
@@ -200,6 +200,16 @@ def test_alpha_toy_logarithm_from_equal_eigenvalues():
     assert not rep2.log_detected and rep2.single_valued
 
 
+def test_alpha_verdicts_are_analysis_failures():
+    t = table("a:parameter")
+    one, zero = RationalFn.const(t, 1), RationalFn.const(t, 0)
+    a = RationalFn.var(t, "a")
+    with pytest.raises(AnalysisFailed, match="needs a_11 != 0"):
+        classify_alpha_matrix([[zero, zero], [zero, one]])
+    with pytest.raises(AnalysisFailed, match="depends on parameters"):
+        classify_alpha_matrix([[one, zero], [zero, a]])
+
+
 # -- dominant balances -----------------------------------------------------------------
 
 
@@ -257,10 +267,10 @@ def test_blow_up_directional_charts():
     w = _chart_field("three-wave", "W")
     scan = find_accessible(w)
     target = next(p for p in scan.points if p.coords[2].text() == "-1")
-    charts = blow_up(w, target)
+    charts = [blow_up(w, target.coords, k) for k in range(3)]
     assert len(charts) == 3
     assert len({c.cmap.target.name for c in charts}) == 3
-    boundary_dir = next(c for c in charts if c.direction == w.chart.boundary)
+    boundary_dir = charts[w.chart.var_index(w.chart.boundary)]
     # in the boundary direction the first new variable is the old boundary itself
     fwd = boundary_dir.cmap.forward
     big = fwd[0].table
@@ -274,7 +284,7 @@ def test_blow_up_of_zero_field_is_zero():
     zero = RationalFn.const(t, 0)
     v = VectorField(chart, [zero, zero, zero])
     center = [RationalFn.const(t, 0)] * 3
-    for piece in blow_up(v, center=center):
+    for piece in (blow_up(v, center, k) for k in range(3)):
         assert all(c.is_zero() for c in piece.field.components)
 
 
@@ -282,7 +292,7 @@ def test_blow_up_map_round_trip_numeric():
     w = _chart_field("three-wave", "W", params=[3, 2])
     scan = find_accessible(w)
     target = next(p for p in scan.points if p.coords[2].text() == "-1")
-    piece = blow_up(w, target)[0]
+    piece = blow_up(w, target.coords, 0)
     cmap = piece.cmap
     pt = {s.name: v for s, v in zip(cmap.source.vars, (0.37 + 0.1j, 1.9, -0.55))}
     img = {s.name: f.eval_complex(pt) for s, f in zip(cmap.target.vars, cmap.forward)}
@@ -300,6 +310,19 @@ def test_pipeline_reproduces_conditions():
     assert rep.obstruction.texts() == ["delta*gamma", "gamma^2+gamma"]
     assert [b.text() for b in rep.branches] == ["{delta = 0, gamma = -1}", "{gamma = 0}"]
     assert [c.text() for c in rep.centers] == ["(0, -1/2*delta*gamma, -2*gamma-2)"]
+
+
+def test_pipeline_pushes_forward_once_per_lineage_chart(monkeypatch):
+    calls = []
+    real = singular.pushforward
+
+    def counting(v, cmap):
+        calls.append(cmap.target.name)
+        return real(v, cmap)
+
+    monkeypatch.setattr(singular, "pushforward", counting)
+    rep = reports.pipeline_report("three-wave")
+    assert calls == rep["chart_lineage"]
 
 
 def test_pipeline_composed_chart_equals_resolved_chart_three():
