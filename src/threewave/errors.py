@@ -36,6 +36,11 @@ class AnalysisFailed(ThreeWaveError, ValueError):
     field (no pole balance, a non-polynomial atlas), not about how it was asked."""
 
 
+class VerificationFailed(ThreeWaveError):
+    """An exact re-check of a computed result failed. Deliberately not a
+    ValueError, so that no caller that handles bad input swallows it."""
+
+
 class PositiveDimensional(ThreeWaveError):
     """The singular locus on the boundary divisor is not a finite set of points."""
 

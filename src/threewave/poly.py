@@ -1,14 +1,31 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-A polynomial is a finite map from exponent vectors to nonzero
-:class:`~threewave.gaussian.GaussianRational` coefficients. Exponent vectors
-are dense tuples indexed by a shared :class:`~threewave.symbols.SymbolTable`;
-all operands of an arithmetic operation must carry the *same* table.
+A polynomial is a finite map from monomials to nonzero
+:class:`~threewave.gaussian.GaussianRational` coefficients, over a shared
+:class:`~threewave.symbols.SymbolTable`; all operands of an arithmetic
+operation must carry the *same* table.
 
 The fixed monomial order everywhere is graded lexicographic over the whole
 table: higher total degree wins, ties broken lexicographically in table
 order. Leading terms, monic normalization and the canonical text form all
 refer to this order.
+
+Each monomial is stored as one packed int (after Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007). For a table of n symbols and ``FIELD_BITS`` = 16 the
+key is
+
+    deg << 16*n  |  e_0 << 16*(n-1)  |  ...  |  e_{n-1}
+
+with the total degree in the top field and the exponents below it in table
+order, most significant first. Comparing keys as ints is therefore the
+graded-lex order, multiplying monomials is adding keys, and a monomial
+divides another when subtracting the keys borrows from no field. Every
+exponent is at most the total degree, so the fields cannot carry into each
+other while the degree fits its own field; a total degree above 65535 raises
+``ValueError`` instead of carrying. :attr:`MultiPoly.terms` is a read-only
+view keyed by exponent tuples, built on first use; the constructor accepts
+such tuple-keyed maps too.
 
 Values are immutable after construction, so they are safe to share between
 threads and usable as dict keys.
@@ -16,105 +33,167 @@ threads and usable as dict keys.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from functools import lru_cache
+from struct import Struct
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NotDivisible, SymbolTableMismatch
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational, from_parts, over_common_denominator
 from .symbols import Symbol, SymbolTable
 
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
-def _grlex_key(exp: tuple[int, ...]):
-    return (sum(exp), exp)
+
+class _Layout:
+    """Packed monomial keys for exponent vectors of one length."""
+
+    __slots__ = ("shifts", "top", "low", "units", "borrows", "_fields")
+
+    def __init__(self, n: int):
+        self.shifts = tuple(FIELD_BITS * (n - 1 - k) for k in range(n))
+        self.top = FIELD_BITS * n
+        self.low = (1 << self.top) - 1  # the exponent fields without the degree
+        # the key of each variable, and the bit just above each exponent field,
+        # which a subtraction that borrows out of that field flips
+        self.units = tuple((1 << self.top) | (1 << s) for s in self.shifts)
+        self.borrows = sum(1 << (s + FIELD_BITS) for s in self.shifts)
+        self._fields = Struct(f">{n}H")  # the exponent fields as 16-bit big-endian words
+
+    def pack(self, exp: Sequence[int]) -> int:
+        if len(exp) != len(self.shifts):
+            raise ValueError(f"exponent vector {exp} does not match a table of {len(self.shifts)}")
+        if min(exp, default=0) < 0:
+            raise ValueError(f"negative exponent in {exp}")
+        deg = sum(exp)
+        _check_degree(deg)
+        return int.from_bytes(self._fields.pack(*exp), "big") | deg << self.top
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return self._fields.unpack((key & self.low).to_bytes(self._fields.size, "big"))
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
+
+
+def _check_degree(deg: int) -> None:
+    if deg > MAX_DEGREE:
+        raise ValueError(f"total degree {deg} exceeds the packed maximum {MAX_DEGREE}")
+
+
+def _drop_zeros(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if not c.is_zero()}
 
 
 class MultiPoly:
-    __slots__ = ("table", "terms", "_hash")
+    # _terms maps packed keys to nonzero coefficients; _view and _hash are
+    # filled on first use
+    __slots__ = ("table", "_lay", "_terms", "_view", "_hash")
 
     def __init__(self, table: SymbolTable, terms: Mapping[tuple[int, ...], GaussianRational]):
-        clean = {e: c for e, c in terms.items() if not c.is_zero()}
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        lay = _layout(len(table))
+        _init(self, table, lay, {lay.pack(e): c for e, c in terms.items() if not c.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def _like(self, terms: dict[int, GaussianRational]) -> "MultiPoly":
+        """A polynomial over this table from packed terms without zeros."""
+        return _poly(self.table, self._lay, terms)
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], GaussianRational]:
+        """The terms keyed by exponent tuples (a read-only view, built once)."""
+        try:
+            return self._view
+        except AttributeError:
+            unpack = self._lay.unpack
+            view = MappingProxyType({unpack(e): c for e, c in self._terms.items()})
+            _setattr(self, "_view", view)
+            return view
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(table: SymbolTable) -> "MultiPoly":
-        return MultiPoly(table, {})
+        return _poly(table, _layout(len(table)), {})
 
     @staticmethod
     def const(table: SymbolTable, value) -> "MultiPoly":
         c = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        return MultiPoly(table, {(0,) * len(table): c})
+        return _poly(table, _layout(len(table)), {} if c.is_zero() else {0: c})
 
     @staticmethod
     def var(table: SymbolTable, sym: Symbol | str) -> "MultiPoly":
-        k = table.index(sym)
-        exp = [0] * len(table)
-        exp[k] = 1
-        return MultiPoly(table, {tuple(exp): ONE})
+        lay = _layout(len(table))
+        return _poly(table, lay, {lay.units[table.index(sym)]: ONE})
 
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self._terms)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def constant_value(self) -> GaussianRational:
         """Value of a constant polynomial (zero polynomial gives 0)."""
         if self.is_zero():
             return ZERO
-        ((e, c),) = self.terms.items()
-        if sum(e) != 0:
+        ((e, c),) = self._terms.items()
+        if e:
             raise ValueError("polynomial is not constant")
         return c
 
     def degree(self, sym: Symbol | str) -> int:
         """Maximum exponent of ``sym``; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        k = self.table.index(sym)
-        return max(e[k] for e in self.terms)
+        s = self._lay.shifts[self.table.index(sym)]
+        return max(e >> s & MAX_DEGREE for e in self._terms)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> self._lay.top
 
     def state_degree(self) -> int:
         """Total degree counting only state symbols."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        idx = [k for k, s in enumerate(self.table.symbols) if s.kind == "state"]
-        return max(sum(e[k] for k in idx) for e in self.terms)
+        shifts = [self._lay.shifts[k] for k, s in enumerate(self.table.symbols) if s.kind == "state"]
+        return max(sum(e >> s & MAX_DEGREE for s in shifts) for e in self._terms)
 
     def variables(self) -> tuple[Symbol, ...]:
         """Symbols that actually occur with positive exponent."""
-        if not self.terms:
-            return ()
-        n = len(self.table)
-        seen = [False] * n
-        for e in self.terms:
-            for k in range(n):
-                if e[k]:
-                    seen[k] = True
-        return tuple(s for k, s in enumerate(self.table.symbols) if seen[k])
+        seen = 0
+        for e in self._terms:
+            seen |= e
+        seen &= self._lay.low
+        syms = self.table.symbols
+        out = []
+        while seen:  # the nonzero fields, highest (first in table order) first
+            field = (seen.bit_length() - 1) // FIELD_BITS
+            out.append(syms[len(syms) - 1 - field])
+            seen &= (1 << field * FIELD_BITS) - 1
+        return tuple(out)
 
     def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grlex_key)
+        return self._lay.unpack(self._leading_key())
 
     def leading_coefficient(self) -> GaussianRational:
-        return self.terms[self.leading_monomial()]
+        return self._terms[self._leading_key()]
+
+    def _leading_key(self) -> int:
+        if not self._terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self._terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -130,16 +209,16 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return MultiPoly(self.table, out)
+        return self._like(_drop_zeros(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return self._like({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, GaussianRational)):
@@ -153,21 +232,45 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, GaussianRational)):
-            c = other if isinstance(other, GaussianRational) else GaussianRational(other)
-            if c.is_zero():
-                return MultiPoly.zero(self.table)
-            return MultiPoly(self.table, {e: k * c for e, k in self.terms.items()})
+            if other == 0:
+                return self._like({})
+            return self._like({e: k * other for e, k in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return MultiPoly(self.table, out)
+        terms1, terms2 = self._terms, other._terms
+        if not terms1 or not terms2:
+            return self._like({})
+        top = self._lay.top
+        _check_degree((max(terms1) >> top) + (max(terms2) >> top))
+        # integer products over the two common denominators, then one
+        # reduction per result term
+        den1, re1, im1 = over_common_denominator(terms1.values())
+        den2, re2, im2 = over_common_denominator(terms2.values())
+        den = den1 * den2
+        re: dict[int, int] = {}
+        get = re.get
+        if im1 is None and im2 is None:
+            rows2 = list(zip(terms2, re2))
+            for e1, x1 in zip(terms1, re1):
+                for e2, x2 in rows2:
+                    e = e1 + e2
+                    re[e] = get(e, 0) + x1 * x2
+            return self._like({e: from_parts(x, 0, den) for e, x in re.items() if x})
+        im: dict[int, int] = {}
+        get_im = im.get
+        rows2 = list(zip(terms2, re2, im2 or [0] * len(re2)))
+        for e1, x1, y1 in zip(terms1, re1, im1 or [0] * len(re1)):
+            for e2, x2, y2 in rows2:
+                e = e1 + e2
+                re[e] = get(e, 0) + x1 * x2 - y1 * y2
+                im[e] = get_im(e, 0) + x1 * y2 + y1 * x2
+        out = {}
+        for e, x in re.items():
+            y = im[e]
+            if x or y:
+                out[e] = from_parts(x, y, den)
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -184,7 +287,7 @@ class MultiPoly:
         return result
 
     def map_coefficients(self, fn: Callable[[GaussianRational], GaussianRational]) -> "MultiPoly":
-        return MultiPoly(self.table, {e: fn(c) for e, c in self.terms.items()})
+        return self._like(_drop_zeros({e: fn(c) for e, c in self._terms.items()}))
 
     def monic(self) -> "MultiPoly":
         """Divide by the leading coefficient (zero stays zero)."""
@@ -214,27 +317,27 @@ class MultiPoly:
         if divisor.is_constant():
             inv = divisor.constant_value().inverse()
             return self.map_coefficients(lambda c: c * inv)
-        dlm = divisor.leading_monomial()
-        dlc = divisor.terms[dlm]
-        rem = dict(self.terms)
-        quot: dict[tuple[int, ...], GaussianRational] = {}
+        dlm = divisor._leading_key()
+        inv = divisor._terms[dlm].inverse()
+        dterms = list(divisor._terms.items())
+        borrows = self._lay.borrows
+        rem = dict(self._terms)
+        quot: dict[int, GaussianRational] = {}
         while rem:
-            lm = max(rem, key=_grlex_key)
-            qexp = tuple(a - b for a, b in zip(lm, dlm))
-            if any(q < 0 for q in qexp):
-                raise NotDivisible(
-                    "leading monomial not divisible", remainder=MultiPoly(self.table, rem)
-                )
-            qc = rem[lm] / dlc
+            lm = max(rem)
+            qexp = lm - dlm
+            if qexp < 0 or (qexp ^ lm ^ dlm) & borrows:
+                raise NotDivisible("leading monomial not divisible", remainder=self._like(rem))
+            qc = rem[lm] * inv
             quot[qexp] = qc
-            for e, c in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(qexp, e))
+            for e, c in dterms:
+                t = qexp + e
                 s = rem.get(t, ZERO) - qc * c
                 if s.is_zero():
                     rem.pop(t, None)
                 else:
                     rem[t] = s
-        return MultiPoly(self.table, quot)
+        return self._like(quot)
 
     def divides(self, other: "MultiPoly") -> bool:
         try:
@@ -248,17 +351,12 @@ class MultiPoly:
     def as_univariate(self, sym: Symbol | str) -> dict[int, "MultiPoly"]:
         """Coefficients in ``sym``: maps exponent -> polynomial without ``sym``."""
         k = self.table.index(sym)
+        s, unit = self._lay.shifts[k], self._lay.units[k]
         out: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            d = e[k]
-            stripped = e[:k] + (0,) + e[k + 1 :]
-            bucket = out.setdefault(d, {})
-            s = bucket.get(stripped, ZERO) + c
-            if s.is_zero():
-                bucket.pop(stripped, None)
-            else:
-                bucket[stripped] = s
-        return {d: MultiPoly(self.table, t) for d, t in out.items() if t}
+        for e, c in self._terms.items():
+            d = e >> s & MAX_DEGREE
+            out.setdefault(d, {})[e - d * unit] = c
+        return {d: self._like(t) for d, t in out.items()}
 
     def coefficient_of(self, sym: Symbol | str, power: int) -> "MultiPoly":
         return self.as_univariate(sym).get(power, MultiPoly.zero(self.table))
@@ -266,13 +364,15 @@ class MultiPoly:
     def shift_var(self, sym: Symbol | str, power: int) -> "MultiPoly":
         """Multiply by sym**power (power may be negative if every term allows it)."""
         k = self.table.index(sym)
+        s, step = self._lay.shifts[k], power * self._lay.units[k]
         out = {}
-        for e, c in self.terms.items():
-            d = e[k] + power
-            if d < 0:
+        for e, c in self._terms.items():
+            if (e >> s & MAX_DEGREE) + power < 0:
                 raise ValueError("negative exponent after shift")
-            out[e[:k] + (d,) + e[k + 1 :]] = c
-        return MultiPoly(self.table, out)
+            out[e + step] = c
+        if out:
+            _check_degree(max(out) >> self._lay.top)
+        return self._like(out)
 
     def split_by_state_monomial(self) -> dict[tuple[int, ...], "MultiPoly"]:
         """Group terms by their state-symbol exponent pattern.
@@ -281,22 +381,13 @@ class MultiPoly:
         parameter slots zeroed) to the parameter-only polynomial multiplying
         that state monomial.
         """
-        idx_state = [k for k, s in enumerate(self.table.symbols) if s.kind == "state"]
-        out: dict[tuple[int, ...], dict] = {}
-        for e, c in self.terms.items():
-            key = [0] * len(e)
-            par = list(e)
-            for k in idx_state:
-                key[k] = e[k]
-                par[k] = 0
-            bucket = out.setdefault(tuple(key), {})
-            pe = tuple(par)
-            s = bucket.get(pe, ZERO) + c
-            if s.is_zero():
-                bucket.pop(pe, None)
-            else:
-                bucket[pe] = s
-        return {k: MultiPoly(self.table, t) for k, t in out.items() if t}
+        lay = self._lay
+        state = [k for k, s in enumerate(self.table.symbols) if s.kind == "state"]
+        out: dict[int, dict] = {}
+        for e, c in self._terms.items():
+            key = sum(((e >> lay.shifts[k] & MAX_DEGREE) * lay.units[k] for k in state), 0)
+            out.setdefault(key, {})[e - key] = c
+        return {lay.unpack(k): self._like(t) for k, t in out.items()}
 
     # -- substitution of exact constants --------------------------------------
 
@@ -304,24 +395,25 @@ class MultiPoly:
         """Substitute exact constant values for some symbols."""
         if not bindings:
             return self
+        lay = self._lay
         idx = {self.table.index(s): v for s, v in bindings.items()}
-        out: dict[tuple[int, ...], GaussianRational] = {}
-        for e, c in self.terms.items():
+        out: dict[int, GaussianRational] = {}
+        for e, c in self._terms.items():
             val = c
-            ne = list(e)
+            t = e
             for k, v in idx.items():
-                if e[k]:
-                    val = val * v ** e[k]
-                    ne[k] = 0
+                d = e >> lay.shifts[k] & MAX_DEGREE
+                if d:
+                    val = val * v**d
+                    t -= d * lay.units[k]
             if val.is_zero():
                 continue
-            t = tuple(ne)
             s = out.get(t, ZERO) + val
             if s.is_zero():
                 out.pop(t, None)
             else:
                 out[t] = s
-        return MultiPoly(self.table, out)
+        return self._like(out)
 
     def eval_exact(self, bindings: Mapping[Symbol, GaussianRational]) -> GaussianRational:
         """Evaluate at a full exact point (every occurring symbol bound)."""
@@ -331,9 +423,11 @@ class MultiPoly:
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         total = 0j
         syms = self.table.symbols
-        for e, c in self.terms.items():
+        shifts = self._lay.shifts
+        for e, c in self._terms.items():
             t = complex(c)
-            for k, d in enumerate(e):
+            for k, s in enumerate(shifts):
+                d = e >> s & MAX_DEGREE
                 if d:
                     t *= values[syms[k].name] ** d
             total += t
@@ -343,18 +437,13 @@ class MultiPoly:
 
     def derivative(self, sym: Symbol | str) -> "MultiPoly":
         k = self.table.index(sym)
+        s, unit = self._lay.shifts[k], self._lay.units[k]
         out = {}
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            ne = e[:k] + (e[k] - 1,) + e[k + 1 :]
-            nc = c * e[k]
-            s = out.get(ne, ZERO) + nc
-            if s.is_zero():
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return MultiPoly(self.table, out)
+        for e, c in self._terms.items():
+            d = e >> s & MAX_DEGREE
+            if d:
+                out[e - unit] = c * d
+        return self._like(out)
 
     # -- table migration ---------------------------------------------------------
 
@@ -366,24 +455,26 @@ class MultiPoly:
         """
         if new_table == self.table:
             return self
+        old, lay = self._lay, _layout(len(new_table))
         if self.table.is_prefix_of(new_table):
-            pad = (0,) * (len(new_table) - len(self.table))
-            return MultiPoly(new_table, {e + pad: c for e, c in self.terms.items()})
-        mapping = []
-        for k, s in enumerate(self.table.symbols):
-            mapping.append(new_table.index(s) if s in new_table else None)
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(new_table)
-            for k, d in enumerate(e):
-                if d:
-                    if mapping[k] is None:
-                        raise SymbolTableMismatch(
-                            f"symbol {self.table.symbols[k].name!r} missing from target table"
-                        )
-                    ne[mapping[k]] = d
-            out[tuple(ne)] = c
-        return MultiPoly(new_table, out)
+            # the degree moves up and the exponents gain zero fields below
+            pad = lay.top - old.top
+            terms = {(e >> old.top) << lay.top | (e & old.low) << pad: c for e, c in self._terms.items()}
+        else:
+            mapping = [new_table.index(s) if s in new_table else None for s in self.table.symbols]
+            terms = {}
+            for e, c in self._terms.items():
+                key = e >> old.top << lay.top
+                for k, s in enumerate(old.shifts):
+                    d = e >> s & MAX_DEGREE
+                    if d:
+                        if mapping[k] is None:
+                            raise SymbolTableMismatch(
+                                f"symbol {self.table.symbols[k].name!r} missing from target table"
+                            )
+                        key |= d << lay.shifts[mapping[k]]
+                terms[key] = c
+        return _poly(new_table, lay, terms)
 
     # -- comparison / printing -----------------------------------------------------
 
@@ -392,17 +483,19 @@ class MultiPoly:
             if isinstance(other, (int, GaussianRational)):
                 return self == MultiPoly.const(self.table, other)
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self._terms == other._terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _setattr(self, "_hash", h)
+            return h
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        unpack = self._lay.unpack
+        return [(unpack(e), self._terms[e]) for e in sorted(self._terms, reverse=True)]
 
     def text(self) -> str:
         """Canonical text form: graded-lex descending, '*' products, '^' powers."""
@@ -422,7 +515,7 @@ class MultiPoly:
                 coeff = c.text()
             elif c.is_one():
                 coeff = ""
-            elif c == GaussianRational(-1):
+            elif c == -1:
                 coeff = "-"
             elif c.is_compound():
                 coeff = f"({c.text()})*"
@@ -442,6 +535,23 @@ class MultiPoly:
         return f"MultiPoly({self.text()})"
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _init(p: MultiPoly, table: SymbolTable, lay: _Layout, terms: dict[int, GaussianRational]) -> None:
+    _setattr(p, "table", table)
+    _setattr(p, "_lay", lay)
+    _setattr(p, "_terms", terms)
+
+
+def _poly(table: SymbolTable, lay: _Layout, terms: dict[int, GaussianRational]) -> MultiPoly:
+    """A polynomial from packed terms without zero coefficients."""
+    p = _new(MultiPoly)
+    _init(p, table, lay, terms)
+    return p
+
+
 # -- gcd machinery ------------------------------------------------------------
 
 
@@ -449,13 +559,14 @@ def _monomial_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """gcd when at least one argument is a single term (coefficients are units)."""
     mono = a if a.is_monomial() else b
     other = b if a.is_monomial() else a
-    (me,) = mono.terms
-    mins = list(me)
-    for e in other.terms:
-        mins = [min(m, d) for m, d in zip(mins, e)]
+    lay = a._lay
+    (key,) = mono._terms
+    mins = lay.unpack(key)
+    for e in other._terms:
+        mins = [min(m, e >> s & MAX_DEGREE) for m, s in zip(mins, lay.shifts)]
         if not any(mins):
             break
-    return MultiPoly(a.table, {tuple(mins): ONE})
+    return _poly(a.table, lay, {lay.pack(mins): ONE})
 
 
 def _pseudo_rem(f: MultiPoly, g: MultiPoly, sym: Symbol) -> MultiPoly:

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AnalysisFailed, PositiveDimensional, UnresolvedSpectrum
+from .errors import AnalysisFailed, PositiveDimensional, UnresolvedSpectrum, VerificationFailed
 from .gaussian import GaussianRational
 from .geometry import Chart, ChartMap, VectorField, det3, log_pole_decomposition, pushforward
 from .poly import MultiPoly, poly_gcd, resultant
@@ -95,7 +95,7 @@ def find_accessible(v: VectorField, boundary: Symbol | None = None) -> Accessibl
                 coords.append(sol[s])
         point = AccessiblePoint(chart, tuple(coords), boundary, mult)
         if not _verify_point(gs, point):
-            raise AssertionError(f"candidate point {point.text()} failed exact re-verification")
+            raise VerificationFailed(f"candidate point {point.text()} failed exact re-verification")
         points.append(point)
     points.sort(key=lambda p: p.text())
     return AccessibleScan(tuple(points), tuple(residuals))
@@ -225,7 +225,7 @@ def linear_part(v: VectorField, p: AccessiblePoint) -> list[list[RationalFn]]:
         groups = poly.split_by_state_monomial()
         const_key = (0,) * len(table)
         if sym != p.boundary and const_key in groups:
-            raise AssertionError(
+            raise VerificationFailed(
                 f"point {p.text()} is not accessible: d{sym.name}/dt has constant part "
                 f"{groups[const_key].text()}"
             )

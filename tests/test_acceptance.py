@@ -130,7 +130,7 @@ def test_criterion_6_symmetry():
         assert b1 == b2
         assert rep1["s"]["residual"] == ["0", "0", "0"]
 
-    _report(6, "pi-invariance, group relations, reproducible s-residual", 60.0, body)
+    _report(6, "pi-invariance, group relations, reproducible s-residual", 20.0, body)
 
 
 def test_criterion_7_uniqueness():
@@ -143,7 +143,7 @@ def test_criterion_7_uniqueness():
         assert rep.matches_reference
         assert rep.homogeneous_nullity == 1
 
-    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 300.0, body)
+    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 20.0, body)
 
 
 def test_criterion_8a_chart_round_trips():

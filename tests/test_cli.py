@@ -321,6 +321,19 @@ def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
+def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):
+    from threewave import singular
+
+    monkeypatch.setattr(singular, "_verify_point", lambda gs, point: False)
+    code = run(["singularities", "--system", "three-wave"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: candidate point")
+    assert "failed exact re-verification" in lines[0]
+
+
 def test_named_point_scans_one_chart(capsys, monkeypatch):
     calls = []
     real = reports.find_accessible

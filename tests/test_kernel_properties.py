@@ -1,0 +1,148 @@
+"""Property tests of the exact kernel against independent oracles.
+
+``GaussianRational`` is checked against plain ``(Fraction, Fraction)``
+arithmetic, the packed monomial keys against ``(total degree, exponents)``
+tuples, and ``MultiPoly`` products against ``oracles.naive_mul``.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import naive_mul
+from threewave.errors import NotDivisible
+from threewave.gaussian import GaussianRational, gr
+from threewave.poly import MultiPoly, _layout
+from threewave.symbols import table
+
+KERNEL = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+# denominators up to 60 include 2, 5 and 13, which split in Z[i]
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+pairs = st.tuples(fractions, fractions)
+
+
+def _canonical(z: GaussianRational) -> bool:
+    """The stored triple (a, b, d) has d > 0 and gcd(a, b, d) == 1."""
+    return z._d > 0 and gcd(z._a, z._b, z._d) == 1
+
+
+def _value(p: tuple[Fraction, Fraction]) -> GaussianRational:
+    z = gr(*p)
+    assert _canonical(z)
+    return z
+
+
+def _mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _div(p, q):
+    n = q[0] * q[0] + q[1] * q[1]
+    return ((p[0] * q[0] + p[1] * q[1]) / n, (p[1] * q[0] - p[0] * q[1]) / n)
+
+
+def _pow(p, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = _mul(out, p)
+    return out if n >= 0 else _div((Fraction(1), Fraction(0)), out)
+
+
+def _is(z: GaussianRational, p) -> bool:
+    return _canonical(z) and z.re == p[0] and z.im == p[1]
+
+
+@KERNEL
+@given(pairs, pairs)
+def test_field_operations_match_fraction_pairs(p, q):
+    x, y = _value(p), _value(q)
+    assert _is(x + y, (p[0] + q[0], p[1] + q[1]))
+    assert _is(x - y, (p[0] - q[0], p[1] - q[1]))
+    assert _is(-x, (-p[0], -p[1]))
+    assert _is(x * y, _mul(p, q))
+    if q != (0, 0):
+        assert _is(x / y, _div(p, q))
+        assert _is(y.inverse(), _div((1, 0), q))
+
+
+@KERNEL
+@given(pairs, st.integers(min_value=-4, max_value=6))
+def test_powers_match_repeated_products(p, n):
+    if n < 0 and p == (0, 0):
+        return
+    assert _is(_value(p) ** n, _pow(p, n))
+
+
+@KERNEL
+@given(pairs, fractions, st.integers(min_value=-10**6, max_value=10**6))
+def test_equality_and_hash_agree_with_int_and_fraction(p, q, k):
+    x = _value(p)
+    assert x == gr(*p) and hash(x) == hash(gr(*p))
+    assert gr(q) == q and hash(gr(q)) == hash(q)
+    assert gr(k) == k and hash(gr(k)) == hash(k)
+    if p[1] == 0:
+        assert x == p[0] and hash(x) == hash(p[0])
+    else:
+        assert x != p[0] and hash(x) == hash(p)
+
+
+@KERNEL
+@given(pairs)
+def test_sqrt_finds_exactly_the_squares(p):
+    x = _value(p)
+    root = (x * x).sqrt()
+    assert root is not None and (root == x or root == -x)
+    r = x.sqrt()
+    if r is not None:
+        assert _is(r * r, p)
+
+
+exponent_vectors = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 300), min_size=n, max_size=n),
+        st.lists(st.integers(0, 300), min_size=n, max_size=n),
+    )
+)
+
+
+@KERNEL
+@given(exponent_vectors)
+def test_packed_keys_order_and_add_like_grlex_tuples(ef):
+    e, f = (tuple(v) for v in ef)
+    lay = _layout(len(e))
+    ke, kf = lay.pack(e), lay.pack(f)
+    assert lay.unpack(ke) == e
+    assert (ke < kf) == ((sum(e), e) < (sum(f), f))
+    assert ke + kf == lay.pack(tuple(a + b for a, b in zip(e, f)))
+
+
+T = table("x", "y", "z", "delta:parameter")
+small_exponents = st.tuples(*[st.integers(0, 3)] * len(T))
+polys = st.dictionaries(small_exponents, pairs.filter(lambda p: p != (0, 0)), max_size=5).map(
+    lambda terms: MultiPoly(T, {e: gr(*c) for e, c in terms.items()})
+)
+
+
+@KERNEL
+@given(polys, polys)
+def test_products_match_the_naive_oracle_and_divide_back(p, q):
+    product = p * q
+    assert product == naive_mul(p, q)
+    if not q.is_zero():
+        assert product.exact_divide(q) == p
+        if not q.is_constant():
+            with pytest.raises(NotDivisible):
+                (product + 1).exact_divide(q)
+
+
+@KERNEL
+@given(small_exponents, small_exponents)
+def test_monomial_divisibility_is_fieldwise(e, f):
+    me, mf = MultiPoly(T, {e: gr(1)}), MultiPoly(T, {f: gr(1)})
+    assert me.divides(mf) == all(a <= b for a, b in zip(e, f))

@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_mul
 from threewave.errors import NotDivisible, SymbolTableMismatch
 from threewave.gaussian import gr
-from threewave.poly import MultiPoly, poly_gcd, poly_sqrt, resultant
+from threewave.poly import MAX_DEGREE, MultiPoly, poly_gcd, poly_sqrt, resultant
 from threewave.symbols import table
 
 
@@ -167,3 +167,21 @@ def test_specialize_and_eval(xyz):
     p = x * y + 2 * z
     val = p.eval_exact({t.get("x"): gr(2), t.get("y"): gr(3), t.get("z"): gr(0, 1)})
     assert val == gr(6, 2)
+
+
+def test_degree_beyond_the_packed_field_raises():
+    t = table("x", "y")
+    x_top = MultiPoly(t, {(MAX_DEGREE, 0): gr(1)})
+    assert x_top.leading_monomial() == (MAX_DEGREE, 0)
+    assert x_top.total_degree() == MAX_DEGREE
+    y = MultiPoly.var(t, "y")
+    with pytest.raises(ValueError, match="exceeds"):
+        MultiPoly(t, {(MAX_DEGREE, 1): gr(1)})
+    with pytest.raises(ValueError, match="exceeds"):
+        x_top * y
+    with pytest.raises(ValueError, match="exceeds"):
+        x_top.shift_var("y", 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        y ** (MAX_DEGREE + 1)
+    with pytest.raises(ValueError, match="negative"):
+        MultiPoly(t, {(-1, 2): gr(1)})

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from threewave import models, reports, singular
-from threewave.errors import AnalysisFailed, PositiveDimensional
+from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
 from threewave.geometry import Chart, VectorField, pushforward
 from threewave.poly import MultiPoly
@@ -151,6 +151,17 @@ def test_trace_determinant_invariants():
             + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
         )
         assert det == idx.eigenvalues[0] * idx.eigenvalues[1] * idx.eigenvalues[2]
+
+
+def test_linear_part_rejects_a_point_that_is_not_accessible():
+    v, p = _named()["P1"]
+    k = next(k for k, s in enumerate(p.chart.vars) if s != p.boundary)
+    coords = list(p.coords)
+    coords[k] = coords[k] + 1
+    moved = singular.AccessiblePoint(p.chart, tuple(coords), p.boundary)
+    with pytest.raises(VerificationFailed, match="is not accessible") as info:
+        linear_part(v, moved)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_index_invariant_under_transverse_permutation():
