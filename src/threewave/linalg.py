@@ -79,7 +79,7 @@ def linear_solve(
                 if c in pivot_cols or row[c].is_zero():
                     continue
                 e = row[c]
-                key = (e.total_degree(), len(e.terms), nnz, c, ri)
+                key = (e.total_degree(), e.term_count(), nnz, c, ri)
                 if best is None or key < best[0]:
                     best = (key, ri, c)
         if best is None:

@@ -142,6 +142,9 @@ class MultiPoly:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
+    def term_count(self) -> int:
+        return len(self._terms)
+
     def constant_value(self) -> GaussianRational:
         """Value of a constant polynomial (zero polynomial gives 0)."""
         if self.is_zero():
@@ -389,6 +392,20 @@ class MultiPoly:
             out.setdefault(key, {})[e - key] = c
         return {lay.unpack(k): self._like(t) for k, t in out.items()}
 
+    def split_by_weight(self, weights: Mapping[Symbol, int]) -> dict[int, "MultiPoly"]:
+        """Group terms by their weighted degree sum_s weights[s] * deg_s.
+
+        Buckets come in the order their first term occurs, and each keeps
+        the terms in this polynomial's order.
+        """
+        lay = self._lay
+        fields = [(lay.shifts[self.table.index(s)], w) for s, w in weights.items() if w]
+        out: dict[int, dict] = {}
+        for e, c in self._terms.items():
+            o = sum((e >> s & MAX_DEGREE) * w for s, w in fields)
+            out.setdefault(o, {})[e] = c
+        return {o: self._like(t) for o, t in out.items()}
+
     # -- substitution of exact constants --------------------------------------
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "MultiPoly":
@@ -550,6 +567,21 @@ def _poly(table: SymbolTable, lay: _Layout, terms: dict[int, GaussianRational]) 
     p = _new(MultiPoly)
     _init(p, table, lay, terms)
     return p
+
+
+def linear_combination(
+    table: SymbolTable, pairs: Iterable[tuple[GaussianRational, MultiPoly]]
+) -> MultiPoly:
+    """sum a * p over ``pairs``, accumulated into one polynomial over ``table``."""
+    out: dict[int, GaussianRational] = {}
+    get = out.get
+    for a, p in pairs:
+        if p.table is not table and p.table != table:
+            raise SymbolTableMismatch(f"cannot combine polynomials over {table!r} and {p.table!r}")
+        for e, c in p._terms.items():
+            s = get(e)
+            out[e] = a * c if s is None else s + a * c
+    return _poly(table, _layout(len(table)), _drop_zeros(out))
 
 
 # -- gcd machinery ------------------------------------------------------------

@@ -17,11 +17,11 @@ maps numerator and denominator over a shared denominator that cancels, and
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DenominatorVanishes, NotDivisible
 from .gaussian import GaussianRational
-from .poly import MultiPoly, poly_gcd
+from .poly import MultiPoly, linear_combination, poly_gcd
 from .symbols import Symbol, SymbolTable
 
 
@@ -193,7 +193,7 @@ class RationalFn:
         if self.is_polynomial():
             return self.num.text()
         num = self.num.text()
-        if len(self.num.terms) > 1:
+        if not self.num.is_monomial():
             num = f"({num})"
         return f"{num}/({self.den.text()})"
 
@@ -235,9 +235,12 @@ def substitute(
 
     With d_s the maximal exponent of each bound symbol s = num_s/den_s over
     the terms of both ``f.num`` and ``f.den``, a term c * prod s^{e_s} maps
-    to c * prod num_s^{e_s} den_s^{d_s - e_s}. Both images then share the
-    denominator prod den_s^{d_s}, which cancels, so the result is the single
-    fraction image(f.num) / image(f.den), reduced once.
+    to c * prod F_s[e_s], where F_s[e] = num_s^e * den_s^(d_s - e). Both
+    images then share the denominator prod den_s^{d_s}, which cancels, so
+    the result is the single fraction image(f.num) / image(f.den), reduced
+    once. Each factor table F_s is built on first use of an exponent and
+    serves both images; a denominator of 1 contributes no powers. Each image
+    accumulates its terms into one polynomial.
     """
     table = target_table
     if table is None:
@@ -247,7 +250,8 @@ def substitute(
         if s.name not in by_name and s not in table:
             raise KeyError(f"symbol {s.name!r} neither bound nor present in target table")
     maxdeg = [max(col) for col in zip(*f.num.terms, *f.den.terms)]
-    powers: dict[int, tuple[list[MultiPoly], list[MultiPoly]]] = {}
+    one = MultiPoly.const(table, 1)
+    factors = []
     for k, s in enumerate(f.table.symbols):
         if maxdeg[k]:
             b = by_name.get(s.name)
@@ -255,19 +259,18 @@ def substitute(
                 b = RationalFn.var(table, table.get(s.name))
             elif b.table != table:
                 b = b.retable(table)
-            powers[k] = (_powers(b.num, maxdeg[k]), _powers(b.den, maxdeg[k]))
+            factors.append((k, _factor_table(b, maxdeg[k], one)))
+
+    def monomial_image(e: tuple[int, ...]) -> MultiPoly:
+        out = one
+        for k, factor in factors:
+            fk = factor(e[k])
+            if fk is not one:
+                out = fk if out is one else out * fk
+        return out
 
     def image(p: MultiPoly) -> MultiPoly:
-        total = MultiPoly.zero(table)
-        for e, c in p.terms.items():
-            term = MultiPoly.const(table, c)
-            for k, (num_pow, den_pow) in powers.items():
-                if e[k]:
-                    term = term * num_pow[e[k]]
-                if maxdeg[k] - e[k]:
-                    term = term * den_pow[maxdeg[k] - e[k]]
-            total = total + term
-        return total
+        return linear_combination(table, ((c, monomial_image(e)) for e, c in p.terms.items()))
 
     den = image(f.den)
     if den.is_zero():
@@ -286,8 +289,31 @@ def clear_denominators(
     return den, [f.num * den.exact_divide(f.den) for f in fns]
 
 
-def _powers(p: MultiPoly, n: int) -> list[MultiPoly]:
-    out = [MultiPoly.const(p.table, 1), p]
-    for _ in range(n - 1):
-        out.append(out[-1] * p)
-    return out
+def _factor_table(b: RationalFn, d: int, one: MultiPoly) -> Callable[[int], MultiPoly]:
+    """e -> b.num^e * b.den^(d - e), each entry and power built once, on first
+    use; ``one`` stands for every factor equal to 1."""
+    num_pow, den_pow = _powers(b.num, one), None if b.den.is_constant() else _powers(b.den, one)
+    built: dict[int, MultiPoly] = {}
+
+    def factor(e: int) -> MultiPoly:
+        out = built.get(e)
+        if out is None:
+            out = num_pow(e)
+            if den_pow is not None and e < d:
+                out = den_pow(d - e) if out is one else out * den_pow(d - e)
+            built[e] = out
+        return out
+
+    return factor
+
+
+def _powers(p: MultiPoly, one: MultiPoly) -> Callable[[int], MultiPoly]:
+    """n -> p^n, extending the list of powers as far as asked."""
+    out = [one, p]
+
+    def power(n: int) -> MultiPoly:
+        while len(out) <= n:
+            out.append(out[-1] * p)
+        return out[n]
+
+    return power

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import AnalysisFailed, PositiveDimensional, UnresolvedSpectrum, VerificationFailed
 from .gaussian import GaussianRational
@@ -402,62 +402,67 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> list[Balance]:
     coefficients that stay unconstrained are reported as free symbols.
     """
     span = range(-bound, bound + 1)
-    return _balances(v, (o for o in itertools.product(span, repeat=3) if max(o) >= 1))
+    return list(_balances(v, (o for o in itertools.product(span, repeat=3) if max(o) >= 1)))
 
 
-def _balances(v: VectorField, orders_seq) -> list[Balance]:
-    """The balances of every pole-order triple of ``orders_seq``, in its order."""
+def _balances(v: VectorField, orders_seq) -> Iterator[Balance]:
+    """The balances of every pole-order triple of ``orders_seq``, in its
+    order, each solved only when the one before it has been consumed.
+
+    The field is re-keyed onto the leading coefficients once; each triple
+    then only buckets those terms by weighted degree.
+    """
     if not v.is_polynomial():
         raise ValueError("dominant-balance search expects a polynomial field")
-    table, leads, comps, state_idx = _lead_setup(v)
-    balances = []
+    table, leads, moved = _lead_setup(v)
     for orders in orders_seq:
-        eqs = _balance_equations(comps, state_idx, leads, orders, table)
+        eqs = _balance_equations(moved, leads, orders)
         for branch in _solve_poly_system(eqs, leads, table):
             coeffs = tuple(branch.get(l, RationalFn.var(table, l)) for l in leads)
             if any(c.is_zero() for c in coeffs):
                 continue
             free = tuple(l.name for l in leads if l not in branch)
-            balances.append(Balance(tuple(orders), coeffs, free))
-    return balances
+            yield Balance(tuple(orders), coeffs, free)
 
 
 def _lead_setup(v: VectorField):
     """The field's table extended by the leading-coefficient unknowns, those
-    unknowns, the components over that table, and the state slots."""
+    unknowns, and the components with each state exponent moved onto its
+    unknown L_k: the ansatz x_k = L_k * tau^-m_k without the powers of tau,
+    which :func:`_balance_equations` reads off as weights."""
     table = v.table
     missing = [parameter(n) for n in LEAD_NAMES if table.get(n) is None]
     if missing:
         table = table.extend(missing)
     leads = tuple(table.get(n) for n in LEAD_NAMES)
-    comps = [c.retable(table).as_poly() for c in v.components]
-    return table, leads, comps, [table.index(s) for s in v.chart.vars]
+    moves = [(table.index(s), table.index(l)) for s, l in zip(v.chart.vars, leads)]
+    moved = []
+    for c in v.components:
+        terms = {}
+        for e, coeff in c.retable(table).as_poly().terms.items():
+            e = list(e)
+            for state, lead in moves:
+                e[lead] += e[state]
+                e[state] = 0
+            terms[tuple(e)] = coeff
+        moved.append(MultiPoly(table, terms))
+    return table, leads, moved
 
 
-def _balance_equations(comps, state_idx, leads, orders, table) -> list[MultiPoly]:
+def _balance_equations(moved, leads, orders) -> list[MultiPoly]:
     """Equations forcing the ansatz x_k = L_k * tau^-m_k to balance at the
-    lowest orders."""
+    lowest orders: a term of ``moved`` with L-exponents a has tau-order
+    -<a, m>."""
     eqs = []
-    for k, comp in enumerate(comps):
-        buckets: dict[int, MultiPoly] = {}
-        for e, c in comp.terms.items():
-            o = -sum(e[idx] * m for idx, m in zip(state_idx, orders))
-            term_exp = list(e)
-            for idx in state_idx:
-                term_exp[idx] = 0
-            mono = MultiPoly(table, {tuple(term_exp): c})
-            for j, idx in enumerate(state_idx):
-                if e[idx]:
-                    mono = mono * MultiPoly.var(table, leads[j]) ** e[idx]
-            buckets[o] = buckets.get(o, MultiPoly.zero(table)) + mono
+    weights = {l: -m for l, m in zip(leads, orders)}
+    for k, comp in enumerate(moved):
+        buckets = comp.split_by_weight(weights)
         m_k = orders[k]
         nu = -m_k - 1 if m_k != 0 else 0
-        for o, poly in buckets.items():
-            if o < nu and not poly.is_zero():
-                eqs.append(poly)
+        eqs += [poly for o, poly in buckets.items() if o < nu]
         if m_k != 0:
-            lead_term = MultiPoly.var(table, leads[k]) * m_k
-            eqs.append(buckets.get(nu, MultiPoly.zero(table)) + lead_term)
+            lead_term = MultiPoly.var(comp.table, leads[k]) * m_k
+            eqs.append(buckets.get(nu, MultiPoly.zero(comp.table)) + lead_term)
     return eqs
 
 
@@ -528,8 +533,8 @@ def verify_balance(v: VectorField, balance: Balance) -> bool:
     """Exact re-check of a reported balance: the defining order-by-order
     equations, evaluated at the solved coefficients, must vanish identically
     (free coefficients stay symbolic and must cancel symbolically)."""
-    table, leads, comps, state_idx = _lead_setup(v)
-    eqs = _balance_equations(comps, state_idx, leads, balance.exponents, table)
+    table, leads, moved = _lead_setup(v)
+    eqs = _balance_equations(moved, leads, balance.exponents)
     bindings = {leads[k]: balance.coefficients[k].retable(table) for k in range(3)}
     return _solves(eqs, bindings, table)
 
@@ -743,7 +748,12 @@ def resolution_pipeline(v: VectorField, weighted_map_factory, bound: int = 2) ->
 
     The dominant balance with a pole in the first variable selects the
     weighted chart (``weighted_map_factory`` maps its pole orders to a
-    ChartMap); only pole-order triples with m >= 1 are searched. The
+    ChartMap): of the balances of the pole-order triples with m >= 1, in
+    product order, the first one with the largest order sum. The triples are
+    searched highest sum first, each sum in product order (a stable sort),
+    and the search stops at the first balance found. That is the same
+    balance as ``max`` over the full list, since every triple of a larger
+    sum has been solved before and ``max`` keeps the first maximum. The
     accessible point there with a nonzero first index entry is blown up
     repeatedly (the resonance ratio fixes the number of steps), each time at
     the unique accessible point of the exceptional divisor and only in the
@@ -751,10 +761,10 @@ def resolution_pipeline(v: VectorField, weighted_map_factory, bound: int = 2) ->
     obstructions and their solution branches are returned.
     """
     span = range(-bound, bound + 1)
-    balances = _balances(v, itertools.product(range(1, bound + 1), span, span))
-    if not balances:
+    orders = sorted(itertools.product(range(1, bound + 1), span, span), key=sum, reverse=True)
+    balance = next(_balances(v, orders), None)
+    if balance is None:
         raise AnalysisFailed("no dominant balance with a pole in the first variable")
-    balance = max(balances, key=lambda b: sum(b.exponents))
     weighted_map = weighted_map_factory(balance.exponents)
     # the weighted chart's variables may extend the field's table
     vw = pushforward(v.retable(weighted_map.table), weighted_map)

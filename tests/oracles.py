@@ -1,21 +1,23 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive and favours obviousness over speed:
-term-by-term dictionary multiplication, and a pushforward that composes with
-plain rational-function arithmetic one term at a time instead of the library
-substitution path. These stay independent of the code they check. The
-seeded inputs of the differential tests (random fields, every built-in map
-and a blow-up chart) live here too.
+term-by-term dictionary multiplication, dominant-balance equations built
+monomial by monomial from powers of the leading coefficients, and a
+pushforward that composes with plain rational-function arithmetic one term at
+a time instead of the library substitution path. These stay independent of
+the code they check. The seeded inputs of the differential tests (random
+fields, every built-in map and a blow-up chart) live here too.
 """
 
 from __future__ import annotations
 
 from threewave import models
 from threewave.gaussian import GaussianRational
-from threewave.geometry import ChartMap, VectorField
+from threewave.geometry import Chart, ChartMap, VectorField
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn
-from threewave.singular import blow_up
+from threewave.singular import LEAD_NAMES, blow_up
+from threewave.symbols import parameter, table as make_table
 
 
 def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -66,6 +68,45 @@ def oracle_pushforward(v: VectorField, cmap: ChartMap) -> list[RationalFn]:
     return out
 
 
+def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
+    """The dominant-balance equations of a polynomial field for pole orders
+    ``orders``: put x_k = L_k * tau^-m_k into each component, monomial by
+    monomial as products of powers of the L_k, and group the terms by their
+    order in tau. For component k with m_k != 0 the orders below -m_k - 1
+    must vanish and the order -m_k - 1 must balance m_k * L_k (the
+    derivative of the ansatz); with m_k = 0 every order below 0 must vanish.
+    Terms keep the component's order, equations come component by component,
+    groups in the order of their first term."""
+    table = v.table
+    missing = [parameter(n) for n in LEAD_NAMES if table.get(n) is None]
+    if missing:
+        table = table.extend(missing)
+    leads = tuple(table.get(n) for n in LEAD_NAMES)
+    state_idx = [table.index(s) for s in v.chart.vars]
+    eqs = []
+    for k, comp in enumerate(c.retable(table).as_poly() for c in v.components):
+        buckets: dict[int, MultiPoly] = {}
+        for e, c in comp.terms.items():
+            o = -sum(e[idx] * m for idx, m in zip(state_idx, orders))
+            term_exp = list(e)
+            for idx in state_idx:
+                term_exp[idx] = 0
+            mono = MultiPoly(table, {tuple(term_exp): c})
+            for j, idx in enumerate(state_idx):
+                if e[idx]:
+                    mono = mono * MultiPoly.var(table, leads[j]) ** e[idx]
+            buckets[o] = buckets.get(o, MultiPoly.zero(table)) + mono
+        m_k = orders[k]
+        nu = -m_k - 1 if m_k != 0 else 0
+        for o, poly in buckets.items():
+            if o < nu and not poly.is_zero():
+                eqs.append(poly)
+        if m_k != 0:
+            lead_term = MultiPoly.var(table, leads[k]) * m_k
+            eqs.append(buckets.get(nu, MultiPoly.zero(table)) + lead_term)
+    return eqs
+
+
 # -- seeded inputs for the differential tests ------------------------------------
 
 
@@ -92,6 +133,23 @@ def random_ratfn(rng, table, syms) -> RationalFn:
     else:
         den = MultiPoly(table, {monomial(): coeff()})
     return RationalFn(num, den)
+
+
+def random_polynomial_field(rng) -> VectorField:
+    """A polynomial field in x, y, z with a parameter a: each component has
+    up to five terms of degree <= 3, a coefficient sometimes carrying a."""
+    t = make_table("x", "y", "z", "a:parameter")
+    chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
+    comps = []
+    for _ in range(3):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            e = [0, 0, 0, rng.choice((0, 0, 1))]
+            for _ in range(rng.randint(0, 3)):
+                e[rng.randrange(3)] += 1
+            terms[tuple(e)] = GaussianRational(rng.choice((-2, -1, 1, 2, 3)), rng.choice((0, 0, 1)))
+        comps.append(RationalFn.from_poly(MultiPoly(t, terms)))
+    return VectorField(chart, comps)
 
 
 def differential_maps() -> list[ChartMap]:

@@ -67,7 +67,7 @@ def test_criterion_3_painleve_exponents():
         balances = painleve_leading_orders(models.three_wave_system(), 2)
         assert any(b.exponents == (1, 0, 2) for b in balances)
 
-    _report(3, "dominant balance includes pole orders (1, 0, 2)", 30.0, body)
+    _report(3, "dominant balance includes pole orders (1, 0, 2)", 5.0, body)
 
 
 def test_criterion_4_obstruction_conditions():
@@ -82,7 +82,7 @@ def test_criterion_4_obstruction_conditions():
             "{gamma = 0}",
         ]
 
-    _report(4, "blow-up pipeline yields {delta*gamma, gamma*(gamma+1)} and its solutions", 30.0, body)
+    _report(4, "blow-up pipeline yields {delta*gamma, gamma*(gamma+1)} and its solutions", 5.0, body)
 
 
 def test_criterion_5_atlas_verification():

@@ -104,6 +104,37 @@ def test_substitute_matches_naive_oracle():
     f = (x * x - y) / (z * z + 1)
     bindings = {t.get("x"): 1 / z, t.get("y"): y * z, t.get("z"): (x + y) / (1 + z)}
     assert substitute(f, bindings, t) == naive_substitute(f, bindings)
+    # seeded bindings of each shape: constants, polynomials (denominator 1)
+    # and a monomial over a monomial, with unbound symbols carried into a
+    # target table with more symbols
+    rng = random.Random(19)
+    t = table("x", "y", "z", "a:parameter")
+    big = table("x", "y", "z", "a:parameter", "u", "v")
+    syms = [t.get(n) for n in ("x", "y", "z", "a")]
+    targets = [big.get(n) for n in ("x", "y", "u", "v", "a")]
+
+    def monomial():
+        out = RationalFn.const(big, gr(rng.choice((-2, -1, 1, 3)), rng.choice((0, 1))))
+        for _ in range(rng.randint(0, 3)):
+            out = out * RationalFn.var(big, rng.choice(targets))
+        return out
+
+    shapes = (
+        lambda: RationalFn.const(big, gr(rng.choice((-1, 0, 2)), rng.choice((0, 1)))),
+        lambda: RationalFn.from_poly(random_ratfn(rng, big, targets).num),
+        lambda: monomial() / monomial(),
+    )
+    for _ in range(60):
+        f = random_ratfn(rng, t, syms)
+        bound = rng.sample(syms[:3], rng.randint(1, 3))
+        bindings = {big.get(s.name): rng.choice(shapes)() for s in bound}
+        try:
+            want = naive_substitute(f, bindings)
+        except ZeroDivisionError:
+            with pytest.raises(DenominatorVanishes):
+                substitute(f, bindings, big)
+            continue
+        assert substitute(f, bindings, big) == want, (f, bindings)
 
 
 def test_is_polynomial_and_as_poly():

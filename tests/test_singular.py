@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import naive_balance_equations, random_polynomial_field
 from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
@@ -269,6 +272,61 @@ def test_painleve_linear_system_has_no_balance():
     x, y, z = (RationalFn.var(t, n) for n in ("x", "y", "z"))
     v = VectorField(chart, [x, 2 * y, -z])
     assert painleve_leading_orders(v, 2) == []
+
+
+# three points of each built-in off the PositiveDimensional loci delta = 0
+# and alpha5 = 0; with the symbolic field, four fields per built-in
+BALANCE_POINTS = {
+    "three-wave": [None, [1, 0], [2, 3], [Fraction(1, 2), -1]],
+    "modified": [None, [1, 2, 3, 4, 5], [0, 1, -1, 2, 1], [Fraction(1, 2), 0, 0, 1, -2]],
+}
+
+
+def test_balance_equations_match_naive_construction():
+    # every order triple with |m| <= 2: the re-keyed, weight-bucketed
+    # equations against the monomial-by-monomial products, as equal lists
+    # in the same order, each equation's terms in the same order too
+    rng = random.Random(5)
+    fields = [models.system_field(kind, params) for kind, points in BALANCE_POINTS.items()
+              for params in points]
+    fields += [random_polynomial_field(rng) for _ in range(10)]
+    for v in fields:
+        _, leads, moved = singular._lead_setup(v)
+        for orders in itertools.product(range(-2, 3), repeat=3):
+            got = singular._balance_equations(moved, leads, orders)
+            want = naive_balance_equations(v, orders)
+            assert got == want, orders
+            assert [list(e.terms) for e in got] == [list(e.terms) for e in want], orders
+
+
+def test_pipeline_balance_is_the_top_sum_balance():
+    # the highest-sum-first search stops early; it must pick what max()
+    # picks over the balances of every m >= 1 triple in product order
+    span = range(-2, 3)
+    for kind, points in BALANCE_POINTS.items():
+        for params in points:
+            v = models.system_field(kind, params)
+            full = list(singular._balances(v, itertools.product(range(1, 3), span, span)))
+            rep = resolution_pipeline(v, lambda e, kind=kind: models.weighted_chart_map(kind, e))
+            assert rep.balance == max(full, key=lambda b: sum(b.exponents)), (kind, params)
+    # a toy whose top sum 3 has two triples with balances, (1, 1, 1) before
+    # (1, 2, 0) in product order: the tie goes to the first
+    t = table("x", "y", "z")
+    chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
+    v = VectorField(chart, parse_triple("z^2 - 2*y*z ; -x*y ; -x^2 - 2*y", t))
+    top = [b.exponents for b in singular._balances(v, itertools.product(range(1, 3), span, span))
+           if sum(b.exponents) == 3]
+    assert top[0] == (1, 1, 1) and (1, 2, 0) in top
+
+    class Chosen(Exception):
+        pass
+
+    def chosen(exponents):
+        raise Chosen(exponents)
+
+    with pytest.raises(Chosen) as info:
+        resolution_pipeline(v, chosen)
+    assert info.value.args == ((1, 1, 1),)
 
 
 # -- blow-ups ---------------------------------------------------------------------------
