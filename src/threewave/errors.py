@@ -56,4 +56,4 @@ class StepUnderflow(ThreeWaveError):
 
 
 class FitAmbiguous(ThreeWaveError):
-    """A pole fit did not converge to a clean integer-exponent model."""
+    """No chart's boundary coordinate locates a pole on the trajectory segment."""

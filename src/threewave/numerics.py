@@ -8,18 +8,19 @@ trajectory straight through a movable pole. Chart transitions go through
 the base chart, which is harmless because switches happen while every
 representation is still O(10).
 
-Pole diagnostics: :func:`fit_pole` regresses log|component| against
-log|t - t1| to recover integer pole orders, and :func:`monodromy_check`
-integrates a closed loop and reports the relative deviation between start
-and end states (small deviation evidences single-valuedness).
+Pole diagnostics: :func:`fit_pole` reads a movable pole off the chart that
+resolves it, and :func:`monodromy_check` integrates a closed loop and
+reports the relative deviation between start and end states (small
+deviation evidences single-valuedness).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
 from .geometry import ChartMap, VectorField, pushforward
@@ -28,8 +29,13 @@ from .ratfunc import RationalFn
 SWITCH_THRESHOLD = 10.0
 SWITCH_GAIN = 4.0
 
+# the pole read-out (fit_pole)
+_NEWTON_STEPS = 12  # Newton steps allowed
+_NEWTON_SUBSTEPS = 100  # Runge-Kutta substeps allowed in one Newton step
+_ROUNDING = 4 * sys.float_info.epsilon  # a Newton step this small, relative to max(1, |t|), has converged
+_VANISHING = 1e-9  # a coefficient this small, relative to its component's largest, vanishes
+
 # Cash-Karp embedded pair: 6 stages, propagating order 5, embedded order 4
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
 _CK_A = (
     (),
     (1 / 5,),
@@ -67,10 +73,6 @@ class Trajectory:
     steps_accepted: int = 0
     steps_rejected: int = 0
     underflow: str | None = None  # diagnostic when integration stopped early
-
-    @property
-    def start(self) -> TrajectoryPoint:
-        return self.points[0]
 
     @property
     def end(self) -> TrajectoryPoint:
@@ -158,11 +160,34 @@ def compile_triple(rfs, var_names, params):
     return ev
 
 
+class PoleChart(NamedTuple):
+    """A chart whose inverse map has the components n_k / x_b^d_k, x_b being
+    its boundary coordinate: a pole of the base chart is a point of x_b = 0."""
+
+    slot: int  # position of x_b among the chart variables
+    terms: tuple  # per component, (d_k - j, coefficient of x_b^j in n_k) for rising j
+
+
+def _pole_chart(cmap: ChartMap, tvars: Sequence[str], params) -> PoleChart | None:
+    b = cmap.target.boundary
+    # a reduced denominator is monic, so a monomial in x_b alone is x_b^d
+    if b is None or any(rf.den.term_count() != 1 or set(rf.den.variables()) - {b}
+                        for rf in cmap.inverse):
+        return None
+    terms = []
+    for rf in cmap.inverse:
+        d, by_power = rf.den.degree(b), rf.num.as_univariate(b)
+        terms.append(tuple((d - j, compile_scalar(RationalFn.from_poly(by_power[j]), tvars, params))
+                           for j in sorted(by_power)))
+    return PoleChart(cmap.target.vars.index(b), tuple(terms))
+
+
 class NumericAtlas:
     """Compiled fields and transitions for one system on one atlas.
 
     ``maps`` are base-to-chart maps (the identity chart included); fields per
     chart are exact pushforwards specialized at the given parameter values.
+    ``poles`` holds the charts that read a pole off their boundary coordinate.
     """
 
     def __init__(
@@ -181,19 +206,19 @@ class NumericAtlas:
                     "pass require_polynomial=False to integrate a rational field"
                 )
         self.base = v.chart.name
-        self.params = dict(params)
-        self.chart_vars: dict[str, tuple[str, str, str]] = {}
         self.fields: dict[str, Callable] = {}
         self.to_base: dict[str, Callable] = {}
         self.from_base: dict[str, Callable] = {}
+        self.poles: dict[str, PoleChart] = {}
         base_vars = tuple(s.name for s in v.chart.vars)
         for cmap, w in pushed:
             name = cmap.target.name
             tvars = tuple(s.name for s in cmap.target.vars)
-            self.chart_vars[name] = tvars
             self.fields[name] = compile_triple(w.components, tvars, params)
             self.to_base[name] = compile_triple(cmap.inverse, tvars, params)
             self.from_base[name] = compile_triple(cmap.forward, base_vars, params)
+            if pole := _pole_chart(cmap, tvars, params):
+                self.poles[name] = pole
 
     def charts(self) -> list[str]:
         return list(self.fields)
@@ -353,7 +378,7 @@ def integrate(
     return traj
 
 
-# -- pole fitting ------------------------------------------------------------------------
+# -- pole read-out -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -364,122 +389,53 @@ class PoleFit:
     residual: float
 
 
-def _linfit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx if sxx else 0.0
-    intercept = my - slope * mx
-    rms = math.sqrt(sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / n)
-    return slope, intercept, rms
+def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
+    """Read a movable pole off the chart of ``atlas.poles`` that resolves it.
 
-
-def fit_pole(
-    points: Sequence[TrajectoryPoint],
-    atlas: NumericAtlas,
-    residual_threshold: float = 0.05,
-) -> PoleFit:
-    """Fit integer pole orders to a trajectory segment approaching a pole.
-
-    Points are transported to the base chart; the pole time is located by a
-    linear model of the reciprocal of the largest component and then refined
-    by minimizing the joint log-log regression residual. Raises
-    :class:`FitAmbiguous` when no component behaves like a pole or the final
-    residual stays above the threshold.
+    From the point with the smallest |x_b|, Newton steps t <- t - x_b / x_b'
+    (the state following by Runge-Kutta substeps in that chart) find x_b = 0.
+    Component k behaves like leading_k * (t - t1)^(-m_k), m_k = d_k - j for the
+    lowest x_b^j whose coefficient in n_k does not vanish there, and leading_k
+    is that coefficient over x_b'^m_k (both 0 if all vanish). ``residual`` is
+    |x_b| at the location. :class:`FitAmbiguous` means no point lies in such a
+    chart, x_b' vanishes, or Newton does not converge.
     """
-    transported = []
-    for p in points:
-        try:
-            s = atlas.transition(p.state, p.chart, atlas.base)
-        except (ZeroDivisionError, OverflowError):
-            continue
-        norm = max(abs(c) for c in s)
-        if math.isfinite(norm):
-            transported.append((p.t, s))
-    if len(transported) < 8:
-        raise FitAmbiguous("not enough usable points near the pole")
-    # the pole sits where 1/|state| is smallest; keep only the asymptotic
-    # window around that peak, on both sides
-    lead_c = max(
-        range(3), key=lambda c: max(abs(s[c]) for _, s in transported)
-    )
-    peak_idx = max(range(len(transported)), key=lambda i: abs(transported[i][1][lead_c]))
-    peak = abs(transported[peak_idx][1][lead_c])
-    if peak < 100.0:
-        raise FitAmbiguous("no component grows like a pole on this segment")
-    base_pts: list = []
-    for cutoff in (max(50.0, peak * 1e-3), max(20.0, peak * 1e-4), 10.0):
-        lo = peak_idx
-        while lo > 0 and abs(transported[lo - 1][1][lead_c]) >= cutoff:
-            lo -= 1
-        hi = peak_idx
-        while hi + 1 < len(transported) and abs(transported[hi + 1][1][lead_c]) >= cutoff:
-            hi += 1
-        base_pts = [
-            (t, s) for t, s in transported[lo : hi + 1] if abs(s[lead_c]) <= 1e12
-        ]
-        if len(base_pts) >= 12:
-            break
-    if len(base_pts) < 8:
-        raise FitAmbiguous("not enough usable points near the pole")
-    ts = [p[0] for p in base_pts]
-    t1 = transported[peak_idx][0]
-
-    span_t = abs(ts[-1] - ts[0])
-    eps = 1e-6 * max(span_t, 1e-12)
-
-    def usable(t1_try: complex):
-        return [(t, s) for t, s in base_pts if abs(t - t1_try) >= eps]
-
-    def joint_residual(t1_try: complex) -> float:
-        pts = usable(t1_try)
-        if len(pts) < 8:
-            return math.inf
-        tot, cnt = 0.0, 0
-        xs = [math.log(abs(t - t1_try)) for t, _ in pts]
-        for c in range(3):
-            ys = [math.log(max(1e-300, abs(s[c]))) for _, s in pts]
-            slope, _, rms = _linfit(xs, ys)
-            if abs(slope) > 0.25:
-                tot += rms
-                cnt += 1
-        return tot / cnt if cnt else math.inf
-
-    # local refinement of the pole location on a shrinking grid
-    span = max(abs(ts[-1] - ts[0]), 1e-12) * 0.1
-    best = t1
-    for _ in range(25):
-        cands = [best + dx * span + 1j * dy * span for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-        best = min(cands, key=joint_residual)
-        span *= 0.6
-    t1 = best
-
-    fit_pts = usable(t1)
-    xs = [math.log(abs(t - t1)) for t, _ in fit_pts]
-    exponents = []
-    leading = []
-    resid = 0.0
-    for c in range(3):
-        ys = [math.log(max(1e-300, abs(s[c]))) for _, s in fit_pts]
-        slope, intercept, rms = _linfit(xs, ys)
-        m = -round(slope)
-        if abs(-slope - m) > 0.2:
-            raise FitAmbiguous(f"component {c + 1} slope {-slope:.3f} is not near an integer")
-        exponents.append(int(m))
-        # average of x * (t - t1)^m estimates the leading constant
-        acc = 0j
-        for t, s in fit_pts:
-            acc += s[c] * (t - t1) ** m
-        leading.append(acc / len(fit_pts))
-        if m != 0:
-            resid = max(resid, rms)
-    if max(exponents) < 1:
-        raise FitAmbiguous("no positive pole order found")
-    if resid > residual_threshold:
-        raise FitAmbiguous(f"log-log fit residual {resid:.3g} exceeds {residual_threshold}")
-    return PoleFit(t1, tuple(exponents), tuple(leading), resid)
+    near = [(abs(p.state[atlas.poles[p.chart].slot]), i)
+            for i, p in enumerate(points) if p.chart in atlas.poles]
+    if not near:
+        raise FitAmbiguous("no point of the segment lies in a chart with a boundary coordinate")
+    i = min(near)[1]
+    t, y, chart = points[i].t, points[i].state, points[i].chart
+    (slot, terms), f = atlas.poles[chart], atlas.fields[chart]
+    # substeps no longer than the accepted step that reached the point
+    h = abs(t - points[i - 1].t) if i else abs(points[1].t - t) if len(points) > 1 else 0.0
+    diverged = f"Newton steps on the boundary coordinate of {chart} do not converge"
+    try:
+        for _ in range(_NEWTON_STEPS):
+            rate = f(*y)[slot]
+            if rate == 0:
+                raise FitAmbiguous(f"the boundary coordinate of {chart} is stationary at t = {t}")
+            dt = -y[slot] / rate
+            if abs(dt) <= _ROUNDING * max(1.0, abs(t)):
+                break
+            if not math.isfinite(abs(dt)) or (h and abs(dt) > _NEWTON_SUBSTEPS * h):
+                raise FitAmbiguous(diverged)
+            n = math.ceil(abs(dt) / h) if h else 1
+            for _ in range(n):
+                y = _rk_step(f, y, abs(dt) / n, dt / abs(dt))[0]
+            t += dt
+        else:
+            raise FitAmbiguous(diverged)
+        exponents, leading = [], []
+        for component in terms:
+            values = [(m, c(*y)) for m, c in component]
+            scale = max((abs(v) for _, v in values), default=0.0)
+            m, v = next(((m, v) for m, v in values if abs(v) > _VANISHING * scale), (0, 0j))
+            exponents.append(m)
+            leading.append(v / rate**m)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise FitAmbiguous(diverged) from exc
+    return PoleFit(t, tuple(exponents), tuple(leading), abs(y[slot]))
 
 
 # -- monodromy ---------------------------------------------------------------------------

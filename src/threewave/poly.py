@@ -187,6 +187,10 @@ class MultiPoly:
             seen &= (1 << field * FIELD_BITS) - 1
         return tuple(out)
 
+    def monomial_content(self) -> "MultiPoly":
+        """The monic monomial of largest degree dividing every term (1 for zero)."""
+        return self._like({_common_key(self._lay, self._terms): ONE})
+
     def leading_monomial(self) -> tuple[int, ...]:
         return self._lay.unpack(self._leading_key())
 
@@ -587,18 +591,24 @@ def linear_combination(
 # -- gcd machinery ------------------------------------------------------------
 
 
+def _common_key(lay: _Layout, keys: Iterable[int]) -> int:
+    """The packed field-wise minimum of ``keys``, the largest monomial dividing
+    each (0 for none). Only the fields still nonzero are compared, and the
+    scan stops once none is left."""
+    it = iter(keys)
+    first = next(it, 0)
+    mins = {s: first >> s & MAX_DEGREE for s in lay.shifts if first >> s & MAX_DEGREE}
+    for e in it:
+        if not mins:
+            break
+        mins = {s: min(m, e >> s & MAX_DEGREE) for s, m in mins.items() if e >> s & MAX_DEGREE}
+    return sum(m << s for s, m in mins.items()) | sum(mins.values()) << lay.top
+
+
 def _monomial_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """gcd when at least one argument is a single term (coefficients are units)."""
-    mono = a if a.is_monomial() else b
-    other = b if a.is_monomial() else a
-    lay = a._lay
-    (key,) = mono._terms
-    mins = lay.unpack(key)
-    for e in other._terms:
-        mins = [min(m, e >> s & MAX_DEGREE) for m, s in zip(mins, lay.shifts)]
-        if not any(mins):
-            break
-    return _poly(a.table, lay, {lay.pack(mins): ONE})
+    mono, other = (a, b) if a.is_monomial() else (b, a)
+    return a._like({_common_key(a._lay, [*mono._terms, *other._terms]): ONE})
 
 
 def _pseudo_rem(f: MultiPoly, g: MultiPoly, sym: Symbol) -> MultiPoly:

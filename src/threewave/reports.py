@@ -288,8 +288,8 @@ def uniqueness_report() -> dict:
         "constraints": rep.constraints,
         "homogeneous_rank": rep.homogeneous_rank,
         "homogeneous_nullity": rep.homogeneous_nullity,
-        "normalized_consistent": rep.solution.consistent,
-        "normalized_nullity": rep.solution.nullity,
+        "normalized_consistent": rep.normalized_consistent,
+        "normalized_nullity": rep.normalized_nullity,
         "matches_reference": rep.matches_reference,
         "quadratic_part_nonzero": rep.quadratic_part_nonzero,
         "recovered": [c.text() for c in rep.recovered.components] if rep.recovered else None,

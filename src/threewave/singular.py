@@ -820,16 +820,11 @@ def _split_condition(cond: MultiPoly, table):
     None with the unfactorable remainder as a residual constraint.
     """
     alternatives = []
-    mins = None
-    for e in cond.terms:
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
+    content = cond.monomial_content()
     core = cond
-    if any(mins):
-        core = MultiPoly(table, {tuple(a - b for a, b in zip(e, mins)): c for e, c in cond.terms.items()})
-        for k, d in enumerate(mins):
-            if d:
-                sym = table.symbols[k]
-                alternatives.append(((sym, RationalFn.const(table, 0)), []))
+    for sym in content.variables():
+        core = core.shift_var(sym, -content.degree(sym))
+        alternatives.append(((sym, RationalFn.const(table, 0)), []))
     if not core.is_constant():
         vs = core.variables()
         if len(vs) == 1:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 from .errors import ThreeWaveError
 from .geometry import Chart, ChartMap, VectorField, pushforward
-from .linalg import LinearSolution, linear_solve
+from .linalg import linear_solve
 from .models import model, modified_system
 from .poly import MultiPoly
-from .ratfunc import RationalFn
+from .ratfunc import RationalFn, substitute
 from .singular import negative_power_part
 from .symbols import Symbol, SymbolTable, parameter
 
@@ -66,7 +66,8 @@ class UniquenessReport:
     constraints: int
     homogeneous_rank: int
     homogeneous_nullity: int
-    solution: LinearSolution
+    normalized_consistent: bool  # whether the normalization meets the solutions
+    normalized_nullity: int  # free directions left after normalizing
     recovered: VectorField | None
     matches_reference: bool
     quadratic_part_nonzero: bool
@@ -167,58 +168,43 @@ def solve_ansatz(constraints: ConstraintSystem | None = None) -> UniquenessRepor
     """Solve the holomorphy constraints and compare with the five-parameter
     family.
 
-    The homogeneous system is solved first (its nullity measures the true
-    solution-space dimension: 1 = the family up to time rescaling); adding
-    the scale normalization row then pins the unique representative, which
-    is compared against the reference system coefficient by coefficient.
+    One homogeneous solve gives the solution space (nullity 1 = the family up
+    to time rescaling). The scale normalization x[k] = NORMALIZED_VALUE meets
+    it when some null vector n has n[k] != 0, leaving nullity - 1 directions;
+    for nullity 1 it pins n * NORMALIZED_VALUE / n[k], which is compared
+    with the reference system coefficient by coefficient.
     """
     if constraints is None:
         constraints = build_constraints()
     ctx = constraints.context
     table = ctx.table
-    matrix = [list(r) for r in constraints.rows]
-    hom = linear_solve(matrix, None, table=table)
+    hom = linear_solve([list(r) for r in constraints.rows], None, table=table)
 
     # the normalized coefficient lives in component 1 (offset 0)
-    norm_index = MONOMIAL_EXPONENTS.index(NORMALIZED_MONOMIAL)
-    zero = RationalFn.const(table, 0)
-    one = RationalFn.const(table, 1)
-    norm_row = [zero] * len(ctx.coefficients)
-    norm_row[norm_index] = one
-    rhs = [zero] * len(matrix) + [RationalFn.const(table, NORMALIZED_VALUE)]
-    solution = linear_solve(matrix + [norm_row], rhs, table=table)
+    k = MONOMIAL_EXPONENTS.index(NORMALIZED_MONOMIAL)
+    consistent = any(not n[k].is_zero() for n in hom.nullspace)
+    nullity = hom.nullity - 1 if consistent else 0
 
     recovered = None
     matches = False
     quad_ok = False
     values = None
-    if solution.consistent and not solution.nullspace:
-        values = solution.particular
-        comps = []
-        idx = 0
-        for comp in range(3):
-            acc = RationalFn.const(table, 0)
-            for exps in MONOMIAL_EXPONENTS:
-                mono = RationalFn.const(table, 1)
-                for s, e in zip(("x", "y", "z"), exps):
-                    if e:
-                        mono = mono * RationalFn.var(table, s) ** e
-                acc = acc + values[idx] * mono
-                idx += 1
-            comps.append(acc)
-        recovered = VectorField(ctx.chart, comps)
+    if consistent and not nullity:
+        (n,) = hom.nullspace
+        scale = RationalFn.const(table, NORMALIZED_VALUE) / n[k]
+        values = tuple(c * scale for c in n)
+        bindings = dict(zip(ctx.coefficients, values))
+        recovered = VectorField(ctx.chart, [substitute(c, bindings) for c in ctx.field.components])
         matches = _matches_reference(recovered, table)
-        quad_ok = any(
-            not values[c * 10 + mi].is_zero()
-            for c in range(3)
-            for mi, exps in enumerate(MONOMIAL_EXPONENTS)
-            if sum(exps) == 2
-        )
+        # the values depend on the parameters only, so a quadratic state term
+        # survives in a numerator exactly when its coefficient is nonzero
+        quad_ok = any(c.num.state_degree() == 2 for c in recovered.components)
     return UniquenessReport(
         constraints=len(constraints.rows),
         homogeneous_rank=hom.rank,
         homogeneous_nullity=hom.nullity,
-        solution=solution,
+        normalized_consistent=consistent,
+        normalized_nullity=nullity,
         recovered=recovered,
         matches_reference=matches,
         quadratic_part_nonzero=quad_ok,

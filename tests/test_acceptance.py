@@ -138,8 +138,8 @@ def test_criterion_7_uniqueness():
         from threewave.uniqueness import build_constraints, solve_ansatz
 
         rep = solve_ansatz(build_constraints())
-        assert rep.solution.consistent
-        assert rep.solution.nullity == 0
+        assert rep.normalized_consistent
+        assert rep.normalized_nullity == 0
         assert rep.matches_reference
         assert rep.homogeneous_nullity == 1
 
@@ -165,7 +165,7 @@ def test_criterion_8a_chart_round_trips():
                 )
                 assert rel <= 1e-12
 
-    _report("8a", "chart round-trips within 1e-12 relative", 60.0, body)
+    _report("8a", "chart round-trips within 1e-12 relative", 5.0, body)
 
 
 def test_criterion_8b_pole_crossing_reentry():
@@ -182,7 +182,7 @@ def test_criterion_8b_pole_crossing_reentry():
         rel = max(abs(a - b) for a, b in zip(e1, e2)) / max(1.0, max(abs(c) for c in e1))
         assert rel <= 1e-9
 
-    _report("8b", "pole-crossing re-entry matches a detour reference within 1e-9", 60.0, body)
+    _report("8b", "pole-crossing re-entry matches a detour reference within 1e-9", 5.0, body)
 
 
 def test_criterion_8c_fitted_pole_exponents():
@@ -195,7 +195,7 @@ def test_criterion_8c_fitted_pole_exponents():
         fit = fit_pole(traj.points, atlas)
         assert fit.exponents == (1, 0, 2)
 
-    _report("8c", "fitted pole exponents equal (1, 0, 2)", 60.0, body)
+    _report("8c", "fitted pole exponents equal (1, 0, 2)", 5.0, body)
 
 
 def test_criterion_8d_no_pole_monodromy():
@@ -207,7 +207,7 @@ def test_criterion_8d_no_pole_monodromy():
         rep = monodromy_check(v, maps, start, 0.05 + 0j, tol=1e-12, atlas=atlas)
         assert rep["deviation"] <= 1e-9
 
-    _report("8d", "monodromy around a pole-free region within 1e-9", 60.0, body)
+    _report("8d", "monodromy around a pole-free region within 1e-9", 5.0, body)
 
 
 def test_criterion_9_pushforward_oracle_equivalence():

@@ -112,6 +112,18 @@ def test_integrate_csv(capsys):
     assert len(lines) > 3
 
 
+def test_integrate_reports_the_pole_read_off_the_chart(capsys):
+    code, out = _capture(
+        capsys,
+        ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "1.2",
+         "--tol", "1e-12"],
+    )
+    assert code == 0
+    fit = json.loads(out)["pole_fit"]
+    assert fit["exponents"] == [1, -2, 2]
+    assert fit["residual"] <= 1e-10
+
+
 def test_integrate_binds_parameters_exactly(capsys):
     # with delta=2, gamma=0 the resolved atlas is polynomial only once the
     # parameters are bound; the run must match the generic field evaluated

@@ -119,6 +119,43 @@ def test_fitted_pole_exponents(three_wave_20):
     assert abs(fit.leading[2] + 1) < 0.05
 
 
+def test_pole_read_off_the_resolved_chart(three_wave_20):
+    # a second start towards the same kind of pole: the resolved chart gives
+    # the exact orders and the leading data (1, delta/2, -1)
+    v, maps, atlas = three_wave_20
+    start = TrajectoryPoint(0j, (-2.89 + 0j, 1.16 + 0j, -3.16 + 0j), "U0")
+    traj = integrate(v, maps, start, [0, 1.5], tol=1e-12, atlas=atlas)
+    fit = fit_pole(traj.points, atlas)
+    assert fit.exponents == (1, 0, 2)
+    for got, want in zip(fit.leading, (1, 1, -1)):
+        assert abs(got - want) < 1e-6
+    assert fit.residual <= 1e-10
+
+
+def test_pole_location_is_a_zero_of_the_boundary_coordinate(three_wave_20):
+    # an independent adaptive run from the nearest trajectory point in the
+    # resolved chart to the located pole lands on x_b = 0
+    v, maps, atlas = three_wave_20
+    start = TrajectoryPoint(0j, (-2.89 + 0j, 1.16 + 0j, -3.16 + 0j), "U0")
+    traj = integrate(v, maps, start, [0, 1.5], tol=1e-12, atlas=atlas)
+    fit = fit_pole(traj.points, atlas)
+    near = min((p for p in traj.points if p.chart in atlas.poles),
+               key=lambda p: abs(p.t - fit.location))
+    check = integrate(v, maps, near, [near.t, fit.location], tol=1e-12, atlas=atlas)
+    assert check.end.chart == near.chart
+    assert abs(check.end.state[atlas.poles[near.chart].slot]) <= 1e-10
+
+
+def test_pole_of_real_data_is_real(modified_zero):
+    # real start, real path and a real field: the pole lies on the real axis
+    v, maps, atlas = modified_zero
+    start = TrajectoryPoint(0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")
+    traj = integrate(v, maps, start, [0, 1.2], tol=1e-12, atlas=atlas)
+    fit = fit_pole(traj.points, atlas)
+    assert abs(fit.location.imag) <= 1e-12
+    assert fit.exponents == (1, -2, 2)
+
+
 def test_fit_exponents_match_local_index_at_entry_point(three_wave_20):
     # the (1, *, 2) pole orders agree with the (1, 2, 2) index at the entry
     # point: the boundary eigenvalue gives the x-order, the z-resonance the

@@ -100,6 +100,21 @@ def test_gcd_of_products(xyz):
         assert g.divides(d) or g.monic() == d
 
 
+def test_monomial_content_is_the_fieldwise_minimum(xyz):
+    t = xyz[0]
+    rng = random.Random(17)
+    for _ in range(50):
+        p = _random_poly(t, rng, nterms=rng.randint(1, 5), maxdeg=3)
+        if p.is_zero():
+            continue
+        mins = tuple(min(col) for col in zip(*p.terms))
+        assert p.monomial_content() == MultiPoly(t, {mins: gr(1)})
+        mono = MultiPoly(t, {tuple(rng.randint(0, 3) for _ in range(len(t))): gr(2)})
+        both = tuple(min(col) for col in zip(*p.terms, *mono.terms))
+        assert poly_gcd(mono, p) == MultiPoly(t, {both: gr(1)})
+    assert MultiPoly.zero(t).monomial_content() == MultiPoly.const(t, 1)
+
+
 def test_gcd_disjoint_supports_is_one(xyz):
     t, x, y, z = xyz
     assert poly_gcd(2 * x, 3 * y) == MultiPoly.const(t, 1)

@@ -55,8 +55,8 @@ def test_homogeneous_solution_space_is_a_line(solved):
 
 
 def test_normalized_solution_recovers_reference(solved):
-    assert solved.solution.consistent
-    assert solved.solution.nullity == 0
+    assert solved.normalized_consistent
+    assert solved.normalized_nullity == 0
     assert solved.matches_reference
     assert solved.quadratic_part_nonzero
 
