@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import models, reports
 from .errors import ThreeWaveError
@@ -31,7 +30,7 @@ from .parsing import ModelFile, parse_expr
 
 REPORT_DIR_ENV = "THREEWAVE_REPORT_DIR"
 NUMERIC_COMMANDS = ("integrate", "monodromy")
-# claims about the five-parameter family itself, whatever --system says
+# claims about the whole five-parameter family: they take no model file and no --params
 FAMILY_COMMANDS = ("verify-symmetry", "uniqueness")
 
 
@@ -61,7 +60,7 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
             z = complex(raw.replace("i", "j"))
             if not cmath.isfinite(z):
                 raise UsageError(f"parameter {name}={raw!r} is not a finite number")
-            values[name] = GaussianRational(Fraction(z.real), Fraction(z.imag))
+            values[name] = GaussianRational.from_complex(z)
             continue
         if any(ch in raw for ch in (".", "e", "E")) and not raw.lstrip("+-").isdigit():
             raise UsageError(
@@ -233,6 +232,8 @@ def _dispatch(args) -> int:
     _check_numbers(args)
     if cmd in FAMILY_COMMANDS and args.system not in models.BUILTINS:
         raise UsageError(f"{cmd} is a claim about the five-parameter family; it takes no model file")
+    if cmd in FAMILY_COMMANDS and args.params is not None:
+        raise UsageError(f"{cmd} is a claim about the five-parameter family; it takes no --params")
     system = models.model(args.system)
     numeric = cmd in NUMERIC_COMMANDS
     params = _parse_params(system, args.params, numeric)

@@ -52,7 +52,12 @@ class UnresolvedSpectrum(ThreeWaveError):
 
 class StepUnderflow(ThreeWaveError):
     """The adaptive integrator cannot make progress: the step size collapsed
-    and no chart of the atlas keeps the state finite."""
+    and no chart of the atlas keeps the state finite, or the step budget ran
+    out. ``trajectory`` holds what was integrated up to there."""
+
+    def __init__(self, message, trajectory):
+        super().__init__(message)
+        self.trajectory = trajectory
 
 
 class FitAmbiguous(ThreeWaveError):

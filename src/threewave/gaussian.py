@@ -61,6 +61,11 @@ class GaussianRational:
         d = q if q == s else q // gcd(q, s) * s
         self._a, self._b, self._d = p * (d // q), r * (d // s), d
 
+    @classmethod
+    def from_complex(cls, z: complex) -> "GaussianRational":
+        """The exact value of a complex (or real) double."""
+        return cls(Fraction(z.real), Fraction(z.imag))
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -112,9 +117,6 @@ class GaussianRational:
         return _product(self._a, self._b, self._d, o._a, o._b, o._d)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """re^2 + im^2 (the field norm)."""

@@ -76,6 +76,9 @@ class VectorField:
         return all(c.is_polynomial() for c in self.components)
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "VectorField":
+        """The field at exact parameter values (itself when nothing is bound)."""
+        if not bindings:
+            return self
         return VectorField(self.chart, [c.specialize(bindings) for c in self.components])
 
     def retable(self, new_table: SymbolTable) -> "VectorField":
@@ -120,6 +123,14 @@ class ChartMap:
     @property
     def table(self) -> SymbolTable:
         return self.forward[0].table
+
+    def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "ChartMap":
+        """The map at exact parameter values, verified again, since a value can
+        make it singular (itself when nothing is bound)."""
+        if not bindings:
+            return self
+        return ChartMap(self.source, self.target, [f.specialize(bindings) for f in self.forward],
+                        [g.specialize(bindings) for g in self.inverse])
 
     def _verify(self):
         table = self.table

@@ -101,45 +101,22 @@ def param_symbols(system) -> tuple[Symbol, ...]:
     return model(system).table.parameters()
 
 
-def bind_parameters(system, values: Sequence | None) -> dict[Symbol, RationalFn]:
-    """Turn user parameter values into substitution bindings (None = symbolic)."""
-    m = model(system)
-    syms = m.table.parameters()
+def bind_parameters(system, values: Sequence | None) -> dict[Symbol, GaussianRational]:
+    """Turn user parameter values, in the model's parameter order, into exact
+    bindings for ``specialize`` (None, as a whole or per value, leaves the
+    parameter symbolic)."""
+    syms = param_symbols(system)
     if values is None:
         return {}
     if len(values) != len(syms):
         raise ValueError(f"expected {len(syms)} parameters, got {len(values)}")
-    out: dict[Symbol, RationalFn] = {}
-    for sym, val in zip(syms, values):
-        if val is None:
-            continue
-        if isinstance(val, RationalFn):
-            out[sym] = val
-        else:
-            out[sym] = RationalFn.const(m.table, GaussianRational(val))
-    return out
-
-
-def bind_field(v: VectorField, bindings: Mapping[Symbol, RationalFn]) -> VectorField:
-    if not bindings:
-        return v
-    comps = [substitute(c, bindings, c.table) for c in v.components]
-    return VectorField(v.chart, comps)
-
-
-def bind_map(m: ChartMap, bindings: Mapping[Symbol, RationalFn]) -> ChartMap:
-    if not bindings:
-        return m
-    table = m.table
-    fwd = [substitute(f, bindings, table) for f in m.forward]
-    inv = [substitute(g, bindings, table) for g in m.inverse]
-    return ChartMap(m.source, m.target, fwd, inv)
+    return {sym: GaussianRational(val) for sym, val in zip(syms, values) if val is not None}
 
 
 def system_field(system, params: Sequence | None = None) -> VectorField:
     """The model's vector field on its base chart, parameters bound."""
     m = model(system)
-    return bind_field(m.fields[m.base.name], bind_parameters(m, params))
+    return m.fields[m.base.name].specialize(bind_parameters(m, params))
 
 
 def three_wave_system(delta=None, gamma=None) -> VectorField:
@@ -157,7 +134,7 @@ def atlas(system, name: str, params: Sequence | None = None) -> list[ChartMap]:
     m = model(system)
     maps = m.atlas(name)
     bindings = bind_parameters(m, params)
-    return maps[:1] + [bind_map(cm, bindings) for cm in maps[1:]]
+    return maps[:1] + [cm.specialize(bindings) for cm in maps[1:]]
 
 
 def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
@@ -362,28 +339,20 @@ def export_model(kind: str) -> str:
 def compare_with_three_wave(delta=0) -> dict:
     """Specialize the five-parameter family at alpha = (0,0,0,0,delta/2) and
     subtract the two-parameter system at (delta, 0), documenting the exact
-    difference (the z-equations differ by a linear term)."""
-    from .symbols import table as make_table
-
-    t = make_table("x", "y", "z", "delta:parameter")
-    from .parsing import parse_expr as pe
-
-    d = RationalFn.var(t, "delta") if delta is None else RationalFn.const(t, GaussianRational(delta))
-    three = [
-        pe("-2*y^2 + z", t) + d * RationalFn.var(t, "y"),
-        pe("2*x*y", t) - d * RationalFn.var(t, "x"),
-        pe("-2*x*z - 2*z", t),
-    ]
-    m = model("modified")
-    half = GaussianRational(1) / GaussianRational(2)
-    alpha_vals = [RationalFn.const(t, 0)] * 4 + [d * half]
-    bindings = dict(zip(param_symbols("modified"), alpha_vals))
-    for s in ("x", "y", "z"):
-        bindings[m.table.get(s)] = RationalFn.var(t, s)
-    modified = [substitute(c, bindings, t) for c in m.fields["U0"].components]
-    diff = [a - b for a, b in zip(modified, three)]
+    difference (the z-equations differ by a linear term). With ``delta=None``
+    delta stays symbolic and alpha5 becomes delta/2."""
+    three = system_field("three-wave", (None, 0))
+    t = three.table
+    alpha5 = RationalFn.var(t, "delta") / 2
+    # renames alpha5 and carries the state over to three-wave's table
+    rename = {param_symbols("modified")[4]: alpha5}
+    modified = system_field("modified", (0, 0, 0, 0, None))
+    modified = [substitute(c, rename, t) for c in modified.components]
+    at = bind_parameters("three-wave", (delta, None))
+    alpha5 = alpha5.specialize(at)
+    diff = [(a - b).specialize(at) for a, b in zip(modified, three.components)]
     return {
-        "alpha_specialization": [v.text() for v in alpha_vals],
+        "alpha_specialization": ["0"] * 4 + [alpha5.text()],
         "difference": [c.text() for c in diff],
         "matches": all(c.is_zero() for c in diff),
     }

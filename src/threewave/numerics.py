@@ -6,7 +6,9 @@ state grows beyond a switch threshold it is mapped through the atlas and
 continued in the chart where its norm is smallest -- that is what carries a
 trajectory straight through a movable pole. Chart transitions go through
 the base chart, which is harmless because switches happen while every
-representation is still O(10).
+representation is still O(10). :class:`NumericAtlas` binds numeric
+parameter values exactly (the exact value of each double, as on the command
+line), so what it tests and compiles is the exactly bound system.
 
 Pole diagnostics: :func:`fit_pole` reads a movable pole off the chart that
 resolves it, and :func:`monodromy_check` integrates a closed loop and
@@ -23,11 +25,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
+from .gaussian import GaussianRational
 from .geometry import ChartMap, VectorField, pushforward
 from .ratfunc import RationalFn
 
 SWITCH_THRESHOLD = 10.0
 SWITCH_GAIN = 4.0
+MAX_STEPS = 200_000  # accepted plus rejected steps of one integrate call
+LOOP_SEGMENTS = 24  # chords of the monodromy loop
 
 # the pole read-out (fit_pole)
 _NEWTON_STEPS = 12  # Newton steps allowed
@@ -72,7 +77,6 @@ class Trajectory:
     error_estimate: float = 0.0
     steps_accepted: int = 0
     steps_rejected: int = 0
-    underflow: str | None = None  # diagnostic when integration stopped early
 
     @property
     def end(self) -> TrajectoryPoint:
@@ -97,33 +101,28 @@ class Trajectory:
 # -- compilation --------------------------------------------------------------------
 
 
-def _fold_terms(poly, var_names: Sequence[str], params: Mapping[str, complex]):
+def _fold_terms(poly, var_names: Sequence[str]):
+    """(coefficient, exponents in ``var_names`` order) per term."""
     syms = poly.table.symbols
     var_slots = {name: k for k, name in enumerate(var_names)}
-    folded: dict[tuple[int, int, int], complex] = {}
+    out = []
     for e, c in poly.terms.items():
-        coeff = complex(c)
         exps = [0, 0, 0]
         for k, d in enumerate(e):
-            if not d:
-                continue
-            name = syms[k].name
-            if name in var_slots:
+            if d:
+                name = syms[k].name
+                if name not in var_slots:
+                    raise KeyError(f"symbol {name!r} has no numeric value")
                 exps[var_slots[name]] = d
-            elif name in params:
-                coeff *= params[name] ** d
-            else:
-                raise KeyError(f"symbol {name!r} has no numeric value")
-        key = tuple(exps)
-        folded[key] = folded.get(key, 0j) + coeff
-    return [(c, e) for e, c in folded.items() if c != 0]
+        out.append((complex(c), tuple(exps)))
+    return out
 
 
 def compile_scalar(
-    rf: RationalFn, var_names: Sequence[str], params: Mapping[str, complex]
+    rf: RationalFn, var_names: Sequence[str]
 ) -> Callable[[complex, complex, complex], complex]:
-    num = _fold_terms(rf.num, var_names, params)
-    den = _fold_terms(rf.den, var_names, params)
+    num = _fold_terms(rf.num, var_names)
+    den = _fold_terms(rf.den, var_names)
 
     def ev(a: complex, b: complex, c: complex) -> complex:
         n = 0j
@@ -151,8 +150,8 @@ def compile_scalar(
     return ev
 
 
-def compile_triple(rfs, var_names, params):
-    fns = [compile_scalar(rf, var_names, params) for rf in rfs]
+def compile_triple(rfs, var_names):
+    fns = [compile_scalar(rf, var_names) for rf in rfs]
 
     def ev(a, b, c):
         return (fns[0](a, b, c), fns[1](a, b, c), fns[2](a, b, c))
@@ -168,7 +167,7 @@ class PoleChart(NamedTuple):
     terms: tuple  # per component, (d_k - j, coefficient of x_b^j in n_k) for rising j
 
 
-def _pole_chart(cmap: ChartMap, tvars: Sequence[str], params) -> PoleChart | None:
+def _pole_chart(cmap: ChartMap, tvars: Sequence[str]) -> PoleChart | None:
     b = cmap.target.boundary
     # a reduced denominator is monic, so a monomial in x_b alone is x_b^d
     if b is None or any(rf.den.term_count() != 1 or set(rf.den.variables()) - {b}
@@ -177,7 +176,7 @@ def _pole_chart(cmap: ChartMap, tvars: Sequence[str], params) -> PoleChart | Non
     terms = []
     for rf in cmap.inverse:
         d, by_power = rf.den.degree(b), rf.num.as_univariate(b)
-        terms.append(tuple((d - j, compile_scalar(RationalFn.from_poly(by_power[j]), tvars, params))
+        terms.append(tuple((d - j, compile_scalar(RationalFn.from_poly(by_power[j]), tvars))
                            for j in sorted(by_power)))
     return PoleChart(cmap.target.vars.index(b), tuple(terms))
 
@@ -185,9 +184,11 @@ def _pole_chart(cmap: ChartMap, tvars: Sequence[str], params) -> PoleChart | Non
 class NumericAtlas:
     """Compiled fields and transitions for one system on one atlas.
 
-    ``maps`` are base-to-chart maps (the identity chart included); fields per
-    chart are exact pushforwards specialized at the given parameter values.
-    ``poles`` holds the charts that read a pole off their boundary coordinate.
+    ``maps`` are base-to-chart maps (the identity chart included). Each value
+    of ``params`` (by parameter name) is bound exactly, as on the command
+    line, before anything is pushed forward or compiled; a parameter without
+    a value raises ``KeyError``. ``poles`` holds the charts that read a pole
+    off their boundary coordinate.
     """
 
     def __init__(
@@ -197,6 +198,12 @@ class NumericAtlas:
         params: Mapping[str, complex],
         require_polynomial: bool = True,
     ):
+        bindings = {
+            s: GaussianRational.from_complex(params[s.name])
+            for s in v.table.parameters() if s.name in params
+        }
+        v = v.specialize(bindings)
+        maps = [cmap.specialize(bindings) for cmap in maps]
         pushed = [(cmap, pushforward(v, cmap)) for cmap in maps]
         if require_polynomial:
             bad = [cmap.target.name for cmap, w in pushed if not w.is_polynomial()]
@@ -214,10 +221,10 @@ class NumericAtlas:
         for cmap, w in pushed:
             name = cmap.target.name
             tvars = tuple(s.name for s in cmap.target.vars)
-            self.fields[name] = compile_triple(w.components, tvars, params)
-            self.to_base[name] = compile_triple(cmap.inverse, tvars, params)
-            self.from_base[name] = compile_triple(cmap.forward, base_vars, params)
-            if pole := _pole_chart(cmap, tvars, params):
+            self.fields[name] = compile_triple(w.components, tvars)
+            self.to_base[name] = compile_triple(cmap.inverse, tvars)
+            self.from_base[name] = compile_triple(cmap.forward, base_vars)
+            if pole := _pole_chart(cmap, tvars):
                 self.poles[name] = pole
 
     def charts(self) -> list[str]:
@@ -276,22 +283,19 @@ def integrate(
     start: TrajectoryPoint,
     path: Sequence[complex],
     tol: float = 1e-10,
-    params: Mapping[str, complex] | None = None,
     atlas: NumericAtlas | None = None,
-    require_polynomial: bool = True,
-    max_steps: int = 200_000,
-    on_underflow: str = "raise",
 ) -> Trajectory:
-    """Integrate along the piecewise-linear complex-time path.
+    """Integrate along the piecewise-linear complex-time path, on ``atlas``
+    (by default the parameter-free ``NumericAtlas(v, maps, {})``).
 
     The state follows the chart whose representation stays O(1); switch
     events are recorded. When no chart keeps the state finite (an unresolved
-    singularity or a genuinely bad path) a :class:`StepUnderflow` is raised,
-    or with ``on_underflow="stop"`` the partial trajectory is returned with
-    its ``underflow`` field set.
+    singularity or a genuinely bad path) or ``MAX_STEPS`` steps do not reach
+    the end, a :class:`StepUnderflow` carrying the partial trajectory is
+    raised.
     """
     if atlas is None:
-        atlas = NumericAtlas(v, maps, params or {}, require_polynomial=require_polynomial)
+        atlas = NumericAtlas(v, maps, {})
     chart = start.chart
     y = tuple(start.state)
     traj = Trajectory()
@@ -325,17 +329,11 @@ def integrate(
                     chart, y = best, tuple(bstate)
                     h = hmin * 10
                     continue
-                message = f"step size collapsed at t = {t_here}: no chart keeps the state finite"
-                if on_underflow == "stop":
-                    traj.underflow = message
-                    return traj
-                raise StepUnderflow(message)
-            if traj.steps_accepted + traj.steps_rejected > max_steps:
-                message = f"step budget exhausted at t = {t_here}"
-                if on_underflow == "stop":
-                    traj.underflow = message
-                    return traj
-                raise StepUnderflow(message)
+                raise StepUnderflow(
+                    f"step size collapsed at t = {t_here}: no chart keeps the state finite", traj
+                )
+            if traj.steps_accepted + traj.steps_rejected > MAX_STEPS:
+                raise StepUnderflow(f"step budget exhausted at t = {t_here}", traj)
             f = atlas.fields[chart]
             try:
                 y_new, err_vec = _rk_step(f, y, h, direction)
@@ -447,22 +445,20 @@ def monodromy_check(
     start: TrajectoryPoint,
     center: complex,
     tol: float = 1e-12,
-    segments: int = 24,
-    params: Mapping[str, complex] | None = None,
     atlas: NumericAtlas | None = None,
-    require_polynomial: bool = True,
 ) -> dict:
-    """Integrate a closed circular loop around ``center`` through ``start.t``
-    and report the relative deviation between the end and start states."""
+    """Integrate a closed circular loop of ``LOOP_SEGMENTS`` chords around
+    ``center`` through ``start.t`` (on ``atlas`` as in :func:`integrate`) and
+    report the relative deviation between the end and start states."""
     if atlas is None:
-        atlas = NumericAtlas(v, maps, params or {}, require_polynomial=require_polynomial)
+        atlas = NumericAtlas(v, maps, {})
     radius = abs(start.t - center)
     if radius == 0:
         raise ValueError("start time coincides with the loop center")
     phase = cmath.phase(start.t - center)
     path = [
-        center + radius * cmath.exp(1j * (phase + 2 * math.pi * k / segments))
-        for k in range(segments + 1)
+        center + radius * cmath.exp(1j * (phase + 2 * math.pi * k / LOOP_SEGMENTS))
+        for k in range(LOOP_SEGMENTS + 1)
     ]
     path[0] = start.t
     path[-1] = start.t  # close the loop exactly

@@ -436,11 +436,6 @@ class MultiPoly:
                 out[t] = s
         return self._like(out)
 
-    def eval_exact(self, bindings: Mapping[Symbol, GaussianRational]) -> GaussianRational:
-        """Evaluate at a full exact point (every occurring symbol bound)."""
-        result = self.specialize(bindings)
-        return result.constant_value()
-
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         total = 0j
         syms = self.table.symbols

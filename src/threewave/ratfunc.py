@@ -168,10 +168,6 @@ class RationalFn:
             raise DenominatorVanishes("denominator vanishes at the given values")
         return RationalFn(self.num.specialize(bindings), den)
 
-    def eval_exact(self, bindings: Mapping[Symbol, GaussianRational]) -> GaussianRational:
-        v = self.specialize(bindings)
-        return v.constant_value()
-
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         return self.num.eval_complex(values) / self.den.eval_complex(values)
 

@@ -67,11 +67,17 @@ def scan_charts(system) -> dict[str, ChartMap | None]:
 
 
 def scan_chart(system, params, chart_name: str) -> tuple[VectorField, AccessibleScan]:
+    return _scan(system, models.system_field(system, params), chart_name)
+
+
+def _scan(system, v: VectorField, chart_name: str) -> tuple[VectorField, AccessibleScan]:
+    """``v`` (the system's field, parameters bound) pushed to a scan chart,
+    and its accessible points there."""
     charts = scan_charts(system)
     if chart_name not in charts:
         raise KeyError(f"unknown chart {chart_name!r}; known: {list(charts)}")
     cmap = charts[chart_name] or models.weighted_chart_map(system, (1, 0, 2))
-    w = pushforward(models.system_field(system, params), cmap)
+    w = pushforward(v, cmap)
     return w, find_accessible(w)
 
 
@@ -80,10 +86,11 @@ def singularities_report(system, params=None, charts: Sequence[str] | None = Non
     m = models.model(system)
     known = scan_charts(m)
     charts = tuple(charts) if charts else tuple(known)
+    v = models.system_field(m, params)
     per_chart = {}
     census: dict[str, dict] = {}
     for name in charts:
-        _, scan = scan_chart(m, params, name)
+        _, scan = _scan(m, v, name)
         per_chart[name] = {
             "points": [_point_dict(p) for p in scan.points],
             "residual_branches": list(scan.residuals),
@@ -112,12 +119,15 @@ def singularities_report(system, params=None, charts: Sequence[str] | None = Non
 POINT_CHARTS = {"P1": "U1", "P2": "U1", "P3": "U1", "P4": "U3", "P4_1": "W", "P4_2": "W"}
 
 
-def _chart_labels(system, params, chart: str) -> dict[str, tuple[VectorField, AccessiblePoint]]:
-    """The classical labels on one chart, matched by computed coordinates
-    (never hardcoded); empty when the model lacks the chart."""
+def _chart_labels(
+    system, v: VectorField, chart: str
+) -> dict[str, tuple[VectorField, AccessiblePoint]]:
+    """The classical labels on one chart of ``v`` (the system's field,
+    parameters bound), matched by computed coordinates (never hardcoded);
+    empty when the model lacks the chart."""
     if chart not in scan_charts(system):
         return {}
-    v, scan = scan_chart(system, params, chart)
+    v, scan = _scan(system, v, chart)
     out = {}
     if chart == "U1":
         zeros = [p for p in scan.points if all(c.is_zero() for c in p.coords)]
@@ -141,15 +151,17 @@ def _chart_labels(system, params, chart: str) -> dict[str, tuple[VectorField, Ac
 def named_points(system, params=None) -> dict[str, tuple[VectorField, AccessiblePoint]]:
     """The classical labels: P1..P3 on U1, P4 on U3, P4_1/P4_2 on the
     weighted chart W; a label whose chart the model lacks is left out."""
+    v = models.system_field(system, params)
     out = {}
     for chart in dict.fromkeys(POINT_CHARTS.values()):
-        out.update(_chart_labels(system, params, chart))
+        out.update(_chart_labels(system, v, chart))
     return out
 
 
 def _named_point(system, params, point: str) -> tuple[VectorField, AccessiblePoint]:
     """One label, scanning only the chart it lives on."""
-    found = _chart_labels(system, params, POINT_CHARTS[point]) if point in POINT_CHARTS else {}
+    v = models.system_field(system, params)
+    found = _chart_labels(system, v, POINT_CHARTS[point]) if point in POINT_CHARTS else {}
     if point not in found:
         raise KeyError(f"unknown point {point!r}; known: {sorted(named_points(system, params))}")
     return found[point]
@@ -206,12 +218,10 @@ def painleve_report(system, params=None, bound: int = 2) -> dict:
     }
 
 
-def pipeline_report(system, params=None, bound: int = 2) -> dict:
+def pipeline_report(system, params=None) -> dict:
     m = models.model(system)
     rep = resolution_pipeline(
-        models.system_field(m, params),
-        lambda exps: models.weighted_chart_map(m, exps),
-        bound=bound,
+        models.system_field(m, params), lambda exps: models.weighted_chart_map(m, exps)
     )
     return {
         "system": m.name,

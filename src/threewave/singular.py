@@ -742,24 +742,30 @@ class ResolutionReport:
         return out
 
 
-def resolution_pipeline(v: VectorField, weighted_map_factory, bound: int = 2) -> ResolutionReport:
+# the largest pole order |m_k| the pipeline's balance search tries
+_PIPELINE_BOUND = 2
+
+
+def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionReport:
     """Resolve the degenerate boundary point of ``v`` and read off the
     parameter conditions for polynomiality.
 
     The dominant balance with a pole in the first variable selects the
     weighted chart (``weighted_map_factory`` maps its pole orders to a
-    ChartMap): of the balances of the pole-order triples with m >= 1, in
-    product order, the first one with the largest order sum. The triples are
-    searched highest sum first, each sum in product order (a stable sort),
-    and the search stops at the first balance found. That is the same
-    balance as ``max`` over the full list, since every triple of a larger
-    sum has been solved before and ``max`` keeps the first maximum. The
+    ChartMap): of the balances of the pole-order triples with m >= 1 and
+    no order larger than ``_PIPELINE_BOUND`` in size, in product order, the
+    first one with the largest order sum. The triples are searched highest
+    sum first, each sum in product order (a stable sort), and the search
+    stops at the first balance found. That is the same balance as ``max``
+    over the full list, since every triple of a larger sum has been solved
+    before and ``max`` keeps the first maximum. The
     accessible point there with a nonzero first index entry is blown up
     repeatedly (the resonance ratio fixes the number of steps), each time at
     the unique accessible point of the exceptional divisor and only in the
     chart of the exceptional direction. The final field's holomorphy
     obstructions and their solution branches are returned.
     """
+    bound = _PIPELINE_BOUND
     span = range(-bound, bound + 1)
     orders = sorted(itertools.product(range(1, bound + 1), span, span), key=sum, reverse=True)
     balance = next(_balances(v, orders), None)

@@ -4,8 +4,9 @@ Everything here is deliberately naive and favours obviousness over speed:
 term-by-term dictionary multiplication, dominant-balance equations built
 monomial by monomial from powers of the leading coefficients, and a
 pushforward that composes with plain rational-function arithmetic one term at
-a time instead of the library substitution path. These stay independent of
-the code they check. The seeded inputs of the differential tests (random
+a time instead of the library substitution path, and parameter binding by
+``substitute`` with constant rational functions instead of ``specialize``.
+These stay independent of the code they check. The seeded inputs of the differential tests (random
 fields, every built-in map and a blow-up chart) live here too.
 """
 
@@ -15,7 +16,7 @@ from threewave import models
 from threewave.gaussian import GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField
 from threewave.poly import MultiPoly
-from threewave.ratfunc import RationalFn
+from threewave.ratfunc import RationalFn, substitute
 from threewave.singular import LEAD_NAMES, blow_up
 from threewave.symbols import parameter, table as make_table
 
@@ -66,6 +67,34 @@ def oracle_pushforward(v: VectorField, cmap: ChartMap) -> list[RationalFn]:
             acc = acc + d * v.components[j]
         out.append(naive_substitute(acc, inverse_bindings))
     return out
+
+
+def _constant_bindings(m, values) -> dict:
+    syms = m.table.parameters()
+    return {s: RationalFn.const(m.table, GaussianRational(x))
+            for s, x in zip(syms, values or [None] * len(syms)) if x is not None}
+
+
+def substituted_field(system, values) -> VectorField:
+    """The model's base field with the parameter values (model order, None
+    leaves one symbolic) put in by ``substitute`` as constant functions."""
+    m = models.model(system)
+    bindings = _constant_bindings(m, values)
+    v = m.fields[m.base.name]
+    return VectorField(v.chart, [substitute(c, bindings, m.table) for c in v.components])
+
+
+def substituted_atlas(system, name, values) -> list[ChartMap]:
+    """The model's atlas ``name`` with every map but the identity bound as in
+    :func:`substituted_field`, and verified again."""
+    m = models.model(system)
+    bindings = _constant_bindings(m, values)
+    maps = m.atlas(name)
+    return maps[:1] + [
+        ChartMap(cm.source, cm.target, [substitute(f, bindings, m.table) for f in cm.forward],
+                 [substitute(g, bindings, m.table) for g in cm.inverse])
+        for cm in maps[1:]
+    ]
 
 
 def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
@@ -164,3 +193,28 @@ def differential_maps() -> list[ChartMap]:
     v = models.system_field("three-wave")
     maps += [blow_up(v, [1, 0, -1], k).cmap for k in range(3)]
     return maps
+
+
+def random_model_text(rng) -> str:
+    """A model file with parameters a and b: a field of random quadratic
+    components whose coefficients carry them, and a resolved atlas of two
+    charts at infinity whose maps shift by random multiples of them."""
+
+    def component():
+        terms = []
+        for mono in ("x^2", "x*y", "y*z", "z", "y", "1"):
+            if rng.random() < 0.6:
+                coeff = f"{rng.choice((-2, -1, 1, 3))}*{rng.choice(('1', 'a', 'b', 'a*b', 'i*a'))}"
+                terms.append(f"({coeff})*{mono}")
+        return " + ".join(terms) or "x^2"
+
+    c, d = rng.choice((1, -2, 3)), rng.choice((-1, 2))
+    return f"""params a b
+chart C0 : x y z
+chart C1 : X Y Z @ X
+chart C2 : P Q R @ P
+system C0 : {component()} ; {component()} ; {component()}
+map C0 C1 : 1/x ; y/x + {c}*a ; z/x | 1/X ; (Y - {c}*a)/X ; Z/X
+map C0 C2 : 1/x ; (y - {d}*b*x)*x ; z + {c}*a*x | 1/P ; Q*P + {d}*b/P ; R - {c}*a/P
+atlas resolved : C1 C2
+"""

@@ -284,6 +284,8 @@ atlas resolved : C1
          "--start=-2;0.1;-3", "--path", "1.2"],
         ["monodromy", "--system", "modified", "--params", "alpha2=inf", "--start=-2;0.1;-3",
          "--t0", "0", "--center", "0.55"],
+        ["uniqueness", "--params", "delta=5"],
+        ["verify-symmetry", "--system", "modified", "--params", "alpha1=1"],
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
@@ -358,3 +360,17 @@ def test_named_point_scans_one_chart(capsys, monkeypatch):
     code, _ = _capture(capsys, ["index", "--system", "three-wave", "--point", "P1"])
     assert code == 0
     assert calls == ["U1"]
+
+
+def test_singularities_binds_parameters_once(capsys, monkeypatch):
+    calls = []
+    real = models.system_field
+
+    def counting(system, params=None):
+        calls.append(params)
+        return real(system, params)
+
+    monkeypatch.setattr(models, "system_field", counting)
+    code, _ = _capture(capsys, ["singularities", "--system", "three-wave", "--params", "delta=1"])
+    assert code == 0
+    assert len(calls) == 1

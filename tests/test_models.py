@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+
+import oracles
 from threewave import models
 from threewave.gaussian import gr
 from threewave.geometry import jacobian_determinant
@@ -12,7 +16,7 @@ def test_three_wave_specializations():
     assert list(v.components) == expected
     # the origin is a fixed point there
     origin = {t.get(n): gr(0) for n in ("x", "y", "z")}
-    assert all(c.eval_exact(origin) == gr(0) for c in v.components)
+    assert all(c.specialize(origin).constant_value() == gr(0) for c in v.components)
 
 
 def test_three_wave_symbolic_components():
@@ -46,6 +50,32 @@ def test_comparison_with_three_wave_documents_z_difference():
     assert rep["difference"][:2] == ["0", "0"]
     assert rep["difference"][2] == "2*z"
     assert not rep["matches"]
+
+
+def test_binding_matches_substitution(tmp_path):
+    # specialize-based binding of fields and atlases equals binding by
+    # substitution of constants, on both built-ins and a random model file
+    rng = random.Random(29)
+    path = tmp_path / "random.model"
+    path.write_text(oracles.random_model_text(rng))
+    values = (None, 0, 1, -2, Fraction(1, 2), gr(1, 1), gr(0, -3))
+    for system in ("three-wave", "modified", str(path)):
+        n = len(models.param_symbols(system))
+        for _ in range(4):
+            point = [rng.choice(values) for _ in range(n)]
+            assert models.system_field(system, point) == oracles.substituted_field(system, point)
+            got = models.atlas(system, "resolved", point)
+            want = oracles.substituted_atlas(system, "resolved", point)
+            assert [(m.target, m.forward, m.inverse) for m in got] == [
+                (m.target, m.forward, m.inverse) for m in want
+            ]
+
+
+def test_unbound_model_returns_its_own_objects():
+    m = models.model("modified")
+    assert models.system_field("modified") is m.fields["U0"]
+    maps = models.resolved_atlas("modified")[1:]
+    assert maps and all(a is b for a, b in zip(maps, m.atlas("resolved")[1:]))
 
 
 def test_atlas_chart_expressions():

@@ -5,6 +5,7 @@ import pytest
 
 from threewave import models
 from threewave.errors import FitAmbiguous, StepUnderflow
+from threewave.gaussian import GaussianRational
 from threewave.geometry import identity_map
 from threewave.numerics import (
     NumericAtlas,
@@ -27,6 +28,36 @@ def three_wave_20():
     v = models.three_wave_system(2, 0)
     maps = models.resolved_atlas("three-wave", [2, 0])
     return v, maps, NumericAtlas(v, maps, {})
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("modified", {"alpha1": 0.034 - 0.057j, "alpha2": -1.5 + 0.25j, "alpha3": 0.1,
+                      "alpha4": 2j, "alpha5": -0.3 + 0.7j}),
+        ("three-wave", {"delta": 2.5, "gamma": 0}),  # on the locus: every chart polynomial
+    ],
+)
+def test_numeric_atlas_binds_parameters_exactly(kind, params):
+    # NumericAtlas(v, maps, params) on the generic field and maps compiles,
+    # value for value, the atlas of the exactly bound field and maps
+    rng = random.Random(11)
+    exact = [GaussianRational.from_complex(params[s.name]) for s in models.param_symbols(kind)]
+    atlas = NumericAtlas(models.system_field(kind), models.resolved_atlas(kind), params)
+    bound = NumericAtlas(models.system_field(kind, exact), models.resolved_atlas(kind, exact), {})
+    assert atlas.charts() == bound.charts() and atlas.poles.keys() == bound.poles.keys()
+    states = [tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
+              for _ in range(5)]
+    for chart in atlas.charts():
+        for state in states:
+            for table in ("fields", "to_base", "from_base"):
+                assert getattr(atlas, table)[chart](*state) == getattr(bound, table)[chart](*state)
+            if chart in atlas.poles:
+                for got, want in zip(atlas.poles[chart].terms, bound.poles[chart].terms):
+                    assert [(m, c(*state)) for m, c in got] == [(m, c(*state)) for m, c in want]
+    with pytest.raises(KeyError, match="no numeric value"):
+        NumericAtlas(models.system_field(kind), models.resolved_atlas(kind),
+                     dict(list(params.items())[1:]), require_polynomial=False)
 
 
 def test_chart_round_trips(modified_zero):
@@ -207,8 +238,12 @@ def test_step_underflow_without_resolving_chart():
     base_only = [identity_map(v.chart, v.table)]
     atlas = NumericAtlas(v, base_only, {})
     start = TrajectoryPoint(0j, (-2 + 0j, 0j, -3 + 0j), "U0")
-    with pytest.raises(StepUnderflow):
+    with pytest.raises(StepUnderflow) as exc:
         integrate(v, base_only, start, [0, 1.2], tol=1e-10, atlas=atlas)
+    # the partial trajectory stops short of the pole, in the only chart
+    partial = exc.value.trajectory
+    assert partial.points[0] == start
+    assert 0 < partial.end.t.real < 1.2 and partial.end.chart == "U0"
 
 
 def test_monodromy_reported_for_condition_violating_parameters():
@@ -221,14 +256,16 @@ def test_monodromy_reported_for_condition_violating_parameters():
     maps = models.resolved_atlas("three-wave")
     atlas = NumericAtlas(v, maps, params, require_polynomial=False)
     base = TrajectoryPoint(0j, (-3 + 0j, 1.1 + 0j, -2.5 + 0j), "U0")
-    lead = integrate(v, maps, base, [0, 2.0], tol=1e-11, atlas=atlas, on_underflow="stop")
-    t1 = lead.end.t if lead.underflow else fit_pole(lead.points, atlas).location
+    try:
+        lead = integrate(v, maps, base, [0, 2.0], tol=1e-11, atlas=atlas)
+    except StepUnderflow as exc:
+        t1 = exc.trajectory.end.t
+    else:
+        t1 = fit_pole(lead.points, atlas).location
     # approach from the near side, then loop around the singular time
     approach = integrate(v, maps, base, [0, t1 - 0.3], tol=1e-12, atlas=atlas)
     start = TrajectoryPoint(approach.end.t, approach.end.state, approach.end.chart)
-    rep = monodromy_check(
-        v, maps, start, t1, tol=1e-12, atlas=atlas, require_polynomial=False
-    )
+    rep = monodromy_check(v, maps, start, t1, tol=1e-12, atlas=atlas)
     assert math.isfinite(rep["deviation"])
     # branching is the predicted generic outcome; deviation far above solver noise
     assert rep["deviation"] > 1e-6
@@ -237,13 +274,12 @@ def test_monodromy_reported_for_condition_violating_parameters():
 def test_multi_segment_path_with_return_switch(modified_zero):
     # a long dog-leg path: out through the pole region in the twisted chart,
     # back to the base chart once its representation is small again; trial
-    # steps that overflow must be rejected, not crash
+    # steps that overflow must be rejected, not crash (an underflow raises)
     v, maps, atlas = modified_zero
     start = TrajectoryPoint(0j, (-2 + 0j, 0.05 + 0j, -3 + 0j), "U0")
     traj = integrate(
         v, maps, start, [0, 0.8, 0.8 + 0.3j, 2.5 + 0.3j, 2.5, 3.5], tol=1e-11, atlas=atlas
     )
-    assert traj.underflow is None
     assert len(traj.events) >= 2
     charts_seen = {e.to_chart for e in traj.events}
     assert "T3-3" in charts_seen and "U0" in charts_seen

@@ -33,10 +33,7 @@ def _chart_field(kind, chart_name, params=None):
         cmap = models.weighted_chart_map(kind, (1, 0, 2))
     else:
         cmap = next(m for m in models.atlas(kind, "projective") if m.target.name == chart_name)
-    v = models.model(kind).fields["U0"]
-    if params is not None:
-        v = models.bind_field(v, models.bind_parameters(kind, params))
-    return pushforward(v, cmap)
+    return pushforward(models.system_field(kind, params), cmap)
 
 
 # -- accessible points ---------------------------------------------------------
