@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import models, reports
-from .errors import ThreeWaveError
+from .errors import AnalysisFailed, ThreeWaveError
 from .gaussian import GaussianRational
 from .numerics import NumericAtlas, TrajectoryPoint, fit_pole, integrate, monodromy_check
 from .parsing import ModelFile, parse_expr
@@ -291,7 +291,10 @@ def _run_numeric(args, system: ModelFile, params: list[GaussianRational]) -> int
     # field that is integrated
     v = models.system_field(system, params)
     maps = models.resolved_atlas(system, params)
-    atlas = NumericAtlas(v, maps, {}, require_polynomial=not args.allow_rational)
+    try:
+        atlas = NumericAtlas(v, maps, {}, require_polynomial=not args.allow_rational)
+    except AnalysisFailed as exc:
+        raise AnalysisFailed(f"{exc}; pass --allow-rational to integrate a rational field") from None
     start_state = tuple(_parse_complex_list(args.start))
     if len(start_state) != 3:
         raise UsageError("--start needs three components 'x;y;z'")

@@ -226,23 +226,25 @@ def pushforward(v: VectorField, cmap: ChartMap) -> VectorField:
 
 @dataclass(frozen=True)
 class LogPoleForm:
-    """Certificate that a field has at worst a simple log pole on a divisor:
-    the boundary component is polynomial and every transverse component times
-    the boundary variable is polynomial."""
+    """Certificate that a field has at worst a simple log pole on its chart's
+    boundary divisor: the boundary component is polynomial and every
+    transverse component times the boundary variable is polynomial."""
 
-    boundary: Symbol
     boundary_part: MultiPoly  # g for the boundary variable itself
     transverse: tuple[tuple[Symbol, MultiPoly], ...]  # (variable, g) pairs
 
 
-def log_pole_decomposition(v: VectorField, boundary: Symbol) -> LogPoleForm:
-    """Split ``v`` as d(x1)/dt = g1, d(xk)/dt = gk/x1 with polynomial g's.
+def log_pole_decomposition(v: VectorField) -> LogPoleForm:
+    """Split ``v`` as d(x1)/dt = g1, d(xk)/dt = gk/x1 with polynomial g's,
+    where x1 is the boundary variable of ``v.chart``.
 
     Raises :class:`~threewave.errors.PoleTooHigh` when a component has a pole
-    of order >= 2 along ``boundary`` or any pole along a different divisor.
+    of order >= 2 along the boundary or any pole along a different divisor,
+    and ValueError when the chart has no boundary variable.
     """
-    if boundary not in v.chart.vars:
-        raise ValueError(f"{boundary.name!r} is not a variable of chart {v.chart.name}")
+    boundary = v.chart.boundary
+    if boundary is None:
+        raise ValueError(f"chart {v.chart.name} has no boundary variable")
     table = v.table
     b = RationalFn.var(table, boundary)
     bpart = None
@@ -265,7 +267,7 @@ def log_pole_decomposition(v: VectorField, boundary: Symbol) -> LogPoleForm:
                     witness=scaled.den,
                 )
             transverse.append((sym, scaled.as_poly()))
-    return LogPoleForm(boundary=boundary, boundary_part=bpart, transverse=tuple(transverse))
+    return LogPoleForm(boundary_part=bpart, transverse=tuple(transverse))
 
 
 def power_scaled_chart(

@@ -4,11 +4,12 @@ Two model families are provided:
 
 * the two-parameter quadratic interaction system on (x, y, z) with
   parameters (delta, gamma), together with its projective atlas U0-U3 and
-  the resolved atlas T2-0..T2-3 whose transition maps are polynomial-
-  compatible exactly on the parameter locus delta*gamma = gamma*(gamma+1) = 0;
-* the five-parameter family (alpha1..alpha5) with its resolved atlas
-  T3-0..T3-3, which is polynomial for all parameter values, and the two
-  generating symmetries of that family.
+  the resolved atlas (the identity chart plus T2-1..T2-3) whose transition
+  maps are polynomial-compatible exactly on the parameter locus
+  delta*gamma = gamma*(gamma+1) = 0;
+* the five-parameter family (alpha1..alpha5) with its resolved atlas (the
+  identity chart plus T3-1..T3-3), which is polynomial for all parameter
+  values, and the two generating symmetries of that family.
 
 Everything is built by parsing canonical-syntax sources, so the model
 constructors double as round-trip tests of the file format, and every chart
@@ -176,10 +177,10 @@ def verify_atlas_holomorphy(v: VectorField, atlas: Sequence[ChartMap]) -> list[d
         w = pushforward(v, cmap)
         witnesses = [c.den.text() for c in w.components if not c.is_polynomial()]
         conditions: list[str] = []
-        if witnesses and cmap.target.boundary is not None:
+        if witnesses:
             try:
-                conditions = holomorphy_obstructions(w, cmap.target.boundary).texts()
-            except ValueError:
+                conditions = holomorphy_obstructions(w).texts()
+            except ValueError:  # no boundary, or a pole off it
                 conditions = []
         out.append(
             {

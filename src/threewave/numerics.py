@@ -187,8 +187,9 @@ class NumericAtlas:
     ``maps`` are base-to-chart maps (the identity chart included). Each value
     of ``params`` (by parameter name) is bound exactly, as on the command
     line, before anything is pushed forward or compiled; a parameter without
-    a value raises ``KeyError``. ``poles`` holds the charts that read a pole
-    off their boundary coordinate.
+    a value raises ``KeyError``. Unless ``require_polynomial`` is false, a
+    field that is not polynomial on some chart raises ``AnalysisFailed``.
+    ``poles`` holds the charts that read a pole off their boundary coordinate.
     """
 
     def __init__(
@@ -208,10 +209,7 @@ class NumericAtlas:
         if require_polynomial:
             bad = [cmap.target.name for cmap, w in pushed if not w.is_polynomial()]
             if bad:
-                raise AnalysisFailed(
-                    f"field is not polynomial on charts {bad}; "
-                    "pass require_polynomial=False to integrate a rational field"
-                )
+                raise AnalysisFailed(f"field is not polynomial on charts {bad}")
         self.base = v.chart.name
         self.fields: dict[str, Callable] = {}
         self.to_base: dict[str, Callable] = {}

@@ -12,7 +12,7 @@ every operator result is reduced. Composite operations therefore build their
 result as one polynomial fraction and construct it once: :func:`substitute`
 maps numerator and denominator over a shared denominator that cancels, and
 :func:`clear_denominators` puts a list of values over one common denominator
-(the pushforward's field, a linear-system row, a deflated quotient).
+(the pushforward's field, a deflated quotient).
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class RationalFn:
         seen = dict.fromkeys(self.num.variables())
         seen.update(dict.fromkeys(self.den.variables()))
         return tuple(seen)
-
-    def depends_only_on_parameters(self) -> bool:
-        return all(s.kind == "parameter" for s in self.variables())
 
     # -- arithmetic ----------------------------------------------------------
 

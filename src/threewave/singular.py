@@ -39,8 +39,11 @@ from .symbols import Symbol, parameter
 class AccessiblePoint:
     chart: Chart
     coords: tuple[RationalFn, RationalFn, RationalFn]  # chart-variable order
-    boundary: Symbol
     multiplicity: int = 1
+
+    @property
+    def boundary(self) -> Symbol:
+        return self.chart.boundary
 
     def coord_of(self, sym: Symbol) -> RationalFn:
         return self.coords[self.chart.vars.index(sym)]
@@ -64,8 +67,9 @@ class AccessibleScan:
         return len(self.points)
 
 
-def find_accessible(v: VectorField, boundary: Symbol | None = None) -> AccessibleScan:
-    """All points of {boundary = 0} where the transverse log-pole parts vanish.
+def find_accessible(v: VectorField) -> AccessibleScan:
+    """All points of the chart's boundary divisor where the transverse
+    log-pole parts vanish.
 
     The two transverse polynomials restricted to the divisor are solved by
     resultant elimination plus exact root extraction; solutions outside the
@@ -73,11 +77,8 @@ def find_accessible(v: VectorField, boundary: Symbol | None = None) -> Accessibl
     Raises :class:`PositiveDimensional` when the solution set contains a curve.
     """
     chart = v.chart
-    if boundary is None:
-        boundary = chart.boundary
-    if boundary is None:
-        raise ValueError(f"chart {chart.name} has no boundary variable")
-    lp = log_pole_decomposition(v, boundary)
+    lp = log_pole_decomposition(v)
+    boundary = chart.boundary
     table = v.table
     zero = {table.get(boundary.name): GaussianRational(0)}
     gs = [(sym, g.specialize(zero)) for sym, g in lp.transverse]
@@ -93,7 +94,7 @@ def find_accessible(v: VectorField, boundary: Symbol | None = None) -> Accessibl
                 coords.append(RationalFn.const(table, 0))
             else:
                 coords.append(sol[s])
-        point = AccessiblePoint(chart, tuple(coords), boundary, mult)
+        point = AccessiblePoint(chart, tuple(coords), mult)
         if not _verify_point(gs, point):
             raise VerificationFailed(f"candidate point {point.text()} failed exact re-verification")
         points.append(point)
@@ -545,8 +546,7 @@ def verify_balance(v: VectorField, balance: Balance) -> bool:
 @dataclass(frozen=True)
 class BlowUpChart:
     cmap: ChartMap
-    field: VectorField
-    exceptional: Symbol
+    field: VectorField  # on cmap.target, whose boundary is the exceptional divisor
 
 
 def blow_up(v: VectorField, center: Sequence, k: int) -> BlowUpChart:
@@ -577,7 +577,7 @@ def blow_up(v: VectorField, center: Sequence, k: int) -> BlowUpChart:
         for j in range(3)
     ]
     cmap = ChartMap(chart, target, fwd, inv)
-    return BlowUpChart(cmap, pushforward(v.retable(new_table), cmap), tvars[k])
+    return BlowUpChart(cmap, pushforward(v.retable(new_table), cmap))
 
 
 # -- holomorphy obstructions ----------------------------------------------------------------
@@ -596,18 +596,23 @@ class Obstruction:
         return [c.text() for c in self.conditions]
 
 
-def holomorphy_obstructions(v: VectorField, exceptional: Symbol) -> Obstruction:
-    """Coefficients of the negative powers of the exceptional variable.
+def holomorphy_obstructions(v: VectorField) -> Obstruction:
+    """Coefficients of the negative powers of the chart's boundary variable
+    (the exceptional variable of a blow-up chart).
 
     Each reduced component must have a denominator that is a pure power of
-    the exceptional variable (guaranteed for fields produced by the blow-up
-    pipeline); the parameter-polynomial coefficients of all negative powers
-    are collected, normalized monic, and deduplicated. An empty condition
-    set means the field is already polynomial.
+    that variable (guaranteed for fields produced by the blow-up pipeline);
+    the parameter-polynomial coefficients of all negative powers are
+    collected, normalized monic, and deduplicated. An empty condition set
+    means the field is already polynomial. A chart without a boundary
+    variable raises ValueError.
     """
+    boundary = v.chart.boundary
+    if boundary is None:
+        raise ValueError(f"chart {v.chart.name} has no boundary variable")
     conditions: dict[str, MultiPoly] = {}
     for comp in v.components:
-        for param_poly in negative_power_part(comp, exceptional).split_by_state_monomial().values():
+        for param_poly in negative_power_part(comp, boundary).split_by_state_monomial().values():
             normalized = param_poly.monic()
             conditions[normalized.text()] = normalized
     ordered = tuple(conditions[k] for k in sorted(conditions))
@@ -720,7 +725,6 @@ class ResolutionReport:
     obstruction: Obstruction
     branches: tuple[ConditionBranch, ...]
     final_field: VectorField
-    final_exceptional: Symbol
     chart_maps: tuple[ChartMap, ...] = ()  # weighted map, then one map per blow-up
 
     def composed_map(self) -> ChartMap:
@@ -788,15 +792,13 @@ def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionRepor
     current_field, current_point = vw, entry
     centers = []
     chart_maps = [weighted_map]
-    exceptional = None
     for step in range(steps):
         chart = current_field.chart
         nxt = blow_up(current_field, current_point.coords, chart.var_index(chart.boundary))
         current_field = nxt.field
-        exceptional = nxt.exceptional
         chart_maps.append(nxt.cmap)
         if step < steps - 1:
-            inner = find_accessible(current_field, exceptional)
+            inner = find_accessible(current_field)
             if len(inner) != 1:
                 raise AnalysisFailed(
                     f"expected a unique accessible point on the exceptional divisor, got "
@@ -804,7 +806,7 @@ def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionRepor
                 )
             current_point = inner.points[0]
             centers.append(current_point)
-    obstruction = holomorphy_obstructions(current_field, exceptional)
+    obstruction = holomorphy_obstructions(current_field)
     branches = tuple(solve_parameter_conditions(list(obstruction.conditions)))
     return ResolutionReport(
         balance=balance,
@@ -814,7 +816,6 @@ def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionRepor
         obstruction=obstruction,
         branches=branches,
         final_field=current_field,
-        final_exceptional=exceptional,
         chart_maps=tuple(chart_maps),
     )
 

@@ -57,7 +57,7 @@ class AnsatzContext:
 @dataclass(frozen=True)
 class ConstraintSystem:
     context: AnsatzContext
-    rows: tuple[tuple[RationalFn, ...], ...]
+    rows: tuple[tuple[MultiPoly, ...], ...]
     row_origins: tuple[str, ...]  # chart/component/monomial labels
 
 
@@ -105,31 +105,31 @@ def ansatz_context() -> AnsatzContext:
     return AnsatzContext(table, chart, field, tuple(coeffs), tuple(twisted))
 
 
-def build_constraints(context: AnsatzContext | None = None) -> ConstraintSystem:
+def build_constraints() -> ConstraintSystem:
     """Linear conditions in the ansatz coefficients from every twisted chart.
 
     Each pushforward component is num / boundary^k; every coefficient (in
-    the chart variables) of a negative boundary power must vanish. The rows
-    are linear forms in c1..c30 with entries polynomial in the parameters;
-    the identity chart contributes nothing.
+    the chart variables) of a negative boundary power must vanish. Each such
+    coefficient is a linear form in c1..c30, and its row holds the partial
+    derivatives in c1..c30, polynomial in the parameters; the identity chart
+    contributes nothing.
     """
-    if context is None:
-        context = ansatz_context()
+    context = ansatz_context()
     table = context.table
-    rows: list[tuple[RationalFn, ...]] = []
+    linear = {c: 1 for c in context.coefficients}
+    rows: list[tuple[MultiPoly, ...]] = []
     origins: list[str] = []
     for cmap in context.atlas:
         w = pushforward(context.field, cmap)
         for ci, comp in enumerate(w.components):
             groups = negative_power_part(comp, cmap.target.boundary).split_by_state_monomial()
             for key, poly in groups.items():
-                linear, const = _linear_form(poly, context.coefficients, table)
-                if not const.is_zero():
+                degrees = poly.split_by_weight(linear)
+                if max(degrees) > 1:
+                    raise ThreeWaveError("expected a linear form in the ansatz coefficients")
+                if 0 in degrees:
                     raise ThreeWaveError("constraint system is not homogeneous in the ansatz")
-                row = [RationalFn.from_poly(linear.get(c, MultiPoly.zero(table))) for c in context.coefficients]
-                if all(r.is_zero() for r in row):
-                    continue
-                rows.append(tuple(row))
+                rows.append(tuple(poly.derivative(c) for c in context.coefficients))
                 origins.append(f"{cmap.target.name}:component{ci + 1}:{_key_text(key, table)}")
     return ConstraintSystem(context, tuple(rows), tuple(origins))
 
@@ -143,28 +143,7 @@ def _key_text(key: tuple[int, ...], table: SymbolTable) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _linear_form(p: MultiPoly, unknowns: tuple[Symbol, ...], table: SymbolTable):
-    """Split a polynomial that is linear in ``unknowns`` into coefficient map
-    plus constant part; degree >= 2 in the unknowns is an error."""
-    idx = {table.index(c): c for c in unknowns}
-    coeffs: dict[Symbol, MultiPoly] = {}
-    const = MultiPoly.zero(table)
-    for e, coeff in p.terms.items():
-        hits = [(k, d) for k, d in enumerate(e) if d and k in idx]
-        if not hits:
-            const = const + MultiPoly(table, {e: coeff})
-            continue
-        if len(hits) > 1 or hits[0][1] > 1:
-            raise ThreeWaveError("expected a linear form in the ansatz coefficients")
-        k, _ = hits[0]
-        stripped = list(e)
-        stripped[k] = 0
-        sym = idx[k]
-        coeffs[sym] = coeffs.get(sym, MultiPoly.zero(table)) + MultiPoly(table, {tuple(stripped): coeff})
-    return coeffs, const
-
-
-def solve_ansatz(constraints: ConstraintSystem | None = None) -> UniquenessReport:
+def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:
     """Solve the holomorphy constraints and compare with the five-parameter
     family.
 
@@ -174,11 +153,9 @@ def solve_ansatz(constraints: ConstraintSystem | None = None) -> UniquenessRepor
     for nullity 1 it pins n * NORMALIZED_VALUE / n[k], which is compared
     with the reference system coefficient by coefficient.
     """
-    if constraints is None:
-        constraints = build_constraints()
     ctx = constraints.context
     table = ctx.table
-    hom = linear_solve([list(r) for r in constraints.rows], None, table=table)
+    hom = linear_solve(constraints.rows)
 
     # the normalized coefficient lives in component 1 (offset 0)
     k = MONOMIAL_EXPONENTS.index(NORMALIZED_MONOMIAL)

@@ -39,7 +39,7 @@ def test_criterion_1_accessible_points():
         assert {p.text() for p in scanw.points} == {"(0, 1/2*delta, 0)", "(0, 1/2*delta, -1)"}
         assert scanw.residuals == ()
 
-    _report(1, "accessible points on U1 and the weighted chart, exact", 10.0, body)
+    _report(1, "accessible points on U1 and the weighted chart, exact", 5.0, body)
 
 
 def test_criterion_2_local_index_tables():
@@ -57,7 +57,7 @@ def test_criterion_2_local_index_tables():
             idx = local_index(v, p)
             assert tuple(e.text() for e in idx.eigenvalues) == eig, name
 
-    _report(2, "local index tables for P1..P4(2), exact", 10.0, body)
+    _report(2, "local index tables for P1..P4(2), exact", 5.0, body)
 
 
 def test_criterion_3_painleve_exponents():
@@ -109,7 +109,7 @@ def test_criterion_5_atlas_verification():
                 count += 1
         assert count == 6
 
-    _report(5, "atlas polynomiality on the condition locus; six unit Jacobians", 60.0, body)
+    _report(5, "atlas polynomiality on the condition locus; six unit Jacobians", 5.0, body)
 
 
 def test_criterion_6_symmetry():
@@ -130,7 +130,7 @@ def test_criterion_6_symmetry():
         assert b1 == b2
         assert rep1["s"]["residual"] == ["0", "0", "0"]
 
-    _report(6, "pi-invariance, group relations, reproducible s-residual", 20.0, body)
+    _report(6, "pi-invariance, group relations, reproducible s-residual", 5.0, body)
 
 
 def test_criterion_7_uniqueness():
@@ -143,7 +143,7 @@ def test_criterion_7_uniqueness():
         assert rep.matches_reference
         assert rep.homogeneous_nullity == 1
 
-    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 20.0, body)
+    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 5.0, body)
 
 
 def test_criterion_8a_chart_round_trips():
@@ -260,4 +260,4 @@ def test_criterion_9_pushforward_oracle_equivalence():
             want = oracle_pushforward(v, cmap)
             assert list(got.components) == want
 
-    _report(9, "pushforward equals the naive chain-rule oracle on 20 random fields", 120.0, body)
+    _report(9, "pushforward equals the naive chain-rule oracle on 20 random fields", 10.0, body)

@@ -333,6 +333,9 @@ def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    if argv[0] == "integrate":
+        # the hint names the command-line switch, not the library argument
+        assert lines[0].endswith("; pass --allow-rational to integrate a rational field")
 
 
 def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):

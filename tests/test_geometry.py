@@ -109,7 +109,7 @@ def test_log_pole_decomposition_on_projective_chart():
     v = models.three_wave_system()
     u1 = next(m for m in models.atlas("three-wave", "projective") if m.target.name == "U1")
     w = pushforward(v, u1)
-    lp = log_pole_decomposition(w, w.chart.boundary)
+    lp = log_pole_decomposition(w)
     assert lp.boundary_part is not None
     # transverse parts restricted to the divisor are the classic factors
     t = w.table
@@ -125,14 +125,14 @@ def test_log_pole_rejects_higher_order(simple):
     zero = RationalFn.const(t, 0)
     bad = VectorField(dst, [zero, 1 / X**2, zero])
     with pytest.raises(PoleTooHigh):
-        log_pole_decomposition(bad, t.get("X"))
+        log_pole_decomposition(bad)
 
 
 def test_log_pole_polynomial_field(simple):
     t, src, dst = simple
     X, Y = RationalFn.var(t, "X"), RationalFn.var(t, "Y")
     v = VectorField(dst, [Y, X * Y, RationalFn.const(t, 1)])
-    lp = log_pole_decomposition(v, t.get("X"))
+    lp = log_pole_decomposition(v)
     assert lp.boundary_part == Y.num
     got = dict(lp.transverse)
     assert got[t.get("Y")] == (X * X * Y).as_poly()  # X * (X*Y)

@@ -5,6 +5,7 @@ import pytest
 
 from threewave.gaussian import gr
 from threewave.linalg import linear_solve
+from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn
 from threewave.symbols import table
 
@@ -15,49 +16,55 @@ def t():
 
 
 def _c(t, v):
-    return RationalFn.const(t, v)
+    return MultiPoly.const(t, v)
+
+
+def _solve(A, b):
+    """Solve A x = b through the homogeneous system [A | -b]: a null vector n
+    with n[-1] != 0 (one exists exactly when A x = b is consistent) gives
+    x = n[:-1] / n[-1]."""
+    sol = linear_solve([list(row) + [-bi] for row, bi in zip(A, b)])
+    n = next(n for n in sol.nullspace if not n[-1].is_zero())
+    return sol, [c / n[-1] for c in n[:-1]]
+
+
+def _apply(row, x):
+    acc = RationalFn.const(row[0].table, 0)
+    for a, v in zip(row, x):
+        acc = acc + RationalFn.from_poly(a) * v
+    return acc
 
 
 def test_identity_system(t):
     one, zero = _c(t, 1), _c(t, 0)
-    b = [RationalFn.var(t, "alpha1"), _c(t, 7)]
-    sol = linear_solve([[one, zero], [zero, one]], b)
-    assert sol.consistent and sol.rank == 2 and sol.nullity == 0
-    assert list(sol.particular) == b
+    b = [MultiPoly.var(t, "alpha1"), _c(t, 7)]
+    sol, x = _solve([[one, zero], [zero, one]], b)
+    assert sol.rank == 2 and sol.nullity == 1
+    assert x == [RationalFn.from_poly(v) for v in b]
 
 
 def test_underdetermined_row(t):
     one = _c(t, 1)
-    sol = linear_solve([[one, one]], None)
+    sol = linear_solve([[one, one]])
     assert sol.rank == 1 and sol.nullity == 1
     v = sol.nullspace[0]
-    assert v[0] + v[1] == _c(t, 0)
-
-
-def test_inconsistent_with_certificate(t):
-    one = _c(t, 1)
-    sol = linear_solve([[one], [one]], [_c(t, 1), _c(t, 2)])
-    assert not sol.consistent
-    assert sol.certificate is not None
-    row = sol.certificate
-    assert row[0].is_zero() and not row[1].is_zero()
+    assert v[0] + v[1] == RationalFn.const(t, 0)
 
 
 def test_parameter_entries(t):
-    a1 = RationalFn.var(t, "alpha1")
-    a2 = RationalFn.var(t, "alpha2")
+    a1 = MultiPoly.var(t, "alpha1")
+    a2 = MultiPoly.var(t, "alpha2")
     one = _c(t, 1)
     # [[a1, 1], [0, a2]] x = (1, a2)  ->  x2 = 1, x1 = 0... checked by residual below
-    sol = linear_solve([[a1, one], [_c(t, 0), a2]], [one, a2])
-    assert sol.consistent and sol.rank == 2
-    x = sol.particular
-    assert a1 * x[0] + x[1] == one
-    assert a2 * x[1] == a2
+    sol, x = _solve([[a1, one], [_c(t, 0), a2]], [one, a2])
+    assert sol.rank == 2
+    assert RationalFn.from_poly(a1) * x[0] + x[1] == RationalFn.const(t, 1)
+    assert RationalFn.from_poly(a2) * x[1] == RationalFn.from_poly(a2)
 
 
 def test_random_square_systems_reconstruct(t):
     rng = random.Random(31)
-    a1 = RationalFn.var(t, "alpha1")
+    a1 = MultiPoly.var(t, "alpha1")
     for trial in range(25):
         n = rng.randint(2, 4)
         A = [
@@ -75,14 +82,10 @@ def test_random_square_systems_reconstruct(t):
             for j in range(n):
                 acc = acc + A[i][j] * xs[j]
             b.append(acc)
-        sol = linear_solve(A, b)
-        assert sol.consistent
-        # verify A * particular == b exactly
+        _, x = _solve(A, b)
+        # verify A * x == b exactly
         for i in range(n):
-            acc = _c(t, 0)
-            for j in range(n):
-                acc = acc + A[i][j] * sol.particular[j]
-            assert acc == b[i]
+            assert _apply(A[i], x) == RationalFn.from_poly(b[i])
 
 
 def test_nullspace_vectors_solve_homogeneous(t):
@@ -90,18 +93,19 @@ def test_nullspace_vectors_solve_homogeneous(t):
     for _ in range(10):
         rows, cols = 2, 4
         A = [[_c(t, rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
-        sol = linear_solve(A, None)
+        sol = linear_solve(A)
         assert sol.rank + sol.nullity == cols
         for vec in sol.nullspace:
             for i in range(rows):
-                acc = _c(t, 0)
-                for j in range(cols):
-                    acc = acc + A[i][j] * vec[j]
-                assert acc.is_zero()
+                assert _apply(A[i], vec).is_zero()
 
 
 def test_state_symbols_rejected():
     t2 = table("x", "alpha1:parameter")
-    x = RationalFn.var(t2, "x")
     with pytest.raises(ValueError):
-        linear_solve([[x]], [RationalFn.const(t2, 0)])
+        linear_solve([[MultiPoly.var(t2, "x")]])
+
+
+def test_empty_system_rejected():
+    with pytest.raises(ValueError):
+        linear_solve([])

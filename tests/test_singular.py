@@ -72,13 +72,25 @@ def test_zero_field_positive_dimensional():
         find_accessible(v)
 
 
+def test_chart_without_boundary_is_rejected():
+    from threewave.geometry import log_pole_decomposition
+
+    t = table("X", "Y", "Z")
+    chart = Chart("C", (t.get("X"), t.get("Y"), t.get("Z")))
+    X = RationalFn.var(t, "X")
+    v = VectorField(chart, [X, 1 / X, X])
+    for analysis in (find_accessible, holomorphy_obstructions, log_pole_decomposition):
+        with pytest.raises(ValueError, match="has no boundary variable"):
+            analysis(v)
+
+
 def test_every_reported_point_satisfies_definition():
     # transverse log-pole parts vanish exactly at every reported point
     for chart_name in ("U1", "U2", "U3", "W"):
         w = _chart_field("three-wave", chart_name)
         from threewave.geometry import log_pole_decomposition
 
-        lp = log_pole_decomposition(w, w.chart.boundary)
+        lp = log_pole_decomposition(w)
         zero = {w.table.get(w.chart.boundary.name): gr(0)}
         for p in find_accessible(w).points:
             bindings = {s: p.coords[k] for k, s in enumerate(p.chart.vars)}
@@ -158,7 +170,7 @@ def test_linear_part_rejects_a_point_that_is_not_accessible():
     k = next(k for k, s in enumerate(p.chart.vars) if s != p.boundary)
     coords = list(p.coords)
     coords[k] = coords[k] + 1
-    moved = singular.AccessiblePoint(p.chart, tuple(coords), p.boundary)
+    moved = singular.AccessiblePoint(p.chart, tuple(coords))
     with pytest.raises(VerificationFailed, match="is not accessible") as info:
         linear_part(v, moved)
     assert not isinstance(info.value, ValueError)
@@ -174,7 +186,7 @@ def test_index_invariant_under_transverse_permutation():
     swapped_field = VectorField(swapped_chart, (v.components[0], v.components[2], v.components[1]))
     from threewave.singular import AccessiblePoint
 
-    swapped_point = AccessiblePoint(swapped_chart, (p.coords[0], p.coords[2], p.coords[1]), p.boundary)
+    swapped_point = AccessiblePoint(swapped_chart, (p.coords[0], p.coords[2], p.coords[1]))
     idx2 = local_index(swapped_field, swapped_point)
     assert sorted(e.text() for e in idx2.eigenvalues) == multiset
 
@@ -341,7 +353,10 @@ def test_blow_up_directional_charts():
     fwd = boundary_dir.cmap.forward
     big = fwd[0].table
     assert fwd[0] == RationalFn.var(big, "XW")
-    assert boundary_dir.exceptional == boundary_dir.cmap.target.boundary
+    # the k-th new variable cuts out the exceptional divisor in chart k
+    for k, c in enumerate(charts):
+        assert c.cmap.target.boundary == c.cmap.target.vars[k]
+        assert c.field.chart == c.cmap.target
 
 
 def test_blow_up_of_zero_field_is_zero():
@@ -448,7 +463,7 @@ def test_already_polynomial_field_has_no_obstructions():
     chart = Chart("C", (t.get("u"), t.get("v"), t.get("w")), boundary=t.get("u"))
     u, v_, w_ = (RationalFn.var(t, n) for n in ("u", "v", "w"))
     field = VectorField(chart, [u * v_, v_ + w_, u])
-    obs = holomorphy_obstructions(field, t.get("u"))
+    obs = holomorphy_obstructions(field)
     assert obs.is_empty()
 
 

@@ -89,15 +89,15 @@ def test_specialization_commutes_with_solving(constraints, solved):
         values = {s: gr(rng.randint(-3, 3)) for s in alpha_syms}
         spec_rows = [[e.specialize(values) for e in row] for row in constraints.rows]
         norm_index = 7  # y^2 coefficient of the first component
-        zero = RationalFn.const(ctx.table, 0)
-        one = RationalFn.const(ctx.table, 1)
-        norm_row = [zero] * 30
-        norm_row[norm_index] = one
-        rhs = [zero] * len(spec_rows) + [RationalFn.const(ctx.table, -2)]
-        sol = linear_solve(spec_rows + [norm_row], rhs, table=ctx.table)
-        assert sol.consistent and sol.nullity == 0
-        for got, sym in zip(sol.particular, solved.coefficient_values):
-            assert got == sym.specialize(values)
+        # the normalized system has one solution exactly when the specialized
+        # null space is a line with nonzero y^2 entry
+        sol = linear_solve(spec_rows)
+        assert sol.nullity == 1
+        (n,) = sol.nullspace
+        assert not n[norm_index].is_zero()
+        got = [c * RationalFn.const(ctx.table, -2) / n[norm_index] for c in n]
+        for value, sym in zip(got, solved.coefficient_values):
+            assert value == sym.specialize(values)
 
 
 def test_recovered_field_passes_pi_symmetry(solved):
