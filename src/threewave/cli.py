@@ -30,8 +30,6 @@ from .parsing import ModelFile, parse_expr
 
 REPORT_DIR_ENV = "THREEWAVE_REPORT_DIR"
 NUMERIC_COMMANDS = ("integrate", "monodromy")
-# claims about the whole five-parameter family: they take no model file and no --params
-FAMILY_COMMANDS = ("verify-symmetry", "uniqueness")
 
 
 class UsageError(Exception):
@@ -57,10 +55,7 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
         if name not in names:
             raise UsageError(f"unknown parameter {name!r} for system {system.name!r}")
         if numeric:
-            z = complex(raw.replace("i", "j"))
-            if not cmath.isfinite(z):
-                raise UsageError(f"parameter {name}={raw!r} is not a finite number")
-            values[name] = GaussianRational.from_complex(z)
+            values[name] = GaussianRational.from_complex(_finite_complex(raw, f"parameter {name}"))
             continue
         if any(ch in raw for ch in (".", "e", "E")) and not raw.lstrip("+-").isdigit():
             raise UsageError(
@@ -78,8 +73,15 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
     return [values.get(n) for n in names] if text else None
 
 
-def _parse_complex_list(text: str) -> list[complex]:
-    return [complex(p.strip().replace("i", "j")) for p in text.split(";")]
+def _finite_complex(text: str, what: str) -> complex:
+    """A finite complex number written like '1.5', '-2e-3' or '0.5+1i'."""
+    try:
+        z = complex(text.strip().replace("i", "j"))
+    except ValueError:
+        raise UsageError(f"{what} {text!r} is not a number") from None
+    if not cmath.isfinite(z):
+        raise UsageError(f"{what} {text!r} is not a finite number")
+    return z
 
 
 def _emit(report: dict, args, command: str) -> None:
@@ -93,18 +95,23 @@ def _emit(report: dict, args, command: str) -> None:
 
 
 def _write_out(body: str, args, command: str) -> None:
+    """Write the report files, then standard output, so that a file that
+    cannot be written leaves nothing half printed."""
     if not body.endswith("\n"):
         body += "\n"
-    sys.stdout.write(body)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
     report_dir = os.environ.get(REPORT_DIR_ENV)
-    if report_dir:
-        os.makedirs(report_dir, exist_ok=True)
-        ext = "csv" if args.format == "csv" else ("json" if args.format == "json" else "txt")
-        with open(os.path.join(report_dir, f"{command}.{ext}"), "w", encoding="utf-8") as fh:
-            fh.write(body)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        if report_dir:
+            os.makedirs(report_dir, exist_ok=True)
+            ext = "csv" if args.format == "csv" else ("json" if args.format == "json" else "txt")
+            with open(os.path.join(report_dir, f"{command}.{ext}"), "w", encoding="utf-8") as fh:
+                fh.write(body)
+    except OSError as exc:
+        raise UsageError(f"cannot write the report: {exc}") from None
+    sys.stdout.write(body)
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -174,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-symmetry", help="invariance residuals and group relations")
     common(p)
-    p.add_argument("--map", default="both", choices=("pi", "s", "both"))
 
-    p = sub.add_parser("uniqueness", help="recover the quadratic family from holomorphy")
+    p = sub.add_parser("uniqueness", help="recover the quadratic field from holomorphy")
     common(p)
 
     p = sub.add_parser("integrate", help="adaptive complex-path integration")
@@ -230,63 +236,53 @@ def _check_numbers(args) -> None:
 def _dispatch(args) -> int:
     cmd = args.command
     _check_numbers(args)
-    if cmd in FAMILY_COMMANDS and args.system not in models.BUILTINS:
-        raise UsageError(f"{cmd} is a claim about the five-parameter family; it takes no model file")
-    if cmd in FAMILY_COMMANDS and args.params is not None:
-        raise UsageError(f"{cmd} is a claim about the five-parameter family; it takes no --params")
+    if cmd in ("verify-symmetry", "uniqueness") and args.params is not None:
+        raise UsageError(f"{cmd} checks a claim for symbolic parameters; it takes no --params")
     system = models.model(args.system)
     numeric = cmd in NUMERIC_COMMANDS
     params = _parse_params(system, args.params, numeric)
     if numeric:
         return _run_numeric(args, system, params)
 
+    ok = True  # the report's verdict, for commands that make a claim
     if cmd == "singularities":
-        charts = (args.chart,) if args.chart else None
-        rep = reports.singularities_report(system, params, charts)
-        _emit(rep, args, cmd)
-        return 0
-    if cmd == "index":
+        rep = reports.singularities_report(system, params, (args.chart,) if args.chart else None)
+    elif cmd == "index":
         rep = reports.index_report(system, params, args.point)
-        _emit(rep, args, cmd)
-        return 0
-    if cmd == "alpha-test":
+    elif cmd == "alpha-test":
         rep = reports.alpha_report(system, params, args.point)
-        _emit(rep, args, cmd)
-        return 0
-    if cmd == "painleve":
+    elif cmd == "painleve":
         rep = reports.painleve_report(system, params, args.bound)
-        _emit(rep, args, cmd)
-        return 0 if all(b["verified"] for b in rep["balances"]) else 1
-    if cmd in ("blowup", "obstructions"):
+        ok = all(b["verified"] for b in rep["balances"])
+    elif cmd in ("blowup", "obstructions"):
         rep = reports.pipeline_report(system, params)
         if cmd == "obstructions":
-            rep = {
-                "system": rep["system"],
-                "obstructions": rep["obstructions"],
-                "solution_branches": rep["solution_branches"],
-                "resolvable_without_conditions": rep["resolvable_without_conditions"],
-            }
-        _emit(rep, args, cmd)
-        return 0
-    if cmd == "verify-atlas":
+            keys = ("system", "obstructions", "solution_branches", "resolvable_without_conditions")
+            rep = {k: rep[k] for k in keys}
+    elif cmd == "verify-atlas":
         rep = reports.atlas_report(system, params, args.atlas)
-        _emit(rep, args, cmd)
-        if args.atlas != "resolved":
-            return 0  # informational: the reciprocal charts make no holomorphy claim
-        return 0 if rep["all_polynomial"] else 1
-    if cmd == "verify-symmetry":
-        rep = reports.symmetry_report(args.map)
-        _emit(rep, args, cmd)
-        return 0 if rep["all_invariant"] and rep["relations"]["all_hold"] else 1
-    if cmd == "uniqueness":
-        rep = reports.uniqueness_report()
-        _emit(rep, args, cmd)
+        # the reciprocal charts are informational: they make no holomorphy claim
+        ok = args.atlas != "resolved" or rep["all_polynomial"]
+    elif cmd == "verify-symmetry":
+        rep = reports.symmetry_report(system)
+        ok = rep["all_invariant"] and rep["relations"]["all_hold"]
+    else:
+        rep = reports.uniqueness_report(system)
         ok = rep["matches_reference"] and rep["normalized_nullity"] == 0
-        return 0 if ok else 1
-    raise UsageError(f"unhandled command {cmd!r}")
+    _emit(rep, args, cmd)
+    return 0 if ok else 1
 
 
 def _run_numeric(args, system: ModelFile, params: list[GaussianRational]) -> int:
+    start_state = tuple(_finite_complex(p, "--start component") for p in args.start.split(";"))
+    if len(start_state) != 3:
+        raise UsageError("--start needs three components 'x;y;z'")
+    t0 = _finite_complex(args.t0, "--t0")
+    integrating = args.command == "integrate"
+    if integrating:
+        path = [t0] + [_finite_complex(p, "--path waypoint") for p in args.path.split(";")]
+    else:
+        center = _finite_complex(args.center, "--center")
     # every parameter is bound exactly, so the polynomiality test sees the
     # field that is integrated
     v = models.system_field(system, params)
@@ -295,13 +291,8 @@ def _run_numeric(args, system: ModelFile, params: list[GaussianRational]) -> int
         atlas = NumericAtlas(v, maps, {}, require_polynomial=not args.allow_rational)
     except AnalysisFailed as exc:
         raise AnalysisFailed(f"{exc}; pass --allow-rational to integrate a rational field") from None
-    start_state = tuple(_parse_complex_list(args.start))
-    if len(start_state) != 3:
-        raise UsageError("--start needs three components 'x;y;z'")
-    t0 = complex(args.t0.replace("i", "j"))
     start = TrajectoryPoint(t0, start_state, atlas.base)
-    if args.command == "integrate":
-        path = [t0] + _parse_complex_list(args.path)
+    if integrating:
         traj = integrate(v, maps, start, path, tol=args.tol, atlas=atlas)
         if args.format == "csv":
             _write_out(traj.to_csv(), args, "integrate")
@@ -329,7 +320,6 @@ def _run_numeric(args, system: ModelFile, params: list[GaussianRational]) -> int
             rep["pole_fit"] = None
         _emit(rep, args, "integrate")
         return 0
-    center = complex(args.center.replace("i", "j"))
     rep = monodromy_check(v, maps, start, center, tol=args.tol, atlas=atlas)
     out = {
         "deviation": rep["deviation"],

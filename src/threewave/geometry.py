@@ -6,6 +6,9 @@ parameters. A :class:`ChartMap` carries both directions of a birational map
 and *proves itself* at construction by composing them symbolically -- a map
 that is not exactly invertible is rejected at load time, not at use time.
 
+A :class:`SymmetryMap` pairs a state map of one chart with an action on the
+parameters; it proves itself only when asked, through :meth:`as_chart_map`.
+
 The pushforward of a vector field transforms the components with the chain
 rule and re-expresses them in the target coordinates; results stay reduced
 rational functions even when they happen to be polynomial (polynomiality is
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import PoleTooHigh
+from .errors import PoleTooHigh, VerificationFailed
 from .gaussian import GaussianRational
 from .poly import MultiPoly
 from .ratfunc import RationalFn, clear_denominators, substitute
@@ -167,6 +170,50 @@ class ChartMap:
 
     def __repr__(self):
         return f"ChartMap({self.source.name} -> {self.target.name})"
+
+
+@dataclass(frozen=True)
+class SymmetryMap:
+    """A birational state map of one chart combined with an action on the
+    parameters: (x; alpha) -> (state(x; alpha); param_map(alpha)).
+
+    ``param_map`` names every parameter of the table. A symmetry is a
+    twisted involution: the state map with mapped parameters undoes it,
+    which is the inverse :meth:`as_chart_map` verifies.
+    """
+
+    name: str
+    chart: Chart
+    state: tuple[RationalFn, RationalFn, RationalFn]
+    param_map: Mapping[Symbol, RationalFn]
+
+    @property
+    def table(self) -> SymbolTable:
+        return self.state[0].table
+
+    def map_params(self, rf: RationalFn) -> RationalFn:
+        return substitute(rf, self.param_map, rf.table)
+
+    def as_chart_map(self) -> ChartMap:
+        """The state map with its twisted inverse, verified; a map that is not
+        a twisted involution is a failed verification."""
+        inverse = [self.map_params(c) for c in self.state]
+        try:
+            return ChartMap(self.chart, self.chart, self.state, inverse)
+        except ValueError as exc:
+            raise VerificationFailed(f"symmetry {self.name}: {exc}") from None
+
+    def compose(self, inner: "SymmetryMap") -> "SymmetryMap":
+        """The map self o inner (apply ``inner`` first)."""
+        table = self.table
+        bindings = {**dict(zip(self.chart.vars, inner.state)), **inner.param_map}
+        state = tuple(substitute(c, bindings, table) for c in self.state)
+        pmap = {p: substitute(e, inner.param_map, table) for p, e in self.param_map.items()}
+        return SymmetryMap(f"{self.name}*{inner.name}", self.chart, state, pmap)
+
+    def is_identity(self) -> bool:
+        pairs = [*zip(self.chart.vars, self.state), *self.param_map.items()]
+        return all(f == RationalFn.var(self.table, s) for s, f in pairs)
 
 
 def identity_map(chart: Chart, table: SymbolTable) -> ChartMap:

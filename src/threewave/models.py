@@ -9,26 +9,27 @@ Two model families are provided:
   delta*gamma = gamma*(gamma+1) = 0;
 * the five-parameter family (alpha1..alpha5) with its resolved atlas (the
   identity chart plus T3-1..T3-3), which is polynomial for all parameter
-  values, and the two generating symmetries of that family.
+  values, its two generating symmetries pi and s, and their relations
+  s^2 = pi^2 = (s*pi)^2 = 1.
 
-Everything is built by parsing canonical-syntax sources, so the model
-constructors double as round-trip tests of the file format, and every chart
-map proves its own invertibility on load. A built-in is one model file among
-others: every function taking a ``system`` accepts a built-in name, a
-model-file path or a parsed :class:`~threewave.parsing.ModelFile`.
+Everything, symmetries included, is built by parsing canonical-syntax
+sources, so the model constructors double as round-trip tests of the file
+format, and every chart map proves its own invertibility on load. A built-in
+is one model file among others: every function taking a ``system`` accepts a
+built-in name, a model-file path or a parsed
+:class:`~threewave.parsing.ModelFile`.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, reduce
+from typing import Sequence
 
 from .gaussian import GaussianRational
-from .geometry import Chart, ChartMap, VectorField, power_scaled_chart, pushforward
+from .geometry import ChartMap, SymmetryMap, VectorField, power_scaled_chart, pushforward
 from .parsing import ModelFile, load_model, parse_model, render_model
-from .ratfunc import RationalFn, substitute
-from .symbols import Symbol, SymbolTable, state
+from .symbols import Symbol, state
 
 _THREE_WAVE_SRC = """
 params delta gamma
@@ -70,16 +71,14 @@ map U0 T3-2 : 1/x ; -(y + i*x + alpha3)*x ; (z + alpha4)*x | 1/x2 ; -i/x2 - alph
 map U0 T3-3 : 1/x ; -((y - alpha5)*x - i*(alpha2 - alpha4)/2)*x ; z + x^2 + i*(alpha1 - alpha3)*x | 1/x3 ; alpha5 + i*(alpha2 - alpha4)*x3/2 - x3^2*y3 ; z3 - 1/x3^2 - i*(alpha1 - alpha3)/x3
 atlas projective : U1 U2 U3
 atlas resolved : T3-1 T3-2 T3-3
+symmetry pi : x ; -y ; z | alpha1 -> -alpha3, alpha2 -> alpha4, alpha3 -> -alpha1, alpha4 -> alpha2, alpha5 -> -alpha5
+symmetry s : x - i*(alpha2 - alpha4)/(2*(y - alpha5)) ; y ; (4*y^2*z - 8*alpha5*y*z + 4*i*(alpha2 - alpha4)*x*y - 4*i*(alpha2 - alpha4)*alpha5*x - 2*(alpha1 - alpha3)*(alpha2 - alpha4)*y + 4*alpha5^2*z + (alpha2 - alpha4)*(alpha2 - alpha4 + 2*(alpha1 - alpha3)*alpha5)) / (4*(y - alpha5)^2) | alpha2 -> alpha4, alpha4 -> alpha2
+relation s^2
+relation pi^2
+relation (s*pi)^2
 """
 
 BUILTINS = {"three-wave": _THREE_WAVE_SRC, "modified": _MODIFIED_SRC}
-
-_S_STATE_Z = (
-    "(4*y^2*z - 8*alpha5*y*z + 4*i*(alpha2 - alpha4)*x*y - 4*i*(alpha2 - alpha4)*alpha5*x"
-    " - 2*(alpha1 - alpha3)*(alpha2 - alpha4)*y + 4*alpha5^2*z"
-    " + (alpha2 - alpha4)*(alpha2 - alpha4 + 2*(alpha1 - alpha3)*alpha5)) / (4*(y - alpha5)^2)"
-)
-
 
 @lru_cache(maxsize=None)
 def _builtin(kind: str) -> ModelFile:
@@ -197,108 +196,6 @@ def verify_atlas_holomorphy(v: VectorField, atlas: Sequence[ChartMap]) -> list[d
 # -- symmetries -----------------------------------------------------------------------
 
 
-class SymmetryMap:
-    """A birational state map combined with a parameter substitution.
-
-    The map acts as (x; alpha) -> (state(x; alpha); param_map(alpha)). Both
-    generators of the five-parameter family are involutions in the twisted
-    sense: applying the state map with mapped parameters undoes it, which is
-    exactly the inverse the underlying ChartMap needs.
-    """
-
-    __slots__ = ("name", "chart", "state", "param_map")
-
-    def __init__(
-        self,
-        name: str,
-        chart: Chart,
-        state: Sequence[RationalFn],
-        param_map: Mapping[Symbol, RationalFn],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "state", tuple(state))
-        object.__setattr__(self, "param_map", dict(param_map))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetryMap is immutable")
-
-    @property
-    def table(self) -> SymbolTable:
-        return self.state[0].table
-
-    def map_params(self, rf: RationalFn) -> RationalFn:
-        return substitute(rf, self.param_map, rf.table)
-
-    def as_chart_map(self, check: bool = True) -> ChartMap:
-        inverse = [self.map_params(c) for c in self.state]
-        return ChartMap(self.chart, self.chart, self.state, inverse, check=check)
-
-    def compose(self, inner: "SymmetryMap") -> "SymmetryMap":
-        """The map self o inner (apply ``inner`` first)."""
-        table = self.table
-        bindings: dict[Symbol, RationalFn] = {
-            self.chart.vars[k]: inner.state[k] for k in range(3)
-        }
-        bindings.update(inner.param_map)
-        new_state = [substitute(c, bindings, table) for c in self.state]
-        new_pmap = {
-            p: substitute(expr, inner.param_map, table) for p, expr in self.param_map.items()
-        }
-        return SymmetryMap(f"{self.name}*{inner.name}", self.chart, new_state, new_pmap)
-
-    def is_identity(self) -> bool:
-        table = self.table
-        for k, s in enumerate(self.chart.vars):
-            if self.state[k] != RationalFn.var(table, s):
-                return False
-        for p, expr in self.param_map.items():
-            if expr != RationalFn.var(table, p):
-                return False
-        return True
-
-
-def symmetry_generators() -> dict[str, SymmetryMap]:
-    """The two generating symmetries of the five-parameter family."""
-    m = model("modified")
-    table = m.table
-    chart = m.base
-    a1, a2, a3, a4, a5 = (RationalFn.var(table, p) for p in table.parameters())
-    syms = {p.name: p for p in table.parameters()}
-    from .parsing import parse_expr
-
-    x, y, z = (RationalFn.var(table, s) for s in chart.vars)
-
-    pi = SymmetryMap(
-        "pi",
-        chart,
-        (x, -y, z),
-        {
-            syms["alpha1"]: -a3,
-            syms["alpha2"]: a4,
-            syms["alpha3"]: -a1,
-            syms["alpha4"]: a2,
-            syms["alpha5"]: -a5,
-        },
-    )
-    i_rf = RationalFn.const(table, GaussianRational(0, 1))
-    sx = x - i_rf * (a2 - a4) / (2 * (y - a5))
-    sz = parse_expr(_S_STATE_Z, table)
-    s = SymmetryMap(
-        "s",
-        chart,
-        (sx, y, sz),
-        {
-            syms["alpha1"]: a1,
-            syms["alpha2"]: a4,
-            syms["alpha3"]: a3,
-            syms["alpha4"]: a2,
-            syms["alpha5"]: a5,
-        },
-    )
-    return {"pi": pi, "s": s}
-
-
 def verify_symmetry(v: VectorField, sigma: SymmetryMap) -> dict:
     """Residual of the invariance claim: pushforward under sigma minus the
     field with mapped parameters. A zero triple means exact invariance."""
@@ -314,46 +211,19 @@ def verify_symmetry(v: VectorField, sigma: SymmetryMap) -> dict:
     }
 
 
-def verify_group_relations(gens: Mapping[str, SymmetryMap] | None = None) -> dict:
-    """Check s^2 = pi^2 = (s*pi)^2 = identity as exact rational-map identities."""
-    if gens is None:
-        gens = symmetry_generators()
-    s, pi = gens["s"], gens["pi"]
-    spi = s.compose(pi)
+def verify_group_relations(system) -> dict:
+    """Check that every relation word of the model (its letters, outermost
+    first) composes to the identity, as an exact rational-map identity."""
+    m = model(system)
     checks = {
-        "s^2": s.compose(s).is_identity(),
-        "pi^2": pi.compose(pi).is_identity(),
-        "(s*pi)^2": spi.compose(spi).is_identity(),
+        word: reduce(SymmetryMap.compose, (m.symmetries[n] for n in letters)).is_identity()
+        for word, letters in m.relations.items()
     }
     return {"relations": checks, "all_hold": all(checks.values())}
 
 
 def export_model(kind: str) -> str:
-    """Serialize a whole built-in model (every chart, map and atlas) to the
-    model-file format, so modified copies can be fed back through the CLI."""
+    """Serialize a whole built-in model (every chart, map, atlas, symmetry and
+    relation) to the model-file format, so modified copies can be fed back
+    through the CLI."""
     return render_model(model(kind))
-
-
-# -- cross-family comparison ------------------------------------------------------------
-
-
-def compare_with_three_wave(delta=0) -> dict:
-    """Specialize the five-parameter family at alpha = (0,0,0,0,delta/2) and
-    subtract the two-parameter system at (delta, 0), documenting the exact
-    difference (the z-equations differ by a linear term). With ``delta=None``
-    delta stays symbolic and alpha5 becomes delta/2."""
-    three = system_field("three-wave", (None, 0))
-    t = three.table
-    alpha5 = RationalFn.var(t, "delta") / 2
-    # renames alpha5 and carries the state over to three-wave's table
-    rename = {param_symbols("modified")[4]: alpha5}
-    modified = system_field("modified", (0, 0, 0, 0, None))
-    modified = [substitute(c, rename, t) for c in modified.components]
-    at = bind_parameters("three-wave", (delta, None))
-    alpha5 = alpha5.specialize(at)
-    diff = [(a - b).specialize(at) for a, b in zip(modified, three.components)]
-    return {
-        "alpha_specialization": ["0"] * 4 + [alpha5.text()],
-        "difference": [c.text() for c in diff],
-        "matches": all(c.is_zero() for c in diff),
-    }

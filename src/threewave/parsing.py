@@ -13,6 +13,8 @@ Model files are line oriented; ``#`` starts a comment. Recognized directives::
     system U0 : expr ; expr ; expr
     map U0 U1 : f1 ; f2 ; f3 | g1 ; g2 ; g3
     atlas projective : U1 U2 U3
+    symmetry pi : x ; -y ; z | alpha1 -> -alpha3, alpha5 -> -alpha5
+    relation (s*pi)^2
 
 ``system`` attaches a vector field to a declared chart; ``map`` gives the
 forward triple (in source variables) and the inverse triple (in target
@@ -20,17 +22,25 @@ variables), which is verified symbolically on load. ``atlas`` names a list of
 charts reached by maps out of the base chart (the chart of the ``system``
 line); a file without ``atlas`` lines uses every map out of its base chart
 under every atlas name.
+
+``symmetry`` declares a state map in the base chart's variables and, after
+an optional ``|``, its action on the parameters; a parameter it does not
+list is left fixed. It is not verified on load: ``verify-symmetry`` checks
+that it is a twisted involution leaving the field invariant. ``relation``
+declares a word in the symmetry names (``*``, parentheses, ``^N``) that
+should compose to the identity.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Collection
 
 from .gaussian import GaussianRational
-from .geometry import Chart, ChartMap, VectorField, identity_map
+from .geometry import Chart, ChartMap, SymmetryMap, VectorField, identity_map
 from .ratfunc import RationalFn
-from .symbols import Symbol, SymbolTable, parameter, state
+from .symbols import STATE, Symbol, SymbolTable, parameter, state
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[()+\-*/^]))")
 
@@ -142,6 +152,60 @@ def parse_triple(text: str, table: SymbolTable) -> tuple[RationalFn, RationalFn,
     return tuple(parse_expr(p, table) for p in parts)
 
 
+def parse_param_map(text: str, table: SymbolTable) -> dict[Symbol, RationalFn]:
+    """'p -> expr, ...' as a map of every parameter of ``table``, completed
+    with the identity on the parameters the text does not list."""
+    params = table.parameters()
+    moved: dict[Symbol, RationalFn] = {}
+    for item in filter(str.strip, text.split(",")):
+        name, arrow, expr = item.partition("->")
+        sym = table.get(name.strip())
+        if not arrow or sym not in params:
+            raise ExprError(f"expected 'parameter -> expression', got {item.strip()!r}")
+        if sym in moved:
+            raise ExprError(f"parameter {sym.name!r} is mapped twice")
+        moved[sym] = parse_expr(expr, table)
+        if any(s.kind == STATE for s in moved[sym].variables()):
+            raise ExprError(f"the image of parameter {sym.name!r} involves state variables")
+    return {p: moved[p] if p in moved else RationalFn.var(table, p) for p in params}
+
+
+def parse_word(text: str, names: Collection[str]) -> tuple[str, ...]:
+    """The letters of a word such as ``(s*pi)^2`` in the symmetry ``names``,
+    with parentheses and powers expanded: ``('s', 'pi', 's', 'pi')``."""
+    tokens = tokenize(text)[::-1]  # a stack, next token last
+
+    def power() -> tuple[str, ...]:
+        tok = tokens.pop() if tokens else "end of input"
+        if tok == "(":
+            letters = product()
+            if not tokens or tokens.pop() != ")":
+                raise ExprError(f"relation {text!r}: missing closing parenthesis")
+        elif tok in names:
+            letters = (tok,)
+        else:
+            raise ExprError(f"relation {text!r}: {tok!r} is not a declared symmetry")
+        if tokens and tokens[-1] == "^":
+            tokens.pop()
+            n = tokens.pop() if tokens else ""
+            if not n.isdigit() or int(n) < 1:
+                raise ExprError(f"relation {text!r}: expected a positive integer exponent")
+            letters *= int(n)
+        return letters
+
+    def product() -> tuple[str, ...]:
+        letters = power()
+        while tokens and tokens[-1] == "*":
+            tokens.pop()
+            letters += power()
+        return letters
+
+    letters = product()
+    if tokens:
+        raise ExprError(f"relation {text!r}: trailing input at {tokens[-1]!r}")
+    return letters
+
+
 # -- model files ------------------------------------------------------------------
 
 
@@ -158,6 +222,8 @@ class ModelFile:
     maps: list[ChartMap] = field(default_factory=list)
     fields: dict[str, VectorField] = field(default_factory=dict)  # chart name -> field
     atlases: dict[str, tuple[str, ...]] = field(default_factory=dict)  # name -> charts
+    symmetries: dict[str, SymmetryMap] = field(default_factory=dict)
+    relations: dict[str, tuple[str, ...]] = field(default_factory=dict)  # word -> letters
 
     def chart(self, name: str) -> Chart:
         if name not in self.charts:
@@ -238,10 +304,27 @@ def parse_model(text: str, name: str = "<model>") -> ModelFile:
         elif head == "atlas":
             atlas_name, _, chart_names = rest.partition(":")
             model.atlases[atlas_name.strip()] = tuple(chart_names.split())
-        elif head in ("params", "chart"):
-            continue
-        else:
+        elif head not in ("params", "chart", "symmetry", "relation"):
             raise ExprError(f"unknown directive {head!r}")
+    # symmetries act on the base chart, so they are read once every system is,
+    # and relations once every symmetry is
+    for line in lines:
+        head, _, rest = line.partition(" ")
+        if head == "symmetry":
+            sym_name, _, spec = rest.partition(":")
+            sym_name = sym_name.strip()
+            if not sym_name.isidentifier() or sym_name in model.symmetries:
+                raise ExprError(f"symmetry name {sym_name!r} is not a fresh identifier")
+            state_text, _, pmap_text = spec.partition("|")
+            state_map = parse_triple(state_text, table)
+            states = {s for c in state_map for s in c.variables() if s.kind == STATE}
+            if not states <= set(model.base.vars):
+                raise ExprError(f"symmetry {sym_name!r} uses variables outside the base chart")
+            model.symmetries[sym_name] = SymmetryMap(
+                sym_name, model.base, state_map, parse_param_map(pmap_text, table)
+            )
+    words = [line.partition(" ")[2].strip() for line in lines if line.startswith("relation ")]
+    model.relations = {word: parse_word(word, model.symmetries) for word in words}
     if model.atlases:
         reached = {m.target.name for m in model.maps if m.source == model.base}
         for atlas_name, chart_names in model.atlases.items():
@@ -275,4 +358,10 @@ def render_model(model: ModelFile) -> str:
         out.append(f"map {m.source.name} {m.target.name} : {fwd} | {inv}")
     for name, chart_names in model.atlases.items():
         out.append(f"atlas {name} : {' '.join(chart_names)}")
+    for sigma in model.symmetries.values():
+        state_text = " ; ".join(c.text() for c in sigma.state)
+        pmap = ", ".join(f"{p.name} -> {e.text()}" for p, e in sigma.param_map.items())
+        out.append(f"symmetry {sigma.name} : {state_text}" + (f" | {pmap}" if pmap else ""))
+    for word in model.relations:
+        out.append(f"relation {word}")
     return "\n".join(out) + "\n"

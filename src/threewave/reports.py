@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import models
+from .errors import AnalysisFailed
 from .geometry import ChartMap, VectorField, jacobian_determinant, pushforward
 from .ratfunc import RationalFn
 from .singular import (
@@ -267,33 +268,28 @@ def atlas_report(system, params=None, atlas_name: str = "resolved") -> dict:
     }
 
 
-def symmetry_report(which: str = "both") -> dict:
-    gens = models.symmetry_generators()
-    system = models.modified_system()
-    out: dict = {"system": "modified"}
-    if which in ("pi", "both"):
-        out["pi"] = models.verify_symmetry(system, gens["pi"])
-    if which in ("s", "both"):
-        out["s"] = models.verify_symmetry(system, gens["s"])
-    out["relations"] = models.verify_group_relations(gens)
-    checked = [out[k]["invariant"] for k in ("pi", "s") if k in out]
-    out["all_invariant"] = all(checked)
+def symmetry_report(system="modified") -> dict:
+    """Invariance residuals of every symmetry the model declares, and the
+    verdict on every relation it declares."""
+    m = models.model(system)
+    if not m.symmetries:
+        raise AnalysisFailed(f"model {m.name} declares no symmetry")
+    clash = {"system", "relations", "all_invariant"} & set(m.symmetries)
+    if clash:
+        raise ValueError(f"symmetry names {sorted(clash)} clash with report keys")
+    v = models.system_field(m)
+    out: dict = {"system": m.name}
+    for name, sigma in m.symmetries.items():
+        out[name] = models.verify_symmetry(v, sigma)
+    out["relations"] = models.verify_group_relations(m)
+    out["all_invariant"] = all(out[name]["invariant"] for name in m.symmetries)
     return out
 
 
-def uniqueness_report() -> dict:
+def uniqueness_report(system="modified") -> dict:
     from .uniqueness import build_constraints, solve_ansatz
 
-    cs = build_constraints()
-    rep = solve_ansatz(cs)
-    diff = None
-    if rep.recovered is not None:
-        reference = models.modified_system()
-        table = rep.recovered.table
-        diff = [
-            (rep.recovered.components[k] - reference.components[k].retable(table)).text()
-            for k in range(3)
-        ]
+    rep = solve_ansatz(build_constraints(system))
     return {
         "constraints": rep.constraints,
         "homogeneous_rank": rep.homogeneous_rank,
@@ -303,5 +299,5 @@ def uniqueness_report() -> dict:
         "matches_reference": rep.matches_reference,
         "quadratic_part_nonzero": rep.quadratic_part_nonzero,
         "recovered": [c.text() for c in rep.recovered.components] if rep.recovered else None,
-        "diff_against_reference": diff,
+        "diff_against_reference": [c.text() for c in rep.difference] if rep.difference else None,
     }

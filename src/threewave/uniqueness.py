@@ -1,17 +1,19 @@
 """Classification of quadratic polynomial systems by atlas holomorphy.
 
 A general degree <= 2 ansatz (30 unknown coefficients, 10 monomials per
-component) is pushed through every twisted chart of the five-parameter
-resolved atlas. Requiring each pushforward to be polynomial makes every
-coefficient of a negative boundary power vanish; those coefficients are
-linear in the ansatz unknowns with polynomial coefficients in the five
-parameters, so the classification reduces to one exact linear solve.
+component) in a model's base-chart variables is pushed through every twisted
+chart of the model's resolved atlas. Requiring each pushforward to be
+polynomial makes every coefficient of a negative boundary power vanish; those
+coefficients are linear in the ansatz unknowns with polynomial coefficients
+in the model's parameters, so the classification reduces to one exact linear
+solve.
 
 Polynomiality is scale invariant (any constant multiple of a solution is a
-solution), so the homogeneous system has a one-dimensional null space and
-pinning a single coefficient -- the y^2 coefficient of the first component
-to -2, the value the five-parameter family uses -- makes the solution
-unique. The solve reports the homogeneous rank/nullity as well, so the
+solution), so a one-dimensional null space is the best possible answer (the
+five-parameter family has one). Pinning a single coefficient -- the first
+one, in the ansatz order, in which the model's own field is nonzero, to its
+value there -- then makes the solution unique, and it is compared with the
+model's field. The solve reports the homogeneous rank/nullity as well, so the
 scale-freedom claim is checked, not assumed.
 """
 
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ThreeWaveError
+from .errors import AnalysisFailed, ThreeWaveError
 from .geometry import Chart, ChartMap, VectorField, pushforward
 from .linalg import linear_solve
-from .models import model, modified_system
+from .models import model, system_field
 from .poly import MultiPoly
 from .ratfunc import RationalFn, substitute
 from .singular import negative_power_part
@@ -41,8 +43,6 @@ MONOMIAL_EXPONENTS = (
     (0, 1, 1),
     (0, 0, 2),
 )
-NORMALIZED_MONOMIAL = (0, 2, 0)  # y^2 in the first component
-NORMALIZED_VALUE = -2
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class AnsatzContext:
     chart: Chart
     field: VectorField
     coefficients: tuple[Symbol, ...]  # c1..c30, component-major
-    atlas: tuple[ChartMap, ...]  # the three twisted charts
+    atlas: tuple[ChartMap, ...]  # the twisted charts
+    reference: VectorField  # the model's own field
 
 
 @dataclass(frozen=True)
@@ -69,43 +70,50 @@ class UniquenessReport:
     normalized_consistent: bool  # whether the normalization meets the solutions
     normalized_nullity: int  # free directions left after normalizing
     recovered: VectorField | None
-    matches_reference: bool
+    difference: tuple[RationalFn, ...] | None  # recovered minus the model's field
     quadratic_part_nonzero: bool
     coefficient_values: tuple[RationalFn, ...] | None
 
+    @property
+    def matches_reference(self) -> bool:
+        return self.difference is not None and all(d.is_zero() for d in self.difference)
 
-def ansatz_context() -> AnsatzContext:
+
+def ansatz_context(system="modified") -> AnsatzContext:
     """The 30-coefficient quadratic ansatz over a lean symbol table holding
-    only the base chart, the charts of the resolved atlas, the parameters,
-    and the coefficient unknowns."""
-    m = model("modified")
+    only the charts of the model's resolved atlas (base chart first), its
+    parameters, and the coefficient unknowns, named apart from the model's
+    symbols."""
+    m = model(system)
     atlas = m.atlas("resolved")
+    for cmap in atlas[1:]:
+        if cmap.target.boundary is None:
+            raise AnalysisFailed(f"chart {cmap.target.name} of the resolved atlas has no boundary")
+    prefix = "c"
+    while any(m.table.get(f"{prefix}{i}") for i in range(1, 31)):
+        prefix += "_"
     states = [s for cmap in atlas for s in cmap.target.vars]
-    coeffs = [parameter(f"c{i}") for i in range(1, 31)]
+    coeffs = [parameter(f"{prefix}{i}") for i in range(1, 31)]
     table = SymbolTable(tuple(states) + m.table.parameters() + tuple(coeffs))
     chart = m.base
+    x, y, z = (MultiPoly.var(table, s) for s in chart.vars)
+    monomials = [x**a * y**b * z**c for a, b, c in MONOMIAL_EXPONENTS]
     comps = []
-    idx = 0
-    for comp in range(3):
+    for k in range(3):
         acc = MultiPoly.zero(table)
-        for exps in MONOMIAL_EXPONENTS:
-            mono = MultiPoly.const(table, 1)
-            for s, e in zip(("x", "y", "z"), exps):
-                if e:
-                    mono = mono * MultiPoly.var(table, s) ** e
-            acc = acc + MultiPoly.var(table, coeffs[idx]) * mono
-            idx += 1
+        for c, mono in zip(coeffs[10 * k :], monomials):
+            acc = acc + MultiPoly.var(table, c) * mono
         comps.append(RationalFn.from_poly(acc))
-    field = VectorField(chart, comps)
-    twisted = []
-    for cmap in atlas[1:]:
-        fwd = [f.retable(table) for f in cmap.forward]
-        inv = [g.retable(table) for g in cmap.inverse]
-        twisted.append(ChartMap(chart, cmap.target, fwd, inv, check=False))
-    return AnsatzContext(table, chart, field, tuple(coeffs), tuple(twisted))
+    twisted = tuple(
+        ChartMap(chart, cm.target, [f.retable(table) for f in cm.forward],
+                 [g.retable(table) for g in cm.inverse], check=False)
+        for cm in atlas[1:]
+    )
+    reference = system_field(m).retable(table)
+    return AnsatzContext(table, chart, VectorField(chart, comps), tuple(coeffs), twisted, reference)
 
 
-def build_constraints() -> ConstraintSystem:
+def build_constraints(system="modified") -> ConstraintSystem:
     """Linear conditions in the ansatz coefficients from every twisted chart.
 
     Each pushforward component is num / boundary^k; every coefficient (in
@@ -114,7 +122,7 @@ def build_constraints() -> ConstraintSystem:
     derivatives in c1..c30, polynomial in the parameters; the identity chart
     contributes nothing.
     """
-    context = ansatz_context()
+    context = ansatz_context(system)
     table = context.table
     linear = {c: 1 for c in context.coefficients}
     rows: list[tuple[MultiPoly, ...]] = []
@@ -122,7 +130,11 @@ def build_constraints() -> ConstraintSystem:
     for cmap in context.atlas:
         w = pushforward(context.field, cmap)
         for ci, comp in enumerate(w.components):
-            groups = negative_power_part(comp, cmap.target.boundary).split_by_state_monomial()
+            try:
+                part = negative_power_part(comp, cmap.target.boundary)
+            except ValueError as exc:
+                raise AnalysisFailed(f"chart {cmap.target.name}: {exc}") from None
+            groups = part.split_by_state_monomial()
             for key, poly in groups.items():
                 degrees = poly.split_by_weight(linear)
                 if max(degrees) > 1:
@@ -131,6 +143,8 @@ def build_constraints() -> ConstraintSystem:
                     raise ThreeWaveError("constraint system is not homogeneous in the ansatz")
                 rows.append(tuple(poly.derivative(c) for c in context.coefficients))
                 origins.append(f"{cmap.target.name}:component{ci + 1}:{_key_text(key, table)}")
+    if not rows:
+        raise AnalysisFailed("no chart of the resolved atlas constrains the ansatz")
     return ConstraintSystem(context, tuple(rows), tuple(origins))
 
 
@@ -144,35 +158,30 @@ def _key_text(key: tuple[int, ...], table: SymbolTable) -> str:
 
 
 def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:
-    """Solve the holomorphy constraints and compare with the five-parameter
-    family.
+    """Solve the holomorphy constraints and compare with the model's field.
 
-    One homogeneous solve gives the solution space (nullity 1 = the family up
-    to time rescaling). The scale normalization x[k] = NORMALIZED_VALUE meets
-    it when some null vector n has n[k] != 0, leaving nullity - 1 directions;
-    for nullity 1 it pins n * NORMALIZED_VALUE / n[k], which is compared
-    with the reference system coefficient by coefficient.
+    One homogeneous solve gives the solution space (nullity 1 = one field up
+    to time rescaling). The normalization x[k] = r[k], at the first index k
+    where the model's coefficients r are nonzero, meets it when some null
+    vector n has n[k] != 0, leaving nullity - 1 directions; for nullity 1 it
+    pins n * r[k] / n[k], which is compared with the model's field.
     """
     ctx = constraints.context
-    table = ctx.table
     hom = linear_solve(constraints.rows)
-
-    # the normalized coefficient lives in component 1 (offset 0)
-    k = MONOMIAL_EXPONENTS.index(NORMALIZED_MONOMIAL)
-    consistent = any(not n[k].is_zero() for n in hom.nullspace)
+    reference = reference_coefficients(ctx)
+    k = next((j for j, r in enumerate(reference) if not r.is_zero()), None)
+    consistent = k is not None and any(not n[k].is_zero() for n in hom.nullspace)
     nullity = hom.nullity - 1 if consistent else 0
 
-    recovered = None
-    matches = False
+    recovered = difference = values = None
     quad_ok = False
-    values = None
     if consistent and not nullity:
         (n,) = hom.nullspace
-        scale = RationalFn.const(table, NORMALIZED_VALUE) / n[k]
+        scale = reference[k] / n[k]
         values = tuple(c * scale for c in n)
         bindings = dict(zip(ctx.coefficients, values))
         recovered = VectorField(ctx.chart, [substitute(c, bindings) for c in ctx.field.components])
-        matches = _matches_reference(recovered, table)
+        difference = tuple(a - b for a, b in zip(recovered.components, ctx.reference.components))
         # the values depend on the parameters only, so a quadratic state term
         # survives in a numerator exactly when its coefficient is nonzero
         quad_ok = any(c.num.state_degree() == 2 for c in recovered.components)
@@ -183,31 +192,27 @@ def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:
         normalized_consistent=consistent,
         normalized_nullity=nullity,
         recovered=recovered,
-        matches_reference=matches,
+        difference=difference,
         quadratic_part_nonzero=quad_ok,
         coefficient_values=values,
     )
 
 
-def _matches_reference(recovered: VectorField, table: SymbolTable) -> bool:
-    reference = modified_system()
-    ref_comps = [c.retable(table) for c in reference.components]
-    return all(r == c for r, c in zip(ref_comps, recovered.components))
-
-
-def reference_coefficients(table: SymbolTable) -> tuple[RationalFn, ...]:
-    """The 30 coefficient values of the five-parameter family itself."""
-    reference = modified_system()
+def reference_coefficients(context: AnsatzContext) -> tuple[RationalFn, ...]:
+    """The 30 coefficient values of the model's own field, in the ansatz
+    order (terms of degree above 2 have no slot)."""
+    table = context.table
+    slots = [table.index(s) for s in context.chart.vars]
+    zero = RationalFn.const(table, 0)
     out = []
-    state_slots = [table.index(n) for n in ("x", "y", "z")]
-    for comp in reference.components:
-        poly = comp.retable(table).as_poly()
-        groups = poly.split_by_state_monomial()
-        lookup = {}
-        for key, val in groups.items():
-            exps = tuple(key[s] for s in state_slots)
-            lookup[exps] = val
+    for comp in context.reference.components:
+        if comp.den.state_degree() > 0:
+            raise AnalysisFailed("the model's field is not polynomial in the state variables")
+        lookup = {
+            tuple(key[s] for s in slots): val
+            for key, val in comp.num.split_by_state_monomial().items()
+        }
         for exps in MONOMIAL_EXPONENTS:
             val = lookup.get(exps)
-            out.append(RationalFn.from_poly(val) if val is not None else RationalFn.const(table, 0))
+            out.append(RationalFn(val, comp.den) if val is not None else zero)
     return tuple(out)

@@ -114,7 +114,7 @@ def test_criterion_5_atlas_verification():
 
 def test_criterion_6_symmetry():
     def body():
-        rep1 = reports.symmetry_report("both")
+        rep1 = reports.symmetry_report("modified")
         assert rep1["pi"]["invariant"]
         assert rep1["pi"]["residual"] == ["0", "0", "0"]
         assert rep1["relations"]["relations"] == {
@@ -124,13 +124,13 @@ def test_criterion_6_symmetry():
         }
         # the s residual is computed symbolically and reported; expected zero,
         # and its computation must be reproducible byte-for-byte
-        rep2 = reports.symmetry_report("both")
+        rep2 = reports.symmetry_report("modified")
         b1 = json.dumps(rep1, sort_keys=True)
         b2 = json.dumps(rep2, sort_keys=True)
         assert b1 == b2
         assert rep1["s"]["residual"] == ["0", "0", "0"]
 
-    _report(6, "pi-invariance, group relations, reproducible s-residual", 5.0, body)
+    _report(6, "pi-invariance, group relations, reproducible s-residual", 1.5, body)
 
 
 def test_criterion_7_uniqueness():
@@ -143,7 +143,7 @@ def test_criterion_7_uniqueness():
         assert rep.matches_reference
         assert rep.homogeneous_nullity == 1
 
-    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 5.0, body)
+    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 1.5, body)
 
 
 def test_criterion_8a_chart_round_trips():

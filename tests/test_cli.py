@@ -1,5 +1,7 @@
 import json
+import random
 
+import oracles
 import pytest
 
 from threewave import models, reports
@@ -242,6 +244,9 @@ def exported(tmp_path_factory):
         ("modified", ["index", "--point", "P2"]),
         ("modified", ["painleve"]),
         ("modified", ["verify-atlas"]),
+        ("modified", ["verify-symmetry"]),
+        ("modified", ["uniqueness"]),
+        ("three-wave", ["uniqueness"]),
     ],
 )
 def test_exported_file_matches_builtin(capsys, exported, kind, argv):
@@ -286,18 +291,83 @@ atlas resolved : C1
          "--t0", "0", "--center", "0.55"],
         ["uniqueness", "--params", "delta=5"],
         ["verify-symmetry", "--system", "modified", "--params", "alpha1=1"],
+        ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "1.2", "--t0", "nan"],
+        ["integrate", "--system", "modified", "--start=nan;0.1;-3", "--path", "1.2"],
+        ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "0.6;inf"],
+        ["integrate", "--system", "modified", "--start=-2;0.1;1e400", "--path", "1.2"],
+        ["integrate", "--system", "modified", "--start=-2;0.1;x", "--path", "1.2"],
+        ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0",
+         "--center", "nan"],
+        ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "nan+1i",
+         "--center", "0.55"],
+        ["index", "--system", "three-wave", "--out", "MISSING/report.json"],
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     toy = tmp_path / "toy.model"
     toy.write_text(TOY_WITH_ATLAS)
-    code = run([str(toy) if a == "TOY" else a for a in argv])
+    paths = {"TOY": str(toy), "MISSING/report.json": str(tmp_path / "missing" / "report.json")}
+    code = run([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_unwritable_report_dir_is_one_line(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("THREEWAVE_REPORT_DIR", str(blocker))
+    code = run(["index", "--system", "three-wave"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the report")
+
+
+def test_false_symmetry_in_model_file_exits_1_with_residual(tmp_path, capsys):
+    path = tmp_path / "random.model"
+    text = oracles.random_model_text(random.Random(31))
+    path.write_text(text + "symmetry flip : x ; y ; -z\nrelation flip^2\n")
+    code, out = _capture(capsys, ["verify-symmetry", "--system", str(path)])
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["system"] == str(path)
+    assert not rep["all_invariant"] and not rep["flip"]["invariant"]
+    assert rep["flip"]["residual"] != ["0", "0", "0"]
+    assert rep["relations"] == {"relations": {"flip^2": True}, "all_hold": True}
+
+
+def test_symmetry_that_is_no_twisted_involution_exits_1(tmp_path, capsys):
+    path = tmp_path / "cyclic.model"
+    path.write_text(PROJECTIVE_TOY.format(field="x ; y ; z") + "symmetry rot : y ; z ; x\n")
+    code = run(["verify-symmetry", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: symmetry rot: chart map U0->U0")
+
+
+def test_uniqueness_on_three_wave_has_no_solution(capsys):
+    code, out = _capture(capsys, ["uniqueness", "--system", "three-wave"])
+    rep = json.loads(out)
+    assert code == 1
+    assert (rep["homogeneous_rank"], rep["homogeneous_nullity"]) == (30, 0)
+    assert not rep["matches_reference"] and rep["recovered"] is None
+
+
+def test_uniqueness_on_exported_file_prints_the_builtin_bytes(capsys, exported, tmp_path):
+    builtin = _capture(capsys, ["uniqueness", "--system", "modified"])
+    assert _capture(capsys, ["uniqueness", "--system", exported["modified"]]) == builtin
+    # a parameter named like an ansatz unknown does not clash with it
+    path = tmp_path / "renamed.model"
+    path.write_text(models.export_model("modified").replace("alpha1", "c1"))
+    code, out = _capture(capsys, ["uniqueness", "--system", str(path)])
+    assert (code, out) == (0, builtin[1].replace("alpha1", "c1"))
 
 
 # a field with no pole in x, and one that is not polynomial on U1
@@ -319,6 +389,7 @@ map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
         ("three-wave", ["alpha-test", "--point", "P4_1"], "the scaling-limit classification"),
         ("three-wave", ["alpha-test", "--point", "P1"], "the scaling-limit classification"),
         ("modified", ["alpha-test", "--point", "P4_1"], "the scaling-limit classification"),
+        ("three-wave", ["verify-symmetry"], "model three-wave declares no symmetry"),
     ],
 )
 def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):

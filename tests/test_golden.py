@@ -31,7 +31,7 @@ CASES = {
     "verify-atlas-three-wave": ["verify-atlas", "--system", "three-wave", "--params", "delta=0,gamma=-1"],
     "verify-atlas-modified": ["verify-atlas", "--system", "modified"],
     "verify-symmetry": ["verify-symmetry", "--system", "modified"],
-    "uniqueness": ["uniqueness"],
+    "uniqueness": ["uniqueness", "--system", "modified"],
 }
 
 

@@ -6,7 +6,7 @@ from threewave import models
 from threewave.gaussian import gr
 from threewave.geometry import jacobian_determinant
 from threewave.parsing import parse_expr
-from threewave.ratfunc import RationalFn
+from threewave.ratfunc import RationalFn, substitute
 
 
 def test_three_wave_specializations():
@@ -45,11 +45,15 @@ def test_modified_symbolic_components_match_display():
 
 
 def test_comparison_with_three_wave_documents_z_difference():
-    rep = models.compare_with_three_wave(delta=None)
-    assert rep["alpha_specialization"][-1] == "1/2*delta"
-    assert rep["difference"][:2] == ["0", "0"]
-    assert rep["difference"][2] == "2*z"
-    assert not rep["matches"]
+    # at alpha = (0, 0, 0, 0, delta/2) and gamma = 0 the two families differ
+    # only in the z-equation, by a linear term
+    three = models.three_wave_system(None, 0)
+    t = three.table
+    alpha5 = models.param_symbols("modified")[4]
+    rename = {alpha5: RationalFn.var(t, "delta") / 2}  # also carries the state over
+    modified = models.modified_system([0, 0, 0, 0, None])
+    diff = [substitute(a, rename, t) - b for a, b in zip(modified.components, three.components)]
+    assert [d.text() for d in diff] == ["0", "0", "2*z"]
 
 
 def test_binding_matches_substitution(tmp_path):
@@ -93,8 +97,6 @@ def test_atlas_chart_expressions():
 def test_chart_one_forward_inverse_compose_to_identity():
     # the composition is checked at construction; assert it explicitly here
     # through the substitution machinery
-    from threewave.ratfunc import substitute
-
     cmap = next(m for m in models.resolved_atlas("modified") if m.target.name == "T3-1")
     t = cmap.table
     fwd_binding = {cmap.target.vars[k]: cmap.forward[k] for k in range(3)}
@@ -141,28 +143,27 @@ def test_modified_atlas_polynomial_for_symbolic_parameters():
 
 
 def test_pi_symmetry_exact():
-    gens = models.symmetry_generators()
+    gens = models.model("modified").symmetries
     rep = models.verify_symmetry(models.modified_system(), gens["pi"])
     assert rep["invariant"]
     assert rep["residual"] == ["0", "0", "0"]
 
 
 def test_s_symmetry_exact():
-    gens = models.symmetry_generators()
+    gens = models.model("modified").symmetries
     rep = models.verify_symmetry(models.modified_system(), gens["s"])
     assert rep["invariant"], rep["residual"]
 
 
 def test_group_relations():
-    rep = models.verify_group_relations()
+    rep = models.verify_group_relations("modified")
     assert rep["relations"] == {"s^2": True, "pi^2": True, "(s*pi)^2": True}
     assert rep["all_hold"]
 
 
 def test_s_fixed_point_numerically():
     # applying s twice returns a random specialized point (the relation made numeric)
-    gens = models.symmetry_generators()
-    s = gens["s"]
+    s = models.model("modified").symmetries["s"]
     table = s.table
     alphas = {"alpha1": 0.3, "alpha2": -1.1, "alpha3": 0.7, "alpha4": 2.0, "alpha5": 0.25}
     point = {"x": 0.8 + 0.1j, "y": 1.7 - 0.2j, "z": -0.6 + 0.05j}
@@ -191,14 +192,15 @@ def test_export_model_round_trip():
             (m.source.name, m.target.name) for m in model.maps
         ]
         assert reloaded.atlases == model.atlases
+        assert reloaded.relations == model.relations
+        assert reloaded.symmetries == model.symmetries
         orig = model.fields["U0"]
         again = reloaded.fields["U0"]
         assert [c.text() for c in again.components] == [c.text() for c in orig.components]
 
 
 def test_identity_symmetry_trivially_invariant():
-    gens = models.symmetry_generators()
-    pi = gens["pi"]
+    pi = models.model("modified").symmetries["pi"]
     ident = pi.compose(pi)
     assert ident.is_identity()
     rep = models.verify_symmetry(models.modified_system(), ident)

@@ -99,3 +99,51 @@ def test_builtin_models_parse_and_verify():
     m2 = models.model("modified")
     assert set(m1.fields) == {"U0"} and set(m2.fields) == {"U0"}
     assert len(m1.maps) == 6 and len(m2.maps) == 6
+
+
+SYMMETRY_SRC = """
+params mu nu
+chart C0 : x y z
+system C0 : x^2 + mu*y ; -y ; z*x + nu
+symmetry flip : x ; -y ; z | mu -> -mu
+relation flip^2
+relation (flip*swap)^2*flip
+symmetry swap : y ; x ; z
+"""
+
+
+def test_symmetry_and_relation_directives():
+    model = parse_model(SYMMETRY_SRC)
+    flip = model.symmetries["flip"]
+    assert flip.chart == model.base
+    assert flip.state[1] == parse_expr("-y", model.table)
+    # the parameter map is completed with the identity
+    assert [(p.name, e.text()) for p, e in flip.param_map.items()] == [("mu", "-mu"), ("nu", "nu")]
+    assert model.relations == {
+        "flip^2": ("flip", "flip"),
+        "(flip*swap)^2*flip": ("flip", "swap", "flip", "swap", "flip"),
+    }
+    again = parse_model(render_model(model))
+    assert render_model(again) == render_model(model)
+    assert again.relations == model.relations
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "relation flip*rot",  # not a declared symmetry
+        "relation (flip*swap",
+        "relation flip^0",
+        "relation flip^",
+        "relation flip swap",
+        "symmetry flip : x ; y ; z",  # declared twice
+        "symmetry bad : x ; y ; z | mu -> y",  # a parameter mapped to a state
+        "symmetry bad : x ; y ; z | mu -> 1, mu -> 2",
+        "symmetry bad : x ; y ; z | x -> 1",
+        "symmetry bad : x ; y",
+        "chart C1 : X Y Z\nsymmetry bad : X ; y ; z",  # not in the base chart's variables
+    ],
+)
+def test_symmetry_and_relation_errors(line):
+    with pytest.raises(ExprError):
+        parse_model(SYMMETRY_SRC + line + "\n")

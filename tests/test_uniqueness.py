@@ -63,7 +63,7 @@ def test_normalized_solution_recovers_reference(solved):
 
 def test_reference_coefficients_solve_every_constraint(constraints):
     ctx = constraints.context
-    ref = reference_coefficients(ctx.table)
+    ref = reference_coefficients(ctx)
     zero = RationalFn.const(ctx.table, 0)
     for row in constraints.rows:
         acc = zero
@@ -103,10 +103,9 @@ def test_specialization_commutes_with_solving(constraints, solved):
 def test_recovered_field_passes_pi_symmetry(solved):
     from threewave.geometry import VectorField
 
-    gens = models.symmetry_generators()
     # move the recovered field onto the full model table before checking
     m = models.model("modified")
     comps = [c.retable(m.table) for c in solved.recovered.components]
     field = VectorField(m.fields["U0"].chart, comps)
-    rep = models.verify_symmetry(field, gens["pi"])
+    rep = models.verify_symmetry(field, m.symmetries["pi"])
     assert rep["invariant"]
