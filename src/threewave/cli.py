@@ -57,14 +57,16 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
         if numeric:
             values[name] = GaussianRational.from_complex(_finite_complex(raw, f"parameter {name}"))
             continue
-        if any(ch in raw for ch in (".", "e", "E")) and not raw.lstrip("+-").isdigit():
-            raise UsageError(
-                f"parameter {name}={raw!r}: symbolic commands take exact values only"
-            )
         try:
             rf = parse_expr(raw, system.table)
         except Exception as exc:
-            raise UsageError(f"cannot parse parameter {name}={raw!r}: {exc}") from exc
+            try:
+                float(raw)
+            except ValueError:
+                raise UsageError(f"cannot parse parameter {name}={raw!r}: {exc}") from exc
+            raise UsageError(
+                f"parameter {name}={raw!r}: symbolic commands take exact values only"
+            ) from None
         if not rf.is_constant():
             raise UsageError(f"parameter {name}={raw!r} is not a constant")
         values[name] = rf.constant_value()

@@ -5,7 +5,9 @@ The sequence implemented here mirrors how a degenerate point on the boundary
 divisor gets resolved:
 
 1. :func:`find_accessible` locates the points of the divisor where solutions
-   can leave it (the transverse components of the log-pole form vanish),
+   can leave it (the transverse components of the log-pole form vanish);
+   they are finitely many exactly when those two components share no factor
+   in the divisor's coordinates, which one gcd decides,
 2. :func:`linear_part` / :func:`local_index` extract the eigenvalue data that
    classifies each point and predicts how many blow-ups are needed,
 3. :func:`painleve_leading_orders` searches dominant balances, whose pole
@@ -60,12 +62,6 @@ class AccessibleScan:
     points: tuple[AccessiblePoint, ...]
     residuals: tuple[str, ...]
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
 
 def find_accessible(v: VectorField) -> AccessibleScan:
     """All points of the chart's boundary divisor where the transverse
@@ -74,7 +70,8 @@ def find_accessible(v: VectorField) -> AccessibleScan:
     The two transverse polynomials restricted to the divisor are solved by
     resultant elimination plus exact root extraction; solutions outside the
     Gaussian-rational parameter field are reported as residual branches.
-    Raises :class:`PositiveDimensional` when the solution set contains a curve.
+    Raises :class:`PositiveDimensional` when the two polynomials share a factor
+    in the divisor's coordinates, so that the solution set contains a curve.
     """
     chart = v.chart
     lp = log_pole_decomposition(v)
@@ -112,37 +109,20 @@ def _verify_point(gs, point: AccessiblePoint) -> bool:
 
 
 def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
-    """Common zeros of two polynomials in (u, w) over the parameter field."""
-    table = gu.table
-    if gu.is_zero() and gw.is_zero():
-        raise PositiveDimensional("both transverse components vanish on the whole divisor")
+    """Common zeros of two polynomials in (u, w) over the parameter field.
+
+    Two polynomials without a common factor in (u, w) meet in finitely many
+    points, so one gcd decides finiteness; after it the eliminant in ``w``
+    is nonzero and no ``w``-root makes both components vanish.
+    """
+    g = poly_gcd(gu, gw)
+    if g.is_zero() or g.degree(u) > 0 or g.degree(w) > 0:
+        raise PositiveDimensional(f"common factor {g.text()} cuts a curve")
     if gu.is_zero() or gw.is_zero():
-        g = gw if gu.is_zero() else gu
-        if g.degree(u) > 0 or g.degree(w) > 0:
-            raise PositiveDimensional(
-                "one transverse component vanishes identically; the other cuts a curve"
-            )
-        return [], ()
-    du = max(gu.degree(u), 0), max(gw.degree(u), 0)
-    if du[0] == 0 and du[1] == 0:
-        # both depend on w alone: any common root leaves u free
-        g = poly_gcd(gu, gw)
-        if g.degree(w) > 0:
-            raise PositiveDimensional(f"common factor {g.text()} leaves {u.name} free")
-        return [], ()
-    dw = max(gu.degree(w), 0), max(gw.degree(w), 0)
-    if dw[0] == 0 and dw[1] == 0:
-        g = poly_gcd(gu, gw)
-        if g.degree(u) > 0:
-            raise PositiveDimensional(f"common factor {g.text()} leaves {w.name} free")
-        return [], ()
+        return [], ()  # the other component is free of u and w
 
     residuals: list[str] = []
     elim = resultant(gu, gw, u)
-    if elim.is_zero():
-        raise PositiveDimensional(
-            f"resultant in {u.name} vanishes identically: common curve component"
-        )
     if elim.is_constant():
         return [], ()
     wroots = find_roots(elim, w)
@@ -156,14 +136,7 @@ def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
 
     solutions = []
     for w0, wmult in grouped.items():
-        gu0 = _substitute_root(gu, w, w0)
-        gw0 = _substitute_root(gw, w, w0)
-        if gu0.is_zero() and gw0.is_zero():
-            raise PositiveDimensional(f"{w.name} = {w0.text()} leaves a free line")
-        if gu0.is_zero() or gw0.is_zero():
-            g = gw0 if gu0.is_zero() else gu0
-        else:
-            g = poly_gcd(gu0, gw0)
+        g = poly_gcd(_substitute_root(gu, w, w0), _substitute_root(gw, w, w0))
         if g.is_constant():
             continue  # spurious eliminant root
         uroots = find_roots(g, u)
@@ -177,7 +150,7 @@ def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
         total_u = sum(ugrouped.values())
         for u0, umult in ugrouped.items():
             # distribute the eliminant multiplicity among the points above w0
-            mult = max(1, (wmult * umult) // total_u) if total_u else 1
+            mult = max(1, (wmult * umult) // total_u)
             solutions.append(({u: u0, w: w0}, mult))
     return solutions, tuple(residuals)
 
@@ -197,10 +170,11 @@ def boundary_first_order(chart: Chart, boundary: Symbol) -> tuple[Symbol, ...]:
 def linear_part(v: VectorField, p: AccessiblePoint) -> list[list[RationalFn]]:
     """Degree-1 truncation of the boundary-scaled field at ``p``.
 
-    The point is translated to the origin, every component is multiplied by
-    the boundary variable, and the matrix of linear coefficients is returned
-    in boundary-first variable order. Accessibility (vanishing constant part
-    of the transverse rows) is re-verified on the way.
+    The polynomials of the log-pole form (the boundary part times the
+    boundary variable, then the transverse parts) are translated so that
+    ``p`` sits at the origin, and the matrix of their linear coefficients is
+    returned in boundary-first variable order. Accessibility (vanishing
+    constant part of the transverse rows) is re-verified on the way.
     """
     table = v.table
     chart = p.chart
@@ -208,34 +182,26 @@ def linear_part(v: VectorField, p: AccessiblePoint) -> list[list[RationalFn]]:
     shift = {
         s: RationalFn.var(table, s) + p.coord_of(s) for s in chart.vars
     }
-    b = RationalFn.var(table, p.boundary)
+    lp = log_pole_decomposition(v)
+    polys = [MultiPoly.var(table, p.boundary) * lp.boundary_part]
+    polys += [g for _, g in lp.transverse]
+    const_key = (0,) * len(table)
+    zero = MultiPoly.zero(table)
     rows = []
-    for sym in order:
-        comp = v.components[chart.vars.index(sym)]
-        centered = substitute(comp, shift, table)
-        scaled = b * centered
-        if not scaled.is_polynomial():
-            from .errors import PoleTooHigh
-
-            raise PoleTooHigh(
-                f"{p.boundary.name} * d{sym.name}/dt is not polynomial at {p.text()}",
-                component=sym.name,
-                witness=scaled.den,
-            )
-        poly = scaled.as_poly()
-        groups = poly.split_by_state_monomial()
-        const_key = (0,) * len(table)
+    for sym, g in zip(order, polys):
+        # the point's coordinates may carry parameter denominators
+        centered = substitute(RationalFn.from_poly(g), shift, table)
+        groups = centered.num.split_by_state_monomial()
         if sym != p.boundary and const_key in groups:
             raise VerificationFailed(
                 f"point {p.text()} is not accessible: d{sym.name}/dt has constant part "
-                f"{groups[const_key].text()}"
+                f"{RationalFn(groups[const_key], centered.den).text()}"
             )
         row = []
         for col in order:
             key = [0] * len(table)
             key[table.index(col)] = 1
-            coeff = groups.get(tuple(key))
-            row.append(RationalFn.from_poly(coeff) if coeff is not None else RationalFn.const(table, 0))
+            row.append(RationalFn(groups.get(tuple(key), zero), centered.den))
         rows.append(row)
     return rows
 
@@ -384,10 +350,6 @@ class Balance:
     exponents: tuple[int, int, int]
     coefficients: tuple[RationalFn, RationalFn, RationalFn]
     free: tuple[str, ...] = ()  # names of leading coefficients left free
-
-    def text(self) -> str:
-        coeffs = ", ".join(c.text() for c in self.coefficients)
-        return f"orders {self.exponents} leading ({coeffs})"
 
 
 LEAD_NAMES = ("lead1", "lead2", "lead3")
@@ -799,7 +761,7 @@ def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionRepor
         chart_maps.append(nxt.cmap)
         if step < steps - 1:
             inner = find_accessible(current_field)
-            if len(inner) != 1:
+            if len(inner.points) != 1:
                 raise AnalysisFailed(
                     f"expected a unique accessible point on the exceptional divisor, got "
                     f"{[p.text() for p in inner.points]}"

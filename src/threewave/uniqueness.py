@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AnalysisFailed, ThreeWaveError
+from .gaussian import ONE
 from .geometry import Chart, ChartMap, VectorField, pushforward
 from .linalg import linear_solve
 from .models import model, system_field
@@ -142,19 +143,11 @@ def build_constraints(system="modified") -> ConstraintSystem:
                 if 0 in degrees:
                     raise ThreeWaveError("constraint system is not homogeneous in the ansatz")
                 rows.append(tuple(poly.derivative(c) for c in context.coefficients))
-                origins.append(f"{cmap.target.name}:component{ci + 1}:{_key_text(key, table)}")
+                monomial = MultiPoly(table, {key: ONE}).text()
+                origins.append(f"{cmap.target.name}:component{ci + 1}:{monomial}")
     if not rows:
         raise AnalysisFailed("no chart of the resolved atlas constrains the ansatz")
     return ConstraintSystem(context, tuple(rows), tuple(origins))
-
-
-def _key_text(key: tuple[int, ...], table: SymbolTable) -> str:
-    parts = [
-        f"{table.symbols[i].name}^{e}" if e > 1 else table.symbols[i].name
-        for i, e in enumerate(key)
-        if e
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:

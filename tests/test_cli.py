@@ -62,6 +62,20 @@ def test_float_parameters_rejected_for_symbolic_commands(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "binding, message",
+    [
+        ("gamma=delta", "is not a constant"),
+        ("gamma=1.5", "exact values only"),
+        ("gamma=1e-3", "exact values only"),
+    ],
+)
+def test_symbolic_parameter_values_are_told_apart(capsys, binding, message):
+    code = run(["index", "--system", "three-wave", "--params", binding])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_parameter_rejected(capsys):
     code = run(["index", "--system", "three-wave", "--params", "nope=1"])
     assert code == 2

@@ -8,7 +8,7 @@ from oracles import naive_balance_equations, random_polynomial_field
 from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
-from threewave.geometry import Chart, VectorField, pushforward
+from threewave.geometry import Chart, VectorField, det3, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
 from threewave.singular import (
@@ -17,6 +17,7 @@ from threewave.singular import (
     classify_alpha_matrix,
     find_accessible,
     holomorphy_obstructions,
+    index_of_linear_part,
     linear_part,
     local_index,
     painleve_leading_orders,
@@ -24,8 +25,8 @@ from threewave.singular import (
     solve_parameter_conditions,
     verify_balance,
 )
-from threewave.parsing import parse_triple
-from threewave.symbols import table
+from threewave.parsing import parse_expr, parse_triple
+from threewave.symbols import parameter, table
 
 
 def _chart_field(kind, chart_name, params=None):
@@ -70,6 +71,49 @@ def test_zero_field_positive_dimensional():
     v = VectorField(chart, [zero, zero, zero])
     with pytest.raises(PositiveDimensional):
         find_accessible(v)
+
+
+def _boundary_x_field(gy, gz):
+    """d(X)/dt = X, d(Y)/dt = gy/X, d(Z)/dt = gz/X on a chart with boundary X;
+    ``gy`` and ``gz`` are texts in Y, Z and delta."""
+    t = table("X", "Y", "Z").extend([parameter("delta")])
+    chart = Chart("C", (t.get("X"), t.get("Y"), t.get("Z")), boundary=t.get("X"))
+    X = RationalFn.var(t, "X")
+    return VectorField(chart, [X] + [parse_expr(g, t) / X for g in (gy, gz)])
+
+
+@pytest.mark.parametrize(
+    "gy, gz",
+    [
+        ("0", "Y*Z-1"),  # one component zero, the other a curve
+        ("Z-1", "(Z-1)*(Z-2)"),  # a common factor in Z only
+        ("Y-1", "(Y-1)*Y"),  # a common factor in Y only
+        ("(Y+Z)*(Y-1)", "(Y+Z)*(Z-2)"),  # a common factor in Y and Z
+        ("(Z-1)*Y", "(Z-1)*(Y-3)"),  # both vanish on the line Z = 1
+        ("(Z^2-2)*Y", "(Z^2-2)*(Y-3)"),  # a common factor with no root over Q(i)
+    ],
+)
+def test_degenerate_boundary_pairs_are_positive_dimensional(gy, gz):
+    with pytest.raises(PositiveDimensional):
+        find_accessible(_boundary_x_field(gy, gz))
+
+
+def test_shared_parameter_factor_keeps_the_point():
+    scan = find_accessible(_boundary_x_field("delta*(Y-1)", "delta*(Z-2)"))
+    assert [p.text() for p in scan.points] == ["(0, 1, 2)"]
+    assert scan.residuals == ()
+
+
+def test_paper_point_on_its_balance_chart_is_positive_dimensional():
+    # at delta = 0, gamma = -1 the pipeline's balance has orders (1, -2, 2), and
+    # on that weighted chart the boundary pair shares the factor ZW+1; the
+    # (1, 0, 2) chart W keeps two points there
+    v = models.system_field("three-wave", [0, -1])
+    w = pushforward(v, models.weighted_chart_map("three-wave", (1, -2, 2)))
+    with pytest.raises(PositiveDimensional):
+        find_accessible(w)
+    _, scan = reports.scan_chart("three-wave", [0, -1], "W")
+    assert [p.text() for p in scan.points] == ["(0, 0, -1)", "(0, 0, 0)"]
 
 
 def test_chart_without_boundary_is_rejected():
@@ -174,6 +218,28 @@ def test_linear_part_rejects_a_point_that_is_not_accessible():
     with pytest.raises(VerificationFailed, match="is not accessible") as info:
         linear_part(v, moved)
     assert not isinstance(info.value, ValueError)
+
+
+def test_linear_part_at_a_point_with_parameter_denominators():
+    # at Y = 1/delta the Z row's Y coefficient is 2*Y0*(delta*Y0-1) + delta*Y0^2 = 1/delta
+    v = _boundary_x_field("delta*Y-1", "Z-2+Y^2*(delta*Y-1)")
+    (p,) = find_accessible(v).points
+    assert p.text() == "(0, 1/(delta), 2)"
+    A = linear_part(v, p)
+    assert [[e.text() for e in row] for row in A] == [
+        ["0", "0", "0"], ["0", "delta", "0"], ["0", "1/(delta)", "1"]
+    ]
+
+
+def test_spectral_ordering_without_a_triangular_permutation():
+    t = table("X", "Y", "Z")
+    A = [[RationalFn.const(t, c) for c in row] for row in ((1, 0, 0), (0, 0, 1), (0, -1, 0))]
+    idx = index_of_linear_part(A, t)
+    assert idx.ordering == "spectral"
+    assert tuple(e.text() for e in idx.eigenvalues) == ("-i", "1", "i")
+    for lam in idx.eigenvalues:
+        shifted = [[A[k][j] - lam if j == k else A[k][j] for j in range(3)] for k in range(3)]
+        assert det3(shifted).is_zero()
 
 
 def test_index_invariant_under_transverse_permutation():
