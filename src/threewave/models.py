@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .gaussian import GaussianRational
 from .geometry import ChartMap, SymmetryMap, VectorField, power_scaled_chart, pushforward
 from .parsing import ModelFile, load_model, parse_model, render_model
-from .symbols import Symbol, state
+from .symbols import Symbol, names_apart, state
+
+if TYPE_CHECKING:
+    from .singular import Balance
 
 _THREE_WAVE_SRC = """
 params delta gamma
@@ -142,21 +145,32 @@ def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
     return atlas(system, "resolved", params)
 
 
-def weighted_chart_map(system, exponents: tuple[int, int, int]) -> ChartMap:
-    """Chart (1/x, y/x^n, z/x^p) adapted to pole orders (m, n, p).
+def weighted_chart(system) -> tuple[Balance, ChartMap]:
+    """The model's dominant balance with a pole in x, and the weighted chart
+    W = (1/x, y/x^n, z/x^p) of its pole orders (m, n, p).
 
-    Its variables are those of the model's chart ``W``; a model without one
-    gets the fresh variables XW YW ZW on an extension of its table.
+    The balance is searched once, on the model's field with every parameter
+    symbolic, so the singularity scan and the blow-up pipeline use one chart
+    at every parameter value. The chart's variables are those of the model's
+    chart ``W``; a model without one gets fresh variables XW YW ZW on an
+    extension of its table.
     """
-    m = model(system)
+    return _weighted_chart(model(system))
+
+
+@lru_cache(maxsize=16)  # keyed by identity: each load of a model file is a new key
+def _weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
+    from .singular import weighted_balance
+
+    balance = weighted_balance(m.fields[m.base.name])
     table = m.table
     if "W" in m.charts:
         wvars = m.charts["W"].vars
     else:
-        names = ("XW", "YW", "ZW")
-        table = table.extend(state(n) for n in names if table.get(n) is None)
+        names = names_apart(table, lambda pad: [f"{a}W{pad}" for a in "XYZ"])
+        table = table.extend(state(n) for n in names)
         wvars = tuple(table.get(n) for n in names)
-    return power_scaled_chart(m.base, table, "W", wvars, exponents)
+    return balance, power_scaled_chart(m.base, table, "W", wvars, balance.exponents)
 
 
 # -- holomorphy verification --------------------------------------------------------

@@ -118,36 +118,33 @@ def _fold_terms(poly, var_names: Sequence[str]):
     return out
 
 
+def compile_poly(poly, var_names: Sequence[str]) -> Callable[[complex, complex, complex], complex]:
+    terms = _fold_terms(poly, var_names)
+
+    def ev(a: complex, b: complex, c: complex) -> complex:
+        s = 0j
+        for coeff, (e1, e2, e3) in terms:
+            t = coeff
+            if e1:
+                t *= a**e1
+            if e2:
+                t *= b**e2
+            if e3:
+                t *= c**e3
+            s += t
+        return s
+
+    return ev
+
+
 def compile_scalar(
     rf: RationalFn, var_names: Sequence[str]
 ) -> Callable[[complex, complex, complex], complex]:
-    num = _fold_terms(rf.num, var_names)
-    den = _fold_terms(rf.den, var_names)
-
-    def ev(a: complex, b: complex, c: complex) -> complex:
-        n = 0j
-        for coeff, (e1, e2, e3) in num:
-            t = coeff
-            if e1:
-                t *= a**e1
-            if e2:
-                t *= b**e2
-            if e3:
-                t *= c**e3
-            n += t
-        d = 0j
-        for coeff, (e1, e2, e3) in den:
-            t = coeff
-            if e1:
-                t *= a**e1
-            if e2:
-                t *= b**e2
-            if e3:
-                t *= c**e3
-            d += t
-        return n / d
-
-    return ev
+    num = compile_poly(rf.num, var_names)
+    if rf.is_polynomial():  # a reduced denominator is monic: this one is 1
+        return num
+    den = compile_poly(rf.den, var_names)
+    return lambda a, b, c: num(a, b, c) / den(a, b, c)
 
 
 def compile_triple(rfs, var_names):
@@ -176,8 +173,7 @@ def _pole_chart(cmap: ChartMap, tvars: Sequence[str]) -> PoleChart | None:
     terms = []
     for rf in cmap.inverse:
         d, by_power = rf.den.degree(b), rf.num.as_univariate(b)
-        terms.append(tuple((d - j, compile_scalar(RationalFn.from_poly(by_power[j]), tvars))
-                           for j in sorted(by_power)))
+        terms.append(tuple((d - j, compile_poly(by_power[j], tvars)) for j in sorted(by_power)))
     return PoleChart(cmap.target.vars.index(b), tuple(terms))
 
 

@@ -209,11 +209,12 @@ def parse_word(text: str, names: Collection[str]) -> tuple[str, ...]:
 # -- model files ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelFile:
     """Parsed contents of a model/atlas file over one symbol table.
 
-    ``name`` is the built-in name or the path the file was loaded from.
+    ``name`` is the built-in name or the path the file was loaded from. A
+    model hashes by identity, so results derived from it can be memoized.
     """
 
     table: SymbolTable

@@ -77,7 +77,7 @@ def _scan(system, v: VectorField, chart_name: str) -> tuple[VectorField, Accessi
     charts = scan_charts(system)
     if chart_name not in charts:
         raise KeyError(f"unknown chart {chart_name!r}; known: {list(charts)}")
-    cmap = charts[chart_name] or models.weighted_chart_map(system, (1, 0, 2))
+    cmap = charts[chart_name] or models.weighted_chart(system)[1]
     w = pushforward(v, cmap)
     return w, find_accessible(w)
 
@@ -221,14 +221,14 @@ def painleve_report(system, params=None, bound: int = 2) -> dict:
 
 def pipeline_report(system, params=None) -> dict:
     m = models.model(system)
-    rep = resolution_pipeline(
-        models.system_field(m, params), lambda exps: models.weighted_chart_map(m, exps)
-    )
+    balance, weighted_map = models.weighted_chart(m)
+    bindings = models.bind_parameters(m, params)
+    rep = resolution_pipeline(models.system_field(m, params), weighted_map)
     return {
         "system": m.name,
         "balance": {
-            "exponents": list(rep.balance.exponents),
-            "coefficients": [c.text() for c in rep.balance.coefficients],
+            "exponents": list(balance.exponents),
+            "coefficients": [c.specialize(bindings).text() for c in balance.coefficients],
         },
         "weighted_points": [
             {

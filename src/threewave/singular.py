@@ -10,8 +10,10 @@ divisor gets resolved:
    in the divisor's coordinates, which one gcd decides,
 2. :func:`linear_part` / :func:`local_index` extract the eigenvalue data that
    classifies each point and predicts how many blow-ups are needed,
-3. :func:`painleve_leading_orders` searches dominant balances, whose pole
-   orders pick the weighted chart suited to a multiple point,
+3. :func:`painleve_leading_orders` searches dominant balances;
+   :func:`weighted_balance` picks the one whose pole orders fix the weighted
+   chart suited to a multiple point (a model chooses it once, on its field
+   with every parameter symbolic, and uses it at every parameter value),
 4. :func:`blow_up` produces the chart of a point blow-up along one
    direction (the pipeline follows the exceptional direction) with the
    transformed field, and
@@ -34,7 +36,7 @@ from .geometry import Chart, ChartMap, VectorField, det3, log_pole_decomposition
 from .poly import MultiPoly, poly_gcd, resultant
 from .ratfunc import RationalFn, substitute
 from .roots import find_roots
-from .symbols import Symbol, parameter
+from .symbols import Symbol, names_apart, parameter
 
 
 @dataclass(frozen=True)
@@ -259,14 +261,10 @@ def index_of_linear_part(A: list[list[RationalFn]], table) -> LocalIndex:
 
 
 def _spectrum(A: list[list[RationalFn]], table) -> tuple[RationalFn, ...]:
-    lam_sym = table.get("eigvar")
-    if lam_sym is None:
-        ext = table.extend([parameter("eigvar")])
-        A = [[e.retable(ext) for e in row] for row in A]
-        lam_sym = ext.get("eigvar")
-        work = ext
-    else:
-        work = table
+    (name,) = names_apart(table, lambda pad: [f"eigvar{pad}"])
+    work = table.extend([parameter(name)])
+    A = [[e.retable(work) for e in row] for row in A]
+    lam_sym = work.get(name)
     lam = RationalFn.var(work, lam_sym)
     m = [[lam - A[k][j] if j == k else -A[k][j] for j in range(3)] for k in range(3)]
     charpoly = det3(m).num
@@ -352,9 +350,6 @@ class Balance:
     free: tuple[str, ...] = ()  # names of leading coefficients left free
 
 
-LEAD_NAMES = ("lead1", "lead2", "lead3")
-
-
 def painleve_leading_orders(v: VectorField, bound: int = 2) -> list[Balance]:
     """Search integer pole orders (m, n, p), |each| <= bound, max >= 1, with
     nonzero leading coefficients solving the dominant balance.
@@ -390,14 +385,13 @@ def _balances(v: VectorField, orders_seq) -> Iterator[Balance]:
 
 def _lead_setup(v: VectorField):
     """The field's table extended by the leading-coefficient unknowns, those
-    unknowns, and the components with each state exponent moved onto its
-    unknown L_k: the ansatz x_k = L_k * tau^-m_k without the powers of tau,
-    which :func:`_balance_equations` reads off as weights."""
-    table = v.table
-    missing = [parameter(n) for n in LEAD_NAMES if table.get(n) is None]
-    if missing:
-        table = table.extend(missing)
-    leads = tuple(table.get(n) for n in LEAD_NAMES)
+    unknowns (``lead1..lead3``, named apart from the field's symbols), and
+    the components with each state exponent moved onto its unknown L_k: the
+    ansatz x_k = L_k * tau^-m_k without the powers of tau, which
+    :func:`_balance_equations` reads off as weights."""
+    names = names_apart(v.table, lambda pad: [f"lead{pad}{k}" for k in (1, 2, 3)])
+    table = v.table.extend(parameter(n) for n in names)
+    leads = tuple(table.get(n) for n in names)
     moves = [(table.index(s), table.index(l)) for s, l in zip(v.chart.vars, leads)]
     moved = []
     for c in v.components:
@@ -523,7 +517,7 @@ def blow_up(v: VectorField, center: Sequence, k: int) -> BlowUpChart:
     level = 1
     while table.get(f"bu{level}_1") is not None:
         level += 1
-    names = [f"bu{level}_{j + 1}" for j in range(3)]
+    names = names_apart(table, lambda pad: [f"bu{level}_{pad}{j}" for j in (1, 2, 3)])
     new_table = table.extend(Symbol(n, "state") for n in names)
     center = [
         (c if isinstance(c, RationalFn) else RationalFn.const(table, c)).retable(new_table)
@@ -637,17 +631,13 @@ def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[Conditio
                 continue
             if cur.is_constant():
                 continue  # contradiction: branch dies
+            # every pin is a constant, so a pinned symbol is gone from ``cur``
+            # and a new pin never meets an old one
             for extra_pin, extra_resid in _split_condition(cur, table):
                 np = dict(pins)
-                conflict = False
                 if extra_pin is not None:
-                    s, val = extra_pin
-                    if s in np and np[s] != val:
-                        conflict = True
-                    else:
-                        np[s] = val
-                if not conflict:
-                    new_branches.append((np, resid + extra_resid))
+                    np[extra_pin[0]] = extra_pin[1]
+                new_branches.append((np, resid + extra_resid))
         branches = new_branches
     # drop branches subsumed by a more general one
     out = []
@@ -680,7 +670,6 @@ def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[Conditio
 class ResolutionReport:
     """End-to-end record of resolving the multiple boundary point."""
 
-    balance: Balance
     weighted_points: tuple[tuple[AccessiblePoint, LocalIndex], ...]
     entry_point: AccessiblePoint
     centers: tuple[AccessiblePoint, ...]
@@ -712,24 +701,17 @@ class ResolutionReport:
 _PIPELINE_BOUND = 2
 
 
-def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionReport:
-    """Resolve the degenerate boundary point of ``v`` and read off the
-    parameter conditions for polynomiality.
+def weighted_balance(v: VectorField) -> Balance:
+    """The dominant balance with a pole in the first variable, whose pole
+    orders select the weighted chart.
 
-    The dominant balance with a pole in the first variable selects the
-    weighted chart (``weighted_map_factory`` maps its pole orders to a
-    ChartMap): of the balances of the pole-order triples with m >= 1 and
-    no order larger than ``_PIPELINE_BOUND`` in size, in product order, the
+    Of the balances of the pole-order triples with m >= 1 and no order
+    larger than ``_PIPELINE_BOUND`` in size, in product order, it is the
     first one with the largest order sum. The triples are searched highest
     sum first, each sum in product order (a stable sort), and the search
     stops at the first balance found. That is the same balance as ``max``
     over the full list, since every triple of a larger sum has been solved
-    before and ``max`` keeps the first maximum. The
-    accessible point there with a nonzero first index entry is blown up
-    repeatedly (the resonance ratio fixes the number of steps), each time at
-    the unique accessible point of the exceptional divisor and only in the
-    chart of the exceptional direction. The final field's holomorphy
-    obstructions and their solution branches are returned.
+    before and ``max`` keeps the first maximum.
     """
     bound = _PIPELINE_BOUND
     span = range(-bound, bound + 1)
@@ -737,7 +719,19 @@ def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionRepor
     balance = next(_balances(v, orders), None)
     if balance is None:
         raise AnalysisFailed("no dominant balance with a pole in the first variable")
-    weighted_map = weighted_map_factory(balance.exponents)
+    return balance
+
+
+def resolution_pipeline(v: VectorField, weighted_map: ChartMap) -> ResolutionReport:
+    """Resolve the degenerate boundary point of ``v`` on the weighted chart
+    ``weighted_map`` and read off the parameter conditions for polynomiality.
+
+    The accessible point there with a nonzero first index entry is blown up
+    repeatedly (the resonance ratio fixes the number of steps), each time at
+    the unique accessible point of the exceptional divisor and only in the
+    chart of the exceptional direction. The final field's holomorphy
+    obstructions and their solution branches are returned.
+    """
     # the weighted chart's variables may extend the field's table
     vw = pushforward(v.retable(weighted_map.table), weighted_map)
     scan = find_accessible(vw)
@@ -771,7 +765,6 @@ def resolution_pipeline(v: VectorField, weighted_map_factory) -> ResolutionRepor
     obstruction = holomorphy_obstructions(current_field)
     branches = tuple(solve_parameter_conditions(list(obstruction.conditions)))
     return ResolutionReport(
-        balance=balance,
         weighted_points=decorated,
         entry_point=entry,
         centers=tuple(centers),

@@ -14,7 +14,7 @@ prefixes and can be migrated by zero-padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 STATE = "state"
 PARAMETER = "parameter"
@@ -103,6 +103,16 @@ class SymbolTable:
 
     def __repr__(self):
         return f"SymbolTable({', '.join(s.name for s in self.symbols)})"
+
+
+def names_apart(table: SymbolTable, names: Callable[[str], Sequence[str]]) -> Sequence[str]:
+    """``names(pad)`` for the shortest run of underscores ``pad`` that leaves
+    none of them in ``table``: internal unknowns such as ``c1..c30`` become
+    ``c_1..c_30`` rather than capture a model symbol of the same name."""
+    pad = ""
+    while any(table.get(n) is not None for n in names(pad)):
+        pad += "_"
+    return names(pad)
 
 
 def table(*names_and_kinds) -> SymbolTable:

@@ -29,7 +29,7 @@ from .models import model, system_field
 from .poly import MultiPoly
 from .ratfunc import RationalFn, substitute
 from .singular import negative_power_part
-from .symbols import Symbol, SymbolTable, parameter
+from .symbols import Symbol, SymbolTable, names_apart, parameter
 
 # monomial basis per component: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
 MONOMIAL_EXPONENTS = (
@@ -90,11 +90,9 @@ def ansatz_context(system="modified") -> AnsatzContext:
     for cmap in atlas[1:]:
         if cmap.target.boundary is None:
             raise AnalysisFailed(f"chart {cmap.target.name} of the resolved atlas has no boundary")
-    prefix = "c"
-    while any(m.table.get(f"{prefix}{i}") for i in range(1, 31)):
-        prefix += "_"
     states = [s for cmap in atlas for s in cmap.target.vars]
-    coeffs = [parameter(f"{prefix}{i}") for i in range(1, 31)]
+    names = names_apart(m.table, lambda pad: [f"c{pad}{i}" for i in range(1, 31)])
+    coeffs = [parameter(n) for n in names]
     table = SymbolTable(tuple(states) + m.table.parameters() + tuple(coeffs))
     chart = m.base
     x, y, z = (MultiPoly.var(table, s) for s in chart.vars)

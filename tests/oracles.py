@@ -17,7 +17,7 @@ from threewave.gaussian import GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
-from threewave.singular import LEAD_NAMES, blow_up
+from threewave.singular import blow_up
 from threewave.symbols import parameter, table as make_table
 
 
@@ -106,11 +106,9 @@ def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
     derivative of the ansatz); with m_k = 0 every order below 0 must vanish.
     Terms keep the component's order, equations come component by component,
     groups in the order of their first term."""
-    table = v.table
-    missing = [parameter(n) for n in LEAD_NAMES if table.get(n) is None]
-    if missing:
-        table = table.extend(missing)
-    leads = tuple(table.get(n) for n in LEAD_NAMES)
+    names = ("lead1", "lead2", "lead3")  # the library's names on a table without them
+    table = v.table.extend(parameter(n) for n in names)
+    leads = tuple(table.get(n) for n in names)
     state_idx = [table.index(s) for s in v.chart.vars]
     eqs = []
     for k, comp in enumerate(c.retable(table).as_poly() for c in v.components):
@@ -189,7 +187,7 @@ def differential_maps() -> list[ChartMap]:
     for kind in ("three-wave", "modified"):
         m = models.model(kind)
         maps += [cm for name in ("projective", "resolved") for cm in m.atlas(name)[1:]]
-        maps.append(models.weighted_chart_map(kind, (1, 0, 2)))
+        maps.append(models.weighted_chart(kind)[1])
     v = models.system_field("three-wave")
     maps += [blow_up(v, [1, 0, -1], k).cmap for k in range(3)]
     return maps

@@ -73,8 +73,7 @@ def test_criterion_3_painleve_exponents():
 def test_criterion_4_obstruction_conditions():
     def body():
         rep = resolution_pipeline(
-            models.three_wave_system(),
-            lambda e: models.weighted_chart_map("three-wave", e),
+            models.three_wave_system(), models.weighted_chart("three-wave")[1]
         )
         assert rep.obstruction.texts() == ["delta*gamma", "gamma^2+gamma"]
         assert [b.text() for b in rep.branches] == [

@@ -273,6 +273,41 @@ def test_exported_file_matches_builtin(capsys, exported, kind, argv):
     assert (code_f, rep_f) == (code_b, rep_b)
 
 
+@pytest.mark.parametrize("command", ["blowup", "obstructions"])
+def test_model_without_chart_w_gets_fresh_weighted_variables(tmp_path, capsys, command):
+    # without a chart W the weighted chart takes fresh variables XW YW ZW,
+    # the same names the built-in declares, so the reports agree
+    path = tmp_path / "no-w.model"
+    lines = models.export_model("three-wave").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("chart W ")))
+    assert "chart W " not in path.read_text()
+    code_b, out_b = _capture(capsys, [command, "--system", "three-wave"])
+    code_f, out_f = _capture(capsys, [command, "--system", str(path)])
+    rep_b, rep_f = json.loads(out_b), json.loads(out_f)
+    assert rep_b.pop("system") == "three-wave" and rep_f.pop("system") == str(path)
+    assert (code_f, rep_f) == (code_b, rep_b)
+
+
+def test_parameter_named_like_an_internal_unknown(tmp_path, capsys):
+    # a parameter lead1 must not be taken for the balance search's unknown of
+    # that name: the unknowns move to lead_1..lead_3 and the report is the
+    # one of the same model with the parameter called gamma
+    text = models.export_model("three-wave")
+    texts = {}
+    for name in ("gamma", "lead1"):
+        path = tmp_path / f"{name}.model"
+        path.write_text(text.replace("gamma", name))
+        code, out = _capture(capsys, ["painleve", "--system", str(path)])
+        assert code == 0
+        rep = json.loads(out)
+        rep.pop("system")
+        texts[name] = json.dumps(rep)
+    assert "lead_3" in texts["lead1"]
+    mapped = texts["lead1"].replace("lead1", "gamma").replace("lead_", "lead")
+    assert json.loads(mapped) == json.loads(texts["gamma"])
+    assert len(json.loads(mapped)["balances"]) == 3
+
+
 TOY_WITH_ATLAS = """
 chart C0 : x y z
 chart C1 : X Y Z @ X

@@ -26,8 +26,12 @@ CASES = {
     "blowup": ["blowup", "--system", "three-wave"],
     "blowup-modified": ["blowup", "--system", "modified"],
     "blowup-three-wave-delta1-gamma0": ["blowup", "--system", "three-wave", "--params", "delta=1,gamma=0"],
+    "blowup-three-wave-delta0-gamma-1": ["blowup", "--system", "three-wave", "--params", "delta=0,gamma=-1"],
     "obstructions": ["obstructions", "--system", "three-wave"],
     "obstructions-modified": ["obstructions", "--system", "modified"],
+    "obstructions-modified-alpha5-0": [
+        "obstructions", "--system", "modified", "--params", "alpha1=1,alpha2=2,alpha3=3,alpha4=4,alpha5=0"
+    ],
     "verify-atlas-three-wave": ["verify-atlas", "--system", "three-wave", "--params", "delta=0,gamma=-1"],
     "verify-atlas-modified": ["verify-atlas", "--system", "modified"],
     "verify-symmetry": ["verify-symmetry", "--system", "modified"],

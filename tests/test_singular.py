@@ -8,7 +8,7 @@ from oracles import naive_balance_equations, random_polynomial_field
 from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
-from threewave.geometry import Chart, VectorField, det3, pushforward
+from threewave.geometry import Chart, VectorField, det3, power_scaled_chart, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
 from threewave.singular import (
@@ -24,6 +24,7 @@ from threewave.singular import (
     resolution_pipeline,
     solve_parameter_conditions,
     verify_balance,
+    weighted_balance,
 )
 from threewave.parsing import parse_expr, parse_triple
 from threewave.symbols import parameter, table
@@ -31,7 +32,7 @@ from threewave.symbols import parameter, table
 
 def _chart_field(kind, chart_name, params=None):
     if chart_name == "W":
-        cmap = models.weighted_chart_map(kind, (1, 0, 2))
+        cmap = models.weighted_chart(kind)[1]
     else:
         cmap = next(m for m in models.atlas(kind, "projective") if m.target.name == chart_name)
     return pushforward(models.system_field(kind, params), cmap)
@@ -104,16 +105,24 @@ def test_shared_parameter_factor_keeps_the_point():
     assert scan.residuals == ()
 
 
-def test_paper_point_on_its_balance_chart_is_positive_dimensional():
-    # at delta = 0, gamma = -1 the pipeline's balance has orders (1, -2, 2), and
-    # on that weighted chart the boundary pair shares the factor ZW+1; the
-    # (1, 0, 2) chart W keeps two points there
-    v = models.system_field("three-wave", [0, -1])
-    w = pushforward(v, models.weighted_chart_map("three-wave", (1, -2, 2)))
+def test_paper_point_resolves_on_the_model_chart():
+    # at delta = 0, gamma = -1 the specialized field's own top balance has
+    # orders (1, -2, 2), and on that chart the boundary pair shares the
+    # factor ZW+1; the model's chart W, chosen on the symbolic field, keeps
+    # two points there, and the pipeline resolves through it
+    m = models.model("three-wave")
+    v = models.system_field(m, [0, -1])
+    assert weighted_balance(v).exponents == (1, -2, 2)
+    degenerate = power_scaled_chart(m.base, m.table, "W", m.charts["W"].vars, (1, -2, 2))
     with pytest.raises(PositiveDimensional):
-        find_accessible(w)
-    _, scan = reports.scan_chart("three-wave", [0, -1], "W")
+        find_accessible(pushforward(v, degenerate))
+    balance, wmap = models.weighted_chart(m)
+    assert balance.exponents == (1, 0, 2)
+    _, scan = reports.scan_chart(m, [0, -1], "W")
+    rep = resolution_pipeline(v, wmap)
+    assert [p.text() for p, _ in rep.weighted_points] == [p.text() for p in scan.points]
     assert [p.text() for p in scan.points] == ["(0, 0, -1)", "(0, 0, 0)"]
+    assert rep.obstruction.is_empty()
 
 
 def test_chart_without_boundary_is_rejected():
@@ -382,8 +391,7 @@ def test_pipeline_balance_is_the_top_sum_balance():
         for params in points:
             v = models.system_field(kind, params)
             full = list(singular._balances(v, itertools.product(range(1, 3), span, span)))
-            rep = resolution_pipeline(v, lambda e, kind=kind: models.weighted_chart_map(kind, e))
-            assert rep.balance == max(full, key=lambda b: sum(b.exponents)), (kind, params)
+            assert weighted_balance(v) == max(full, key=lambda b: sum(b.exponents)), (kind, params)
     # a toy whose top sum 3 has two triples with balances, (1, 1, 1) before
     # (1, 2, 0) in product order: the tie goes to the first
     t = table("x", "y", "z")
@@ -392,16 +400,7 @@ def test_pipeline_balance_is_the_top_sum_balance():
     top = [b.exponents for b in singular._balances(v, itertools.product(range(1, 3), span, span))
            if sum(b.exponents) == 3]
     assert top[0] == (1, 1, 1) and (1, 2, 0) in top
-
-    class Chosen(Exception):
-        pass
-
-    def chosen(exponents):
-        raise Chosen(exponents)
-
-    with pytest.raises(Chosen) as info:
-        resolution_pipeline(v, chosen)
-    assert info.value.args == ((1, 1, 1),)
+    assert weighted_balance(v).exponents == (1, 1, 1)
 
 
 # -- blow-ups ---------------------------------------------------------------------------
@@ -423,6 +422,16 @@ def test_blow_up_directional_charts():
     for k, c in enumerate(charts):
         assert c.cmap.target.boundary == c.cmap.target.vars[k]
         assert c.field.chart == c.cmap.target
+
+
+def test_blow_up_names_its_variables_apart():
+    # a symbol bu1_2 is not taken for the blow-up's second variable
+    t = table("X", "Y", "Z", "bu1_2:parameter")
+    chart = Chart("C", (t.get("X"), t.get("Y"), t.get("Z")), boundary=t.get("X"))
+    v = VectorField(chart, parse_triple("X ; bu1_2*Y ; Z", t))
+    piece = blow_up(v, [0, 0, 0], 0)
+    assert [s.name for s in piece.cmap.target.vars] == ["bu1__1", "bu1__2", "bu1__3"]
+    assert piece.field.components[1].text() == "bu1_2*bu1__2-bu1__2"
 
 
 def test_blow_up_of_zero_field_is_zero():
@@ -453,7 +462,7 @@ def test_blow_up_map_round_trip_numeric():
 
 def test_pipeline_reproduces_conditions():
     v = models.three_wave_system()
-    rep = resolution_pipeline(v, lambda e: models.weighted_chart_map("three-wave", e))
+    rep = resolution_pipeline(v, models.weighted_chart("three-wave")[1])
     assert rep.obstruction.texts() == ["delta*gamma", "gamma^2+gamma"]
     assert [b.text() for b in rep.branches] == ["{delta = 0, gamma = -1}", "{gamma = 0}"]
     assert [c.text() for c in rep.centers] == ["(0, -1/2*delta*gamma, -2*gamma-2)"]
@@ -477,7 +486,7 @@ def test_pipeline_composed_chart_equals_resolved_chart_three():
     # chart followed by the two blow-ups composes to the atlas's third
     # twisted chart, up to flipping the sign of the middle coordinate
     v = models.three_wave_system()
-    rep = resolution_pipeline(v, lambda e: models.weighted_chart_map("three-wave", e))
+    rep = resolution_pipeline(v, models.weighted_chart("three-wave")[1])
     composed = rep.composed_map()
     big = rep.final_field.table
     t23 = next(m for m in models.resolved_atlas("three-wave") if m.target.name == "T2-3")
@@ -504,8 +513,36 @@ def test_pipeline_composed_chart_equals_resolved_chart_three():
 
 def test_pipeline_modified_system_resolves_cleanly():
     v = models.modified_system()
-    rep = resolution_pipeline(v, lambda e: models.weighted_chart_map("modified", e))
+    rep = resolution_pipeline(v, models.weighted_chart("modified")[1])
     assert rep.obstruction.is_empty()
+
+
+def _paper_branches(delta, gamma) -> list[str]:
+    """The solutions of delta*gamma = gamma*(gamma+1) = 0 with the given
+    values bound (None is free), as the report writes them."""
+    if delta is None and gamma is None:
+        return ["{delta = 0, gamma = -1}", "{gamma = 0}"]
+    if gamma is None:
+        return ["{gamma = -1}", "{gamma = 0}"] if delta == 0 else ["{gamma = 0}"]
+    if gamma * (gamma + 1) != 0 or (delta is not None and delta * gamma != 0):
+        return []
+    if delta is None and gamma == -1:
+        return ["{delta = 0}"]
+    return ["{all parameters free}"]
+
+
+def test_pipeline_follows_the_paper_predicate_on_the_scan_chart():
+    # one weighted chart for the scan and the pipeline, at every point of the
+    # grid; delta = 0 included, where the specialized field's own top balance
+    # would pick a chart meeting the boundary in a curve
+    values = [0, 1, -1, Fraction(1, 2), None]
+    for params in itertools.product(values, repeat=2):
+        rep = reports.pipeline_report("three-wave", list(params))
+        want = _paper_branches(*params)
+        assert rep["solution_branches"] == want, params
+        assert rep["resolvable_without_conditions"] == (want == ["{all parameters free}"]), params
+        scan = reports.singularities_report("three-wave", list(params), ["W"])
+        assert [p["point"] for p in rep["weighted_points"]] == scan["charts"]["W"]["points"], params
 
 
 def test_obstruction_specialization_both_directions():
@@ -513,7 +550,7 @@ def test_obstruction_specialization_both_directions():
     # at values satisfying the conditions must give polynomials, and values
     # violating them must leave a genuine pole
     v = models.three_wave_system()
-    rep = resolution_pipeline(v, lambda e: models.weighted_chart_map("three-wave", e))
+    rep = resolution_pipeline(v, models.weighted_chart("three-wave")[1])
     table = rep.final_field.table
     d, g = table.get("delta"), table.get("gamma")
 
@@ -547,3 +584,15 @@ def test_solve_parameter_conditions_contradiction_dies():
     # delta = 0 together with delta - 1 = 0 has no solution
     branches = solve_parameter_conditions([d, d - one])
     assert branches == []
+
+
+def test_solve_parameter_conditions_residual_branches():
+    t = table("delta:parameter", "gamma:parameter")
+    d, g = MultiPoly.var(t, "delta"), MultiPoly.var(t, "gamma")
+    one = MultiPoly.const(t, 1)
+    # no Gaussian-rational root: the factor stays as a residual constraint
+    assert [b.text() for b in solve_parameter_conditions([d * d - one * 2])] == ["{delta^2-2 = 0}"]
+    # two parameters in one factor: nothing to pin
+    assert [b.text() for b in solve_parameter_conditions([d * g + one])] == ["{delta*gamma+1 = 0}"]
+    # a pin turns the next condition into a nonzero constant
+    assert solve_parameter_conditions([g, g + one]) == []
