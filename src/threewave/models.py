@@ -27,8 +27,16 @@ from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Sequence
 
 from .gaussian import GaussianRational
-from .geometry import ChartMap, SymmetryMap, VectorField, power_scaled_chart, pushforward
+from .geometry import (
+    ChartMap,
+    SymmetryMap,
+    VectorField,
+    jacobian_determinant,
+    power_scaled_chart,
+    pushforward,
+)
 from .parsing import ModelFile, load_model, parse_model, render_model
+from .ratfunc import RationalFn
 from .symbols import Symbol, names_apart, state
 
 if TYPE_CHECKING:
@@ -140,6 +148,44 @@ def atlas(system, name: str, params: Sequence | None = None) -> list[ChartMap]:
     return maps[:1] + [cm.specialize(bindings) for cm in maps[1:]]
 
 
+def chart_field(system, cmap: ChartMap, params: Sequence | None = None) -> VectorField:
+    """The model's field pushed through ``cmap``, a map out of its base chart,
+    parameters bound.
+
+    The field with every parameter symbolic is pushed once per model and map,
+    and each call specializes that push at ``params``. Wherever the map is
+    defined at ``params``, that is the specialized field pushed through the
+    specialized map: both are the same rational functions, and the reduced
+    denominators of the symbolic push divide a product of the field's and
+    the map's denominators, none of which vanishes there. Verifying the map
+    itself at ``params`` is left to ``atlas``.
+    """
+    m = model(system)
+    return _chart_field(m, cmap).specialize(bind_parameters(m, params))
+
+
+# keyed by the identities of the model and of the map: a map that is not the
+# model's own (a specialized one, say) is a separate entry, never a wrong hit
+@lru_cache(maxsize=64)
+def _chart_field(m: ModelFile, cmap: ChartMap) -> VectorField:
+    v = m.fields[m.base.name]
+    if cmap is m.identity:
+        return v
+    # the target chart's variables may extend the model's table (chart W)
+    return pushforward(v.retable(cmap.table), cmap)
+
+
+def chart_jacobian(system, cmap: ChartMap, params: Sequence | None = None) -> RationalFn:
+    """The Jacobian determinant of ``cmap`` at ``params``: computed once per
+    map with every parameter symbolic, then specialized like ``chart_field``."""
+    return _chart_jacobian(cmap).specialize(bind_parameters(system, params))
+
+
+@lru_cache(maxsize=64)
+def _chart_jacobian(cmap: ChartMap) -> RationalFn:
+    return jacobian_determinant(cmap)
+
+
 def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
     """The glued-phase-space atlas (identity chart plus the twisted charts)."""
     return atlas(system, "resolved", params)
@@ -176,8 +222,9 @@ def _weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
 # -- holomorphy verification --------------------------------------------------------
 
 
-def verify_atlas_holomorphy(v: VectorField, atlas: Sequence[ChartMap]) -> list[dict]:
-    """Per-chart verdict: is the pushforward of ``v`` polynomial there?
+def verify_atlas_holomorphy(pushed: Sequence[VectorField]) -> list[dict]:
+    """Per-chart verdict on the system's field already pushed to each chart of
+    an atlas (``chart_field``): is it polynomial there?
 
     Non-polynomial charts report the offending denominators and, when the
     poles sit on the chart's boundary divisor, the parameter conditions
@@ -186,8 +233,7 @@ def verify_atlas_holomorphy(v: VectorField, atlas: Sequence[ChartMap]) -> list[d
     from .singular import holomorphy_obstructions
 
     out = []
-    for cmap in atlas:
-        w = pushforward(v, cmap)
+    for w in pushed:
         witnesses = [c.den.text() for c in w.components if not c.is_polynomial()]
         conditions: list[str] = []
         if witnesses:
@@ -197,7 +243,7 @@ def verify_atlas_holomorphy(v: VectorField, atlas: Sequence[ChartMap]) -> list[d
                 conditions = []
         out.append(
             {
-                "chart": cmap.target.name,
+                "chart": w.chart.name,
                 "polynomial": not witnesses,
                 "witnesses": witnesses,
                 "obstruction_conditions": conditions,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection
 
 from .gaussian import GaussianRational
@@ -248,7 +249,13 @@ class ModelFile:
                 raise KeyError(f"atlas {name!r} not declared; known: {sorted(self.atlases)}")
             by_target = {m.target.name: m for m in out}
             out = [by_target[c] for c in self.atlases[name]]
-        return [identity_map(base, self.table)] + out
+        return [self.identity] + out
+
+    @cached_property
+    def identity(self) -> ChartMap:
+        """The identity map of the base chart, one object per model, so that
+        results memoized per map hold for it too."""
+        return identity_map(self.base, self.table)
 
 
 def parse_model(text: str, name: str = "<model>") -> ModelFile:

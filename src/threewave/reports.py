@@ -11,7 +11,7 @@ from typing import Sequence
 
 from . import models
 from .errors import AnalysisFailed
-from .geometry import ChartMap, VectorField, jacobian_determinant, pushforward
+from .geometry import ChartMap, VectorField
 from .ratfunc import RationalFn
 from .singular import (
     AccessiblePoint,
@@ -68,17 +68,21 @@ def scan_charts(system) -> dict[str, ChartMap | None]:
 
 
 def scan_chart(system, params, chart_name: str) -> tuple[VectorField, AccessibleScan]:
-    return _scan(system, models.system_field(system, params), chart_name)
-
-
-def _scan(system, v: VectorField, chart_name: str) -> tuple[VectorField, AccessibleScan]:
-    """``v`` (the system's field, parameters bound) pushed to a scan chart,
-    and its accessible points there."""
-    charts = scan_charts(system)
+    """The system's field on one chart of ``scan_charts`` at ``params``, and
+    its accessible points there."""
+    m = models.model(system)
+    charts = scan_charts(m)
     if chart_name not in charts:
         raise KeyError(f"unknown chart {chart_name!r}; known: {list(charts)}")
-    cmap = charts[chart_name] or models.weighted_chart(system)[1]
-    w = pushforward(v, cmap)
+    return _scan(m, params, charts[chart_name] or models.weighted_chart(m)[1])
+
+
+def _scan(system, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
+    """The system's field pushed through ``cmap`` at ``params`` and its
+    accessible points. The push runs once per model and chart with the
+    parameters symbolic (``models.chart_field``); each point only
+    specializes it and scans."""
+    w = models.chart_field(system, cmap, params)
     return w, find_accessible(w)
 
 
@@ -87,11 +91,10 @@ def singularities_report(system, params=None, charts: Sequence[str] | None = Non
     m = models.model(system)
     known = scan_charts(m)
     charts = tuple(charts) if charts else tuple(known)
-    v = models.system_field(m, params)
     per_chart = {}
     census: dict[str, dict] = {}
     for name in charts:
-        _, scan = _scan(m, v, name)
+        _, scan = scan_chart(m, params, name)
         per_chart[name] = {
             "points": [_point_dict(p) for p in scan.points],
             "residual_branches": list(scan.residuals),
@@ -121,14 +124,20 @@ POINT_CHARTS = {"P1": "U1", "P2": "U1", "P3": "U1", "P4": "U3", "P4_1": "W", "P4
 
 
 def _chart_labels(
-    system, v: VectorField, chart: str
+    system, params, chart: str
 ) -> dict[str, tuple[VectorField, AccessiblePoint]]:
-    """The classical labels on one chart of ``v`` (the system's field,
-    parameters bound), matched by computed coordinates (never hardcoded);
-    empty when the model lacks the chart."""
-    if chart not in scan_charts(system):
-        return {}
-    v, scan = _scan(system, v, chart)
+    """The classical labels on one chart of the system's field at ``params``,
+    matched by computed coordinates (never hardcoded). W is the model's
+    weighted chart (``models.weighted_chart``), whether or not the model
+    declares a chart W; U1 and U3 give no label when the model's projective
+    atlas lacks them."""
+    if chart == "W":
+        cmap = models.weighted_chart(system)[1]
+    else:
+        cmap = scan_charts(system).get(chart)
+        if cmap is None:
+            return {}
+    v, scan = _scan(system, params, cmap)
     out = {}
     if chart == "U1":
         zeros = [p for p in scan.points if all(c.is_zero() for c in p.coords)]
@@ -152,19 +161,22 @@ def _chart_labels(
 def named_points(system, params=None) -> dict[str, tuple[VectorField, AccessiblePoint]]:
     """The classical labels: P1..P3 on U1, P4 on U3, P4_1/P4_2 on the
     weighted chart W; a label whose chart the model lacks is left out."""
-    v = models.system_field(system, params)
+    m = models.model(system)
     out = {}
     for chart in dict.fromkeys(POINT_CHARTS.values()):
-        out.update(_chart_labels(system, v, chart))
+        out.update(_chart_labels(m, params, chart))
     return out
 
 
 def _named_point(system, params, point: str) -> tuple[VectorField, AccessiblePoint]:
-    """One label, scanning only the chart it lives on."""
-    v = models.system_field(system, params)
-    found = _chart_labels(system, v, POINT_CHARTS[point]) if point in POINT_CHARTS else {}
+    """One label, scanning only the chart it lives on (nothing for a label
+    that is not one of ``POINT_CHARTS``)."""
+    if point not in POINT_CHARTS:
+        raise KeyError(f"unknown point {point!r}; known: {sorted(POINT_CHARTS)}")
+    m = models.model(system)
+    found = _chart_labels(m, params, POINT_CHARTS[point])
     if point not in found:
-        raise KeyError(f"unknown point {point!r}; known: {sorted(named_points(system, params))}")
+        raise KeyError(f"unknown point {point!r}; known: {sorted(named_points(m, params))}")
     return found[point]
 
 
@@ -223,7 +235,7 @@ def pipeline_report(system, params=None) -> dict:
     m = models.model(system)
     balance, weighted_map = models.weighted_chart(m)
     bindings = models.bind_parameters(m, params)
-    rep = resolution_pipeline(models.system_field(m, params), weighted_map)
+    rep = resolution_pipeline(models.chart_field(m, weighted_map, params), weighted_map)
     return {
         "system": m.name,
         "balance": {
@@ -252,11 +264,14 @@ def pipeline_report(system, params=None) -> dict:
 
 def atlas_report(system, params=None, atlas_name: str = "resolved") -> dict:
     m = models.model(system)
-    atlas = models.atlas(m, atlas_name, params)
-    verdicts = models.verify_atlas_holomorphy(models.system_field(m, params), atlas)
+    # every map, specialized, is verified again: a map singular at the point fails here
+    models.atlas(m, atlas_name, params)
+    maps = m.atlas(atlas_name)
+    verdicts = models.verify_atlas_holomorphy([models.chart_field(m, cm, params) for cm in maps])
     jacobians = [
-        {"chart": cm.target.name, "jacobian_determinant": jacobian_determinant(cm).text()}
-        for cm in atlas
+        {"chart": cm.target.name,
+         "jacobian_determinant": models.chart_jacobian(m, cm, params).text()}
+        for cm in maps
     ]
     return {
         "system": m.name,

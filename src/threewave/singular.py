@@ -722,18 +722,20 @@ def weighted_balance(v: VectorField) -> Balance:
     return balance
 
 
-def resolution_pipeline(v: VectorField, weighted_map: ChartMap) -> ResolutionReport:
-    """Resolve the degenerate boundary point of ``v`` on the weighted chart
-    ``weighted_map`` and read off the parameter conditions for polynomiality.
+def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionReport:
+    """Resolve the degenerate boundary point of ``vw``, the field already on
+    the weighted chart (``models.chart_field`` of ``weighted_map``), and read
+    off the parameter conditions for polynomiality.
 
     The accessible point there with a nonzero first index entry is blown up
     repeatedly (the resonance ratio fixes the number of steps), each time at
     the unique accessible point of the exceptional divisor and only in the
-    chart of the exceptional direction. The final field's holomorphy
-    obstructions and their solution branches are returned.
+    chart of the exceptional direction; only these blow-ups push a field
+    forward. ``weighted_map`` starts the chart lineage. The final field's
+    holomorphy obstructions and their solution branches are returned.
     """
-    # the weighted chart's variables may extend the field's table
-    vw = pushforward(v.retable(weighted_map.table), weighted_map)
+    if vw.chart != weighted_map.target:
+        raise ValueError(f"field lives on {vw.chart.name}, not on {weighted_map.target.name}")
     scan = find_accessible(vw)
     decorated = tuple((p, local_index(vw, p)) for p in scan.points)
     entries = [(p, ix) for p, ix in decorated if not ix.eigenvalues[0].is_zero()]

@@ -273,19 +273,25 @@ def test_exported_file_matches_builtin(capsys, exported, kind, argv):
     assert (code_f, rep_f) == (code_b, rep_b)
 
 
-@pytest.mark.parametrize("command", ["blowup", "obstructions"])
+@pytest.mark.parametrize(
+    "command",
+    ["blowup", "obstructions", "index --point P4_1", "index --point P4_2", "alpha-test"],
+)
 def test_model_without_chart_w_gets_fresh_weighted_variables(tmp_path, capsys, command):
     # without a chart W the weighted chart takes fresh variables XW YW ZW,
-    # the same names the built-in declares, so the reports agree
+    # the same names the built-in declares, so the reports agree; the labels
+    # P4_1 and P4_2 live on that chart too
     path = tmp_path / "no-w.model"
     lines = models.export_model("three-wave").splitlines(keepends=True)
     path.write_text("".join(line for line in lines if not line.startswith("chart W ")))
     assert "chart W " not in path.read_text()
-    code_b, out_b = _capture(capsys, [command, "--system", "three-wave"])
-    code_f, out_f = _capture(capsys, [command, "--system", str(path)])
+    argv = command.split()
+    code_b, out_b = _capture(capsys, argv + ["--system", "three-wave"])
+    code_f, out_f = _capture(capsys, argv + ["--system", str(path)])
     rep_b, rep_f = json.loads(out_b), json.loads(out_f)
-    assert rep_b.pop("system") == "three-wave" and rep_f.pop("system") == str(path)
-    assert (code_f, rep_f) == (code_b, rep_b)
+    assert rep_b.pop("system", "three-wave") == "three-wave"
+    assert rep_f.pop("system", str(path)) == str(path)
+    assert (code_f, rep_f) == (code_b, rep_b) and code_f == 0
 
 
 def test_parameter_named_like_an_internal_unknown(tmp_path, capsys):
@@ -428,6 +434,19 @@ map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
 """
 
 
+def test_unknown_point_label_is_a_usage_error(tmp_path, capsys):
+    # an unknown label scans nothing, so it is a usage error even on a model
+    # whose scan fails (here the boundary of U1 is a curve)
+    toy = tmp_path / "toy.model"
+    toy.write_text(PROJECTIVE_TOY.format(field="x ; y ; z"))
+    code = run(["index", "--system", str(toy), "--point", "P9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == (
+        "error: unknown point 'P9'; known: ['P1', 'P2', 'P3', 'P4', 'P4_1', 'P4_2']"
+    )
+
+
 @pytest.mark.parametrize(
     "field, argv, message",
     [
@@ -439,6 +458,8 @@ map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
         ("three-wave", ["alpha-test", "--point", "P1"], "the scaling-limit classification"),
         ("modified", ["alpha-test", "--point", "P4_1"], "the scaling-limit classification"),
         ("three-wave", ["verify-symmetry"], "model three-wave declares no symmetry"),
+        ("x ; y ; z", ["index", "--point", "P4_2"],
+         "no dominant balance with a pole in the first variable"),
     ],
 )
 def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
@@ -485,15 +506,30 @@ def test_named_point_scans_one_chart(capsys, monkeypatch):
     assert calls == ["U1"]
 
 
-def test_singularities_binds_parameters_once(capsys, monkeypatch):
-    calls = []
-    real = models.system_field
-
-    def counting(system, params=None):
-        calls.append(params)
-        return real(system, params)
-
-    monkeypatch.setattr(models, "system_field", counting)
+def test_second_parameter_point_pushes_no_scan_chart(capsys, monkeypatch, tmp_path):
+    # the field is pushed into U1-U3 and W once per model, with the parameters
+    # symbolic; a report at a second point only specializes those pushes
     code, _ = _capture(capsys, ["singularities", "--system", "three-wave", "--params", "delta=1"])
     assert code == 0
-    assert len(calls) == 1
+    calls = []
+    real = models.pushforward
+
+    def counting(v, cmap):
+        calls.append(cmap.target.name)
+        return real(v, cmap)
+
+    monkeypatch.setattr(models, "pushforward", counting)
+    for argv in (
+        ["singularities", "--system", "three-wave", "--params", "delta=2"],
+        ["index", "--system", "three-wave", "--params", "delta=2", "--point", "P4_2"],
+        ["alpha-test", "--system", "three-wave", "--params", "delta=3"],
+    ):
+        code, _ = _capture(capsys, argv)
+        assert code == 0
+    assert calls == []
+    # a model file is parsed afresh by each command, so its charts are pushed once
+    path = tmp_path / "three-wave.model"
+    path.write_text(models.export_model("three-wave"))
+    code, _ = _capture(capsys, ["singularities", "--system", str(path), "--params", "delta=2"])
+    assert code == 0
+    assert calls == ["U1", "U2", "U3", "W"]

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import oracles
-from threewave import models
+import pytest
+from threewave import models, reports
+from threewave.errors import DenominatorVanishes
 from threewave.gaussian import gr
-from threewave.geometry import jacobian_determinant
+from threewave.geometry import ChartMap, jacobian_determinant, pushforward
 from threewave.parsing import parse_expr
 from threewave.ratfunc import RationalFn, substitute
 
@@ -111,19 +113,19 @@ def test_unit_jacobians_everywhere():
             assert jacobian_determinant(cmap) == RationalFn.const(cmap.table, 1)
 
 
+def _atlas_verdicts(kind, params=None):
+    pushed = [models.chart_field(kind, cm, params) for cm in models.model(kind).atlas("resolved")]
+    return models.verify_atlas_holomorphy(pushed)
+
+
 def test_atlas_holomorphy_on_condition_locus():
-    v = models.three_wave_system(0, -1)
-    verdicts = models.verify_atlas_holomorphy(v, models.resolved_atlas("three-wave", [0, -1]))
-    assert all(d["polynomial"] for d in verdicts)
+    assert all(d["polynomial"] for d in _atlas_verdicts("three-wave", [0, -1]))
     # gamma = 0, delta symbolic is the other branch
-    v2 = models.three_wave_system(None, 0)
-    verdicts2 = models.verify_atlas_holomorphy(v2, models.resolved_atlas("three-wave", [None, 0]))
-    assert all(d["polynomial"] for d in verdicts2)
+    assert all(d["polynomial"] for d in _atlas_verdicts("three-wave", [None, 0]))
 
 
 def test_atlas_holomorphy_fails_generically_with_witnesses():
-    v = models.three_wave_system()
-    verdicts = models.verify_atlas_holomorphy(v, models.resolved_atlas("three-wave"))
+    verdicts = _atlas_verdicts("three-wave")
     bad = [d for d in verdicts if not d["polynomial"]]
     assert [d["chart"] for d in bad] == ["T2-3"]
     assert bad[0]["obstruction_conditions"] == ["delta*gamma", "gamma^2+gamma"]
@@ -131,15 +133,11 @@ def test_atlas_holomorphy_fails_generically_with_witnesses():
 
 def test_atlas_holomorphy_fails_on_violating_specialization():
     # an exact parameter pair violating both conditions leaves a genuine pole
-    v = models.three_wave_system(1, 1)
-    verdicts = models.verify_atlas_holomorphy(v, models.resolved_atlas("three-wave", [1, 1]))
-    assert any(not d["polynomial"] for d in verdicts)
+    assert any(not d["polynomial"] for d in _atlas_verdicts("three-wave", [1, 1]))
 
 
 def test_modified_atlas_polynomial_for_symbolic_parameters():
-    v = models.modified_system()
-    verdicts = models.verify_atlas_holomorphy(v, models.resolved_atlas("modified"))
-    assert all(d["polynomial"] for d in verdicts)
+    assert all(d["polynomial"] for d in _atlas_verdicts("modified"))
 
 
 def test_pi_symmetry_exact():
@@ -205,3 +203,90 @@ def test_identity_symmetry_trivially_invariant():
     assert ident.is_identity()
     rep = models.verify_symmetry(models.modified_system(), ident)
     assert rep["invariant"]
+
+
+# -- fields pushed once per model and chart -----------------------------------------
+
+
+def _differential_points(kind, rng):
+    values = (None, 0, 1, -1, Fraction(1, 2), gr(1, 1), gr(0, -3))
+    n = len(models.param_symbols(kind))
+    points = [[rng.choice(values) for _ in range(n)] for _ in range(4)]
+    if kind == "three-wave":
+        return points + [[0, -1], [0, 0]]
+    return points + [[0] * 5, [rng.choice(values) for _ in range(4)] + [0]]
+
+
+def _assert_chart_fields_match(m, maps, points):
+    # the symbolic push, specialized, against the specialized field pushed
+    # through the specialized map, text for text
+    for point in points:
+        bindings = models.bind_parameters(m, point)
+        field = models.system_field(m, point)
+        for cm in maps:
+            got = models.chart_field(m, cm, point)
+            want = pushforward(field.retable(cm.table), cm.specialize(bindings))
+            assert got.chart == want.chart, (cm, point)
+            assert [c.text() for c in got.components] == [c.text() for c in want.components], (
+                cm,
+                point,
+            )
+            jac = jacobian_determinant(cm.specialize(bindings)).text()
+            assert models.chart_jacobian(m, cm, point).text() == jac, (cm, point)
+
+
+def test_chart_field_equals_the_specialized_pushforward(tmp_path):
+    rng = random.Random(41)
+    for kind in ("three-wave", "modified"):
+        path = tmp_path / f"{kind}.model"
+        path.write_text(models.export_model(kind))
+        points = _differential_points(kind, rng)
+        for m in (models.model(kind), models.model(str(path))):
+            maps = m.atlas("projective")[1:] + [models.weighted_chart(m)[1]] + m.atlas("resolved")
+            assert [cm.target.name for cm in maps][:4] == ["U1", "U2", "U3", "W"]
+            _assert_chart_fields_match(m, maps, points)
+    # a random model file whose resolved maps carry the parameters
+    path = tmp_path / "random.model"
+    path.write_text(oracles.random_model_text(rng))
+    m = models.model(str(path))
+    values = (None, 0, 1, -2, Fraction(1, 2), gr(1, 1))
+    points = [[rng.choice(values), rng.choice(values)] for _ in range(6)]
+    _assert_chart_fields_match(m, m.atlas("resolved"), points)
+
+
+def test_chart_field_of_the_base_chart_is_the_field():
+    m = models.model("modified")
+    assert models.chart_field(m, m.atlas("resolved")[0]) is m.fields["U0"]
+    assert models.atlas(m, "resolved", [1, 2, 3, 4, 5])[0] is m.identity
+
+
+def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, monkeypatch):
+    # a resolved map dividing by delta is not defined at delta = 0: the
+    # report fails with the map's own error, as when the map alone is bound
+    text = models.export_model("three-wave").replace(
+        "atlas resolved : T2-1 T2-2 T2-3",
+        "chart T9 : p q r @ p\n"
+        "map U0 T9 : x ; y ; delta*z | p ; q ; r/delta\n"
+        "atlas resolved : T2-1 T2-2 T2-3 T9",
+    )
+    path = tmp_path / "singular-map.model"
+    path.write_text(text)
+    m = models.model(str(path))
+    t9 = m.atlas("resolved")[-1]
+    with pytest.raises(DenominatorVanishes) as want:
+        t9.specialize(models.bind_parameters(m, [0, 1]))
+    with pytest.raises(DenominatorVanishes) as got:
+        reports.atlas_report(m, [0, 1])
+    assert str(got.value) == str(want.value)
+    # at a point where every map is defined, each one is verified there again
+    verified = []
+    real = ChartMap._verify
+
+    def counting(cmap):
+        verified.append(cmap.target.name)
+        return real(cmap)
+
+    monkeypatch.setattr(ChartMap, "_verify", counting)
+    rep = reports.atlas_report(m, [1, 1])
+    assert verified == ["T2-1", "T2-2", "T2-3", "T9"]
+    assert rep["jacobians"][-1]["jacobian_determinant"] == "1"

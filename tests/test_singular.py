@@ -38,6 +38,11 @@ def _chart_field(kind, chart_name, params=None):
     return pushforward(models.system_field(kind, params), cmap)
 
 
+def _pipeline(kind, params=None):
+    wmap = models.weighted_chart(kind)[1]
+    return resolution_pipeline(models.chart_field(kind, wmap, params), wmap)
+
+
 # -- accessible points ---------------------------------------------------------
 
 
@@ -119,7 +124,7 @@ def test_paper_point_resolves_on_the_model_chart():
     balance, wmap = models.weighted_chart(m)
     assert balance.exponents == (1, 0, 2)
     _, scan = reports.scan_chart(m, [0, -1], "W")
-    rep = resolution_pipeline(v, wmap)
+    rep = resolution_pipeline(models.chart_field(m, wmap, [0, -1]), wmap)
     assert [p.text() for p, _ in rep.weighted_points] == [p.text() for p in scan.points]
     assert [p.text() for p in scan.points] == ["(0, 0, -1)", "(0, 0, 0)"]
     assert rep.obstruction.is_empty()
@@ -461,14 +466,16 @@ def test_blow_up_map_round_trip_numeric():
 
 
 def test_pipeline_reproduces_conditions():
-    v = models.three_wave_system()
-    rep = resolution_pipeline(v, models.weighted_chart("three-wave")[1])
+    rep = _pipeline("three-wave")
     assert rep.obstruction.texts() == ["delta*gamma", "gamma^2+gamma"]
     assert [b.text() for b in rep.branches] == ["{delta = 0, gamma = -1}", "{gamma = 0}"]
     assert [c.text() for c in rep.centers] == ["(0, -1/2*delta*gamma, -2*gamma-2)"]
 
 
-def test_pipeline_pushes_forward_once_per_lineage_chart(monkeypatch):
+def test_pipeline_pushes_forward_only_along_its_blow_up_charts(monkeypatch):
+    # the field on W is pushed once per model (models.chart_field), so at a
+    # second parameter point only the blow-ups push a field forward
+    reports.pipeline_report("three-wave", [1, 0])
     calls = []
     real = singular.pushforward
 
@@ -477,16 +484,23 @@ def test_pipeline_pushes_forward_once_per_lineage_chart(monkeypatch):
         return real(v, cmap)
 
     monkeypatch.setattr(singular, "pushforward", counting)
-    rep = reports.pipeline_report("three-wave")
-    assert calls == rep["chart_lineage"]
+    monkeypatch.setattr(models, "pushforward", counting)
+    rep = reports.pipeline_report("three-wave", [2, 0])
+    assert rep["chart_lineage"][0] == "W"
+    assert calls == rep["chart_lineage"][1:]
+
+
+def test_pipeline_refuses_a_field_off_the_weighted_chart():
+    wmap = models.weighted_chart("three-wave")[1]
+    with pytest.raises(ValueError, match="field lives on U0, not on W"):
+        resolution_pipeline(models.three_wave_system(), wmap)
 
 
 def test_pipeline_composed_chart_equals_resolved_chart_three():
     # two independent routes to the same coordinate change: the weighted
     # chart followed by the two blow-ups composes to the atlas's third
     # twisted chart, up to flipping the sign of the middle coordinate
-    v = models.three_wave_system()
-    rep = resolution_pipeline(v, models.weighted_chart("three-wave")[1])
+    rep = _pipeline("three-wave")
     composed = rep.composed_map()
     big = rep.final_field.table
     t23 = next(m for m in models.resolved_atlas("three-wave") if m.target.name == "T2-3")
@@ -512,8 +526,7 @@ def test_pipeline_composed_chart_equals_resolved_chart_three():
 
 
 def test_pipeline_modified_system_resolves_cleanly():
-    v = models.modified_system()
-    rep = resolution_pipeline(v, models.weighted_chart("modified")[1])
+    rep = _pipeline("modified")
     assert rep.obstruction.is_empty()
 
 
@@ -549,8 +562,7 @@ def test_obstruction_specialization_both_directions():
     # the pipeline runs on symbolic parameters; specializing its final field
     # at values satisfying the conditions must give polynomials, and values
     # violating them must leave a genuine pole
-    v = models.three_wave_system()
-    rep = resolution_pipeline(v, models.weighted_chart("three-wave")[1])
+    rep = _pipeline("three-wave")
     table = rep.final_field.table
     d, g = table.get("delta"), table.get("gamma")
 
