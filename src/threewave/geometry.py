@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import PoleTooHigh, VerificationFailed
+from .errors import DenominatorVanishes, PoleTooHigh, VerificationFailed
 from .gaussian import GaussianRational
 from .poly import MultiPoly
 from .ratfunc import RationalFn, clear_denominators, substitute
@@ -132,8 +132,19 @@ class ChartMap:
         make it singular (itself when nothing is bound)."""
         if not bindings:
             return self
-        return ChartMap(self.source, self.target, [f.specialize(bindings) for f in self.forward],
-                        [g.specialize(bindings) for g in self.inverse])
+        halves = []
+        for direction, fns in (("forward", self.forward), ("inverse", self.inverse)):
+            half = []
+            for k, f in enumerate(fns, 1):
+                try:
+                    half.append(f.specialize(bindings))
+                except DenominatorVanishes as exc:
+                    raise DenominatorVanishes(
+                        f"chart map {self.source.name}->{self.target.name}: {direction} "
+                        f"component {k} ({f.text()}): {exc}"
+                    ) from None
+            halves.append(half)
+        return ChartMap(self.source, self.target, *halves)
 
     def _verify(self):
         table = self.table

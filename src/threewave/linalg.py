@@ -1,12 +1,15 @@
 """Exact null space of a homogeneous linear system over the parameter
 function field.
 
-The rows are polynomials in parameter symbols. A fraction-free Gauss-Jordan
-elimination reduces them: each update is ``pivot*row - entry*pivot_row``
-followed by removal of the row's polynomial content, so rational functions
-appear only in the null-space basis. Pivots are chosen greedily by entry
-complexity, which makes the frequent "one unknown pinned per row" constraint
-systems collapse cheaply.
+The rows are polynomials in parameter symbols, each kept sparse as a
+``{column: nonzero entry}`` map, since the holomorphy systems are mostly
+zeros. A fraction-free Gauss-Jordan elimination reduces them: each update is
+``pivot*row - entry*pivot_row``, which scales the row's own entries and
+subtracts over the pivot row's support only, followed by removal of the
+row's polynomial content, so rational functions appear only in the
+null-space basis. Pivots are chosen greedily by entry complexity (total
+degree, term count, then the row's nonzero count), which makes the frequent
+"one unknown pinned per row" constraint systems collapse cheaply.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ def linear_solve(matrix: Sequence[Sequence[MultiPoly]]) -> LinearSolution:
             if any(s.kind != "parameter" for s in entry.variables()):
                 raise ValueError("linear_solve entries must involve parameters only")
 
-    rows = [_normalize_row(list(r)) for r in matrix if any(not e.is_zero() for e in r)]
+    # each row is a sparse {column: nonzero entry} map
+    rows = [_normalize_row({c: e for c, e in enumerate(r) if not e.is_zero()}) for r in matrix]
+    rows = [row for row in rows if row]
     pivots: list[tuple[int, int]] = []  # (row index in rows, column)
     pivot_cols: set[int] = set()
     remaining = set(range(len(rows)))
@@ -48,13 +53,10 @@ def linear_solve(matrix: Sequence[Sequence[MultiPoly]]) -> LinearSolution:
         best = None
         for ri in remaining:
             row = rows[ri]
-            nnz = sum(1 for e in row if not e.is_zero())
-            if nnz == 0:
-                continue
-            for c in range(ncols):
-                if c in pivot_cols or row[c].is_zero():
+            nnz = len(row)
+            for c, e in row.items():
+                if c in pivot_cols:
                     continue
-                e = row[c]
                 key = (e.total_degree(), e.term_count(), nnz, c, ri)
                 if best is None or key < best[0]:
                     best = (key, ri, c)
@@ -66,11 +68,20 @@ def linear_solve(matrix: Sequence[Sequence[MultiPoly]]) -> LinearSolution:
         remaining.discard(ri)
         prow = rows[ri]
         pe = prow[col]
-        for rj in range(len(rows)):
-            if rj == ri or rows[rj][col].is_zero():
+        scale = not (pe.is_constant() and pe.constant_value().is_one())
+        for rj, row in enumerate(rows):
+            factor = row.get(col)
+            if rj == ri or factor is None:
                 continue
-            factor = rows[rj][col]
-            rows[rj] = _normalize_row([pe * a - factor * b for a, b in zip(rows[rj], prow)])
+            new = {c: pe * a for c, a in row.items()} if scale else dict(row)
+            for c, b in prow.items():
+                a = new.get(c)
+                e = -(factor * b) if a is None else a - factor * b
+                if e.is_zero():
+                    del new[c]
+                else:
+                    new[c] = e
+            rows[rj] = _normalize_row(new)
 
     # after Gauss-Jordan a pivot row holds its pivot and free columns only
     zero, one = RationalFn.const(table, 0), RationalFn.const(table, 1)
@@ -82,22 +93,24 @@ def linear_solve(matrix: Sequence[Sequence[MultiPoly]]) -> LinearSolution:
         vec[fc] = one
         for ri, col in pivots:
             row = rows[ri]
-            if not row[fc].is_zero():
+            if fc in row:
                 vec[col] = RationalFn(-row[fc], row[col])
         nullspace.append(tuple(vec))
     return LinearSolution(rank=len(pivots), nullspace=tuple(nullspace))
 
 
-def _normalize_row(row: list[MultiPoly]) -> list[MultiPoly]:
-    nz = [e for e in row if not e.is_zero()]
-    if not nz:
+def _normalize_row(row: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
+    """Divide a sparse row by its polynomial content, then make the leading
+    coefficient of its first entry 1. A nonzero constant entry makes the
+    content a unit, so its gcd is skipped."""
+    if not row:
         return row
-    g = poly_gcd_many(nz)
-    if not g.is_constant():
-        row = [e.exact_divide(g) if not e.is_zero() else e for e in row]
-        nz = [e for e in row if not e.is_zero()]
-    lead = nz[0].leading_coefficient()
+    if not any(e.is_constant() for e in row.values()):
+        g = poly_gcd_many([row[c] for c in sorted(row)])
+        if not g.is_constant():
+            row = {c: e.exact_divide(g) for c, e in row.items()}
+    lead = row[min(row)].leading_coefficient()
     if lead.is_one():
         return row
     inv = lead.inverse()
-    return [e.map_coefficients(lambda c: c * inv) for e in row]
+    return {c: e.map_coefficients(lambda x: x * inv) for c, e in row.items()}

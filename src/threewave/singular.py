@@ -30,7 +30,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import AnalysisFailed, PositiveDimensional, UnresolvedSpectrum, VerificationFailed
+from .errors import (
+    AnalysisFailed, DenominatorVanishes, PositiveDimensional, UnresolvedSpectrum, VerificationFailed,
+)
 from .gaussian import GaussianRational
 from .geometry import Chart, ChartMap, VectorField, det3, log_pole_decomposition, pushforward
 from .poly import MultiPoly, poly_gcd, resultant
@@ -428,7 +430,8 @@ def _solve_poly_system(eqs, unknowns, table) -> list[dict[Symbol, RationalFn]]:
     ``unknowns`` over the parameter field; zero roots are pruned."""
     results: list[dict[Symbol, RationalFn]] = []
 
-    def recurse(pending: list[MultiPoly], branch: dict[Symbol, RationalFn], suspect: bool):
+    def recurse(pending: list[MultiPoly], branch: dict[Symbol, RationalFn], suspect: bool,
+                seeded: int = 0):
         live = []
         for eq in pending:
             cur = eq
@@ -444,7 +447,18 @@ def _solve_poly_system(eqs, unknowns, table) -> list[dict[Symbol, RationalFn]]:
                 return  # generically nonzero parameter constraint: dead branch
             live.append(cur)
         if not live:
-            key = _resolve_branch(branch, table)
+            try:
+                key = _resolve_branch(branch, table)
+            except DenominatorVanishes:
+                # a later pin zeroes the denominator of an earlier pin's value,
+                # which was solved assuming it nonzero: solve again with the
+                # later pins put into the original equations first, where no
+                # solution drops the branch
+                seed = _resolvable_tail(branch, table)
+                if len(seed) <= seeded:
+                    raise AnalysisFailed("a balance branch does not resolve") from None
+                recurse(list(eqs), seed, True, len(seed))
+                return
             if key not in results and not (suspect and not _solves(eqs, key, table)):
                 results.append(key)
             return
@@ -459,7 +473,7 @@ def _solve_poly_system(eqs, unknowns, table) -> list[dict[Symbol, RationalFn]]:
             seen.add(r)
             nb = dict(branch)
             nb[sym] = r
-            recurse(rest, nb, suspect)
+            recurse(rest, nb, suspect, seeded)
 
     recurse(list(eqs), {}, False)
     return results
@@ -480,6 +494,19 @@ def _resolve_branch(branch: dict[Symbol, RationalFn], table) -> dict[Symbol, Rat
         if not changed:
             break
     return branch
+
+
+def _resolvable_tail(branch: dict[Symbol, RationalFn], table) -> dict[Symbol, RationalFn]:
+    """The longest run of last-solved pins that back-substitutes without a
+    vanishing denominator, resolved."""
+    pins = list(branch.items())
+    tail: dict[Symbol, RationalFn] = {}
+    for start in range(len(pins) - 1, -1, -1):
+        try:
+            tail = _resolve_branch(dict(pins[start:]), table)
+        except DenominatorVanishes:
+            break
+    return tail
 
 
 def _solves(eqs, bindings: dict[Symbol, RationalFn], table) -> bool:

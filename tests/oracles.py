@@ -134,7 +134,94 @@ def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
     return eqs
 
 
+def naive_evaluate(p: MultiPoly, point: dict) -> GaussianRational:
+    """``p`` at exact values of its symbols, term by term with repeated
+    multiplication."""
+    total = GaussianRational(0)
+    for e, c in p.terms.items():
+        term = c
+        for sym, d in zip(p.table.symbols, e):
+            for _ in range(d):
+                term = term * point[sym]
+        total = total + term
+    return total
+
+
+def dense_nullspace(matrix) -> tuple[int, dict[int, list[GaussianRational]]]:
+    """Rank and null-space basis of a dense matrix over Q(i) by textbook
+    Gauss-Jordan elimination: columns left to right, the first row with a
+    nonzero entry as pivot. The basis is keyed by free column; each vector
+    has 1 in its own free column and 0 in the other free columns."""
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = {}
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [GaussianRational(0)] * ncols
+        vec[fc] = GaussianRational(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][fc]
+        basis[fc] = vec
+    return len(pivots), basis
+
+
 # -- seeded inputs for the differential tests ------------------------------------
+
+
+def random_parametric_matrix(rng, table, density: float) -> list[list[MultiPoly]]:
+    """A random matrix of polynomials in the table's parameters, 2-5 rows by
+    2-7 columns, each entry nonzero with probability ``density`` (a constant,
+    a parameter or a sum of up to three terms of degree <= 2, coefficients
+    sometimes Gaussian). Then a few rows are replaced by a zero row, a copy
+    of another row, or a polynomial combination of two others, so that zero
+    rows, duplicate rows and rank-deficient shapes all occur."""
+    params = table.parameters()
+
+    def coeff():
+        return GaussianRational(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((0, 0, 0, 1)))
+
+    def entry():
+        if rng.random() >= density:
+            return MultiPoly.zero(table)
+        p = MultiPoly.zero(table)
+        for _ in range(rng.randint(1, 3)):
+            term = MultiPoly.const(table, coeff())
+            for _ in range(rng.randint(0, 2)):
+                term = term * MultiPoly.var(table, rng.choice(params))
+            p = p + term
+        return p
+
+    nrows, ncols = rng.randint(2, 5), rng.randint(2, 7)
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randrange(nrows)
+        shape = rng.randrange(3)
+        if shape == 0:
+            rows[k] = [MultiPoly.zero(table)] * ncols
+        elif shape == 1:
+            rows[k] = list(rows[rng.randrange(nrows)])
+        else:
+            i, j = rng.randrange(nrows), rng.randrange(nrows)
+            a, b = entry() + MultiPoly.const(table, 1), entry()
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
 
 
 def random_ratfn(rng, table, syms) -> RationalFn:

@@ -426,12 +426,45 @@ def test_uniqueness_on_exported_file_prints_the_builtin_bytes(capsys, exported, 
 
 
 # a field with no pole in x, and one that is not polynomial on U1
+FIELD_113 = (
+    "(1)*x*z + (-2)*x + (1/2)*y^2 + (2)*z ; (-1/2)*x*z + (-2)*y^2 + (-1/2)*y ;"
+    " (-1)*x^2 + (2)*x*y + (2)*x*z + (-1/2)*x + (1)*y*z + (2)*z^2 + (-1/2)*z + (-1)"
+)
+
 PROJECTIVE_TOY = """
 chart U0 : x y z
 chart U1 : X1 Y1 Z1 @ X1
 system U0 : {field}
 map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
 """
+
+
+def test_painleve_on_a_field_with_a_vanishing_back_substitution(tmp_path, capsys):
+    # one (1, 1, 1) branch of this random field pins a value whose denominator
+    # a later pin zeroes; the branch is solved again, not the end of the report
+    path = tmp_path / "field.model"
+    path.write_text(PROJECTIVE_TOY.format(field=FIELD_113))
+    code, out = _capture(capsys, ["painleve", "--system", str(path)])
+    assert code == 0
+    assert all(b["verified"] for b in json.loads(out)["balances"])
+
+
+def test_singular_chart_map_error_names_the_map(tmp_path, capsys):
+    text = models.export_model("three-wave").replace(
+        "atlas resolved : T2-1 T2-2 T2-3",
+        "chart T9 : p q r @ p\n"
+        "map U0 T9 : x ; y ; delta*z | p ; q ; r/delta\n"
+        "atlas resolved : T2-1 T2-2 T2-3 T9",
+    )
+    path = tmp_path / "singular-map.model"
+    path.write_text(text)
+    code = run(["verify-atlas", "--system", str(path), "--params", "delta=0,gamma=-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.strip() == (
+        "error: chart map U0->T9: inverse component 3 (r/(delta)): "
+        "denominator vanishes at the given values"
+    )
 
 
 def test_unknown_point_label_is_a_usage_error(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
-from threewave.gaussian import gr
+from threewave.gaussian import GaussianRational, gr
 from threewave.linalg import linear_solve
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn
 from threewave.symbols import table
+from threewave.uniqueness import build_constraints
 
 
 @pytest.fixture()
@@ -109,3 +111,46 @@ def test_state_symbols_rejected():
 def test_empty_system_rejected():
     with pytest.raises(ValueError):
         linear_solve([])
+
+
+def _random_point(rng, params):
+    return {
+        p: GaussianRational(Fraction(rng.choice([n for n in range(-40, 41) if n]), rng.randint(1, 7)),
+                            rng.choice((0, 0, 1)))
+        for p in params
+    }
+
+
+@pytest.mark.parametrize("density", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+@pytest.mark.parametrize("seed", range(5))
+def test_solve_agrees_with_dense_oracle_at_random_points(t, density, seed):
+    # the generic rank is the rank at a random point, and every null vector
+    # specializes into the null space of the matrix at that point
+    rng = random.Random(1000 * seed + int(10 * density))
+    A = oracles.random_parametric_matrix(rng, t, density)
+    sol = linear_solve(A)
+    ncols = len(A[0])
+    assert sol.rank + sol.nullity == ncols
+    for _ in range(3):
+        point = _random_point(rng, t.parameters())
+        rank, basis = oracles.dense_nullspace(
+            [[oracles.naive_evaluate(e, point) for e in row] for row in A])
+        assert sol.rank == rank
+        for vec in sol.nullspace:
+            at = [oracles.naive_evaluate(c.num, point) / oracles.naive_evaluate(c.den, point)
+                  for c in vec]
+            # a null vector is the combination of the basis with its own
+            # entries in the free columns as weights
+            combo = [sum((at[fc] * b[k] for fc, b in basis.items()), GaussianRational(0))
+                     for k in range(ncols)]
+            assert at == combo
+
+
+@pytest.mark.parametrize("system, rank", [("modified", 29), ("three-wave", 30)])
+def test_builtin_constraint_systems(system, rank):
+    rows = build_constraints(system).rows
+    sol = linear_solve(rows)
+    assert (sol.rank, sol.nullity) == (rank, 30 - rank)
+    for vec in sol.nullspace:
+        for row in rows:
+            assert _apply(row, vec).is_zero()

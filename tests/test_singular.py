@@ -355,6 +355,34 @@ def test_painleve_returns_only_verified_balances():
     assert all(verify_balance(v, b) for b in balances)
 
 
+def test_branch_whose_back_substitution_vanishes_is_solved_again():
+    # a = (c-1)/(b-1) is pinned first, then c = 1 and b = 1 zero its
+    # denominator; with b = c = 1 put into the equations first, a = 2
+    t = table("a:parameter", "b:parameter", "c:parameter")
+    a, b, c = (MultiPoly.var(t, n) for n in "abc")
+    one = MultiPoly.const(t, 1)
+    eqs = [(b - one) * a - (c - one), a * b * c - 2 * c, a * b * c - a * c]
+    (sol,) = singular._solve_poly_system(eqs, tuple(t.get(n) for n in "abc"), t)
+    assert {s.name: v.text() for s, v in sol.items()} == {"a": "2", "b": "1", "c": "1"}
+
+
+def test_painleve_drops_a_branch_with_no_solution_after_the_pin():
+    # lead1 = -1/2*lead2^2/(lead3+1) meets lead3 = -1 at pole orders (1, 1, 1);
+    # with lead3 = -1 put in first only lead2 = 0 solves, so no balance is left
+    t = table("x", "y", "z")
+    chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
+    v = VectorField(chart, parse_triple(FIELD_113, t))
+    assert list(singular._balances(v, [(1, 1, 1)])) == []
+    assert all(verify_balance(v, b) for b in painleve_leading_orders(v, 2))
+
+
+# a random field of the bench's cli workload (seed 113) on which painleve failed
+FIELD_113 = (
+    "x*z - 2*x + 1/2*y^2 + 2*z ; -1/2*x*z - 2*y^2 - 1/2*y ;"
+    " -x^2 + 2*x*y + 2*x*z - 1/2*x + y*z + 2*z^2 - 1/2*z - 1"
+)
+
+
 def test_painleve_linear_system_has_no_balance():
     t = table("x", "y", "z")
     chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
