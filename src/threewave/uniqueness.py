@@ -1,12 +1,15 @@
 """Classification of quadratic polynomial systems by atlas holomorphy.
 
 A general degree <= 2 ansatz (30 unknown coefficients, 10 monomials per
-component) in a model's base-chart variables is pushed through every twisted
-chart of the model's resolved atlas. Requiring each pushforward to be
-polynomial makes every coefficient of a negative boundary power vanish; those
-coefficients are linear in the ansatz unknowns with polynomial coefficients
-in the model's parameters, so the classification reduces to one exact linear
-solve.
+component) in a model's base-chart variables must stay polynomial on every
+twisted chart of the model's resolved atlas: every coefficient of a negative
+boundary power in its pushforward must vanish. The pushforward is linear in
+the field, so those coefficients are read off the images of the 30 single
+terms m_j * e_k, each the product of a Jacobian entry of the chart map and a
+monomial, both composed with the inverse map once. They are linear in the
+ansatz unknowns with polynomial coefficients in the model's parameters and
+depend on the model alone, so the rows are built once per model and the
+classification reduces to one exact linear solve.
 
 Polynomiality is scale invariant (any constant multiple of a solution is a
 solution), so a one-dimensional null space is the best possible answer (the
@@ -20,12 +23,14 @@ scale-freedom claim is checked, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import AnalysisFailed, ThreeWaveError
+from .errors import AnalysisFailed
 from .gaussian import ONE
-from .geometry import Chart, ChartMap, VectorField, pushforward
+from .geometry import Chart, ChartMap, VectorField, jacobian_matrix
 from .linalg import linear_solve
 from .models import model, system_field
+from .parsing import ModelFile
 from .poly import MultiPoly
 from .ratfunc import RationalFn, substitute
 from .singular import negative_power_part
@@ -113,39 +118,77 @@ def ansatz_context(system="modified") -> AnsatzContext:
 
 
 def build_constraints(system="modified") -> ConstraintSystem:
-    """Linear conditions in the ansatz coefficients from every twisted chart.
+    """Linear conditions in the ansatz coefficients from every twisted chart,
+    built once per model (memoized on the parsed model's identity, so a model
+    file loaded again gets fresh rows).
 
-    Each pushforward component is num / boundary^k; every coefficient (in
-    the chart variables) of a negative boundary power must vanish. Each such
-    coefficient is a linear form in c1..c30, and its row holds the partial
-    derivatives in c1..c30, polynomial in the parameters; the identity chart
-    contributes nothing.
+    The pushforward is linear in the field, so column (k, j) of component i
+    on the chart of phi is the pushforward of the single term m_j * e_k:
+    (d phi_i / d x_k o phi^-1) * (m_j o phi^-1), with each Jacobian entry and
+    monomial composed with phi^-1 once. Over the component's common
+    denominator boundary^K, every numerator term of boundary degree below K
+    carries a pole; the row of a state monomial mu holds each column's
+    coefficient of mu, polynomial in the parameters. Rows come chart by
+    chart, component by component, and by ascending exponent vector of mu
+    in the table's symbol order; the identity chart contributes nothing.
     """
-    context = ansatz_context(system)
+    return _constraints(model(system))
+
+
+@lru_cache(maxsize=16)  # keyed by identity: each load of a model file is a new key
+def _constraints(m: ModelFile) -> ConstraintSystem:
+    context = ansatz_context(m)
     table = context.table
-    linear = {c: 1 for c in context.coefficients}
+    x, y, z = (RationalFn.var(table, s) for s in context.chart.vars)
+    monomials = [x**a * y**b * z**c for a, b, c in MONOMIAL_EXPONENTS]
+    zero = MultiPoly.zero(table)
+    width = len(context.coefficients)
     rows: list[tuple[MultiPoly, ...]] = []
     origins: list[str] = []
     for cmap in context.atlas:
-        w = pushforward(context.field, cmap)
-        for ci, comp in enumerate(w.components):
+        inverse = dict(zip(cmap.source.vars, cmap.inverse))
+        jacobian = [[substitute(d, inverse, table) for d in row] for row in jacobian_matrix(cmap)]
+        images = [substitute(mono, inverse, table) for mono in monomials]
+        for ci, jac_row in enumerate(jacobian):
+            # column n*k + j is the image of the single term m_j * e_k
+            columns = {
+                len(images) * k + j: d * image
+                for k, d in enumerate(jac_row) if not d.is_zero()
+                for j, image in enumerate(images)
+            }
             try:
-                part = negative_power_part(comp, cmap.target.boundary)
+                groups = _pole_coefficients(columns, cmap.target.boundary)
             except ValueError as exc:
                 raise AnalysisFailed(f"chart {cmap.target.name}: {exc}") from None
-            groups = part.split_by_state_monomial()
-            for key, poly in groups.items():
-                degrees = poly.split_by_weight(linear)
-                if max(degrees) > 1:
-                    raise ThreeWaveError("expected a linear form in the ansatz coefficients")
-                if 0 in degrees:
-                    raise ThreeWaveError("constraint system is not homogeneous in the ansatz")
-                rows.append(tuple(poly.derivative(c) for c in context.coefficients))
+            for key in sorted(groups):
+                entries = groups[key]
+                rows.append(tuple(entries.get(col, zero) for col in range(width)))
                 monomial = MultiPoly(table, {key: ONE}).text()
                 origins.append(f"{cmap.target.name}:component{ci + 1}:{monomial}")
     if not rows:
         raise AnalysisFailed("no chart of the resolved atlas constrains the ansatz")
     return ConstraintSystem(context, tuple(rows), tuple(origins))
+
+
+def _pole_coefficients(
+    columns: dict[int, RationalFn], boundary: Symbol
+) -> dict[tuple[int, ...], dict[int, MultiPoly]]:
+    """The pole part of sum_col c_col * columns[col], with every denominator
+    a power of ``boundary``: for each state monomial mu of its numerator
+    over the common denominator boundary^K, the coefficient of mu in each
+    column, polynomial in the parameters. A column over boundary^e is
+    shifted by boundary^(K - e), its factor in the common denominator. Any
+    other denominator raises ValueError."""
+    parts = {
+        col: (negative_power_part(f, boundary), f.den.degree(boundary))
+        for col, f in columns.items()
+    }
+    order = max((e for _, e in parts.values()), default=0)
+    groups: dict[tuple[int, ...], dict[int, MultiPoly]] = {}
+    for col, (part, e) in parts.items():
+        for key, poly in part.shift_var(boundary, order - e).split_by_state_monomial().items():
+            groups.setdefault(key, {})[col] = poly
+    return groups
 
 
 def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:

@@ -13,11 +13,11 @@ fields, every built-in map and a blow-up chart) live here too.
 from __future__ import annotations
 
 from threewave import models
-from threewave.gaussian import GaussianRational
-from threewave.geometry import Chart, ChartMap, VectorField
+from threewave.gaussian import ONE, GaussianRational
+from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
-from threewave.singular import blow_up
+from threewave.singular import blow_up, negative_power_part
 from threewave.symbols import parameter, table as make_table
 
 
@@ -303,3 +303,31 @@ map C0 C1 : 1/x ; y/x + {c}*a ; z/x | 1/X ; (Y - {c}*a)/X ; Z/X
 map C0 C2 : 1/x ; (y - {d}*b*x)*x ; z + {c}*a*x | 1/P ; Q*P + {d}*b/P ; R - {c}*a/P
 atlas resolved : C1 C2
 """
+
+
+def ansatz_pushforward_rows(system) -> list[tuple]:
+    """The holomorphy rows of the quadratic ansatz by brute force: push the
+    whole 30-unknown ansatz through each twisted chart and read each
+    coefficient of a negative boundary power as a linear form in the
+    unknowns, one partial derivative per unknown.
+
+    Returns (chart position, component, state-exponent key, origin label,
+    row) per row, in the order the pushforward's terms come.
+    """
+    from threewave.uniqueness import ansatz_context
+
+    context = ansatz_context(system)
+    table = context.table
+    linear = {c: 1 for c in context.coefficients}
+    out = []
+    for pos, cmap in enumerate(context.atlas):
+        w = pushforward(context.field, cmap)
+        for ci, comp in enumerate(w.components):
+            part = negative_power_part(comp, cmap.target.boundary)
+            for key, poly in part.split_by_state_monomial().items():
+                # every coefficient is a linear form in the unknowns
+                assert set(poly.split_by_weight(linear)) == {1}
+                row = tuple(poly.derivative(c) for c in context.coefficients)
+                monomial = MultiPoly(table, {key: ONE}).text()
+                out.append((pos, ci, key, f"{cmap.target.name}:component{ci + 1}:{monomial}", row))
+    return out

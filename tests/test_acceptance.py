@@ -133,16 +133,19 @@ def test_criterion_6_symmetry():
 
 
 def test_criterion_7_uniqueness():
-    def body():
-        from threewave.uniqueness import build_constraints, solve_ansatz
+    from threewave import uniqueness
 
-        rep = solve_ansatz(build_constraints())
+    # the rows are memoized per model: time a cold build, not a memo hit
+    uniqueness._constraints.cache_clear()
+
+    def body():
+        rep = uniqueness.solve_ansatz(uniqueness.build_constraints())
         assert rep.normalized_consistent
         assert rep.normalized_nullity == 0
         assert rep.matches_reference
         assert rep.homogeneous_nullity == 1
 
-    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 0.5, body)
+    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 0.2, body)
 
 
 def test_criterion_8a_chart_round_trips():

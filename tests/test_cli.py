@@ -425,6 +425,52 @@ def test_uniqueness_on_exported_file_prints_the_builtin_bytes(capsys, exported, 
     assert (code, out) == (0, builtin[1].replace("alpha1", "c1"))
 
 
+def test_uniqueness_rereads_a_rewritten_model_file(capsys, tmp_path):
+    # the rows are memoized per parsed model: a file rewritten between two
+    # calls is parsed again and gets its own rows and reference field
+    path = tmp_path / "family.model"
+    text = models.export_model("modified")
+    path.write_text(text)
+    code, out = _capture(capsys, ["uniqueness", "--system", str(path)])
+    assert code == 0 and json.loads(out)["matches_reference"]
+    field = next(line for line in text.splitlines() if line.startswith("system U0 :"))
+    path.write_text(text.replace(field, "system U0 : x^2 ; y^2 ; z^2"))
+    code, out = _capture(capsys, ["uniqueness", "--system", str(path)])
+    rep = json.loads(out)
+    assert code == 1
+    assert not rep["normalized_consistent"] and rep["recovered"] is None
+
+
+RESOLVED_TOY = """
+chart U0 : x y z
+chart T1 : a b c @ a
+system U0 : -2*y^2 + z ; 2*x*y ; -2*x*z - 2*z
+map U0 T1 : {map}
+atlas resolved : T1
+"""
+
+
+@pytest.mark.parametrize(
+    "chart_map, message",
+    [
+        # a pole off the boundary a = 0
+        ("1/x ; y ; z/(y-1) | 1/a ; b ; c*(b-1)",
+         "error: chart T1: component denominator b-1 is not a power of a"),
+        # an affine chart keeps every field polynomial
+        ("x + 1 ; y ; z | a - 1 ; b ; c",
+         "error: no chart of the resolved atlas constrains the ansatz"),
+    ],
+)
+def test_uniqueness_analysis_errors_are_one_line(tmp_path, capsys, chart_map, message):
+    path = tmp_path / "toy.model"
+    path.write_text(RESOLVED_TOY.format(map=chart_map))
+    code = run(["uniqueness", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [message]
+
+
 # a field with no pole in x, and one that is not polynomial on U1
 FIELD_113 = (
     "(1)*x*z + (-2)*x + (1/2)*y^2 + (2)*z ; (-1/2)*x*z + (-2)*y^2 + (-1/2)*y ;"

@@ -1,11 +1,16 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
+import oracles
 import pytest
 
-from threewave import models
+from threewave import models, uniqueness
 from threewave.gaussian import gr
 from threewave.geometry import pushforward
 from threewave.linalg import linear_solve
+from threewave.parsing import parse_model
 from threewave.ratfunc import RationalFn
 from threewave.uniqueness import (
     MONOMIAL_EXPONENTS,
@@ -109,3 +114,68 @@ def test_recovered_field_passes_pi_symmetry(solved):
     field = VectorField(m.fields["U0"].chart, comps)
     rep = models.verify_symmetry(field, m.symmetries["pi"])
     assert rep["invariant"]
+
+
+def _bench_workloads():
+    """The benchmark's workload module, for its random model files."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.fixture(scope="module")
+def systems(tmp_path_factory):
+    out = {"modified": "modified", "three-wave": "three-wave"}
+    for kind in ("modified", "three-wave"):
+        path = tmp_path_factory.mktemp("export") / f"{kind}.model"
+        path.write_text(models.export_model(kind))
+        out[f"{kind} file"] = str(path)
+    # a random field on the projective charts, the resolved atlas of a file without one
+    workloads = _bench_workloads()
+    text = workloads.model_text(workloads.random_field(random.Random(5)))
+    out["random"] = parse_model(text, "random")
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["modified", "three-wave", "modified file", "three-wave file", "random"]
+)
+def test_rows_equal_the_ansatz_pushforward_rows(systems, name):
+    # the same rows as pushing the whole ansatz through each chart; the order
+    # rule: chart by chart, component by component, by ascending exponent key
+    oracle = oracles.ansatz_pushforward_rows(systems[name])
+    expected = [(origin, row) for *_, origin, row in sorted(oracle, key=lambda r: r[:3])]
+    cs = build_constraints(systems[name])
+    assert list(zip(cs.row_origins, cs.rows)) == expected
+    assert len(expected) == {"random": 54}.get(name, 47)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(uniqueness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(uniqueness, name, counted)
+    return calls
+
+
+def test_second_build_is_the_memoized_one(monkeypatch):
+    first = build_constraints("modified")
+    subs = _counting(monkeypatch, "substitute")
+    jac = _counting(monkeypatch, "jacobian_matrix")
+    assert build_constraints("modified") is first
+    assert subs == [] and jac == []
+    # a fresh model composes again: each map's Jacobian once, and its 9
+    # entries and 10 monomials once each
+    fresh = build_constraints(parse_model(models.export_model("modified"), "copy"))
+    assert fresh is not first
+    assert len(jac) == 3 and len(subs) == 3 * 19
