@@ -19,6 +19,7 @@ so the numeric step is only a guess generator, never a source of truth.
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,7 +203,8 @@ def _complex_coeffs(p: MultiPoly, var: Symbol, values: dict[Symbol, GaussianRati
 
 
 def _numeric_roots(coeffs: list[complex]) -> list[complex]:
-    """Durand-Kerner iteration; accuracy only needs to beat the rationalizer."""
+    """Durand-Kerner iteration; accuracy only needs to beat the rationalizer.
+    Guesses that overflowed to a non-finite value are dropped."""
     while coeffs and abs(coeffs[-1]) == 0:
         coeffs.pop()
     n = len(coeffs) - 1
@@ -234,7 +236,7 @@ def _numeric_roots(coeffs: list[complex]) -> list[complex]:
         roots = new
         if shift < 1e-13:
             break
-    return roots
+    return [r for r in roots if cmath.isfinite(r)]
 
 
 def _rationalize(x: complex) -> list[GaussianRational]:

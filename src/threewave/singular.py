@@ -20,8 +20,14 @@ divisor gets resolved:
 5. :func:`holomorphy_obstructions` reads off the parameter conditions under
    which the final field is polynomial.
 
-All computations are exact; every reported point is re-verified by
-substitution before it is returned.
+Steps 3 and 5 both end in a small polynomial system: the nonzero leading
+coefficients of a balance, and the parameter values on which the
+obstructions vanish (:func:`solve_parameter_conditions`). One parametric
+solver, :func:`solve_branches`, solves both into :class:`ConditionBranch`es.
+
+All computations are exact; every reported point, and every solver branch
+without residual factors, is re-verified by substitution before it is
+returned.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .errors import (
 )
 from .gaussian import GaussianRational
 from .geometry import Chart, ChartMap, VectorField, det3, log_pole_decomposition, pushforward
-from .poly import MultiPoly, poly_gcd, resultant
+from .poly import MultiPoly, content_in, poly_gcd, resultant
 from .ratfunc import RationalFn, substitute
 from .roots import find_roots
 from .symbols import Symbol, names_apart, parameter
@@ -357,9 +363,10 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> list[Balance]:
     nonzero leading coefficients solving the dominant balance.
 
     The balance equations are polynomial in the three leading coefficients
-    and are solved exactly by branching over :func:`find_roots`; zero roots
-    are discarded (a vanishing leading coefficient is no balance), and
-    coefficients that stay unconstrained are reported as free symbols.
+    and are solved exactly by :func:`solve_branches` for nonzero values (a
+    vanishing leading coefficient is no balance); branches left with a
+    residual factor are dropped, and coefficients that stay unconstrained
+    are reported as free symbols.
     """
     span = range(-bound, bound + 1)
     return list(_balances(v, (o for o in itertools.product(span, repeat=3) if max(o) >= 1)))
@@ -377,11 +384,12 @@ def _balances(v: VectorField, orders_seq) -> Iterator[Balance]:
     table, leads, moved = _lead_setup(v)
     for orders in orders_seq:
         eqs = _balance_equations(moved, leads, orders)
-        for branch in _solve_poly_system(eqs, leads, table):
-            coeffs = tuple(branch.get(l, RationalFn.var(table, l)) for l in leads)
-            if any(c.is_zero() for c in coeffs):
+        for branch in solve_branches(eqs, leads, table, nonzero=True):
+            pins = dict(branch.pinned)
+            coeffs = tuple(pins.get(l, RationalFn.var(table, l)) for l in leads)
+            if branch.residuals or any(c.is_zero() for c in coeffs):
                 continue
-            free = tuple(l.name for l in leads if l not in branch)
+            free = tuple(l.name for l in leads if l not in pins)
             yield Balance(tuple(orders), coeffs, free)
 
 
@@ -423,90 +431,6 @@ def _balance_equations(moved, leads, orders) -> list[MultiPoly]:
             lead_term = MultiPoly.var(comp.table, leads[k]) * m_k
             eqs.append(buckets.get(nu, MultiPoly.zero(comp.table)) + lead_term)
     return eqs
-
-
-def _solve_poly_system(eqs, unknowns, table) -> list[dict[Symbol, RationalFn]]:
-    """All fully-resolved solution branches of a small polynomial system in
-    ``unknowns`` over the parameter field; zero roots are pruned."""
-    results: list[dict[Symbol, RationalFn]] = []
-
-    def recurse(pending: list[MultiPoly], branch: dict[Symbol, RationalFn], suspect: bool,
-                seeded: int = 0):
-        live = []
-        for eq in pending:
-            cur = eq
-            if branch:
-                value = substitute(RationalFn.from_poly(eq), branch, table)
-                # a denominator in an unknown solved later can vanish at its
-                # root, where the numerator's zero is no zero of the equation
-                suspect = suspect or any(s in unknowns for s in value.den.variables())
-                cur = value.num
-            if cur.is_zero():
-                continue
-            if not any(s in unknowns for s in cur.variables()):
-                return  # generically nonzero parameter constraint: dead branch
-            live.append(cur)
-        if not live:
-            try:
-                key = _resolve_branch(branch, table)
-            except DenominatorVanishes:
-                # a later pin zeroes the denominator of an earlier pin's value,
-                # which was solved assuming it nonzero: solve again with the
-                # later pins put into the original equations first, where no
-                # solution drops the branch
-                seed = _resolvable_tail(branch, table)
-                if len(seed) <= seeded:
-                    raise AnalysisFailed("a balance branch does not resolve") from None
-                recurse(list(eqs), seed, True, len(seed))
-                return
-            if key not in results and not (suspect and not _solves(eqs, key, table)):
-                results.append(key)
-            return
-        eq = min(live, key=lambda q: (len(q.variables()), q.total_degree()))
-        sym = next(s for s in unknowns if s in eq.variables())
-        roots = find_roots(eq, sym)
-        rest = [q for q in live if q is not eq]
-        seen = set()
-        for r in roots.roots:
-            if r.is_zero() or r in seen:
-                continue
-            seen.add(r)
-            nb = dict(branch)
-            nb[sym] = r
-            recurse(rest, nb, suspect, seeded)
-
-    recurse(list(eqs), {}, False)
-    return results
-
-
-def _resolve_branch(branch: dict[Symbol, RationalFn], table) -> dict[Symbol, RationalFn]:
-    """Back-substitute pinned values into each other (earlier pins may quote
-    unknowns that were only solved later; the dependency graph is acyclic)."""
-    for _ in range(len(branch) + 1):
-        changed = False
-        out = {}
-        for s, val in branch.items():
-            nv = substitute(val, branch, table)
-            if nv != val:
-                changed = True
-            out[s] = nv
-        branch = out
-        if not changed:
-            break
-    return branch
-
-
-def _resolvable_tail(branch: dict[Symbol, RationalFn], table) -> dict[Symbol, RationalFn]:
-    """The longest run of last-solved pins that back-substitutes without a
-    vanishing denominator, resolved."""
-    pins = list(branch.items())
-    tail: dict[Symbol, RationalFn] = {}
-    for start in range(len(pins) - 1, -1, -1):
-        try:
-            tail = _resolve_branch(dict(pins[start:]), table)
-        except DenominatorVanishes:
-            break
-    return tail
 
 
 def _solves(eqs, bindings: dict[Symbol, RationalFn], table) -> bool:
@@ -619,13 +543,14 @@ def negative_power_part(comp: RationalFn, boundary: Symbol) -> MultiPoly:
     return MultiPoly(table, {e: c for e, c in comp.num.terms.items() if e[k_b] < dexp[k_b]})
 
 
-# -- parameter condition solving ----------------------------------------------------------------
+# -- parametric solving -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ConditionBranch:
-    """One solution branch: parameters pinned to exact values; unpinned
-    parameters are free; non-splitting factors stay as residual constraints."""
+    """One solution branch: unknowns pinned to exact values, in the order the
+    unknowns were given; unpinned unknowns are free; factors that do not
+    split stay as residual constraints."""
 
     pinned: tuple[tuple[Symbol, RationalFn], ...]
     residuals: tuple[MultiPoly, ...] = ()
@@ -636,61 +561,153 @@ class ConditionBranch:
         return "{" + ", ".join(parts) + "}" if parts else "{all parameters free}"
 
 
-def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[ConditionBranch]:
-    """Solution set of simultaneous parameter equations, as maximal branches.
+def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
+                   nonzero: bool = False) -> list[ConditionBranch]:
+    """Every branch of the solutions of ``eqs`` in ``unknowns``; any other
+    symbol is a parameter taken generically, so an equation free of the
+    unknowns that does not vanish has no solution. With ``nonzero`` only
+    solutions where every unknown is nonzero count.
 
-    Conditions are split into monomial factors and exact roots of univariate
-    factors; branches that are specializations of other branches are dropped,
-    so the answer is the minimal covering family.
+    The equations are taken in order of (variable count, total degree), and
+    the first pair (equation, unknown) whose leading coefficient in that
+    unknown is invertible (free of the unknowns or, with ``nonzero``, a
+    monomial in them) is solved: every unknown of the equation's monomial
+    content is a zero-pin branch, every root of the rest from
+    :func:`find_roots` a pin branch, and a factor without roots stays pending,
+    tried for that unknown. With no invertible pair, two or more equations
+    are pinned generically through their first untried pair, with the zeros
+    of that equation's content in that unknown as a branch of their own; a
+    single equation loses its monomial content to zero-pin branches and is
+    solved again, or is a residual when it has no such content. Each pin is
+    put into the earlier pins' values, and a vanishing denominator there, or
+    a zero value under ``nonzero``, drops the branch. A branch without
+    residuals is returned only when its pins solve ``eqs`` exactly.
     """
+    unknowns = tuple(unknowns)
+    results: list[ConditionBranch] = []
+
+    def keep(pins, residuals):
+        branch = ConditionBranch(tuple((s, pins[s]) for s in unknowns if s in pins), residuals)
+        if branch not in results and (residuals or _solves(eqs, pins, table)):
+            results.append(branch)
+
+    def live_after(pending, sym=None, value=None):
+        """``pending`` with ``sym = value`` put in, less the vanished
+        equations; None when one cannot vanish: it is free of the unknowns,
+        or with ``nonzero`` a single term."""
+        live = []
+        for eq in pending:
+            vs = eq.variables()
+            if sym is not None and sym in vs:
+                eq = substitute(RationalFn.from_poly(eq), {sym: value}, table).num
+                vs = eq.variables()
+            if eq.is_zero():
+                continue
+            if not any(s in unknowns for s in vs) or (nonzero and eq.is_monomial()):
+                return None  # nonzero whatever the unknowns are
+            live.append(eq)
+        return live
+
+    def pin(pending, pins, tried, sym, value):
+        if nonzero and value.is_zero():
+            return
+        new = {}
+        for s, val in pins.items():
+            if sym in val.variables():
+                try:
+                    val = substitute(val, {sym: value}, table)
+                except DenominatorVanishes:
+                    return
+                if nonzero and val.is_zero():
+                    return
+            new[s] = val
+        new[sym] = value
+        live = live_after(pending, sym, value)
+        if live is not None:
+            solve(live, new, tried)
+
+    def split_content(eq, rest, pins, tried):
+        """Zero-pin branches for the unknowns of the monomial content of
+        ``eq``; returns ``eq`` without that content."""
+        content = eq.monomial_content()
+        for s in content.variables():
+            eq = eq.shift_var(s, -content.degree(s))
+            if s in unknowns:
+                pin(rest, pins, tried, s, RationalFn.const(table, 0))
+        return eq
+
+    def pairs(live, tried):
+        """The untried pairs (equation, unknown), equations in order of
+        (variable count, total degree)."""
+        for q in sorted(live, key=lambda q: (len(q.variables()), q.total_degree())):
+            vs = q.variables()
+            for s in unknowns:
+                if s in vs and not (tried and (q, s) in tried):
+                    yield q, s
+
+    def solve(live, pins, tried):
+        if not live:
+            keep(pins, ())
+            return
+        choice = next((p for p in pairs(live, tried) if _invertible(*p, unknowns, nonzero)), None)
+        generic = choice is None
+        if generic:
+            if len(live) == 1:
+                core = split_content(live[0], [], pins, tried)
+                if core is live[0]:  # no monomial content
+                    keep(pins, (core.monic(),))
+                elif (rest := live_after([core])) is not None:
+                    solve(rest, pins, tried)
+                return
+            choice = next(pairs(live, tried), None)
+            if choice is None:
+                keep(pins, tuple(q.monic() for q in live))
+                return
+        eq, sym = choice
+        rest = [q for q in live if q is not eq]
+        if not nonzero:
+            # with nonzero the zero pins die, and find_roots drops the content
+            eq = split_content(eq, rest, pins, tried)
+        if generic:
+            # the roots take the content in sym as nonzero; its zeros are a branch
+            if (more := live_after(rest + [content_in(eq, sym)])) is not None:
+                solve(more, pins, tried)
+        roots = find_roots(eq, sym)
+        for k, r in enumerate(roots.roots):
+            if k == 0 or r != roots.roots[k - 1]:  # repeated roots are adjacent
+                pin(rest, pins, tried, sym, r)
+        if not roots.fully_split():
+            solve(rest + [roots.residual], pins, tried | {(roots.residual, sym)})
+
+    live = live_after(eqs)
+    if live is not None:
+        solve(live, {}, frozenset())
+    return results
+
+
+def _invertible(eq: MultiPoly, sym: Symbol, unknowns, nonzero: bool) -> bool:
+    """Whether the leading coefficient of ``eq`` in ``sym`` is free of the
+    unknowns or, with ``nonzero``, a monomial in them."""
+    lead = eq.coefficient_of(sym, eq.degree(sym))
+    content = lead.monomial_content()
+    return all(lead.degree(u) == (content.degree(u) if nonzero else 0) for u in unknowns)
+
+
+def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[ConditionBranch]:
+    """Solution set of simultaneous parameter equations: the branches of
+    :func:`solve_branches` in every parameter that occurs, less those that
+    specialize another branch (the minimal covering family), sorted by text."""
     if not conditions:
         return [ConditionBranch(())]
-    table = conditions[0].table
-    branches: list[tuple[dict[Symbol, RationalFn], list[MultiPoly]]] = [({}, [])]
-    for cond in conditions:
-        new_branches = []
-        for pins, resid in branches:
-            cur = cond
-            if pins:
-                cur = substitute(RationalFn.from_poly(cond), pins, table).num
-            if cur.is_zero():
-                new_branches.append((pins, resid))
-                continue
-            if cur.is_constant():
-                continue  # contradiction: branch dies
-            # every pin is a constant, so a pinned symbol is gone from ``cur``
-            # and a new pin never meets an old one
-            for extra_pin, extra_resid in _split_condition(cur, table):
-                np = dict(pins)
-                if extra_pin is not None:
-                    np[extra_pin[0]] = extra_pin[1]
-                new_branches.append((np, resid + extra_resid))
-        branches = new_branches
-    # drop branches subsumed by a more general one
-    out = []
-    items = [
-        ConditionBranch(tuple(sorted(p.items(), key=lambda kv: kv[0].name)), tuple(r))
-        for p, r in branches
-    ]
-    seen = set()
-    uniq = []
-    for b in items:
-        key = b.text()
-        if key not in seen:
-            seen.add(key)
-            uniq.append(b)
-    for b in uniq:
-        subsumed = False
-        for other in uniq:
-            if other is b:
-                continue
-            if set(other.pinned) <= set(b.pinned) and set(other.residuals) <= set(b.residuals):
-                if (set(other.pinned), set(other.residuals)) != (set(b.pinned), set(b.residuals)):
-                    subsumed = True
-                    break
-        if not subsumed:
-            out.append(b)
-    return sorted(out, key=lambda b: b.text())
+    params = sorted({s for c in conditions for s in c.variables()}, key=lambda s: s.name)
+    branches = {b.text(): b for b in solve_branches(conditions, params, conditions[0].table)}
+    sets = {k: (set(b.pinned), set(b.residuals)) for k, b in branches.items()}
+
+    def specializes(k, o):
+        return sets[k] != sets[o] and sets[o][0] <= sets[k][0] and sets[o][1] <= sets[k][1]
+
+    minimal = [b for k, b in branches.items() if not any(specializes(k, o) for o in sets)]
+    return sorted(minimal, key=lambda b: b.text())
 
 
 @dataclass(frozen=True)
@@ -802,29 +819,3 @@ def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionRe
         final_field=current_field,
         chart_maps=tuple(chart_maps),
     )
-
-
-def _split_condition(cond: MultiPoly, table):
-    """Factor one parameter polynomial into branch alternatives.
-
-    Yields (pin, residuals) pairs: a pinned assignment like gamma = -1, or
-    None with the unfactorable remainder as a residual constraint.
-    """
-    alternatives = []
-    content = cond.monomial_content()
-    core = cond
-    for sym in content.variables():
-        core = core.shift_var(sym, -content.degree(sym))
-        alternatives.append(((sym, RationalFn.const(table, 0)), []))
-    if not core.is_constant():
-        vs = core.variables()
-        if len(vs) == 1:
-            sym = vs[0]
-            rr = find_roots(core, sym)
-            for r in rr.roots:
-                alternatives.append(((sym, r), []))
-            if not rr.fully_split():
-                alternatives.append((None, [rr.residual]))
-        else:
-            alternatives.append((None, [core.monic()]))
-    return alternatives

@@ -96,7 +96,8 @@ def ansatz_context(system="modified") -> AnsatzContext:
         if cmap.target.boundary is None:
             raise AnalysisFailed(f"chart {cmap.target.name} of the resolved atlas has no boundary")
     states = [s for cmap in atlas for s in cmap.target.vars]
-    names = names_apart(m.table, lambda pad: [f"c{pad}{i}" for i in range(1, 31)])
+    size = len(MONOMIAL_EXPONENTS)
+    names = names_apart(m.table, lambda pad: [f"c{pad}{i}" for i in range(1, 3 * size + 1)])
     coeffs = [parameter(n) for n in names]
     table = SymbolTable(tuple(states) + m.table.parameters() + tuple(coeffs))
     chart = m.base
@@ -105,7 +106,7 @@ def ansatz_context(system="modified") -> AnsatzContext:
     comps = []
     for k in range(3):
         acc = MultiPoly.zero(table)
-        for c, mono in zip(coeffs[10 * k :], monomials):
+        for c, mono in zip(coeffs[size * k : size * (k + 1)], monomials):
             acc = acc + MultiPoly.var(table, c) * mono
         comps.append(RationalFn.from_poly(acc))
     twisted = tuple(

@@ -99,3 +99,13 @@ def test_state_symbol_contamination_rejected():
     v, w = MultiPoly.var(t, "v"), MultiPoly.var(t, "w")
     with pytest.raises(ValueError):
         find_roots(v * w + 1, t.get("v"))
+
+
+def test_overflowing_numeric_guesses_leave_a_residual(ctx):
+    # Durand-Kerner overflows to nan on v^20 + 10^30; such guesses are
+    # dropped and the factor comes back unsplit
+    t, v, var = ctx
+    p = v**20 + 10**30
+    res = find_roots(p, var)
+    assert res.roots == ()
+    assert res.residual == p

@@ -356,14 +356,16 @@ def test_painleve_returns_only_verified_balances():
 
 
 def test_branch_whose_back_substitution_vanishes_is_solved_again():
-    # a = (c-1)/(b-1) is pinned first, then c = 1 and b = 1 zero its
-    # denominator; with b = c = 1 put into the equations first, a = 2
+    # a = (c-1)/(b-1) would vanish its denominator at the solution b = c = 1;
+    # the solver pins b through its monomial leading coefficient a instead,
+    # and every unknown nonzero leaves the single solution a = 2, b = c = 1
     t = table("a:parameter", "b:parameter", "c:parameter")
     a, b, c = (MultiPoly.var(t, n) for n in "abc")
     one = MultiPoly.const(t, 1)
     eqs = [(b - one) * a - (c - one), a * b * c - 2 * c, a * b * c - a * c]
-    (sol,) = singular._solve_poly_system(eqs, tuple(t.get(n) for n in "abc"), t)
-    assert {s.name: v.text() for s, v in sol.items()} == {"a": "2", "b": "1", "c": "1"}
+    (sol,) = singular.solve_branches(eqs, tuple(t.get(n) for n in "abc"), t, nonzero=True)
+    assert sol.residuals == ()
+    assert {s.name: v.text() for s, v in sol.pinned} == {"a": "2", "b": "1", "c": "1"}
 
 
 def test_painleve_drops_a_branch_with_no_solution_after_the_pin():
@@ -381,6 +383,24 @@ FIELD_113 = (
     "x*z - 2*x + 1/2*y^2 + 2*z ; -1/2*x*z - 2*y^2 - 1/2*y ;"
     " -x^2 + 2*x*y + 2*x*z - 1/2*x + y*z + 2*z^2 - 1/2*z - 1"
 )
+
+
+# a random field of the bench's cli workload (seed 17): its (1, 0, 1) equations
+# include lead1*(2*lead3 + 1) = 0, whose root lead3 = -1/2 is lost when the
+# equation is solved for lead1 and its content 2*lead3 + 1 dropped
+FIELD_17 = (
+    "2*x*z - 2*x + 2*y ; 2*x - y^2 + y*z ;"
+    " -x^2 + x*y - 2*x + 1/2*y^2 - 2*z^2 + 1/2*z"
+)
+
+
+def test_painleve_finds_a_lead_in_the_content_of_another(tmp_path):
+    path = tmp_path / "f17.model"
+    path.write_text(f"chart U0 : x y z\nsystem U0 : {FIELD_17}\n")
+    rep = reports.painleve_report(str(path))
+    found = [b for b in rep["balances"] if b["exponents"] == [1, 0, 1]]
+    assert [b["coefficients"] for b in found] == [["-i", "-4*i", "-1/2"], ["i", "4*i", "-1/2"]]
+    assert all(b["verified"] and not b["free"] for b in found)
 
 
 def test_painleve_linear_system_has_no_balance():
@@ -636,3 +656,19 @@ def test_solve_parameter_conditions_residual_branches():
     assert [b.text() for b in solve_parameter_conditions([d * g + one])] == ["{delta*gamma+1 = 0}"]
     # a pin turns the next condition into a nonzero constant
     assert solve_parameter_conditions([g, g + one]) == []
+
+
+def test_solve_parameter_conditions_puts_later_pins_into_earlier_conditions():
+    t = table("delta:parameter", "gamma:parameter")
+    d, g = MultiPoly.var(t, "delta"), MultiPoly.var(t, "gamma")
+    one = MultiPoly.const(t, 1)
+    # delta = 0 leaves 1 = 0 and -2 = 0: no solution
+    assert solve_parameter_conditions([d * g + one, d]) == []
+    assert solve_parameter_conditions([d * d - one * 2, d]) == []
+    # delta = +-1 fixes gamma = -1/delta
+    branches = solve_parameter_conditions([d * g + one, d * d - one])
+    assert [b.text() for b in branches] == ["{delta = -1, gamma = 1}", "{delta = 1, gamma = -1}"]
+    # no leading coefficient is invertible: delta = 2 is pinned generically,
+    # and the content gamma - 1 it takes as nonzero is a branch of its own
+    branches = solve_parameter_conditions([(d - 2) * (g - one), d * g - 3])
+    assert [b.text() for b in branches] == ["{delta = 2, gamma = 3/2}", "{delta = 3, gamma = 1}"]
