@@ -522,8 +522,7 @@ def holomorphy_obstructions(v: VectorField) -> Obstruction:
         for param_poly in negative_power_part(comp, boundary).split_by_state_monomial().values():
             normalized = param_poly.monic()
             conditions[normalized.text()] = normalized
-    ordered = tuple(conditions[k] for k in sorted(conditions))
-    return Obstruction(ordered)
+    return Obstruction(tuple(conditions[k] for k in sorted(conditions)))
 
 
 def negative_power_part(comp: RationalFn, boundary: Symbol) -> MultiPoly:
@@ -563,10 +562,10 @@ class ConditionBranch:
 
 def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
                    nonzero: bool = False) -> list[ConditionBranch]:
-    """Every branch of the solutions of ``eqs`` in ``unknowns``; any other
-    symbol is a parameter taken generically, so an equation free of the
-    unknowns that does not vanish has no solution. With ``nonzero`` only
-    solutions where every unknown is nonzero count.
+    """Every branch of the solutions of ``eqs`` in ``unknowns``: each solution
+    lies on one. Any other symbol is a parameter taken generically, so an
+    equation free of the unknowns that does not vanish has no solution. With
+    ``nonzero`` only solutions where every unknown is nonzero count.
 
     The equations are taken in order of (variable count, total degree), and
     the first pair (equation, unknown) whose leading coefficient in that
@@ -574,14 +573,16 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
     monomial in them) is solved: every unknown of the equation's monomial
     content is a zero-pin branch, every root of the rest from
     :func:`find_roots` a pin branch, and a factor without roots stays pending,
-    tried for that unknown. With no invertible pair, two or more equations
-    are pinned generically through their first untried pair, with the zeros
-    of that equation's content in that unknown as a branch of their own; a
-    single equation loses its monomial content to zero-pin branches and is
-    solved again, or is a residual when it has no such content. Each pin is
-    put into the earlier pins' values, and a vanishing denominator there, or
-    a zero value under ``nonzero``, drops the branch. A branch without
-    residuals is returned only when its pins solve ``eqs`` exactly.
+    tried for that unknown. With no invertible pair, two or more equations are
+    pinned generically through their first untried pair, whose leading
+    coefficient the roots take as nonzero: the zeros of its content in that
+    unknown are solved, its monomial factors are zero pins, and the rest is a
+    residual beside the live equations. A single equation loses its monomial
+    content to zero-pin branches and is solved again, or is a residual when it
+    has no such content. Each pin is put into the earlier pins' values, and a
+    vanishing denominator there, or a zero value under ``nonzero``, drops the
+    branch. A branch without residuals is returned only when its pins solve
+    ``eqs`` exactly.
     """
     unknowns = tuple(unknowns)
     results: list[ConditionBranch] = []
@@ -622,8 +623,7 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
                     return
             new[s] = val
         new[sym] = value
-        live = live_after(pending, sym, value)
-        if live is not None:
+        if (live := live_after(pending, sym, value)) is not None:
             solve(live, new, tried)
 
     def split_content(eq, rest, pins, tried):
@@ -669,9 +669,15 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
             # with nonzero the zero pins die, and find_roots drops the content
             eq = split_content(eq, rest, pins, tried)
         if generic:
-            # the roots take the content in sym as nonzero; its zeros are a branch
-            if (more := live_after(rest + [content_in(eq, sym)])) is not None:
+            # the roots take the leading coefficient as nonzero: its content in
+            # sym is solved, its monomial factors pinned, the rest a residual
+            content = content_in(eq, sym)
+            if (more := live_after(rest + [content])) is not None:
                 solve(more, pins, tried)
+            lead = eq.coefficient_of(sym, eq.degree(sym)).exact_divide(content)
+            lead = split_content(lead, rest + [eq], pins, tried)
+            if any(s in unknowns for s in lead.variables()):
+                keep(pins, tuple(q.monic() for q in rest + [eq, lead]))
         roots = find_roots(eq, sym)
         for k, r in enumerate(roots.roots):
             if k == 0 or r != roots.roots[k - 1]:  # repeated roots are adjacent
@@ -679,8 +685,7 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
         if not roots.fully_split():
             solve(rest + [roots.residual], pins, tried | {(roots.residual, sym)})
 
-    live = live_after(eqs)
-    if live is not None:
+    if (live := live_after(eqs)) is not None:
         solve(live, {}, frozenset())
     return results
 

@@ -12,13 +12,44 @@ fields, every built-in map and a blow-up chart) live here too.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 from threewave import models
+from threewave.errors import DenominatorVanishes
 from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
 from threewave.singular import blow_up, negative_power_part
 from threewave.symbols import parameter, table as make_table
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's workload module ``bench/workloads.py``, for its seeded
+    random model fields. It is imported with the bench's own ``oracles``
+    module, which shares its name with this one; this module is put back
+    under that name afterwards."""
+    saved = sys.modules.pop("oracles", None)
+    sys.path.insert(0, str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+        del sys.modules[spec.name]
+        sys.modules.pop("oracles", None)
+        if saved is not None:
+            sys.modules["oracles"] = saved
+    return module
 
 
 def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -331,3 +362,31 @@ def ansatz_pushforward_rows(system) -> list[tuple]:
                 monomial = MultiPoly(table, {key: ONE}).text()
                 out.append((pos, ci, key, f"{cmap.target.name}:component{ci + 1}:{monomial}", row))
     return out
+
+
+# dense quadratics in a, b, c with the solution (-1, -1, 2), where the leading
+# coefficient b + c - 1 of the solver's generic pin a = (...)/(b + c - 1) vanishes
+LEAD_VANISHES = (
+    "4*a^2 + 8*a*b + 8*a*c + 2*b^2 + 3*b*c + 2*c^2 - 2*a + 5*b + 3*c - 3",
+    "-2*a*b - 2*a*c - b*c - c^2 + 2*a + 2*b + c + 2",
+    "a^2 + 3*a*b - a*c - b^2 - 3*b*c + 4*a - 2*b - 3*c - 3",
+)
+
+
+def on_branch(branch, point, table) -> bool:
+    """Whether the solution ``point`` ({unknown: GaussianRational}) lies on
+    the ``ConditionBranch``: each pinned value, with the point's values of
+    the unpinned unknowns put in, is the point's value, and every residual
+    vanishes there."""
+    pins = dict(branch.pinned)
+    free = {s: RationalFn.const(table, v) for s, v in point.items() if s not in pins}
+    for s, value in branch.pinned:
+        try:
+            got = substitute(value, free, table) if free else value
+        except DenominatorVanishes:
+            return False
+        if got != RationalFn.const(table, point[s]):
+            return False
+    return all(
+        substitute(RationalFn.from_poly(r), free, table).is_zero() for r in branch.residuals
+    )

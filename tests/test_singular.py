@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_balance_equations, random_polynomial_field
+from oracles import LEAD_VANISHES, naive_balance_equations, on_branch, random_polynomial_field
 from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
@@ -672,3 +672,24 @@ def test_solve_parameter_conditions_puts_later_pins_into_earlier_conditions():
     # and the content gamma - 1 it takes as nonzero is a branch of its own
     branches = solve_parameter_conditions([(d - 2) * (g - one), d * g - 3])
     assert [b.text() for b in branches] == ["{delta = 2, gamma = 3/2}", "{delta = 3, gamma = 1}"]
+
+
+def test_solve_parameter_conditions_keeps_solutions_where_a_generic_lead_vanishes():
+    # no leading coefficient is invertible; a is pinned generically to a value
+    # with denominator b + c - 1, which vanishes at the solution (-1, -1, 2):
+    # the zeros of that leading coefficient are kept as a branch of residuals
+    t = table("a:parameter", "b:parameter", "c:parameter")
+    conds = [parse_expr(e, t).num for e in LEAD_VANISHES]
+    point = {t.get("a"): gr(-1), t.get("b"): gr(-1), t.get("c"): gr(2)}
+    assert any(on_branch(b, point, t) for b in solve_parameter_conditions(conds))
+
+
+def test_generic_pin_whose_denominator_vanishes_is_dropped():
+    # b = 1 - 2*a*c is pinned first; the common factor c of what is left gives
+    # b = 1, c = 0 with a free, and the generic pin a = 1/(2*c) of the rest
+    # makes b = 0 and then meets c = 0, where its denominator vanishes: that
+    # branch holds no solution (2*a*c + b - 1 reads -1 there) and is dropped
+    t = table("a:parameter", "b:parameter", "c:parameter")
+    eqs = [parse_expr(e, t).num for e in ("2*a*c + b - 1", "-b*c", "-b*c - 2*c")]
+    branches = singular.solve_branches(eqs, tuple(t.get(n) for n in "abc"), t)
+    assert [b.text() for b in branches] == ["{b = 1, c = 0}"]

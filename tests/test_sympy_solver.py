@@ -2,54 +2,32 @@
 
 Two kinds of seeded systems are solved by ``singular``: the dominant-balance equations of the benchmark's random
 model fields (``bench/workloads.random_field``), solved for nonzero leading
-coefficients, and random condition sets in one or two parameters, solved by
-``singular.solve_parameter_conditions``. SymPy finds the solutions over Q(i)
+coefficients, and random condition sets in one to three parameters, solved
+by ``singular.solve_parameter_conditions``: products of affine factors in one
+or two, and dense quadratics in two or three, on which the solver pins
+through leading coefficients that can vanish. SymPy finds the solutions over Q(i)
 from lex Groebner bases and factoring over Q(i), and samples a component on
 which an unknown is free at a seeded value of it. Every such solution must
 lie on a reported branch, and every branch without residuals must solve its
 equations. The module is skipped where SymPy is not installed.
 """
 
-import importlib.util
 import itertools
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
+import oracles
 import pytest
 
 from threewave import singular
-from threewave.errors import DenominatorVanishes
 from threewave.gaussian import GaussianRational
 from threewave.geometry import Chart, VectorField
-from threewave.parsing import parse_triple
+from threewave.parsing import parse_expr, parse_triple
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
 from threewave.symbols import table
 
 sympy = pytest.importorskip("sympy")
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _bench_workloads():
-    """``bench/workloads.py``, imported with the bench's own ``oracles``
-    module, which shares its name with ``tests/oracles.py``."""
-    saved = sys.modules.pop("oracles", None)
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look their module up
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-        sys.modules.pop("oracles", None)
-        if saved is not None:
-            sys.modules["oracles"] = saved
-    return module
-
 
 def to_sympy(p, names):
     if isinstance(p, RationalFn):
@@ -117,21 +95,6 @@ def _fraction(q) -> Fraction:
     return Fraction(int(q.p), int(q.q))
 
 
-def on_branch(branch, point, table) -> bool:
-    pins = dict(branch.pinned)
-    free = {s: RationalFn.const(table, v) for s, v in point.items() if s not in pins}
-    for s, value in branch.pinned:
-        try:
-            got = substitute(value, free, table) if free else value
-        except DenominatorVanishes:
-            return False
-        if got != RationalFn.const(table, point[s]):
-            return False
-    return all(
-        substitute(RationalFn.from_poly(r), free, table).is_zero() for r in branch.residuals
-    )
-
-
 def solves(branch, eqs, table) -> bool:
     pins = dict(branch.pinned)
     return all(substitute(RationalFn.from_poly(e), pins, table).is_zero() for e in eqs)
@@ -142,7 +105,7 @@ def balance_systems():
     first run of seeds dense in nonzero solutions over Q(i), seed 17 among
     them) for every pole-order triple in product order whose equations all
     have two or more terms (a single term has no nonzero solution)."""
-    workloads = _bench_workloads()
+    workloads = oracles.bench_workloads()
     t = table("x", "y", "z")
     chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
     orders = [o for o in itertools.product(range(-2, 3), repeat=3) if max(o) >= 1]
@@ -168,7 +131,7 @@ def test_balance_branches_cover_the_sympy_solutions():
             if any(v == 0 for v in point.values()):
                 continue  # a vanishing leading coefficient is no balance
             checked += 1
-            assert any(on_branch(b, point, work) for b in branches), (seed, orders, point)
+            assert any(oracles.on_branch(b, point, work) for b in branches), (seed, orders, point)
         if checked >= 10:
             break
 
@@ -202,15 +165,35 @@ def condition_sets(count):
             yield t, conds
 
 
+def dense_condition_sets(count):
+    """``oracles.LEAD_VANISHES``, then seeded sets of two or three
+    conditions in as many of a, b, c: each a product of two random affine
+    factors plus another, so that most leading coefficients involve the
+    other unknowns and the solver pins generically."""
+    rng = random.Random(2011)
+    t = table("a:parameter", "b:parameter", "c:parameter")
+    yield t, [parse_expr(e, t).num for e in oracles.LEAD_VANISHES]
+    for _ in range(count):
+        names = ("a", "b", "c")[: rng.choice((2, 3))]
+        conds = []
+        for _ in names:
+            c = _random_linear(rng, t, names) * _random_linear(rng, t, names)
+            c = c + _random_linear(rng, t, names) * _random_linear(rng, t, names)
+            if not c.is_constant():
+                conds.append(c)
+        if conds:
+            yield t, conds
+
+
 def test_condition_branches_cover_the_sympy_solutions():
     rng = random.Random(12)
     checked = 0
-    for t, conds in condition_sets(40):
+    for t, conds in itertools.chain(condition_sets(40), dense_condition_sets(20)):
         params = sorted({s for c in conds for s in c.variables()}, key=lambda s: s.name)
         branches = singular.solve_parameter_conditions(conds)
         for b in branches:
             assert b.residuals or solves(b, conds, t), ([c.text() for c in conds], b.text())
         for point in sympy_points(conds, params, rng):
             checked += 1
-            assert any(on_branch(b, point, t) for b in branches), ([c.text() for c in conds], point)
+            assert any(oracles.on_branch(b, point, t) for b in branches), ([c.text() for c in conds], point)
     assert checked > 0

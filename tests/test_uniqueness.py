@@ -1,7 +1,4 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import oracles
 import pytest
@@ -116,19 +113,6 @@ def test_recovered_field_passes_pi_symmetry(solved):
     assert rep["invariant"]
 
 
-def _bench_workloads():
-    """The benchmark's workload module, for its random model files."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 @pytest.fixture(scope="module")
 def systems(tmp_path_factory):
     out = {"modified": "modified", "three-wave": "three-wave"}
@@ -137,7 +121,7 @@ def systems(tmp_path_factory):
         path.write_text(models.export_model(kind))
         out[f"{kind} file"] = str(path)
     # a random field on the projective charts, the resolved atlas of a file without one
-    workloads = _bench_workloads()
+    workloads = oracles.bench_workloads()
     text = workloads.model_text(workloads.random_field(random.Random(5)))
     out["random"] = parse_model(text, "random")
     return out
