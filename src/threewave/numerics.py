@@ -8,7 +8,10 @@ trajectory straight through a movable pole. Chart transitions go through
 the base chart, which is harmless because switches happen while every
 representation is still O(10). :class:`NumericAtlas` binds numeric
 parameter values exactly (the exact value of each double, as on the command
-line), so what it tests and compiles is the exactly bound system.
+line), so what it tests and compiles is the exactly bound system. Fields and
+maps compile to generated straight-line functions and the Runge-Kutta step is
+unrolled; both do the same float operations, in the same order, as the
+term-by-term loop and list-based step kept as references in ``tests/oracles.py``.
 
 Pole diagnostics: :func:`fit_pole` reads a movable pole off the chart that
 resolves it, and :func:`monodromy_check` integrates a closed loop and
@@ -27,7 +30,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
 from .gaussian import GaussianRational
 from .geometry import ChartMap, VectorField, pushforward
-from .ratfunc import RationalFn
 
 SWITCH_THRESHOLD = 10.0
 SWITCH_GAIN = 4.0
@@ -40,17 +42,16 @@ _NEWTON_SUBSTEPS = 100  # Runge-Kutta substeps allowed in one Newton step
 _ROUNDING = 4 * sys.float_info.epsilon  # a Newton step this small, relative to max(1, |t|), has converged
 _VANISHING = 1e-9  # a coefficient this small, relative to its component's largest, vanishes
 
-# Cash-Karp embedded pair: 6 stages, propagating order 5, embedded order 4
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+# Cash-Karp embedded pair: 6 stages, propagating order 5, embedded order 4.
+# _Asj weighs stage j in stage s; _B5j and _B4j weigh stage j in the order-5
+# and order-4 results (_B51, _B54 and _B41 are zero).
+_A10 = 1 / 5
+_A20, _A21 = 3 / 40, 9 / 40
+_A30, _A31, _A32 = 3 / 10, -9 / 10, 6 / 5
+_A40, _A41, _A42, _A43 = -11 / 54, 5 / 2, -70 / 27, 35 / 27
+_A50, _A51, _A52, _A53, _A54 = 1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096
+_B50, _B52, _B53, _B55 = 37 / 378, 250 / 621, 125 / 594, 512 / 1771
+_B40, _B42, _B43, _B44, _B45 = 2825 / 27648, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4
 
 
 @dataclass(frozen=True)
@@ -118,42 +119,48 @@ def _fold_terms(poly, var_names: Sequence[str]):
     return out
 
 
+_ARGS = ("a", "b", "c")
+
+
+def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict) -> list[str]:
+    """Statements that leave ``poly`` at the arguments a, b, c in ``target``:
+    from ``target = 0j``, one ``target += kN * a**e1 * ...`` per term in term
+    order (zero exponents left out), the coefficient kN bound in ``consts``.
+    An exponent 1 stays a power: ``a**1`` raises OverflowError where ``a`` is
+    infinite, which a bare ``a`` would not."""
+    lines = [f"{target} = 0j"]
+    for coeff, exps in _fold_terms(poly, var_names):
+        name = f"k{len(consts)}"
+        consts[name] = coeff
+        powers = "".join(f" * {arg}**{e}" for arg, e in zip(_ARGS, exps) if e)
+        lines.append(f"{target} += {name}{powers}")
+    return lines
+
+
+def _function(lines: list[str], result: str, consts: dict) -> Callable:
+    """``def ev(a, b, c)`` of straight-line ``lines`` returning ``result``,
+    with ``consts`` as its namespace."""
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def ev(a, b, c):\n{body}    return {result}\n", consts)
+    return consts["ev"]
+
+
 def compile_poly(poly, var_names: Sequence[str]) -> Callable[[complex, complex, complex], complex]:
-    terms = _fold_terms(poly, var_names)
-
-    def ev(a: complex, b: complex, c: complex) -> complex:
-        s = 0j
-        for coeff, (e1, e2, e3) in terms:
-            t = coeff
-            if e1:
-                t *= a**e1
-            if e2:
-                t *= b**e2
-            if e3:
-                t *= c**e3
-            s += t
-        return s
-
-    return ev
-
-
-def compile_scalar(
-    rf: RationalFn, var_names: Sequence[str]
-) -> Callable[[complex, complex, complex], complex]:
-    num = compile_poly(rf.num, var_names)
-    if rf.is_polynomial():  # a reduced denominator is monic: this one is 1
-        return num
-    den = compile_poly(rf.den, var_names)
-    return lambda a, b, c: num(a, b, c) / den(a, b, c)
+    consts: dict = {}
+    return _function(_sum_source(poly, var_names, "s", consts), "s", consts)
 
 
 def compile_triple(rfs, var_names):
-    fns = [compile_scalar(rf, var_names) for rf in rfs]
-
-    def ev(a, b, c):
-        return (fns[0](a, b, c), fns[1](a, b, c), fns[2](a, b, c))
-
-    return ev
+    """One function of a, b, c returning the three rational functions
+    ``rfs``, evaluated in turn, each numerator before its denominator."""
+    consts: dict = {}
+    lines: list[str] = []
+    for i, rf in enumerate(rfs):
+        lines += _sum_source(rf.num, var_names, f"s{i}", consts)
+        if not rf.is_polynomial():  # a reduced denominator is monic: a polynomial's is 1
+            lines += _sum_source(rf.den, var_names, f"d{i}", consts)
+            lines.append(f"s{i} /= d{i}")
+    return _function(lines, "(s0, s1, s2)", consts)
 
 
 class PoleChart(NamedTuple):
@@ -250,25 +257,48 @@ class NumericAtlas:
 
 
 def _rk_step(f, y, h, direction):
-    k = []
-    for s in range(6):
-        ys = list(y)
-        for j, a in enumerate(_CK_A[s]):
-            if a:
-                for c in range(3):
-                    ys[c] += h * a * k[j][c]
-        deriv = f(*ys)
-        k.append([direction * d for d in deriv])
-    y5 = list(y)
-    y4 = list(y)
-    for j in range(6):
-        for c in range(3):
-            if _CK_B5[j]:
-                y5[c] += h * _CK_B5[j] * k[j][c]
-            if _CK_B4[j]:
-                y4[c] += h * _CK_B4[j] * k[j][c]
-    err = [y5[c] - y4[c] for c in range(3)]
-    return tuple(y5), err
+    """One Cash-Karp step of dy/ds = direction * f(y): the order-5 state and
+    its difference from the order-4 one. Stage j enters as (h * a_sj) * k_j,
+    left to right, with the zero weights left out."""
+    y0, y1, y2 = y
+    d0, d1, d2 = f(y0, y1, y2)
+    k00, k01, k02 = direction * d0, direction * d1, direction * d2
+    w0 = h * _A10
+    d0, d1, d2 = f(y0 + w0 * k00, y1 + w0 * k01, y2 + w0 * k02)
+    k10, k11, k12 = direction * d0, direction * d1, direction * d2
+    w0, w1 = h * _A20, h * _A21
+    d0, d1, d2 = f(y0 + w0 * k00 + w1 * k10, y1 + w0 * k01 + w1 * k11, y2 + w0 * k02 + w1 * k12)
+    k20, k21, k22 = direction * d0, direction * d1, direction * d2
+    w0, w1, w2 = h * _A30, h * _A31, h * _A32
+    d0, d1, d2 = f(
+        y0 + w0 * k00 + w1 * k10 + w2 * k20,
+        y1 + w0 * k01 + w1 * k11 + w2 * k21,
+        y2 + w0 * k02 + w1 * k12 + w2 * k22,
+    )
+    k30, k31, k32 = direction * d0, direction * d1, direction * d2
+    w0, w1, w2, w3 = h * _A40, h * _A41, h * _A42, h * _A43
+    d0, d1, d2 = f(
+        y0 + w0 * k00 + w1 * k10 + w2 * k20 + w3 * k30,
+        y1 + w0 * k01 + w1 * k11 + w2 * k21 + w3 * k31,
+        y2 + w0 * k02 + w1 * k12 + w2 * k22 + w3 * k32,
+    )
+    k40, k41, k42 = direction * d0, direction * d1, direction * d2
+    w0, w1, w2, w3, w4 = h * _A50, h * _A51, h * _A52, h * _A53, h * _A54
+    d0, d1, d2 = f(
+        y0 + w0 * k00 + w1 * k10 + w2 * k20 + w3 * k30 + w4 * k40,
+        y1 + w0 * k01 + w1 * k11 + w2 * k21 + w3 * k31 + w4 * k41,
+        y2 + w0 * k02 + w1 * k12 + w2 * k22 + w3 * k32 + w4 * k42,
+    )
+    k50, k51, k52 = direction * d0, direction * d1, direction * d2
+    w0, w2, w3, w5 = h * _B50, h * _B52, h * _B53, h * _B55
+    u0 = y0 + w0 * k00 + w2 * k20 + w3 * k30 + w5 * k50
+    u1 = y1 + w0 * k01 + w2 * k21 + w3 * k31 + w5 * k51
+    u2 = y2 + w0 * k02 + w2 * k22 + w3 * k32 + w5 * k52
+    w0, w2, w3, w4, w5 = h * _B40, h * _B42, h * _B43, h * _B44, h * _B45
+    v0 = y0 + w0 * k00 + w2 * k20 + w3 * k30 + w4 * k40 + w5 * k50
+    v1 = y1 + w0 * k01 + w2 * k21 + w3 * k31 + w4 * k41 + w5 * k51
+    v2 = y2 + w0 * k02 + w2 * k22 + w3 * k32 + w4 * k42 + w5 * k52
+    return (u0, u1, u2), (u0 - v0, u1 - v1, u2 - v2)
 
 
 def integrate(
@@ -330,26 +360,28 @@ def integrate(
                 raise StepUnderflow(f"step budget exhausted at t = {t_here}", traj)
             f = atlas.fields[chart]
             try:
-                y_new, err_vec = _rk_step(f, y, h, direction)
+                (u0, u1, u2), (e0, e1, e2) = _rk_step(f, y, h, direction)
             except (OverflowError, ZeroDivisionError):
-                y_new, err_vec = None, None
-            if y_new is None or any(
-                not (math.isfinite(c.real) and math.isfinite(c.imag)) for c in y_new
-            ):
                 err_norm = math.inf
             else:
-                err_norm = 0.0
-                for c in range(3):
-                    scale = tol + tol * max(abs(y[c]), abs(y_new[c]))
-                    err_norm = max(err_norm, abs(err_vec[c]) / scale)
+                if cmath.isfinite(u0) and cmath.isfinite(u1) and cmath.isfinite(u2):
+                    y0, y1, y2 = y
+                    err_norm = max(
+                        0.0,
+                        abs(e0) / (tol + tol * max(abs(y0), abs(u0))),
+                        abs(e1) / (tol + tol * max(abs(y1), abs(u1))),
+                        abs(e2) / (tol + tol * max(abs(y2), abs(u2))),
+                    )
+                else:
+                    err_norm = math.inf
             if err_norm <= 1.0:
                 s += h
                 t_here = seg_start + direction * s
-                y = y_new
+                y = (u0, u1, u2)
                 traj.steps_accepted += 1
-                local_err = max(abs(e) for e in err_vec)
+                local_err = max(abs(e0), abs(e1), abs(e2))
                 traj.error_estimate += local_err
-                norm = max(abs(c) for c in y)
+                norm = max(abs(u0), abs(u1), abs(u2))
                 if norm > SWITCH_THRESHOLD:
                     best, bstate, bnorm = atlas.best_chart(y, chart)
                     if best != chart and bnorm * SWITCH_GAIN <= norm:

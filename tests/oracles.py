@@ -6,6 +6,8 @@ monomial by monomial from powers of the leading coefficients, and a
 pushforward that composes with plain rational-function arithmetic one term at
 a time instead of the library substitution path, and parameter binding by
 ``substitute`` with constant rational functions instead of ``specialize``.
+The numeric references are the interpreted kernel the generated one replaced:
+a term loop per polynomial and a list-based Cash-Karp step.
 These stay independent of the code they check. The seeded inputs of the differential tests (random
 fields, every built-in map and a blow-up chart) live here too.
 """
@@ -176,6 +178,84 @@ def naive_evaluate(p: MultiPoly, point: dict) -> GaussianRational:
                 term = term * point[sym]
         total = total + term
     return total
+
+
+def reference_poly(poly, var_names):
+    """``poly`` at three complex values, bound to ``var_names`` by symbol name:
+    each term ``coeff * a**e1 * b**e2 * c**e3`` (zero exponents skipped),
+    summed from 0j term by term."""
+    slots = {name: k for k, name in enumerate(var_names)}
+    terms = []
+    for e, c in poly.terms.items():
+        exps = [0, 0, 0]
+        for sym, d in zip(poly.table.symbols, e):
+            if d:
+                exps[slots[sym.name]] = d
+        terms.append((complex(c), exps))
+
+    def ev(a, b, c):
+        s = 0j
+        for coeff, (e1, e2, e3) in terms:
+            t = coeff
+            if e1:
+                t *= a**e1
+            if e2:
+                t *= b**e2
+            if e3:
+                t *= c**e3
+            s += t
+        return s
+
+    return ev
+
+
+def reference_triple(rfs, var_names):
+    """Three rational functions evaluated in turn, each numerator before its
+    denominator (a polynomial's denominator is 1 and is not evaluated)."""
+    fns = []
+    for rf in rfs:
+        num = reference_poly(rf.num, var_names)
+        if rf.is_polynomial():
+            fns.append(num)
+        else:
+            den = reference_poly(rf.den, var_names)
+            fns.append(lambda a, b, c, num=num, den=den: num(a, b, c) / den(a, b, c))
+    return lambda a, b, c: tuple(fn(a, b, c) for fn in fns)
+
+
+_CK_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+)
+_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+
+
+def reference_rk_step(f, y, h, direction):
+    """One Cash-Karp 5(4) step of dy/ds = direction * f(y) with lists:
+    the order-5 state and the order-5 minus order-4 difference."""
+    k = []
+    for s in range(6):
+        ys = list(y)
+        for j, a in enumerate(_CK_A[s]):
+            if a:
+                for c in range(3):
+                    ys[c] += h * a * k[j][c]
+        deriv = f(*ys)
+        k.append([direction * d for d in deriv])
+    y5 = list(y)
+    y4 = list(y)
+    for j in range(6):
+        for c in range(3):
+            if _CK_B5[j]:
+                y5[c] += h * _CK_B5[j] * k[j][c]
+            if _CK_B4[j]:
+                y4[c] += h * _CK_B4[j] * k[j][c]
+    return tuple(y5), [y5[c] - y4[c] for c in range(3)]
 
 
 def dense_nullspace(matrix) -> tuple[int, dict[int, list[GaussianRational]]]:

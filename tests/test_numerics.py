@@ -1,8 +1,11 @@
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from oracles import reference_poly, reference_rk_step, reference_triple
 from threewave import models
 from threewave.errors import FitAmbiguous, StepUnderflow
 from threewave.gaussian import GaussianRational
@@ -10,10 +13,16 @@ from threewave.geometry import identity_map
 from threewave.numerics import (
     NumericAtlas,
     TrajectoryPoint,
+    _rk_step,
+    compile_poly,
+    compile_triple,
     fit_pole,
     integrate,
     monodromy_check,
 )
+from threewave.poly import MultiPoly
+from threewave.ratfunc import RationalFn
+from threewave.symbols import table as make_table
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +303,130 @@ def test_trajectory_records_format(modified_zero):
     assert lines[0] == "t_re,t_im,chart,x_re,x_im,y_re,y_im,z_re,z_im,err_est"
     assert len(lines) == len(traj.points) + 1
     assert all(line.split(",")[2] == "U0" for line in lines[1:])
+
+# -- the generated kernel against the interpreted reference, bit for bit ---------------
+
+# symbol names that are also names inside the generated code: values bind by name
+KERNEL_TABLE = make_table("s0", "k0", "a", "p:parameter")
+KERNEL_VARS = ("a", "s0", "k0")
+PARTS = (0.0, -0.0, 1.0, -0.5, 1e-300, 1e150, 3e200, -1e308, 2.0**-1074, math.inf, -math.inf)
+HUGE_COEFFICIENTS = (3e200 - 1e-300j, -2.0**-1074, 1e-300j)
+
+
+def _random_coefficient(rng, huge=True):
+    """A nonzero coefficient, now and then a huge or tiny double."""
+    if huge and rng.random() < 0.15:
+        return GaussianRational.from_complex(rng.choice(HUGE_COEFFICIENTS))
+    return GaussianRational(Fraction(rng.choice((-9, -4, -1, 1, 2, 7)), rng.randint(1, 7)),
+                            Fraction(rng.choice((0, 0, rng.randint(-5, 5))), rng.randint(1, 3)))
+
+
+def _random_sparse_poly(rng, max_terms=6, max_degree=4, huge=True):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        e = tuple(rng.randint(0, max_degree) if rng.random() < 0.5 else 0 for _ in range(3))
+        terms[e + (0,)] = _random_coefficient(rng, huge)
+    return MultiPoly(KERNEL_TABLE, terms)
+
+
+def _random_triple(rng, max_degree):
+    """Three components, about half of them rational (whose reduction must
+    leave coefficients a double can hold, so they are small)."""
+    rfs = []
+    for _ in range(3):
+        den = _random_sparse_poly(rng, 3, 2, huge=False)
+        if rng.random() < 0.5 and not den.is_zero():
+            rfs.append(RationalFn(_random_sparse_poly(rng, 6, max_degree, huge=False), den))
+        else:
+            rfs.append(RationalFn.from_poly(_random_sparse_poly(rng, 6, max_degree)))
+    return rfs
+
+
+def _random_point(rng):
+    def part():
+        return rng.choice(PARTS) if rng.random() < 0.5 else rng.uniform(-2, 2)
+    return tuple(complex(part(), part()) for _ in range(3))
+
+
+def _outcome(fn, *args):
+    """repr of the result (so that -0.0 counts), or the class of what it raised."""
+    try:
+        return repr(fn(*args))
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _same_outcomes(got, want, calls) -> set:
+    """Assert that ``got`` and ``want`` have the same outcome on every argument
+    tuple of ``calls``; return the kinds met ("value" or an exception class)."""
+    kinds = set()
+    for args in calls:
+        outcome = _outcome(want, *args)
+        assert _outcome(got, *args) == outcome, args
+        kinds.add(outcome if isinstance(outcome, type) else "value")
+    return kinds
+
+
+def test_compiled_poly_is_bit_identical_to_the_term_loop():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(200):
+        poly = _random_sparse_poly(rng)
+        kinds |= _same_outcomes(compile_poly(poly, KERNEL_VARS), reference_poly(poly, KERNEL_VARS),
+                                [_random_point(rng) for _ in range(10)])
+    assert kinds == {"value", OverflowError}
+
+
+def test_compiled_triple_is_bit_identical_to_the_reference():
+    rng = random.Random(32)
+    kinds = set()
+    for _ in range(120):
+        rfs = _random_triple(rng, 4)
+        kinds |= _same_outcomes(compile_triple(rfs, KERNEL_VARS), reference_triple(rfs, KERNEL_VARS),
+                                [_random_point(rng) for _ in range(10)])
+    assert kinds == {"value", OverflowError, ZeroDivisionError}
+
+
+def test_unrolled_rk_step_is_bit_identical_to_the_reference():
+    rng = random.Random(33)
+    kinds = set()
+    for _ in range(150):
+        rfs = _random_triple(rng, 3)
+        f, ref = compile_triple(rfs, KERNEL_VARS), reference_triple(rfs, KERNEL_VARS)
+        calls = [(_random_point(rng), rng.choice((rng.uniform(1e-6, 0.5), 0.0, 1e300)),
+                  cmath.exp(1j * rng.uniform(-math.pi, math.pi))) for _ in range(10)]
+        kinds |= _same_outcomes(
+            lambda y, h, d: [tuple(part) for part in _rk_step(f, y, h, d)],
+            lambda y, h, d: [tuple(part) for part in reference_rk_step(ref, y, h, d)],
+            calls,
+        )
+    assert kinds == {"value", OverflowError, ZeroDivisionError}
+
+
+@pytest.mark.parametrize("infinite_stages", [(1,), (4,)])
+def test_zero_weights_are_left_out_of_the_rk_step(infinite_stages):
+    # stages 1 and 4 have zero weight in the order-5 result, stage 1 in the
+    # order-4 one: their infinite derivatives must not enter those as 0 * inf
+    def scripted():
+        calls = iter(range(6))
+        infinite = (complex(math.inf, 1), complex(-math.inf, math.inf), complex(0, math.inf))
+        return lambda a, b, c: infinite if next(calls) in infinite_stages else (1 + 2j, -0.5j, 3.0 + 0j)
+
+    y, direction = (0.5 - 1j, -0.0 + 2j, 1.25 + 0j), cmath.exp(0.3j)
+    want = [tuple(part) for part in reference_rk_step(scripted(), y, 0.1, direction)]
+    assert all(cmath.isfinite(c) for c in want[0])
+    assert repr([tuple(part) for part in _rk_step(scripted(), y, 0.1, direction)]) == repr(want)
+
+
+def test_long_polynomial_compiles():
+    # one statement per term: a thousand terms nest no deeper than one
+    rng = random.Random(34)
+    terms = {(i, j, k, 0): _random_coefficient(rng)
+             for i in range(10) for j in range(10) for k in range(10)}
+    poly = MultiPoly(KERNEL_TABLE, terms)
+    assert poly.term_count() == 1000
+    point = (0.9 - 0.2j, -0.7 + 0.5j, 0.3 + 0.95j)
+    assert repr(compile_poly(poly, KERNEL_VARS)(*point)) == repr(reference_poly(poly, KERNEL_VARS)(*point))
+    rfs = [RationalFn.from_poly(poly)] * 3
+    assert (repr(compile_triple(rfs, KERNEL_VARS)(*point))
+            == repr(reference_triple(rfs, KERNEL_VARS)(*point)))
