@@ -92,6 +92,9 @@ class VectorField:
             return NotImplemented
         return self.chart == other.chart and self.components == other.components
 
+    def __hash__(self):
+        return hash((self.chart, self.components))
+
     def __repr__(self):
         comps = ", ".join(c.text() for c in self.components)
         return f"VectorField[{self.chart.name}]({comps})"

@@ -152,27 +152,26 @@ def chart_field(system, cmap: ChartMap, params: Sequence | None = None) -> Vecto
     """The model's field pushed through ``cmap``, a map out of its base chart,
     parameters bound.
 
-    The field with every parameter symbolic is pushed once per model and map,
-    and each call specializes that push at ``params``. Wherever the map is
-    defined at ``params``, that is the specialized field pushed through the
-    specialized map: both are the same rational functions, and the reduced
-    denominators of the symbolic push divide a product of the field's and
-    the map's denominators, none of which vanishes there. Verifying the map
-    itself at ``params`` is left to ``atlas``.
+    The field with every parameter symbolic is pushed once (``pushed_field``)
+    and specialized at ``params``: wherever the map is defined there, that is
+    the specialized field pushed through the specialized map, since the
+    reduced denominators of the symbolic push divide a product of the field's
+    and the map's denominators. Verifying the map at ``params`` is left to
+    ``atlas``.
     """
     m = model(system)
-    return _chart_field(m, cmap).specialize(bind_parameters(m, params))
+    return pushed_field(m.fields[m.base.name], cmap).specialize(bind_parameters(m, params))
 
 
-# keyed by the identities of the model and of the map: a map that is not the
-# model's own (a specialized one, say) is a separate entry, never a wrong hit
-@lru_cache(maxsize=64)
-def _chart_field(m: ModelFile, cmap: ChartMap) -> VectorField:
-    v = m.fields[m.base.name]
-    if cmap is m.identity:
+@lru_cache(maxsize=64)  # keyed by the field's value and the map's identity
+def pushed_field(v: VectorField, cmap: ChartMap) -> VectorField:
+    """``pushforward(v, cmap)`` once per field and map (``v`` for an identity map)."""
+    coords = tuple(RationalFn.var(cmap.table, s) for s in v.chart.vars)
+    if cmap.source == cmap.target == v.chart and cmap.forward == coords:
         return v
-    # the target chart's variables may extend the model's table (chart W)
-    return pushforward(v.retable(cmap.table), cmap)
+    if v.table != cmap.table:  # the target chart's variables may extend it (chart W)
+        v = v.retable(cmap.table)
+    return pushforward(v, cmap)
 
 
 def chart_jacobian(system, cmap: ChartMap, params: Sequence | None = None) -> RationalFn:

@@ -6,12 +6,12 @@ state grows beyond a switch threshold it is mapped through the atlas and
 continued in the chart where its norm is smallest -- that is what carries a
 trajectory straight through a movable pole. Chart transitions go through
 the base chart, which is harmless because switches happen while every
-representation is still O(10). :class:`NumericAtlas` binds numeric
-parameter values exactly (the exact value of each double, as on the command
-line), so what it tests and compiles is the exactly bound system. Fields and
-maps compile to generated straight-line functions and the Runge-Kutta step is
-unrolled; both do the same float operations, in the same order, as the
-term-by-term loop and list-based step kept as references in ``tests/oracles.py``.
+representation is still O(10). :class:`NumericAtlas` specializes the push of
+the field through each map, made once, at parameter values bound exactly (as
+on the command line). Fields and maps compile to generated straight-line
+functions that fold each polynomial's terms in canonical order, so rounding
+depends on its value alone; they and the unrolled Runge-Kutta step do the same
+float operations, in the same order, as the references in ``tests/oracles.py``.
 
 Pole diagnostics: :func:`fit_pole` reads a movable pole off the chart that
 resolves it, and :func:`monodromy_check` integrates a closed loop and
@@ -29,7 +29,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
 from .gaussian import GaussianRational
-from .geometry import ChartMap, VectorField, pushforward
+from .geometry import ChartMap, VectorField
+from .models import pushed_field
 
 SWITCH_THRESHOLD = 10.0
 SWITCH_GAIN = 4.0
@@ -103,11 +104,11 @@ class Trajectory:
 
 
 def _fold_terms(poly, var_names: Sequence[str]):
-    """(coefficient, exponents in ``var_names`` order) per term."""
+    """(coefficient, exponents in ``var_names`` order) per term, in canonical order."""
     syms = poly.table.symbols
     var_slots = {name: k for k, name in enumerate(var_names)}
     out = []
-    for e, c in poly.terms.items():
+    for e, c in poly.sorted_terms():
         exps = [0, 0, 0]
         for k, d in enumerate(e):
             if d:
@@ -124,8 +125,8 @@ _ARGS = ("a", "b", "c")
 
 def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict) -> list[str]:
     """Statements that leave ``poly`` at the arguments a, b, c in ``target``:
-    from ``target = 0j``, one ``target += kN * a**e1 * ...`` per term in term
-    order (zero exponents left out), the coefficient kN bound in ``consts``.
+    from ``target = 0j``, one ``target += kN * a**e1 * ...`` per term in
+    canonical order (zero exponents left out), the coefficient kN bound in ``consts``.
     An exponent 1 stays a power: ``a**1`` raises OverflowError where ``a`` is
     infinite, which a bare ``a`` would not."""
     lines = [f"{target} = 0j"]
@@ -187,12 +188,13 @@ def _pole_chart(cmap: ChartMap, tvars: Sequence[str]) -> PoleChart | None:
 class NumericAtlas:
     """Compiled fields and transitions for one system on one atlas.
 
-    ``maps`` are base-to-chart maps (the identity chart included). Each value
-    of ``params`` (by parameter name) is bound exactly, as on the command
-    line, before anything is pushed forward or compiled; a parameter without
-    a value raises ``KeyError``. Unless ``require_polynomial`` is false, a
-    field that is not polynomial on some chart raises ``AnalysisFailed``.
-    ``poles`` holds the charts that read a pole off their boundary coordinate.
+    ``maps`` are base-to-chart maps (the identity chart included). Finite
+    ``params`` by parameter name of ``v`` are bound exactly, as on the command
+    line; the maps are verified again there, and the memoized push of ``v``
+    through each is specialized there. A parameter without a value, or a name
+    that is no parameter, raises ``KeyError``. Unless ``require_polynomial``
+    is false, a field not polynomial on some chart raises ``AnalysisFailed``.
+    ``poles`` holds the charts whose boundary coordinate reads a pole.
     """
 
     def __init__(
@@ -202,24 +204,25 @@ class NumericAtlas:
         params: Mapping[str, complex],
         require_polynomial: bool = True,
     ):
-        bindings = {
-            s: GaussianRational.from_complex(params[s.name])
-            for s in v.table.parameters() if s.name in params
-        }
-        v = v.specialize(bindings)
-        maps = [cmap.specialize(bindings) for cmap in maps]
-        pushed = [(cmap, pushforward(v, cmap)) for cmap in maps]
-        if require_polynomial:
-            bad = [cmap.target.name for cmap, w in pushed if not w.is_polynomial()]
-            if bad:
-                raise AnalysisFailed(f"field is not polynomial on charts {bad}")
+        syms = {s.name: s for s in v.table.parameters()}
+        bindings = {}
+        for name, value in params.items():
+            if name not in syms:
+                raise KeyError(f"{name!r} is not a parameter of the field")
+            if not cmath.isfinite(value):
+                raise ValueError(f"parameter {name!r} is not finite: {value!r}")
+            bindings[syms[name]] = GaussianRational.from_complex(value)
+        bound_maps = [cmap.specialize(bindings) for cmap in maps]  # a map singular here fails as the map
+        fields = [pushed_field(v, cmap).specialize(bindings) for cmap in maps]
+        if require_polynomial and (bad := [w.chart.name for w in fields if not w.is_polynomial()]):
+            raise AnalysisFailed(f"field is not polynomial on charts {bad}")
         self.base = v.chart.name
         self.fields: dict[str, Callable] = {}
         self.to_base: dict[str, Callable] = {}
         self.from_base: dict[str, Callable] = {}
         self.poles: dict[str, PoleChart] = {}
         base_vars = tuple(s.name for s in v.chart.vars)
-        for cmap, w in pushed:
+        for cmap, w in zip(bound_maps, fields):
             name = cmap.target.name
             tvars = tuple(s.name for s in cmap.target.vars)
             self.fields[name] = compile_triple(w.components, tvars)

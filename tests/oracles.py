@@ -183,10 +183,10 @@ def naive_evaluate(p: MultiPoly, point: dict) -> GaussianRational:
 def reference_poly(poly, var_names):
     """``poly`` at three complex values, bound to ``var_names`` by symbol name:
     each term ``coeff * a**e1 * b**e2 * c**e3`` (zero exponents skipped),
-    summed from 0j term by term."""
+    summed from 0j term by term in canonical order (graded-lex descending)."""
     slots = {name: k for k, name in enumerate(var_names)}
     terms = []
-    for e, c in poly.terms.items():
+    for e, c in poly.sorted_terms():
         exps = [0, 0, 0]
         for sym, d in zip(poly.table.symbols, e):
             if d:

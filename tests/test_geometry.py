@@ -51,6 +51,23 @@ def test_pushforward_identity(simple):
     assert w.components == v.components
 
 
+def test_vector_field_hash_agrees_with_equality(simple):
+    # equal fields whose terms were inserted in different orders, or that
+    # live in different objects, hash alike and find each other as keys
+    t, src, dst = simple
+    texts = ("x^2 + y - mu*z + 3", "y*z - x", "-z + mu^2*x*y")
+    v = VectorField(src, [parse_expr(e, t) for e in texts])
+    flipped = VectorField(src, [
+        RationalFn.from_poly(MultiPoly(t, dict(reversed(c.num.terms.items())))) for c in v.components
+    ])
+    assert [list(c.num.terms) for c in flipped.components] != [list(c.num.terms) for c in v.components]
+    assert flipped == v and hash(flipped) == hash(v)
+    assert {v: "pushed"}[flipped] == "pushed"
+    w, w_flipped = (pushforward(f, _reciprocal_map(t, src, dst)) for f in (v, flipped))
+    assert w == w_flipped and hash(w) == hash(w_flipped)
+    assert v != VectorField(dst, v.components)
+
+
 def test_pushforward_reciprocal_first_component(simple):
     t, src, dst = simple
     zero = RationalFn.const(t, 0)

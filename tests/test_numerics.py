@@ -20,6 +20,7 @@ from threewave.numerics import (
     integrate,
     monodromy_check,
 )
+from threewave.parsing import parse_model
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn
 from threewave.symbols import table as make_table
@@ -67,6 +68,48 @@ def test_numeric_atlas_binds_parameters_exactly(kind, params):
     with pytest.raises(KeyError, match="no numeric value"):
         NumericAtlas(models.system_field(kind), models.resolved_atlas(kind),
                      dict(list(params.items())[1:]), require_polynomial=False)
+
+
+MODIFIED_POINT = {"alpha1": 0.034 - 0.057j, "alpha2": -1.5 + 0.25j, "alpha3": 0.1, "alpha4": 2j,
+                  "alpha5": -0.3 + 0.7j}
+
+
+def test_numeric_atlas_rejects_unknown_and_non_finite_parameters():
+    v, maps = models.system_field("modified"), models.resolved_atlas("modified")
+    with pytest.raises(KeyError, match="'alpah9' is not a parameter"):
+        NumericAtlas(v, maps, {**MODIFIED_POINT, "alpah9": 3})
+    for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 1)):
+        with pytest.raises(ValueError, match="parameter 'alpha3' is not finite"):
+            NumericAtlas(v, maps, {**MODIFIED_POINT, "alpha3": bad})
+
+
+def test_numeric_atlas_specializes_the_memoized_push(monkeypatch):
+    # the symbolic push of each (field, map) pair is shared with chart_field:
+    # a second parameter point, or a point after chart_field, pushes nothing
+    calls = []
+    real = models.pushforward
+
+    def counting(v, cmap):
+        calls.append(cmap.target.name)
+        return real(v, cmap)
+
+    monkeypatch.setattr(models, "pushforward", counting)
+    second = {name: 2 * value for name, value in MODIFIED_POINT.items()}
+    m = parse_model(models.BUILTINS["modified"], "modified")  # its maps are new keys of the memo
+    v, maps = m.fields[m.base.name], models.resolved_atlas(m)
+    NumericAtlas(v, maps, MODIFIED_POINT)
+    assert calls == ["T3-1", "T3-2", "T3-3"]  # the identity chart reads the field itself
+    calls.clear()
+    NumericAtlas(v, maps, second)
+    assert calls == []
+    m = parse_model(models.BUILTINS["modified"], "modified")
+    v, maps = m.fields[m.base.name], models.resolved_atlas(m)
+    for cmap in maps:
+        models.chart_field(m, cmap)
+    assert calls == ["T3-1", "T3-2", "T3-3"]
+    calls.clear()
+    NumericAtlas(v, maps, second)
+    assert calls == []
 
 
 def test_chart_round_trips(modified_zero):
@@ -416,6 +459,27 @@ def test_zero_weights_are_left_out_of_the_rk_step(infinite_stages):
     want = [tuple(part) for part in reference_rk_step(scripted(), y, 0.1, direction)]
     assert all(cmath.isfinite(c) for c in want[0])
     assert repr([tuple(part) for part in _rk_step(scripted(), y, 0.1, direction)]) == repr(want)
+
+
+def _reordered(poly):
+    """``poly`` with its terms inserted in reverse order."""
+    return MultiPoly(poly.table, dict(reversed(poly.terms.items())))
+
+
+def test_compiled_functions_do_not_depend_on_term_order():
+    # equal polynomials and triples compile to functions that agree bit for
+    # bit, however their terms were inserted: terms fold in canonical order
+    rng = random.Random(35)
+    for _ in range(100):
+        poly = _random_sparse_poly(rng, 8, huge=False)
+        points = [_random_point(rng) for _ in range(10)]
+        assert _reordered(poly) == poly
+        _same_outcomes(compile_poly(_reordered(poly), KERNEL_VARS), compile_poly(poly, KERNEL_VARS),
+                       points)
+        rfs = _random_triple(rng, 4)
+        flipped = [RationalFn(_reordered(rf.num), _reordered(rf.den), _reduced=True) for rf in rfs]
+        assert flipped == rfs
+        _same_outcomes(compile_triple(flipped, KERNEL_VARS), compile_triple(rfs, KERNEL_VARS), points)
 
 
 def test_long_polynomial_compiles():
