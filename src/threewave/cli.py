@@ -54,6 +54,8 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
         name, raw = name.strip(), raw.strip()
         if name not in names:
             raise UsageError(f"unknown parameter {name!r} for system {system.name!r}")
+        if name in values:
+            raise UsageError(f"parameter {name!r} is bound twice")
         if numeric:
             values[name] = GaussianRational.from_complex(_finite_complex(raw, f"parameter {name}"))
             continue

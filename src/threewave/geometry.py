@@ -299,15 +299,16 @@ def log_pole_decomposition(v: VectorField) -> LogPoleForm:
     """Split ``v`` as d(x1)/dt = g1, d(xk)/dt = gk/x1 with polynomial g's,
     where x1 is the boundary variable of ``v.chart``.
 
-    Raises :class:`~threewave.errors.PoleTooHigh` when a component has a pole
-    of order >= 2 along the boundary or any pole along a different divisor,
-    and ValueError when the chart has no boundary variable.
+    A transverse component num/x1^d has its pole order d read off its
+    Laurent tail (:meth:`RationalFn.laurent`), and gk = num * x1^(1 - d).
+    Raises :class:`~threewave.errors.PoleTooHigh`, with the component's
+    denominator as witness, when a component has a pole of order >= 2 along
+    the boundary or any pole along a different divisor, and ValueError when
+    the chart has no boundary variable.
     """
     boundary = v.chart.boundary
     if boundary is None:
         raise ValueError(f"chart {v.chart.name} has no boundary variable")
-    table = v.table
-    b = RationalFn.var(table, boundary)
     bpart = None
     transverse = []
     for sym, comp in zip(v.chart.vars, v.components):
@@ -319,15 +320,18 @@ def log_pole_decomposition(v: VectorField) -> LogPoleForm:
                     witness=comp.den,
                 )
             bpart = comp.as_poly()
-        else:
-            scaled = b * comp
-            if not scaled.is_polynomial():
-                raise PoleTooHigh(
-                    f"component d{sym.name}/dt has a pole beyond 1/{boundary.name}",
-                    component=sym.name,
-                    witness=scaled.den,
-                )
-            transverse.append((sym, scaled.as_poly()))
+            continue
+        try:
+            order = max(0, -min(comp.laurent(boundary), default=0))
+        except ValueError:  # a pole along another divisor
+            order = None
+        if order is None or order > 1:
+            raise PoleTooHigh(
+                f"component d{sym.name}/dt has a pole beyond 1/{boundary.name}",
+                component=sym.name,
+                witness=comp.den,
+            )
+        transverse.append((sym, comp.num.shift_var(boundary, 1 - order)))
     return LogPoleForm(boundary_part=bpart, transverse=tuple(transverse))
 
 

@@ -169,20 +169,19 @@ class PoleChart(NamedTuple):
     its boundary coordinate: a pole of the base chart is a point of x_b = 0."""
 
     slot: int  # position of x_b among the chart variables
-    terms: tuple  # per component, (d_k - j, coefficient of x_b^j in n_k) for rising j
+    terms: tuple  # per component, (-k, Laurent coefficient of x_b^k) for rising k
 
 
 def _pole_chart(cmap: ChartMap, tvars: Sequence[str]) -> PoleChart | None:
     b = cmap.target.boundary
-    # a reduced denominator is monic, so a monomial in x_b alone is x_b^d
-    if b is None or any(rf.den.term_count() != 1 or set(rf.den.variables()) - {b}
-                        for rf in cmap.inverse):
+    if b is None:
         return None
-    terms = []
-    for rf in cmap.inverse:
-        d, by_power = rf.den.degree(b), rf.num.as_univariate(b)
-        terms.append(tuple((d - j, compile_poly(by_power[j], tvars)) for j in sorted(by_power)))
-    return PoleChart(cmap.target.vars.index(b), tuple(terms))
+    try:
+        tails = [rf.laurent(b) for rf in cmap.inverse]
+    except ValueError:  # some denominator is not a power of x_b
+        return None
+    terms = tuple(tuple((-k, compile_poly(tail[k], tvars)) for k in sorted(tail)) for tail in tails)
+    return PoleChart(cmap.target.vars.index(b), terms)
 
 
 class NumericAtlas:

@@ -88,6 +88,15 @@ class RationalFn:
         seen.update(dict.fromkeys(self.den.variables()))
         return tuple(seen)
 
+    def laurent(self, sym: Symbol) -> dict[int, MultiPoly]:
+        """{k: c_k} with self = sum_k c_k * sym^k and each c_k free of ``sym``;
+        ValueError unless the denominator is a power of ``sym``."""
+        den = self.den  # reduced, so monic: a monomial in sym alone is sym^d
+        d = den.degree(sym)
+        if not den.is_monomial() or den.total_degree() != d:
+            raise ValueError(f"component denominator {den.text()} is not a power of {sym.name}")
+        return {j - d: c for j, c in self.num.as_univariate(sym).items()}
+
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> "RationalFn | None":

@@ -253,7 +253,7 @@ def pipeline_report(system, params=None) -> dict:
         "entry_point": _point_dict(rep.entry_point),
         "blowup_centers": [_point_dict(c) for c in rep.centers],
         "chart_lineage": [cm.target.name for cm in rep.chart_maps],
-        "composed_forward": [f.text() for f in rep.composed_map().forward],
+        "composed_forward": [f.text() for f in rep.composed_forward],
         "final_chart": rep.final_field.chart.name,
         "final_components": [c.text() for c in rep.final_field.components],
         "obstructions": rep.obstruction.texts(),

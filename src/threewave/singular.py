@@ -57,9 +57,6 @@ class AccessiblePoint:
     def boundary(self) -> Symbol:
         return self.chart.boundary
 
-    def coord_of(self, sym: Symbol) -> RationalFn:
-        return self.coords[self.chart.vars.index(sym)]
-
     def text(self) -> str:
         inner = ", ".join(c.text() for c in self.coords)
         return f"({inner})"
@@ -180,39 +177,29 @@ def boundary_first_order(chart: Chart, boundary: Symbol) -> tuple[Symbol, ...]:
 def linear_part(v: VectorField, p: AccessiblePoint) -> list[list[RationalFn]]:
     """Degree-1 truncation of the boundary-scaled field at ``p``.
 
-    The polynomials of the log-pole form (the boundary part times the
-    boundary variable, then the transverse parts) are translated so that
-    ``p`` sits at the origin, and the matrix of their linear coefficients is
-    returned in boundary-first variable order. Accessibility (vanishing
-    constant part of the transverse rows) is re-verified on the way.
+    The Jacobian of the log-pole polynomials (the boundary part times the
+    boundary variable, then the transverse parts) evaluated at ``p``, in
+    boundary-first variable order. Accessibility (the transverse parts
+    vanish at ``p``) is re-verified on the way.
     """
     table = v.table
-    chart = p.chart
-    order = boundary_first_order(chart, p.boundary)
-    shift = {
-        s: RationalFn.var(table, s) + p.coord_of(s) for s in chart.vars
-    }
+    order = boundary_first_order(p.chart, p.boundary)
+    # the point's coordinates may carry parameter denominators
+    at_p = dict(zip(p.chart.vars, p.coords))
     lp = log_pole_decomposition(v)
     polys = [MultiPoly.var(table, p.boundary) * lp.boundary_part]
     polys += [g for _, g in lp.transverse]
-    const_key = (0,) * len(table)
-    zero = MultiPoly.zero(table)
     rows = []
     for sym, g in zip(order, polys):
-        # the point's coordinates may carry parameter denominators
-        centered = substitute(RationalFn.from_poly(g), shift, table)
-        groups = centered.num.split_by_state_monomial()
-        if sym != p.boundary and const_key in groups:
-            raise VerificationFailed(
-                f"point {p.text()} is not accessible: d{sym.name}/dt has constant part "
-                f"{RationalFn(groups[const_key], centered.den).text()}"
-            )
-        row = []
-        for col in order:
-            key = [0] * len(table)
-            key[table.index(col)] = 1
-            row.append(RationalFn(groups.get(tuple(key), zero), centered.den))
-        rows.append(row)
+        if sym != p.boundary:
+            value = substitute(RationalFn.from_poly(g), at_p, table)
+            if not value.is_zero():
+                raise VerificationFailed(
+                    f"point {p.text()} is not accessible: d{sym.name}/dt has constant part "
+                    f"{value.text()}"
+                )
+        rows.append([substitute(RationalFn.from_poly(g.derivative(col)), at_p, table)
+                     for col in order])
     return rows
 
 
@@ -507,11 +494,12 @@ def holomorphy_obstructions(v: VectorField) -> Obstruction:
     """Coefficients of the negative powers of the chart's boundary variable
     (the exceptional variable of a blow-up chart).
 
-    Each reduced component must have a denominator that is a pure power of
-    that variable (guaranteed for fields produced by the blow-up pipeline);
-    the parameter-polynomial coefficients of all negative powers are
-    collected, normalized monic, and deduplicated. An empty condition set
-    means the field is already polynomial. A chart without a boundary
+    Each component's Laurent tail is read by :meth:`RationalFn.laurent`, so
+    its denominator must be a power of that variable (guaranteed for fields
+    produced by the blow-up pipeline) and any other raises ValueError; the
+    parameter-polynomial coefficients of every state monomial of the tail
+    are collected, normalized monic, and deduplicated. An empty condition
+    set means the field is already polynomial. A chart without a boundary
     variable raises ValueError.
     """
     boundary = v.chart.boundary
@@ -519,27 +507,11 @@ def holomorphy_obstructions(v: VectorField) -> Obstruction:
         raise ValueError(f"chart {v.chart.name} has no boundary variable")
     conditions: dict[str, MultiPoly] = {}
     for comp in v.components:
-        for param_poly in negative_power_part(comp, boundary).split_by_state_monomial().values():
+        tail = [c for power, c in comp.laurent(boundary).items() if power < 0]
+        for param_poly in (p for c in tail for p in c.split_by_state_monomial().values()):
             normalized = param_poly.monic()
             conditions[normalized.text()] = normalized
     return Obstruction(tuple(conditions[k] for k in sorted(conditions)))
-
-
-def negative_power_part(comp: RationalFn, boundary: Symbol) -> MultiPoly:
-    """The numerator terms of ``comp = num / boundary^k`` of degree below k in
-    the boundary variable: the part that carries a pole (zero when ``comp``
-    is polynomial). Raises ValueError for any other denominator."""
-    table = comp.table
-    if comp.is_polynomial():
-        return MultiPoly.zero(table)
-    den = comp.den
-    if not den.is_monomial():
-        raise ValueError(f"component denominator {den.text()} is not a power of {boundary.name}")
-    k_b = table.index(boundary)
-    ((dexp, _),) = den.terms.items()
-    if any(dexp[j] for j in range(len(dexp)) if j != k_b):
-        raise ValueError(f"component has a pole along {den.text()}, not only along {boundary.name}")
-    return MultiPoly(table, {e: c for e, c in comp.num.terms.items() if e[k_b] < dexp[k_b]})
 
 
 # -- parametric solving -------------------------------------------------------------------
@@ -717,7 +689,9 @@ def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[Conditio
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """End-to-end record of resolving the multiple boundary point."""
+    """End-to-end record of resolving the multiple boundary point, with the
+    forward half of the one map from the base chart to the final chart,
+    composed by the pipeline over the final field's table."""
 
     weighted_points: tuple[tuple[AccessiblePoint, LocalIndex], ...]
     entry_point: AccessiblePoint
@@ -725,25 +699,8 @@ class ResolutionReport:
     obstruction: Obstruction
     branches: tuple[ConditionBranch, ...]
     final_field: VectorField
-    chart_maps: tuple[ChartMap, ...] = ()  # weighted map, then one map per blow-up
-
-    def composed_map(self) -> ChartMap:
-        """The single birational map from the base chart to the final chart."""
-        table = self.final_field.table
-        maps = [
-            ChartMap(
-                m.source,
-                m.target,
-                [f.retable(table) for f in m.forward],
-                [g.retable(table) for g in m.inverse],
-                check=False,
-            )
-            for m in self.chart_maps
-        ]
-        out = maps[0]
-        for m in maps[1:]:
-            out = out.compose(m)
-        return out
+    chart_maps: tuple[ChartMap, ...]  # weighted map, then one map per blow-up
+    composed_forward: tuple[RationalFn, RationalFn, RationalFn]
 
 
 # the largest pole order |m_k| the pipeline's balance search tries
@@ -780,7 +737,8 @@ def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionRe
     repeatedly (the resonance ratio fixes the number of steps), each time at
     the unique accessible point of the exceptional divisor and only in the
     chart of the exceptional direction; only these blow-ups push a field
-    forward. ``weighted_map`` starts the chart lineage. The final field's
+    forward. ``weighted_map`` starts the chart lineage, and each blow-up's
+    forward map is composed onto it as it is made. The final field's
     holomorphy obstructions and their solution branches are returned.
     """
     if vw.chart != weighted_map.target:
@@ -799,11 +757,14 @@ def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionRe
     current_field, current_point = vw, entry
     centers = []
     chart_maps = [weighted_map]
+    composed = weighted_map.forward
     for step in range(steps):
         chart = current_field.chart
         nxt = blow_up(current_field, current_point.coords, chart.var_index(chart.boundary))
         current_field = nxt.field
         chart_maps.append(nxt.cmap)
+        so_far = dict(zip(chart.vars, composed))
+        composed = tuple(substitute(f, so_far, current_field.table) for f in nxt.cmap.forward)
         if step < steps - 1:
             inner = find_accessible(current_field)
             if len(inner.points) != 1:
@@ -823,4 +784,5 @@ def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionRe
         branches=branches,
         final_field=current_field,
         chart_maps=tuple(chart_maps),
+        composed_forward=composed,
     )

@@ -33,7 +33,6 @@ from .models import model, system_field
 from .parsing import ModelFile
 from .poly import MultiPoly
 from .ratfunc import RationalFn, substitute
-from .singular import negative_power_part
 from .symbols import Symbol, SymbolTable, names_apart, parameter
 
 # monomial basis per component: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
@@ -127,8 +126,8 @@ def build_constraints(system="modified") -> ConstraintSystem:
     on the chart of phi is the pushforward of the single term m_j * e_k:
     (d phi_i / d x_k o phi^-1) * (m_j o phi^-1), with each Jacobian entry and
     monomial composed with phi^-1 once. Over the component's common
-    denominator boundary^K, every numerator term of boundary degree below K
-    carries a pole; the row of a state monomial mu holds each column's
+    denominator boundary^K, the numerator terms of the columns' Laurent tails
+    carry the pole; the row of a state monomial mu holds each column's
     coefficient of mu, polynomial in the parameters. Rows come chart by
     chart, component by component, and by ascending exponent vector of mu
     in the table's symbol order; the identity chart contributes nothing.
@@ -174,21 +173,20 @@ def _constraints(m: ModelFile) -> ConstraintSystem:
 def _pole_coefficients(
     columns: dict[int, RationalFn], boundary: Symbol
 ) -> dict[tuple[int, ...], dict[int, MultiPoly]]:
-    """The pole part of sum_col c_col * columns[col], with every denominator
-    a power of ``boundary``: for each state monomial mu of its numerator
-    over the common denominator boundary^K, the coefficient of mu in each
-    column, polynomial in the parameters. A column over boundary^e is
-    shifted by boundary^(K - e), its factor in the common denominator. Any
-    other denominator raises ValueError."""
-    parts = {
-        col: (negative_power_part(f, boundary), f.den.degree(boundary))
-        for col, f in columns.items()
-    }
-    order = max((e for _, e in parts.values()), default=0)
+    """The pole part of sum_col c_col * columns[col], from each column's
+    Laurent tail (a denominator that is not a power of ``boundary`` raises
+    ValueError): for each state monomial mu of its numerator over the common
+    denominator boundary^K, the coefficient of mu in each column, polynomial
+    in the parameters. The tail term c_k * boundary^k sits there times
+    boundary^(K + k)."""
+    tails = {col: [(k, c) for k, c in f.laurent(boundary).items() if k < 0]
+             for col, f in columns.items()}
+    order = max((-k for tail in tails.values() for k, _ in tail), default=0)
     groups: dict[tuple[int, ...], dict[int, MultiPoly]] = {}
-    for col, (part, e) in parts.items():
-        for key, poly in part.shift_var(boundary, order - e).split_by_state_monomial().items():
-            groups.setdefault(key, {})[col] = poly
+    for col, tail in tails.items():
+        for k, c in tail:
+            for key, poly in c.shift_var(boundary, order + k).split_by_state_monomial().items():
+                groups.setdefault(key, {})[col] = poly
     return groups
 
 

@@ -25,7 +25,7 @@ from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
-from threewave.singular import blow_up, negative_power_part
+from threewave.singular import blow_up
 from threewave.symbols import parameter, table as make_table
 
 
@@ -420,7 +420,9 @@ def ansatz_pushforward_rows(system) -> list[tuple]:
     """The holomorphy rows of the quadratic ansatz by brute force: push the
     whole 30-unknown ansatz through each twisted chart and read each
     coefficient of a negative boundary power as a linear form in the
-    unknowns, one partial derivative per unknown.
+    unknowns, one partial derivative per unknown. The pole part is read
+    here, not by the code under test: over a denominator boundary^d, the
+    numerator terms of boundary degree below d.
 
     Returns (chart position, component, state-exponent key, origin label,
     row) per row, in the order the pushforward's terms come.
@@ -433,8 +435,12 @@ def ansatz_pushforward_rows(system) -> list[tuple]:
     out = []
     for pos, cmap in enumerate(context.atlas):
         w = pushforward(context.field, cmap)
+        boundary = cmap.target.boundary
+        slot = table.index(boundary)
         for ci, comp in enumerate(w.components):
-            part = negative_power_part(comp, cmap.target.boundary)
+            d = comp.den.degree(boundary)
+            assert comp.den == MultiPoly.var(table, boundary) ** d
+            part = MultiPoly(table, {e: c for e, c in comp.num.terms.items() if e[slot] < d})
             for key, poly in part.split_by_state_monomial().items():
                 # every coefficient is a linear form in the unknowns
                 assert set(poly.split_by_weight(linear)) == {1}

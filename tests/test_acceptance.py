@@ -39,7 +39,7 @@ def test_criterion_1_accessible_points():
         assert {p.text() for p in scanw.points} == {"(0, 1/2*delta, 0)", "(0, 1/2*delta, -1)"}
         assert scanw.residuals == ()
 
-    _report(1, "accessible points on U1 and the weighted chart, exact", 1.0, body)
+    _report(1, "accessible points on U1 and the weighted chart, exact", 0.3, body)
 
 
 def test_criterion_2_local_index_tables():
@@ -57,7 +57,7 @@ def test_criterion_2_local_index_tables():
             idx = local_index(v, p)
             assert tuple(e.text() for e in idx.eigenvalues) == eig, name
 
-    _report(2, "local index tables for P1..P4(2), exact", 1.0, body)
+    _report(2, "local index tables for P1..P4(2), exact", 0.3, body)
 
 
 def test_criterion_3_painleve_exponents():
@@ -67,7 +67,7 @@ def test_criterion_3_painleve_exponents():
         balances = painleve_leading_orders(models.three_wave_system(), 2)
         assert any(b.exponents == (1, 0, 2) for b in balances)
 
-    _report(3, "dominant balance includes pole orders (1, 0, 2)", 1.0, body)
+    _report(3, "dominant balance includes pole orders (1, 0, 2)", 0.3, body)
 
 
 def test_criterion_4_obstruction_conditions():
@@ -80,7 +80,7 @@ def test_criterion_4_obstruction_conditions():
             "{gamma = 0}",
         ]
 
-    _report(4, "blow-up pipeline yields {delta*gamma, gamma*(gamma+1)} and its solutions", 1.0, body)
+    _report(4, "blow-up pipeline yields {delta*gamma, gamma*(gamma+1)} and its solutions", 0.3, body)
 
 
 def test_criterion_5_atlas_verification():
@@ -108,7 +108,7 @@ def test_criterion_5_atlas_verification():
                 count += 1
         assert count == 6
 
-    _report(5, "atlas polynomiality on the condition locus; six unit Jacobians", 1.0, body)
+    _report(5, "atlas polynomiality on the condition locus; six unit Jacobians", 0.3, body)
 
 
 def test_criterion_6_symmetry():
@@ -262,4 +262,4 @@ def test_criterion_9_pushforward_oracle_equivalence():
             want = oracle_pushforward(v, cmap)
             assert list(got.components) == want
 
-    _report(9, "pushforward equals the naive chain-rule oracle on 20 random fields", 10.0, body)
+    _report(9, "pushforward equals the naive chain-rule oracle on 20 random fields", 1.0, body)

@@ -140,6 +140,23 @@ def test_integrate_reports_the_pole_read_off_the_chart(capsys):
     assert fit["residual"] <= 1e-10
 
 
+def test_integrate_without_a_pole_reports_no_fit(capsys):
+    # a short path that stays on the base chart: no point of it lies in a
+    # chart with a boundary coordinate, so there is no pole to fit
+    code, out = _capture(
+        capsys, ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "0.1"]
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pole_fit"] is None
+    assert rep["switch_events"] == [] and rep["end_chart"] == "U0"
+    assert (rep["steps_accepted"], rep["steps_rejected"]) == (9, 1)
+    assert rep["end_time"] == "(0.1+0j)"
+    want = (-2.37482019913959, 0.06473941499450056, -4.633962170022324)
+    for got, w in zip(rep["end_state_base_chart"], want):
+        assert abs(complex(got) - w) <= 1e-12 * abs(w)
+
+
 def test_integrate_binds_parameters_exactly(capsys):
     # with delta=2, gamma=0 the resolved atlas is polynomial only once the
     # parameters are bound; the run must match the generic field evaluated
@@ -356,6 +373,10 @@ atlas resolved : C1
         ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "nan+1i",
          "--center", "0.55"],
         ["index", "--system", "three-wave", "--out", "MISSING/report.json"],
+        ["obstructions", "--system", "three-wave", "--params", "delta=0,delta=1,gamma=0"],
+        ["obstructions", "--system", "three-wave", "--params", "delta"],
+        ["obstructions", "--system", "three-wave", "--params", "delta=("],
+        ["integrate", "--system", "modified", "--start=-2;0.1", "--path", "0.1"],
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
@@ -459,6 +480,9 @@ atlas resolved : T1
         # an affine chart keeps every field polynomial
         ("x + 1 ; y ; z | a - 1 ; b ; c",
          "error: no chart of the resolved atlas constrains the ansatz"),
+        # a pole along b = 0 alone
+        ("1/x ; 1/y ; z | 1/a ; 1/b ; c",
+         "error: chart T1: component denominator b is not a power of a"),
     ],
 )
 def test_uniqueness_analysis_errors_are_one_line(tmp_path, capsys, chart_map, message):

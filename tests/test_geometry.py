@@ -138,11 +138,14 @@ def test_log_pole_decomposition_on_projective_chart():
 
 def test_log_pole_rejects_higher_order(simple):
     t, src, dst = simple
-    X = RationalFn.var(t, "X")
+    X, Y = RationalFn.var(t, "X"), RationalFn.var(t, "Y")
     zero = RationalFn.const(t, 0)
-    bad = VectorField(dst, [zero, 1 / X**2, zero])
-    with pytest.raises(PoleTooHigh):
-        log_pole_decomposition(bad)
+    # a double pole along the boundary X = 0, and a pole along Y = 0
+    for comp in (1 / X**2, 1 / (X * Y)):
+        bad = VectorField(dst, [zero, comp, zero])
+        with pytest.raises(PoleTooHigh, match="pole beyond 1/X") as err:
+            log_pole_decomposition(bad)
+        assert err.value.component == "Y" and err.value.witness == comp.den
 
 
 def test_log_pole_polynomial_field(simple):

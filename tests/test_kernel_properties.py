@@ -2,7 +2,8 @@
 
 ``GaussianRational`` is checked against plain ``(Fraction, Fraction)``
 arithmetic, the packed monomial keys against ``(total degree, exponents)``
-tuples, and ``MultiPoly`` products against ``oracles.naive_mul``.
+tuples, ``MultiPoly`` products against ``oracles.naive_mul``, and the Laurent
+tail of ``RationalFn`` by reassembling it.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from oracles import naive_mul
 from threewave.errors import NotDivisible
 from threewave.gaussian import GaussianRational, gr
 from threewave.poly import MultiPoly, _layout
+from threewave.ratfunc import RationalFn
 from threewave.symbols import table
 
 KERNEL = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -146,3 +148,25 @@ def test_products_match_the_naive_oracle_and_divide_back(p, q):
 def test_monomial_divisibility_is_fieldwise(e, f):
     me, mf = MultiPoly(T, {e: gr(1)}), MultiPoly(T, {f: gr(1)})
     assert me.divides(mf) == all(a <= b for a, b in zip(e, f))
+
+
+_y, _z, _delta = (MultiPoly.var(T, s) for s in ("y", "z", "delta"))
+other_factors = st.sampled_from([_y, _y + _delta, _z - 1])
+
+
+@KERNEL
+@given(polys, st.integers(0, 3), other_factors)
+def test_laurent_tail_reassembles_and_refuses_other_denominators(num, d, q):
+    x = T.get("x")
+    f = RationalFn(num, MultiPoly.var(T, x) ** d)
+    tail = f.laurent(x)
+    assert all(x not in c.variables() for c in tail.values())
+    X = RationalFn.var(T, x)
+    assert sum((RationalFn.from_poly(c) * X**k for k, c in tail.items()), RationalFn.const(T, 0)) == f
+    # another factor of the denominator survives reduction unless it divides num
+    g = RationalFn(num, MultiPoly.var(T, x) ** d * q)
+    if q.divides(num):
+        g.laurent(x)
+    else:
+        with pytest.raises(ValueError, match="is not a power of x"):
+            g.laurent(x)

@@ -549,13 +549,13 @@ def test_pipeline_composed_chart_equals_resolved_chart_three():
     # chart followed by the two blow-ups composes to the atlas's third
     # twisted chart, up to flipping the sign of the middle coordinate
     rep = _pipeline("three-wave")
-    composed = rep.composed_map()
+    composed = rep.composed_forward
     big = rep.final_field.table
     t23 = next(m for m in models.resolved_atlas("three-wave") if m.target.name == "T2-3")
     expected = [f.retable(big) for f in t23.forward]
-    assert composed.forward[0] == expected[0]
-    assert composed.forward[1] == -expected[1]
-    assert composed.forward[2] == expected[2]
+    assert composed[0] == expected[0]
+    assert composed[1] == -expected[1]
+    assert composed[2] == expected[2]
     # and the final pipeline field is the T2-3 pushforward seen through that sign flip
     w23 = pushforward(models.three_wave_system(), t23)
     renames = dict(zip((s.name for s in w23.chart.vars), rep.final_field.chart.vars))
@@ -635,6 +635,9 @@ def test_solve_parameter_conditions_branches():
     d, g = MultiPoly.var(t, "delta"), MultiPoly.var(t, "gamma")
     branches = solve_parameter_conditions([d * g, g * g + g])
     assert [b.text() for b in branches] == ["{delta = 0, gamma = -1}", "{gamma = 0}"]
+    # a lone generic equation whose monomial content leaves a live cofactor
+    branches = solve_parameter_conditions([d * g + d])
+    assert [b.text() for b in branches] == ["{delta = 0}", "{gamma = -1}"]
 
 
 def test_solve_parameter_conditions_contradiction_dies():
