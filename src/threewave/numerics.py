@@ -25,6 +25,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
@@ -142,8 +143,15 @@ def _function(lines: list[str], result: str, consts: dict) -> Callable:
     """``def ev(a, b, c)`` of straight-line ``lines`` returning ``result``,
     with ``consts`` as its namespace."""
     body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def ev(a, b, c):\n{body}    return {result}\n", consts)
+    exec(_code(f"def ev(a, b, c):\n{body}    return {result}\n"), consts)
     return consts["ev"]
+
+
+@lru_cache(maxsize=512)
+def _code(source: str):
+    """The compiled ``source``. It names its coefficients and not their values,
+    so fields of one monomial structure share it at every parameter point."""
+    return compile(source, "<string>", "exec")
 
 
 def compile_poly(poly, var_names: Sequence[str]) -> Callable[[complex, complex, complex], complex]:

@@ -417,16 +417,24 @@ class MultiPoly:
         if not bindings:
             return self
         lay = self._lay
-        idx = {self.table.index(s): v for s, v in bindings.items()}
+        # per bound symbol: its field's shift, its unit key, and its value's
+        # powers, each computed once per call
+        slots = []
+        for s, v in bindings.items():
+            k = self.table.index(s)
+            slots.append((lay.shifts[k], lay.units[k], {1: v}))
         out: dict[int, GaussianRational] = {}
         for e, c in self._terms.items():
             val = c
             t = e
-            for k, v in idx.items():
-                d = e >> lay.shifts[k] & MAX_DEGREE
+            for shift, unit, powers in slots:
+                d = e >> shift & MAX_DEGREE
                 if d:
-                    val = val * v**d
-                    t -= d * lay.units[k]
+                    p = powers.get(d)
+                    if p is None:
+                        p = powers[d] = powers[1] ** d
+                    val = val * p
+                    t -= d * unit
             if val.is_zero():
                 continue
             s = out.get(t, ZERO) + val

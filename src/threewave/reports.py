@@ -7,16 +7,19 @@ identical inputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from . import models
-from .errors import AnalysisFailed
-from .geometry import ChartMap, VectorField
+from .errors import AnalysisFailed, ThreeWaveError
+from .geometry import ChartMap, LogPoleForm, VectorField
+from .parsing import ModelFile
 from .ratfunc import RationalFn
 from .singular import (
     AccessiblePoint,
     AccessibleScan,
-    alpha_test,
+    ResolutionReport,
+    classify_alpha_matrix,
     find_accessible,
     index_of_linear_part,
     linear_part,
@@ -125,12 +128,12 @@ POINT_CHARTS = {"P1": "U1", "P2": "U1", "P3": "U1", "P4": "U3", "P4_1": "W", "P4
 
 def _chart_labels(
     system, params, chart: str
-) -> dict[str, tuple[VectorField, AccessiblePoint]]:
+) -> dict[str, tuple[VectorField, LogPoleForm, AccessiblePoint]]:
     """The classical labels on one chart of the system's field at ``params``,
-    matched by computed coordinates (never hardcoded). W is the model's
-    weighted chart (``models.weighted_chart``), whether or not the model
-    declares a chart W; U1 and U3 give no label when the model's projective
-    atlas lacks them."""
+    matched by computed coordinates (never hardcoded), each with the field and
+    the log-pole form its scan read. W is the model's weighted chart
+    (``models.weighted_chart``), whether or not the model declares a chart W;
+    U1 and U3 give no label when the model's projective atlas lacks them."""
     if chart == "W":
         cmap = models.weighted_chart(system)[1]
     else:
@@ -143,18 +146,18 @@ def _chart_labels(
         zeros = [p for p in scan.points if all(c.is_zero() for c in p.coords)]
         others = [p for p in scan.points if p not in zeros]
         if zeros:
-            out["P1"] = (v, zeros[0])
+            out["P1"] = (v, scan.form, zeros[0])
         # sort the pair off the origin by the sign of the imaginary part (i first)
         others.sort(key=lambda p: p.coords[1].text(), reverse=True)
         for label, p in zip(("P2", "P3"), others):
-            out[label] = (v, p)
+            out[label] = (v, scan.form, p)
     elif chart == "U3":
         for p in scan.points:
             if all(c.is_zero() for c in p.coords):
-                out["P4"] = (v, p)
+                out["P4"] = (v, scan.form, p)
     else:
         for p in scan.points:
-            out["P4_1" if p.coords[2].is_zero() else "P4_2"] = (v, p)
+            out["P4_1" if p.coords[2].is_zero() else "P4_2"] = (v, scan.form, p)
     return out
 
 
@@ -164,11 +167,11 @@ def named_points(system, params=None) -> dict[str, tuple[VectorField, Accessible
     m = models.model(system)
     out = {}
     for chart in dict.fromkeys(POINT_CHARTS.values()):
-        out.update(_chart_labels(m, params, chart))
+        out.update((label, (v, p)) for label, (v, _, p) in _chart_labels(m, params, chart).items())
     return out
 
 
-def _named_point(system, params, point: str) -> tuple[VectorField, AccessiblePoint]:
+def _named_point(system, params, point: str) -> tuple[VectorField, LogPoleForm, AccessiblePoint]:
     """One label, scanning only the chart it lives on (nothing for a label
     that is not one of ``POINT_CHARTS``)."""
     if point not in POINT_CHARTS:
@@ -181,8 +184,8 @@ def _named_point(system, params, point: str) -> tuple[VectorField, AccessiblePoi
 
 
 def index_report(system, params=None, point: str = "P1") -> dict:
-    v, p = _named_point(system, params, point)
-    A = linear_part(v, p)
+    v, form, p = _named_point(system, params, point)
+    A = linear_part(form, p)
     idx = index_of_linear_part(A, v.table)
     return {
         "point": point,
@@ -198,8 +201,8 @@ def index_report(system, params=None, point: str = "P1") -> dict:
 
 
 def alpha_report(system, params=None, point: str = "P4_2") -> dict:
-    v, p = _named_point(system, params, point)
-    rep = alpha_test(v, p)
+    _, form, p = _named_point(system, params, point)
+    rep = classify_alpha_matrix(linear_part(form, p))
     return {
         "point": point,
         "chart": p.chart.name,
@@ -231,11 +234,29 @@ def painleve_report(system, params=None, bound: int = 2) -> dict:
     }
 
 
+@lru_cache(maxsize=16)  # keyed by identity, like models._weighted_chart
+def _symbolic_pipeline(m: ModelFile) -> ResolutionReport | None:
+    """The model's resolution with every parameter symbolic, or None when it
+    fails there (a parameter point may still resolve)."""
+    weighted_map = models.weighted_chart(m)[1]
+    try:
+        return resolution_pipeline(models.chart_field(m, weighted_map), weighted_map)
+    except ThreeWaveError:
+        return None
+
+
 def pipeline_report(system, params=None) -> dict:
+    """The blow-up pipeline at ``params``. The model's run with every
+    parameter symbolic is made once per model; a parameter point runs its
+    own scans and specializes that run's steps wherever their points match
+    (``resolution_pipeline``)."""
     m = models.model(system)
     balance, weighted_map = models.weighted_chart(m)
     bindings = models.bind_parameters(m, params)
-    rep = resolution_pipeline(models.chart_field(m, weighted_map, params), weighted_map)
+    rep = _symbolic_pipeline(m)
+    if bindings or rep is None:
+        vw = models.chart_field(m, weighted_map, params)
+        rep = resolution_pipeline(vw, weighted_map, rep, bindings)
     return {
         "system": m.name,
         "balance": {

@@ -34,13 +34,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     AnalysisFailed, DenominatorVanishes, PositiveDimensional, UnresolvedSpectrum, VerificationFailed,
 )
 from .gaussian import GaussianRational
-from .geometry import Chart, ChartMap, VectorField, det3, log_pole_decomposition, pushforward
+from .geometry import (
+    Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
+)
 from .poly import MultiPoly, content_in, poly_gcd, resultant
 from .ratfunc import RationalFn, substitute
 from .roots import find_roots
@@ -64,10 +66,12 @@ class AccessiblePoint:
 
 @dataclass(frozen=True)
 class AccessibleScan:
-    """Search result: verified points plus any unresolved residual branches."""
+    """Search result: verified points plus any unresolved residual branches,
+    and the field's log-pole form they were found on."""
 
     points: tuple[AccessiblePoint, ...]
     residuals: tuple[str, ...]
+    form: LogPoleForm
 
 
 def find_accessible(v: VectorField) -> AccessibleScan:
@@ -103,7 +107,7 @@ def find_accessible(v: VectorField) -> AccessibleScan:
             raise VerificationFailed(f"candidate point {point.text()} failed exact re-verification")
         points.append(point)
     points.sort(key=lambda p: p.text())
-    return AccessibleScan(tuple(points), tuple(residuals))
+    return AccessibleScan(tuple(points), tuple(residuals), lp)
 
 
 def _verify_point(gs, point: AccessiblePoint) -> bool:
@@ -174,19 +178,19 @@ def boundary_first_order(chart: Chart, boundary: Symbol) -> tuple[Symbol, ...]:
     return (boundary,) + tuple(s for s in chart.vars if s != boundary)
 
 
-def linear_part(v: VectorField, p: AccessiblePoint) -> list[list[RationalFn]]:
-    """Degree-1 truncation of the boundary-scaled field at ``p``.
+def linear_part(lp: LogPoleForm, p: AccessiblePoint) -> list[list[RationalFn]]:
+    """Degree-1 truncation of the boundary-scaled field at ``p``, read off the
+    field's log-pole form ``lp`` (``AccessibleScan.form``).
 
     The Jacobian of the log-pole polynomials (the boundary part times the
     boundary variable, then the transverse parts) evaluated at ``p``, in
     boundary-first variable order. Accessibility (the transverse parts
     vanish at ``p``) is re-verified on the way.
     """
-    table = v.table
+    table = lp.boundary_part.table
     order = boundary_first_order(p.chart, p.boundary)
     # the point's coordinates may carry parameter denominators
     at_p = dict(zip(p.chart.vars, p.coords))
-    lp = log_pole_decomposition(v)
     polys = [MultiPoly.var(table, p.boundary) * lp.boundary_part]
     polys += [g for _, g in lp.transverse]
     rows = []
@@ -233,7 +237,7 @@ def local_index(v: VectorField, p: AccessiblePoint) -> LocalIndex:
     computed from the characteristic polynomial and sorted canonically,
     flagged "spectral".
     """
-    return index_of_linear_part(linear_part(v, p), v.table)
+    return index_of_linear_part(linear_part(log_pole_decomposition(v), p), v.table)
 
 
 def index_of_linear_part(A: list[list[RationalFn]], table) -> LocalIndex:
@@ -332,7 +336,7 @@ def alpha_test(v: VectorField, p: AccessiblePoint) -> AlphaTestReport:
     symbolic as long as the eigenvalue ratios are constant; otherwise bind
     them in ``v``.
     """
-    return classify_alpha_matrix(linear_part(v, p))
+    return classify_alpha_matrix(linear_part(log_pole_decomposition(v), p))
 
 
 # -- dominant balance search ------------------------------------------------------------
@@ -689,18 +693,33 @@ def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[Conditio
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """End-to-end record of resolving the multiple boundary point, with the
-    forward half of the one map from the base chart to the final chart,
-    composed by the pipeline over the final field's table."""
+    """End-to-end record of resolving the multiple boundary point.
+
+    ``chart_maps`` holds the weighted map, then one map per blow-up;
+    ``fields`` the field on the target chart of each, and ``forwards`` the
+    forward half of the one map from the base chart to each, composed by
+    the pipeline over that field's table. ``linear_parts`` holds the linear
+    part at each weighted point. Run with every parameter symbolic, the
+    record is the lineage that a run at a parameter point specializes
+    (:func:`resolution_pipeline`)."""
 
     weighted_points: tuple[tuple[AccessiblePoint, LocalIndex], ...]
+    linear_parts: tuple[tuple[tuple[RationalFn, ...], ...], ...]
     entry_point: AccessiblePoint
     centers: tuple[AccessiblePoint, ...]
     obstruction: Obstruction
     branches: tuple[ConditionBranch, ...]
-    final_field: VectorField
-    chart_maps: tuple[ChartMap, ...]  # weighted map, then one map per blow-up
-    composed_forward: tuple[RationalFn, RationalFn, RationalFn]
+    chart_maps: tuple[ChartMap, ...]
+    fields: tuple[VectorField, ...]
+    forwards: tuple[tuple[RationalFn, RationalFn, RationalFn], ...]
+
+    @property
+    def final_field(self) -> VectorField:
+        return self.fields[-1]
+
+    @property
+    def composed_forward(self) -> tuple[RationalFn, RationalFn, RationalFn]:
+        return self.forwards[-1]
 
 
 # the largest pole order |m_k| the pipeline's balance search tries
@@ -728,7 +747,12 @@ def weighted_balance(v: VectorField) -> Balance:
     return balance
 
 
-def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionReport:
+def resolution_pipeline(
+    vw: VectorField,
+    weighted_map: ChartMap,
+    lineage: ResolutionReport | None = None,
+    bindings: Mapping[Symbol, GaussianRational] | None = None,
+) -> ResolutionReport:
     """Resolve the degenerate boundary point of ``vw``, the field already on
     the weighted chart (``models.chart_field`` of ``weighted_map``), and read
     off the parameter conditions for polynomiality.
@@ -740,11 +764,40 @@ def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionRe
     forward. ``weighted_map`` starts the chart lineage, and each blow-up's
     forward map is composed onto it as it is made. The final field's
     holomorphy obstructions and their solution branches are returned.
+
+    ``lineage`` is this pipeline's record on a field that ``bindings``
+    specialize to ``vw`` (the model's field with every parameter symbolic);
+    it is ignored when its weighted field does not. The scans are run on
+    ``vw`` itself, and every step whose point is the specialization of the
+    lineage's point takes the lineage's result specialized: the linear part
+    at a weighted point, and a blow-up's map (verified again by
+    :meth:`ChartMap.specialize`), pushed field and composed forward map.
+    From the first blow-up whose center does not match, which the lineage
+    lacks, or whose specialization has a vanishing denominator, the steps
+    are computed here. Both routes give the same record: where the
+    specialized inputs are defined, specialization commutes with the
+    pipeline's rational operations, and reduced forms are canonical.
     """
     if vw.chart != weighted_map.target:
         raise ValueError(f"field lives on {vw.chart.name}, not on {weighted_map.target.name}")
+    bindings = bindings or {}
+    if lineage is not None and _specialized(lineage.fields[:1], bindings) != (vw,):
+        lineage = None
     scan = find_accessible(vw)
-    decorated = tuple((p, local_index(vw, p)) for p in scan.points)
+    # the lineage's linear parts, keyed by their points' specialized coordinates
+    known = {}
+    if lineage is not None:
+        for (q, _), A in zip(lineage.weighted_points, lineage.linear_parts):
+            known[_specialized(q.coords, bindings)] = A
+    linear_parts = []
+    for p in scan.points:
+        rows = tuple(_specialized(row, bindings) for row in known.get(p.coords, ()))
+        if not rows or None in rows:
+            rows = tuple(map(tuple, linear_part(scan.form, p)))
+        linear_parts.append(rows)
+    decorated = tuple(
+        (p, index_of_linear_part(A, vw.table)) for p, A in zip(scan.points, linear_parts)
+    )
     entries = [(p, ix) for p, ix in decorated if not ix.eigenvalues[0].is_zero()]
     if not entries:
         raise AnalysisFailed("no accessible point with nonzero leading index on the weighted chart")
@@ -754,19 +807,24 @@ def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionRe
         for r in entry_index.ratios[1:]:
             if r.is_integer():
                 steps = max(steps, int(r.constant_value().re))
-    current_field, current_point = vw, entry
+    current_point = entry
     centers = []
-    chart_maps = [weighted_map]
-    composed = weighted_map.forward
+    chart_maps, fields, forwards = [weighted_map], [vw], [weighted_map.forward]
     for step in range(steps):
-        chart = current_field.chart
-        nxt = blow_up(current_field, current_point.coords, chart.var_index(chart.boundary))
-        current_field = nxt.field
-        chart_maps.append(nxt.cmap)
-        so_far = dict(zip(chart.vars, composed))
-        composed = tuple(substitute(f, so_far, current_field.table) for f in nxt.cmap.forward)
+        taken = _lineage_step(lineage, step, current_point, bindings) if lineage else None
+        if taken is None:
+            lineage = None  # every later step is computed here too
+            chart = fields[-1].chart
+            nxt = blow_up(fields[-1], current_point.coords, chart.var_index(chart.boundary))
+            so_far = dict(zip(chart.vars, forwards[-1]))
+            composed = tuple(substitute(f, so_far, nxt.field.table) for f in nxt.cmap.forward)
+            taken = nxt.cmap, nxt.field, composed
+        cmap, field, composed = taken
+        chart_maps.append(cmap)
+        fields.append(field)
+        forwards.append(composed)
         if step < steps - 1:
-            inner = find_accessible(current_field)
+            inner = find_accessible(fields[-1])
             if len(inner.points) != 1:
                 raise AnalysisFailed(
                     f"expected a unique accessible point on the exceptional divisor, got "
@@ -774,15 +832,40 @@ def resolution_pipeline(vw: VectorField, weighted_map: ChartMap) -> ResolutionRe
                 )
             current_point = inner.points[0]
             centers.append(current_point)
-    obstruction = holomorphy_obstructions(current_field)
+    obstruction = holomorphy_obstructions(fields[-1])
     branches = tuple(solve_parameter_conditions(list(obstruction.conditions)))
     return ResolutionReport(
         weighted_points=decorated,
+        linear_parts=tuple(linear_parts),
         entry_point=entry,
         centers=tuple(centers),
         obstruction=obstruction,
         branches=branches,
-        final_field=current_field,
         chart_maps=tuple(chart_maps),
-        composed_forward=composed,
+        fields=tuple(fields),
+        forwards=tuple(forwards),
     )
+
+
+def _specialized(values, bindings):
+    """Each of ``values`` (rational functions, fields or chart maps)
+    specialized at ``bindings``, or None when a denominator vanishes there."""
+    try:
+        return tuple(v.specialize(bindings) for v in values)
+    except DenominatorVanishes:
+        return None
+
+
+def _lineage_step(lineage: ResolutionReport, step: int, center: AccessiblePoint, bindings):
+    """Blow-up ``step`` of ``lineage`` specialized at ``bindings`` (its map,
+    pushed field and composed forward map) when the lineage has that step
+    and its center specializes to ``center``; else None."""
+    if step + 1 >= len(lineage.chart_maps):
+        return None
+    ours = ((lineage.entry_point,) + lineage.centers)[step]
+    if _specialized(ours.coords, bindings) != center.coords:
+        return None
+    k = step + 1
+    taken = _specialized((lineage.chart_maps[k], lineage.fields[k]), bindings)
+    composed = _specialized(lineage.forwards[k], bindings)
+    return None if taken is None or composed is None else (*taken, composed)

@@ -8,6 +8,7 @@ just eyeballed.
 import json
 import random
 import time
+from fractions import Fraction
 
 from threewave import models, reports
 from threewave.gaussian import gr
@@ -263,3 +264,19 @@ def test_criterion_9_pushforward_oracle_equivalence():
             assert list(got.components) == want
 
     _report(9, "pushforward equals the naive chain-rule oracle on 20 random fields", 1.0, body)
+
+
+def test_pipeline_at_new_points_after_the_symbolic_run():
+    # a model's symbolic pipeline is run once (the warm-up); a report at a
+    # new parameter point then specializes its steps
+    rng = random.Random(2026)
+
+    def value():
+        return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    for kind, n, budget in (("three-wave", 2, 0.4), ("modified", 5, 0.4)):
+        reports.pipeline_report(kind)
+        points = [[value() for _ in range(n)] for _ in range(20)]
+        _report(f"{kind} pipeline", f"pipeline_report at 20 new {kind} points", budget,
+                lambda: [reports.pipeline_report(kind, p) for p in points])

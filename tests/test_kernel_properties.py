@@ -2,8 +2,9 @@
 
 ``GaussianRational`` is checked against plain ``(Fraction, Fraction)``
 arithmetic, the packed monomial keys against ``(total degree, exponents)``
-tuples, ``MultiPoly`` products against ``oracles.naive_mul``, and the Laurent
-tail of ``RationalFn`` by reassembling it.
+tuples, ``MultiPoly`` products against ``oracles.naive_mul``, ``specialize``
+against ``substitute`` of the same constants, and the Laurent tail of
+``RationalFn`` by reassembling it.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from oracles import naive_mul
 from threewave.errors import NotDivisible
 from threewave.gaussian import GaussianRational, gr
 from threewave.poly import MultiPoly, _layout
-from threewave.ratfunc import RationalFn
+from threewave.ratfunc import RationalFn, substitute
 from threewave.symbols import table
 
 KERNEL = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -148,6 +149,15 @@ def test_products_match_the_naive_oracle_and_divide_back(p, q):
 def test_monomial_divisibility_is_fieldwise(e, f):
     me, mf = MultiPoly(T, {e: gr(1)}), MultiPoly(T, {f: gr(1)})
     assert me.divides(mf) == all(a <= b for a, b in zip(e, f))
+
+
+@KERNEL
+@given(polys, st.dictionaries(st.sampled_from(T.symbols), pairs, max_size=len(T)))
+def test_specialize_matches_substitute_of_the_same_constants(p, values):
+    bindings = {s: gr(*c) for s, c in values.items()}
+    constants = {s: RationalFn.const(T, v) for s, v in bindings.items()}
+    want = substitute(RationalFn.from_poly(p), constants, T)
+    assert RationalFn.from_poly(p.specialize(bindings)) == want
 
 
 _y, _z, _delta = (MultiPoly.var(T, s) for s in ("y", "z", "delta"))

@@ -446,6 +446,21 @@ def test_unrolled_rk_step_is_bit_identical_to_the_reference():
     assert kinds == {"value", OverflowError, ZeroDivisionError}
 
 
+def test_compiled_code_is_shared_by_structure_and_keeps_its_coefficients():
+    # the code object is cached by its source text, which names the
+    # coefficients and not their values: polynomials of one monomial structure
+    # share it, and each function still evaluates its own coefficients
+    rng = random.Random(36)
+    for _ in range(60):
+        poly = _random_sparse_poly(rng, huge=False)
+        other = poly.map_coefficients(lambda c: c * GaussianRational(2, -1))
+        f, g = compile_poly(poly, KERNEL_VARS), compile_poly(other, KERNEL_VARS)
+        assert f.__code__ is g.__code__
+        points = [_random_point(rng) for _ in range(10)]
+        _same_outcomes(f, reference_poly(poly, KERNEL_VARS), points)
+        _same_outcomes(g, reference_poly(other, KERNEL_VARS), points)
+
+
 @pytest.mark.parametrize("infinite_stages", [(1,), (4,)])
 def test_zero_weights_are_left_out_of_the_rk_step(infinite_stages):
     # stages 1 and 4 have zero weight in the order-5 result, stage 1 in the

@@ -8,7 +8,9 @@ from oracles import LEAD_VANISHES, naive_balance_equations, on_branch, random_po
 from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
-from threewave.geometry import Chart, VectorField, det3, power_scaled_chart, pushforward
+from threewave.geometry import (
+    Chart, VectorField, det3, log_pole_decomposition, power_scaled_chart, pushforward,
+)
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
 from threewave.singular import (
@@ -169,11 +171,11 @@ def _named(kind="three-wave", params=None):
 def test_linear_part_matches_tables():
     pts = _named()
     v, p1 = pts["P1"]
-    A = linear_part(v, p1)
+    A = linear_part(log_pole_decomposition(v), p1)
     diag = [A[k][k].text() for k in range(3)]
     assert diag == ["0", "2", "-2"]
     v, p42 = pts["P4_2"]
-    A = linear_part(v, p42)
+    A = linear_part(log_pole_decomposition(v), p42)
     assert [A[k][k].text() for k in range(3)] == ["1", "2", "2"]
     # sub-diagonal couplings from the expansion at the degenerate point
     assert A[1][0].text() == "1/2*delta*gamma"
@@ -211,7 +213,7 @@ def test_trace_determinant_invariants():
     for name, (v, p) in pts.items():
         if name == "P4":  # multiplicity-4 point is analyzed on the weighted chart
             continue
-        A = linear_part(v, p)
+        A = linear_part(log_pole_decomposition(v), p)
         idx = local_index(v, p)
         tr = A[0][0] + A[1][1] + A[2][2]
         assert tr == idx.eigenvalues[0] + idx.eigenvalues[1] + idx.eigenvalues[2]
@@ -230,7 +232,7 @@ def test_linear_part_rejects_a_point_that_is_not_accessible():
     coords[k] = coords[k] + 1
     moved = singular.AccessiblePoint(p.chart, tuple(coords))
     with pytest.raises(VerificationFailed, match="is not accessible") as info:
-        linear_part(v, moved)
+        linear_part(log_pole_decomposition(v), moved)
     assert not isinstance(info.value, ValueError)
 
 
@@ -239,7 +241,7 @@ def test_linear_part_at_a_point_with_parameter_denominators():
     v = _boundary_x_field("delta*Y-1", "Z-2+Y^2*(delta*Y-1)")
     (p,) = find_accessible(v).points
     assert p.text() == "(0, 1/(delta), 2)"
-    A = linear_part(v, p)
+    A = linear_part(log_pole_decomposition(v), p)
     assert [[e.text() for e in row] for row in A] == [
         ["0", "0", "0"], ["0", "delta", "0"], ["0", "1/(delta)", "1"]
     ]
@@ -520,22 +522,140 @@ def test_pipeline_reproduces_conditions():
     assert [c.text() for c in rep.centers] == ["(0, -1/2*delta*gamma, -2*gamma-2)"]
 
 
+def _count_calls(monkeypatch, calls, *targets):
+    """Record in ``calls`` the name of every call of each (module, name) in
+    ``targets``, with the target chart of a pushforward."""
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(args[1].target.name if _name == "pushforward" else _name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+
+_PIPELINE_STEPS = ((singular, "pushforward"), (models, "pushforward"),
+                   (singular, "blow_up"), (singular, "linear_part"))
+
+
 def test_pipeline_pushes_forward_only_along_its_blow_up_charts(monkeypatch):
-    # the field on W is pushed once per model (models.chart_field), so at a
-    # second parameter point only the blow-ups push a field forward
+    # the field on W and the symbolic pipeline are computed once per model,
+    # so after a warm-up point a second point whose points all specialize the
+    # symbolic ones pushes nothing, blows nothing up and reads no linear part
     reports.pipeline_report("three-wave", [1, 0])
+    wmap = models.weighted_chart("three-wave")[1]
+    at_one = _pipeline("three-wave", [1, 0])
     calls = []
-    real = singular.pushforward
-
-    def counting(v, cmap):
-        calls.append(cmap.target.name)
-        return real(v, cmap)
-
-    monkeypatch.setattr(singular, "pushforward", counting)
-    monkeypatch.setattr(models, "pushforward", counting)
+    _count_calls(monkeypatch, calls, *_PIPELINE_STEPS)
     rep = reports.pipeline_report("three-wave", [2, 0])
     assert rep["chart_lineage"][0] == "W"
-    assert calls == rep["chart_lineage"][1:]
+    assert calls == []
+    # a pipeline whose lineage does not match pushes exactly along its blow-up charts
+    bindings = models.bind_parameters("three-wave", [2, 0])
+    own = resolution_pipeline(models.chart_field("three-wave", wmap, [2, 0]), wmap, at_one, bindings)
+    pushes = [c for c in calls if c not in ("blow_up", "linear_part")]
+    assert pushes == [cm.target.name for cm in own.chart_maps[1:]] == rep["chart_lineage"][1:]
+
+
+def _direct_report(monkeypatch, kind, params):
+    """``pipeline_report`` run on the specialized field alone, with no lineage,
+    as a report or the error it raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(reports, "_symbolic_pipeline", lambda m: None)
+        return _outcome(kind, params)
+
+
+def _outcome(kind, params):
+    try:
+        return reports.pipeline_report(kind, params)
+    except Exception as exc:  # both routes must fail alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_pipeline_at_a_point_equals_the_pipeline_on_the_specialized_field(monkeypatch):
+    # differential: the specialized symbolic lineage against the pipeline run
+    # on the specialized field, at seeded points and the strata found by hand
+    rng = random.Random(2110)
+    pool = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), gr(0, 1), gr(1, -2), None]
+    points = [("three-wave", p) for p in ([0, 1], [0, None], [2, -1], [None, -1], [0, -1],
+                                          [Fraction(1, 3), 0], [None, 0])]
+    points += [("three-wave", [rng.choice(pool), rng.choice(pool)]) for _ in range(12)]
+    points += [("modified", p) for p in ([1, 2, 3, 4, 0], [0, 0, 0, 0, 0], [1, 2, 3, 2, 5],
+                                         [None, 2, None, 2, None], [None, None, None, None, 0],
+                                         [gr(0, 1), -1, 0, -1, 0])]
+    points += [("modified", [rng.choice(pool) for _ in range(5)]) for _ in range(12)]
+    reports.pipeline_report("three-wave")  # the symbolic runs, made once per model
+    reports.pipeline_report("modified")
+    for kind, params in points:
+        want = _direct_report(monkeypatch, kind, params)
+        calls = []
+        with monkeypatch.context() as patch:
+            _count_calls(patch, calls, *_PIPELINE_STEPS)
+            got = _outcome(kind, params)
+        assert got == want, (kind, params)
+        assert calls == [], (kind, params)  # every step came from the lineage
+
+
+def _doctored_lineages():
+    """Lineages handed to the pipeline at (delta, gamma) = (2, 0) as if they
+    were the symbolic one, with the blow-ups and linear parts each forces."""
+    import dataclasses
+
+    symbolic = _pipeline("three-wave")
+    delta = symbolic.final_field.table.get("delta")
+    pole = tuple(f + 1 / (RationalFn.var(f.table, delta) - 2) for f in symbolic.forwards[1])
+    return [
+        # its weighted field does not specialize to this one: nothing is taken
+        ("run at (1, 0)", _pipeline("three-wave", [1, 0]), 2, 2),
+        # the entry point moved: the linear parts are taken, no blow-up
+        ("moved entry", dataclasses.replace(
+            symbolic, entry_point=symbolic.weighted_points[1][0]), 2, 0),
+        # the lineage lacks the second blow-up
+        ("one blow-up", dataclasses.replace(
+            symbolic, centers=(), chart_maps=symbolic.chart_maps[:2],
+            fields=symbolic.fields[:2], forwards=symbolic.forwards[:2]), 1, 0),
+        # the first blow-up's composed map has a pole at delta = 2
+        ("vanishing denominator", dataclasses.replace(
+            symbolic, forwards=(symbolic.forwards[0], pole) + symbolic.forwards[2:]), 2, 0),
+    ]
+
+
+def test_pipeline_falls_back_where_the_lineage_does_not_match(monkeypatch):
+    # no point of the built-ins' grids leaves the symbolic lineage, so the
+    # fallback is forced by handing the pipeline other lineages; it must give
+    # the report of the pipeline on the specialized field alone
+    want = _direct_report(monkeypatch, "three-wave", [2, 0])
+    lineage_charts = want["chart_lineage"]
+    for label, lineage, blow_ups, linear_parts in _doctored_lineages():
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(reports, "_symbolic_pipeline", lambda m, lineage=lineage: lineage)
+            _count_calls(patch, calls, *_PIPELINE_STEPS)
+            got = reports.pipeline_report("three-wave", [2, 0])
+        assert got == want, label
+        assert calls.count("blow_up") == blow_ups, label
+        assert calls.count("linear_part") == linear_parts, label
+        pushed = [c for c in calls if c.startswith("W.")]
+        assert pushed == lineage_charts[len(lineage_charts) - blow_ups:], label
+
+
+def test_each_scanned_field_is_decomposed_once(monkeypatch):
+    # the scan's log-pole form is the one the linear parts are read from
+    reports.pipeline_report("three-wave")  # the symbolic run
+    fields = []
+    real = singular.log_pole_decomposition
+    monkeypatch.setattr(singular, "log_pole_decomposition", lambda v: fields.append(v) or real(v))
+    for report in (
+        lambda: reports.pipeline_report("three-wave", [2, 0]),
+        lambda: _direct_report(monkeypatch, "three-wave", [3, 0]),
+        lambda: reports.index_report("three-wave", [2, 0], "P4_2"),
+        lambda: reports.alpha_report("three-wave", [2, 0]),
+    ):
+        fields.clear()
+        report()
+        assert [v.chart.name for v in fields].count("W") == 1
+        assert len(set(fields)) == len(fields)
 
 
 def test_pipeline_refuses_a_field_off_the_weighted_chart():
