@@ -7,7 +7,9 @@ divisor gets resolved:
 1. :func:`find_accessible` locates the points of the divisor where solutions
    can leave it (the transverse components of the log-pole form vanish);
    they are finitely many exactly when those two components share no factor
-   in the divisor's coordinates, which one gcd decides,
+   in the divisor's coordinates, which one gcd decides; the points depend
+   only on the chart and those two components restricted to the divisor,
+   so each distinct restriction is solved and certified once per process,
 2. :func:`linear_part` / :func:`local_index` extract the eigenvalue data that
    classifies each point and predicts how many blow-ups are needed,
 3. :func:`painleve_leading_orders` searches dominant balances;
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -83,31 +86,35 @@ def find_accessible(v: VectorField) -> AccessibleScan:
     Gaussian-rational parameter field are reported as residual branches.
     Raises :class:`PositiveDimensional` when the two polynomials share a factor
     in the divisor's coordinates, so that the solution set contains a curve.
+    The points depend only on the chart and that restricted pair, so each
+    distinct pair is solved and certified once (:func:`_boundary_points`).
     """
     chart = v.chart
     lp = log_pole_decomposition(v)
-    boundary = chart.boundary
-    table = v.table
-    zero = {table.get(boundary.name): GaussianRational(0)}
-    gs = [(sym, g.specialize(zero)) for sym, g in lp.transverse]
+    zero = {v.table.get(chart.boundary.name): GaussianRational(0)}
+    gs = tuple((sym, g.specialize(zero)) for sym, g in lp.transverse)
+    points, residuals = _boundary_points(chart, gs)
+    return AccessibleScan(points, residuals, lp)
+
+
+@lru_cache(maxsize=256)  # keyed by value: the chart and the restricted pair
+def _boundary_points(chart: Chart, gs) -> tuple[tuple[AccessiblePoint, ...], tuple[str, ...]]:
+    """The accessible points of ``chart`` on which both polynomials of the
+    pair ``gs`` = ((u, gu), (w, gw)) vanish, each re-verified by substitution
+    and sorted by text, and the residual branches. A raised failure is not
+    kept, so it is raised again on every call."""
     (u_sym, gu), (w_sym, gw) = gs
-
     solutions, residuals = _solve_boundary_pair(gu, gw, u_sym, w_sym)
-
+    zero = RationalFn.const(gu.table, 0)
     points = []
     for sol, mult in solutions:
-        coords = []
-        for s in chart.vars:
-            if s == boundary:
-                coords.append(RationalFn.const(table, 0))
-            else:
-                coords.append(sol[s])
-        point = AccessiblePoint(chart, tuple(coords), mult)
+        coords = tuple(zero if s == chart.boundary else sol[s] for s in chart.vars)
+        point = AccessiblePoint(chart, coords, mult)
         if not _verify_point(gs, point):
             raise VerificationFailed(f"candidate point {point.text()} failed exact re-verification")
         points.append(point)
     points.sort(key=lambda p: p.text())
-    return AccessibleScan(tuple(points), tuple(residuals), lp)
+    return tuple(points), residuals
 
 
 def _verify_point(gs, point: AccessiblePoint) -> bool:

@@ -280,3 +280,19 @@ def test_pipeline_at_new_points_after_the_symbolic_run():
         points = [[value() for _ in range(n)] for _ in range(20)]
         _report(f"{kind} pipeline", f"pipeline_report at 20 new {kind} points", budget,
                 lambda: [reports.pipeline_report(kind, p) for p in points])
+
+
+def test_singularities_at_new_points_after_the_first():
+    # each distinct boundary pair is solved once per process: after one
+    # report the U1-U3 pairs of a new parameter point are already solved
+    rng = random.Random(2026)
+
+    def value():
+        return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    for kind, n, budget in (("three-wave", 2, 0.2), ("modified", 5, 0.2)):
+        reports.singularities_report(kind)
+        points = [[value() for _ in range(n)] for _ in range(20)]
+        _report(f"{kind} singularities", f"singularities_report at 20 new {kind} points",
+                budget, lambda: [reports.singularities_report(kind, p) for p in points])

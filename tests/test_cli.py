@@ -583,8 +583,13 @@ def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
 
 
 def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):
+    from functools import lru_cache
+
     from threewave import singular
 
+    # an empty memo of boundary points, so that each point is verified again
+    monkeypatch.setattr(singular, "_boundary_points",
+                        lru_cache(maxsize=256)(singular._boundary_points.__wrapped__))
     monkeypatch.setattr(singular, "_verify_point", lambda gs, point: False)
     code = run(["singularities", "--system", "three-wave"])
     captured = capsys.readouterr()
@@ -593,6 +598,45 @@ def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: candidate point")
     assert "failed exact re-verification" in lines[0]
+
+
+# a random field of the cli benchmark workload whose quadratic part vanishes on
+# the whole line z = 0 at infinity, in the benchmark's projective model file
+CURVE_AT_INFINITY_MODEL = """chart U0 : x y z
+chart U1 : X1 Y1 Z1 @ X1
+chart U2 : X2 Y2 Z2 @ Y2
+chart U3 : X3 Y3 Z3 @ Z3
+system U0 : (-2)*x*z + (-1/2)*x + (-1)*y + (-1/2)*z^2 + (-1)*z ; (-1/2)*x + (1)*y*z + (-1)*z ; \
+(1)*x*z + (-2)*y*z + (1/2)*y + (1)*z^2 + (-1/2)*z
+map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
+map U0 U2 : x/y ; 1/y ; z/y | X2/Y2 ; 1/Y2 ; Z2/Y2
+map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
+"""
+
+
+def test_boundary_curve_is_refused_on_every_call(capsys, monkeypatch, tmp_path):
+    # the verdict is right, and a refusal is never memoized: it is solved
+    # and raised again on every call
+    from threewave import singular
+    from threewave.errors import PositiveDimensional
+
+    path = tmp_path / "curve.model"
+    path.write_text(CURVE_AT_INFINITY_MODEL)
+    code = run(["singularities", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: common factor Z1 cuts a curve"]
+    solves = []
+    real = singular._solve_boundary_pair
+    monkeypatch.setattr(singular, "_solve_boundary_pair",
+                        lambda *args: solves.append(args) or real(*args))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(PositiveDimensional) as raised:
+            reports.singularities_report(str(path))
+        messages.append(str(raised.value))
+    assert messages == ["common factor Z1 cuts a curve"] * 2
+    assert len(solves) == 2
 
 
 def test_named_point_scans_one_chart(capsys, monkeypatch):

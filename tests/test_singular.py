@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -157,6 +158,93 @@ def test_every_reported_point_satisfies_definition():
             for _, g in lp.transverse:
                 val = substitute(RationalFn.from_poly(g.specialize(zero)), bindings, w.table)
                 assert val.is_zero()
+
+
+# -- one solve per distinct boundary pair -------------------------------------------
+
+
+def _pair_solves(monkeypatch):
+    """A list that records the (u, w) names of every call of the unmemoized
+    boundary-pair solver, starting from an empty memo."""
+    singular._boundary_points.cache_clear()
+    calls = []
+    real = singular._solve_boundary_pair
+    monkeypatch.setattr(singular, "_solve_boundary_pair",
+                        lambda gu, gw, u, w: calls.append((u.name, w.name)) or real(gu, gw, u, w))
+    return calls
+
+
+@pytest.mark.parametrize("kind, first, second", [
+    ("three-wave", [1, 0], [gr(3, -1), Fraction(2, 7)]),
+    ("modified", [1, 2, 3, 4, 5], [gr(0, 2), -1, Fraction(5, 3), 7, gr(1, 1)]),
+])
+def test_projective_pairs_are_solved_once_per_process(monkeypatch, kind, first, second):
+    # on U1-U3 the boundary pair comes from the field's top-degree part, the
+    # same at every parameter point, so a second point solves none of them
+    calls = _pair_solves(monkeypatch)
+    projective = {s.name for cm in models.atlas(kind, "projective") for s in cm.target.vars}
+    reports.singularities_report(kind, first)
+    assert len([c for c in calls if c[0] in projective]) == 3
+    calls.clear()
+    reports.singularities_report(kind, second)
+    assert [c for c in calls if c[0] in projective] == []
+
+
+def test_equal_pairs_on_another_chart_or_table_are_solved_again(monkeypatch):
+    calls = _pair_solves(monkeypatch)
+    v = _boundary_x_field("delta*(Y-1)", "Z-2")
+    scan = find_accessible(v)
+    assert find_accessible(v) == scan and len(calls) == 1
+    renamed = Chart("D", v.chart.vars, boundary=v.chart.boundary)
+    on_d = find_accessible(VectorField(renamed, v.components))
+    wider = v.table.extend([parameter("eps")])
+    on_wider = find_accessible(v.retable(wider))
+    assert len(calls) == 3
+    assert [p.chart.name for p in on_d.points] == ["D"]
+    assert [c.table for p in on_wider.points for c in p.coords] == [wider] * 3
+    assert [p.text() for p in on_d.points + on_wider.points] == [p.text() for p in scan.points] * 2
+
+
+def _differential_points():
+    """Thirty parameter points of the built-ins: the strata found by hand,
+    partial bindings, and seeded random Gaussian rationals."""
+    rng = random.Random(2203)
+
+    def value():
+        return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    points = [("three-wave", p) for p in ([0, 1], [2, -1], [0, -1], [None, -1], [0, None], None)]
+    points += [("modified", p) for p in ([1, 2, 3, 4, 0], [0, 0, 0, 0, 0], [1, 2, 3, 2, 5],
+                                         [None, 2, None, 2, None], [None, None, None, None, 0],
+                                         [0, gr(0, 1), 0, -1, 3])]
+    points += [("three-wave", [value(), value()]) for _ in range(9)]
+    points += [("modified", [value() for _ in range(5)]) for _ in range(9)]
+    return points
+
+
+def _census_text(kind, params):
+    try:
+        return json.dumps(reports.singularities_report(kind, params), sort_keys=True)
+    except PositiveDimensional as exc:
+        return f"PositiveDimensional: {exc}"
+
+
+def test_scans_from_the_memo_equal_cold_scans(monkeypatch):
+    # differential: each scan and census read from a warm memo equals the one
+    # computed after the memo is emptied
+    calls = _pair_solves(monkeypatch)
+    for kind, params in _differential_points():
+        warm_text = _census_text(kind, params)
+        fields = [reports.scan_chart(kind, params, name)[0] for name in reports.scan_charts(kind)]
+        calls.clear()
+        warm = [find_accessible(w) for w in fields]
+        assert calls == [], (kind, params)
+        singular._boundary_points.cache_clear()
+        cold = [find_accessible(w) for w in fields]
+        assert cold == warm, (kind, params)
+        singular._boundary_points.cache_clear()
+        assert _census_text(kind, params) == warm_text, (kind, params)
 
 
 # -- linear part / local index ----------------------------------------------------
