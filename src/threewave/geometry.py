@@ -171,17 +171,6 @@ class ChartMap:
     def reversed(self) -> "ChartMap":
         return ChartMap(self.target, self.source, self.inverse, self.forward, check=False)
 
-    def compose(self, then: "ChartMap") -> "ChartMap":
-        """The map ``then o self`` (apply self first)."""
-        if self.target != then.source:
-            raise ValueError("charts do not chain")
-        table = self.table
-        fwd_binding = {then.source.vars[k]: self.forward[k] for k in range(3)}
-        inv_binding = {self.target.vars[k]: then.inverse[k] for k in range(3)}
-        fwd = [substitute(f, fwd_binding, table) for f in then.forward]
-        inv = [substitute(g, inv_binding, table) for g in self.inverse]
-        return ChartMap(self.source, then.target, fwd, inv, check=False)
-
     def __repr__(self):
         return f"ChartMap({self.source.name} -> {self.target.name})"
 

@@ -255,8 +255,8 @@ def pipeline_report(system, params=None) -> dict:
     bindings = models.bind_parameters(m, params)
     rep = _symbolic_pipeline(m)
     if bindings or rep is None:
-        vw = models.chart_field(m, weighted_map, params)
-        rep = resolution_pipeline(vw, weighted_map, rep, bindings)
+        v = models.chart_field(m, weighted_map)
+        rep = resolution_pipeline(v, weighted_map, rep, bindings)
     return {
         "system": m.name,
         "balance": {
@@ -273,7 +273,7 @@ def pipeline_report(system, params=None) -> dict:
         ],
         "entry_point": _point_dict(rep.entry_point),
         "blowup_centers": [_point_dict(c) for c in rep.centers],
-        "chart_lineage": [cm.target.name for cm in rep.chart_maps],
+        "chart_lineage": [f.chart.name for f in rep.fields],
         "composed_forward": [f.text() for f in rep.composed_forward],
         "final_chart": rep.final_field.chart.name,
         "final_components": [c.text() for c in rep.final_field.components],

@@ -702,10 +702,10 @@ def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[Conditio
 class ResolutionReport:
     """End-to-end record of resolving the multiple boundary point.
 
-    ``chart_maps`` holds the weighted map, then one map per blow-up;
-    ``fields`` the field on the target chart of each, and ``forwards`` the
-    forward half of the one map from the base chart to each, composed by
-    the pipeline over that field's table. ``linear_parts`` holds the linear
+    ``fields`` holds the field on the weighted chart, then the field on the
+    target chart of each blow-up, and ``forwards`` the forward half of the
+    one map from the base chart to each of those charts, composed by the
+    pipeline over that field's table. ``linear_parts`` holds the linear
     part at each weighted point. Run with every parameter symbolic, the
     record is the lineage that a run at a parameter point specializes
     (:func:`resolution_pipeline`)."""
@@ -716,7 +716,6 @@ class ResolutionReport:
     centers: tuple[AccessiblePoint, ...]
     obstruction: Obstruction
     branches: tuple[ConditionBranch, ...]
-    chart_maps: tuple[ChartMap, ...]
     fields: tuple[VectorField, ...]
     forwards: tuple[tuple[RationalFn, RationalFn, RationalFn], ...]
 
@@ -755,14 +754,15 @@ def weighted_balance(v: VectorField) -> Balance:
 
 
 def resolution_pipeline(
-    vw: VectorField,
+    v: VectorField,
     weighted_map: ChartMap,
     lineage: ResolutionReport | None = None,
     bindings: Mapping[Symbol, GaussianRational] | None = None,
 ) -> ResolutionReport:
-    """Resolve the degenerate boundary point of ``vw``, the field already on
-    the weighted chart (``models.chart_field`` of ``weighted_map``), and read
-    off the parameter conditions for polynomiality.
+    """Resolve the degenerate boundary point of ``v``, the field already on
+    the weighted chart (``models.chart_field`` of ``weighted_map``),
+    specialized at ``bindings``, and read off the parameter conditions for
+    polynomiality.
 
     The accessible point there with a nonzero first index entry is blown up
     repeatedly (the resonance ratio fixes the number of steps), each time at
@@ -772,24 +772,26 @@ def resolution_pipeline(
     forward map is composed onto it as it is made. The final field's
     holomorphy obstructions and their solution branches are returned.
 
-    ``lineage`` is this pipeline's record on a field that ``bindings``
-    specialize to ``vw`` (the model's field with every parameter symbolic);
-    it is ignored when its weighted field does not. The scans are run on
-    ``vw`` itself, and every step whose point is the specialization of the
-    lineage's point takes the lineage's result specialized: the linear part
-    at a weighted point, and a blow-up's map (verified again by
-    :meth:`ChartMap.specialize`), pushed field and composed forward map.
+    ``lineage`` is this pipeline's record on ``v`` (the model's field with
+    every parameter symbolic); it is ignored when its weighted field is not
+    ``v``. The scans are run on the specialized field, and every step whose
+    point is the specialization of the lineage's point takes the lineage's
+    result specialized: the linear part at a weighted point, and a
+    blow-up's pushed field and composed forward map. The blow-up's map is
+    not needed: its halves ((x_j - c_j)/(x_k - c_k), x_k - c_k) and
+    (u_k*u_j + c_j, u_k + c_k) are inverse to each other for every center c.
     From the first blow-up whose center does not match, which the lineage
     lacks, or whose specialization has a vanishing denominator, the steps
     are computed here. Both routes give the same record: where the
     specialized inputs are defined, specialization commutes with the
     pipeline's rational operations, and reduced forms are canonical.
     """
-    if vw.chart != weighted_map.target:
-        raise ValueError(f"field lives on {vw.chart.name}, not on {weighted_map.target.name}")
+    if v.chart != weighted_map.target:
+        raise ValueError(f"field lives on {v.chart.name}, not on {weighted_map.target.name}")
     bindings = bindings or {}
-    if lineage is not None and _specialized(lineage.fields[:1], bindings) != (vw,):
+    if lineage is not None and lineage.fields[0] != v:
         lineage = None
+    vw = v.specialize(bindings)
     scan = find_accessible(vw)
     # the lineage's linear parts, keyed by their points' specialized coordinates
     known = {}
@@ -816,7 +818,7 @@ def resolution_pipeline(
                 steps = max(steps, int(r.constant_value().re))
     current_point = entry
     centers = []
-    chart_maps, fields, forwards = [weighted_map], [vw], [weighted_map.forward]
+    fields, forwards = [vw], [weighted_map.forward]
     for step in range(steps):
         taken = _lineage_step(lineage, step, current_point, bindings) if lineage else None
         if taken is None:
@@ -825,9 +827,8 @@ def resolution_pipeline(
             nxt = blow_up(fields[-1], current_point.coords, chart.var_index(chart.boundary))
             so_far = dict(zip(chart.vars, forwards[-1]))
             composed = tuple(substitute(f, so_far, nxt.field.table) for f in nxt.cmap.forward)
-            taken = nxt.cmap, nxt.field, composed
-        cmap, field, composed = taken
-        chart_maps.append(cmap)
+            taken = nxt.field, composed
+        field, composed = taken
         fields.append(field)
         forwards.append(composed)
         if step < steps - 1:
@@ -848,15 +849,14 @@ def resolution_pipeline(
         centers=tuple(centers),
         obstruction=obstruction,
         branches=branches,
-        chart_maps=tuple(chart_maps),
         fields=tuple(fields),
         forwards=tuple(forwards),
     )
 
 
 def _specialized(values, bindings):
-    """Each of ``values`` (rational functions, fields or chart maps)
-    specialized at ``bindings``, or None when a denominator vanishes there."""
+    """Each of ``values`` (rational functions or fields) specialized at
+    ``bindings``, or None when a denominator vanishes there."""
     try:
         return tuple(v.specialize(bindings) for v in values)
     except DenominatorVanishes:
@@ -864,15 +864,13 @@ def _specialized(values, bindings):
 
 
 def _lineage_step(lineage: ResolutionReport, step: int, center: AccessiblePoint, bindings):
-    """Blow-up ``step`` of ``lineage`` specialized at ``bindings`` (its map,
-    pushed field and composed forward map) when the lineage has that step
-    and its center specializes to ``center``; else None."""
-    if step + 1 >= len(lineage.chart_maps):
+    """Blow-up ``step`` of ``lineage`` specialized at ``bindings`` (its pushed
+    field and composed forward map) when the lineage has that step and its
+    center specializes to ``center``; else None."""
+    if step + 1 >= len(lineage.fields):
         return None
     ours = ((lineage.entry_point,) + lineage.centers)[step]
     if _specialized(ours.coords, bindings) != center.coords:
         return None
-    k = step + 1
-    taken = _specialized((lineage.chart_maps[k], lineage.fields[k]), bindings)
-    composed = _specialized(lineage.forwards[k], bindings)
-    return None if taken is None or composed is None else (*taken, composed)
+    taken = _specialized((lineage.fields[step + 1], *lineage.forwards[step + 1]), bindings)
+    return None if taken is None else (taken[0], taken[1:])

@@ -275,7 +275,7 @@ def test_pipeline_at_new_points_after_the_symbolic_run():
         return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
                   Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
 
-    for kind, n, budget in (("three-wave", 2, 0.4), ("modified", 5, 0.4)):
+    for kind, n, budget in (("three-wave", 2, 0.3), ("modified", 5, 0.3)):
         reports.pipeline_report(kind)
         points = [[value() for _ in range(n)] for _ in range(20)]
         _report(f"{kind} pipeline", f"pipeline_report at 20 new {kind} points", budget,

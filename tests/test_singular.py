@@ -10,7 +10,7 @@ from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
 from threewave.geometry import (
-    Chart, VectorField, det3, log_pole_decomposition, power_scaled_chart, pushforward,
+    Chart, ChartMap, VectorField, det3, log_pole_decomposition, power_scaled_chart, pushforward,
 )
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
@@ -641,9 +641,43 @@ def test_pipeline_pushes_forward_only_along_its_blow_up_charts(monkeypatch):
     assert calls == []
     # a pipeline whose lineage does not match pushes exactly along its blow-up charts
     bindings = models.bind_parameters("three-wave", [2, 0])
-    own = resolution_pipeline(models.chart_field("three-wave", wmap, [2, 0]), wmap, at_one, bindings)
+    own = resolution_pipeline(models.chart_field("three-wave", wmap), wmap, at_one, bindings)
     pushes = [c for c in calls if c not in ("blow_up", "linear_part")]
-    assert pushes == [cm.target.name for cm in own.chart_maps[1:]] == rep["chart_lineage"][1:]
+    assert pushes == [f.chart.name for f in own.fields[1:]] == rep["chart_lineage"][1:]
+
+
+def _calls_at_a_second_point(monkeypatch, cls, name, counted=lambda *args: True):
+    """Per built-in, the calls of ``cls.name`` that ``counted`` accepts while
+    ``pipeline_report`` runs at a second parameter point after a warm-up one."""
+    real, calls = getattr(cls, name), []
+
+    def counting(*args):
+        if counted(*args):
+            calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(cls, name, counting)
+    got = {}
+    for kind, warm_up, point in (("three-wave", [1, 0], [2, 0]),
+                                 ("modified", [1, 2, 3, 4, 0], [1, 2, 3, 2, 5])):
+        reports.pipeline_report(kind, warm_up)
+        calls.clear()
+        assert len(reports.pipeline_report(kind, point)["chart_lineage"]) == 3
+        got[kind] = len(calls)
+    return got
+
+
+def test_pipeline_at_a_second_point_verifies_no_chart_map(monkeypatch):
+    # a point that takes the lineage builds no blow-up map, so verifies none
+    assert _calls_at_a_second_point(monkeypatch, ChartMap, "_verify") == {
+        "three-wave": 0, "modified": 0}
+
+
+def test_pipeline_at_a_second_point_specializes_the_weighted_field_once(monkeypatch):
+    # the weighted field once, then the pushed field of each of the two blow-ups
+    got = _calls_at_a_second_point(monkeypatch, VectorField, "specialize",
+                                   lambda v, bindings: bool(bindings))
+    assert got == {"three-wave": 3, "modified": 3}
 
 
 def _direct_report(monkeypatch, kind, params):
@@ -694,15 +728,15 @@ def _doctored_lineages():
     delta = symbolic.final_field.table.get("delta")
     pole = tuple(f + 1 / (RationalFn.var(f.table, delta) - 2) for f in symbolic.forwards[1])
     return [
-        # its weighted field does not specialize to this one: nothing is taken
+        # its weighted field is not the symbolic one: nothing is taken
         ("run at (1, 0)", _pipeline("three-wave", [1, 0]), 2, 2),
         # the entry point moved: the linear parts are taken, no blow-up
         ("moved entry", dataclasses.replace(
             symbolic, entry_point=symbolic.weighted_points[1][0]), 2, 0),
         # the lineage lacks the second blow-up
         ("one blow-up", dataclasses.replace(
-            symbolic, centers=(), chart_maps=symbolic.chart_maps[:2],
-            fields=symbolic.fields[:2], forwards=symbolic.forwards[:2]), 1, 0),
+            symbolic, centers=(), fields=symbolic.fields[:2],
+            forwards=symbolic.forwards[:2]), 1, 0),
         # the first blow-up's composed map has a pole at delta = 2
         ("vanishing denominator", dataclasses.replace(
             symbolic, forwards=(symbolic.forwards[0], pole) + symbolic.forwards[2:]), 2, 0),
