@@ -91,10 +91,8 @@ def _finite_complex(text: str, what: str) -> complex:
 def _emit(report: dict, args, command: str) -> None:
     if args.format == "json":
         body = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, default=str)
-    elif args.format == "text":
-        body = _render_text(report)
     else:
-        raise UsageError("csv output is only available for 'integrate'")
+        body = _render_text(report)
     _write_out(body, args, command)
 
 
@@ -242,6 +240,8 @@ def _dispatch(args) -> int:
     _check_numbers(args)
     if cmd in ("verify-symmetry", "uniqueness") and args.params is not None:
         raise UsageError(f"{cmd} checks a claim for symbolic parameters; it takes no --params")
+    if args.format == "csv" and cmd != "integrate":
+        raise UsageError("csv output is only available for 'integrate'")
     system = models.model(args.system)
     numeric = cmd in NUMERIC_COMMANDS
     params = _parse_params(system, args.params, numeric)

@@ -7,18 +7,15 @@ identical inputs.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from . import models
-from .errors import AnalysisFailed, ThreeWaveError
+from .errors import AnalysisFailed
 from .geometry import ChartMap, LogPoleForm, VectorField
-from .parsing import ModelFile
 from .ratfunc import RationalFn
 from .singular import (
     AccessiblePoint,
     AccessibleScan,
-    ResolutionReport,
     classify_alpha_matrix,
     find_accessible,
     index_of_linear_part,
@@ -234,29 +231,13 @@ def painleve_report(system, params=None, bound: int = 2) -> dict:
     }
 
 
-@lru_cache(maxsize=16)  # keyed by identity, like models._weighted_chart
-def _symbolic_pipeline(m: ModelFile) -> ResolutionReport | None:
-    """The model's resolution with every parameter symbolic, or None when it
-    fails there (a parameter point may still resolve)."""
-    weighted_map = models.weighted_chart(m)[1]
-    try:
-        return resolution_pipeline(models.chart_field(m, weighted_map), weighted_map)
-    except ThreeWaveError:
-        return None
-
-
 def pipeline_report(system, params=None) -> dict:
-    """The blow-up pipeline at ``params``. The model's run with every
-    parameter symbolic is made once per model; a parameter point runs its
-    own scans and specializes that run's steps wherever their points match
-    (``resolution_pipeline``)."""
+    """The blow-up pipeline at ``params``, specializing the model's run with
+    every parameter symbolic wherever it can (``resolution_pipeline``)."""
     m = models.model(system)
     balance, weighted_map = models.weighted_chart(m)
     bindings = models.bind_parameters(m, params)
-    rep = _symbolic_pipeline(m)
-    if bindings or rep is None:
-        v = models.chart_field(m, weighted_map)
-        rep = resolution_pipeline(v, weighted_map, rep, bindings)
+    rep = resolution_pipeline(models.chart_field(m, weighted_map), weighted_map, bindings)
     return {
         "system": m.name,
         "balance": {

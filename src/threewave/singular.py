@@ -40,7 +40,8 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
-    AnalysisFailed, DenominatorVanishes, PositiveDimensional, UnresolvedSpectrum, VerificationFailed,
+    AnalysisFailed, DenominatorVanishes, PositiveDimensional, ThreeWaveError, UnresolvedSpectrum,
+    VerificationFailed,
 )
 from .gaussian import GaussianRational
 from .geometry import (
@@ -756,7 +757,6 @@ def weighted_balance(v: VectorField) -> Balance:
 def resolution_pipeline(
     v: VectorField,
     weighted_map: ChartMap,
-    lineage: ResolutionReport | None = None,
     bindings: Mapping[Symbol, GaussianRational] | None = None,
 ) -> ResolutionReport:
     """Resolve the degenerate boundary point of ``v``, the field already on
@@ -772,25 +772,42 @@ def resolution_pipeline(
     forward map is composed onto it as it is made. The final field's
     holomorphy obstructions and their solution branches are returned.
 
-    ``lineage`` is this pipeline's record on ``v`` (the model's field with
-    every parameter symbolic); it is ignored when its weighted field is not
-    ``v``. The scans are run on the specialized field, and every step whose
-    point is the specialization of the lineage's point takes the lineage's
-    result specialized: the linear part at a weighted point, and a
-    blow-up's pushed field and composed forward map. The blow-up's map is
-    not needed: its halves ((x_j - c_j)/(x_k - c_k), x_k - c_k) and
-    (u_k*u_j + c_j, u_k + c_k) are inverse to each other for every center c.
-    From the first blow-up whose center does not match, which the lineage
-    lacks, or whose specialization has a vanishing denominator, the steps
-    are computed here. Both routes give the same record: where the
-    specialized inputs are defined, specialization commutes with the
-    pipeline's rational operations, and reduced forms are canonical.
+    The run on ``v`` itself, every parameter symbolic, is made once per
+    field and map and is the lineage; without ``bindings`` it is the result.
+    At a parameter point the scans are run on the specialized field, and
+    every step whose point is the specialization of the lineage's point
+    takes the lineage's result specialized: the linear part at a weighted
+    point, and a blow-up's pushed field and composed forward map. The
+    blow-up's map is not needed: its halves ((x_j - c_j)/(x_k - c_k),
+    x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are inverse to each other for
+    every center c. The steps are computed here from the first blow-up whose
+    center does not match, which the lineage lacks, or whose specialization
+    has a vanishing denominator, and all of them when the symbolic run
+    fails. Both routes give the same record: where the specialized inputs
+    are defined, specialization commutes with the pipeline's rational
+    operations, and reduced forms are canonical.
     """
     if v.chart != weighted_map.target:
         raise ValueError(f"field lives on {v.chart.name}, not on {weighted_map.target.name}")
-    bindings = bindings or {}
-    if lineage is not None and lineage.fields[0] != v:
-        lineage = None
+    lineage = _symbolic_lineage(v, weighted_map)
+    if lineage is not None and not bindings:
+        return lineage
+    return _resolve(v, weighted_map, lineage, bindings or {})
+
+
+@lru_cache(maxsize=16)  # keyed by the field's value and the map's identity
+def _symbolic_lineage(v: VectorField, weighted_map: ChartMap) -> ResolutionReport | None:
+    """The pipeline's run on ``v`` with every parameter symbolic, or None
+    when it fails there."""
+    try:
+        return _resolve(v, weighted_map, None, {})
+    except ThreeWaveError:
+        return None
+
+
+def _resolve(v, weighted_map, lineage, bindings) -> ResolutionReport:
+    """The pipeline on ``v`` at ``bindings``, taking every step it can from
+    ``lineage`` (None: every step is computed)."""
     vw = v.specialize(bindings)
     scan = find_accessible(vw)
     # the lineage's linear parts, keyed by their points' specialized coordinates

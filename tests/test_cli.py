@@ -4,7 +4,7 @@ import random
 import oracles
 import pytest
 
-from threewave import models, reports
+from threewave import cli, models, reports
 from threewave.cli import run
 from threewave.numerics import NumericAtlas, TrajectoryPoint, integrate
 
@@ -680,3 +680,132 @@ def test_second_parameter_point_pushes_no_scan_chart(capsys, monkeypatch, tmp_pa
     code, _ = _capture(capsys, ["singularities", "--system", str(path), "--params", "delta=2"])
     assert code == 0
     assert calls == ["U1", "U2", "U3", "W"]
+
+
+# the projective charts and maps of the cli workload's seeded model files
+WORKLOAD_MODEL = """params a
+chart U0 : x y z
+chart U1 : X1 Y1 Z1 @ X1
+chart U2 : X2 Y2 Z2 @ Y2
+chart U3 : X3 Y3 Z3 @ Z3
+system U0 : {field}
+map U0 U1 : 1/x ; y/x ; z/x | 1/X1 ; Y1/X1 ; Z1/X1
+map U0 U2 : x/y ; 1/y ; z/y | X2/Y2 ; 1/Y2 ; Z2/Y2
+map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
+"""
+
+# its symbolic pipeline fails, but a point resolves
+UNSPLIT_FIELD = ("(-2)*x^2 + (-1)*x*z + (2)*y^2 + (2)*z ; (1)*x*y + (1/2)*x*z + (1)*x + "
+                 "(1/2)*y^2 + (-1)*y*z + (-2)*y ; (-2)*x*y + (-2)*x*z + (-1)*y + (1)*z^2 + "
+                 "(-1)*z + a*x*y")
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (UNSPLIT_FIELD,
+         "characteristic polynomial does not split: residual eigvar^2-1/2*a+eigvar-1"),
+        ("(1/2)*x^2 + (-2)*x*y + (2)*x*z + (2)*z^2 + (-1) ; (-2)*x*y + (1)*y^2 + "
+         "(-1/2)*y*z + (1)*y + (-2)*z^2 + (-1/2)*z ; (-1)*x*z + (-1)*x + (1)*y*z + (-1)*z^2",
+         "expected a unique accessible point on the exceptional divisor, got []"),
+        ("(1)*x*z + (1) ; (-1/2)*y^2 + (-1/2)*z + (2) ; (-1/2)*x + (-2)*y^2 + (-1)",
+         "no accessible point with nonzero leading index on the weighted chart"),
+    ],
+)
+def test_pipeline_refusals_on_model_files(tmp_path, capsys, field, message):
+    path = tmp_path / "field.model"
+    path.write_text(WORKLOAD_MODEL.format(field=field))
+    code = run(["blowup", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_points_resolve_where_the_symbolic_pipeline_fails(tmp_path, capsys):
+    from fractions import Fraction
+
+    from threewave import singular
+
+    path = tmp_path / "unsplit.model"
+    path.write_text(WORKLOAD_MODEL.format(field=UNSPLIT_FIELD))
+    for a in ("2", "10", "-5/2"):
+        code, out = _capture(capsys, ["blowup", "--system", str(path), "--params", f"a={a}"])
+        assert code == 0
+        assert json.loads(out)["chart_lineage"] == ["W", "W.b1XW"]
+    # the failed symbolic run is memoized as such: one parsed model attempts it once
+    m = models.model(str(path))
+    memo = singular._symbolic_lineage
+    misses = memo.cache_info().misses
+    assert reports.pipeline_report(m, [2])["chart_lineage"] == ["W", "W.b1XW"]
+    assert memo.cache_info().misses == misses + 1
+    assert reports.pipeline_report(m, [Fraction(-5, 2)])["chart_lineage"] == ["W", "W.b1XW"]
+    assert memo.cache_info().misses == misses + 1
+
+
+RESIDUAL_FIELD = ("(1)*x*z + (-1)*y^2 + (1)*z ; (2)*x^2 + (-2)*x*z + (1/2)*y^2 + (-1)*y + "
+                  "(-2)*z ; (1)*x^2 + (1)*x*y + (1/2)*x + (-1)*y*z + (-2)*z + (-2)")
+RESIDUALS = {"U1": "Z1^3-12*Z1^2+17*Z1-2", "U2": "Z2^3-3/4*Z2^2-45/8*Z2-1/2",
+             "U3": "Y3^3+45/4*Y3^2+3/2*Y3-2"}
+
+
+def test_singularities_reports_residual_branches(tmp_path, capsys):
+    path = tmp_path / "residual.model"
+    path.write_text(WORKLOAD_MODEL.format(field=RESIDUAL_FIELD))
+    code, out = _capture(capsys, ["singularities", "--system", str(path)])
+    assert code == 0
+    rep = json.loads(out)
+    assert {name: chart["residual_branches"] for name, chart in rep["charts"].items()} == {
+        name: [f"eliminant residual in {eliminant.split('^')[0]}: {eliminant}"]
+        for name, eliminant in RESIDUALS.items()
+    }
+    assert [len(rep["charts"][name]["points"]) for name in ("U1", "U2", "U3")] == [2, 1, 3]
+    assert rep["distinct_boundary_points"] == 3
+
+
+def test_residual_eliminants_are_irreducible():
+    # a residual is reported only where no root is found: each cubic is
+    # irreducible over the Gaussian rationals
+    sympy = pytest.importorskip("sympy")
+    for eliminant in RESIDUALS.values():
+        _, factors = sympy.factor_list(sympy.sympify(eliminant.replace("^", "**")),
+                                       gaussian=True)
+        assert [(sympy.degree(f), k) for f, k in factors] == [(3, 1)], eliminant
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["index", "--system", "three-wave", "--point", "P1"], (reports, "index_report")),
+        (["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0",
+          "--center", "0.55"], (cli, "monodromy_check")),
+    ],
+)
+def test_csv_is_refused_before_any_work(capsys, monkeypatch, argv, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(*target, refuse)
+    monkeypatch.setattr(models, "model", refuse)
+    code = run(argv + ["--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: csv output is only available for 'integrate'"]
+
+
+def test_text_format_of_a_nested_report(capsys):
+    # one indent level per depth, "- value" per scalar item, "-" after each dict item
+    code, out = _capture(capsys, ["singularities", "--system", "three-wave", "--chart", "U1",
+                                  "--format", "text"])
+    assert code == 0
+    point = ("      boundary: X1\n      chart: U1\n      coords:\n        - 0\n"
+             "        - {}\n        - 0\n      multiplicity: 1\n      -\n")
+    census = ("  multiplicity: 1\n  projective: [0 : 1 : {} : 0]\n  seen_in:\n"
+              "    - U1\n  -\n")
+    assert out == (
+        "charts:\n  U1:\n    points:\n"
+        + "".join(point.format(y) for y in ("-i", "0", "i"))
+        + "    residual_branches:\n"
+        + "count_with_multiplicity: 3\ndistinct_boundary_points: 3\nprojective_census:\n"
+        + "".join(census.format(y) for y in ("-i", "0", "i"))
+        + "system: three-wave\n"
+    )

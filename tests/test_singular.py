@@ -633,15 +633,15 @@ def test_pipeline_pushes_forward_only_along_its_blow_up_charts(monkeypatch):
     # symbolic ones pushes nothing, blows nothing up and reads no linear part
     reports.pipeline_report("three-wave", [1, 0])
     wmap = models.weighted_chart("three-wave")[1]
-    at_one = _pipeline("three-wave", [1, 0])
     calls = []
     _count_calls(monkeypatch, calls, *_PIPELINE_STEPS)
     rep = reports.pipeline_report("three-wave", [2, 0])
     assert rep["chart_lineage"][0] == "W"
     assert calls == []
-    # a pipeline whose lineage does not match pushes exactly along its blow-up charts
+    # a pipeline without a lineage pushes exactly along its blow-up charts
     bindings = models.bind_parameters("three-wave", [2, 0])
-    own = resolution_pipeline(models.chart_field("three-wave", wmap), wmap, at_one, bindings)
+    monkeypatch.setattr(singular, "_symbolic_lineage", lambda v, wmap: None)
+    own = resolution_pipeline(models.chart_field("three-wave", wmap), wmap, bindings)
     pushes = [c for c in calls if c not in ("blow_up", "linear_part")]
     assert pushes == [f.chart.name for f in own.fields[1:]] == rep["chart_lineage"][1:]
 
@@ -684,7 +684,7 @@ def _direct_report(monkeypatch, kind, params):
     """``pipeline_report`` run on the specialized field alone, with no lineage,
     as a report or the error it raises."""
     with monkeypatch.context() as patch:
-        patch.setattr(reports, "_symbolic_pipeline", lambda m: None)
+        patch.setattr(singular, "_symbolic_lineage", lambda v, wmap: None)
         return _outcome(kind, params)
 
 
@@ -728,8 +728,6 @@ def _doctored_lineages():
     delta = symbolic.final_field.table.get("delta")
     pole = tuple(f + 1 / (RationalFn.var(f.table, delta) - 2) for f in symbolic.forwards[1])
     return [
-        # its weighted field is not the symbolic one: nothing is taken
-        ("run at (1, 0)", _pipeline("three-wave", [1, 0]), 2, 2),
         # the entry point moved: the linear parts are taken, no blow-up
         ("moved entry", dataclasses.replace(
             symbolic, entry_point=symbolic.weighted_points[1][0]), 2, 0),
@@ -752,7 +750,7 @@ def test_pipeline_falls_back_where_the_lineage_does_not_match(monkeypatch):
     for label, lineage, blow_ups, linear_parts in _doctored_lineages():
         calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(reports, "_symbolic_pipeline", lambda m, lineage=lineage: lineage)
+            patch.setattr(singular, "_symbolic_lineage", lambda v, wmap, lineage=lineage: lineage)
             _count_calls(patch, calls, *_PIPELINE_STEPS)
             got = reports.pipeline_report("three-wave", [2, 0])
         assert got == want, label
