@@ -111,7 +111,6 @@ class ChartMap:
         target: Chart,
         forward: Sequence[RationalFn],
         inverse: Sequence[RationalFn],
-        check: bool = True,
     ):
         fwd, inv = tuple(forward), tuple(inverse)
         if len(fwd) != 3 or len(inv) != 3:
@@ -120,8 +119,7 @@ class ChartMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)
-        if check:
-            self._verify()
+        self._verify()
 
     def __setattr__(self, name, value):
         raise AttributeError("ChartMap is immutable")
@@ -167,9 +165,6 @@ class ChartMap:
                     f"chart map {self.source.name}->{self.target.name} is not invertible: "
                     f"forward o inverse gives {forth.text()} for {self.target.vars[k].name}"
                 )
-
-    def reversed(self) -> "ChartMap":
-        return ChartMap(self.target, self.source, self.inverse, self.forward, check=False)
 
     def __repr__(self):
         return f"ChartMap({self.source.name} -> {self.target.name})"
@@ -221,7 +216,7 @@ class SymmetryMap:
 
 def identity_map(chart: Chart, table: SymbolTable) -> ChartMap:
     comps = [RationalFn.var(table, s) for s in chart.vars]
-    return ChartMap(chart, chart, comps, comps, check=False)
+    return ChartMap(chart, chart, comps, comps)
 
 
 def jacobian_matrix(cmap: ChartMap) -> list[list[RationalFn]]:

@@ -7,17 +7,19 @@ boundary power in its pushforward must vanish. The pushforward is linear in
 the field, so those coefficients are read off the images of the 30 single
 terms m_j * e_k, each the product of a Jacobian entry of the chart map and a
 monomial, both composed with the inverse map once. They are linear in the
-ansatz unknowns with polynomial coefficients in the model's parameters and
-depend on the model alone, so the rows are built once per model and the
+ansatz unknowns with polynomial coefficients in the model's parameters, so
+the ansatz is never written down: the rows are built once per model, over
+the model's own symbol table from its own verified chart maps, and the
 classification reduces to one exact linear solve.
 
 Polynomiality is scale invariant (any constant multiple of a solution is a
 solution), so a one-dimensional null space is the best possible answer (the
 five-parameter family has one). Pinning a single coefficient -- the first
 one, in the ansatz order, in which the model's own field is nonzero, to its
-value there -- then makes the solution unique, and it is compared with the
-model's field. The solve reports the homogeneous rank/nullity as well, so the
-scale-freedom claim is checked, not assumed.
+value there -- then makes the solution unique; the field it gives, the sum
+of value * m_j in each component, is compared with the model's field. The
+solve reports the homogeneous rank/nullity as well, so the scale-freedom
+claim is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from functools import lru_cache
 
 from .errors import AnalysisFailed
 from .gaussian import ONE
-from .geometry import Chart, ChartMap, VectorField, jacobian_matrix
+from .geometry import VectorField, jacobian_matrix
 from .linalg import linear_solve
 from .models import model, system_field
 from .parsing import ModelFile
 from .poly import MultiPoly
 from .ratfunc import RationalFn, substitute
-from .symbols import Symbol, SymbolTable, names_apart, parameter
+from .symbols import Symbol
 
 # monomial basis per component: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
 MONOMIAL_EXPONENTS = (
@@ -51,19 +53,9 @@ MONOMIAL_EXPONENTS = (
 
 
 @dataclass(frozen=True)
-class AnsatzContext:
-    table: SymbolTable
-    chart: Chart
-    field: VectorField
-    coefficients: tuple[Symbol, ...]  # c1..c30, component-major
-    atlas: tuple[ChartMap, ...]  # the twisted charts
-    reference: VectorField  # the model's own field
-
-
-@dataclass(frozen=True)
 class ConstraintSystem:
-    context: AnsatzContext
-    rows: tuple[tuple[MultiPoly, ...], ...]
+    model: ModelFile
+    rows: tuple[tuple[MultiPoly, ...], ...]  # over the model's table, 30 columns
     row_origins: tuple[str, ...]  # chart/component/monomial labels
 
 
@@ -84,37 +76,10 @@ class UniquenessReport:
         return self.difference is not None and all(d.is_zero() for d in self.difference)
 
 
-def ansatz_context(system="modified") -> AnsatzContext:
-    """The 30-coefficient quadratic ansatz over a lean symbol table holding
-    only the charts of the model's resolved atlas (base chart first), its
-    parameters, and the coefficient unknowns, named apart from the model's
-    symbols."""
-    m = model(system)
-    atlas = m.atlas("resolved")
-    for cmap in atlas[1:]:
-        if cmap.target.boundary is None:
-            raise AnalysisFailed(f"chart {cmap.target.name} of the resolved atlas has no boundary")
-    states = [s for cmap in atlas for s in cmap.target.vars]
-    size = len(MONOMIAL_EXPONENTS)
-    names = names_apart(m.table, lambda pad: [f"c{pad}{i}" for i in range(1, 3 * size + 1)])
-    coeffs = [parameter(n) for n in names]
-    table = SymbolTable(tuple(states) + m.table.parameters() + tuple(coeffs))
-    chart = m.base
-    x, y, z = (MultiPoly.var(table, s) for s in chart.vars)
-    monomials = [x**a * y**b * z**c for a, b, c in MONOMIAL_EXPONENTS]
-    comps = []
-    for k in range(3):
-        acc = MultiPoly.zero(table)
-        for c, mono in zip(coeffs[size * k : size * (k + 1)], monomials):
-            acc = acc + MultiPoly.var(table, c) * mono
-        comps.append(RationalFn.from_poly(acc))
-    twisted = tuple(
-        ChartMap(chart, cm.target, [f.retable(table) for f in cm.forward],
-                 [g.retable(table) for g in cm.inverse], check=False)
-        for cm in atlas[1:]
-    )
-    reference = system_field(m).retable(table)
-    return AnsatzContext(table, chart, VectorField(chart, comps), tuple(coeffs), twisted, reference)
+def _monomials(m: ModelFile) -> list[RationalFn]:
+    """The monomials m_j of the base-chart variables, in MONOMIAL_EXPONENTS order."""
+    x, y, z = (MultiPoly.var(m.table, s) for s in m.base.vars)
+    return [RationalFn.from_poly(x**a * y**b * z**c) for a, b, c in MONOMIAL_EXPONENTS]
 
 
 def build_constraints(system="modified") -> ConstraintSystem:
@@ -130,22 +95,24 @@ def build_constraints(system="modified") -> ConstraintSystem:
     carry the pole; the row of a state monomial mu holds each column's
     coefficient of mu, polynomial in the parameters. Rows come chart by
     chart, component by component, and by ascending exponent vector of mu
-    in the table's symbol order; the identity chart contributes nothing.
+    in the model table's symbol order; the identity chart contributes nothing.
     """
     return _constraints(model(system))
 
 
 @lru_cache(maxsize=16)  # keyed by identity: each load of a model file is a new key
 def _constraints(m: ModelFile) -> ConstraintSystem:
-    context = ansatz_context(m)
-    table = context.table
-    x, y, z = (RationalFn.var(table, s) for s in context.chart.vars)
-    monomials = [x**a * y**b * z**c for a, b, c in MONOMIAL_EXPONENTS]
+    twisted = m.atlas("resolved")[1:]
+    for cmap in twisted:
+        if cmap.target.boundary is None:
+            raise AnalysisFailed(f"chart {cmap.target.name} of the resolved atlas has no boundary")
+    table = m.table
+    monomials = _monomials(m)
     zero = MultiPoly.zero(table)
-    width = len(context.coefficients)
+    width = 3 * len(monomials)
     rows: list[tuple[MultiPoly, ...]] = []
     origins: list[str] = []
-    for cmap in context.atlas:
+    for cmap in twisted:
         inverse = dict(zip(cmap.source.vars, cmap.inverse))
         jacobian = [[substitute(d, inverse, table) for d in row] for row in jacobian_matrix(cmap)]
         images = [substitute(mono, inverse, table) for mono in monomials]
@@ -167,7 +134,7 @@ def _constraints(m: ModelFile) -> ConstraintSystem:
                 origins.append(f"{cmap.target.name}:component{ci + 1}:{monomial}")
     if not rows:
         raise AnalysisFailed("no chart of the resolved atlas constrains the ansatz")
-    return ConstraintSystem(context, tuple(rows), tuple(origins))
+    return ConstraintSystem(m, tuple(rows), tuple(origins))
 
 
 def _pole_coefficients(
@@ -197,11 +164,12 @@ def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:
     to time rescaling). The normalization x[k] = r[k], at the first index k
     where the model's coefficients r are nonzero, meets it when some null
     vector n has n[k] != 0, leaving nullity - 1 directions; for nullity 1 it
-    pins n * r[k] / n[k], which is compared with the model's field.
+    pins n * r[k] / n[k]; the field sum_j values[10i + j] * m_j in component
+    i is compared with the model's field.
     """
-    ctx = constraints.context
+    m = constraints.model
     hom = linear_solve(constraints.rows)
-    reference = reference_coefficients(ctx)
+    reference = reference_coefficients(m)
     k = next((j for j, r in enumerate(reference) if not r.is_zero()), None)
     consistent = k is not None and any(not n[k].is_zero() for n in hom.nullspace)
     nullity = hom.nullity - 1 if consistent else 0
@@ -212,9 +180,14 @@ def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:
         (n,) = hom.nullspace
         scale = reference[k] / n[k]
         values = tuple(c * scale for c in n)
-        bindings = dict(zip(ctx.coefficients, values))
-        recovered = VectorField(ctx.chart, [substitute(c, bindings) for c in ctx.field.components])
-        difference = tuple(a - b for a, b in zip(recovered.components, ctx.reference.components))
+        monomials = _monomials(m)
+        size = len(monomials)
+        zero = RationalFn.const(m.table, 0)
+        recovered = VectorField(m.base, [
+            sum((c * mono for c, mono in zip(values[size * i : size * (i + 1)], monomials)), zero)
+            for i in range(3)
+        ])
+        difference = tuple(a - b for a, b in zip(recovered.components, system_field(m).components))
         # the values depend on the parameters only, so a quadratic state term
         # survives in a numerator exactly when its coefficient is nonzero
         quad_ok = any(c.num.state_degree() == 2 for c in recovered.components)
@@ -231,14 +204,14 @@ def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:
     )
 
 
-def reference_coefficients(context: AnsatzContext) -> tuple[RationalFn, ...]:
+def reference_coefficients(m: ModelFile) -> tuple[RationalFn, ...]:
     """The 30 coefficient values of the model's own field, in the ansatz
     order (terms of degree above 2 have no slot)."""
-    table = context.table
-    slots = [table.index(s) for s in context.chart.vars]
+    table = m.table
+    slots = [table.index(s) for s in m.base.vars]
     zero = RationalFn.const(table, 0)
     out = []
-    for comp in context.reference.components:
+    for comp in system_field(m).components:
         if comp.den.state_degree() > 0:
             raise AnalysisFailed("the model's field is not polynomial in the state variables")
         lookup = {

@@ -26,7 +26,7 @@ from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
 from threewave.singular import blow_up
-from threewave.symbols import parameter, table as make_table
+from threewave.symbols import SymbolTable, names_apart, parameter, table as make_table
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -417,24 +417,41 @@ atlas resolved : C1 C2
 
 
 def ansatz_pushforward_rows(system) -> list[tuple]:
-    """The holomorphy rows of the quadratic ansatz by brute force: push the
-    whole 30-unknown ansatz through each twisted chart and read each
-    coefficient of a negative boundary power as a linear form in the
-    unknowns, one partial derivative per unknown. The pole part is read
-    here, not by the code under test: over a denominator boundary^d, the
-    numerator terms of boundary degree below d.
+    """The holomorphy rows of the quadratic ansatz by brute force: write the
+    whole 30-unknown ansatz down, over the model's table extended by unknowns
+    named apart from its symbols, push it through a copy of each twisted
+    chart map on that table, and read each coefficient of a negative boundary
+    power as a linear form in the unknowns, one partial derivative per
+    unknown, put back on the model's table. The pole part is read here, not
+    by the code under test: over a denominator boundary^d, the numerator
+    terms of boundary degree below d.
 
     Returns (chart position, component, state-exponent key, origin label,
     row) per row, in the order the pushforward's terms come.
     """
-    from threewave.uniqueness import ansatz_context
+    from threewave.uniqueness import MONOMIAL_EXPONENTS
 
-    context = ansatz_context(system)
-    table = context.table
-    linear = {c: 1 for c in context.coefficients}
+    m = models.model(system)
+    count = 3 * len(MONOMIAL_EXPONENTS)
+    names = names_apart(m.table, lambda pad: [f"c{pad}{i}" for i in range(1, count + 1)])
+    unknowns = [parameter(n) for n in names]
+    table = SymbolTable(m.table.symbols + tuple(unknowns))
+    x, y, z = (MultiPoly.var(table, s) for s in m.base.vars)
+    monomials = [x**a * y**b * z**c for a, b, c in MONOMIAL_EXPONENTS]
+    comps = []
+    for k in range(3):
+        acc = MultiPoly.zero(table)
+        for j, mono in enumerate(monomials):
+            acc = acc + MultiPoly.var(table, unknowns[len(monomials) * k + j]) * mono
+        comps.append(RationalFn.from_poly(acc))
+    ansatz = VectorField(m.base, comps)
+    linear = {c: 1 for c in unknowns}
     out = []
-    for pos, cmap in enumerate(context.atlas):
-        w = pushforward(context.field, cmap)
+    for pos, original in enumerate(m.atlas("resolved")[1:]):
+        cmap = ChartMap(original.source, original.target,
+                        [f.retable(table) for f in original.forward],
+                        [g.retable(table) for g in original.inverse])
+        w = pushforward(ansatz, cmap)
         boundary = cmap.target.boundary
         slot = table.index(boundary)
         for ci, comp in enumerate(w.components):
@@ -444,7 +461,7 @@ def ansatz_pushforward_rows(system) -> list[tuple]:
             for key, poly in part.split_by_state_monomial().items():
                 # every coefficient is a linear form in the unknowns
                 assert set(poly.split_by_weight(linear)) == {1}
-                row = tuple(poly.derivative(c) for c in context.coefficients)
+                row = tuple(poly.derivative(c).retable(m.table) for c in unknowns)
                 monomial = MultiPoly(table, {key: ONE}).text()
                 out.append((pos, ci, key, f"{cmap.target.name}:component{ci + 1}:{monomial}", row))
     return out

@@ -339,6 +339,32 @@ map C0 C1 : 1/x ; y ; z | 1/X ; Y ; Z
 atlas resolved : C1
 """
 
+_TOY_MAP = "map C0 C1 : 1/x ; y ; z | 1/X ; Y ; Z"
+_TOY_SYSTEM = "system C0 : x^2 ; -y ; z"
+# model files that make a command a usage error, each with the error line it gives
+ERROR_MODELS = {
+    "BAD-DIRECTIVE": (TOY_WITH_ATLAS + "frobnicate now\n", "unknown directive 'frobnicate'"),
+    "BAD-MAP-CHARTS": (TOY_WITH_ATLAS.replace(_TOY_MAP, "map C0 : 1/x ; y ; z | 1/X ; Y ; Z"),
+                       "map needs 'SOURCE TARGET', got 'C0 '"),
+    "BAD-MAP-HALVES": (TOY_WITH_ATLAS.replace(_TOY_MAP, "map C0 C1 : 1/x ; y ; z"),
+                       "map needs 'forward-triple | inverse-triple'"),
+    "BAD-CHART": (TOY_WITH_ATLAS.replace("chart C0 : x y z", "chart C0 : x y"),
+                  "chart 'C0' needs exactly three variables"),
+    "NO-SYSTEM": (TOY_WITH_ATLAS.replace(_TOY_SYSTEM + "\n", ""), "must define exactly one system"),
+    "TWO-SYSTEMS": (TOY_WITH_ATLAS.replace(_TOY_SYSTEM, _TOY_SYSTEM + "\nsystem C1 : X ; Y ; Z"),
+                    "must define exactly one system"),
+    "UNDECLARED-CHART": (TOY_WITH_ATLAS.replace("system C0", "system C9"),
+                         "chart 'C9' not declared"),
+    "OPEN-PAREN": (TOY_WITH_ATLAS.replace("x^2 ; -y", "(x y ; -y"), "missing closing parenthesis"),
+    # the three-wave field with only the projective chart U3, where P1 lies on no chart
+    "U3-ONLY": ("""params delta gamma
+chart U0 : x y z
+chart U3 : X3 Y3 Z3 @ Z3
+system U0 : x*gamma-2*y^2+y*delta+z ; 2*x*y-x*delta+y*gamma ; -2*x*z-2*z
+map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
+""", "unknown point 'P1'; known: ['P4', 'P4_1', 'P4_2']"),
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -377,12 +403,18 @@ atlas resolved : C1
         ["obstructions", "--system", "three-wave", "--params", "delta"],
         ["obstructions", "--system", "three-wave", "--params", "delta=("],
         ["integrate", "--system", "modified", "--start=-2;0.1", "--path", "0.1"],
+        *(["singularities", "--system", name] for name in ERROR_MODELS if name != "U3-ONLY"),
+        ["index", "--system", "U3-ONLY", "--point", "P1"],
+        ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0", "--center", "0"],
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     toy = tmp_path / "toy.model"
     toy.write_text(TOY_WITH_ATLAS)
     paths = {"TOY": str(toy), "MISSING/report.json": str(tmp_path / "missing" / "report.json")}
+    for name, (text, _) in ERROR_MODELS.items():
+        paths[name] = str(tmp_path / f"{name.lower()}.model")
+        (tmp_path / f"{name.lower()}.model").write_text(text)
     code = run([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -390,6 +422,9 @@ def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+    for name, (_, message) in ERROR_MODELS.items():
+        if name in argv:
+            assert message in lines[0]
 
 
 def test_unwritable_report_dir_is_one_line(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ def test_field_arithmetic():
     b = gr(3, -1)
     assert a + b == gr(4, 1)
     assert a - b == gr(-2, 3)
+    assert 1 - a == gr(0, -2)
     assert a * b == gr(5, 5)
     assert (a / b) * b == a
     assert a**3 == a * a * a

@@ -37,6 +37,10 @@ def test_parse_errors():
         parse_expr("(x", T)
 
 
+def test_unary_plus_is_the_operand():
+    assert parse_expr("+x", T) == RationalFn.var(T, "x")
+
+
 def test_imaginary_unit_squares_to_minus_one():
     assert parse_expr("i*i", T) == RationalFn.const(T, -1)
 

@@ -627,6 +627,11 @@ _PIPELINE_STEPS = ((singular, "pushforward"), (models, "pushforward"),
                    (singular, "blow_up"), (singular, "linear_part"))
 
 
+def test_pipeline_report_refuses_a_wrong_parameter_count():
+    with pytest.raises(ValueError, match="expected 2 parameters, got 1"):
+        reports.pipeline_report("three-wave", [1])
+
+
 def test_pipeline_pushes_forward_only_along_its_blow_up_charts(monkeypatch):
     # the field on W and the symbolic pipeline are computed once per model,
     # so after a warm-up point a second point whose points all specialize the

@@ -11,7 +11,6 @@ from threewave.parsing import parse_model
 from threewave.ratfunc import RationalFn
 from threewave.uniqueness import (
     MONOMIAL_EXPONENTS,
-    ansatz_context,
     build_constraints,
     reference_coefficients,
     solve_ansatz,
@@ -28,21 +27,25 @@ def solved(constraints):
     return solve_ansatz(constraints)
 
 
-def test_ansatz_shape():
-    ctx = ansatz_context()
-    assert len(ctx.coefficients) == 30
-    assert len(ctx.atlas) == 3
-    for comp in ctx.field.components:
-        poly = comp.as_poly()
-        assert poly.state_degree() == 2
-        assert len(poly.terms) == len(MONOMIAL_EXPONENTS)
+def test_ansatz_shape(constraints):
+    # the ten monomials are the distinct exponents of degree <= 2, one
+    # column per monomial and component, every entry over the model's table
+    degree_two = {(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2}
+    assert len(MONOMIAL_EXPONENTS) == 10 and set(MONOMIAL_EXPONENTS) == degree_two
+    m = models.model("modified")
+    assert constraints.model is m
+    for row in constraints.rows:
+        assert len(row) == 30
+        assert all(entry.table is m.table for entry in row)
 
 
-def test_identity_chart_contributes_nothing():
-    # the ansatz itself is polynomial on the base chart, so constraints can
-    # only come from the twisted charts
-    ctx = ansatz_context()
-    assert ctx.field.is_polynomial()
+def test_identity_chart_contributes_nothing(constraints):
+    # the ansatz is polynomial on the base chart, so constraints can only
+    # come from the twisted charts of the resolved atlas
+    m = constraints.model
+    charts = {o.split(":")[0] for o in constraints.row_origins}
+    assert m.base.name not in charts
+    assert charts <= {cmap.target.name for cmap in m.atlas("resolved")[1:]}
 
 
 def test_constraints_are_nontrivial_and_homogeneous(constraints):
@@ -64,9 +67,9 @@ def test_normalized_solution_recovers_reference(solved):
 
 
 def test_reference_coefficients_solve_every_constraint(constraints):
-    ctx = constraints.context
-    ref = reference_coefficients(ctx)
-    zero = RationalFn.const(ctx.table, 0)
+    m = constraints.model
+    ref = reference_coefficients(m)
+    zero = RationalFn.const(m.table, 0)
     for row in constraints.rows:
         acc = zero
         for coeff, val in zip(row, ref):
@@ -76,16 +79,15 @@ def test_reference_coefficients_solve_every_constraint(constraints):
 
 def test_round_trip_polynomiality(solved):
     # the recovered field really is polynomial in every twisted chart
-    ctx = ansatz_context()
     recovered = solved.recovered
-    for cmap in ctx.atlas:
+    for cmap in models.model("modified").atlas("resolved")[1:]:
         w = pushforward(recovered, cmap)
         assert all(c.is_polynomial() for c in w.components), cmap.target.name
 
 
 def test_specialization_commutes_with_solving(constraints, solved):
     rng = random.Random(77)
-    ctx = constraints.context
+    table = constraints.model.table
     alpha_syms = list(models.param_symbols("modified"))
     for _ in range(3):
         values = {s: gr(rng.randint(-3, 3)) for s in alpha_syms}
@@ -97,19 +99,16 @@ def test_specialization_commutes_with_solving(constraints, solved):
         assert sol.nullity == 1
         (n,) = sol.nullspace
         assert not n[norm_index].is_zero()
-        got = [c * RationalFn.const(ctx.table, -2) / n[norm_index] for c in n]
+        got = [c * RationalFn.const(table, -2) / n[norm_index] for c in n]
         for value, sym in zip(got, solved.coefficient_values):
             assert value == sym.specialize(values)
 
 
 def test_recovered_field_passes_pi_symmetry(solved):
-    from threewave.geometry import VectorField
-
-    # move the recovered field onto the full model table before checking
+    # the recovered field lives on the model's base chart and table
     m = models.model("modified")
-    comps = [c.retable(m.table) for c in solved.recovered.components]
-    field = VectorField(m.fields["U0"].chart, comps)
-    rep = models.verify_symmetry(field, m.symmetries["pi"])
+    assert solved.recovered.chart == m.base and solved.recovered.table is m.table
+    rep = models.verify_symmetry(solved.recovered, m.symmetries["pi"])
     assert rep["invariant"]
 
 
