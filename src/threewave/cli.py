@@ -25,7 +25,6 @@ import sys
 from . import models, reports
 from .errors import AnalysisFailed, ThreeWaveError
 from .gaussian import GaussianRational
-from .numerics import NumericAtlas, TrajectoryPoint, fit_pole, integrate, monodromy_check
 from .parsing import ModelFile, parse_expr
 
 REPORT_DIR_ENV = "THREEWAVE_REPORT_DIR"
@@ -278,6 +277,9 @@ def _dispatch(args) -> int:
 
 
 def _run_numeric(args, system: ModelFile, params: list[GaussianRational]) -> int:
+    # only the numeric subcommands load the numeric layer
+    from .numerics import NumericAtlas, TrajectoryPoint, fit_pole, integrate, monodromy_check
+
     start_state = tuple(_finite_complex(p, "--start component") for p in args.start.split(";"))
     if len(start_state) != 3:
         raise UsageError("--start needs three components 'x;y;z'")

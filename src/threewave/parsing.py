@@ -293,6 +293,8 @@ def parse_model(text: str, name: str = "<model>") -> ModelFile:
         if head == "system":
             chart_name, _, exprs = rest.partition(":")
             chart = model.chart(chart_name.strip())
+            if chart.name in model.fields:
+                raise ExprError(f"chart {chart.name!r} has a second system")
             model.fields[chart.name] = VectorField(chart, parse_triple(exprs, table))
         elif head == "map":
             spec, _, exprs = rest.partition(":")

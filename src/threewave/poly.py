@@ -388,13 +388,8 @@ class MultiPoly:
         parameter slots zeroed) to the parameter-only polynomial multiplying
         that state monomial.
         """
-        lay = self._lay
         state = [k for k, s in enumerate(self.table.symbols) if s.kind == "state"]
-        out: dict[int, dict] = {}
-        for e, c in self._terms.items():
-            key = sum(((e >> lay.shifts[k] & MAX_DEGREE) * lay.units[k] for k in state), 0)
-            out.setdefault(key, {})[e - key] = c
-        return {lay.unpack(k): self._like(t) for k, t in out.items()}
+        return {self._lay.unpack(k): c for k, c in _coefficients_in(self, state).items()}
 
     def split_by_weight(self, weights: Mapping[Symbol, int]) -> dict[int, "MultiPoly"]:
         """Group terms by their weighted degree sum_s weights[s] * deg_s.
@@ -608,6 +603,19 @@ def _common_key(lay: _Layout, keys: Iterable[int]) -> int:
     return sum(m << s for s, m in mins.items()) | sum(mins.values()) << lay.top
 
 
+def _coefficients_in(p: MultiPoly, fields: Iterable[int]) -> dict[int, MultiPoly]:
+    """Group the terms of ``p`` by their exponents in the table positions
+    ``fields``: the packed monomial in those variables -> its coefficient, a
+    polynomial free of them."""
+    lay = p._lay
+    units = [(lay.shifts[k], lay.units[k]) for k in fields]
+    out: dict[int, dict] = {}
+    for e, c in p._terms.items():
+        key = sum(((e >> s & MAX_DEGREE) * unit for s, unit in units), 0)
+        out.setdefault(key, {})[e - key] = c
+    return {k: p._like(t) for k, t in out.items()}
+
+
 def _monomial_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """gcd when at least one argument is a single term (coefficients are units)."""
     mono, other = (a, b) if a.is_monomial() else (b, a)
@@ -651,10 +659,14 @@ def primitive_part(p: MultiPoly, sym: Symbol) -> MultiPoly:
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Exact multivariate gcd over Q(i), normalized monic.
 
-    Primitive pseudo-remainder sequence in a chosen main variable, recursing
-    on contents. Single-term operands and disjoint supports short-circuit.
-    The result is verified implicitly: callers reduce by exact division,
-    which raises if the gcd were wrong.
+    Single-term operands and disjoint supports short-circuit. When the
+    supports differ, the gcd divides both operands, so it lies in Q(i)[C]
+    for the common variables C and divides every coefficient of either
+    operand over the monomials in its other variables: it is the gcd of
+    those coefficients, smallest first (:func:`poly_gcd_many`). Operands on
+    one support run a primitive pseudo-remainder sequence in a chosen main
+    variable, recursing on contents. The result is verified implicitly:
+    callers reduce by exact division, which raises if the gcd were wrong.
     """
     a._check(b)
     if a.is_zero():
@@ -669,6 +681,14 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     common = va & vb
     if not common:
         return MultiPoly.const(a.table, 1)
+    if va != vb:
+        index = a.table.index
+        coeffs = [
+            c
+            for p, v in ((a, va), (b, vb))
+            for c in _coefficients_in(p, [index(s) for s in v - common]).values()
+        ]
+        return poly_gcd_many(sorted(coeffs, key=MultiPoly.term_count))
     # main variable: smallest min-degree keeps the PRS short
     sym = min(common, key=lambda s: (min(a.degree(s), b.degree(s)), a.table.index(s)))
     ca, cb = content_in(a, sym), content_in(b, sym)
@@ -688,6 +708,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def poly_gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
+    """The monic gcd of ``polys``, folded left to right; an operand that the
+    running gcd divides exactly leaves it unchanged without a gcd."""
     it = iter(polys)
     try:
         g = next(it)
@@ -696,7 +718,8 @@ def poly_gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
     for p in it:
         if g.is_constant() and not g.is_zero():
             return g.monic()
-        g = poly_gcd(g, p)
+        if g.is_zero() or not g.divides(p):
+            g = poly_gcd(g, p)
     return g.monic() if not g.is_zero() else g
 
 

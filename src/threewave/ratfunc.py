@@ -8,9 +8,14 @@ over one table, kept in the canonical reduced form
 
 With both rules a value has exactly one representation, so equality and
 hashing are structural. Construction reduces, at the cost of one gcd, so
-every operator result is reduced. Composite operations therefore build their
-result as one polynomial fraction and construct it once: :func:`substitute`
-maps numerator and denominator over a shared denominator that cancels, and
+every operator result is reduced. Products and quotients cancel before
+they multiply instead (Henrici; Knuth, TAOCP vol. 2 §4.5.1): for reduced
+a/b and c/d, with g1 = gcd(a, d) and g2 = gcd(c, b), the fraction
+((a/g1)(c/g2)) / ((b/g2)(d/g1)) is reduced, so two gcds of the operands'
+parts replace one of the whole product; a power of a reduced value is
+reduced as it stands. Composite operations build their result as one
+polynomial fraction and construct it once: :func:`substitute` maps
+numerator and denominator over a shared denominator that cancels, and
 :func:`clear_denominators` puts a list of values over one common denominator
 (the pushforward's field, a deflated quotient).
 """
@@ -134,7 +139,7 @@ class RationalFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFn(self.num * o.num, self.den * o.den)
+        return _product(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -144,7 +149,7 @@ class RationalFn:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * o.den, self.den * o.num)
+        return _product(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -157,7 +162,7 @@ class RationalFn:
             return NotImplemented
         if n < 0:
             return (1 / self) ** (-n)
-        return RationalFn(self.num**n, self.den**n)
+        return RationalFn(*_monic_den(self.num**n, self.den**n), _reduced=True)
 
     def derivative(self, sym: Symbol | str) -> "RationalFn":
         dn = self.num.derivative(sym)
@@ -209,11 +214,31 @@ class RationalFn:
 def _reduce(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if num.is_zero():
         return num, MultiPoly.const(num.table, 1)
-    if not den.is_constant():
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = num.exact_divide(g)
-            den = den.exact_divide(g)
+    return _monic_den(*_cancel(num, den))
+
+
+def _product(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly) -> RationalFn:
+    """(a/b)(c/d) in reduced form, for coprime a, b and coprime c, d: cancel
+    the cross gcds, then multiply."""
+    if a.is_zero() or c.is_zero():
+        return RationalFn.from_poly(MultiPoly.zero(a.table))
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return RationalFn(*_monic_den(a * c, b * d), _reduced=True)
+
+
+def _cancel(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """num and den divided by their gcd (a constant den is left as it is)."""
+    if den.is_constant():
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_constant():
+        return num, den
+    return num.exact_divide(g), den.exact_divide(g)
+
+
+def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """num/den with the leading coefficient of den pushed into num."""
     lc = den.leading_coefficient()
     if not lc.is_one():
         inv = lc.inverse()

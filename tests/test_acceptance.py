@@ -130,7 +130,7 @@ def test_criterion_6_symmetry():
         assert b1 == b2
         assert rep1["s"]["residual"] == ["0", "0", "0"]
 
-    _report(6, "pi-invariance, group relations, reproducible s-residual", 1.5, body)
+    _report(6, "pi-invariance, group relations, reproducible s-residual", 0.3, body)
 
 
 def test_criterion_7_uniqueness():

@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import oracles
 import pytest
 
-from threewave import cli, models, reports
+from threewave import cli, models, numerics, reports
 from threewave.cli import run
 from threewave.numerics import NumericAtlas, TrajectoryPoint, integrate
 
@@ -353,6 +357,10 @@ ERROR_MODELS = {
     "NO-SYSTEM": (TOY_WITH_ATLAS.replace(_TOY_SYSTEM + "\n", ""), "must define exactly one system"),
     "TWO-SYSTEMS": (TOY_WITH_ATLAS.replace(_TOY_SYSTEM, _TOY_SYSTEM + "\nsystem C1 : X ; Y ; Z"),
                     "must define exactly one system"),
+    "SAME-CHART-SYSTEMS": (
+        TOY_WITH_ATLAS.replace(_TOY_SYSTEM, _TOY_SYSTEM + "\nsystem C0 : x ; y ; z"),
+        "chart 'C0' has a second system",
+    ),
     "UNDECLARED-CHART": (TOY_WITH_ATLAS.replace("system C0", "system C9"),
                          "chart 'C9' not declared"),
     "OPEN-PAREN": (TOY_WITH_ATLAS.replace("x^2 ; -y", "(x y ; -y"), "missing closing parenthesis"),
@@ -364,6 +372,18 @@ system U0 : x*gamma-2*y^2+y*delta+z ; 2*x*y-x*delta+y*gamma ; -2*x*z-2*z
 map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
 """, "unknown point 'P1'; known: ['P4', 'P4_1', 'P4_2']"),
 }
+
+
+def test_importing_the_cli_leaves_the_numeric_layer_unloaded():
+    # only integrate and monodromy load it, inside the command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, threewave.cli; print('threewave.numerics' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -812,7 +832,7 @@ def test_residual_eliminants_are_irreducible():
     [
         (["index", "--system", "three-wave", "--point", "P1"], (reports, "index_report")),
         (["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0",
-          "--center", "0.55"], (cli, "monodromy_check")),
+          "--center", "0.55"], (numerics, "monodromy_check")),
     ],
 )
 def test_csv_is_refused_before_any_work(capsys, monkeypatch, argv, target):

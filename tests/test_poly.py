@@ -115,6 +115,30 @@ def test_monomial_content_is_the_fieldwise_minimum(xyz):
     assert MultiPoly.zero(t).monomial_content() == MultiPoly.const(t, 1)
 
 
+def test_gcd_of_the_largest_symmetry_report_case_leaves_coprime_cofactors(monkeypatch):
+    # the largest gcd that symmetry_report asks for: a numerator of over a
+    # hundred terms in eight variables against a denominator in y and alpha5
+    from threewave import ratfunc, reports
+
+    seen = []
+
+    def record(a, b):
+        seen.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", record)
+    reports.symmetry_report()
+    monkeypatch.undo()
+    a, b = max(seen, key=lambda ab: ab[0].term_count())
+    assert a.term_count() > 100 and len(a.variables()) == 8
+    assert {s.name for s in b.variables()} == {"y", "alpha5"}
+    g = poly_gcd(a, b)
+    assert g.text() == "y-alpha5"
+    ca, cb = a.exact_divide(g), b.exact_divide(g)
+    assert ca * g == a and cb * g == b
+    assert poly_gcd(ca, cb) == MultiPoly.const(a.table, 1)
+
+
 def test_gcd_disjoint_supports_is_one(xyz):
     t, x, y, z = xyz
     assert poly_gcd(2 * x, 3 * y) == MultiPoly.const(t, 1)

@@ -46,6 +46,29 @@ def test_reduction_invariant_randomly():
             assert g.is_constant()
 
 
+def test_products_quotients_and_powers_match_the_reducing_constructor():
+    # the operators cancel before multiplying; the result must be the one
+    # reduced form of the plain product
+    t = table("x", "y", "z", "a:parameter")
+    x, y, z = (RationalFn.var(t, n) for n in ("x", "y", "z"))
+    # retabled to the reverse order, a denominator x + 2y leads with 2y
+    flipped = table(*reversed(t.symbols))
+    odd = ((x + 1) / (x + 2 * y)).retable(flipped)
+    assert not odd.den.leading_coefficient().is_one()
+    pairs = [(odd, ((x + 2 * y) / (z - 1)).retable(flipped)), (odd, odd)]
+    rng = random.Random(29)
+    syms = list(t.symbols)
+    pairs += [(random_ratfn(rng, t, syms), random_ratfn(rng, t, syms)) for _ in range(80)]
+    for r1, r2 in pairs:
+        assert r1 * r2 == RationalFn(r1.num * r2.num, r1.den * r2.den), (r1, r2)
+        if not r2.is_zero():
+            assert r1 / r2 == RationalFn(r1.num * r2.den, r1.den * r2.num), (r1, r2)
+        n = rng.randint(0, 3)
+        assert r1**n == RationalFn(r1.num**n, r1.den**n), (r1, n)
+        if not r1.is_zero():
+            assert r1 ** -n == RationalFn(r1.den**n, r1.num**n), (r1, -n)
+
+
 def test_field_arithmetic_consistency():
     t = table("x", "y")
     x, y = RationalFn.var(t, "x"), RationalFn.var(t, "y")

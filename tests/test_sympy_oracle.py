@@ -2,8 +2,9 @@
 
 Seeded random polynomials over Q(i) in a main variable x and up to two
 parameters a, b are checked against ``sympy.resultant``, ``sympy.roots`` and
-``sympy.factor_list(..., gaussian=True)``. The module is skipped where SymPy
-is not installed.
+``sympy.factor_list(..., gaussian=True)``; ``poly_gcd`` is checked against
+``sympy.gcd(..., gaussian=True)`` on operands drawn by Hypothesis. The module
+is skipped where SymPy or Hypothesis is not installed.
 """
 
 import random
@@ -12,12 +13,15 @@ from fractions import Fraction
 import pytest
 
 from threewave.gaussian import GaussianRational
-from threewave.poly import MultiPoly, poly_sqrt, resultant
+from threewave.poly import MultiPoly, poly_gcd, poly_sqrt, resultant
 from threewave.ratfunc import RationalFn
 from threewave.roots import find_roots
 from threewave.symbols import table
 
 sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 T = table("x", "a:parameter", "b:parameter")
 X = T.get("x")
@@ -32,9 +36,10 @@ def to_sympy(p) -> "sympy.Expr":
     if isinstance(p, RationalFn):
         return to_sympy(p.num) / to_sympy(p.den)
     out = sympy.Integer(0)
+    syms = sympy.symbols([s.name for s in p.table.symbols])
     for e, c in p.terms.items():
         term = _number(c.re) + sympy.I * _number(c.im)
-        for s, d in zip(SYMS, e):
+        for s, d in zip(syms, e):
             term *= s**d
         out += term
     return sympy.expand(out)
@@ -117,3 +122,53 @@ def test_poly_sqrt_refuses_an_odd_factor_exponent():
             assert poly_sqrt(q) is None, q.text()
             refused += 1
     assert refused
+
+
+# operands g*a1 and g*b1 over x, y, z, w: the supports of a1 and b1 overlap in
+# part, are nested, or are equal, and the common factor g lives on the overlap
+GCD_TABLE = table("x", "y", "z", "w:parameter")
+SUPPORTS = {
+    "partial": ("xyz", "xyw", "xy"),
+    "nested": ("xyz", "xy", "xy"),
+    "equal": ("xyz", "xyz", "xyz"),
+}
+gaussians = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    st.sampled_from((0, 0, 1, -2)),
+)
+
+
+@st.composite
+def polys_on(draw, names: str, max_terms: int, max_degree: int) -> MultiPoly:
+    """A polynomial in exactly the variables ``names``: random terms plus one
+    term in all of them."""
+    k = [GCD_TABLE.index(n) for n in names]
+    full = tuple(1 if j in k else 0 for j in range(len(GCD_TABLE)))
+    terms = {full: GaussianRational(1)}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exp = [0] * len(GCD_TABLE)
+        for j in k:
+            exp[j] = draw(st.integers(0, max_degree))
+        c = draw(gaussians)
+        terms[tuple(exp)] = terms.get(tuple(exp), GaussianRational(0)) + c
+    if terms[full].is_zero():
+        terms[full] = GaussianRational(1)
+    return MultiPoly(GCD_TABLE, terms)
+
+
+@st.composite
+def gcd_operands(draw):
+    a_vars, b_vars, g_vars = SUPPORTS[draw(st.sampled_from(sorted(SUPPORTS)))]
+    g = draw(polys_on(g_vars, 2, 1))
+    return g * draw(polys_on(a_vars, 3, 2)), g * draw(polys_on(b_vars, 3, 2))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(gcd_operands())
+def test_gcd_matches_sympy_up_to_a_unit(operands):
+    a, b = operands
+    d = poly_gcd(a, b)
+    assert d.leading_coefficient().is_one()
+    unit = sympy.cancel(to_sympy(d) / sympy.gcd(to_sympy(a), to_sympy(b), gaussian=True))
+    assert unit != 0 and not unit.free_symbols, (a.text(), b.text(), d.text())
