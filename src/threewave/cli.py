@@ -20,6 +20,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 
 from . import models, reports
@@ -77,9 +78,12 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
 
 
 def _finite_complex(text: str, what: str) -> complex:
-    """A finite complex number written like '1.5', '-2e-3' or '0.5+1i'."""
+    """A finite complex number written like '1.5', '-2e-3' or '0.5+1i'.
+
+    Only an i that ends a word is the imaginary unit, so 'inf' and 'nan'
+    are read as such and refused as not finite."""
     try:
-        z = complex(text.strip().replace("i", "j"))
+        z = complex(re.sub(r"i\b", "j", text.strip()))
     except ValueError:
         raise UsageError(f"{what} {text!r} is not a number") from None
     if not cmath.isfinite(z):

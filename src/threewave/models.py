@@ -135,11 +135,6 @@ def three_wave_system(delta=None, gamma=None) -> VectorField:
     return system_field("three-wave", (delta, gamma))
 
 
-def modified_system(alphas: Sequence | None = None) -> VectorField:
-    """The five-parameter family on the base chart U0."""
-    return system_field("modified", alphas)
-
-
 def atlas(system, name: str, params: Sequence | None = None) -> list[ChartMap]:
     """The model's atlas ``name`` (identity chart first), parameters bound."""
     m = model(system)

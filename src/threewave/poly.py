@@ -191,9 +191,6 @@ class MultiPoly:
         """The monic monomial of largest degree dividing every term (1 for zero)."""
         return self._like({_common_key(self._lay, self._terms): ONE})
 
-    def leading_monomial(self) -> tuple[int, ...]:
-        return self._lay.unpack(self._leading_key())
-
     def leading_coefficient(self) -> GaussianRational:
         return self._terms[self._leading_key()]
 

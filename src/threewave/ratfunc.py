@@ -211,6 +211,26 @@ class RationalFn:
         return f"RationalFn({self.text()})"
 
 
+def pole_coefficients(
+    columns: Mapping[int, RationalFn], boundary: Symbol
+) -> dict[tuple[int, ...], dict[int, MultiPoly]]:
+    """The pole part of sum_col c_col * columns[col], from each column's
+    Laurent tail (:meth:`RationalFn.laurent`; a denominator that is not a
+    power of ``boundary`` raises ValueError): for each state monomial mu of
+    its numerator over the common denominator boundary^K, the coefficient of
+    mu in each column, polynomial in the parameters. The tail term
+    c_k * boundary^k sits there times boundary^(K + k)."""
+    tails = {col: [(k, c) for k, c in f.laurent(boundary).items() if k < 0]
+             for col, f in columns.items()}
+    order = max((-k for tail in tails.values() for k, _ in tail), default=0)
+    groups: dict[tuple[int, ...], dict[int, MultiPoly]] = {}
+    for col, tail in tails.items():
+        for k, c in tail:
+            for key, poly in c.shift_var(boundary, order + k).split_by_state_monomial().items():
+                groups.setdefault(key, {})[col] = poly
+    return groups
+
+
 def _reduce(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if num.is_zero():
         return num, MultiPoly.const(num.table, 1)

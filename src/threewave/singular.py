@@ -10,8 +10,9 @@ divisor gets resolved:
    in the divisor's coordinates, which one gcd decides; the points depend
    only on the chart and those two components restricted to the divisor,
    so each distinct restriction is solved and certified once per process,
-2. :func:`linear_part` / :func:`local_index` extract the eigenvalue data that
-   classifies each point and predicts how many blow-ups are needed,
+2. :func:`linear_part` reads each point's linear part off the scan's
+   log-pole form, and :func:`index_of_linear_part` its eigenvalue data, which
+   classifies the point and predicts how many blow-ups are needed,
 3. :func:`painleve_leading_orders` searches dominant balances;
    :func:`weighted_balance` picks the one whose pole orders fix the weighted
    chart suited to a multiple point (a model chooses it once, on its field
@@ -48,7 +49,7 @@ from .geometry import (
     Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
 )
 from .poly import MultiPoly, content_in, poly_gcd, resultant
-from .ratfunc import RationalFn, substitute
+from .ratfunc import RationalFn, pole_coefficients, substitute
 from .roots import find_roots
 from .symbols import Symbol, names_apart, parameter
 
@@ -222,11 +223,6 @@ class LocalIndex:
     integrality: tuple[bool, ...] | None
     ordering: str  # "permutation (i,j,k)" over boundary-first axes, or "spectral"
 
-    def is_integral(self) -> bool | None:
-        if self.integrality is None:
-            return None
-        return all(self.integrality)
-
 
 def _triangular_permutation(A: list[list[RationalFn]]) -> tuple[int, ...] | None:
     n = len(A)
@@ -299,7 +295,8 @@ class AlphaTestReport:
 
 def classify_alpha_matrix(A) -> AlphaTestReport:
     """Single-valuedness classification of the constant-coefficient reduced
-    system d(x_k)/dT = (sum_j a_kj x_j)/x_1.
+    system d(x_k)/dT = (sum_j a_kj x_j)/x_1, the scaling limit t = t0 +
+    alpha*T, x = alpha*X at a point whose :func:`linear_part` is ``A``.
 
     Component k is single-valued iff a_kk/a_11 is an integer; when
     a_kk == a_11 the explicit solution carries a logarithm unless the
@@ -335,16 +332,6 @@ def classify_alpha_matrix(A) -> AlphaTestReport:
         log_detected=log_detected,
         single_valued=all(verdicts),
     )
-
-
-def alpha_test(v: VectorField, p: AccessiblePoint) -> AlphaTestReport:
-    """Scaling limit t = t0 + alpha*T, x = alpha*X at the point ``p``.
-
-    The limit system is the linear part over x_1. Parameters may stay
-    symbolic as long as the eigenvalue ratios are constant; otherwise bind
-    them in ``v``.
-    """
-    return classify_alpha_matrix(linear_part(log_pole_decomposition(v), p))
 
 
 # -- dominant balance search ------------------------------------------------------------
@@ -506,21 +493,20 @@ def holomorphy_obstructions(v: VectorField) -> Obstruction:
     """Coefficients of the negative powers of the chart's boundary variable
     (the exceptional variable of a blow-up chart).
 
-    Each component's Laurent tail is read by :meth:`RationalFn.laurent`, so
-    its denominator must be a power of that variable (guaranteed for fields
+    The components' pole part is read by :func:`pole_coefficients`, so each
+    denominator must be a power of that variable (guaranteed for fields
     produced by the blow-up pipeline) and any other raises ValueError; the
-    parameter-polynomial coefficients of every state monomial of the tail
-    are collected, normalized monic, and deduplicated. An empty condition
-    set means the field is already polynomial. A chart without a boundary
+    parameter-polynomial coefficient of every state monomial in every
+    component is normalized monic and deduplicated. An empty condition set
+    means the field is already polynomial. A chart without a boundary
     variable raises ValueError.
     """
     boundary = v.chart.boundary
     if boundary is None:
         raise ValueError(f"chart {v.chart.name} has no boundary variable")
     conditions: dict[str, MultiPoly] = {}
-    for comp in v.components:
-        tail = [c for power, c in comp.laurent(boundary).items() if power < 0]
-        for param_poly in (p for c in tail for p in c.split_by_state_monomial().values()):
+    for group in pole_coefficients(dict(enumerate(v.components)), boundary).values():
+        for param_poly in group.values():
             normalized = param_poly.monic()
             conditions[normalized.text()] = normalized
     return Obstruction(tuple(conditions[k] for k in sorted(conditions)))
@@ -704,11 +690,11 @@ class ResolutionReport:
     """End-to-end record of resolving the multiple boundary point.
 
     ``fields`` holds the field on the weighted chart, then the field on the
-    target chart of each blow-up, and ``forwards`` the forward half of the
-    one map from the base chart to each of those charts, composed by the
-    pipeline over that field's table. ``linear_parts`` holds the linear
-    part at each weighted point. Run with every parameter symbolic, the
-    record is the lineage that a run at a parameter point specializes
+    target chart of each blow-up, and ``composed_forward`` the forward half
+    of the one map from the base chart to the final field's chart, over
+    that field's table. ``linear_parts`` holds the linear part at each
+    weighted point. Run with every parameter symbolic, the record is the
+    lineage that a run at a parameter point specializes
     (:func:`resolution_pipeline`)."""
 
     weighted_points: tuple[tuple[AccessiblePoint, LocalIndex], ...]
@@ -718,15 +704,11 @@ class ResolutionReport:
     obstruction: Obstruction
     branches: tuple[ConditionBranch, ...]
     fields: tuple[VectorField, ...]
-    forwards: tuple[tuple[RationalFn, RationalFn, RationalFn], ...]
+    composed_forward: tuple[RationalFn, RationalFn, RationalFn]
 
     @property
     def final_field(self) -> VectorField:
         return self.fields[-1]
-
-    @property
-    def composed_forward(self) -> tuple[RationalFn, RationalFn, RationalFn]:
-        return self.forwards[-1]
 
 
 # the largest pole order |m_k| the pipeline's balance search tries
@@ -774,25 +756,28 @@ def resolution_pipeline(
 
     The run on ``v`` itself, every parameter symbolic, is made once per
     field and map and is the lineage; without ``bindings`` it is the result.
-    At a parameter point the scans are run on the specialized field, and
-    every step whose point is the specialization of the lineage's point
-    takes the lineage's result specialized: the linear part at a weighted
-    point, and a blow-up's pushed field and composed forward map. The
-    blow-up's map is not needed: its halves ((x_j - c_j)/(x_k - c_k),
-    x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are inverse to each other for
-    every center c. The steps are computed here from the first blow-up whose
-    center does not match, which the lineage lacks, or whose specialization
-    has a vanishing denominator, and all of them when the symbolic run
-    fails. Both routes give the same record: where the specialized inputs
-    are defined, specialization commutes with the pipeline's rational
-    operations, and reduced forms are canonical.
+    At a parameter point the scans are run on the specialized field and
+    every other step is the lineage's, specialized: the linear parts at the
+    weighted points, each blow-up's pushed field, and the composed forward
+    map. The blow-up's map is not needed: its halves ((x_j - c_j)/(x_k -
+    c_k), x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are inverse to each
+    other for every center c. A point takes the whole lineage or none of
+    it: when a scanned point has no lineage linear part, the step count
+    differs, a center is not the specialization of the lineage's, or a
+    specialization has a vanishing denominator, every step is computed on
+    the specialized field, as it is when the symbolic run fails. Both
+    routes give the same record: where the specialized inputs are defined,
+    specialization commutes with the pipeline's rational operations, and
+    reduced forms are canonical.
     """
     if v.chart != weighted_map.target:
         raise ValueError(f"field lives on {v.chart.name}, not on {weighted_map.target.name}")
     lineage = _symbolic_lineage(v, weighted_map)
     if lineage is not None and not bindings:
         return lineage
-    return _resolve(v, weighted_map, lineage, bindings or {})
+    vw = v.specialize(bindings or {})
+    taken = _resolve(vw, weighted_map, lineage, bindings) if lineage is not None else None
+    return taken or _resolve(vw, weighted_map, None, {})
 
 
 @lru_cache(maxsize=16)  # keyed by the field's value and the map's identity
@@ -805,10 +790,11 @@ def _symbolic_lineage(v: VectorField, weighted_map: ChartMap) -> ResolutionRepor
         return None
 
 
-def _resolve(v, weighted_map, lineage, bindings) -> ResolutionReport:
-    """The pipeline on ``v`` at ``bindings``, taking every step it can from
-    ``lineage`` (None: every step is computed)."""
-    vw = v.specialize(bindings)
+def _resolve(vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
+    """The pipeline on ``vw``, the weighted field at ``bindings``. Without a
+    ``lineage`` every step is computed. With one, every step but the scans
+    is the lineage's, specialized, and the result is None at the first step
+    that does not match."""
     scan = find_accessible(vw)
     # the lineage's linear parts, keyed by their points' specialized coordinates
     known = {}
@@ -817,9 +803,12 @@ def _resolve(v, weighted_map, lineage, bindings) -> ResolutionReport:
             known[_specialized(q.coords, bindings)] = A
     linear_parts = []
     for p in scan.points:
-        rows = tuple(_specialized(row, bindings) for row in known.get(p.coords, ()))
-        if not rows or None in rows:
+        if lineage is None:
             rows = tuple(map(tuple, linear_part(scan.form, p)))
+        else:
+            rows = tuple(_specialized(row, bindings) for row in known.get(p.coords, ()))
+            if not rows or None in rows:
+                return None
         linear_parts.append(rows)
     decorated = tuple(
         (p, index_of_linear_part(A, vw.table)) for p, A in zip(scan.points, linear_parts)
@@ -833,21 +822,25 @@ def _resolve(v, weighted_map, lineage, bindings) -> ResolutionReport:
         for r in entry_index.ratios[1:]:
             if r.is_integer():
                 steps = max(steps, int(r.constant_value().re))
+    if lineage is not None and steps != len(lineage.fields) - 1:
+        return None
     current_point = entry
     centers = []
-    fields, forwards = [vw], [weighted_map.forward]
+    fields, composed = [vw], weighted_map.forward
     for step in range(steps):
-        taken = _lineage_step(lineage, step, current_point, bindings) if lineage else None
-        if taken is None:
-            lineage = None  # every later step is computed here too
+        if lineage is None:
             chart = fields[-1].chart
             nxt = blow_up(fields[-1], current_point.coords, chart.var_index(chart.boundary))
-            so_far = dict(zip(chart.vars, forwards[-1]))
+            so_far = dict(zip(chart.vars, composed))
             composed = tuple(substitute(f, so_far, nxt.field.table) for f in nxt.cmap.forward)
-            taken = nxt.field, composed
-        field, composed = taken
-        fields.append(field)
-        forwards.append(composed)
+            fields.append(nxt.field)
+        else:
+            ours = ((lineage.entry_point,) + lineage.centers)[step]
+            taken = (_specialized(ours.coords, bindings) == current_point.coords
+                     and _specialized((lineage.fields[step + 1],), bindings))
+            if not taken:
+                return None
+            fields += taken
         if step < steps - 1:
             inner = find_accessible(fields[-1])
             if len(inner.points) != 1:
@@ -857,6 +850,10 @@ def _resolve(v, weighted_map, lineage, bindings) -> ResolutionReport:
                 )
             current_point = inner.points[0]
             centers.append(current_point)
+    if lineage is not None:
+        composed = _specialized(lineage.composed_forward, bindings)
+        if composed is None:
+            return None
     obstruction = holomorphy_obstructions(fields[-1])
     branches = tuple(solve_parameter_conditions(list(obstruction.conditions)))
     return ResolutionReport(
@@ -867,7 +864,7 @@ def _resolve(v, weighted_map, lineage, bindings) -> ResolutionReport:
         obstruction=obstruction,
         branches=branches,
         fields=tuple(fields),
-        forwards=tuple(forwards),
+        composed_forward=composed,
     )
 
 
@@ -878,16 +875,3 @@ def _specialized(values, bindings):
         return tuple(v.specialize(bindings) for v in values)
     except DenominatorVanishes:
         return None
-
-
-def _lineage_step(lineage: ResolutionReport, step: int, center: AccessiblePoint, bindings):
-    """Blow-up ``step`` of ``lineage`` specialized at ``bindings`` (its pushed
-    field and composed forward map) when the lineage has that step and its
-    center specializes to ``center``; else None."""
-    if step + 1 >= len(lineage.fields):
-        return None
-    ours = ((lineage.entry_point,) + lineage.centers)[step]
-    if _specialized(ours.coords, bindings) != center.coords:
-        return None
-    taken = _specialized((lineage.fields[step + 1], *lineage.forwards[step + 1]), bindings)
-    return None if taken is None else (taken[0], taken[1:])

@@ -34,8 +34,7 @@ from .linalg import linear_solve
 from .models import model, system_field
 from .parsing import ModelFile
 from .poly import MultiPoly
-from .ratfunc import RationalFn, substitute
-from .symbols import Symbol
+from .ratfunc import RationalFn, pole_coefficients, substitute
 
 # monomial basis per component: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
 MONOMIAL_EXPONENTS = (
@@ -124,7 +123,7 @@ def _constraints(m: ModelFile) -> ConstraintSystem:
                 for j, image in enumerate(images)
             }
             try:
-                groups = _pole_coefficients(columns, cmap.target.boundary)
+                groups = pole_coefficients(columns, cmap.target.boundary)
             except ValueError as exc:
                 raise AnalysisFailed(f"chart {cmap.target.name}: {exc}") from None
             for key in sorted(groups):
@@ -135,26 +134,6 @@ def _constraints(m: ModelFile) -> ConstraintSystem:
     if not rows:
         raise AnalysisFailed("no chart of the resolved atlas constrains the ansatz")
     return ConstraintSystem(m, tuple(rows), tuple(origins))
-
-
-def _pole_coefficients(
-    columns: dict[int, RationalFn], boundary: Symbol
-) -> dict[tuple[int, ...], dict[int, MultiPoly]]:
-    """The pole part of sum_col c_col * columns[col], from each column's
-    Laurent tail (a denominator that is not a power of ``boundary`` raises
-    ValueError): for each state monomial mu of its numerator over the common
-    denominator boundary^K, the coefficient of mu in each column, polynomial
-    in the parameters. The tail term c_k * boundary^k sits there times
-    boundary^(K + k)."""
-    tails = {col: [(k, c) for k, c in f.laurent(boundary).items() if k < 0]
-             for col, f in columns.items()}
-    order = max((-k for tail in tails.values() for k, _ in tail), default=0)
-    groups: dict[tuple[int, ...], dict[int, MultiPoly]] = {}
-    for col, tail in tails.items():
-        for k, c in tail:
-            for key, poly in c.shift_var(boundary, order + k).split_by_state_monomial().items():
-                groups.setdefault(key, {})[col] = poly
-    return groups
 
 
 def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:

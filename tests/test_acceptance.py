@@ -151,7 +151,7 @@ def test_criterion_7_uniqueness():
 
 def test_criterion_8a_chart_round_trips():
     def body():
-        v = models.modified_system([0, 0, 0, 0, 0])
+        v = models.system_field("modified", [0, 0, 0, 0, 0])
         maps = models.resolved_atlas("modified", [0, 0, 0, 0, 0])
         atlas = NumericAtlas(v, maps, {})
         rng = random.Random(101)
@@ -173,7 +173,7 @@ def test_criterion_8a_chart_round_trips():
 
 def test_criterion_8b_pole_crossing_reentry():
     def body():
-        v = models.modified_system([0, 0, 0, 0, 0])
+        v = models.system_field("modified", [0, 0, 0, 0, 0])
         maps = models.resolved_atlas("modified", [0, 0, 0, 0, 0])
         atlas = NumericAtlas(v, maps, {})
         start = TrajectoryPoint(0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")
@@ -203,7 +203,7 @@ def test_criterion_8c_fitted_pole_exponents():
 
 def test_criterion_8d_no_pole_monodromy():
     def body():
-        v = models.modified_system([0, 0, 0, 0, 0])
+        v = models.system_field("modified", [0, 0, 0, 0, 0])
         maps = models.resolved_atlas("modified", [0, 0, 0, 0, 0])
         atlas = NumericAtlas(v, maps, {})
         start = TrajectoryPoint(0.15 + 0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")

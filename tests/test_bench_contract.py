@@ -1,8 +1,12 @@
-"""The benchmark's layer tracer wraps functions of ``threewave`` by name, so
-renaming or deleting one of them must fail here, not only in a benchmark run."""
+"""The benchmark's layer tracer wraps functions of ``threewave`` by name, and
+its workloads call them by name, so renaming or deleting one of them must
+fail here, not only in a benchmark run."""
 
+import re
+import types
 from pathlib import Path
 
+import oracles
 from threewave import poly, singular
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -21,3 +25,20 @@ def test_tracer_installs_on_every_traced_function(monkeypatch):
     finally:
         tr.uninstall()
     assert (poly.poly_gcd, singular.find_accessible) == originals
+
+
+def test_first_op_of_each_kind_passes_its_oracle():
+    # the workloads call the package by name (models.three_wave_system,
+    # NumericAtlas(v, maps, params), integrate(..., atlas=), the reports), so
+    # a deleted or renamed name fails here, not only in a benchmark run; an
+    # op's kind is its name and the model its label starts with
+    workloads = oracles.bench_workloads()
+    env = types.SimpleNamespace(cont_err_max=0.0)
+    ran = set()
+    for name in ("resolve", "verify", "continuation"):
+        for op in next(workloads.WORKLOADS[name](101, env)):
+            kind = (name, op.name, re.match(r"[a-z-]*", op.label).group())
+            if kind not in ran:
+                ran.add(kind)
+                assert op.check(op.run()) is None, kind
+    assert ("continuation", "NumericAtlas.compile", "three-wave") in ran

@@ -447,6 +447,27 @@ def test_usage_errors_are_one_line(tmp_path, capsys, argv):
             assert message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["integrate", "--system", "modified", "--start=inf;0;0", "--path", "1.2"],
+         "--start component 'inf'"),
+        (["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "inf",
+          "--center", "0.55"], "--t0 'inf'"),
+        (["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0",
+          "--center", "inf+1i"], "--center 'inf+1i'"),
+        (["integrate", "--system", "modified", "--params", "alpha2=inf", "--start=-2;0.1;-3",
+          "--path", "1.2"], "parameter alpha2 'inf'"),
+        (["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "0.6;-infinity"],
+         "--path waypoint '-infinity'"),
+    ],
+)
+def test_infinite_numbers_are_refused_as_not_finite(capsys, argv, what):
+    # an 'i' of 'inf' is not the imaginary unit
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {what} is not a finite number\n"
+
+
 def test_unwritable_report_dir_is_one_line(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "a-file"
     blocker.write_text("")

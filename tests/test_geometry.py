@@ -194,7 +194,7 @@ def test_numeric_chain_rule_spot_check():
 
 
 def test_pushforward_matches_oracle_on_atlas_charts():
-    v = models.modified_system([1, 0, 2, 0, 1])
+    v = models.system_field("modified", [1, 0, 2, 0, 1])
     for cmap in models.resolved_atlas("modified", [1, 0, 2, 0, 1]):
         w = pushforward(v, cmap)
         ref = oracle_pushforward(v, cmap)

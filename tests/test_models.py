@@ -30,14 +30,14 @@ def test_three_wave_symbolic_components():
 
 
 def test_modified_specialization_at_zero():
-    v = models.modified_system([0, 0, 0, 0, 0])
+    v = models.system_field("modified", [0, 0, 0, 0, 0])
     t = v.table
     expected = [parse_expr(e, t) for e in ("-2*y^2 + z", "2*x*y", "-2*x*z")]
     assert list(v.components) == expected
 
 
 def test_modified_symbolic_components_match_display():
-    v = models.modified_system()
+    v = models.system_field("modified")
     t = v.table
     f2 = parse_expr(
         "2*x*y - 2*alpha5*x + i*(alpha1 - alpha3)*y - i*(alpha2 - alpha4 + 2*(alpha1 - alpha3)*alpha5)/2",
@@ -53,7 +53,7 @@ def test_comparison_with_three_wave_documents_z_difference():
     t = three.table
     alpha5 = models.param_symbols("modified")[4]
     rename = {alpha5: RationalFn.var(t, "delta") / 2}  # also carries the state over
-    modified = models.modified_system([0, 0, 0, 0, None])
+    modified = models.system_field("modified", [0, 0, 0, 0, None])
     diff = [substitute(a, rename, t) - b for a, b in zip(modified.components, three.components)]
     assert [d.text() for d in diff] == ["0", "0", "2*z"]
 
@@ -142,14 +142,14 @@ def test_modified_atlas_polynomial_for_symbolic_parameters():
 
 def test_pi_symmetry_exact():
     gens = models.model("modified").symmetries
-    rep = models.verify_symmetry(models.modified_system(), gens["pi"])
+    rep = models.verify_symmetry(models.system_field("modified"), gens["pi"])
     assert rep["invariant"]
     assert rep["residual"] == ["0", "0", "0"]
 
 
 def test_s_symmetry_exact():
     gens = models.model("modified").symmetries
-    rep = models.verify_symmetry(models.modified_system(), gens["s"])
+    rep = models.verify_symmetry(models.system_field("modified"), gens["s"])
     assert rep["invariant"], rep["residual"]
 
 
@@ -201,7 +201,7 @@ def test_identity_symmetry_trivially_invariant():
     pi = models.model("modified").symmetries["pi"]
     ident = pi.compose(pi)
     assert ident.is_identity()
-    rep = models.verify_symmetry(models.modified_system(), ident)
+    rep = models.verify_symmetry(models.system_field("modified"), ident)
     assert rep["invariant"]
 
 

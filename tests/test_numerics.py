@@ -28,7 +28,7 @@ from threewave.symbols import table as make_table
 
 @pytest.fixture(scope="module")
 def modified_zero():
-    v = models.modified_system([0, 0, 0, 0, 0])
+    v = models.system_field("modified", [0, 0, 0, 0, 0])
     maps = models.resolved_atlas("modified", [0, 0, 0, 0, 0])
     return v, maps, NumericAtlas(v, maps, {})
 
@@ -286,7 +286,7 @@ def test_monodromy_around_movable_pole(modified_zero):
 
 def test_step_underflow_without_resolving_chart():
     # with only the identity chart available the pole cannot be crossed
-    v = models.modified_system([0, 0, 0, 0, 0])
+    v = models.system_field("modified", [0, 0, 0, 0, 0])
     base_only = [identity_map(v.chart, v.table)]
     atlas = NumericAtlas(v, base_only, {})
     start = TrajectoryPoint(0j, (-2 + 0j, 0j, -3 + 0j), "U0")

@@ -15,7 +15,6 @@ from threewave.geometry import (
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
 from threewave.singular import (
-    alpha_test,
     blow_up,
     classify_alpha_matrix,
     find_accessible,
@@ -290,7 +289,7 @@ def test_local_index_ratios_and_integrality():
     v, p2 = pts["P2"]
     idx = local_index(v, p2)
     assert tuple(r.text() for r in idx.ratios) == ("1", "2", "2")
-    assert idx.is_integral()
+    assert all(idx.integrality)
     v, p41 = pts["P4_1"]
     idx41 = local_index(v, p41)
     assert idx41.ratios is None and idx41.integrality is None
@@ -367,7 +366,7 @@ def test_index_invariant_under_transverse_permutation():
 def test_alpha_test_at_degenerate_point():
     pts = _named()
     v, p = pts["P4_2"]
-    rep = alpha_test(v, p)
+    rep = classify_alpha_matrix(linear_part(log_pole_decomposition(v), p))
     assert tuple(r.text() for r in rep.ratios) == ("1", "2", "2")
     assert rep.single_valued
 
@@ -726,43 +725,50 @@ def test_pipeline_at_a_point_equals_the_pipeline_on_the_specialized_field(monkey
 
 def _doctored_lineages():
     """Lineages handed to the pipeline at (delta, gamma) = (2, 0) as if they
-    were the symbolic one, with the blow-ups and linear parts each forces."""
+    were the symbolic one, each failing to match there in one way."""
     import dataclasses
 
     symbolic = _pipeline("three-wave")
     delta = symbolic.final_field.table.get("delta")
-    pole = tuple(f + 1 / (RationalFn.var(f.table, delta) - 2) for f in symbolic.forwards[1])
+
+    def pole(fns):
+        return [f + 1 / (RationalFn.var(f.table, delta) - 2) for f in fns]
+
+    last = symbolic.final_field
+    last = VectorField(last.chart, pole(last.components))
     return [
-        # the entry point moved: the linear parts are taken, no blow-up
+        # the entry point moved
         ("moved entry", dataclasses.replace(
-            symbolic, entry_point=symbolic.weighted_points[1][0]), 2, 0),
+            symbolic, entry_point=symbolic.weighted_points[1][0])),
         # the lineage lacks the second blow-up
-        ("one blow-up", dataclasses.replace(
-            symbolic, centers=(), fields=symbolic.fields[:2],
-            forwards=symbolic.forwards[:2]), 1, 0),
-        # the first blow-up's composed map has a pole at delta = 2
-        ("vanishing denominator", dataclasses.replace(
-            symbolic, forwards=(symbolic.forwards[0], pole) + symbolic.forwards[2:]), 2, 0),
+        ("one blow-up", dataclasses.replace(symbolic, centers=(), fields=symbolic.fields[:2])),
+        # the composed map has a pole at delta = 2
+        ("pole in the composed map", dataclasses.replace(
+            symbolic, composed_forward=tuple(pole(symbolic.composed_forward)))),
+        # the last blow-up's field has a pole at delta = 2, so a route that
+        # took the first blow-up from the lineage would compute only one
+        ("pole in a field", dataclasses.replace(symbolic, fields=symbolic.fields[:-1] + (last,))),
     ]
 
 
 def test_pipeline_falls_back_where_the_lineage_does_not_match(monkeypatch):
-    # no point of the built-ins' grids leaves the symbolic lineage, so the
-    # fallback is forced by handing the pipeline other lineages; it must give
-    # the report of the pipeline on the specialized field alone
+    # no point of the built-ins' grids leaves the symbolic lineage, so a
+    # mismatch is forced by handing the pipeline other lineages; a point takes
+    # the whole lineage or none of it, so each gives the report of the
+    # pipeline on the specialized field alone, every step computed
     want = _direct_report(monkeypatch, "three-wave", [2, 0])
     lineage_charts = want["chart_lineage"]
-    for label, lineage, blow_ups, linear_parts in _doctored_lineages():
+    for label, lineage in _doctored_lineages():
         calls = []
         with monkeypatch.context() as patch:
             patch.setattr(singular, "_symbolic_lineage", lambda v, wmap, lineage=lineage: lineage)
             _count_calls(patch, calls, *_PIPELINE_STEPS)
             got = reports.pipeline_report("three-wave", [2, 0])
         assert got == want, label
-        assert calls.count("blow_up") == blow_ups, label
-        assert calls.count("linear_part") == linear_parts, label
+        assert calls.count("blow_up") == 2, label
+        assert calls.count("linear_part") == len(want["weighted_points"]), label
         pushed = [c for c in calls if c.startswith("W.")]
-        assert pushed == lineage_charts[len(lineage_charts) - blow_ups:], label
+        assert pushed == lineage_charts[1:], label
 
 
 def test_each_scanned_field_is_decomposed_once(monkeypatch):
