@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="state 'x;y;z' at the loop base point")
     p.add_argument("--t0", required=True, help="loop base time (complex)")
     p.add_argument("--center", required=True, help="loop center (complex)")
-    p.add_argument("--allow-rational", action="store_true")
+    p.add_argument("--allow-rational", action="store_true",
+                   help="skip the polynomiality precondition")
 
     return ap
 

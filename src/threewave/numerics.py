@@ -355,17 +355,14 @@ def integrate(
             h = min(h, length - s)
             if h < hmin:
                 # before giving up, try continuing in a better chart
-                best, bstate, bnorm = atlas.best_chart(y, chart)
-                if best != chart and bnorm * SWITCH_GAIN <= max(abs(c) for c in y):
-                    traj.events.append(
-                        SwitchEvent(t_here, chart, best, max(abs(c) for c in y), bnorm)
+                stuck = chart
+                chart, y = _switch(atlas, traj, t_here, chart, y, max(abs(c) for c in y))
+                if chart == stuck:
+                    raise StepUnderflow(
+                        f"step size collapsed at t = {t_here}: no chart keeps the state finite", traj
                     )
-                    chart, y = best, tuple(bstate)
-                    h = hmin * 10
-                    continue
-                raise StepUnderflow(
-                    f"step size collapsed at t = {t_here}: no chart keeps the state finite", traj
-                )
+                h = hmin * 10
+                continue
             if traj.steps_accepted + traj.steps_rejected > MAX_STEPS:
                 raise StepUnderflow(f"step budget exhausted at t = {t_here}", traj)
             f = atlas.fields[chart]
@@ -393,10 +390,7 @@ def integrate(
                 traj.error_estimate += local_err
                 norm = max(abs(u0), abs(u1), abs(u2))
                 if norm > SWITCH_THRESHOLD:
-                    best, bstate, bnorm = atlas.best_chart(y, chart)
-                    if best != chart and bnorm * SWITCH_GAIN <= norm:
-                        traj.events.append(SwitchEvent(t_here, chart, best, norm, bnorm))
-                        chart, y = best, tuple(bstate)
+                    chart, y = _switch(atlas, traj, t_here, chart, y, norm)
                 traj.points.append(TrajectoryPoint(t_here, y, chart, local_err))
                 # PI controller (order-5 propagation)
                 fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5) if err_norm > 0 else 5.0
@@ -410,6 +404,17 @@ def integrate(
                     h *= 0.1
         t_here = seg_end
     return traj
+
+
+def _switch(atlas: NumericAtlas, traj: Trajectory, t: complex, chart: str, y, norm: float):
+    """``chart`` and the state ``y`` on it, of max-norm ``norm``, or the
+    chart where the state is smallest and the state there when that is at
+    least ``SWITCH_GAIN`` times smaller; a switch is recorded in ``traj``."""
+    best, bstate, bnorm = atlas.best_chart(y, chart)
+    if best != chart and bnorm * SWITCH_GAIN <= norm:
+        traj.events.append(SwitchEvent(t, chart, best, norm, bnorm))
+        return best, tuple(bstate)
+    return chart, y
 
 
 # -- pole read-out -----------------------------------------------------------------------

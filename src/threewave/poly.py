@@ -505,7 +505,7 @@ class MultiPoly:
         try:
             return self._hash
         except AttributeError:
-            h = hash(frozenset(self.terms.items()))
+            h = hash(frozenset(self._terms.items()))
             _setattr(self, "_hash", h)
             return h
 
@@ -648,9 +648,11 @@ def content_in(p: MultiPoly, sym: Symbol) -> MultiPoly:
 
 
 def primitive_part(p: MultiPoly, sym: Symbol) -> MultiPoly:
+    """``p`` divided by its content in ``sym`` (``p`` itself when that is 1)."""
     if p.is_zero():
         return p
-    return p.exact_divide(content_in(p, sym))
+    content = content_in(p, sym)
+    return p if content.is_constant() else p.exact_divide(content)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:

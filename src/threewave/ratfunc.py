@@ -17,12 +17,14 @@ reduced as it stands. Composite operations build their result as one
 polynomial fraction and construct it once: :func:`substitute` maps
 numerator and denominator over a shared denominator that cancels, and
 :func:`clear_denominators` puts a list of values over one common denominator
-(the pushforward's field, a deflated quotient).
+(the pushforward's field, a deflated quotient). :func:`value_at` puts
+values into a polynomial, and :func:`vanishes` is the exact certificate by
+which every claimed root, point and solution is checked.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DenominatorVanishes, NotDivisible
 from .gaussian import GaussianRational
@@ -323,6 +325,19 @@ def substitute(
     if den.is_zero():
         raise DenominatorVanishes("denominator identically zero after composition")
     return RationalFn(image(f.num), den)
+
+
+def value_at(p: MultiPoly, bindings: Mapping[Symbol, RationalFn], table: SymbolTable) -> RationalFn:
+    """``p`` with the values of ``bindings`` put in, over ``table``."""
+    return substitute(RationalFn(p, _reduced=True), bindings, table)
+
+
+def vanishes(polys: Iterable[MultiPoly], bindings: Mapping[Symbol, RationalFn],
+             table: SymbolTable) -> bool:
+    """Whether every polynomial of ``polys`` is exactly zero at ``bindings``:
+    the one certificate of a claimed root, point or solution. It stops at the
+    first nonzero value."""
+    return all(value_at(p, bindings, table).is_zero() for p in polys)
 
 
 def clear_denominators(

@@ -8,13 +8,16 @@ Strategy, in order:
 * degree 2: quadratic formula, taking the root only when the discriminant
   is an exact square (:func:`~threewave.poly.poly_sqrt`),
 * degree 3-4: hunt for linear factors by generating candidate roots from
-  numeric specializations and verifying them *exactly*; verified factors are
-  deflated away and the loop repeats.
+  numeric specializations and certifying them *exactly* with
+  :func:`~threewave.ratfunc.vanishes`; certified factors are deflated away
+  and the loop repeats.
 
-Whatever cannot be split this way is returned as an unfactored residual --
-callers treat residuals as data, not as errors. Every reported root satisfies
-p(root) == 0 exactly (candidates that fail exact verification are dropped),
-so the numeric step is only a guess generator, never a source of truth.
+The parameter content carries no roots, so the polynomial and each deflated
+quotient are kept primitive in the variable. Whatever cannot be split this
+way is returned as an unfactored residual -- callers treat residuals as data,
+not as errors. Every reported root satisfies p(root) == 0 exactly (candidates
+that fail the certificate are dropped), so the numeric step is only a guess
+generator, never a source of truth.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational
-from .poly import MultiPoly, content_in, poly_sqrt
-from .ratfunc import RationalFn, clear_denominators, substitute
+from .poly import MultiPoly, poly_sqrt, primitive_part
+from .ratfunc import RationalFn, clear_denominators, vanishes
 from .symbols import Symbol
 
 
@@ -43,7 +46,8 @@ def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
     """All roots of ``p`` in ``var`` expressible in the parameter field.
 
     ``p`` must involve no state symbols other than ``var``. Roots are listed
-    with multiplicity; the leftover factor is returned monic and unfactored.
+    with multiplicity, sorted by text (so repeated roots are adjacent); the
+    leftover factor is returned monic and unfactored.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every value as a root")
@@ -58,11 +62,7 @@ def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
     kmin = min(univ)
     zero_rf = RationalFn.const(table, 0)
     roots.extend([zero_rf] * kmin)
-    current = p.shift_var(var, -kmin)
-    # parameter content carries no roots in var
-    cont = content_in(current, var)
-    if not cont.is_constant():
-        current = current.exact_divide(cont)
+    current = primitive_part(p.shift_var(var, -kmin), var)
 
     while True:
         deg = current.degree(var)
@@ -86,7 +86,8 @@ def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
             roots.append(RationalFn(-c1 - sq, 2 * c2))
             residual = one
             break
-        root = _find_linear_factor(current, var)
+        root = next((c for c in _root_candidates(current, var)
+                     if vanishes((current,), {var: c}, table)), None)
         if root is None:
             residual = current.monic()
             break
@@ -95,12 +96,6 @@ def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
 
     roots.sort(key=lambda r: r.text())
     return RootsResult(tuple(roots), residual)
-
-
-def verify_root(p: MultiPoly, var: Symbol, root: RationalFn) -> bool:
-    """Exact check p(root) == 0 over the parameter field."""
-    value = substitute(RationalFn.from_poly(p), {var: root}, p.table)
-    return value.is_zero()
 
 
 def _deflate(p: MultiPoly, var: Symbol, root: RationalFn) -> MultiPoly:
@@ -123,18 +118,10 @@ def _deflate(p: MultiPoly, var: Symbol, root: RationalFn) -> MultiPoly:
     _, nums = clear_denominators(list(quot.values()), p.table)
     for k, num in zip(quot, nums):
         out = out + num * v**k
-    cont = content_in(out, var)
-    return out.exact_divide(cont) if not cont.is_constant() else out
+    return primitive_part(out, var)
 
 
 # -- candidate generation ------------------------------------------------------
-
-
-def _find_linear_factor(p: MultiPoly, var: Symbol) -> RationalFn | None:
-    for cand in _root_candidates(p, var):
-        if verify_root(p, var, cand):
-            return cand
-    return None
 
 
 def _root_candidates(p: MultiPoly, var: Symbol) -> list[RationalFn]:

@@ -36,6 +36,7 @@ returned.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
@@ -49,7 +50,7 @@ from .geometry import (
     Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
 )
 from .poly import MultiPoly, content_in, poly_gcd, resultant
-from .ratfunc import RationalFn, pole_coefficients, substitute
+from .ratfunc import RationalFn, pole_coefficients, substitute, value_at, vanishes
 from .roots import find_roots
 from .symbols import Symbol, names_apart, parameter
 
@@ -112,20 +113,11 @@ def _boundary_points(chart: Chart, gs) -> tuple[tuple[AccessiblePoint, ...], tup
     for sol, mult in solutions:
         coords = tuple(zero if s == chart.boundary else sol[s] for s in chart.vars)
         point = AccessiblePoint(chart, coords, mult)
-        if not _verify_point(gs, point):
+        if not vanishes((gu, gw), dict(zip(chart.vars, coords)), gu.table):
             raise VerificationFailed(f"candidate point {point.text()} failed exact re-verification")
         points.append(point)
     points.sort(key=lambda p: p.text())
     return tuple(points), residuals
-
-
-def _verify_point(gs, point: AccessiblePoint) -> bool:
-    bindings = {s: point.coords[k] for k, s in enumerate(point.chart.vars)}
-    for _, g in gs:
-        val = substitute(RationalFn.from_poly(g), bindings, g.table)
-        if not val.is_zero():
-            return False
-    return True
 
 
 def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
@@ -149,14 +141,10 @@ def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
     if not wroots.fully_split():
         residuals.append(f"eliminant residual in {w.name}: {wroots.residual.text()}")
 
-    # group identical w-roots, remembering eliminant multiplicity
-    grouped: dict[RationalFn, int] = {}
-    for r in wroots.roots:
-        grouped[r] = grouped.get(r, 0) + 1
-
     solutions = []
-    for w0, wmult in grouped.items():
-        g = poly_gcd(_substitute_root(gu, w, w0), _substitute_root(gw, w, w0))
+    for w0, wmult in Counter(wroots.roots).items():  # with eliminant multiplicity
+        # the denominators of the values are parameter-only and root-free
+        g = poly_gcd(value_at(gu, {w: w0}, gu.table).num, value_at(gw, {w: w0}, gw.table).num)
         if g.is_constant():
             continue  # spurious eliminant root
         uroots = find_roots(g, u)
@@ -164,20 +152,11 @@ def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
             residuals.append(
                 f"{w.name} = {w0.text()}: residual in {u.name}: {uroots.residual.text()}"
             )
-        ugrouped: dict[RationalFn, int] = {}
-        for r in uroots.roots:
-            ugrouped[r] = ugrouped.get(r, 0) + 1
-        total_u = sum(ugrouped.values())
-        for u0, umult in ugrouped.items():
+        for u0, umult in Counter(uroots.roots).items():
             # distribute the eliminant multiplicity among the points above w0
-            mult = max(1, (wmult * umult) // total_u)
+            mult = max(1, (wmult * umult) // len(uroots.roots))
             solutions.append(({u: u0, w: w0}, mult))
     return solutions, tuple(residuals)
-
-
-def _substitute_root(g: MultiPoly, sym: Symbol, value: RationalFn) -> MultiPoly:
-    res = substitute(RationalFn.from_poly(g), {sym: value}, g.table)
-    return res.num  # denominator is parameter-only and root-free
 
 
 # -- linear part and local index ----------------------------------------------------
@@ -205,14 +184,13 @@ def linear_part(lp: LogPoleForm, p: AccessiblePoint) -> list[list[RationalFn]]:
     rows = []
     for sym, g in zip(order, polys):
         if sym != p.boundary:
-            value = substitute(RationalFn.from_poly(g), at_p, table)
+            value = value_at(g, at_p, table)
             if not value.is_zero():
                 raise VerificationFailed(
                     f"point {p.text()} is not accessible: d{sym.name}/dt has constant part "
                     f"{value.text()}"
                 )
-        rows.append([substitute(RationalFn.from_poly(g.derivative(col)), at_p, table)
-                     for col in order])
+        rows.append([value_at(g.derivative(col), at_p, table) for col in order])
     return rows
 
 
@@ -276,8 +254,7 @@ def _spectrum(A: list[list[RationalFn]], table) -> tuple[RationalFn, ...]:
         raise UnresolvedSpectrum(
             f"characteristic polynomial does not split: residual {roots.residual.text()}"
         )
-    eig = sorted(roots.roots, key=lambda r: r.text())
-    return tuple(r.retable(table) for r in eig)
+    return tuple(r.retable(table) for r in roots.roots)
 
 
 # -- scaling-limit (alpha) test ----------------------------------------------------------
@@ -419,10 +396,6 @@ def _balance_equations(moved, leads, orders) -> list[MultiPoly]:
     return eqs
 
 
-def _solves(eqs, bindings: dict[Symbol, RationalFn], table) -> bool:
-    return all(substitute(RationalFn.from_poly(eq), bindings, table).is_zero() for eq in eqs)
-
-
 def verify_balance(v: VectorField, balance: Balance) -> bool:
     """Exact re-check of a reported balance: the defining order-by-order
     equations, evaluated at the solved coefficients, must vanish identically
@@ -430,7 +403,7 @@ def verify_balance(v: VectorField, balance: Balance) -> bool:
     table, leads, moved = _lead_setup(v)
     eqs = _balance_equations(moved, leads, balance.exponents)
     bindings = {leads[k]: balance.coefficients[k].retable(table) for k in range(3)}
-    return _solves(eqs, bindings, table)
+    return vanishes(eqs, bindings, table)
 
 
 # -- blow-ups ---------------------------------------------------------------------------
@@ -559,7 +532,7 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
 
     def keep(pins, residuals):
         branch = ConditionBranch(tuple((s, pins[s]) for s in unknowns if s in pins), residuals)
-        if branch not in results and (residuals or _solves(eqs, pins, table)):
+        if branch not in results and (residuals or vanishes(eqs, pins, table)):
             results.append(branch)
 
     def live_after(pending, sym=None, value=None):
@@ -570,7 +543,7 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
         for eq in pending:
             vs = eq.variables()
             if sym is not None and sym in vs:
-                eq = substitute(RationalFn.from_poly(eq), {sym: value}, table).num
+                eq = value_at(eq, {sym: value}, table).num
                 vs = eq.variables()
             if eq.is_zero():
                 continue
@@ -649,9 +622,8 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
             if any(s in unknowns for s in lead.variables()):
                 keep(pins, tuple(q.monic() for q in rest + [eq, lead]))
         roots = find_roots(eq, sym)
-        for k, r in enumerate(roots.roots):
-            if k == 0 or r != roots.roots[k - 1]:  # repeated roots are adjacent
-                pin(rest, pins, tried, sym, r)
+        for r in dict.fromkeys(roots.roots):
+            pin(rest, pins, tried, sym, r)
         if not roots.fully_split():
             solve(rest + [roots.residual], pins, tried | {(roots.residual, sym)})
 

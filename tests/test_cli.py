@@ -666,7 +666,7 @@ def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):
     # an empty memo of boundary points, so that each point is verified again
     monkeypatch.setattr(singular, "_boundary_points",
                         lru_cache(maxsize=256)(singular._boundary_points.__wrapped__))
-    monkeypatch.setattr(singular, "_verify_point", lambda gs, point: False)
+    monkeypatch.setattr(singular, "vanishes", lambda polys, bindings, table: False)
     code = run(["singularities", "--system", "three-wave"])
     captured = capsys.readouterr()
     assert code == 1

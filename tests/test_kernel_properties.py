@@ -2,9 +2,10 @@
 
 ``GaussianRational`` is checked against plain ``(Fraction, Fraction)``
 arithmetic, the packed monomial keys against ``(total degree, exponents)``
-tuples, ``MultiPoly`` products against ``oracles.naive_mul``, ``specialize``
-against ``substitute`` of the same constants, and the Laurent tail of
-``RationalFn`` by reassembling it.
+tuples, ``MultiPoly`` products and their hashes against ``oracles.naive_mul``,
+``specialize`` against ``substitute`` of the same constants, ``value_at`` and
+``vanishes`` against ``oracles.naive_substitute_poly``, and the Laurent tail
+of ``RationalFn`` by reassembling it.
 """
 
 from fractions import Fraction
@@ -16,11 +17,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_mul
+from oracles import naive_mul, naive_substitute_poly
 from threewave.errors import NotDivisible
 from threewave.gaussian import GaussianRational, gr
 from threewave.poly import MultiPoly, _layout
-from threewave.ratfunc import RationalFn, substitute
+from threewave.ratfunc import RationalFn, substitute, value_at, vanishes
 from threewave.symbols import table
 
 KERNEL = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -137,6 +138,7 @@ polys = st.dictionaries(small_exponents, pairs.filter(lambda p: p != (0, 0)), ma
 def test_products_match_the_naive_oracle_and_divide_back(p, q):
     product = p * q
     assert product == naive_mul(p, q)
+    assert hash(product) == hash(naive_mul(p, q))  # built in another term order
     if not q.is_zero():
         assert product.exact_divide(q) == p
         if not q.is_constant():
@@ -158,6 +160,20 @@ def test_specialize_matches_substitute_of_the_same_constants(p, values):
     constants = {s: RationalFn.const(T, v) for s, v in bindings.items()}
     want = substitute(RationalFn.from_poly(p), constants, T)
     assert RationalFn.from_poly(p.specialize(bindings)) == want
+
+
+@KERNEL
+@given(polys, polys, st.dictionaries(st.sampled_from(T.symbols), pairs, min_size=1, max_size=len(T)),
+       st.booleans())
+def test_value_at_and_vanishes_match_the_naive_oracle(p, q, values, root):
+    bindings = {s: RationalFn.const(T, gr(*c)) for s, c in values.items()}
+    if root:  # q vanishes at the bindings by construction
+        s, c = next(iter(values.items()))
+        q = q * (MultiPoly.var(T, s) - gr(*c))
+    want = [naive_substitute_poly(f, bindings) for f in (p, q)]
+    assert [value_at(f, bindings, T) for f in (p, q)] == want
+    assert vanishes((q,), bindings, T) == want[1].is_zero()
+    assert vanishes((p, q), bindings, T) == (want[0].is_zero() and want[1].is_zero())
 
 
 _y, _z, _delta = (MultiPoly.var(T, s) for s in ("y", "z", "delta"))

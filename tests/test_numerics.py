@@ -298,6 +298,31 @@ def test_step_underflow_without_resolving_chart():
     assert 0 < partial.end.t.real < 1.2 and partial.end.chart == "U0"
 
 
+def test_step_underflow_tries_a_better_chart_first(modified_zero):
+    # at a tolerance no step meets, the step collapses at once; the state is
+    # then moved to the chart where it is smallest before the run gives up
+    v, maps, atlas = modified_zero
+    start = TrajectoryPoint(0j, (-8 + 0j, 0.001 + 0j, -64 + 0j), "U0")
+    with pytest.raises(StepUnderflow, match="step size collapsed") as exc:
+        integrate(v, maps, start, [0, 0.01], tol=1e-30, atlas=atlas)
+    (event,) = exc.value.trajectory.events
+    assert (event.from_chart, event.to_chart) == ("U0", "T3-3")
+    assert event.norm_before == pytest.approx(64) and event.norm_after == pytest.approx(1 / 8)
+    assert exc.value.trajectory.end.chart == "T3-3"  # the run went on there
+
+
+def test_step_budget_is_enforced(monkeypatch, modified_zero):
+    from threewave import numerics
+
+    v, maps, atlas = modified_zero
+    monkeypatch.setattr(numerics, "MAX_STEPS", 5)
+    start = TrajectoryPoint(0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")
+    with pytest.raises(StepUnderflow, match="step budget exhausted") as exc:
+        integrate(v, maps, start, [0, 1.2], tol=1e-10, atlas=atlas)
+    partial = exc.value.trajectory
+    assert partial.steps_accepted + partial.steps_rejected == 6
+
+
 def test_monodromy_reported_for_condition_violating_parameters():
     # parameters violating the resolvability conditions: the atlas cannot
     # carry the trajectory through the singularity (honest underflow), and

@@ -5,8 +5,8 @@ import pytest
 
 from threewave.gaussian import gr
 from threewave.poly import MultiPoly
-from threewave.ratfunc import RationalFn
-from threewave.roots import find_roots, verify_root
+from threewave.ratfunc import RationalFn, vanishes
+from threewave.roots import find_roots
 from threewave.symbols import table
 
 
@@ -63,7 +63,7 @@ def test_every_root_verifies_exactly(ctx):
         res = find_roots(p, var)
         assert len(res.roots) == len(roots)
         for r in res.roots:
-            assert verify_root(p, var, r)
+            assert vanishes([p], {var: r}, t)
 
 
 def test_parameter_affine_root_reconstruction(ctx):
@@ -76,7 +76,7 @@ def test_parameter_affine_root_reconstruction(ctx):
     texts = {r.text() for r in res.roots}
     assert "1/3*delta+1" in texts
     for r in res.roots:
-        assert verify_root(p, var, r)
+        assert vanishes([p], {var: r}, t)
 
 
 def test_discriminant_square_detection_with_parameters(ctx):

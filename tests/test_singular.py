@@ -204,6 +204,18 @@ def test_equal_pairs_on_another_chart_or_table_are_solved_again(monkeypatch):
     assert [p.text() for p in on_d.points + on_wider.points] == [p.text() for p in scan.points] * 2
 
 
+@pytest.mark.parametrize("gu, gw, want", [
+    # the eliminant w is spurious: at w = 0 both read as nonzero constants
+    ("w*u - 1", "w*u - 2", ([], ())),
+    # above the root w = 0 the pair leaves u^2 - 2, which does not split
+    ("u^2 - 2 + w", "w", ([], ("w = 0: residual in u: u^2-2",))),
+])
+def test_boundary_pair_without_points(gu, gw, want):
+    t = table("u", "w")
+    u, w = t.get("u"), t.get("w")
+    assert singular._solve_boundary_pair(parse_expr(gu, t).num, parse_expr(gw, t).num, u, w) == want
+
+
 def _differential_points():
     """Thirty parameter points of the built-ins: the strata found by hand,
     partial bindings, and seeded random Gaussian rationals."""
@@ -736,7 +748,16 @@ def _doctored_lineages():
 
     last = symbolic.final_field
     last = VectorField(last.chart, pole(last.components))
+    point, index = symbolic.weighted_points[0]
+    moved = dataclasses.replace(point, coords=tuple(c + 1 for c in point.coords))
+    (row, *rows), *parts = symbolic.linear_parts
     return [
+        # a weighted point moved, so the scanned one has no lineage linear part
+        ("moved weighted point", dataclasses.replace(
+            symbolic, weighted_points=((moved, index),) + symbolic.weighted_points[1:])),
+        # a linear part has a pole at delta = 2
+        ("pole in a linear part", dataclasses.replace(
+            symbolic, linear_parts=((tuple(pole(row)), *rows), *parts))),
         # the entry point moved
         ("moved entry", dataclasses.replace(
             symbolic, entry_point=symbolic.weighted_points[1][0])),
