@@ -215,7 +215,7 @@ def alpha_report(system, params=None, point: str = "P4_2") -> dict:
 def painleve_report(system, params=None, bound: int = 2) -> dict:
     m = models.model(system)
     v = models.system_field(m, params)
-    balances = painleve_leading_orders(v, bound)
+    search = painleve_leading_orders(v, bound)
     return {
         "system": m.name,
         "bound": bound,
@@ -226,7 +226,11 @@ def painleve_report(system, params=None, bound: int = 2) -> dict:
                 "free": list(b.free),
                 "verified": verify_balance(v, b),
             }
-            for b in balances
+            for b in search.balances
+        ],
+        "residual_branches": [
+            f"exponents {o}: {branch.text()}"
+            for o, branch in search.residual_branches
         ],
     }
 

@@ -13,7 +13,8 @@ divisor gets resolved:
 2. :func:`linear_part` reads each point's linear part off the scan's
    log-pole form, and :func:`index_of_linear_part` its eigenvalue data, which
    classifies the point and predicts how many blow-ups are needed,
-3. :func:`painleve_leading_orders` searches dominant balances;
+3. :func:`painleve_leading_orders` searches dominant balances, solving
+   only the pole orders that integer weights leave open;
    :func:`weighted_balance` picks the one whose pole orders fix the weighted
    chart suited to a multiple point (a model chooses it once, on its field
    with every parameter symbolic, and uses it at every parameter value),
@@ -321,52 +322,102 @@ class Balance:
     free: tuple[str, ...] = ()  # names of leading coefficients left free
 
 
-def painleve_leading_orders(v: VectorField, bound: int = 2) -> list[Balance]:
+@dataclass(frozen=True)
+class BalanceSearch:
+    """The balances of a pole-order search, and the branches it could not
+    settle: each pole-order triple with a branch of :func:`solve_branches`
+    that keeps a residual factor."""
+
+    balances: tuple[Balance, ...]
+    residual_branches: tuple[tuple[tuple[int, int, int], ConditionBranch], ...]
+
+
+def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     """Search integer pole orders (m, n, p), |each| <= bound, max >= 1, with
     nonzero leading coefficients solving the dominant balance.
 
     The balance equations are polynomial in the three leading coefficients
     and are solved exactly by :func:`solve_branches` for nonzero values (a
-    vanishing leading coefficient is no balance); branches left with a
-    residual factor are dropped, and coefficients that stay unconstrained
-    are reported as free symbols.
+    vanishing leading coefficient is no balance); coefficients that stay
+    unconstrained are reported as free symbols, and branches left with a
+    residual factor are reported as residual branches. A triple is solved
+    only when two or more terms can share each lowest weight, which integer
+    weights decide (:func:`_unbalanced`); any other triple has an equation
+    L^a * P = 0, with P a nonzero polynomial in the parameters, or
+    m_k * L_k = 0, so the solver would return no branch for it, residual
+    ones included.
     """
     span = range(-bound, bound + 1)
-    return list(_balances(v, (o for o in itertools.product(span, repeat=3) if max(o) >= 1)))
+    orders = (o for o in itertools.product(span, repeat=3) if max(o) >= 1)
+    balances, residuals = [], []
+    for o, branch in _branches(v, orders):
+        if branch.residuals:
+            residuals.append((o, branch))
+        elif (b := _balance(v, o, branch)) is not None:
+            balances.append(b)
+    return BalanceSearch(tuple(balances), tuple(residuals))
 
 
 def _balances(v: VectorField, orders_seq) -> Iterator[Balance]:
     """The balances of every pole-order triple of ``orders_seq``, in its
-    order, each solved only when the one before it has been consumed.
+    order, each triple solved only when the one before it has been consumed.
 
-    The field is re-keyed onto the leading coefficients once; each triple
-    then only buckets those terms by weighted degree.
+    A triple is solved only when its equations can hold with every leading
+    coefficient nonzero and the parameters generic, which the weights of the
+    lead monomials alone decide (:func:`_unbalanced`); a skipped triple is
+    one on which :func:`solve_branches` returns no branch at all, so the
+    balances, and the residual branches of :func:`painleve_leading_orders`,
+    are those of the full search.
     """
+    for o, branch in _branches(v, orders_seq):
+        if not branch.residuals and (b := _balance(v, o, branch)) is not None:
+            yield b
+
+
+def _branches(v: VectorField, orders_seq) -> Iterator[tuple[tuple[int, int, int], ConditionBranch]]:
+    """Every branch :func:`solve_branches` returns on the balance equations
+    of each triple of ``orders_seq`` that :func:`_unbalanced` leaves."""
     if not v.is_polynomial():
         raise ValueError("dominant-balance search expects a polynomial field")
-    table, leads, moved = _lead_setup(v)
+    table, leads, moved, exponents = _lead_setup(v)
     for orders in orders_seq:
+        orders = tuple(orders)
+        if _unbalanced(exponents, orders):
+            continue
         eqs = _balance_equations(moved, leads, orders)
         for branch in solve_branches(eqs, leads, table, nonzero=True):
-            pins = dict(branch.pinned)
-            coeffs = tuple(pins.get(l, RationalFn.var(table, l)) for l in leads)
-            if branch.residuals or any(c.is_zero() for c in coeffs):
-                continue
-            free = tuple(l.name for l in leads if l not in pins)
-            yield Balance(tuple(orders), coeffs, free)
+            yield orders, branch
 
 
+def _balance(v: VectorField, orders, branch: ConditionBranch) -> Balance | None:
+    """The balance of a branch without residuals; None when a leading
+    coefficient vanishes."""
+    table, leads, _, _ = _lead_setup(v)
+    pins = dict(branch.pinned)
+    coeffs = tuple(pins.get(l, RationalFn.var(table, l)) for l in leads)
+    if any(c.is_zero() for c in coeffs):
+        return None
+    return Balance(orders, coeffs, tuple(l.name for l in leads if l not in pins))
+
+
+@lru_cache(maxsize=64)  # keyed by the field's value, like models.pushed_field
 def _lead_setup(v: VectorField):
     """The field's table extended by the leading-coefficient unknowns, those
-    unknowns (``lead1..lead3``, named apart from the field's symbols), and
-    the components with each state exponent moved onto its unknown L_k: the
+    unknowns (``lead1..lead3``, named apart from the field's symbols), the
+    components with each state exponent moved onto its unknown L_k: the
     ansatz x_k = L_k * tau^-m_k without the powers of tau, which
-    :func:`_balance_equations` reads off as weights."""
+    :func:`_balance_equations` reads off as weights, and per component the
+    distinct lead-exponent vectors of its terms, from which
+    :func:`_unbalanced` reads the same weights in integers.
+
+    Built once per field value, so a search and the re-check of each of its
+    balances (:func:`verify_balance`) share it."""
     names = names_apart(v.table, lambda pad: [f"lead{pad}{k}" for k in (1, 2, 3)])
     table = v.table.extend(parameter(n) for n in names)
     leads = tuple(table.get(n) for n in names)
     moves = [(table.index(s), table.index(l)) for s, l in zip(v.chart.vars, leads)]
-    moved = []
+    positions = [lead for _, lead in moves]
+    moved, exponents = [], []
     for c in v.components:
         terms = {}
         for e, coeff in c.retable(table).as_poly().terms.items():
@@ -376,7 +427,31 @@ def _lead_setup(v: VectorField):
                 e[state] = 0
             terms[tuple(e)] = coeff
         moved.append(MultiPoly(table, terms))
-    return table, leads, moved
+        exponents.append(tuple(dict.fromkeys(tuple(e[k] for k in positions) for e in terms)))
+    return table, leads, tuple(moved), tuple(exponents)
+
+
+def _unbalanced(exponents, orders) -> bool:
+    """Whether the balance equations of ``orders`` have no solution with
+    every leading coefficient nonzero and the parameters generic, read from
+    the integer weights -<a, m> of the lead-exponent vectors a alone.
+
+    A bucket below the balancing order that holds exactly one distinct lead
+    monomial L^a is the equation L^a * P = 0, with P a nonzero polynomial in
+    the parameters; and a pole order m_k != 0 whose balancing bucket is
+    empty leaves the equation m_k * L_k = 0. Either forces a vanishing
+    leading coefficient (or a parameter relation), so the triple has no
+    branch. A bucket of two or more lead monomials may cancel, and is left
+    to the solver.
+    """
+    for a_k, m_k in zip(exponents, orders):
+        nu = -m_k - 1 if m_k != 0 else 0
+        count = Counter(-sum(x * m for x, m in zip(a, orders)) for a in a_k)
+        if m_k != 0 and nu not in count:
+            return True
+        if any(n == 1 for o, n in count.items() if o < nu):
+            return True
+    return False
 
 
 def _balance_equations(moved, leads, orders) -> list[MultiPoly]:
@@ -400,7 +475,7 @@ def verify_balance(v: VectorField, balance: Balance) -> bool:
     """Exact re-check of a reported balance: the defining order-by-order
     equations, evaluated at the solved coefficients, must vanish identically
     (free coefficients stay symbolic and must cancel symbolically)."""
-    table, leads, moved = _lead_setup(v)
+    table, leads, moved, _ = _lead_setup(v)
     eqs = _balance_equations(moved, leads, balance.exponents)
     bindings = {leads[k]: balance.coefficients[k].retable(table) for k in range(3)}
     return vanishes(eqs, bindings, table)

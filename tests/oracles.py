@@ -25,7 +25,7 @@ from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
-from threewave.singular import blow_up
+from threewave.singular import Balance, _balance_equations, _lead_setup, blow_up, solve_branches
 from threewave.symbols import SymbolTable, names_apart, parameter, table as make_table
 
 
@@ -165,6 +165,30 @@ def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
             lead_term = MultiPoly.var(table, leads[k]) * m_k
             eqs.append(buckets.get(nu, MultiPoly.zero(table)) + lead_term)
     return eqs
+
+
+def unpruned_balance_search(v: VectorField, orders_seq):
+    """The dominant-balance search with no triple skipped: every triple of
+    ``orders_seq`` solved by ``solve_branches`` for nonzero leading
+    coefficients. It checks the skipping only, so it takes the library's
+    equations, which :func:`naive_balance_equations` checks on its own.
+    Returns the branches of each triple, [(orders, branches)], and the
+    balances: the branches without a residual whose coefficients are all
+    nonzero, in order, with the unpinned coefficients free."""
+    table, leads, moved, _ = _lead_setup(v)
+    solved, balances = [], []
+    for orders in orders_seq:
+        orders = tuple(orders)
+        eqs = _balance_equations(moved, leads, orders)
+        branches = solve_branches(eqs, leads, table, nonzero=True)
+        solved.append((orders, branches))
+        for b in branches:
+            pins = dict(b.pinned)
+            coeffs = tuple(pins.get(l, RationalFn.var(table, l)) for l in leads)
+            if not b.residuals and not any(c.is_zero() for c in coeffs):
+                free = tuple(l.name for l in leads if l not in pins)
+                balances.append(Balance(orders, coeffs, free))
+    return solved, balances
 
 
 def naive_evaluate(p: MultiPoly, point: dict) -> GaussianRational:

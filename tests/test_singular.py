@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import LEAD_VANISHES, naive_balance_equations, on_branch, random_polynomial_field
+from oracles import (
+    LEAD_VANISHES, bench_workloads, naive_balance_equations, on_branch, random_polynomial_field,
+    unpruned_balance_search,
+)
 from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
@@ -419,7 +422,7 @@ def test_alpha_verdicts_are_analysis_failures():
 
 def test_painleve_orders_for_three_wave():
     v = models.three_wave_system()
-    balances = painleve_leading_orders(v, 2)
+    balances = painleve_leading_orders(v, 2).balances
     by_orders = {b.exponents for b in balances}
     assert (1, 0, 2) in by_orders
     main = next(b for b in balances if b.exponents == (1, 0, 2))
@@ -434,7 +437,7 @@ def test_painleve_riccati_toy():
     x = RationalFn.var(t, "x")
     zero = RationalFn.const(t, 0)
     v = VectorField(chart, [x * x, zero, zero])
-    balances = painleve_leading_orders(v, 1)
+    balances = painleve_leading_orders(v, 1).balances
     assert any(
         b.exponents[0] == 1 and b.coefficients[0].text() == "-1" for b in balances
     )
@@ -451,7 +454,7 @@ def test_painleve_returns_only_verified_balances():
         " 1/2*x*y + 1/2*y*z",
         t,
     ))
-    balances = painleve_leading_orders(v, 2)
+    balances = painleve_leading_orders(v, 2).balances
     assert all(b.exponents != (1, 1, 1) for b in balances)
     assert all(verify_balance(v, b) for b in balances)
 
@@ -476,7 +479,7 @@ def test_painleve_drops_a_branch_with_no_solution_after_the_pin():
     chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
     v = VectorField(chart, parse_triple(FIELD_113, t))
     assert list(singular._balances(v, [(1, 1, 1)])) == []
-    assert all(verify_balance(v, b) for b in painleve_leading_orders(v, 2))
+    assert all(verify_balance(v, b) for b in painleve_leading_orders(v, 2).balances)
 
 
 # a random field of the bench's cli workload (seed 113) on which painleve failed
@@ -509,7 +512,7 @@ def test_painleve_linear_system_has_no_balance():
     chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
     x, y, z = (RationalFn.var(t, n) for n in ("x", "y", "z"))
     v = VectorField(chart, [x, 2 * y, -z])
-    assert painleve_leading_orders(v, 2) == []
+    assert painleve_leading_orders(v, 2).balances == ()
 
 
 # three points of each built-in off the PositiveDimensional loci delta = 0
@@ -529,7 +532,7 @@ def test_balance_equations_match_naive_construction():
               for params in points]
     fields += [random_polynomial_field(rng) for _ in range(10)]
     for v in fields:
-        _, leads, moved = singular._lead_setup(v)
+        _, leads, moved, _ = singular._lead_setup(v)
         for orders in itertools.product(range(-2, 3), repeat=3):
             got = singular._balance_equations(moved, leads, orders)
             want = naive_balance_equations(v, orders)
@@ -555,6 +558,60 @@ def test_pipeline_balance_is_the_top_sum_balance():
            if sum(b.exponents) == 3]
     assert top[0] == (1, 1, 1) and (1, 2, 0) in top
     assert weighted_balance(v).exponents == (1, 1, 1)
+
+
+def test_pruned_balance_search_matches_the_unpruned_oracle():
+    # the triples skipped on integer weights alone lose nothing: the balances
+    # and the residual branches equal those of solving every triple, and every
+    # skipped triple has no branch at all; |m| <= 3 on the built-ins, |m| <= 2
+    # on 10 random polynomial fields and 50 random fields of the benchmark
+    def triples(bound):
+        span = range(-bound, bound + 1)
+        return [o for o in itertools.product(span, repeat=3) if max(o) >= 1]
+
+    rng = random.Random(29)
+    fields = [(models.system_field(kind, params), 3) for kind, points in BALANCE_POINTS.items()
+              for params in points]
+    fields += [(random_polynomial_field(rng), 2) for _ in range(10)]
+    workloads = bench_workloads()
+    t = table("x", "y", "z")
+    chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
+    for seed in range(50):
+        field = workloads.random_field(random.Random(seed))
+        text = " ; ".join(workloads.field_text(field[k]) for k in range(3))
+        fields.append((VectorField(chart, parse_triple(text, t)), 2))
+    skipped = 0
+    for v, bound in fields:
+        solved, balances = unpruned_balance_search(v, triples(bound))
+        assert list(singular._balances(v, triples(bound))) == balances
+        search = painleve_leading_orders(v, bound)
+        assert list(search.balances) == balances
+        residual = [(o, b) for o, branches in solved for b in branches if b.residuals]
+        assert list(search.residual_branches) == residual
+        # no branch is dropped silently: each is a balance or a residual branch
+        assert len(balances) + len(residual) == sum(len(bs) for _, bs in solved)
+        exponents = singular._lead_setup(v)[3]
+        for o, branches in solved:
+            if singular._unbalanced(exponents, o):
+                skipped += 1
+                assert branches == [], o
+    assert skipped > 5000
+
+
+def test_painleve_lists_the_euler_top_residual_branch(tmp_path):
+    # x' = a*y*z, y' = b*x*z, z' = c*x*y: its (1, 1, 1) balances need
+    # lead3^2 = 1/(a*b) and lead2^2 = 1/(a*c), roots outside Q(i)(a, b, c)
+    # and outside Q(i) at (2, 3, 5), so the branch is reported as residual
+    path = tmp_path / "euler.model"
+    path.write_text("params a b c\nchart U0 : x y z\nsystem U0 : a*y*z ; b*x*z ; c*x*y\n")
+    cases = {
+        None: "{lead1 = -a*lead2*lead3, a*b*lead3^2-1 = 0, a*c*lead2^2-1 = 0}",
+        (2, 3, 5): "{lead1 = -2*lead2*lead3, lead3^2-1/6 = 0, lead2^2-1/10 = 0}",
+    }
+    for params, branch in cases.items():
+        rep = reports.painleve_report(str(path), params)
+        assert rep["balances"] == []
+        assert rep["residual_branches"] == [f"exponents (1, 1, 1): {branch}"]
 
 
 # -- blow-ups ---------------------------------------------------------------------------
