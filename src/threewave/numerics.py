@@ -10,8 +10,10 @@ representation is still O(10). :class:`NumericAtlas` specializes the push of
 the field through each map, made once, at parameter values bound exactly (as
 on the command line). Fields and maps compile to generated straight-line
 functions that fold each polynomial's terms in canonical order, so rounding
-depends on its value alone; they and the unrolled Runge-Kutta step do the same
-float operations, in the same order, as the references in ``tests/oracles.py``.
+depends on its value alone, and compute each power once per call, at its first
+use (earlier, an overflow could raise before a vanishing denominator); they and
+the unrolled Runge-Kutta step do the same float operations, in the same order,
+as the references in ``tests/oracles.py``.
 
 Pole diagnostics: :func:`fit_pole` reads a movable pole off the chart that
 resolves it, and :func:`monodromy_check` integrates a closed loop and
@@ -124,18 +126,25 @@ def _fold_terms(poly, var_names: Sequence[str]):
 _ARGS = ("a", "b", "c")
 
 
-def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict) -> list[str]:
+def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict, powers: set) -> list[str]:
     """Statements that leave ``poly`` at the arguments a, b, c in ``target``:
-    from ``target = 0j``, one ``target += kN * a**e1 * ...`` per term in
-    canonical order (zero exponents left out), the coefficient kN bound in ``consts``.
-    An exponent 1 stays a power: ``a**1`` raises OverflowError where ``a`` is
-    infinite, which a bare ``a`` would not."""
+    from ``target = 0j``, one ``target += kN * a3 * b1 ...`` per term in
+    canonical order (zero exponents left out), the coefficient kN bound in
+    ``consts``. ``powers`` holds the (argument, exponent) pairs the enclosing
+    function has computed so far: a power not among them is computed once, as
+    ``a3 = a**3``, directly before the first term that reads it, and added.
+    Not earlier: a power that overflows must raise after everything the term
+    loop of ``tests/oracles.py`` evaluates first, a vanishing denominator
+    included. An exponent 1 stays a power: ``a**1`` raises OverflowError where
+    ``a`` is infinite, which a bare ``a`` would not."""
     lines = [f"{target} = 0j"]
     for coeff, exps in _fold_terms(poly, var_names):
         name = f"k{len(consts)}"
         consts[name] = coeff
-        powers = "".join(f" * {arg}**{e}" for arg, e in zip(_ARGS, exps) if e)
-        lines.append(f"{target} += {name}{powers}")
+        factors = [(arg, e) for arg, e in zip(_ARGS, exps) if e]
+        lines += [f"{arg}{e} = {arg}**{e}" for arg, e in factors if (arg, e) not in powers]
+        powers.update(factors)
+        lines.append(f"{target} += {name}" + "".join(f" * {arg}{e}" for arg, e in factors))
     return lines
 
 
@@ -156,18 +165,20 @@ def _code(source: str):
 
 def compile_poly(poly, var_names: Sequence[str]) -> Callable[[complex, complex, complex], complex]:
     consts: dict = {}
-    return _function(_sum_source(poly, var_names, "s", consts), "s", consts)
+    return _function(_sum_source(poly, var_names, "s", consts, set()), "s", consts)
 
 
 def compile_triple(rfs, var_names):
     """One function of a, b, c returning the three rational functions
-    ``rfs``, evaluated in turn, each numerator before its denominator."""
+    ``rfs``, evaluated in turn, each numerator before its denominator; a
+    power is computed once for all six."""
     consts: dict = {}
     lines: list[str] = []
+    powers: set = set()
     for i, rf in enumerate(rfs):
-        lines += _sum_source(rf.num, var_names, f"s{i}", consts)
+        lines += _sum_source(rf.num, var_names, f"s{i}", consts, powers)
         if not rf.is_polynomial():  # a reduced denominator is monic: a polynomial's is 1
-            lines += _sum_source(rf.den, var_names, f"d{i}", consts)
+            lines += _sum_source(rf.den, var_names, f"d{i}", consts, powers)
             lines.append(f"s{i} /= d{i}")
     return _function(lines, "(s0, s1, s2)", consts)
 

@@ -27,7 +27,7 @@ def _report(num, desc, budget, fn):
         print(f"FAIL {num}: {desc}")
         raise
     dt = time.perf_counter() - t0
-    assert dt < budget, f"criterion {num} exceeded its {budget}s budget ({dt:.1f}s)"
+    assert dt < budget, f"criterion {num} exceeded its {budget}s budget ({dt:.3f}s)"
     print(f"PASS {num}: {desc} ({dt:.2f}s)")
 
 
@@ -181,7 +181,7 @@ def test_criterion_8a_chart_round_trips():
                 )
                 assert rel <= 1e-12
 
-    _report("8a", "chart round-trips within 1e-12 relative", 0.3, body)
+    _report("8a", "chart round-trips within 1e-12 relative", 0.045, body)
 
 
 def test_criterion_8b_pole_crossing_reentry():
@@ -198,7 +198,7 @@ def test_criterion_8b_pole_crossing_reentry():
         rel = max(abs(a - b) for a, b in zip(e1, e2)) / max(1.0, max(abs(c) for c in e1))
         assert rel <= 1e-9
 
-    _report("8b", "pole-crossing re-entry matches a detour reference within 1e-9", 0.3, body)
+    _report("8b", "pole-crossing re-entry matches a detour reference within 1e-9", 0.065, body)
 
 
 def test_criterion_8c_fitted_pole_exponents():
@@ -211,7 +211,7 @@ def test_criterion_8c_fitted_pole_exponents():
         fit = fit_pole(traj.points, atlas)
         assert fit.exponents == (1, 0, 2)
 
-    _report("8c", "fitted pole exponents equal (1, 0, 2)", 0.3, body)
+    _report("8c", "fitted pole exponents equal (1, 0, 2)", 0.055, body)
 
 
 def test_criterion_8d_no_pole_monodromy():
@@ -223,7 +223,7 @@ def test_criterion_8d_no_pole_monodromy():
         rep = monodromy_check(v, maps, start, 0.05 + 0j, tol=1e-12, atlas=atlas)
         assert rep["deviation"] <= 1e-9
 
-    _report("8d", "monodromy around a pole-free region within 1e-9", 0.3, body)
+    _report("8d", "monodromy around a pole-free region within 1e-9", 0.05, body)
 
 
 def test_criterion_9_pushforward_oracle_equivalence():

@@ -1,12 +1,13 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from oracles import reference_poly, reference_rk_step, reference_triple
-from threewave import models
+from threewave import models, numerics
 from threewave.errors import FitAmbiguous, StepUnderflow
 from threewave.gaussian import GaussianRational
 from threewave.geometry import identity_map
@@ -164,6 +165,30 @@ def test_pole_crossing_matches_detour_reference(modified_zero):
     e2 = atlas.transition(detour.end.state, detour.end.chart, atlas.base)
     scale = max(1.0, max(abs(c) for c in e1))
     assert max(abs(a - b) for a, b in zip(e1, e2)) / scale <= 1e-9
+
+
+def test_first_integrals_are_conserved_through_the_pole():
+    # an oracle independent of the integrator: the modified family conserves
+    # H1 and K for every alpha, so their drift at each point, read on U0,
+    # stays at rounding level across the switches U0 -> T3-3 -> U0
+    a1, a2, a3, a4, a5 = alphas = (0.3, -1.7, 0.25, 1.1, 0.6)
+    v = models.model("modified").fields["U0"]
+    maps = models.resolved_atlas("modified", None)
+    atlas = NumericAtlas(v, maps, {f"alpha{k}": a for k, a in enumerate(alphas, 1)})
+    integrals = (
+        lambda x, y, z: (a2 - a4) * x - 1j * (a2 + a4) * y + 2j * a5 * z - 2j * y * z,  # H1
+        lambda x, y, z: x * x + y * y + z + 1j * (a1 - a3) * x + (a1 + a3) * y,  # K
+    )
+    rng = random.Random(12)
+    for _ in range(3):
+        state = tuple(complex(c + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for c in (-2, 0.1, -3))
+        traj = integrate(v, maps, TrajectoryPoint(0j, state, "U0"), [0, 1.2], tol=1e-12, atlas=atlas)
+        assert [(e.from_chart, e.to_chart) for e in traj.events] == [("U0", "T3-3"), ("T3-3", "U0")]
+        for h in integrals:
+            h0 = h(*state)
+            for p in traj.points:
+                x, y, z = atlas.transition(p.state, p.chart, "U0")
+                assert abs(h(x, y, z) - h0) / (1 + abs(x) ** 2 + abs(y) ** 2 + abs(z)) <= 1e-10
 
 
 def test_tolerance_scaling(modified_zero):
@@ -453,6 +478,45 @@ def test_compiled_triple_is_bit_identical_to_the_reference():
         kinds |= _same_outcomes(compile_triple(rfs, KERNEL_VARS), reference_triple(rfs, KERNEL_VARS),
                                 [_random_point(rng) for _ in range(10)])
     assert kinds == {"value", OverflowError, ZeroDivisionError}
+
+
+def _kernel_poly(terms):
+    """A polynomial from {exponents in ``KERNEL_VARS`` order: coefficient}."""
+    return MultiPoly(KERNEL_TABLE, {(s0, k0, a, 0): GaussianRational.from_complex(c)
+                                    for (a, s0, k0), c in terms.items()})
+
+
+def test_each_power_is_computed_once_per_function(monkeypatch):
+    # the components, numerators and denominators share a**2, a**3, s0**1 and
+    # k0**2: each is raised once, and the values stay bit-identical
+    rfs = [
+        RationalFn(_kernel_poly({(2, 1, 0): 2, (3, 0, 0): -1j}), _kernel_poly({(2, 0, 0): 1, (0, 1, 0): 3})),
+        RationalFn(_kernel_poly({(2, 0, 2): 0.5, (0, 1, 0): -1}), _kernel_poly({(3, 0, 0): 1, (0, 0, 2): 2j})),
+        RationalFn.from_poly(_kernel_poly({(2, 1, 2): 1.5, (3, 0, 0): 1, (0, 0, 1): 4})),
+    ]
+    sources = []
+    real = numerics._code
+    monkeypatch.setattr(numerics, "_code", lambda source: sources.append(source) or real(source))
+    fn = compile_triple(rfs, KERNEL_VARS)
+    raised = re.findall(r"\b([abc])\*\*(\d+)", sources[-1])
+    assert sorted(raised) == [("a", "2"), ("a", "3"), ("b", "1"), ("c", "1"), ("c", "2")]
+    rng = random.Random(37)
+    points = [(0j, 0j, 1 + 0j), (complex(math.inf, 0), 1 + 0j, 1 + 0j)]  # a vanishing denominator; an overflow
+    kinds = _same_outcomes(fn, reference_triple(rfs, KERNEL_VARS), points + [_random_point(rng) for _ in range(100)])
+    assert kinds == {"value", OverflowError, ZeroDivisionError}
+
+
+def test_a_power_is_raised_where_it_is_first_read():
+    # the first component divides by a, which vanishes; the second needs
+    # s0**2, which overflows: the division comes first, as in the reference
+    rfs = [
+        RationalFn(_kernel_poly({(0, 0, 0): 1}), _kernel_poly({(1, 0, 0): 1})),
+        RationalFn.from_poly(_kernel_poly({(0, 2, 0): 1})),
+        RationalFn.from_poly(_kernel_poly({(0, 0, 0): 1})),
+    ]
+    point = (0j, 1e200 + 0j, 1 + 0j)
+    assert _outcome(reference_triple(rfs, KERNEL_VARS), *point) is ZeroDivisionError
+    assert _outcome(compile_triple(rfs, KERNEL_VARS), *point) is ZeroDivisionError
 
 
 def test_unrolled_rk_step_is_bit_identical_to_the_reference():
