@@ -23,6 +23,8 @@ CASES = {
     "index-P1": ["index", "--system", "three-wave", "--point", "P1"],
     "alpha-test-P4_2": ["alpha-test", "--system", "three-wave", "--point", "P4_2"],
     "painleve": ["painleve", "--system", "three-wave", "--bound", "2"],
+    "painleve-modified": ["painleve", "--system", "modified", "--bound", "2"],
+    "painleve-three-wave-bound-4": ["painleve", "--system", "three-wave", "--bound", "4"],
     "blowup": ["blowup", "--system", "three-wave"],
     "blowup-modified": ["blowup", "--system", "modified"],
     "blowup-three-wave-delta1-gamma0": ["blowup", "--system", "three-wave", "--params", "delta=1,gamma=0"],
