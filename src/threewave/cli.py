@@ -261,7 +261,6 @@ def _dispatch(args) -> int:
         rep = reports.alpha_report(system, params, args.point)
     elif cmd == "painleve":
         rep = reports.painleve_report(system, params, args.bound)
-        ok = all(b["verified"] for b in rep["balances"])
     elif cmd in ("blowup", "obstructions"):
         rep = reports.pipeline_report(system, params)
         if cmd == "obstructions":

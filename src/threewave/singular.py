@@ -14,10 +14,11 @@ divisor gets resolved:
    log-pole form, and :func:`index_of_linear_part` its eigenvalue data, which
    classifies the point and predicts how many blow-ups are needed,
 3. :func:`painleve_leading_orders` searches dominant balances, solving
-   only the pole orders that integer weights leave open;
-   :func:`weighted_balance` picks the one whose pole orders fix the weighted
-   chart suited to a multiple point (a model chooses it once, on its field
-   with every parameter symbolic, and uses it at every parameter value),
+   only the pole orders that integer weights leave open and certifying each
+   balance once, in the solver; :func:`weighted_balance` reads the same
+   search and picks the balance whose pole orders fix the weighted chart
+   suited to a multiple point (a model chooses it once, on its field with
+   every parameter symbolic, and uses it at every parameter value),
 4. :func:`blow_up` produces the chart of a point blow-up along one
    direction (the pipeline follows the exceptional direction) with the
    transformed field, and
@@ -340,64 +341,47 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     and are solved exactly by :func:`solve_branches` for nonzero values (a
     vanishing leading coefficient is no balance); coefficients that stay
     unconstrained are reported as free symbols, and branches left with a
-    residual factor are reported as residual branches. A triple is solved
-    only when two or more terms can share each lowest weight, which integer
-    weights decide (:func:`_unbalanced`); any other triple has an equation
-    L^a * P = 0, with P a nonzero polynomial in the parameters, or
-    m_k * L_k = 0, so the solver would return no branch for it, residual
-    ones included.
+    residual factor are reported as residual branches. The solver certifies
+    each balance by putting its coefficients into the balance equations, so
+    every listed balance holds exactly. The search is :func:`_search`.
     """
     span = range(-bound, bound + 1)
     orders = (o for o in itertools.product(span, repeat=3) if max(o) >= 1)
     balances, residuals = [], []
-    for o, branch in _branches(v, orders):
-        if branch.residuals:
-            residuals.append((o, branch))
-        elif (b := _balance(v, o, branch)) is not None:
-            balances.append(b)
+    for found in _search(v, orders):
+        (balances if isinstance(found, Balance) else residuals).append(found)
     return BalanceSearch(tuple(balances), tuple(residuals))
 
 
-def _balances(v: VectorField, orders_seq) -> Iterator[Balance]:
-    """The balances of every pole-order triple of ``orders_seq``, in its
-    order, each triple solved only when the one before it has been consumed.
+def _search(v: VectorField, orders_seq) -> Iterator[Balance | tuple[tuple, ConditionBranch]]:
+    """The dominant balances of every pole-order triple of ``orders_seq``, in
+    its order, and each branch with a residual factor as (orders, branch);
+    a triple is solved only when the one before it has been consumed.
 
-    A triple is solved only when its equations can hold with every leading
-    coefficient nonzero and the parameters generic, which the weights of the
-    lead monomials alone decide (:func:`_unbalanced`); a skipped triple is
-    one on which :func:`solve_branches` returns no branch at all, so the
-    balances, and the residual branches of :func:`painleve_leading_orders`,
-    are those of the full search.
+    Each branch of :func:`solve_branches` on a triple's balance equations is
+    one of the two: a branch without residuals becomes its :class:`Balance`,
+    the unpinned leading coefficients free (``nonzero`` pins no zero, so every
+    coefficient is nonzero). A triple is solved only when its equations can
+    hold with every leading coefficient nonzero and the parameters generic,
+    which the weights of the lead monomials alone decide
+    (:func:`_unbalanced`); any other triple has an equation L^a * P = 0, with
+    P a nonzero polynomial in the parameters, or m_k * L_k = 0, so the solver
+    would return no branch for it, residual ones included.
     """
-    for o, branch in _branches(v, orders_seq):
-        if not branch.residuals and (b := _balance(v, o, branch)) is not None:
-            yield b
-
-
-def _branches(v: VectorField, orders_seq) -> Iterator[tuple[tuple[int, int, int], ConditionBranch]]:
-    """Every branch :func:`solve_branches` returns on the balance equations
-    of each triple of ``orders_seq`` that :func:`_unbalanced` leaves."""
     if not v.is_polynomial():
-        raise ValueError("dominant-balance search expects a polynomial field")
+        raise AnalysisFailed("dominant-balance search expects a polynomial field")
     table, leads, moved, exponents = _lead_setup(v)
-    for orders in orders_seq:
-        orders = tuple(orders)
+    for orders in map(tuple, orders_seq):
         if _unbalanced(exponents, orders):
             continue
         eqs = _balance_equations(moved, leads, orders)
         for branch in solve_branches(eqs, leads, table, nonzero=True):
-            yield orders, branch
-
-
-def _balance(v: VectorField, orders, branch: ConditionBranch) -> Balance | None:
-    """The balance of a branch without residuals; None when a leading
-    coefficient vanishes."""
-    table, leads, _, _ = _lead_setup(v)
-    pins = dict(branch.pinned)
-    coeffs = tuple(pins.get(l, RationalFn.var(table, l)) for l in leads)
-    if any(c.is_zero() for c in coeffs):
-        return None
-    return Balance(orders, coeffs, tuple(l.name for l in leads if l not in pins))
+            if branch.residuals:
+                yield orders, branch
+                continue
+            pins = dict(branch.pinned)
+            coeffs = tuple(pins.get(l, RationalFn.var(table, l)) for l in leads)
+            yield Balance(orders, coeffs, tuple(l.name for l in leads if l not in pins))
 
 
 @lru_cache(maxsize=64)  # keyed by the field's value, like models.pushed_field
@@ -410,8 +394,9 @@ def _lead_setup(v: VectorField):
     distinct lead-exponent vectors of its terms, from which
     :func:`_unbalanced` reads the same weights in integers.
 
-    Built once per field value, so a search and the re-check of each of its
-    balances (:func:`verify_balance`) share it."""
+    Built once per field value, so every search on one field shares it: a
+    warm report's, and those of :func:`painleve_leading_orders` and
+    :func:`weighted_balance` on the same field."""
     names = names_apart(v.table, lambda pad: [f"lead{pad}{k}" for k in (1, 2, 3)])
     table = v.table.extend(parameter(n) for n in names)
     leads = tuple(table.get(n) for n in names)
@@ -469,16 +454,6 @@ def _balance_equations(moved, leads, orders) -> list[MultiPoly]:
             lead_term = MultiPoly.var(comp.table, leads[k]) * m_k
             eqs.append(buckets.get(nu, MultiPoly.zero(comp.table)) + lead_term)
     return eqs
-
-
-def verify_balance(v: VectorField, balance: Balance) -> bool:
-    """Exact re-check of a reported balance: the defining order-by-order
-    equations, evaluated at the solved coefficients, must vanish identically
-    (free coefficients stay symbolic and must cancel symbolically)."""
-    table, leads, moved, _ = _lead_setup(v)
-    eqs = _balance_equations(moved, leads, balance.exponents)
-    bindings = {leads[k]: balance.coefficients[k].retable(table) for k in range(3)}
-    return vanishes(eqs, bindings, table)
 
 
 # -- blow-ups ---------------------------------------------------------------------------
@@ -777,7 +752,7 @@ def weighted_balance(v: VectorField) -> Balance:
     bound = _PIPELINE_BOUND
     span = range(-bound, bound + 1)
     orders = sorted(itertools.product(range(1, bound + 1), span, span), key=sum, reverse=True)
-    balance = next(_balances(v, orders), None)
+    balance = next((b for b in _search(v, orders) if isinstance(b, Balance)), None)
     if balance is None:
         raise AnalysisFailed("no dominant balance with a pole in the first variable")
     return balance

@@ -167,6 +167,16 @@ def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
     return eqs
 
 
+def naive_balance_holds(v: VectorField, balance: Balance) -> bool:
+    """Whether ``balance`` solves the equations of
+    :func:`naive_balance_equations` at its pole orders: each equation with
+    the balance's coefficients put in by :func:`naive_substitute` is zero,
+    its free coefficients cancelling as symbols."""
+    bindings = {parameter(f"lead{k}"): c for k, c in enumerate(balance.coefficients, 1)}
+    return all(naive_substitute(RationalFn.from_poly(eq), bindings).is_zero()
+               for eq in naive_balance_equations(v, balance.exponents))
+
+
 def unpruned_balance_search(v: VectorField, orders_seq):
     """The dominant-balance search with no triple skipped: every triple of
     ``orders_seq`` solved by ``solve_branches`` for nonzero leading

@@ -639,6 +639,9 @@ def test_unknown_point_label_is_a_usage_error(tmp_path, capsys):
         ("three-wave", ["verify-symmetry"], "model three-wave declares no symmetry"),
         ("x ; y ; z", ["index", "--point", "P4_2"],
          "no dominant balance with a pole in the first variable"),
+        ("1/x ; y ; z", ["painleve"], "dominant-balance search expects a polynomial field"),
+        ("1/x ; y ; z", ["blowup"], "dominant-balance search expects a polynomial field"),
+        ("1/x ; y ; z", ["obstructions"], "dominant-balance search expects a polynomial field"),
     ],
 )
 def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    LEAD_VANISHES, bench_workloads, naive_balance_equations, on_branch, random_polynomial_field,
-    unpruned_balance_search,
+    LEAD_VANISHES, bench_workloads, naive_balance_equations, naive_balance_holds, on_branch,
+    random_polynomial_field, unpruned_balance_search,
 )
 from threewave import models, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
@@ -28,7 +28,6 @@ from threewave.singular import (
     painleve_leading_orders,
     resolution_pipeline,
     solve_parameter_conditions,
-    verify_balance,
     weighted_balance,
 )
 from threewave.parsing import parse_expr, parse_triple
@@ -420,6 +419,11 @@ def test_alpha_verdicts_are_analysis_failures():
 # -- dominant balances -----------------------------------------------------------------
 
 
+def _balances(v, orders_seq) -> list:
+    """The balances the search finds on the triples of ``orders_seq``, in order."""
+    return [b for b in singular._search(v, orders_seq) if isinstance(b, singular.Balance)]
+
+
 def test_painleve_orders_for_three_wave():
     v = models.three_wave_system()
     balances = painleve_leading_orders(v, 2).balances
@@ -428,7 +432,7 @@ def test_painleve_orders_for_three_wave():
     main = next(b for b in balances if b.exponents == (1, 0, 2))
     assert tuple(c.text() for c in main.coefficients) == ("1", "1/2*delta", "-1")
     for b in balances:
-        assert verify_balance(v, b)
+        assert naive_balance_holds(v, b)
 
 
 def test_painleve_riccati_toy():
@@ -456,7 +460,30 @@ def test_painleve_returns_only_verified_balances():
     ))
     balances = painleve_leading_orders(v, 2).balances
     assert all(b.exponents != (1, 1, 1) for b in balances)
-    assert all(verify_balance(v, b) for b in balances)
+    assert all(naive_balance_holds(v, b) for b in balances)
+
+
+def test_painleve_report_certifies_each_balance_once(monkeypatch):
+    # the report lists the search's balances as they come out of the solver,
+    # whose certificate is the only exact check: a warm report makes as many
+    # calls to it as the search alone
+    calls = []
+    vanishes = singular.vanishes
+
+    def counted(*args):
+        calls.append(args)
+        return vanishes(*args)
+
+    monkeypatch.setattr(singular, "vanishes", counted)
+    for kind in models.BUILTINS:
+        reports.painleve_report(kind)
+        calls.clear()
+        rep = reports.painleve_report(kind)
+        in_report = len(calls)
+        calls.clear()
+        search = painleve_leading_orders(models.system_field(kind), 2)
+        assert in_report == len(calls) > 0, kind
+        assert len(rep["balances"]) == len(search.balances) > 0, kind
 
 
 def test_branch_whose_back_substitution_vanishes_is_solved_again():
@@ -478,8 +505,8 @@ def test_painleve_drops_a_branch_with_no_solution_after_the_pin():
     t = table("x", "y", "z")
     chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
     v = VectorField(chart, parse_triple(FIELD_113, t))
-    assert list(singular._balances(v, [(1, 1, 1)])) == []
-    assert all(verify_balance(v, b) for b in painleve_leading_orders(v, 2).balances)
+    assert _balances(v, [(1, 1, 1)]) == []
+    assert all(naive_balance_holds(v, b) for b in painleve_leading_orders(v, 2).balances)
 
 
 # a random field of the bench's cli workload (seed 113) on which painleve failed
@@ -547,14 +574,14 @@ def test_pipeline_balance_is_the_top_sum_balance():
     for kind, points in BALANCE_POINTS.items():
         for params in points:
             v = models.system_field(kind, params)
-            full = list(singular._balances(v, itertools.product(range(1, 3), span, span)))
+            full = _balances(v, itertools.product(range(1, 3), span, span))
             assert weighted_balance(v) == max(full, key=lambda b: sum(b.exponents)), (kind, params)
     # a toy whose top sum 3 has two triples with balances, (1, 1, 1) before
     # (1, 2, 0) in product order: the tie goes to the first
     t = table("x", "y", "z")
     chart = Chart("C", (t.get("x"), t.get("y"), t.get("z")))
     v = VectorField(chart, parse_triple("z^2 - 2*y*z ; -x*y ; -x^2 - 2*y", t))
-    top = [b.exponents for b in singular._balances(v, itertools.product(range(1, 3), span, span))
+    top = [b.exponents for b in _balances(v, itertools.product(range(1, 3), span, span))
            if sum(b.exponents) == 3]
     assert top[0] == (1, 1, 1) and (1, 2, 0) in top
     assert weighted_balance(v).exponents == (1, 1, 1)
@@ -583,7 +610,8 @@ def test_pruned_balance_search_matches_the_unpruned_oracle():
     skipped = 0
     for v, bound in fields:
         solved, balances = unpruned_balance_search(v, triples(bound))
-        assert list(singular._balances(v, triples(bound))) == balances
+        assert _balances(v, triples(bound)) == balances
+        assert all(naive_balance_holds(v, b) for b in balances)
         search = painleve_leading_orders(v, bound)
         assert list(search.balances) == balances
         residual = [(o, b) for o, branches in solved for b in branches if b.residuals]
