@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import models
-from .errors import AnalysisFailed
+from .errors import AnalysisFailed, ThreeWaveError
 from .geometry import ChartMap, LogPoleForm, VectorField
 from .ratfunc import RationalFn
 from .singular import (
@@ -175,7 +175,13 @@ def _named_point(system, params, point: str) -> tuple[VectorField, LogPoleForm, 
     m = models.model(system)
     found = _chart_labels(m, params, POINT_CHARTS[point])
     if point not in found:
-        raise KeyError(f"unknown point {point!r}; known: {sorted(named_points(m, params))}")
+        known = []
+        for chart in dict.fromkeys(POINT_CHARTS.values()):
+            try:
+                known += _chart_labels(m, params, chart)
+            except ThreeWaveError:  # a refused scan says nothing about this label
+                pass
+        raise KeyError(f"unknown point {point!r}; known: {sorted(known)}")
     return found[point]
 
 

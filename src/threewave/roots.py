@@ -1,23 +1,23 @@
-"""Exact root extraction for low-degree univariate polynomials over the
-Gaussian-rational parameter field.
+"""Exact root extraction for univariate polynomials over the Gaussian-rational
+parameter field.
 
-Strategy, in order:
+After the ``var**k`` monomial factor (the roots at zero) is split off, one
+loop runs on the primitive part in ``var``:
 
-* split off the ``var**k`` monomial factor (roots at zero),
-* degree 1: solve directly,
-* degree 2: quadratic formula, taking the root only when the discriminant
-  is an exact square (:func:`~threewave.poly.poly_sqrt`),
-* degree 3-4: hunt for linear factors by generating candidate roots from
-  numeric specializations and certifying them *exactly* with
-  :func:`~threewave.ratfunc.vanishes`; certified factors are deflated away
-  and the loop repeats.
+* take the candidate roots for the current degree: the closed form for
+  degree 1, the quadratic formula's root when the discriminant is an exact
+  square (:func:`~threewave.poly.poly_sqrt`) for degree 2, and rationalized
+  numeric guesses at parameter specializations above that;
+* keep the first candidate that :func:`~threewave.ratfunc.vanishes`
+  certifies, and divide its primitive linear factor ``den*var - num`` out
+  exactly;
+* stop at degree 0 or when no candidate is certified.
 
-The parameter content carries no roots, so the polynomial and each deflated
-quotient are kept primitive in the variable. Whatever cannot be split this
-way is returned as an unfactored residual -- callers treat residuals as data,
-not as errors. Every reported root satisfies p(root) == 0 exactly (candidates
-that fail the certificate are dropped), so the numeric step is only a guess
-generator, never a source of truth.
+The parameter content carries no roots, so by Gauss's lemma every division
+is exact and the quotient stays primitive. What is left is returned monic as
+an unfactored residual -- callers treat residuals as data, not as errors.
+Every reported root satisfies p(root) == 0 exactly, so the candidates,
+closed forms included, are only guesses, never a source of truth.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .gaussian import GaussianRational
 from .poly import MultiPoly, poly_sqrt, primitive_part
-from .ratfunc import RationalFn, clear_denominators, vanishes
+from .ratfunc import RationalFn, vanishes
 from .symbols import Symbol
 
 
@@ -42,12 +43,15 @@ class RootsResult:
         return self.residual.is_constant()
 
 
+@lru_cache(maxsize=256)  # keyed by value: the polynomial and the variable
 def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
     """All roots of ``p`` in ``var`` expressible in the parameter field.
 
     ``p`` must involve no state symbols other than ``var``. Roots are listed
     with multiplicity, sorted by text (so repeated roots are adjacent); the
-    leftover factor is returned monic and unfactored.
+    leftover factor is returned monic and unfactored. Each polynomial is
+    solved and certified once: a dominant-balance search meets the same
+    equation on several pole-order triples and in every report.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every value as a root")
@@ -55,70 +59,33 @@ def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
         if s != var and s.kind == "state":
             raise ValueError(f"polynomial is not univariate in {var.name!r}: contains {s.name!r}")
     table = p.table
-    one = MultiPoly.const(table, 1)
-    roots: list[RationalFn] = []
-
-    univ = p.as_univariate(var)
-    kmin = min(univ)
-    zero_rf = RationalFn.const(table, 0)
-    roots.extend([zero_rf] * kmin)
+    kmin = min(p.as_univariate(var))
+    roots = [RationalFn.const(table, 0)] * kmin
     current = primitive_part(p.shift_var(var, -kmin), var)
-
-    while True:
-        deg = current.degree(var)
-        if deg <= 0:
-            residual = one
-            break
-        cs = current.as_univariate(var)
-        zero = MultiPoly.zero(table)
-        if deg == 1:
-            roots.append(RationalFn(-cs.get(0, zero), cs[1]))
-            residual = one
-            break
-        if deg == 2:
-            c2, c1, c0 = cs[2], cs.get(1, zero), cs.get(0, zero)
-            disc = c1 * c1 - 4 * c2 * c0
-            sq = poly_sqrt(disc)
-            if sq is None:
-                residual = current.monic()
-                break
-            roots.append(RationalFn(-c1 + sq, 2 * c2))
-            roots.append(RationalFn(-c1 - sq, 2 * c2))
-            residual = one
-            break
-        root = next((c for c in _root_candidates(current, var)
+    x = MultiPoly.var(table, var)
+    while current.degree(var) > 0:
+        root = next((c for c in _candidates(current, var)
                      if vanishes((current,), {var: c}, table)), None)
         if root is None:
-            residual = current.monic()
             break
         roots.append(root)
-        current = _deflate(current, var, root)
-
+        current = current.exact_divide(root.den * x - root.num)
     roots.sort(key=lambda r: r.text())
-    return RootsResult(tuple(roots), residual)
+    return RootsResult(tuple(roots), current.monic())
 
 
-def _deflate(p: MultiPoly, var: Symbol, root: RationalFn) -> MultiPoly:
-    """Divide out (var - root), clearing denominators afterwards.
-
-    Synthetic division (Horner) over the field; the quotient's coefficients
-    are rational in the parameters, so they are put over a common denominator
-    and the numerator polynomial is returned (same roots in ``var``).
-    """
-    deg = p.degree(var)
+def _candidates(p: MultiPoly, var: Symbol) -> list[RationalFn]:
+    """The candidate roots for the degree of ``p`` (see the module docstring)."""
     cs = p.as_univariate(var)
+    deg = max(cs)
+    if deg > 2:
+        return _root_candidates(p, var)
     zero = MultiPoly.zero(p.table)
-    b = RationalFn.from_poly(cs[deg])
-    quot: dict[int, RationalFn] = {deg - 1: b}
-    for k in range(deg - 1, 0, -1):
-        b = RationalFn.from_poly(cs.get(k, zero)) + root * b
-        quot[k - 1] = b
-    v = MultiPoly.var(p.table, var)
-    out = zero
-    _, nums = clear_denominators(list(quot.values()), p.table)
-    for k, num in zip(quot, nums):
-        out = out + num * v**k
-    return primitive_part(out, var)
+    if deg == 1:
+        return [RationalFn(-cs.get(0, zero), cs[1])]
+    c2, c1, c0 = cs[2], cs.get(1, zero), cs.get(0, zero)
+    sq = poly_sqrt(c1 * c1 - 4 * c2 * c0)
+    return [] if sq is None else [RationalFn(-c1 + sq, 2 * c2)]
 
 
 # -- candidate generation ------------------------------------------------------

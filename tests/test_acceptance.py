@@ -5,6 +5,7 @@ per-criterion timings. Every tolerance and time budget is asserted here, not
 just eyeballed.
 """
 
+import gc
 import json
 import random
 import time
@@ -20,6 +21,11 @@ from threewave.symbols import table as make_table
 
 
 def _report(num, desc, budget, fn):
+    # the garbage of earlier tests is collected before the clock starts: one
+    # full collection over the suite's objects (SymPy is imported when the
+    # suite is collected) takes about 80 ms on a 2-vCPU VM, more than most
+    # budgets, and would land in whichever body the allocation count picks
+    gc.collect()
     t0 = time.perf_counter()
     try:
         fn()

@@ -718,6 +718,19 @@ def test_boundary_curve_is_refused_on_every_call(capsys, monkeypatch, tmp_path):
     assert len(solves) == 2
 
 
+@pytest.mark.parametrize("command", ["index", "alpha-test"])
+def test_missing_label_is_a_usage_error_beside_a_refused_chart(tmp_path, capsys, command):
+    # U3 scans and has no point at its origin; U1 and W refuse their scans,
+    # which says nothing about P4, so the error is the usage error
+    path = tmp_path / "curve.model"
+    path.write_text(CURVE_AT_INFINITY_MODEL)
+    code = run([command, "--system", str(path), "--point", "P4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: unknown point 'P4'; known: []"]
+    assert run(["singularities", "--system", str(path), "--chart", "U3"]) == 0
+
+
 def test_named_point_scans_one_chart(capsys, monkeypatch):
     calls = []
     real = reports.find_accessible

@@ -20,8 +20,12 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 
 CASES = {
     "singularities": ["singularities", "--system", "three-wave"],
+    "singularities-modified": ["singularities", "--system", "modified"],
+    "singularities-three-wave-chart-W": ["singularities", "--system", "three-wave", "--chart", "W"],
     "index-P1": ["index", "--system", "three-wave", "--point", "P1"],
+    "index-P4_2": ["index", "--system", "three-wave", "--point", "P4_2"],
     "alpha-test-P4_2": ["alpha-test", "--system", "three-wave", "--point", "P4_2"],
+    "alpha-test-modified-P4_2": ["alpha-test", "--system", "modified", "--point", "P4_2"],
     "painleve": ["painleve", "--system", "three-wave", "--bound", "2"],
     "painleve-modified": ["painleve", "--system", "modified", "--bound", "2"],
     "painleve-three-wave-bound-4": ["painleve", "--system", "three-wave", "--bound", "4"],

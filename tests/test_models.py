@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
@@ -290,3 +294,19 @@ def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, m
     rep = reports.atlas_report(m, [1, 1])
     assert verified == ["T2-1", "T2-2", "T2-3", "T9"]
     assert rep["jacobians"][-1]["jacobian_determinant"] == "1"
+
+
+@pytest.mark.parametrize("module", ["threewave.models", "threewave.numerics"])
+def test_models_and_numerics_leave_the_analyses_unloaded(module):
+    # the benchmark's set-up child and the continuation workload import only
+    # these two; models defers its imports of singular for this reason
+    src = str(Path(models.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(sorted(m for m in ('threewave.singular', 'threewave.roots')"
+         " if m in sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -109,3 +109,92 @@ def test_overflowing_numeric_guesses_leave_a_residual(ctx):
     res = find_roots(p, var)
     assert res.roots == ()
     assert res.residual == p
+
+
+def _certified_roots(monkeypatch):
+    """Record, as text, every value the root finder's certificate accepts."""
+    import threewave.roots as roots_module
+
+    find_roots.cache_clear()  # a cached result was certified before
+    certified = []
+
+    def recording(polys, bindings, table):
+        ok = vanishes(polys, bindings, table)
+        if ok:
+            certified.extend(r.text() for r in bindings.values())
+        return ok
+
+    monkeypatch.setattr(roots_module, "vanishes", recording)
+    return certified
+
+
+def test_every_root_passes_the_certificate(ctx, monkeypatch):
+    # closed forms (degree 1, the quadratic formula) are candidates like the
+    # numeric guesses: each root is certified before it is divided out; roots
+    # at zero come from the monomial factor v**k, divided out exactly
+    t, v, var = ctx
+    d = MultiPoly.var(t, "delta")
+    cases = [
+        2 * v - d,
+        v * v + 1,
+        v * v - d * d,
+        (v - 1) * (v * v + v + 1),
+        (2 * v - d) ** 2 * (v + 1) * (v * v + 3),
+        v * v * (v - 3),
+    ]
+    for p in cases:
+        certified = _certified_roots(monkeypatch)
+        res = find_roots(p, var)
+        nonzero = [r.text() for r in res.roots if not r.is_zero()]
+        assert sorted(nonzero) == sorted(certified), p.text()
+        assert len(res.roots) - len(nonzero) == min(p.as_univariate(var))
+
+
+def _reassembles(p: MultiPoly, var) -> bool:
+    """Whether p / (residual * prod(den_r*var - num_r)) is free of var."""
+    res = find_roots(p, var)
+    x = MultiPoly.var(p.table, var)
+    product = res.residual
+    for r in res.roots:
+        product = product * (r.den * x - r.num)
+    return p.exact_divide(product).degree(var) == 0
+
+
+def test_roots_and_residual_reassemble_a_repeated_parametric_input(ctx):
+    t, v, var = ctx
+    d = MultiPoly.var(t, "delta")
+    p = (2 * v - d) ** 2 * (v + 1) * (v * v + 3)
+    res = find_roots(p, var)
+    assert [r.text() for r in res.roots] == ["-1", "1/2*delta", "1/2*delta"]
+    assert res.residual == v * v + 3
+    assert _reassembles(p, var)
+
+
+def test_roots_and_residual_reassemble_seeded_inputs(ctx):
+    t, v, var = ctx
+    d, g = MultiPoly.var(t, "delta"), MultiPoly.var(t, "gamma")
+    rng = random.Random(32)
+
+    def coefficient():
+        return MultiPoly.const(t, gr(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-1, 1)))
+
+    for _ in range(40):
+        # non-monic products of linear factors (repeats and parameters
+        # included) with a cofactor that may not split, times a content
+        p = rng.choice([MultiPoly.const(t, 2), d + 1, d * g, 3 * g - 1])
+        for _ in range(rng.randint(1, 4)):
+            lead = rng.choice([MultiPoly.const(t, 1), MultiPoly.const(t, 2), d, coefficient()])
+            if lead.is_zero():
+                lead = d
+            p = p * (lead * v - rng.choice([coefficient(), coefficient() + d, d * gr(Fraction(1, 2))]))
+        cofactor = v * v + coefficient() * v + coefficient() + rng.choice([0 * d, d])
+        p = p * rng.choice([MultiPoly.const(t, 1), cofactor, v])
+        assert _reassembles(p, var), p.text()
+    for _ in range(40):
+        # random polynomials in v and delta, most of them without roots
+        p = MultiPoly.zero(t)
+        while p.degree(var) < 1:
+            p = MultiPoly.zero(t)
+            for _ in range(rng.randint(2, 5)):
+                p = p + coefficient() * v ** rng.randint(0, 4) * d ** rng.randint(0, 2)
+        assert _reassembles(p, var), p.text()
