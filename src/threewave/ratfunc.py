@@ -270,15 +270,13 @@ def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 
 
 def substitute(
-    f: RationalFn,
-    bindings: Mapping[Symbol, RationalFn],
-    target_table: SymbolTable | None = None,
+    f: RationalFn, bindings: Mapping[Symbol, RationalFn], table: SymbolTable
 ) -> RationalFn:
-    """Compose ``f`` with rational-function bindings, exactly.
+    """Compose ``f`` with rational-function bindings, exactly, over ``table``.
 
     Every state symbol occurring in ``f`` must be bound (parameters may be
     bound too, e.g. for specialization); unbound symbols are carried through
-    and must exist in the target table. Raises
+    and must exist in ``table``. Raises
     :class:`~threewave.errors.DenominatorVanishes` when the composed
     denominator is identically zero.
 
@@ -291,9 +289,6 @@ def substitute(
     serves both images; a denominator of 1 contributes no powers. Each image
     accumulates its terms into one polynomial.
     """
-    table = target_table
-    if table is None:
-        table = next((v.table for v in bindings.values()), f.table)
     by_name = {s.name: v for s, v in bindings.items()}
     for s in f.variables():
         if s.name not in by_name and s not in table:

@@ -15,10 +15,11 @@ divisor gets resolved:
    classifies the point and predicts how many blow-ups are needed,
 3. :func:`painleve_leading_orders` searches dominant balances, solving
    only the pole orders that integer weights leave open and certifying each
-   balance once, in the solver; :func:`weighted_balance` reads the same
-   search and picks the balance whose pole orders fix the weighted chart
-   suited to a multiple point (a model chooses it once, on its field with
-   every parameter symbolic, and uses it at every parameter value),
+   balance once, in the solver; it runs once per field and bound, and
+   :func:`weighted_balance` reads the bound-2 search and picks the balance
+   whose pole orders fix the weighted chart suited to a multiple point (a
+   model chooses it once, on its field with every parameter symbolic, and
+   uses it at every parameter value),
 4. :func:`blow_up` produces the chart of a point blow-up along one
    direction (the pipeline follows the exceptional direction) with the
    transformed field, and
@@ -41,7 +42,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     AnalysisFailed, DenominatorVanishes, PositiveDimensional, ThreeWaveError, UnresolvedSpectrum,
@@ -333,58 +334,44 @@ class BalanceSearch:
     residual_branches: tuple[tuple[tuple[int, int, int], ConditionBranch], ...]
 
 
+@lru_cache(maxsize=64)  # keyed by the field's value and the bound, passed positionally
 def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     """Search integer pole orders (m, n, p), |each| <= bound, max >= 1, with
     nonzero leading coefficients solving the dominant balance.
 
-    The balance equations are polynomial in the three leading coefficients
-    and are solved exactly by :func:`solve_branches` for nonzero values (a
-    vanishing leading coefficient is no balance); coefficients that stay
-    unconstrained are reported as free symbols, and branches left with a
-    residual factor are reported as residual branches. The solver certifies
-    each balance by putting its coefficients into the balance equations, so
-    every listed balance holds exactly. The search is :func:`_search`.
-    """
-    span = range(-bound, bound + 1)
-    orders = (o for o in itertools.product(span, repeat=3) if max(o) >= 1)
-    balances, residuals = [], []
-    for found in _search(v, orders):
-        (balances if isinstance(found, Balance) else residuals).append(found)
-    return BalanceSearch(tuple(balances), tuple(residuals))
-
-
-def _search(v: VectorField, orders_seq) -> Iterator[Balance | tuple[tuple, ConditionBranch]]:
-    """The dominant balances of every pole-order triple of ``orders_seq``, in
-    its order, and each branch with a residual factor as (orders, branch);
-    a triple is solved only when the one before it has been consumed.
-
-    Each branch of :func:`solve_branches` on a triple's balance equations is
-    one of the two: a branch without residuals becomes its :class:`Balance`,
-    the unpinned leading coefficients free (``nonzero`` pins no zero, so every
-    coefficient is nonzero). A triple is solved only when its equations can
-    hold with every leading coefficient nonzero and the parameters generic,
-    which the weights of the lead monomials alone decide
+    The triples are taken in product order, and one is solved only when its
+    equations can hold with every leading coefficient nonzero and the
+    parameters generic, which the weights of the lead monomials alone decide
     (:func:`_unbalanced`); any other triple has an equation L^a * P = 0, with
-    P a nonzero polynomial in the parameters, or m_k * L_k = 0, so the solver
-    would return no branch for it, residual ones included.
+    P a nonzero polynomial in the parameters, or m_k * L_k = 0, and no
+    branch. The balance equations are polynomial in the three leading
+    coefficients and are solved exactly by :func:`solve_branches` for
+    nonzero values: a branch without residuals is a :class:`Balance`, its
+    unpinned coefficients free, and any other a residual branch. The solver
+    certifies each balance by putting its coefficients into the balance
+    equations, so every listed balance holds exactly. The search runs once
+    per field value and bound, so the ``painleve`` report and
+    :func:`weighted_balance` read one result.
     """
     if not v.is_polynomial():
         raise AnalysisFailed("dominant-balance search expects a polynomial field")
     table, leads, moved, exponents = _lead_setup(v)
-    for orders in map(tuple, orders_seq):
-        if _unbalanced(exponents, orders):
+    span = range(-bound, bound + 1)
+    balances, residuals = [], []
+    for orders in itertools.product(span, repeat=3):
+        if max(orders) < 1 or _unbalanced(exponents, orders):
             continue
         eqs = _balance_equations(moved, leads, orders)
         for branch in solve_branches(eqs, leads, table, nonzero=True):
             if branch.residuals:
-                yield orders, branch
+                residuals.append((orders, branch))
                 continue
             pins = dict(branch.pinned)
             coeffs = tuple(pins.get(l, RationalFn.var(table, l)) for l in leads)
-            yield Balance(orders, coeffs, tuple(l.name for l in leads if l not in pins))
+            balances.append(Balance(orders, coeffs, tuple(l.name for l in leads if l not in pins)))
+    return BalanceSearch(tuple(balances), tuple(residuals))
 
 
-@lru_cache(maxsize=64)  # keyed by the field's value, like models.pushed_field
 def _lead_setup(v: VectorField):
     """The field's table extended by the leading-coefficient unknowns, those
     unknowns (``lead1..lead3``, named apart from the field's symbols), the
@@ -392,11 +379,7 @@ def _lead_setup(v: VectorField):
     ansatz x_k = L_k * tau^-m_k without the powers of tau, which
     :func:`_balance_equations` reads off as weights, and per component the
     distinct lead-exponent vectors of its terms, from which
-    :func:`_unbalanced` reads the same weights in integers.
-
-    Built once per field value, so every search on one field shares it: a
-    warm report's, and those of :func:`painleve_leading_orders` and
-    :func:`weighted_balance` on the same field."""
+    :func:`_unbalanced` reads the same weights in integers."""
     names = names_apart(v.table, lambda pad: [f"lead{pad}{k}" for k in (1, 2, 3)])
     table = v.table.extend(parameter(n) for n in names)
     leads = tuple(table.get(n) for n in names)
@@ -733,29 +716,15 @@ class ResolutionReport:
         return self.fields[-1]
 
 
-# the largest pole order |m_k| the pipeline's balance search tries
-_PIPELINE_BOUND = 2
-
-
 def weighted_balance(v: VectorField) -> Balance:
     """The dominant balance with a pole in the first variable, whose pole
-    orders select the weighted chart.
-
-    Of the balances of the pole-order triples with m >= 1 and no order
-    larger than ``_PIPELINE_BOUND`` in size, in product order, it is the
-    first one with the largest order sum. The triples are searched highest
-    sum first, each sum in product order (a stable sort), and the search
-    stops at the first balance found. That is the same balance as ``max``
-    over the full list, since every triple of a larger sum has been solved
-    before and ``max`` keeps the first maximum.
-    """
-    bound = _PIPELINE_BOUND
-    span = range(-bound, bound + 1)
-    orders = sorted(itertools.product(range(1, bound + 1), span, span), key=sum, reverse=True)
-    balance = next((b for b in _search(v, orders) if isinstance(b, Balance)), None)
-    if balance is None:
+    orders select the weighted chart: of the balances of
+    :func:`painleve_leading_orders` to bound 2 with m >= 1, the first one
+    with the largest order sum."""
+    balances = [b for b in painleve_leading_orders(v, 2).balances if b.exponents[0] >= 1]
+    if not balances:
         raise AnalysisFailed("no dominant balance with a pole in the first variable")
-    return balance
+    return max(balances, key=lambda b: sum(b.exponents))
 
 
 def resolution_pipeline(

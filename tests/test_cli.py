@@ -371,6 +371,9 @@ chart U3 : X3 Y3 Z3 @ Z3
 system U0 : x*gamma-2*y^2+y*delta+z ; 2*x*y-x*delta+y*gamma ; -2*x*z-2*z
 map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
 """, "unknown point 'P1'; known: ['P4', 'P4_1', 'P4_2']"),
+    # a symmetry named like a key of the verify-symmetry report
+    "SYMMETRY-CLASH": (TOY_WITH_ATLAS + "symmetry relations : x ; y ; z\n",
+                       "symmetry names ['relations'] clash with report keys"),
 }
 
 
@@ -423,8 +426,11 @@ def test_importing_the_cli_leaves_the_numeric_layer_unloaded():
         ["obstructions", "--system", "three-wave", "--params", "delta"],
         ["obstructions", "--system", "three-wave", "--params", "delta=("],
         ["integrate", "--system", "modified", "--start=-2;0.1", "--path", "0.1"],
-        *(["singularities", "--system", name] for name in ERROR_MODELS if name != "U3-ONLY"),
+        # U3-ONLY and SYMMETRY-CLASH give their error only in their own row below
+        *(["singularities", "--system", name] for name in ERROR_MODELS
+          if name not in ("U3-ONLY", "SYMMETRY-CLASH")),
         ["index", "--system", "U3-ONLY", "--point", "P1"],
+        ["verify-symmetry", "--system", "SYMMETRY-CLASH"],
         ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0", "--center", "0"],
     ],
 )
@@ -642,6 +648,7 @@ def test_unknown_point_label_is_a_usage_error(tmp_path, capsys):
         ("1/x ; y ; z", ["painleve"], "dominant-balance search expects a polynomial field"),
         ("1/x ; y ; z", ["blowup"], "dominant-balance search expects a polynomial field"),
         ("1/x ; y ; z", ["obstructions"], "dominant-balance search expects a polynomial field"),
+        ("1/x ; y ; z", ["uniqueness"], "the model's field is not polynomial in the state variables"),
     ],
 )
 def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
@@ -659,6 +666,15 @@ def test_analysis_verdicts_exit_1(tmp_path, capsys, field, argv, message):
     if argv[0] == "integrate":
         # the hint names the command-line switch, not the library argument
         assert lines[0].endswith("; pass --allow-rational to integrate a rational field")
+
+
+def test_uniqueness_needs_a_boundary_on_every_resolved_chart(tmp_path, capsys):
+    toy = tmp_path / "toy.model"
+    toy.write_text(TOY_WITH_ATLAS.replace("chart C1 : X Y Z @ X", "chart C1 : X Y Z"))
+    code = run(["uniqueness", "--system", str(toy)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.strip() == "error: chart C1 of the resolved atlas has no boundary"
 
 
 def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):
