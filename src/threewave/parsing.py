@@ -16,12 +16,13 @@ Model files are line oriented; ``#`` starts a comment. Recognized directives::
     symmetry pi : x ; -y ; z | alpha1 -> -alpha3, alpha5 -> -alpha5
     relation (s*pi)^2
 
-``system`` attaches a vector field to a declared chart; ``map`` gives the
-forward triple (in source variables) and the inverse triple (in target
-variables), which is verified symbolically on load. ``atlas`` names a list of
-charts reached by maps out of the base chart (the chart of the ``system``
-line); a file without ``atlas`` lines uses every map out of its base chart
-under every atlas name.
+Each chart is declared once, and its boundary variable, when given, is one of
+its three variables. ``system`` attaches a vector field to a declared chart;
+``map`` gives the forward triple (in source variables) and the inverse triple
+(in target variables), which is verified symbolically on load. ``atlas``
+names a list of charts reached by maps out of the base chart (the chart of
+the ``system`` line); a file without ``atlas`` lines uses every map out of
+its base chart under every atlas name.
 
 ``symmetry`` declares a state map in the base chart's variables and, after
 an optional ``|``, its action on the parameters; a parameter it does not
@@ -267,7 +268,7 @@ def parse_model(text: str, name: str = "<model>") -> ModelFile:
             lines.append(line)
 
     symbols: list[Symbol] = []
-    chart_specs: list[tuple[str, list[str], str | None]] = []
+    chart_specs: list[tuple[str, list[str], str]] = []  # name, variables, boundary or ''
     for line in lines:
         head, _, rest = line.partition(" ")
         if head == "params":
@@ -275,10 +276,15 @@ def parse_model(text: str, name: str = "<model>") -> ModelFile:
         elif head == "chart":
             chart_name, _, spec = rest.partition(":")
             spec, _, boundary = spec.partition("@")
-            var_names = spec.split()
+            chart_name, var_names, boundary = chart_name.strip(), spec.split(), boundary.strip()
             if len(var_names) != 3:
-                raise ExprError(f"chart {chart_name.strip()!r} needs exactly three variables")
-            chart_specs.append((chart_name.strip(), var_names, boundary.strip() or None))
+                raise ExprError(f"chart {chart_name!r} needs exactly three variables")
+            if any(name == chart_name for name, _, _ in chart_specs):
+                raise ExprError(f"chart {chart_name!r} is declared twice")
+            if boundary and boundary not in var_names:
+                raise ExprError(f"chart {chart_name!r}: boundary symbol must be one of "
+                                "the chart variables")
+            chart_specs.append((chart_name, var_names, boundary))
 
     states = [state(n) for _, names, _ in chart_specs for n in names]
     table = SymbolTable(tuple(states) + tuple(symbols))

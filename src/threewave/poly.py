@@ -388,20 +388,6 @@ class MultiPoly:
         state = [k for k, s in enumerate(self.table.symbols) if s.kind == "state"]
         return {self._lay.unpack(k): c for k, c in _coefficients_in(self, state).items()}
 
-    def split_by_weight(self, weights: Mapping[Symbol, int]) -> dict[int, "MultiPoly"]:
-        """Group terms by their weighted degree sum_s weights[s] * deg_s.
-
-        Buckets come in the order their first term occurs, and each keeps
-        the terms in this polynomial's order.
-        """
-        lay = self._lay
-        fields = [(lay.shifts[self.table.index(s)], w) for s, w in weights.items() if w]
-        out: dict[int, dict] = {}
-        for e, c in self._terms.items():
-            o = sum((e >> s & MAX_DEGREE) * w for s, w in fields)
-            out.setdefault(o, {})[e] = c
-        return {o: self._like(t) for o, t in out.items()}
-
     # -- substitution of exact constants --------------------------------------
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "MultiPoly":

@@ -342,26 +342,26 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     The triples are taken in product order, and one is solved only when its
     equations can hold with every leading coefficient nonzero and the
     parameters generic, which the weights of the lead monomials alone decide
-    (:func:`_unbalanced`); any other triple has an equation L^a * P = 0, with
-    P a nonzero polynomial in the parameters, or m_k * L_k = 0, and no
-    branch. The balance equations are polynomial in the three leading
-    coefficients and are solved exactly by :func:`solve_branches` for
-    nonzero values: a branch without residuals is a :class:`Balance`, its
-    unpinned coefficients free, and any other a residual branch. The solver
-    certifies each balance by putting its coefficients into the balance
-    equations, so every listed balance holds exactly. The search runs once
-    per field value and bound, so the ``painleve`` report and
-    :func:`weighted_balance` read one result.
+    (:func:`_balance_equations` returns None otherwise). The balance
+    equations are polynomial in the three leading coefficients and are
+    solved exactly by :func:`solve_branches` for nonzero values: a branch
+    without residuals is a :class:`Balance`, its unpinned coefficients free,
+    and any other a residual branch. The solver certifies each balance by
+    putting its coefficients into the balance equations, so every listed
+    balance holds exactly. The search runs once per field value and bound,
+    so the ``painleve`` report and :func:`weighted_balance` read one result.
     """
     if not v.is_polynomial():
         raise AnalysisFailed("dominant-balance search expects a polynomial field")
-    table, leads, moved, exponents = _lead_setup(v)
+    table, leads, components = _lead_setup(v)
     span = range(-bound, bound + 1)
     balances, residuals = [], []
     for orders in itertools.product(span, repeat=3):
-        if max(orders) < 1 or _unbalanced(exponents, orders):
+        if max(orders) < 1:
             continue
-        eqs = _balance_equations(moved, leads, orders)
+        eqs = _balance_equations(table, leads, components, orders)
+        if eqs is None:
+            continue
         for branch in solve_branches(eqs, leads, table, nonzero=True):
             if branch.residuals:
                 residuals.append((orders, branch))
@@ -373,36 +373,36 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
 
 
 def _lead_setup(v: VectorField):
-    """The field's table extended by the leading-coefficient unknowns, those
-    unknowns (``lead1..lead3``, named apart from the field's symbols), the
-    components with each state exponent moved onto its unknown L_k: the
-    ansatz x_k = L_k * tau^-m_k without the powers of tau, which
-    :func:`_balance_equations` reads off as weights, and per component the
-    distinct lead-exponent vectors of its terms, from which
-    :func:`_unbalanced` reads the same weights in integers."""
+    """The field's table extended by the leading-coefficient unknowns L_k
+    (``lead1..lead3``, named apart from the field's symbols), those unknowns,
+    and per component its terms and the distinct lead-exponent vectors a of
+    those terms. Each term is the ansatz x_k = L_k * tau^-m_k without the
+    powers of tau: its state exponents moved onto the unknowns, in the
+    component's order, and tagged with the index of its vector a, whose
+    weight -<a, m> is the term's order in tau."""
     names = names_apart(v.table, lambda pad: [f"lead{pad}{k}" for k in (1, 2, 3)])
     table = v.table.extend(parameter(n) for n in names)
     leads = tuple(table.get(n) for n in names)
     moves = [(table.index(s), table.index(l)) for s, l in zip(v.chart.vars, leads)]
-    positions = [lead for _, lead in moves]
-    moved, exponents = [], []
+    components = []
     for c in v.components:
-        terms = {}
+        terms, vectors = [], {}
         for e, coeff in c.retable(table).as_poly().terms.items():
             e = list(e)
             for state, lead in moves:
                 e[lead] += e[state]
                 e[state] = 0
-            terms[tuple(e)] = coeff
-        moved.append(MultiPoly(table, terms))
-        exponents.append(tuple(dict.fromkeys(tuple(e[k] for k in positions) for e in terms)))
-    return table, leads, tuple(moved), tuple(exponents)
+            a = tuple(e[lead] for _, lead in moves)
+            terms.append((vectors.setdefault(a, len(vectors)), tuple(e), coeff))
+        components.append((tuple(terms), tuple(vectors)))
+    return table, leads, tuple(components)
 
 
-def _unbalanced(exponents, orders) -> bool:
-    """Whether the balance equations of ``orders`` have no solution with
-    every leading coefficient nonzero and the parameters generic, read from
-    the integer weights -<a, m> of the lead-exponent vectors a alone.
+def _balance_equations(table, leads, components, orders) -> list[MultiPoly] | None:
+    """Equations forcing the ansatz x_k = L_k * tau^-m_k to balance at the
+    lowest orders, or None when the weights -<a, m> of the lead-exponent
+    vectors alone show that they have no solution with every leading
+    coefficient nonzero and the parameters generic.
 
     A bucket below the balancing order that holds exactly one distinct lead
     monomial L^a is the equation L^a * P = 0, with P a nonzero polynomial in
@@ -410,32 +410,23 @@ def _unbalanced(exponents, orders) -> bool:
     empty leaves the equation m_k * L_k = 0. Either forces a vanishing
     leading coefficient (or a parameter relation), so the triple has no
     branch. A bucket of two or more lead monomials may cancel, and is left
-    to the solver.
+    to the solver. Buckets come in the order of their first term and keep
+    the component's term order.
     """
-    for a_k, m_k in zip(exponents, orders):
-        nu = -m_k - 1 if m_k != 0 else 0
-        count = Counter(-sum(x * m for x, m in zip(a, orders)) for a in a_k)
-        if m_k != 0 and nu not in count:
-            return True
-        if any(n == 1 for o, n in count.items() if o < nu):
-            return True
-    return False
-
-
-def _balance_equations(moved, leads, orders) -> list[MultiPoly]:
-    """Equations forcing the ansatz x_k = L_k * tau^-m_k to balance at the
-    lowest orders: a term of ``moved`` with L-exponents a has tau-order
-    -<a, m>."""
     eqs = []
-    weights = {l: -m for l, m in zip(leads, orders)}
-    for k, comp in enumerate(moved):
-        buckets = comp.split_by_weight(weights)
+    for k, (terms, vectors) in enumerate(components):
         m_k = orders[k]
         nu = -m_k - 1 if m_k != 0 else 0
-        eqs += [poly for o, poly in buckets.items() if o < nu]
+        weights = [-sum(x * m for x, m in zip(a, orders)) for a in vectors]
+        count = Counter(weights)
+        if (m_k != 0 and nu not in count) or any(n == 1 for o, n in count.items() if o < nu):
+            return None
+        buckets = {}
+        for i, e, coeff in terms:
+            buckets.setdefault(weights[i], {})[e] = coeff
+        eqs += [MultiPoly(table, t) for o, t in buckets.items() if o < nu]
         if m_k != 0:
-            lead_term = MultiPoly.var(comp.table, leads[k]) * m_k
-            eqs.append(buckets.get(nu, MultiPoly.zero(comp.table)) + lead_term)
+            eqs.append(MultiPoly(table, buckets[nu]) + MultiPoly.var(table, leads[k]) * m_k)
     return eqs
 
 

@@ -25,7 +25,7 @@ from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute
-from threewave.singular import Balance, _balance_equations, _lead_setup, blow_up, solve_branches
+from threewave.singular import Balance, blow_up, solve_branches
 from threewave.symbols import SymbolTable, names_apart, parameter, table as make_table
 
 
@@ -180,16 +180,16 @@ def naive_balance_holds(v: VectorField, balance: Balance) -> bool:
 def unpruned_balance_search(v: VectorField, orders_seq):
     """The dominant-balance search with no triple skipped: every triple of
     ``orders_seq`` solved by ``solve_branches`` for nonzero leading
-    coefficients. It checks the skipping only, so it takes the library's
-    equations, which :func:`naive_balance_equations` checks on its own.
+    coefficients, on the equations of :func:`naive_balance_equations`.
     Returns the branches of each triple, [(orders, branches)], and the
     balances: the branches without a residual whose coefficients are all
     nonzero, in order, with the unpinned coefficients free."""
-    table, leads, moved, _ = _lead_setup(v)
+    table = v.table.extend(parameter(f"lead{k}") for k in (1, 2, 3))
+    leads = tuple(table.get(f"lead{k}") for k in (1, 2, 3))
     solved, balances = [], []
     for orders in orders_seq:
         orders = tuple(orders)
-        eqs = _balance_equations(moved, leads, orders)
+        eqs = naive_balance_equations(v, orders)
         branches = solve_branches(eqs, leads, table, nonzero=True)
         solved.append((orders, branches))
         for b in branches:
@@ -479,7 +479,7 @@ def ansatz_pushforward_rows(system) -> list[tuple]:
             acc = acc + MultiPoly.var(table, unknowns[len(monomials) * k + j]) * mono
         comps.append(RationalFn.from_poly(acc))
     ansatz = VectorField(m.base, comps)
-    linear = {c: 1 for c in unknowns}
+    slots = [table.index(c) for c in unknowns]
     out = []
     for pos, original in enumerate(m.atlas("resolved")[1:]):
         cmap = ChartMap(original.source, original.target,
@@ -494,7 +494,8 @@ def ansatz_pushforward_rows(system) -> list[tuple]:
             part = MultiPoly(table, {e: c for e, c in comp.num.terms.items() if e[slot] < d})
             for key, poly in part.split_by_state_monomial().items():
                 # every coefficient is a linear form in the unknowns
-                assert set(poly.split_by_weight(linear)) == {1}
+                assert poly.terms and all(sum(e[s] for s in slots) == 1 and not c.is_zero()
+                                          for e, c in poly.terms.items())
                 row = tuple(poly.derivative(c).retable(m.table) for c in unknowns)
                 monomial = MultiPoly(table, {key: ONE}).text()
                 out.append((pos, ci, key, f"{cmap.target.name}:component{ci + 1}:{monomial}", row))

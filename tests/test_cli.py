@@ -53,6 +53,25 @@ def test_verify_atlas_exit_codes(capsys):
     assert code3 == 0
 
 
+def test_verify_atlas_reports_a_pole_on_a_chart_without_boundary(tmp_path, capsys):
+    # C1 has no boundary divisor, so its pole X^2 is a witness with no
+    # obstruction conditions to read off
+    path = tmp_path / "no-boundary.model"
+    path.write_text("""chart U0 : x y z
+chart C1 : X Y Z
+system U0 : y ; z ; x^2
+map U0 C1 : 1/x ; y ; z | 1/X ; Y ; Z
+atlas resolved : C1
+atlas projective : C1
+""")
+    code, out = _capture(capsys, ["verify-atlas", "--system", str(path)])
+    assert code == 1
+    (c1,) = [c for c in json.loads(out)["charts"] if c["chart"] == "C1"]
+    assert c1["polynomial"] is False
+    assert c1["witnesses"] == ["X^2"]
+    assert c1["obstruction_conditions"] == []
+
+
 def test_verify_symmetry_command(capsys):
     code, out = _capture(capsys, ["verify-symmetry", "--system", "modified"])
     assert code == 0
@@ -361,6 +380,15 @@ ERROR_MODELS = {
         TOY_WITH_ATLAS.replace(_TOY_SYSTEM, _TOY_SYSTEM + "\nsystem C0 : x ; y ; z"),
         "chart 'C0' has a second system",
     ),
+    # a second C0 used to replace the first, leaving the system on x, y, z
+    # over a chart of a, b, c, with no balances
+    "DUPLICATE-CHART": (
+        TOY_WITH_ATLAS.replace("chart C0 : x y z", "chart C0 : x y z\nchart C0 : a b c"),
+        "chart 'C0' is declared twice",
+    ),
+    # an unknown boundary name used to leave C1 without a boundary
+    "UNKNOWN-BOUNDARY": (TOY_WITH_ATLAS.replace("@ X", "@ W"),
+                         "chart 'C1': boundary symbol must be one of the chart variables"),
     "UNDECLARED-CHART": (TOY_WITH_ATLAS.replace("system C0", "system C9"),
                          "chart 'C9' not declared"),
     "OPEN-PAREN": (TOY_WITH_ATLAS.replace("x^2 ; -y", "(x y ; -y"), "missing closing parenthesis"),
@@ -377,16 +405,43 @@ map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
 }
 
 
-def test_importing_the_cli_leaves_the_numeric_layer_unloaded():
-    # only integrate and monodromy load it, inside the command
+def _python(*args):
+    """A fresh Python process with the package under test on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, threewave.cli; print('threewave.numerics' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_importing_the_cli_leaves_the_numeric_layer_unloaded():
+    # only integrate and monodromy load it, inside the command
+    proc = _python("-c", "import sys, threewave.cli; print('threewave.numerics' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == b"False"
+
+
+def test_the_module_entry_point_prints_the_report_and_exits_with_its_code():
+    proc = _python("-m", "threewave.cli", "index", "--system", "three-wave", "--point", "P1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).with_name("golden") / "index-P1.out").read_bytes()
+    # a_11 = 0 at P4_1: the alpha test is an analysis failure
+    proc = _python("-m", "threewave.cli", "alpha-test", "--system", "three-wave", "--point", "P4_1")
+    assert proc.returncode == 1
+
+
+def test_help_prints_the_usage_and_returns_0(capsys):
+    assert run(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ")
+    assert "painleve" in captured.out
+
+
+@pytest.mark.parametrize("argv", [["nosuch"], ["painleve", "--bound", "x"]])
+def test_bad_arguments_return_2_without_a_traceback(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -581,18 +581,27 @@ BALANCE_POINTS = {
 def test_balance_equations_match_naive_construction():
     # every order triple with |m| <= 2: the re-keyed, weight-bucketed
     # equations against the monomial-by-monomial products, as equal lists
-    # in the same order, each equation's terms in the same order too
+    # in the same order, each equation's terms in the same order too; a
+    # triple skipped on its weights has no branch on the naive equations
     rng = random.Random(5)
     fields = [models.system_field(kind, params) for kind, points in BALANCE_POINTS.items()
               for params in points]
     fields += [random_polynomial_field(rng) for _ in range(10)]
+    built = skipped = 0
     for v in fields:
-        _, leads, moved, _ = singular._lead_setup(v)
+        work, leads, components = singular._lead_setup(v)
         for orders in itertools.product(range(-2, 3), repeat=3):
-            got = singular._balance_equations(moved, leads, orders)
+            got = singular._balance_equations(work, leads, components, orders)
             want = naive_balance_equations(v, orders)
+            if got is None:
+                skipped += 1
+                assert singular.solve_branches(want, leads, work, nonzero=True) == [], orders
+                continue
+            built += 1
             assert got == want, orders
             assert [list(e.terms) for e in got] == [list(e.terms) for e in want], orders
+    assert built + skipped == 125 * len(fields) == 125 * 18
+    assert built > 100 and skipped > 1000
 
 
 def test_pipeline_balance_is_the_top_sum_balance():
@@ -646,9 +655,9 @@ def test_pruned_balance_search_matches_the_unpruned_oracle():
         assert list(search.residual_branches) == residual
         # no branch is dropped silently: each is a balance or a residual branch
         assert len(balances) + len(residual) == sum(len(bs) for _, bs in solved)
-        exponents = singular._lead_setup(v)[3]
+        setup = singular._lead_setup(v)
         for o, branches in solved:
-            if singular._unbalanced(exponents, o):
+            if singular._balance_equations(*setup, o) is None:
                 skipped += 1
                 assert branches == [], o
     assert skipped > 5000

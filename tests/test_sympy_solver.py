@@ -112,9 +112,10 @@ def balance_systems():
     for seed in itertools.count(11):
         field = workloads.random_field(random.Random(seed))
         text = " ; ".join(workloads.field_text(field[k]) for k in range(3))
-        work, leads, moved, _ = singular._lead_setup(VectorField(chart, parse_triple(text, t)))
+        v = VectorField(chart, parse_triple(text, t))
+        work, leads, _ = singular._lead_setup(v)
         for o in orders:
-            eqs = singular._balance_equations(moved, leads, o)
+            eqs = oracles.naive_balance_equations(v, o)
             if eqs and all(e.term_count() > 1 for e in eqs):
                 yield seed, o, eqs, leads, work
 
