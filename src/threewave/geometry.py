@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .errors import DenominatorVanishes, PoleTooHigh, VerificationFailed
 from .gaussian import GaussianRational
 from .poly import MultiPoly
-from .ratfunc import RationalFn, clear_denominators, substitute
+from .ratfunc import RationalFn, clear_denominators, composition, substitute
 from .symbols import Symbol, SymbolTable
 
 
@@ -148,23 +148,21 @@ class ChartMap:
         return ChartMap(self.source, self.target, *halves)
 
     def _verify(self):
+        """Each composite is the identity: every component composed with the
+        other direction is the fraction num/den of its variable x, num == x*den."""
         table = self.table
-        fwd_binding = {self.target.vars[k]: self.forward[k] for k in range(3)}
-        for k in range(3):
-            back = substitute(self.inverse[k], fwd_binding, table)
-            if back != RationalFn.var(table, self.source.vars[k]):
-                raise ValueError(
-                    f"chart map {self.source.name}->{self.target.name} is not invertible: "
-                    f"inverse o forward gives {back.text()} for {self.source.vars[k].name}"
-                )
-        inv_binding = {self.source.vars[k]: self.inverse[k] for k in range(3)}
-        for k in range(3):
-            forth = substitute(self.forward[k], inv_binding, table)
-            if forth != RationalFn.var(table, self.target.vars[k]):
-                raise ValueError(
-                    f"chart map {self.source.name}->{self.target.name} is not invertible: "
-                    f"forward o inverse gives {forth.text()} for {self.target.vars[k].name}"
-                )
+        for name, inner, outer, inner_vars, outer_vars in (
+            ("inverse o forward", self.forward, self.inverse, self.target.vars, self.source.vars),
+            ("forward o inverse", self.inverse, self.forward, self.source.vars, self.target.vars),
+        ):
+            binding = dict(zip(inner_vars, inner))
+            for f, var in zip(outer, outer_vars):
+                num, den = composition(f, binding, table)
+                if num != den.shift_var(var, 1):
+                    raise ValueError(
+                        f"chart map {self.source.name}->{self.target.name} is not invertible: "
+                        f"{name} gives {RationalFn(num, den).text()} for {var.name}"
+                    )
 
     def __repr__(self):
         return f"ChartMap({self.source.name} -> {self.target.name})"

@@ -310,6 +310,8 @@ def parse_model(text: str, name: str = "<model>") -> ModelFile:
             fwd_text, _, inv_text = exprs.partition("|")
             if not inv_text:
                 raise ExprError("map needs 'forward-triple | inverse-triple'")
+            if any((m.source.name, m.target.name) == tuple(names) for m in model.maps):
+                raise ExprError(f"map {names[0]} {names[1]} is declared twice")
             cmap = ChartMap(
                 model.chart(names[0]),
                 model.chart(names[1]),
@@ -319,6 +321,8 @@ def parse_model(text: str, name: str = "<model>") -> ModelFile:
             model.maps.append(cmap)
         elif head == "atlas":
             atlas_name, _, chart_names = rest.partition(":")
+            if atlas_name.strip() in model.atlases:
+                raise ExprError(f"atlas {atlas_name.strip()!r} is declared twice")
             model.atlases[atlas_name.strip()] = tuple(chart_names.split())
         elif head not in ("params", "chart", "symmetry", "relation"):
             raise ExprError(f"unknown directive {head!r}")

@@ -225,9 +225,7 @@ class MultiPoly:
         return self._like({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            other = MultiPoly.const(self.table, other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (MultiPoly, int, GaussianRational)):
             return NotImplemented
         return self + (-other)
 
@@ -450,33 +448,14 @@ class MultiPoly:
     # -- table migration ---------------------------------------------------------
 
     def retable(self, new_table: SymbolTable) -> "MultiPoly":
-        """Re-key the polynomial over a different table.
-
-        Every symbol actually occurring must exist in the new table; the fast
-        path handles pure extensions (old table a prefix of the new one).
-        """
+        """Re-key the polynomial over a different table, by symbol name;
+        every symbol actually occurring must exist in the new table."""
         if new_table == self.table:
             return self
-        old, lay = self._lay, _layout(len(new_table))
-        if self.table.is_prefix_of(new_table):
-            # the degree moves up and the exponents gain zero fields below
-            pad = lay.top - old.top
-            terms = {(e >> old.top) << lay.top | (e & old.low) << pad: c for e, c in self._terms.items()}
-        else:
-            mapping = [new_table.index(s) if s in new_table else None for s in self.table.symbols]
-            terms = {}
-            for e, c in self._terms.items():
-                key = e >> old.top << lay.top
-                for k, s in enumerate(old.shifts):
-                    d = e >> s & MAX_DEGREE
-                    if d:
-                        if mapping[k] is None:
-                            raise SymbolTableMismatch(
-                                f"symbol {self.table.symbols[k].name!r} missing from target table"
-                            )
-                        key |= d << lay.shifts[mapping[k]]
-                terms[key] = c
-        return _poly(new_table, lay, terms)
+        for s in self.variables():
+            if s not in new_table:
+                raise SymbolTableMismatch(f"symbol {s.name!r} missing from target table")
+        return compose((self,), {}, new_table)[0]
 
     # -- comparison / printing -----------------------------------------------------
 
@@ -554,19 +533,81 @@ def _poly(table: SymbolTable, lay: _Layout, terms: dict[int, GaussianRational]) 
     return p
 
 
-def linear_combination(
-    table: SymbolTable, pairs: Iterable[tuple[GaussianRational, MultiPoly]]
-) -> MultiPoly:
-    """sum a * p over ``pairs``, accumulated into one polynomial over ``table``."""
-    out: dict[int, GaussianRational] = {}
-    get = out.get
-    for a, p in pairs:
-        if p.table is not table and p.table != table:
-            raise SymbolTableMismatch(f"cannot combine polynomials over {table!r} and {p.table!r}")
+def compose(
+    polys: Sequence[MultiPoly], bound: Mapping[int, tuple[MultiPoly, MultiPoly]], table: SymbolTable
+) -> list[MultiPoly]:
+    """The images of ``polys`` (over one source table) when the symbol at each
+    table position k of ``bound`` becomes num_k/den_k (polynomials over
+    ``table``; a constant den_k is 1), times the shared denominator
+    prod den_k^d_k, with d_k the largest exponent of symbol k in ``polys``.
+
+    A term c * mu * prod s_k^e_k maps to c * mu * prod F_k[e_k], where
+    F_k[e] = num_k^e * den_k^(d_k - e) and the unbound monomial mu carries
+    over to the same names in ``table`` as an offset added to the keys: on
+    the same table, the key less its bound fields and their degree; on
+    another, its fields re-keyed by name. The d_k are read from the keys,
+    each power and F_k[e] is built once, and their product once per
+    distinct bound part of a key. A total degree above ``MAX_DEGREE``
+    raises ``ValueError``.
+    """
+    src = polys[0]
+    old, lay = src._lay, _layout(len(table))
+    one = _poly(table, lay, {0: ONE})
+    mask, factors = 0, []
+    for k, (num, den) in bound.items():
+        s = old.shifts[k]
+        d = max((e >> s & MAX_DEGREE for p in polys for e in p._terms), default=0)
+        if d:
+            mask |= MAX_DEGREE << s
+            factors.append((s, d, [one, num], None if den.is_constant() else [one, den], {}))
+    moves = None
+    if src.table is not table and src.table != table:
+        index = src.table.index
+        moves = [(old.shifts[index(sym)], lay.units[table.index(sym.name)])
+                 for sym in {sym for p in polys for sym in p.variables()} if index(sym) not in bound]
+    products: dict[int, tuple[int, int, list]] = {}  # bound fields -> (key, degree, terms)
+    images = []
+    for p in polys:
+        out: dict[int, GaussianRational] = {}
+        get = out.get
         for e, c in p._terms.items():
-            s = get(e)
-            out[e] = a * c if s is None else s + a * c
-    return _poly(table, _layout(len(table)), _drop_zeros(out))
+            prod = products.get(e & mask)
+            if prod is None:
+                image, deg = one, 0
+                for s, d, nums, dens, built in factors:
+                    x = e >> s & MAX_DEGREE
+                    deg += x
+                    fk = built.get(x)
+                    if fk is None:
+                        fk = _power(nums, x)
+                        if dens is not None and x < d:
+                            fk = _times(fk, _power(dens, d - x), one)
+                        built[x] = fk
+                    image = _times(image, fk, one)
+                prod = products[e & mask] = ((e & mask) | deg << old.top, image.total_degree(),
+                                             list(image._terms.items()))
+            key, top, terms = prod
+            off = e - key if moves is None else sum((e >> s & MAX_DEGREE) * unit for s, unit in moves)
+            if (off >> lay.top) + top > MAX_DEGREE:
+                _check_degree((off >> lay.top) + top)
+            for t, pc in terms:
+                t += off
+                acc = get(t)
+                out[t] = c * pc if acc is None else acc + c * pc
+        images.append(_poly(table, lay, _drop_zeros(out)))
+    return images
+
+
+def _power(powers: list[MultiPoly], n: int) -> MultiPoly:
+    """p^n from ``powers`` = [1, p, p^2, ...], extended as far as asked."""
+    while len(powers) <= n:
+        powers.append(powers[-1] * powers[1])
+    return powers[n]
+
+
+def _times(a: MultiPoly, b: MultiPoly, one: MultiPoly) -> MultiPoly:
+    """a * b, without a product when either is ``one``."""
+    return b if a is one else a if b is one else a * b
 
 
 # -- gcd machinery ------------------------------------------------------------
@@ -597,12 +638,6 @@ def _coefficients_in(p: MultiPoly, fields: Iterable[int]) -> dict[int, MultiPoly
         key = sum(((e >> s & MAX_DEGREE) * unit for s, unit in units), 0)
         out.setdefault(key, {})[e - key] = c
     return {k: p._like(t) for k, t in out.items()}
-
-
-def _monomial_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """gcd when at least one argument is a single term (coefficients are units)."""
-    mono, other = (a, b) if a.is_monomial() else (b, a)
-    return a._like({_common_key(a._lay, [*mono._terms, *other._terms]): ONE})
 
 
 def _pseudo_rem(f: MultiPoly, g: MultiPoly, sym: Symbol) -> MultiPoly:
@@ -660,8 +695,9 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return MultiPoly.const(a.table, 1)
-    if a.is_monomial() or b.is_monomial():
-        return _monomial_gcd(a, b)
+    if a.is_monomial() or b.is_monomial():  # the coefficients are units
+        mono, other = (a, b) if a.is_monomial() else (b, a)
+        return a._like({_common_key(a._lay, [*mono._terms, *other._terms]): ONE})
     va, vb = set(a.variables()), set(b.variables())
     common = va & vb
     if not common:

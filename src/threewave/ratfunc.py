@@ -14,21 +14,23 @@ a/b and c/d, with g1 = gcd(a, d) and g2 = gcd(c, b), the fraction
 ((a/g1)(c/g2)) / ((b/g2)(d/g1)) is reduced, so two gcds of the operands'
 parts replace one of the whole product; a power of a reduced value is
 reduced as it stands. Composite operations build their result as one
-polynomial fraction and construct it once: :func:`substitute` maps
-numerator and denominator over a shared denominator that cancels, and
-:func:`clear_denominators` puts a list of values over one common denominator
-(the pushforward's field, a deflated quotient). :func:`value_at` puts
-values into a polynomial, and :func:`vanishes` is the exact certificate by
-which every claimed root, point and solution is checked.
+polynomial fraction and construct it once: :func:`substitute` reduces the
+fraction :func:`composition` maps numerator and denominator to, over a shared
+denominator that cancels, and :func:`clear_denominators` puts a list of
+values over one common denominator (the pushforward's field, a deflated
+quotient). :func:`value_at` puts values into a polynomial. The certificates
+skip the reduction: a chart map compares the fraction with its variable by
+cross-multiplication, and :func:`vanishes`, by which every claimed root,
+point and solution is checked, tests the numerator image of a polynomial.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DenominatorVanishes, NotDivisible
 from .gaussian import GaussianRational
-from .poly import MultiPoly, linear_combination, poly_gcd
+from .poly import MultiPoly, compose, poly_gcd
 from .symbols import Symbol, SymbolTable
 
 
@@ -280,46 +282,38 @@ def substitute(
     :class:`~threewave.errors.DenominatorVanishes` when the composed
     denominator is identically zero.
 
-    With d_s the maximal exponent of each bound symbol s = num_s/den_s over
-    the terms of both ``f.num`` and ``f.den``, a term c * prod s^{e_s} maps
-    to c * prod F_s[e_s], where F_s[e] = num_s^e * den_s^(d_s - e). Both
-    images then share the denominator prod den_s^{d_s}, which cancels, so
-    the result is the single fraction image(f.num) / image(f.den), reduced
-    once. Each factor table F_s is built on first use of an exponent and
-    serves both images; a denominator of 1 contributes no powers. Each image
-    accumulates its terms into one polynomial.
+    The images of ``f.num`` and ``f.den`` share the denominator
+    prod den_s^{d_s} over the bound symbols s = num_s/den_s
+    (:func:`~threewave.poly.compose`), which cancels, so the result is the
+    single fraction image(f.num) / image(f.den), reduced once.
     """
-    by_name = {s.name: v for s, v in bindings.items()}
-    for s in f.variables():
-        if s.name not in by_name and s not in table:
-            raise KeyError(f"symbol {s.name!r} neither bound nor present in target table")
-    maxdeg = [max(col) for col in zip(*f.num.terms, *f.den.terms)]
-    one = MultiPoly.const(table, 1)
-    factors = []
-    for k, s in enumerate(f.table.symbols):
-        if maxdeg[k]:
-            b = by_name.get(s.name)
-            if b is None:
-                b = RationalFn.var(table, table.get(s.name))
-            elif b.table != table:
-                b = b.retable(table)
-            factors.append((k, _factor_table(b, maxdeg[k], one)))
+    return RationalFn(*composition(f, bindings, table))
 
-    def monomial_image(e: tuple[int, ...]) -> MultiPoly:
-        out = one
-        for k, factor in factors:
-            fk = factor(e[k])
-            if fk is not one:
-                out = fk if out is one else out * fk
-        return out
 
-    def image(p: MultiPoly) -> MultiPoly:
-        return linear_combination(table, ((c, monomial_image(e)) for e, c in p.terms.items()))
-
-    den = image(f.den)
+def composition(
+    f: RationalFn, bindings: Mapping[Symbol, RationalFn], table: SymbolTable
+) -> tuple[MultiPoly, MultiPoly]:
+    """The unreduced fraction that :func:`substitute` reduces."""
+    num, den = _images((f.num, f.den), bindings, table)
     if den.is_zero():
         raise DenominatorVanishes("denominator identically zero after composition")
-    return RationalFn(image(f.num), den)
+    return num, den
+
+
+def _images(polys: Sequence[MultiPoly], bindings: Mapping[Symbol, RationalFn],
+            table: SymbolTable) -> list[MultiPoly]:
+    """:func:`~threewave.poly.compose` of ``polys`` with the bindings of
+    their symbols, over ``table``."""
+    by_name = {s.name: v for s, v in bindings.items()}
+    bound = {}
+    for s in dict.fromkeys(s for p in polys for s in p.variables()):
+        b = by_name.get(s.name)
+        if b is not None:
+            b = b if b.table is table else b.retable(table)
+            bound[polys[0].table.index(s)] = (b.num, b.den)
+        elif s not in table:
+            raise KeyError(f"symbol {s.name!r} neither bound nor present in target table")
+    return compose(polys, bound, table)
 
 
 def value_at(p: MultiPoly, bindings: Mapping[Symbol, RationalFn], table: SymbolTable) -> RationalFn:
@@ -331,8 +325,9 @@ def vanishes(polys: Iterable[MultiPoly], bindings: Mapping[Symbol, RationalFn],
              table: SymbolTable) -> bool:
     """Whether every polynomial of ``polys`` is exactly zero at ``bindings``:
     the one certificate of a claimed root, point or solution. It stops at the
-    first nonzero value."""
-    return all(value_at(p, bindings, table).is_zero() for p in polys)
+    first nonzero value. The image of a polynomial is over a product of
+    nonzero denominators, so its numerator alone decides."""
+    return all(_images((p,), bindings, table)[0].is_zero() for p in polys)
 
 
 def clear_denominators(
@@ -344,33 +339,3 @@ def clear_denominators(
         if not f.den.is_constant():
             den = den * f.den.exact_divide(poly_gcd(den, f.den))
     return den, [f.num * den.exact_divide(f.den) for f in fns]
-
-
-def _factor_table(b: RationalFn, d: int, one: MultiPoly) -> Callable[[int], MultiPoly]:
-    """e -> b.num^e * b.den^(d - e), each entry and power built once, on first
-    use; ``one`` stands for every factor equal to 1."""
-    num_pow, den_pow = _powers(b.num, one), None if b.den.is_constant() else _powers(b.den, one)
-    built: dict[int, MultiPoly] = {}
-
-    def factor(e: int) -> MultiPoly:
-        out = built.get(e)
-        if out is None:
-            out = num_pow(e)
-            if den_pow is not None and e < d:
-                out = den_pow(d - e) if out is one else out * den_pow(d - e)
-            built[e] = out
-        return out
-
-    return factor
-
-
-def _powers(p: MultiPoly, one: MultiPoly) -> Callable[[int], MultiPoly]:
-    """n -> p^n, extending the list of powers as far as asked."""
-    out = [one, p]
-
-    def power(n: int) -> MultiPoly:
-        while len(out) <= n:
-            out.append(out[-1] * p)
-        return out[n]
-
-    return power

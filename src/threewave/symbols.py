@@ -92,9 +92,6 @@ class SymbolTable:
     def parameters(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self.symbols if s.kind == PARAMETER)
 
-    def is_prefix_of(self, other: "SymbolTable") -> bool:
-        return other.symbols[: len(self.symbols)] == self.symbols
-
     def __eq__(self, other):
         return isinstance(other, SymbolTable) and self.symbols == other.symbols
 

@@ -386,6 +386,12 @@ ERROR_MODELS = {
         TOY_WITH_ATLAS.replace("chart C0 : x y z", "chart C0 : x y z\nchart C0 : a b c"),
         "chart 'C0' is declared twice",
     ),
+    # a second atlas line of one name used to replace the first without a word
+    "DUPLICATE-ATLAS": (TOY_WITH_ATLAS + "atlas resolved : C1\n",
+                        "atlas 'resolved' is declared twice"),
+    # a second map C0 C1 used to list chart C1 twice in verify-atlas
+    "DUPLICATE-MAP": (TOY_WITH_ATLAS.replace(_TOY_MAP, _TOY_MAP + "\n" + _TOY_MAP),
+                      "map C0 C1 is declared twice"),
     # an unknown boundary name used to leave C1 without a boundary
     "UNKNOWN-BOUNDARY": (TOY_WITH_ATLAS.replace("@ X", "@ W"),
                          "chart 'C1': boundary symbol must be one of the chart variables"),
@@ -481,12 +487,14 @@ def test_bad_arguments_return_2_without_a_traceback(capsys, argv):
         ["obstructions", "--system", "three-wave", "--params", "delta"],
         ["obstructions", "--system", "three-wave", "--params", "delta=("],
         ["integrate", "--system", "modified", "--start=-2;0.1", "--path", "0.1"],
-        # U3-ONLY and SYMMETRY-CLASH give their error only in their own row below
-        *(["singularities", "--system", name] for name in ERROR_MODELS
-          if name not in ("U3-ONLY", "SYMMETRY-CLASH")),
+        ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0", "--center", "0"],
+        # U3-ONLY and SYMMETRY-CLASH give their error only in their own row
         ["index", "--system", "U3-ONLY", "--point", "P1"],
         ["verify-symmetry", "--system", "SYMMETRY-CLASH"],
-        ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0", "--center", "0"],
+        # last, so that a new ERROR_MODELS row takes a new id and renumbers no
+        # other case
+        *(["singularities", "--system", name] for name in ERROR_MODELS
+          if name not in ("U3-ONLY", "SYMMETRY-CLASH")),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from oracles import differential_maps, naive_substitute, oracle_pushforward, random_ratfn
-from threewave import models
-from threewave.errors import PoleTooHigh
+from threewave import models, poly, ratfunc
+from threewave.errors import DenominatorVanishes, PoleTooHigh
 from threewave.poly import MultiPoly
 from threewave.gaussian import gr
 from threewave.geometry import (
@@ -18,7 +18,7 @@ from threewave.geometry import (
     pushforward,
 )
 from threewave.parsing import parse_expr
-from threewave.ratfunc import RationalFn
+from threewave.ratfunc import RationalFn, vanishes
 from threewave.symbols import table
 
 
@@ -40,8 +40,42 @@ def test_chart_map_rejects_non_invertible(simple):
     t, src, dst = simple
     x, y, z = (RationalFn.var(t, n) for n in ("x", "y", "z"))
     X, Y, Z = (RationalFn.var(t, n) for n in ("X", "Y", "Z"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inverse o forward gives x\\^2 for x"):
         ChartMap(src, dst, [x * x, y, z], [X, Y, Z])
+
+
+def test_a_specialized_map_whose_composite_loses_its_denominator_is_refused(simple):
+    # z -> (z + mu)/(z + 1) is a Moebius map with determinant 1 - mu: at
+    # mu = 1 the forward map is (x, 0, 1), on which the inverse's Y/(Z - 1)
+    # has a vanishing denominator, though every component is defined there
+    t, src, dst = simple
+    x, y, z, mu = (RationalFn.var(t, n) for n in ("x", "y", "z", "mu"))
+    X, Y, Z = (RationalFn.var(t, n) for n in ("X", "Y", "Z"))
+    cmap = ChartMap(src, dst, [x, y * (mu - 1) / (z + 1), (z + mu) / (z + 1)],
+                    [X, Y / (Z - 1), (Z - mu) / (1 - Z)])
+    assert cmap.specialize({t.get("mu"): gr(2)}).forward[2] == (z + 2) / (z + 1)
+    with pytest.raises(DenominatorVanishes):
+        cmap.specialize({t.get("mu"): gr(1)})
+
+
+def test_the_certificates_take_no_gcd(simple, monkeypatch):
+    t, src, dst = simple
+    x, y, z, mu = (RationalFn.var(t, n) for n in ("x", "y", "z", "mu"))
+    X, Y, Z = (RationalFn.var(t, n) for n in ("X", "Y", "Z"))
+    fwd, inv = [1 / x, y / x**2 + mu, z / (x + mu)], [1 / X, (Y - mu) / X**2, Z * (1 + mu * X) / X]
+    point = {t.get("x"): (y + mu) / (z - 1), t.get("X"): y * z}
+    root = (MultiPoly.var(t, "x") * (z - 1).num - (y + mu).num) * MultiPoly.var(t, "X")
+    calls = []
+    for module in (poly, ratfunc):
+        real = module.poly_gcd
+        monkeypatch.setattr(module, "poly_gcd", lambda a, b, real=real: calls.append(1) or real(a, b))
+    ChartMap(src, dst, fwd, inv)
+    assert vanishes((root,), point, t)
+    assert not vanishes((root + 1,), point, t)
+    assert calls == []
+    with pytest.raises(ValueError, match="not invertible"):  # only a refusal reduces
+        ChartMap(src, dst, fwd, [1 / X, Y / X**2, Z])
+    assert calls
 
 
 def test_pushforward_identity(simple):

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import differential_maps, naive_substitute, random_ratfn
+from oracles import differential_maps, naive_substitute, naive_substitute_poly, random_ratfn
 from threewave.errors import DenominatorVanishes
 from threewave.gaussian import gr
-from threewave.poly import MultiPoly, poly_gcd
-from threewave.ratfunc import RationalFn, substitute
+from threewave.poly import MAX_DEGREE, MultiPoly, poly_gcd
+from threewave.ratfunc import RationalFn, substitute, vanishes
 from threewave.symbols import table
 
 
@@ -158,6 +158,87 @@ def test_substitute_matches_naive_oracle():
                 substitute(f, bindings, big)
             continue
         assert substitute(f, bindings, big) == want, (f, bindings)
+
+
+@pytest.mark.parametrize("target", ["same", "reordered"])
+def test_unbound_symbols_pass_through_as_the_naive_oracle_composes(target):
+    # the parameters a, b and the unbound states ride along as key offsets:
+    # on the same table, and re-keyed by name on a table that is not a
+    # prefix extension of the source (other order, a symbol between)
+    rng = random.Random(41 if target == "same" else 43)
+    t = table("x", "y", "z", "a:parameter", "b:parameter")
+    out = t if target == "same" else table("b:parameter", "w", "z", "y", "a:parameter", "x")
+    syms = list(t.symbols)
+    targets = [s for s in out.symbols if s.name != "b"]
+
+    def monomial():
+        e = [0] * len(out)
+        for _ in range(rng.randint(0, 2)):
+            e[out.index(rng.choice(targets))] += 1
+        return MultiPoly(out, {tuple(e): gr(rng.choice((-2, -1, 1, 3)), rng.choice((0, 1)))})
+
+    shapes = (
+        lambda: RationalFn.const(out, gr(rng.choice((-1, 0, 2)), rng.choice((0, 1)))),
+        lambda: RationalFn(monomial(), monomial()),
+        lambda: RationalFn.from_poly(random_ratfn(rng, out, targets).num),
+        lambda: random_ratfn(rng, out, targets),
+    )
+    cases = []
+    for _ in range(80):
+        bound = rng.sample(syms[:3], rng.randint(1, 3))
+        cases.append((random_ratfn(rng, t, syms), {s: rng.choice(shapes)() for s in bound}))
+    # x -> y empties the denominator x - y, and x -> y + a does not
+    a, x, y = (RationalFn.var(t, n) for n in ("a", "x", "y"))
+    ya = RationalFn.var(out, "y") + RationalFn.var(out, "a")
+    cases += [(a / (x - y), {t.get("x"): RationalFn.var(out, "y")}), (a / (x - y), {t.get("x"): ya})]
+    vanished = 0
+    for f, bindings in cases:
+        try:
+            want = naive_substitute(f, bindings)
+        except ZeroDivisionError:
+            vanished += 1
+            with pytest.raises(DenominatorVanishes):
+                substitute(f, bindings, out)
+            continue
+        assert substitute(f, bindings, out) == want, (f, bindings)
+        assert vanishes((f.num,), bindings, out) == want.is_zero()
+    assert vanished
+
+
+def test_vanishes_matches_the_naive_oracle_at_rational_bindings():
+    rng = random.Random(47)
+    t = table("x", "y", "z", "a:parameter")
+    syms = list(t.symbols)
+    x = t.get("x")
+    hits = 0
+    for _ in range(60):
+        b = {s: random_ratfn(rng, t, syms) for s in rng.sample(syms[1:3], rng.randint(0, 2))}
+        b[x] = random_ratfn(rng, t, [s for s in syms if s != x])
+        p = random_ratfn(rng, t, syms).num
+        if rng.random() < 0.5:  # a multiple of x*den - num vanishes at x = num/den
+            p = p * (MultiPoly.var(t, x) * b[x].den - b[x].num)
+        want = naive_substitute_poly(p, b).is_zero()
+        hits += want
+        assert vanishes((p,), b, t) == want, (p, b)
+    assert 0 < hits < 60
+
+
+@pytest.mark.parametrize("target", ["same", "other"])
+def test_a_pass_through_beyond_the_packed_degree_is_refused(target):
+    t = table("x", "a:parameter")
+    out = t if target == "same" else table("y", "a:parameter", "x")
+    f = MultiPoly(t, {(1, MAX_DEGREE - 1): gr(1)})  # x * a^(MAX_DEGREE - 1)
+    fits = {t.get("x"): RationalFn.const(out, 2)}
+    assert substitute(RationalFn.from_poly(f), fits, out) == RationalFn.from_poly(
+        MultiPoly(out, {(0, MAX_DEGREE - 1) if target == "same" else (0, MAX_DEGREE - 1, 0): gr(2)}))
+    # x -> x^2 makes a total degree of MAX_DEGREE + 1, which must not carry
+    # into the field above a's
+    over = {t.get("x"): RationalFn.var(out, "x") ** 2}
+    with pytest.raises(ValueError, match="exceeds the packed maximum"):
+        substitute(RationalFn.from_poly(f), over, out)
+    with pytest.raises(ValueError, match="exceeds the packed maximum"):
+        vanishes((f,), over, out)
+
 
 
 def test_is_polynomial_and_as_poly():
