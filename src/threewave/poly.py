@@ -175,10 +175,7 @@ class MultiPoly:
 
     def variables(self) -> tuple[Symbol, ...]:
         """Symbols that actually occur with positive exponent."""
-        seen = 0
-        for e in self._terms:
-            seen |= e
-        seen &= self._lay.low
+        seen = _occurring((self,)) & self._lay.low
         syms = self.table.symbols
         out = []
         while seen:  # the nonzero fields, highest (first in table order) first
@@ -389,36 +386,8 @@ class MultiPoly:
     # -- substitution of exact constants --------------------------------------
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "MultiPoly":
-        """Substitute exact constant values for some symbols."""
-        if not bindings:
-            return self
-        lay = self._lay
-        # per bound symbol: its field's shift, its unit key, and its value's
-        # powers, each computed once per call
-        slots = []
-        for s, v in bindings.items():
-            k = self.table.index(s)
-            slots.append((lay.shifts[k], lay.units[k], {1: v}))
-        out: dict[int, GaussianRational] = {}
-        for e, c in self._terms.items():
-            val = c
-            t = e
-            for shift, unit, powers in slots:
-                d = e >> shift & MAX_DEGREE
-                if d:
-                    p = powers.get(d)
-                    if p is None:
-                        p = powers[d] = powers[1] ** d
-                    val = val * p
-                    t -= d * unit
-            if val.is_zero():
-                continue
-            s = out.get(t, ZERO) + val
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return self._like(out)
+        """Exact constant values put in for some symbols (``self`` when none occurs)."""
+        return compose((self,), {self.table.index(s): v for s, v in bindings.items()}, self.table)[0]
 
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         total = 0j
@@ -448,13 +417,7 @@ class MultiPoly:
     # -- table migration ---------------------------------------------------------
 
     def retable(self, new_table: SymbolTable) -> "MultiPoly":
-        """Re-key the polynomial over a different table, by symbol name;
-        every symbol actually occurring must exist in the new table."""
-        if new_table == self.table:
-            return self
-        for s in self.variables():
-            if s not in new_table:
-                raise SymbolTableMismatch(f"symbol {s.name!r} missing from target table")
+        """Re-keyed by name onto ``new_table`` (SymbolTableMismatch if it lacks a symbol that occurs)."""
         return compose((self,), {}, new_table)[0]
 
     # -- comparison / printing -----------------------------------------------------
@@ -534,80 +497,115 @@ def _poly(table: SymbolTable, lay: _Layout, terms: dict[int, GaussianRational]) 
 
 
 def compose(
-    polys: Sequence[MultiPoly], bound: Mapping[int, tuple[MultiPoly, MultiPoly]], table: SymbolTable
+    polys: Sequence[MultiPoly], bound: Mapping[int, GaussianRational | tuple[MultiPoly, MultiPoly]],
+    table: SymbolTable,
 ) -> list[MultiPoly]:
-    """The images of ``polys`` (over one source table) when the symbol at each
-    table position k of ``bound`` becomes num_k/den_k (polynomials over
-    ``table``; a constant den_k is 1), times the shared denominator
-    prod den_k^d_k, with d_k the largest exponent of symbol k in ``polys``.
-
-    A term c * mu * prod s_k^e_k maps to c * mu * prod F_k[e_k], where
-    F_k[e] = num_k^e * den_k^(d_k - e) and the unbound monomial mu carries
-    over to the same names in ``table`` as an offset added to the keys: on
-    the same table, the key less its bound fields and their degree; on
-    another, its fields re-keyed by name. The d_k are read from the keys,
-    each power and F_k[e] is built once, and their product once per
-    distinct bound part of a key. A total degree above ``MAX_DEGREE``
-    raises ``ValueError``.
-    """
-    src = polys[0]
-    old, lay = src._lay, _layout(len(table))
-    one = _poly(table, lay, {0: ONE})
-    mask, factors = 0, []
-    for k, (num, den) in bound.items():
+    """The one substitution kernel: the images of ``polys`` (over one source
+    table) when the symbol at each table position k of ``bound`` becomes a
+    constant or num_k/den_k (over ``table``; a constant den_k is 1), times
+    prod den_k^d_k, d_k the largest exponent of symbol k in ``polys``. A term
+    c * mu * prod s_k^e_k maps to c * mu * prod F_k[e_k], F_k[e] = num_k^e *
+    den_k^(d_k - e) or a constant's power (a scalar), built once per distinct
+    bound part of a key; the unbound monomial mu moves to the same names in
+    ``table`` (SymbolTableMismatch for a name missing there). With nothing
+    bound that occurs, ``polys`` on the same table are returned as they are.
+    A total degree above ``MAX_DEGREE`` raises ``ValueError``."""
+    src, old = polys[0], polys[0]._lay
+    seen = _occurring(polys) if bound else 0
+    mask, scalars, factors = 0, [], []
+    for k, b in bound.items():
         s = old.shifts[k]
-        d = max((e >> s & MAX_DEGREE for p in polys for e in p._terms), default=0)
-        if d:
-            mask |= MAX_DEGREE << s
-            factors.append((s, d, [one, num], None if den.is_constant() else [one, den], {}))
-    moves = None
-    if src.table is not table and src.table != table:
-        index = src.table.index
-        moves = [(old.shifts[index(sym)], lay.units[table.index(sym.name)])
-                 for sym in {sym for p in polys for sym in p.variables()} if index(sym) not in bound]
-    products: dict[int, tuple[int, int, list]] = {}  # bound fields -> (key, degree, terms)
+        if not seen >> s & MAX_DEGREE:
+            continue
+        mask |= MAX_DEGREE << s
+        if isinstance(b, tuple) and not (b[0].is_constant() and b[1].is_constant()):
+            d = max(e >> s & MAX_DEGREE for p in polys for e in p._terms)
+            factors.append((s, d, [None, b[0]], None if b[1].is_constant() else [None, b[1]], {}))
+        else:
+            scalars.append((s, [None, b[0].constant_value() if isinstance(b, tuple) else b]))
+    # each move (mask, shift, new shift) carries the fields under its mask
+    if src.table is table or src.table == table:
+        if not mask:
+            return list(polys)
+        lay, moves = old, [(~mask, 0, 0)]
+    elif table.symbols[:len(src.table)] == src.table.symbols:  # an extension moves all alike
+        lay = _layout(len(table))
+        if not mask:
+            pad = lay.top - old.top
+            return [_poly(table, lay, {e << pad: c for e, c in p._terms.items()}) for p in polys]
+        moves = [(~mask, 0, lay.top - old.top)]
+    else:  # the degree, then each unbound field that occurs, by name
+        lay = _layout(len(table))
+        moves, unbound = [(MAX_DEGREE << old.top, old.top, lay.top)], _occurring(polys) & ~mask
+        for sym, s in zip(src.table.symbols, old.shifts):
+            if unbound >> s & MAX_DEGREE:
+                if table.get(sym.name) is None:
+                    raise SymbolTableMismatch(f"symbol {sym.name!r} missing from target table")
+                moves.append((MAX_DEGREE << s, s, lay.shifts[table.index(sym)]))
+    products: dict[int, tuple[int, list]] = {}  # bound fields -> (their degree on ``table``, image)
     images = []
     for p in polys:
+        offs = [0] * len(p._terms)
+        for m, s, t in moves:
+            offs = [o | (e & m) >> s << t for o, e in zip(offs, p._terms)]
         out: dict[int, GaussianRational] = {}
         get = out.get
-        for e, c in p._terms.items():
+        for (e, c), off in zip(p._terms.items(), offs):
             prod = products.get(e & mask)
             if prod is None:
-                image, deg = one, 0
-                for s, d, nums, dens, built in factors:
-                    x = e >> s & MAX_DEGREE
-                    deg += x
-                    fk = built.get(x)
-                    if fk is None:
-                        fk = _power(nums, x)
-                        if dens is not None and x < d:
-                            fk = _times(fk, _power(dens, d - x), one)
-                        built[x] = fk
-                    image = _times(image, fk, one)
-                prod = products[e & mask] = ((e & mask) | deg << old.top, image.total_degree(),
-                                             list(image._terms.items()))
-            key, top, terms = prod
-            off = e - key if moves is None else sum((e >> s & MAX_DEGREE) * unit for s, unit in moves)
-            if (off >> lay.top) + top > MAX_DEGREE:
-                _check_degree((off >> lay.top) + top)
-            for t, pc in terms:
+                prod = products[e & mask] = _bound_image(e & mask, lay.top, scalars, factors)
+            off -= prod[0]  # the unbound fields with their degree
+            for t, pc in prod[1]:
                 t += off
                 acc = get(t)
-                out[t] = c * pc if acc is None else acc + c * pc
+                pc = c if pc is ONE else c * pc
+                out[t] = pc if acc is None else acc + pc
+        if factors and out:  # the degree field is the top one: a degree too high shows there
+            _check_degree(max(out) >> lay.top)
         images.append(_poly(table, lay, _drop_zeros(out)))
     return images
 
 
-def _power(powers: list[MultiPoly], n: int) -> MultiPoly:
-    """p^n from ``powers`` = [1, p, p^2, ...], extended as far as asked."""
+def _bound_image(part: int, top: int, scalars: list, factors: list) -> tuple[int, list]:
+    """The degree of ``part`` at ``top`` and the terms of its image (factors times scalars)."""
+    deg, scale, image = 0, None, None
+    for s, powers in scalars:
+        x = part >> s & MAX_DEGREE
+        if x:
+            deg += x
+            c = powers[x] if x < len(powers) else _power(powers, x)
+            scale = c if scale is None else scale * c
+    for s, d, nums, dens, built in factors:
+        x = part >> s & MAX_DEGREE
+        deg += x
+        fk = built.get(x)
+        if fk is None:
+            fk = built[x] = _times(_power(nums, x), None if dens is None else _power(dens, d - x))
+        image = _times(image, fk)
+    if image is None:
+        return deg << top, [(0, ONE if scale is None else scale)]
+    return deg << top, [(t, c if scale is None else c * scale) for t, c in image._terms.items()]
+
+
+def _occurring(polys: Iterable[MultiPoly]) -> int:
+    """The keys of ``polys`` OR-ed: a field is nonzero when its symbol occurs."""
+    seen = 0
+    for p in polys:
+        for e in p._terms:
+            seen |= e
+    return seen
+
+
+def _power(powers: list, n: int):
+    """p^n from ``powers`` = [None, p, p^2, ...], None as 1, p a polynomial or constant."""
     while len(powers) <= n:
         powers.append(powers[-1] * powers[1])
     return powers[n]
 
 
-def _times(a: MultiPoly, b: MultiPoly, one: MultiPoly) -> MultiPoly:
-    """a * b, without a product when either is ``one``."""
-    return b if a is one else a if b is one else a * b
+def _times(a, b):
+    """a * b, where None is 1 and takes no product."""
+    return b if a is None else a if b is None else a * b
 
 
 # -- gcd machinery ------------------------------------------------------------

@@ -178,16 +178,20 @@ class RationalFn:
     # -- substitution -----------------------------------------------------------
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "RationalFn":
-        den = self.den.specialize(bindings)
+        """Exact constant values put in for some symbols (``self`` when none occurs)."""
+        index = self.table.index
+        num, den = compose((self.num, self.den), {index(s): v for s, v in bindings.items()}, self.table)
+        if den is self.den:  # nothing bound occurs
+            return self
         if den.is_zero():
             raise DenominatorVanishes("denominator vanishes at the given values")
-        return RationalFn(self.num.specialize(bindings), den)
+        return RationalFn(num, den)
 
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         return self.num.eval_complex(values) / self.den.eval_complex(values)
 
     def retable(self, new_table: SymbolTable) -> "RationalFn":
-        return RationalFn(self.num.retable(new_table), self.den.retable(new_table), _reduced=True)
+        return RationalFn(*compose((self.num, self.den), {}, new_table), _reduced=True)
 
     # -- comparison / printing ----------------------------------------------------
 
@@ -304,15 +308,12 @@ def _images(polys: Sequence[MultiPoly], bindings: Mapping[Symbol, RationalFn],
             table: SymbolTable) -> list[MultiPoly]:
     """:func:`~threewave.poly.compose` of ``polys`` with the bindings of
     their symbols, over ``table``."""
-    by_name = {s.name: v for s, v in bindings.items()}
+    src = polys[0].table
     bound = {}
-    for s in dict.fromkeys(s for p in polys for s in p.variables()):
-        b = by_name.get(s.name)
-        if b is not None:
-            b = b if b.table is table else b.retable(table)
-            bound[polys[0].table.index(s)] = (b.num, b.den)
-        elif s not in table:
-            raise KeyError(f"symbol {s.name!r} neither bound nor present in target table")
+    for s, b in bindings.items():
+        if src.get(s.name) is not None:
+            b = b if b.table is table or b.is_constant() else b.retable(table)  # a constant is a scalar
+            bound[src.index(s)] = (b.num, b.den)
     return compose(polys, bound, table)
 
 

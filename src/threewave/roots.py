@@ -146,8 +146,7 @@ def _root_candidates(p: MultiPoly, var: Symbol) -> list[RationalFn]:
 
 
 def _complex_coeffs(p: MultiPoly, var: Symbol, values: dict[Symbol, GaussianRational]) -> list[complex]:
-    sp = p.specialize(values) if values else p
-    cs = sp.as_univariate(var)
+    cs = p.specialize(values).as_univariate(var)
     deg = max(cs)
     out = []
     for k in range(deg + 1):

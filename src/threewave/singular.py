@@ -52,7 +52,7 @@ from .gaussian import GaussianRational
 from .geometry import (
     Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
 )
-from .poly import MultiPoly, content_in, poly_gcd, resultant
+from .poly import MultiPoly, compose, content_in, poly_gcd, resultant
 from .ratfunc import RationalFn, pole_coefficients, substitute, value_at, vanishes
 from .roots import find_roots
 from .symbols import Symbol, names_apart, parameter
@@ -383,17 +383,14 @@ def _lead_setup(v: VectorField):
     names = names_apart(v.table, lambda pad: [f"lead{pad}{k}" for k in (1, 2, 3)])
     table = v.table.extend(parameter(n) for n in names)
     leads = tuple(table.get(n) for n in names)
-    moves = [(table.index(s), table.index(l)) for s, l in zip(v.chart.vars, leads)]
+    bound = {v.table.index(s): (MultiPoly.var(table, l), MultiPoly.const(table, 1))
+             for s, l in zip(v.chart.vars, leads)}
     components = []
-    for c in v.components:
+    for p in compose([c.as_poly() for c in v.components], bound, table):
         terms, vectors = [], {}
-        for e, coeff in c.retable(table).as_poly().terms.items():
-            e = list(e)
-            for state, lead in moves:
-                e[lead] += e[state]
-                e[state] = 0
-            a = tuple(e[lead] for _, lead in moves)
-            terms.append((vectors.setdefault(a, len(vectors)), tuple(e), coeff))
+        for e, coeff in p.terms.items():
+            a = e[-3:]  # the unknowns are the table's last three symbols
+            terms.append((vectors.setdefault(a, len(vectors)), e, coeff))
         components.append((tuple(terms), tuple(vectors)))
     return table, leads, tuple(components)
 

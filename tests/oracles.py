@@ -130,24 +130,33 @@ def substituted_atlas(system, name, values) -> list[ChartMap]:
     ]
 
 
-def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
-    """The dominant-balance equations of a polynomial field for pole orders
-    ``orders``: put x_k = L_k * tau^-m_k into each component, monomial by
-    monomial as products of powers of the L_k, and group the terms by their
-    order in tau. For component k with m_k != 0 the orders below -m_k - 1
-    must vanish and the order -m_k - 1 must balance m_k * L_k (the
-    derivative of the ansatz); with m_k = 0 every order below 0 must vanish.
-    Terms keep the component's order, equations come component by component,
-    groups in the order of their first term."""
+def naive_retable(p: MultiPoly, table: SymbolTable) -> MultiPoly:
+    """``p`` over ``table``: each term's exponents put by symbol name, read
+    off the ``terms`` view."""
+    out = {}
+    for e, c in p.terms.items():
+        exps = [0] * len(table)
+        for sym, d in zip(p.table.symbols, e):
+            if d:
+                exps[table.index(sym.name)] = d
+        out[tuple(exps)] = c
+    return MultiPoly(table, out)
+
+
+def naive_lead_terms(v: VectorField):
+    """The table of :func:`naive_balance_equations`, its unknowns
+    ``lead1..lead3``, and per component its terms with the ansatz
+    x_k = L_k * tau^-m_k put in, without the powers of tau: each term's state
+    exponents, and the term with every x_k^e replaced by L_k^e as a product
+    of powers of the L_k. They do not depend on the pole orders."""
     names = ("lead1", "lead2", "lead3")  # the library's names on a table without them
     table = v.table.extend(parameter(n) for n in names)
     leads = tuple(table.get(n) for n in names)
     state_idx = [table.index(s) for s in v.chart.vars]
-    eqs = []
-    for k, comp in enumerate(c.retable(table).as_poly() for c in v.components):
-        buckets: dict[int, MultiPoly] = {}
+    components = []
+    for comp in (naive_retable(c.as_poly(), table) for c in v.components):
+        terms = []
         for e, c in comp.terms.items():
-            o = -sum(e[idx] * m for idx, m in zip(state_idx, orders))
             term_exp = list(e)
             for idx in state_idx:
                 term_exp[idx] = 0
@@ -155,6 +164,32 @@ def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
             for j, idx in enumerate(state_idx):
                 if e[idx]:
                     mono = mono * MultiPoly.var(table, leads[j]) ** e[idx]
+            terms.append((tuple(e[idx] for idx in state_idx), mono))
+        components.append(terms)
+    return table, leads, components
+
+
+def naive_balance_equations(v: VectorField, orders) -> list[MultiPoly]:
+    """The dominant-balance equations of a polynomial field for pole orders
+    ``orders``: put x_k = L_k * tau^-m_k into each component, monomial by
+    monomial as products of powers of the L_k (:func:`naive_lead_terms`), and
+    group the terms by their order in tau (:func:`_balance_groups`)."""
+    return _balance_groups(naive_lead_terms(v), orders)
+
+
+def _balance_groups(lead_terms, orders) -> list[MultiPoly]:
+    """The equations of :func:`naive_balance_equations` from the field's
+    ``lead_terms``. For component k with m_k != 0 the orders below -m_k - 1
+    must vanish and the order -m_k - 1 must balance m_k * L_k (the derivative
+    of the ansatz); with m_k = 0 every order below 0 must vanish. Terms keep
+    the component's order, equations come component by component, groups in
+    the order of their first term."""
+    table, leads, components = lead_terms
+    eqs = []
+    for k, terms in enumerate(components):
+        buckets: dict[int, MultiPoly] = {}
+        for a, mono in terms:
+            o = -sum(x * m for x, m in zip(a, orders))
             buckets[o] = buckets.get(o, MultiPoly.zero(table)) + mono
         m_k = orders[k]
         nu = -m_k - 1 if m_k != 0 else 0
@@ -183,13 +218,14 @@ def unpruned_balance_search(v: VectorField, orders_seq):
     coefficients, on the equations of :func:`naive_balance_equations`.
     Returns the branches of each triple, [(orders, branches)], and the
     balances: the branches without a residual whose coefficients are all
-    nonzero, in order, with the unpinned coefficients free."""
-    table = v.table.extend(parameter(f"lead{k}") for k in (1, 2, 3))
-    leads = tuple(table.get(f"lead{k}") for k in (1, 2, 3))
+    nonzero, in order, with the unpinned coefficients free. The terms with
+    the ansatz put in are built once per call, not once per triple."""
+    lead_terms = naive_lead_terms(v)
+    table, leads, _ = lead_terms
     solved, balances = [], []
     for orders in orders_seq:
         orders = tuple(orders)
-        eqs = naive_balance_equations(v, orders)
+        eqs = _balance_groups(lead_terms, orders)
         branches = solve_branches(eqs, leads, table, nonzero=True)
         solved.append((orders, branches))
         for b in branches:

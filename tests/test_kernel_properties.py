@@ -3,9 +3,9 @@
 ``GaussianRational`` is checked against plain ``(Fraction, Fraction)``
 arithmetic, the packed monomial keys against ``(total degree, exponents)``
 tuples, ``MultiPoly`` products and their hashes against ``oracles.naive_mul``,
-``specialize`` against ``substitute`` of the same constants, ``value_at`` and
-``vanishes`` against ``oracles.naive_substitute_poly``, and the Laurent tail
-of ``RationalFn`` by reassembling it.
+``specialize``, ``value_at`` and ``vanishes`` against
+``oracles.naive_substitute_poly``, ``retable`` against ``oracles.naive_retable``,
+and the Laurent tail of ``RationalFn`` by reassembling it.
 """
 
 from fractions import Fraction
@@ -17,12 +17,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_mul, naive_substitute_poly
-from threewave.errors import NotDivisible
+from oracles import naive_mul, naive_retable, naive_substitute_poly
+from threewave.errors import NotDivisible, SymbolTableMismatch
 from threewave.gaussian import GaussianRational, gr
 from threewave.poly import MultiPoly, _layout
-from threewave.ratfunc import RationalFn, substitute, value_at, vanishes
-from threewave.symbols import table
+from threewave.ratfunc import RationalFn, value_at, vanishes
+from threewave.symbols import SymbolTable, parameter, table
 
 KERNEL = settings(max_examples=100, deadline=None, database=None, derandomize=True)
 
@@ -157,9 +157,34 @@ def test_monomial_divisibility_is_fieldwise(e, f):
 @given(polys, st.dictionaries(st.sampled_from(T.symbols), pairs, max_size=len(T)))
 def test_specialize_matches_substitute_of_the_same_constants(p, values):
     bindings = {s: gr(*c) for s, c in values.items()}
-    constants = {s: RationalFn.const(T, v) for s, v in bindings.items()}
-    want = substitute(RationalFn.from_poly(p), constants, T)
-    assert RationalFn.from_poly(p.specialize(bindings)) == want
+    if bindings:
+        constants = {s: RationalFn.const(T, v) for s, v in bindings.items()}
+        assert RationalFn.from_poly(p.specialize(bindings)) == naive_substitute_poly(p, constants)
+    # a value for a symbol that does not occur builds no new polynomial
+    absent = {s: v for s, v in bindings.items() if s not in p.variables()}
+    assert p.specialize(absent) is p
+    assert all(p.specialize({s: gr(2)}) is p for s in T.symbols if s not in p.variables())
+
+
+@KERNEL
+@given(polys, st.permutations(T.symbols))
+def test_retable_matches_a_naive_rekey_by_name(p, order):
+    # an extension (the old table a prefix), a permutation with a new symbol
+    # first, and the restriction to the symbols that occur; each goes back
+    # onto T unchanged, and a table without an occurring symbol is refused
+    used = p.variables()
+    targets = [
+        T.extend([parameter("lead1")]),
+        SymbolTable([parameter("lead1"), *order]),
+        SymbolTable([s for s in order if s in used]),
+    ]
+    for target in targets:
+        moved = p.retable(target)
+        assert moved == naive_retable(p, target)
+        assert moved.retable(T) == p
+    if used:
+        with pytest.raises(SymbolTableMismatch, match=repr(used[-1].name)):
+            p.retable(SymbolTable([s for s in order if s != used[-1]]))
 
 
 @KERNEL
