@@ -211,21 +211,21 @@ class GaussianRational:
         return self.text()
 
     def text(self) -> str:
-        """Canonical text form: '3', '-1/2', 'i', '-2*i', '1+2*i', '1-1/2*i'."""
-        im = self.im
-        if im == 0:
-            return str(self.re)
-        if im == 1:
-            im_part = "i"
-        elif im == -1:
-            im_part = "-i"
+        """Canonical text form: '3', '-1/2', 'i', '-2*i', '1+2*i', '1-1/2*i'
+        (each part printed as ``str(Fraction)`` prints it)."""
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_text(a, d)
+        if b == d:
+            im = "i"
+        elif b == -d:
+            im = "-i"
         else:
-            im_part = f"{im}*i"
-        if not self._a:
-            return im_part
-        sign = "+" if im > 0 else "-"
-        mag = im_part.lstrip("-")
-        return f"{self.re}{sign}{mag}"
+            im = f"{_ratio_text(b, d)}*i"
+        if not a:
+            return im
+        re = _ratio_text(a, d)
+        return f"{re}+{im}" if b > 0 else re + im
 
     def is_compound(self) -> bool:
         """True when the printed form needs parentheses inside a product."""
@@ -242,6 +242,14 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     z._b = b
     z._d = d
     return z
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms as ``str(Fraction(n, d))`` prints it, for d > 0."""
+    if d == 1:
+        return str(n)
+    g = gcd(n, d)
+    return str(n // d) if g == d else f"{n // g}/{d // g}"
 
 
 def from_parts(a: int, b: int, d: int) -> GaussianRational:

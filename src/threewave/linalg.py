@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import MultiPoly, poly_gcd_many
+from .poly import MultiPoly, poly_gcd_many, symbols_in
 from .ratfunc import RationalFn
 
 
@@ -38,10 +38,8 @@ def linear_solve(matrix: Sequence[Sequence[MultiPoly]]) -> LinearSolution:
         raise ValueError("cannot infer symbol table from an empty system")
     table = matrix[0][0].table
     ncols = len(matrix[0])
-    for row in matrix:
-        for entry in row:
-            if any(s.kind != "parameter" for s in entry.variables()):
-                raise ValueError("linear_solve entries must involve parameters only")
+    if any(s.kind != "parameter" for s in symbols_in([e for row in matrix for e in row])):
+        raise ValueError("linear_solve entries must involve parameters only")
 
     # each row is a sparse {column: nonzero entry} map
     rows = [_normalize_row({c: e for c, e in enumerate(r) if not e.is_zero()}) for r in matrix]

@@ -89,9 +89,9 @@ def _drop_zeros(terms: dict) -> dict:
 
 
 class MultiPoly:
-    # _terms maps packed keys to nonzero coefficients; _view and _hash are
-    # filled on first use
-    __slots__ = ("table", "_lay", "_terms", "_view", "_hash")
+    # _terms maps packed keys to nonzero coefficients; _view, _hash and _text
+    # are filled on first use
+    __slots__ = ("table", "_lay", "_terms", "_view", "_hash", "_text")
 
     def __init__(self, table: SymbolTable, terms: Mapping[tuple[int, ...], GaussianRational]):
         lay = _layout(len(table))
@@ -175,14 +175,7 @@ class MultiPoly:
 
     def variables(self) -> tuple[Symbol, ...]:
         """Symbols that actually occur with positive exponent."""
-        seen = _occurring((self,)) & self._lay.low
-        syms = self.table.symbols
-        out = []
-        while seen:  # the nonzero fields, highest (first in table order) first
-            field = (seen.bit_length() - 1) // FIELD_BITS
-            out.append(syms[len(syms) - 1 - field])
-            seen &= (1 << field * FIELD_BITS) - 1
-        return tuple(out)
+        return symbols_in((self,))
 
     def monomial_content(self) -> "MultiPoly":
         """The monic monomial of largest degree dividing every term (1 for zero)."""
@@ -240,6 +233,14 @@ class MultiPoly:
         terms1, terms2 = self._terms, other._terms
         if not terms1 or not terms2:
             return self._like({})
+        # a constant operand scales the other's coefficients (Q(i) has no
+        # zero divisors, so no term cancels); 1 returns the other as it is
+        if not any(terms1) and terms1[0].is_one():
+            return other
+        if not any(terms2):
+            return _scaled(self, terms2[0])
+        if not any(terms1):
+            return _scaled(other, terms1[0])
         top = self._lay.top
         _check_degree((max(terms1) >> top) + (max(terms2) >> top))
         # integer products over the two common denominators, then one
@@ -442,35 +443,14 @@ class MultiPoly:
         return [(unpack(e), self._terms[e]) for e in sorted(self._terms, reverse=True)]
 
     def text(self) -> str:
-        """Canonical text form: graded-lex descending, '*' products, '^' powers."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        syms = self.table.symbols
-        for e, c in self.sorted_terms():
-            factors = []
-            for k, d in enumerate(e):
-                if d == 1:
-                    factors.append(syms[k].name)
-                elif d > 1:
-                    factors.append(f"{syms[k].name}^{d}")
-            mono = "*".join(factors)
-            if not mono:
-                coeff = c.text()
-            elif c.is_one():
-                coeff = ""
-            elif c == -1:
-                coeff = "-"
-            elif c.is_compound():
-                coeff = f"({c.text()})*"
-            else:
-                coeff = f"{c.text()}*"
-            term = coeff + mono if mono else coeff
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts).replace("+-", "-")
+        """Canonical text form: graded-lex descending, '*' products, '^'
+        powers (rendered once per value)."""
+        try:
+            return self._text
+        except AttributeError:
+            text = _render(self)
+            _setattr(self, "_text", text)
+            return text
 
     def __str__(self):
         return self.text()
@@ -481,6 +461,52 @@ class MultiPoly:
 
 _new = object.__new__
 _setattr = object.__setattr__
+
+
+def _scaled(p: MultiPoly, c: GaussianRational) -> MultiPoly:
+    """``p`` times the nonzero constant ``c``."""
+    if c.is_one():
+        return p
+    return p._like({e: k * c for e, k in p._terms.items()})
+
+
+def _render(p: MultiPoly) -> str:
+    """The text of ``p``: its keys in descending int order are its terms in
+    descending graded-lex order."""
+    terms = p._terms
+    if not terms:
+        return "0"
+    syms, low = p.table.symbols, p._lay.low
+    parts = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        if not e:
+            term = c.text()
+        else:
+            mono = _monomial_text(syms, e & low)
+            if c.is_one():
+                term = mono
+            elif c._a == -1 and not c._b and c._d == 1:
+                term = "-" + mono
+            elif c.is_compound():
+                term = f"({c.text()})*{mono}"
+            else:
+                term = f"{c.text()}*{mono}"
+        parts.append(term if not parts or term[0] == "-" else "+" + term)
+    return "".join(parts)
+
+
+def _monomial_text(syms: Sequence[Symbol], fields: int) -> str:
+    """'x^2*y' for the exponent fields of a key over the table ``syms``;
+    only the nonzero fields are visited, highest (first in table order) first."""
+    factors = []
+    while fields:
+        field = (fields.bit_length() - 1) // FIELD_BITS
+        shift = field * FIELD_BITS
+        d, name = fields >> shift, syms[len(syms) - 1 - field].name
+        factors.append(name if d == 1 else f"{name}^{d}")
+        fields &= (1 << shift) - 1
+    return "*".join(factors)
 
 
 def _init(p: MultiPoly, table: SymbolTable, lay: _Layout, terms: dict[int, GaussianRational]) -> None:
@@ -585,6 +611,18 @@ def _bound_image(part: int, top: int, scalars: list, factors: list) -> tuple[int
     if image is None:
         return deg << top, [(0, ONE if scale is None else scale)]
     return deg << top, [(t, c if scale is None else c * scale) for t, c in image._terms.items()]
+
+
+def symbols_in(polys: Sequence[MultiPoly]) -> tuple[Symbol, ...]:
+    """The symbols that occur in any of ``polys`` (over one table), in table order."""
+    seen = _occurring(polys) & polys[0]._lay.low
+    syms = polys[0].table.symbols
+    out = []
+    while seen:  # the nonzero fields, highest (first in table order) first
+        field = (seen.bit_length() - 1) // FIELD_BITS
+        out.append(syms[len(syms) - 1 - field])
+        seen &= (1 << field * FIELD_BITS) - 1
+    return tuple(out)
 
 
 def _occurring(polys: Iterable[MultiPoly]) -> int:

@@ -191,7 +191,10 @@ class RationalFn:
         return self.num.eval_complex(values) / self.den.eval_complex(values)
 
     def retable(self, new_table: SymbolTable) -> "RationalFn":
-        return RationalFn(*compose((self.num, self.den), {}, new_table), _reduced=True)
+        """Re-keyed by name onto ``new_table``. Renaming keeps num and den
+        coprime, but a new symbol order can change which term of den leads,
+        so den is made monic again."""
+        return RationalFn(*_monic_den(*compose((self.num, self.den), {}, new_table)), _reduced=True)
 
     # -- comparison / printing ----------------------------------------------------
 

@@ -6,6 +6,8 @@ monomial by monomial from powers of the leading coefficients, and a
 pushforward that composes with plain rational-function arithmetic one term at
 a time instead of the library substitution path, and parameter binding by
 ``substitute`` with constant rational functions instead of ``specialize``.
+The text renderer is the one that printed ``Fraction`` parts and walked
+every table symbol of every term.
 The numeric references are the interpreted kernel the generated one replaced:
 a term loop per polynomial and a list-based Cash-Karp step.
 These stay independent of the code they check. The seeded inputs of the differential tests (random
@@ -141,6 +143,54 @@ def naive_retable(p: MultiPoly, table: SymbolTable) -> MultiPoly:
                 exps[table.index(sym.name)] = d
         out[tuple(exps)] = c
     return MultiPoly(table, out)
+
+
+def naive_text(x: MultiPoly | GaussianRational) -> str:
+    """The canonical text of a polynomial or a coefficient, built from the
+    ``Fraction`` parts of each coefficient and the ``terms`` view sorted as
+    (total degree, exponent tuple), every table symbol walked per term."""
+    if isinstance(x, GaussianRational):
+        im = x.im
+        if im == 0:
+            return str(x.re)
+        if im == 1:
+            im_part = "i"
+        elif im == -1:
+            im_part = "-i"
+        else:
+            im_part = f"{im}*i"
+        if x.re == 0:
+            return im_part
+        sign = "+" if im > 0 else "-"
+        return f"{x.re}{sign}{im_part.lstrip('-')}"
+    if x.is_zero():
+        return "0"
+    parts = []
+    syms = x.table.symbols
+    for e, c in sorted(x.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        factors = []
+        for k, d in enumerate(e):
+            if d == 1:
+                factors.append(syms[k].name)
+            elif d > 1:
+                factors.append(f"{syms[k].name}^{d}")
+        mono = "*".join(factors)
+        if not mono:
+            coeff = naive_text(c)
+        elif c == 1:
+            coeff = ""
+        elif c == -1:
+            coeff = "-"
+        elif c.re != 0 and c.im != 0:
+            coeff = f"({naive_text(c)})*"
+        else:
+            coeff = f"{naive_text(c)}*"
+        term = coeff + mono if mono else coeff
+        if parts and not term.startswith("-"):
+            parts.append("+" + term)
+        else:
+            parts.append(term)
+    return "".join(parts).replace("+-", "-")
 
 
 def naive_lead_terms(v: VectorField):

@@ -165,7 +165,7 @@ def test_criterion_7_uniqueness():
         assert rep.matches_reference
         assert rep.homogeneous_nullity == 1
 
-    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 0.2, body)
+    _report(7, "30-coefficient holomorphy solve recovers the 5-parameter family", 0.1, body)
 
 
 def test_criterion_8a_chart_round_trips():

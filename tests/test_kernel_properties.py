@@ -2,10 +2,12 @@
 
 ``GaussianRational`` is checked against plain ``(Fraction, Fraction)``
 arithmetic, the packed monomial keys against ``(total degree, exponents)``
-tuples, ``MultiPoly`` products and their hashes against ``oracles.naive_mul``,
-``specialize``, ``value_at`` and ``vanishes`` against
-``oracles.naive_substitute_poly``, ``retable`` against ``oracles.naive_retable``,
-and the Laurent tail of ``RationalFn`` by reassembling it.
+tuples, ``MultiPoly`` products (constant operands included) and their hashes
+against ``oracles.naive_mul``, ``specialize``, ``value_at`` and ``vanishes``
+against ``oracles.naive_substitute_poly``, ``retable`` against
+``oracles.naive_retable``, the cached text of polynomials and coefficients
+against ``oracles.naive_text``, and the Laurent tail of ``RationalFn`` by
+reassembling it.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_mul, naive_retable, naive_substitute_poly
+from oracles import naive_mul, naive_retable, naive_substitute_poly, naive_text
 from threewave.errors import NotDivisible, SymbolTableMismatch
 from threewave.gaussian import GaussianRational, gr
 from threewave.poly import MultiPoly, _layout
@@ -133,6 +135,10 @@ polys = st.dictionaries(small_exponents, pairs.filter(lambda p: p != (0, 0)), ma
 )
 
 
+# 0, 1, -1, a real fraction and a Gaussian value
+CONSTANTS = [gr(0), gr(1), gr(-1), gr(Fraction(-7, 12)), gr(Fraction(3, 5), Fraction(-2, 13))]
+
+
 @KERNEL
 @given(polys, polys)
 def test_products_match_the_naive_oracle_and_divide_back(p, q):
@@ -144,6 +150,16 @@ def test_products_match_the_naive_oracle_and_divide_back(p, q):
         if not q.is_constant():
             with pytest.raises(NotDivisible):
                 (product + 1).exact_divide(q)
+    # a constant operand on either side scales p's coefficients in p's term order
+    for k in CONSTANTS:
+        c = MultiPoly.const(T, k)
+        for product, want in ((p * c, naive_mul(p, c)), (c * p, naive_mul(c, p))):
+            assert product == want and hash(product) == hash(want)
+            if not k.is_zero():
+                assert list(product.terms) == list(p.terms)
+                assert product.exact_divide(c) == p
+    one = MultiPoly.const(T, 1)
+    assert p.is_zero() or (p * one is p and one * p is p)
 
 
 @KERNEL
@@ -199,6 +215,54 @@ def test_value_at_and_vanishes_match_the_naive_oracle(p, q, values, root):
     assert [value_at(f, bindings, T) for f in (p, q)] == want
     assert vanishes((q,), bindings, T) == want[1].is_zero()
     assert vanishes((p, q), bindings, T) == (want[0].is_zero() and want[1].is_zero())
+
+
+# tables of 1 to 48 symbols, states and parameters, with sparse monomials and
+# coefficients 0, +-1, +-i, integers, fractions, pure imaginary and compound
+NAMES = ["x", "y", "z", "delta", "gamma", "alpha5", "X1", "Y1", "Z1", "lead1"] + [
+    f"c{k}" for k in range(1, 39)
+]
+tables = st.integers(1, len(NAMES)).flatmap(
+    lambda n: st.permutations(NAMES).map(
+        lambda names: table(*(f"{s}:parameter" if k % 3 == 2 else s for k, s in enumerate(names[:n])))
+    )
+)
+coefficients = st.one_of(
+    st.sampled_from([gr(0), gr(1), gr(-1), gr(0, 1), gr(0, -1),
+                     gr(Fraction(-1, 2)), gr(0, Fraction(-1, 3))]),
+    st.integers(-10**6, 10**6).map(gr),
+    fractions.map(gr),
+    fractions.map(lambda f: gr(0, f)),
+    pairs.map(lambda p: gr(*p)),
+)
+
+
+def _sparse_polys(t: SymbolTable):
+    n = len(t)
+    monomials = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=4).map(
+        lambda exps: tuple(exps.get(k, 0) for k in range(n))
+    )
+    return st.dictionaries(monomials, coefficients, max_size=6).map(lambda terms: MultiPoly(t, terms))
+
+
+@KERNEL
+@given(tables.flatmap(_sparse_polys), coefficients)
+def test_text_matches_the_naive_renderer_and_is_never_stale(p, c):
+    assert c.text() == naive_text(c)
+    assert p.text() == naive_text(p)  # cached before the values derived from p
+    t = p.table
+    k = MultiPoly.const(t, c)
+    derived = [
+        -p, p * c, p * k, k * p,
+        p.retable(SymbolTable(reversed(t.symbols))),
+        p.retable(t.extend([parameter("new")])),
+        p.specialize({s: c for s in p.variables()[:2]}),
+    ]
+    for q in derived:
+        first = q.text()
+        assert first == naive_text(q)
+        assert q.text() == first
+        assert str(q) == first and repr(q) == f"MultiPoly({first})"
 
 
 _y, _z, _delta = (MultiPoly.var(T, s) for s in ("y", "z", "delta"))

@@ -51,10 +51,11 @@ def test_products_quotients_and_powers_match_the_reducing_constructor():
     # reduced form of the plain product
     t = table("x", "y", "z", "a:parameter")
     x, y, z = (RationalFn.var(t, n) for n in ("x", "y", "z"))
-    # retabled to the reverse order, a denominator x + 2y leads with 2y
+    # retabled to the reverse order, a denominator x + 2y leads with 2y, and
+    # retable makes it monic again
     flipped = table(*reversed(t.symbols))
     odd = ((x + 1) / (x + 2 * y)).retable(flipped)
-    assert not odd.den.leading_coefficient().is_one()
+    assert odd.den.leading_coefficient().is_one()
     pairs = [(odd, ((x + 2 * y) / (z - 1)).retable(flipped)), (odd, odd)]
     rng = random.Random(29)
     syms = list(t.symbols)
@@ -67,6 +68,18 @@ def test_products_quotients_and_powers_match_the_reducing_constructor():
         assert r1**n == RationalFn(r1.num**n, r1.den**n), (r1, n)
         if not r1.is_zero():
             assert r1 ** -n == RationalFn(r1.den**n, r1.num**n), (r1, -n)
+
+
+def test_retable_onto_a_new_order_keeps_the_canonical_form():
+    # on (a, z, y, x) the denominator x + 2y leads with 2y; the value must
+    # equal, and hash like, the reducing constructor of its own parts
+    t = table("x", "y")
+    x, y = RationalFn.var(t, "x"), RationalFn.var(t, "y")
+    g = (x + 1) / (x + 2 * y)
+    r = g.retable(table("a:parameter", "z", "y", "x"))
+    assert r.text() == "(1/2*x+1/2)/(y+1/2*x)"
+    assert r == RationalFn(r.num, r.den) and hash(r) == hash(RationalFn(r.num, r.den))
+    assert r.retable(t) == g
 
 
 def test_field_arithmetic_consistency():
