@@ -18,7 +18,12 @@ class NotDivisible(ThreeWaveError):
 
 
 class DenominatorVanishes(ThreeWaveError):
-    """A substitution produced an identically-zero denominator."""
+    """A substitution produced an identically-zero denominator; ``position``
+    is the place of the failing function in a batch, when there is one."""
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
 
 
 class PoleTooHigh(ThreeWaveError):

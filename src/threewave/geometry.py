@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .errors import DenominatorVanishes, PoleTooHigh, VerificationFailed
 from .gaussian import GaussianRational
 from .poly import MultiPoly
-from .ratfunc import RationalFn, clear_denominators, composition, substitute
+from .ratfunc import RationalFn, clear_denominators, images, specialize_all, substitute
 from .symbols import Symbol, SymbolTable
 
 
@@ -79,10 +79,12 @@ class VectorField:
         return all(c.is_polynomial() for c in self.components)
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "VectorField":
-        """The field at exact parameter values (itself when nothing is bound)."""
-        if not bindings:
+        """The field at exact parameter values, its components specialized in
+        one batch (itself when nothing bound occurs)."""
+        comps = specialize_all(self.components, bindings)
+        if _same(comps, self.components):
             return self
-        return VectorField(self.chart, [c.specialize(bindings) for c in self.components])
+        return VectorField(self.chart, comps)
 
     def retable(self, new_table: SymbolTable) -> "VectorField":
         return VectorField(self.chart, [c.retable(new_table) for c in self.components])
@@ -129,35 +131,39 @@ class ChartMap:
         return self.forward[0].table
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "ChartMap":
-        """The map at exact parameter values, verified again, since a value can
-        make it singular (itself when nothing is bound)."""
-        if not bindings:
+        """The map at exact parameter values, both directions specialized in
+        one batch: itself when nothing bound occurs, else verified again,
+        since a value can make it singular."""
+        fns = self.forward + self.inverse
+        try:
+            out = specialize_all(fns, bindings)
+        except DenominatorVanishes as exc:
+            direction, k = ("forward", "inverse")[exc.position // 3], exc.position % 3
+            raise DenominatorVanishes(
+                f"chart map {self.source.name}->{self.target.name}: {direction} "
+                f"component {k + 1} ({fns[exc.position].text()}): {exc}"
+            ) from None
+        if _same(out, fns):
             return self
-        halves = []
-        for direction, fns in (("forward", self.forward), ("inverse", self.inverse)):
-            half = []
-            for k, f in enumerate(fns, 1):
-                try:
-                    half.append(f.specialize(bindings))
-                except DenominatorVanishes as exc:
-                    raise DenominatorVanishes(
-                        f"chart map {self.source.name}->{self.target.name}: {direction} "
-                        f"component {k} ({f.text()}): {exc}"
-                    ) from None
-            halves.append(half)
-        return ChartMap(self.source, self.target, *halves)
+        return ChartMap(self.source, self.target, out[:3], out[3:])
 
     def _verify(self):
         """Each composite is the identity: every component composed with the
-        other direction is the fraction num/den of its variable x, num == x*den."""
+        other direction is a fraction num/den of its variable x, num == x*den.
+        The three components of a direction are composed in one batch, which
+        puts each fraction over the same nonzero factor more and so decides
+        the same."""
         table = self.table
         for name, inner, outer, inner_vars, outer_vars in (
             ("inverse o forward", self.forward, self.inverse, self.target.vars, self.source.vars),
             ("forward o inverse", self.inverse, self.forward, self.source.vars, self.target.vars),
         ):
-            binding = dict(zip(inner_vars, inner))
-            for f, var in zip(outer, outer_vars):
-                num, den = composition(f, binding, table)
+            parts = images([p for f in outer for p in (f.num, f.den)],
+                           dict(zip(inner_vars, inner)), table)
+            for k, var in enumerate(outer_vars):
+                num, den = parts[2 * k], parts[2 * k + 1]
+                if den.is_zero():
+                    raise DenominatorVanishes("denominator identically zero after composition")
                 if num != den.shift_var(var, 1):
                     raise ValueError(
                         f"chart map {self.source.name}->{self.target.name} is not invertible: "
@@ -166,6 +172,11 @@ class ChartMap:
 
     def __repr__(self):
         return f"ChartMap({self.source.name} -> {self.target.name})"
+
+
+def _same(new: Sequence, old: Sequence) -> bool:
+    """Whether a batch came back as the very objects it was made of."""
+    return all(a is b for a, b in zip(new, old))
 
 
 @dataclass(frozen=True)

@@ -208,10 +208,11 @@ class NumericAtlas:
 
     ``maps`` are base-to-chart maps (the identity chart included). Finite
     ``params`` by parameter name of ``v`` are bound exactly, as on the command
-    line; the maps are verified again there, and the memoized push of ``v``
-    through each is specialized there. A parameter without a value, or a name
-    that is no parameter, raises ``KeyError``. Unless ``require_polynomial``
-    is false, a field not polynomial on some chart raises ``AnalysisFailed``.
+    line; each map that changes there is verified again, and the memoized
+    push of ``v`` through each is specialized there. A parameter without a
+    value, or a name that is no parameter, raises ``KeyError``. Unless
+    ``require_polynomial`` is false, a field not polynomial on some chart
+    raises ``AnalysisFailed``.
     ``poles`` holds the charts whose boundary coordinate reads a pole.
     """
 

@@ -533,11 +533,16 @@ def compose(
     c * mu * prod s_k^e_k maps to c * mu * prod F_k[e_k], F_k[e] = num_k^e *
     den_k^(d_k - e) or a constant's power (a scalar), built once per distinct
     bound part of a key; the unbound monomial mu moves to the same names in
-    ``table`` (SymbolTableMismatch for a name missing there). With nothing
-    bound that occurs, ``polys`` on the same table are returned as they are.
-    A total degree above ``MAX_DEGREE`` raises ``ValueError``."""
+    ``table`` (SymbolTableMismatch for a name missing there). On the same
+    table, ``polys`` are returned as they are when nothing bound occurs, and
+    with constants bound, which add no factor, so is each polynomial in
+    which no bound symbol occurs. A total degree above ``MAX_DEGREE`` raises
+    ``ValueError``."""
     src, old = polys[0], polys[0]._lay
-    seen = _occurring(polys) if bound else 0
+    occurs = [_occurring((p,)) for p in polys] if bound else []
+    seen = 0
+    for o in occurs:
+        seen |= o
     mask, scalars, factors = 0, [], []
     for k, b in bound.items():
         s = old.shifts[k]
@@ -550,7 +555,8 @@ def compose(
         else:
             scalars.append((s, [None, b[0].constant_value() if isinstance(b, tuple) else b]))
     # each move (mask, shift, new shift) carries the fields under its mask
-    if src.table is table or src.table == table:
+    same = src.table is table or src.table == table
+    if same:
         if not mask:
             return list(polys)
         lay, moves = old, [(~mask, 0, 0)]
@@ -570,7 +576,11 @@ def compose(
                 moves.append((MAX_DEGREE << s, s, lay.shifts[table.index(sym)]))
     products: dict[int, tuple[int, list]] = {}  # bound fields -> (their degree on ``table``, image)
     images = []
-    for p in polys:
+    keep = same and not factors
+    for k, p in enumerate(polys):
+        if keep and not occurs[k] & mask:
+            images.append(p)
+            continue
         offs = [0] * len(p._terms)
         for m, s, t in moves:
             offs = [o | (e & m) >> s << t for o, e in zip(offs, p._terms)]

@@ -15,13 +15,15 @@ a/b and c/d, with g1 = gcd(a, d) and g2 = gcd(c, b), the fraction
 parts replace one of the whole product; a power of a reduced value is
 reduced as it stands. Composite operations build their result as one
 polynomial fraction and construct it once: :func:`substitute` reduces the
-fraction :func:`composition` maps numerator and denominator to, over a shared
+fraction of the :func:`images` of numerator and denominator, over a shared
 denominator that cancels, and :func:`clear_denominators` puts a list of
 values over one common denominator (the pushforward's field, a deflated
-quotient). :func:`value_at` puts values into a polynomial. The certificates
-skip the reduction: a chart map compares the fraction with its variable by
-cross-multiplication, and :func:`vanishes`, by which every claimed root,
-point and solution is checked, tests the numerator image of a polynomial.
+quotient). :func:`value_at` puts values into a polynomial, and
+:func:`specialize_all` puts constants into many functions in one
+composition. The certificates skip the reduction: a chart map compares each
+fraction with its variable by cross-multiplication, and :func:`vanishes`, by
+which every claimed root, point and solution is checked, tests the numerator
+image of a polynomial.
 """
 
 from __future__ import annotations
@@ -179,13 +181,7 @@ class RationalFn:
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "RationalFn":
         """Exact constant values put in for some symbols (``self`` when none occurs)."""
-        index = self.table.index
-        num, den = compose((self.num, self.den), {index(s): v for s, v in bindings.items()}, self.table)
-        if den is self.den:  # nothing bound occurs
-            return self
-        if den.is_zero():
-            raise DenominatorVanishes("denominator vanishes at the given values")
-        return RationalFn(num, den)
+        return specialize_all((self,), bindings)[0]
 
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         return self.num.eval_complex(values) / self.den.eval_complex(values)
@@ -278,6 +274,34 @@ def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     return num, den
 
 
+def specialize_all(
+    fns: Sequence[RationalFn], bindings: Mapping[Symbol, GaussianRational]
+) -> list[RationalFn]:
+    """Exact constant values put in for some symbols of ``fns`` (over one
+    table), by one :func:`~threewave.poly.compose` of all their numerators
+    and denominators. A constant adds no denominator factor, so each value
+    is the one it has alone, and a function in which nothing bound occurs is
+    returned as itself. A denominator that vanishes raises
+    :class:`~threewave.errors.DenominatorVanishes` with the function's place
+    in ``fns`` as its ``position``."""
+    if not fns:
+        return []
+    table = fns[0].table
+    index = table.index
+    parts = compose([p for f in fns for p in (f.num, f.den)],
+                    {index(s): v for s, v in bindings.items()}, table)
+    out = []
+    for k, f in enumerate(fns):
+        num, den = parts[2 * k], parts[2 * k + 1]
+        if num is f.num and den is f.den:
+            out.append(f)
+        elif den.is_zero():
+            raise DenominatorVanishes("denominator vanishes at the given values", position=k)
+        else:
+            out.append(RationalFn(num, den))
+    return out
+
+
 def substitute(
     f: RationalFn, bindings: Mapping[Symbol, RationalFn], table: SymbolTable
 ) -> RationalFn:
@@ -294,23 +318,18 @@ def substitute(
     (:func:`~threewave.poly.compose`), which cancels, so the result is the
     single fraction image(f.num) / image(f.den), reduced once.
     """
-    return RationalFn(*composition(f, bindings, table))
-
-
-def composition(
-    f: RationalFn, bindings: Mapping[Symbol, RationalFn], table: SymbolTable
-) -> tuple[MultiPoly, MultiPoly]:
-    """The unreduced fraction that :func:`substitute` reduces."""
-    num, den = _images((f.num, f.den), bindings, table)
+    num, den = images((f.num, f.den), bindings, table)
     if den.is_zero():
         raise DenominatorVanishes("denominator identically zero after composition")
-    return num, den
+    return RationalFn(num, den)
 
 
-def _images(polys: Sequence[MultiPoly], bindings: Mapping[Symbol, RationalFn],
-            table: SymbolTable) -> list[MultiPoly]:
+def images(polys: Sequence[MultiPoly], bindings: Mapping[Symbol, RationalFn],
+           table: SymbolTable) -> list[MultiPoly]:
     """:func:`~threewave.poly.compose` of ``polys`` with the bindings of
-    their symbols, over ``table``."""
+    their symbols, over ``table``: each image is over the same nonzero
+    product of the bindings' denominators, so a ratio of two images is a
+    ratio of values, and the image of 1 is that product."""
     src = polys[0].table
     bound = {}
     for s, b in bindings.items():
@@ -331,7 +350,7 @@ def vanishes(polys: Iterable[MultiPoly], bindings: Mapping[Symbol, RationalFn],
     the one certificate of a claimed root, point or solution. It stops at the
     first nonzero value. The image of a polynomial is over a product of
     nonzero denominators, so its numerator alone decides."""
-    return all(_images((p,), bindings, table)[0].is_zero() for p in polys)
+    return all(images((p,), bindings, table)[0].is_zero() for p in polys)
 
 
 def clear_denominators(

@@ -275,7 +275,8 @@ def pipeline_report(system, params=None) -> dict:
 
 def atlas_report(system, params=None, atlas_name: str = "resolved") -> dict:
     m = models.model(system)
-    # every map, specialized, is verified again: a map singular at the point fails here
+    # every map is specialized and, where it changed, verified again: a map
+    # singular at the point fails here
     models.atlas(m, atlas_name, params)
     maps = m.atlas(atlas_name)
     verdicts = models.verify_atlas_holomorphy([models.chart_field(m, cm, params) for cm in maps])

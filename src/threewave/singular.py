@@ -53,7 +53,9 @@ from .geometry import (
     Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
 )
 from .poly import MultiPoly, compose, content_in, poly_gcd, resultant
-from .ratfunc import RationalFn, pole_coefficients, substitute, value_at, vanishes
+from .ratfunc import (
+    RationalFn, images, pole_coefficients, specialize_all, substitute, value_at, vanishes,
+)
 from .roots import find_roots
 from .symbols import Symbol, names_apart, parameter
 
@@ -97,9 +99,9 @@ def find_accessible(v: VectorField) -> AccessibleScan:
     """
     chart = v.chart
     lp = log_pole_decomposition(v)
-    zero = {v.table.get(chart.boundary.name): GaussianRational(0)}
-    gs = tuple((sym, g.specialize(zero)) for sym, g in lp.transverse)
-    points, residuals = _boundary_points(chart, gs)
+    syms, gs = zip(*lp.transverse)
+    on_divisor = compose(gs, {v.table.index(chart.boundary): GaussianRational(0)}, v.table)
+    points, residuals = _boundary_points(chart, tuple(zip(syms, on_divisor)))
     return AccessibleScan(points, residuals, lp)
 
 
@@ -180,21 +182,22 @@ def linear_part(lp: LogPoleForm, p: AccessiblePoint) -> list[list[RationalFn]]:
     """
     table = lp.boundary_part.table
     order = boundary_first_order(p.chart, p.boundary)
-    # the point's coordinates may carry parameter denominators
-    at_p = dict(zip(p.chart.vars, p.coords))
     polys = [MultiPoly.var(table, p.boundary) * lp.boundary_part]
     polys += [g for _, g in lp.transverse]
-    rows = []
-    for sym, g in zip(order, polys):
-        if sym != p.boundary:
-            value = value_at(g, at_p, table)
-            if not value.is_zero():
-                raise VerificationFailed(
-                    f"point {p.text()} is not accessible: d{sym.name}/dt has constant part "
-                    f"{value.text()}"
-                )
-        rows.append([value_at(g.derivative(col), at_p, table) for col in order])
-    return rows
+    # one composition at the point, whose coordinates may carry parameter
+    # denominators: each value is an image over the image of 1
+    one, *values = images(
+        [MultiPoly.const(table, 1), *polys[1:], *(g.derivative(col) for g in polys for col in order)],
+        dict(zip(p.chart.vars, p.coords)), table,
+    )
+    for sym, value in zip(order[1:], values):
+        if not value.is_zero():
+            raise VerificationFailed(
+                f"point {p.text()} is not accessible: d{sym.name}/dt has constant part "
+                f"{RationalFn(value, one).text()}"
+            )
+    entries = [RationalFn(e, one) for e in values[2:]]
+    return [entries[k:k + 3] for k in (0, 3, 6)]
 
 
 @dataclass(frozen=True)
@@ -775,18 +778,21 @@ def _resolve(vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
     is the lineage's, specialized, and the result is None at the first step
     that does not match."""
     scan = find_accessible(vw)
-    # the lineage's linear parts, keyed by their points' specialized coordinates
+    # the lineage's linear parts, specialized, keyed by their points'
+    # specialized coordinates; a point with a vanishing denominator is left out
     known = {}
     if lineage is not None:
         for (q, _), A in zip(lineage.weighted_points, lineage.linear_parts):
-            known[_specialized(q.coords, bindings)] = A
+            at_q = _specialized((*q.coords, *(x for row in A for x in row)), bindings)
+            if at_q is not None:
+                known[at_q[:3]] = tuple(at_q[k:k + 3] for k in (3, 6, 9))
     linear_parts = []
     for p in scan.points:
         if lineage is None:
             rows = tuple(map(tuple, linear_part(scan.form, p)))
         else:
-            rows = tuple(_specialized(row, bindings) for row in known.get(p.coords, ()))
-            if not rows or None in rows:
+            rows = known.get(p.coords)
+            if rows is None:
                 return None
         linear_parts.append(rows)
     decorated = tuple(
@@ -815,11 +821,12 @@ def _resolve(vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
             fields.append(nxt.field)
         else:
             ours = ((lineage.entry_point,) + lineage.centers)[step]
-            taken = (_specialized(ours.coords, bindings) == current_point.coords
-                     and _specialized((lineage.fields[step + 1],), bindings))
-            if not taken:
+            if _specialized(ours.coords, bindings) != current_point.coords:
                 return None
-            fields += taken
+            field = _specialized(lineage.fields[step + 1], bindings)
+            if field is None:
+                return None
+            fields.append(field)
         if step < steps - 1:
             inner = find_accessible(fields[-1])
             if len(inner.points) != 1:
@@ -848,9 +855,12 @@ def _resolve(vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
 
 
 def _specialized(values, bindings):
-    """Each of ``values`` (rational functions or fields) specialized at
-    ``bindings``, or None when a denominator vanishes there."""
+    """A field, or a sequence of rational functions over one table,
+    specialized at ``bindings`` in one batch, or None when a denominator
+    vanishes there."""
     try:
-        return tuple(v.specialize(bindings) for v in values)
+        if isinstance(values, VectorField):
+            return values.specialize(bindings)
+        return tuple(specialize_all(values, bindings))
     except DenominatorVanishes:
         return None

@@ -4,8 +4,10 @@ Everything here is deliberately naive and favours obviousness over speed:
 term-by-term dictionary multiplication, dominant-balance equations built
 monomial by monomial from powers of the leading coefficients, and a
 pushforward that composes with plain rational-function arithmetic one term at
-a time instead of the library substitution path, and parameter binding by
-``substitute`` with constant rational functions instead of ``specialize``.
+a time instead of the library substitution path, parameter binding by
+``substitute`` with constant rational functions instead of ``specialize``,
+or term by term for each numerator and denominator alone, and a linear part
+read entry by entry.
 The text renderer is the one that printed ``Fraction`` parts and walked
 every table symbol of every term.
 The numeric references are the interpreted kernel the generated one replaced:
@@ -26,7 +28,7 @@ from threewave.errors import DenominatorVanishes
 from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
-from threewave.ratfunc import RationalFn, substitute
+from threewave.ratfunc import RationalFn, substitute, value_at
 from threewave.singular import Balance, blow_up, solve_branches
 from threewave.symbols import SymbolTable, names_apart, parameter, table as make_table
 
@@ -89,6 +91,28 @@ def naive_substitute(f: RationalFn, bindings: dict) -> RationalFn:
     num = naive_substitute_poly(f.num, bindings)
     den = naive_substitute_poly(f.den, bindings)
     return num / den
+
+
+def naive_specialize(f: RationalFn, bindings: dict) -> RationalFn | None:
+    """``f`` at the constant ``bindings`` ({symbol: GaussianRational}), its
+    numerator and denominator each put through :func:`naive_substitute_poly`
+    on their own; None when the denominator vanishes there."""
+    if not bindings:
+        return f
+    values = {s: RationalFn.const(f.table, c) for s, c in bindings.items()}
+    den = naive_substitute_poly(f.den, values)
+    return None if den.is_zero() else naive_substitute_poly(f.num, values) / den
+
+
+def naive_linear_part(lp, p) -> list[list[RationalFn]]:
+    """The linear part at the accessible point ``p`` of the log-pole form
+    ``lp``, entry by entry: each Jacobian entry of the boundary-scaled
+    polynomials a separate ``value_at`` at the point."""
+    table = lp.boundary_part.table
+    order = (p.boundary,) + tuple(s for s in p.chart.vars if s != p.boundary)
+    at_p = dict(zip(p.chart.vars, p.coords))
+    polys = [MultiPoly.var(table, p.boundary) * lp.boundary_part] + [g for _, g in lp.transverse]
+    return [[value_at(g.derivative(col), at_p, table) for col in order] for g in polys]
 
 
 def oracle_pushforward(v: VectorField, cmap: ChartMap) -> list[RationalFn]:

@@ -64,7 +64,7 @@ def test_criterion_2_local_index_tables():
             idx = local_index(v, p)
             assert tuple(e.text() for e in idx.eigenvalues) == eig, name
 
-    _report(2, "local index tables for P1..P4(2), exact", 0.3, body)
+    _report(2, "local index tables for P1..P4(2), exact", 0.1, body)
 
 
 def test_criterion_3_painleve_exponents():
@@ -128,7 +128,7 @@ def test_criterion_5_atlas_verification():
                 count += 1
         assert count == 6
 
-    _report(5, "atlas polynomiality on the condition locus; six unit Jacobians", 0.3, body)
+    _report(5, "atlas polynomiality on the condition locus; six unit Jacobians", 0.1, body)
 
 
 def test_criterion_6_symmetry():

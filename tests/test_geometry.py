@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import differential_maps, naive_substitute, oracle_pushforward, random_ratfn
+from oracles import (
+    differential_maps, naive_specialize, naive_substitute, oracle_pushforward, random_ratfn,
+)
 from threewave import models, poly, ratfunc
 from threewave.errors import DenominatorVanishes, PoleTooHigh
 from threewave.poly import MultiPoly
@@ -254,3 +257,170 @@ def test_pushforward_matches_term_by_term_chain_rule():
                     acc = acc + fk.derivative(src[j]) * comps[j]
                 want.append(naive_substitute(acc, inverse))
             assert list(pushforward(v, cmap).components) == want, cmap
+
+
+# -- one composition per object -----------------------------------------------------
+
+_VALUES = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), gr(0, 1), gr(1, -2), None]
+
+
+def _seeded_bindings(rng, tab, count=4):
+    """``count`` bindings of the parameters of ``tab`` to seeded values, each
+    parameter left unbound at random."""
+    out = []
+    for _ in range(count):
+        values = {s: rng.choice(_VALUES) for s in tab.parameters()}
+        out.append({s: gr(v) for s, v in values.items() if v is not None})
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # both sides must fail alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _check_unchanged_kept(before, after, bindings):
+    """A value in which no bound symbol occurs comes back as the same object."""
+    for f, g in zip(before, after):
+        if not set(f.variables()) & set(bindings):
+            assert g is f, f
+
+
+def test_field_specialization_matches_the_per_component_oracle():
+    # each built-in field and each field pushed through a built-in map, at
+    # seeded points, against its components specialized one by one
+    rng = random.Random(3801)
+    for kind in ("three-wave", "modified"):
+        m = models.model(kind)
+        base = m.fields[m.base.name]
+        fields = list(m.fields.values())
+        fields += [models.pushed_field(base, cm) for name in ("projective", "resolved")
+                   for cm in m.atlas(name)[1:]]
+        for bindings in _seeded_bindings(rng, m.table, 6):
+            for v in fields:
+                want = [naive_specialize(c, bindings) for c in v.components]
+                if None in want:
+                    with pytest.raises(DenominatorVanishes,
+                                       match="^denominator vanishes at the given values$"):
+                        v.specialize(bindings)
+                    continue
+                got = v.specialize(bindings)
+                assert list(got.components) == want, (kind, bindings)
+                _check_unchanged_kept(v.components, got.components, bindings)
+                assert (got is v) == all(g is c for g, c in zip(got.components, v.components))
+
+
+def _maps_with_parameter_denominators(t, src, dst) -> list[ChartMap]:
+    """(x, y, mu*z) with its inverse, singular at mu = 0, and a Moebius map
+    in z whose composite loses its denominator at mu = 1."""
+    x, y, z, mu = (RationalFn.var(t, n) for n in ("x", "y", "z", "mu"))
+    X, Y, Z = (RationalFn.var(t, n) for n in ("X", "Y", "Z"))
+    return [ChartMap(src, dst, [x, y, mu * z], [X, Y, Z / mu]),
+            ChartMap(src, dst, [x, y * (mu - 1) / (z + 1), (z + mu) / (z + 1)],
+                     [X, Y / (Z - 1), (Z - mu) / (1 - Z)])]
+
+
+def test_map_specialization_matches_the_per_component_oracle(simple):
+    # every built-in map, three blow-up charts and two maps singular at some
+    # values, at seeded points: the one batch of both directions against each
+    # component specialized alone, the same map where nothing bound occurs,
+    # else the map verified again
+    rng = random.Random(3802)
+    cases = [(cmap, _seeded_bindings(rng, cmap.table)) for cmap in differential_maps()]
+    mu = simple[0].get("mu")
+    cases += [(cmap, [{mu: gr(v)} for v in _VALUES if v is not None])
+              for cmap in _maps_with_parameter_denominators(*simple)]
+    failures = set()
+    for cmap, points in cases:
+        fns = cmap.forward + cmap.inverse
+        for bindings in points:
+            want = [naive_specialize(f, bindings) for f in fns]
+            got = _outcome(lambda: cmap.specialize(bindings))
+            if None in want:
+                k = want.index(None)
+                failures.add("component")
+                assert got == (
+                    f"DenominatorVanishes: chart map {cmap.source.name}->{cmap.target.name}: "
+                    f"{('forward', 'inverse')[k // 3]} component {k % 3 + 1} ({fns[k].text()}): "
+                    "denominator vanishes at the given values"
+                )
+                continue
+            expected = _outcome(lambda: ChartMap(cmap.source, cmap.target, want[:3], want[3:]))
+            if isinstance(expected, str):
+                failures.add("composite")
+                assert got == expected
+                continue
+            assert got.forward + got.inverse == tuple(want), (cmap, bindings)
+            _check_unchanged_kept(fns, got.forward + got.inverse, bindings)
+            if not any(set(f.variables()) & set(bindings) for f in fns):
+                assert got is cmap
+    assert failures == {"component", "composite"}
+
+
+def test_a_map_singular_at_the_point_names_its_component(simple):
+    # the message of the map's first vanishing denominator, as when each
+    # component was specialized alone
+    t, src, dst = simple
+    x, y, z, mu = (RationalFn.var(t, n) for n in ("x", "y", "z", "mu"))
+    X, Y, Z = (RationalFn.var(t, n) for n in ("X", "Y", "Z"))
+    cmap = ChartMap(src, dst, [x, y, mu * z], [X, Y, Z / mu])
+    with pytest.raises(DenominatorVanishes) as info:
+        cmap.specialize({t.get("mu"): gr(0)})
+    assert str(info.value) == (
+        "chart map S->D: inverse component 3 (Z/(mu)): denominator vanishes at the given values"
+    )
+    with pytest.raises(DenominatorVanishes) as info:
+        ratfunc.specialize_all([x, y / (mu - 1), Z / mu], {t.get("mu"): gr(0)})
+    assert info.value.position == 2
+
+
+def test_the_verifier_refuses_the_first_wrong_component_as_per_component_composition():
+    # each verified map with one component of a direction spoiled: the batch
+    # of a direction's three compositions refuses the first component whose
+    # composite, composed alone term by term, is not its variable
+    rng = random.Random(3803)
+    for cmap in differential_maps():
+        for _ in range(2):
+            fwd, inv = list(cmap.forward), list(cmap.inverse)
+            half = rng.choice((fwd, inv))
+            k = rng.randrange(3)
+            half[k] = half[k] * 2 + rng.choice((0, 1))
+            message = None
+            for name, inner, outer, inner_vars, outer_vars in (
+                ("inverse o forward", fwd, inv, cmap.target.vars, cmap.source.vars),
+                ("forward o inverse", inv, fwd, cmap.source.vars, cmap.target.vars),
+            ):
+                binding = dict(zip(inner_vars, inner))
+                for f, var in zip(outer, outer_vars):
+                    value = naive_substitute(f, binding)
+                    if message is None and value != RationalFn.var(cmap.table, var):
+                        message = f"{name} gives {value.text()} for {var.name}"
+            with pytest.raises(ValueError) as info:
+                ChartMap(cmap.source, cmap.target, fwd, inv)
+            assert str(info.value).endswith(f"is not invertible: {message}"), cmap
+
+
+def _composes(monkeypatch) -> list:
+    real, calls = ratfunc.compose, []
+    monkeypatch.setattr(ratfunc, "compose", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_each_field_and_map_is_specialized_in_one_composition(monkeypatch):
+    calls = _composes(monkeypatch)
+    changed = []
+    for kind, params in (("three-wave", [1, 2]), ("modified", [1, 2, 3, 4, 5])):
+        m = models.model(kind)
+        bindings = models.bind_parameters(m, params)
+        calls.clear()
+        assert m.fields[m.base.name].specialize(bindings) != m.fields[m.base.name]
+        assert len(calls) == 1
+        for cmap in m.atlas("resolved")[1:]:
+            calls.clear()
+            got = cmap.specialize(bindings)
+            # a map that changed is verified again: one composition per direction
+            assert len(calls) == (1 if got is cmap else 3), cmap
+            changed.append(got is not cmap)
+    assert True in changed and False in changed

@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_mul
 from threewave.errors import NotDivisible, SymbolTableMismatch
 from threewave.gaussian import gr
-from threewave.poly import MAX_DEGREE, MultiPoly, poly_gcd, poly_sqrt, resultant
+from threewave.poly import MAX_DEGREE, MultiPoly, compose, poly_gcd, poly_sqrt, resultant
 from threewave.symbols import table
 
 
@@ -224,3 +224,17 @@ def test_degree_beyond_the_packed_field_raises():
         y ** (MAX_DEGREE + 1)
     with pytest.raises(ValueError, match="negative"):
         MultiPoly(t, {(-1, 2): gr(1)})
+
+
+def test_compose_returns_a_polynomial_free_of_bound_constants_as_itself(xyz):
+    # constants add no factor, so a polynomial in which no bound symbol occurs
+    # is its own image; a rational binding puts den^d on every image
+    t, x, y, z = xyz
+    p, q = x * y + 3, y * z - 1
+    bound = {t.index("x"): gr(2)}
+    image_p, image_q = compose((p, q), bound, t)
+    assert image_p == 2 * y + 3 and image_q is q
+    assert compose((q, p), {t.index("x"): gr(0)}, t)[0] is q
+    den = z + 1
+    image_p, image_q = compose((p, q), {t.index("x"): (y, den)}, t)
+    assert image_p == y * y + 3 * den and image_q == q * den

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import differential_maps, naive_substitute, naive_substitute_poly, random_ratfn
+from oracles import (
+    differential_maps, naive_specialize, naive_substitute, naive_substitute_poly, random_ratfn,
+)
 from threewave.errors import DenominatorVanishes
 from threewave.gaussian import gr
 from threewave.poly import MAX_DEGREE, MultiPoly, poly_gcd
-from threewave.ratfunc import RationalFn, substitute, vanishes
+from threewave.ratfunc import RationalFn, specialize_all, substitute, vanishes
 from threewave.symbols import table
 
 
@@ -279,3 +281,31 @@ def test_substitute_equals_separate_images_divided():
                 num = substitute(RationalFn.from_poly(f.num), bindings, t)
                 den = substitute(RationalFn.from_poly(f.den), bindings, t)
                 assert substitute(f, bindings, t) == num / den
+
+
+def test_one_batch_specializes_each_function_as_alone():
+    # random functions of x, y and z with x and y bound to constants in one
+    # composition: each value equals the per-function oracle, a function free
+    # of x and y comes back as the same object, and a vanishing denominator
+    # reports its place
+    t = table("x", "y", "z")
+    x, y = t.get("x"), t.get("y")
+    rng = random.Random(3804)
+    vanished = 0
+    for _ in range(40):
+        fns = [random_ratfn(rng, t, rng.choice(([t.get("z")], list(t.symbols)))) for _ in range(5)]
+        bindings = {x: gr(rng.choice((0, 1, -2, Fraction(1, 2)))), y: gr(rng.choice((0, 1)), 1)}
+        want = [naive_specialize(f, bindings) for f in fns]
+        if None in want:
+            with pytest.raises(DenominatorVanishes) as info:
+                specialize_all(fns, bindings)
+            assert info.value.position == want.index(None)
+            vanished += 1
+            continue
+        got = specialize_all(fns, bindings)
+        assert got == want
+        for f, g in zip(fns, got):
+            if not {x, y} & set(f.variables()):
+                assert g is f
+    assert vanished
+    assert specialize_all([], {x: gr(1)}) == []

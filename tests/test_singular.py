@@ -6,17 +6,18 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    LEAD_VANISHES, bench_workloads, naive_balance_equations, naive_balance_holds, on_branch,
-    random_polynomial_field, unpruned_balance_search,
+    LEAD_VANISHES, bench_workloads, naive_balance_equations, naive_balance_holds,
+    naive_linear_part, naive_specialize, on_branch, random_polynomial_field,
+    unpruned_balance_search,
 )
-from threewave import models, reports, singular
+from threewave import models, ratfunc, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
 from threewave.geometry import (
     Chart, ChartMap, VectorField, det3, log_pole_decomposition, power_scaled_chart, pushforward,
 )
 from threewave.poly import MultiPoly
-from threewave.ratfunc import RationalFn, substitute
+from threewave.ratfunc import RationalFn, substitute, value_at
 from threewave.singular import (
     blow_up,
     classify_alpha_matrix,
@@ -1090,3 +1091,97 @@ def test_generic_pin_whose_denominator_vanishes_is_dropped():
     eqs = [parse_expr(e, t).num for e in ("2*a*c + b - 1", "-b*c", "-b*c - 2*c")]
     branches = singular.solve_branches(eqs, tuple(t.get(n) for n in "abc"), t)
     assert [b.text() for b in branches] == ["{b = 1, c = 0}"]
+
+
+# -- one composition per object ----------------------------------------------------------
+
+
+def _lineage_outcomes(lineage, bindings) -> list[bool]:
+    """Whether each object a run at ``bindings`` takes from ``lineage`` (each
+    weighted point with its linear part, each center, the composed map, each
+    pushed field) is defined there, asserting that its one-batch
+    specialization equals its values specialized one by one."""
+    batches = [(*q.coords, *(x for row in A for x in row))
+               for (q, _), A in zip(lineage.weighted_points, lineage.linear_parts)]
+    batches += [p.coords for p in (lineage.entry_point, *lineage.centers)]
+    batches.append(lineage.composed_forward)
+    defined = []
+    for values in batches + list(lineage.fields):
+        fns = values.components if isinstance(values, VectorField) else values
+        want = [naive_specialize(f, bindings) for f in fns]
+        if None not in want:
+            want = VectorField(values.chart, want) if isinstance(values, VectorField) else tuple(want)
+        else:
+            want = None
+        assert singular._specialized(values, bindings) == want
+        defined.append(want is not None)
+    return defined
+
+
+def test_lineage_specializations_match_the_per_component_oracle():
+    # the built-ins' lineages at the differential points, and lineages with a
+    # pole at delta = 2 at (2, 0)
+    defined = []
+    for kind, params in _differential_points():
+        defined += _lineage_outcomes(_pipeline(kind), models.bind_parameters(kind, params))
+    for _, lineage in _doctored_lineages():
+        defined += _lineage_outcomes(lineage, models.bind_parameters("three-wave", [2, 0]))
+    assert True in defined and False in defined
+
+
+def _random_boundary_fields():
+    """Seeded fields with simple poles along X = 0 whose accessible points
+    include (0, a/(c*delta), b): a coordinate with a parameter denominator."""
+    rng = random.Random(3805)
+    fields = []
+    for _ in range(24):
+        a, b, c, *r = (rng.choice((-2, -1, 1, 2, 3)) for _ in range(9))
+        t = rng.choice(("0", "1", "delta"))
+        gy = f"({c}*delta*Y - {a})*({r[0]}*Y + {r[1]}*Z + {t}) + {r[2]}*(Z - {b})"
+        gz = f"(Z - {b})*({r[3]}*Y + {r[4]}) + {r[5]}*(delta*Y*{c} - {a})*Y^2"
+        fields.append(_boundary_x_field(gy, gz))
+    return fields
+
+
+def test_linear_part_matches_the_per_entry_oracle():
+    # the batched linear part against each entry put in alone, at every
+    # accessible point of both built-ins' scan charts and of seeded fields;
+    # a point moved off the divisor's zeros fails with the per-entry message
+    scans = [reports.scan_chart(kind, params, name)
+             for kind, params in (("three-wave", None), ("three-wave", [1, 0]), ("modified", None),
+                                  ("modified", [1, 2, 3, 2, 5]))
+             for name in reports.scan_charts(kind)]
+    for v in _random_boundary_fields():
+        try:
+            scans.append((v, find_accessible(v)))
+        except PositiveDimensional:
+            pass
+    points = denominators = 0
+    for v, scan in scans:
+        for p in scan.points:
+            assert linear_part(scan.form, p) == naive_linear_part(scan.form, p), p.text()
+            points += 1
+            denominators += any(not c.is_polynomial() for c in p.coords)
+            k = next(k for k, s in enumerate(p.chart.vars) if s != p.boundary)
+            coords = list(p.coords)
+            coords[k] = coords[k] + 1
+            moved = singular.AccessiblePoint(p.chart, tuple(coords))
+            table = scan.form.boundary_part.table
+            at = dict(zip(p.chart.vars, moved.coords))
+            sym, g = next((s, g) for s, g in scan.form.transverse
+                          if not value_at(g, at, table).is_zero())
+            with pytest.raises(VerificationFailed) as info:
+                linear_part(scan.form, moved)
+            assert str(info.value) == (f"point {moved.text()} is not accessible: d{sym.name}/dt "
+                                       f"has constant part {value_at(g, at, table).text()}")
+    assert points > 20 and denominators > 5
+
+
+def test_linear_part_is_one_composition(monkeypatch):
+    real, calls = ratfunc.compose, []
+    monkeypatch.setattr(ratfunc, "compose", lambda *args: calls.append(1) or real(*args))
+    for name, (v, p) in _named().items():
+        lp = log_pole_decomposition(v)
+        calls.clear()
+        linear_part(lp, p)
+        assert len(calls) == 1, name
