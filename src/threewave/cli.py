@@ -23,7 +23,7 @@ import os
 import re
 import sys
 
-from . import models, reports
+from . import models
 from .errors import AnalysisFailed, ThreeWaveError
 from .gaussian import GaussianRational
 from .parsing import ModelFile, parse_expr
@@ -251,6 +251,8 @@ def _dispatch(args) -> int:
     params = _parse_params(system, args.params, numeric)
     if numeric:
         return _run_numeric(args, system, params)
+    # only the symbolic subcommands load the reports and the exact analyses
+    from . import reports
 
     ok = True  # the report's verdict, for commands that make a claim
     if cmd == "singularities":

@@ -7,11 +7,13 @@ identical inputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from . import models
 from .errors import AnalysisFailed, ThreeWaveError
 from .geometry import ChartMap, LogPoleForm, VectorField
+from .parsing import ModelFile
 from .ratfunc import RationalFn
 from .singular import (
     AccessiblePoint,
@@ -34,9 +36,10 @@ def _point_dict(p: AccessiblePoint) -> dict:
     }
 
 
+@lru_cache(maxsize=64)  # keyed by the map's identity
 def reciprocal_slot(cmap: ChartMap) -> int | None:
     """Slot b of the boundary when the chart's inverse is the reciprocal map
-    of that slot (base_b = 1/X_b, base_k = X_k/X_b), else None."""
+    of that slot (base_b = 1/X_b, base_k = X_k/X_b), else None; once per map."""
     target = cmap.target
     if target.boundary is None:
         return None
@@ -80,8 +83,17 @@ def _scan(system, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
     """The system's field pushed through ``cmap`` at ``params`` and its
     accessible points. The push runs once per model and chart with the
     parameters symbolic (``models.chart_field``); each point only
-    specializes it and scans."""
+    specializes it and scans. With every parameter symbolic the scan too
+    is made once per model and chart (``_symbolic_scan``)."""
+    if not models.bind_parameters(system, params):
+        return _symbolic_scan(models.model(system), cmap)
     w = models.chart_field(system, cmap, params)
+    return w, find_accessible(w)
+
+
+@lru_cache(maxsize=64)  # keyed by identity: the model and the map
+def _symbolic_scan(m: ModelFile, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
+    w = models.chart_field(m, cmap)
     return w, find_accessible(w)
 
 
@@ -314,9 +326,9 @@ def symmetry_report(system="modified") -> dict:
 
 
 def uniqueness_report(system="modified") -> dict:
-    from .uniqueness import build_constraints, solve_ansatz
+    from .uniqueness import classify
 
-    rep = solve_ansatz(build_constraints(system))
+    rep = classify(system)
     return {
         "constraints": rep.constraints,
         "homogeneous_rank": rep.homogeneous_rank,

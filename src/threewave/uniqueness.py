@@ -10,7 +10,7 @@ monomial, both composed with the inverse map once. They are linear in the
 ansatz unknowns with polynomial coefficients in the model's parameters, so
 the ansatz is never written down: the rows are built once per model, over
 the model's own symbol table from its own verified chart maps, and the
-classification reduces to one exact linear solve.
+classification reduces to one exact linear solve, also made once per model.
 
 Polynomiality is scale invariant (any constant multiple of a solution is a
 solution), so a one-dimensional null space is the best possible answer (the
@@ -134,6 +134,17 @@ def _constraints(m: ModelFile) -> ConstraintSystem:
     if not rows:
         raise AnalysisFailed("no chart of the resolved atlas constrains the ansatz")
     return ConstraintSystem(m, tuple(rows), tuple(origins))
+
+
+def classify(system="modified") -> UniquenessReport:
+    """``solve_ansatz(build_constraints(system))``, solved once per model
+    (memoized on the parsed model's identity, like its rows)."""
+    return _classification(model(system))
+
+
+@lru_cache(maxsize=16)  # keyed by identity: each load of a model file is a new key
+def _classification(m: ModelFile) -> UniquenessReport:
+    return solve_ansatz(_constraints(m))
 
 
 def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:

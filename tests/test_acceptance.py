@@ -38,6 +38,9 @@ def _report(num, desc, budget, fn):
 
 
 def test_criterion_1_accessible_points():
+    # the symbolic scans are memoized per model and chart: time cold scans
+    reports._symbolic_scan.cache_clear()
+
     def body():
         w1, scan1 = reports.scan_chart("three-wave", None, "U1")
         assert {p.text() for p in scan1.points} == {"(0, 0, 0)", "(0, i, 0)", "(0, -i, 0)"}
@@ -50,6 +53,9 @@ def test_criterion_1_accessible_points():
 
 
 def test_criterion_2_local_index_tables():
+    # the symbolic scans are memoized per model and chart: time cold scans
+    reports._symbolic_scan.cache_clear()
+
     def body():
         pts = reports.named_points("three-wave", None)
         expected = {
@@ -312,6 +318,7 @@ def test_singularities_at_new_points_after_the_first():
 
     for kind, n, budget in (("three-wave", 2, 0.2), ("modified", 5, 0.2)):
         reports.singularities_report(kind)
+        reports.reciprocal_slot.cache_clear()  # the census slots are timed too
         points = [[value() for _ in range(n)] for _ in range(20)]
         _report(f"{kind} singularities", f"singularities_report at 20 new {kind} points",
                 budget, lambda: [reports.singularities_report(kind, p) for p in points])

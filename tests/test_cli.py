@@ -426,6 +426,19 @@ def test_importing_the_cli_leaves_the_numeric_layer_unloaded():
     assert proc.stdout.strip() == b"False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "1.2"],
+    ["monodromy", "--system", "modified", "--start=-2;0.1;-3", "--t0", "0", "--center", "0.55"],
+])
+def test_numeric_commands_leave_the_exact_analyses_unloaded(argv):
+    # only the symbolic subcommands load the reports, singular and roots
+    proc = _python("-c", "import sys; from threewave.cli import run; code = run(sys.argv[1:]); "
+                   "print(code, sorted(m for m in ('threewave.reports', 'threewave.singular', "
+                   "'threewave.roots') if m in sys.modules), file=sys.stderr)", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode().splitlines()[-1] == "0 []"
+
+
 def test_the_module_entry_point_prints_the_report_and_exits_with_its_code():
     proc = _python("-m", "threewave.cli", "index", "--system", "three-wave", "--point", "P1")
     assert proc.returncode == 0, proc.stderr
@@ -745,9 +758,12 @@ def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):
 
     from threewave import singular
 
-    # an empty memo of boundary points, so that each point is verified again
+    # empty memos of boundary points and symbolic scans, so that each point
+    # is verified again
     monkeypatch.setattr(singular, "_boundary_points",
                         lru_cache(maxsize=256)(singular._boundary_points.__wrapped__))
+    monkeypatch.setattr(reports, "_symbolic_scan",
+                        lru_cache(maxsize=64)(reports._symbolic_scan.__wrapped__))
     monkeypatch.setattr(singular, "vanishes", lambda polys, bindings, table: False)
     code = run(["singularities", "--system", "three-wave"])
     captured = capsys.readouterr()
@@ -795,6 +811,15 @@ def test_boundary_curve_is_refused_on_every_call(capsys, monkeypatch, tmp_path):
         messages.append(str(raised.value))
     assert messages == ["common factor Z1 cuts a curve"] * 2
     assert len(solves) == 2
+    # nor is it kept by the symbolic-scan memo of one parsed model
+    m = models.model(str(path))
+    solves.clear()
+    for _ in range(2):
+        with pytest.raises(PositiveDimensional, match="common factor Z1 cuts a curve"):
+            reports.scan_chart(m, None, "U1")
+        with pytest.raises(PositiveDimensional, match="common factor Z1 cuts a curve"):
+            reports.singularities_report(m)
+    assert len(solves) == 4
 
 
 @pytest.mark.parametrize("command", ["index", "alpha-test"])
@@ -811,6 +836,11 @@ def test_missing_label_is_a_usage_error_beside_a_refused_chart(tmp_path, capsys,
 
 
 def test_named_point_scans_one_chart(capsys, monkeypatch):
+    from functools import lru_cache
+
+    # an empty memo of symbolic scans, so that the chart is scanned again
+    monkeypatch.setattr(reports, "_symbolic_scan",
+                        lru_cache(maxsize=64)(reports._symbolic_scan.__wrapped__))
     calls = []
     real = reports.find_accessible
 

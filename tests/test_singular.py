@@ -31,7 +31,7 @@ from threewave.singular import (
     solve_parameter_conditions,
     weighted_balance,
 )
-from threewave.parsing import parse_expr, parse_triple
+from threewave.parsing import parse_expr, parse_model, parse_triple
 from threewave.symbols import parameter, table
 
 
@@ -167,8 +167,9 @@ def test_every_reported_point_satisfies_definition():
 
 def _pair_solves(monkeypatch):
     """A list that records the (u, w) names of every call of the unmemoized
-    boundary-pair solver, starting from an empty memo."""
+    boundary-pair solver, starting from empty memos."""
     singular._boundary_points.cache_clear()
+    reports._symbolic_scan.cache_clear()
     calls = []
     real = singular._solve_boundary_pair
     monkeypatch.setattr(singular, "_solve_boundary_pair",
@@ -257,10 +258,63 @@ def test_scans_from_the_memo_equal_cold_scans(monkeypatch):
         warm = [find_accessible(w) for w in fields]
         assert calls == [], (kind, params)
         singular._boundary_points.cache_clear()
+        reports._symbolic_scan.cache_clear()
         cold = [find_accessible(w) for w in fields]
         assert cold == warm, (kind, params)
         singular._boundary_points.cache_clear()
+        reports._symbolic_scan.cache_clear()
         assert _census_text(kind, params) == warm_text, (kind, params)
+
+
+# -- one symbolic scan per model and chart, one census slot per map ----------------------
+
+
+def _symbolic_reports(kind):
+    """The JSON of every report that reads the symbolic scans or the slots."""
+    return json.dumps([
+        reports.singularities_report(kind),
+        reports.index_report(kind, None, "P1"),
+        reports.alpha_report(kind),
+    ], sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", ["three-wave", "modified"])
+def test_symbolic_scans_are_kept_per_model_and_map(kind):
+    m = models.model(kind)
+    warm = _symbolic_reports(kind)
+    for name, cmap in reports.scan_charts(m).items():
+        first = reports.scan_chart(m, None, name)
+        none = [None] * len(m.table.parameters())
+        assert reports.scan_chart(m, none, name) is first
+        assert reports.scan_chart(kind, None, name)[1] is first[1]
+        if cmap is not None:
+            assert reports.reciprocal_slot(cmap) is reports.reciprocal_slot(cmap)
+    reports._symbolic_scan.cache_clear()
+    reports.reciprocal_slot.cache_clear()
+    assert _symbolic_reports(kind) == warm
+
+
+def test_a_model_loaded_twice_is_scanned_twice(monkeypatch):
+    text = models.export_model("three-wave")
+    first, second = (parse_model(text, name) for name in ("first", "second"))
+    calls = []
+    real = reports.find_accessible
+    monkeypatch.setattr(reports, "find_accessible",
+                        lambda v: calls.append(v.chart.name) or real(v))
+    scans = [reports.scan_chart(m, None, "U1") for m in (first, second, first)]
+    assert calls == ["U1", "U1"]
+    assert scans[0] is scans[2] and scans[1] is not scans[0]
+    assert [p.text() for p in scans[1][1].points] == [p.text() for p in scans[0][1].points]
+
+
+@pytest.mark.parametrize("params", [[1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]])
+def test_a_report_at_a_point_never_reads_the_symbolic_scans(monkeypatch, params):
+    def refused(*args):
+        raise AssertionError("read the symbolic scans at a parameter point")
+
+    monkeypatch.setattr(reports, "_symbolic_scan", refused)
+    reports.singularities_report("three-wave", params)
+    reports.index_report("three-wave", params, "P4_2")
 
 
 # -- linear part / local index ----------------------------------------------------

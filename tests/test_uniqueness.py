@@ -1,3 +1,4 @@
+import json
 import random
 
 import oracles
@@ -162,3 +163,29 @@ def test_second_build_is_the_memoized_one(monkeypatch):
     fresh = build_constraints(parse_model(models.export_model("modified"), "copy"))
     assert fresh is not first
     assert len(jac) == 3 and len(subs) == 3 * 19
+
+
+def test_the_classification_is_solved_once_per_model(monkeypatch):
+    from functools import lru_cache
+
+    from threewave import reports
+
+    monkeypatch.setattr(uniqueness, "_classification",
+                        lru_cache(maxsize=16)(uniqueness._classification.__wrapped__))
+    solves = _counting(monkeypatch, "linear_solve")
+    first = json.dumps(reports.uniqueness_report("modified"), sort_keys=True)
+    assert json.dumps(reports.uniqueness_report("modified"), sort_keys=True) == first
+    assert solves == ["linear_solve"]
+    kept = uniqueness.classify("modified")
+    assert uniqueness.classify(models.model("modified")) is kept
+    # the memo hands back what a cold solve gives
+    uniqueness._classification.cache_clear()
+    assert json.dumps(reports.uniqueness_report("modified"), sort_keys=True) == first
+    assert uniqueness.classify("modified") is not kept
+    # a model file loaded again is solved again, to the same report
+    copy = parse_model(models.export_model("modified"), "copy")
+    solves.clear()
+    assert uniqueness.classify(copy) is not kept
+    assert solves == ["linear_solve"]
+    assert json.dumps(reports.uniqueness_report(copy), sort_keys=True) == first
+    assert solves == ["linear_solve"]
