@@ -78,7 +78,8 @@ def _parse_params(system: ModelFile, text: str | None, numeric: bool):
 
 
 def _finite_complex(text: str, what: str) -> complex:
-    """A finite complex number written like '1.5', '-2e-3' or '0.5+1i'.
+    """A finite complex number of finite modulus written like '1.5', '-2e-3'
+    or '0.5+1i'.
 
     Only an i that ends a word is the imaginary unit, so 'inf' and 'nan'
     are read as such and refused as not finite."""
@@ -88,6 +89,10 @@ def _finite_complex(text: str, what: str) -> complex:
         raise UsageError(f"{what} {text!r} is not a number") from None
     if not cmath.isfinite(z):
         raise UsageError(f"{what} {text!r} is not a finite number")
+    try:
+        abs(z)
+    except OverflowError:
+        raise UsageError(f"{what} {text!r} has a modulus too large for a float") from None
     return z
 
 

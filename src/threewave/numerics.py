@@ -267,9 +267,9 @@ class NumericAtlas:
                 continue
             try:
                 cand = self.transition(state, frm, name)
+                norm = max(abs(c) for c in cand)  # a modulus that overflows raises
             except (ZeroDivisionError, OverflowError):
                 continue
-            norm = max(abs(c) for c in cand)
             if math.isfinite(norm) and norm < best_norm:
                 best_name, best_state, best_norm = name, cand, norm
         return best_name, best_state, best_norm
@@ -344,6 +344,8 @@ def integrate(
         atlas = NumericAtlas(v, maps, {})
     chart = start.chart
     y = tuple(start.state)
+    # the moduli of y, each computed once, when y is made
+    ym0, ym1, ym2 = abs(y[0]), abs(y[1]), abs(y[2])
     traj = Trajectory()
     traj.points.append(TrajectoryPoint(start.t, y, chart))
     t_here = complex(start.t)
@@ -368,11 +370,12 @@ def integrate(
             if h < hmin:
                 # before giving up, try continuing in a better chart
                 stuck = chart
-                chart, y = _switch(atlas, traj, t_here, chart, y, max(abs(c) for c in y))
+                chart, y = _switch(atlas, traj, t_here, chart, y, max(ym0, ym1, ym2))
                 if chart == stuck:
                     raise StepUnderflow(
                         f"step size collapsed at t = {t_here}: no chart keeps the state finite", traj
                     )
+                ym0, ym1, ym2 = abs(y[0]), abs(y[1]), abs(y[2])
                 h = hmin * 10
                 continue
             if traj.steps_accepted + traj.steps_rejected > MAX_STEPS:
@@ -380,16 +383,18 @@ def integrate(
             f = atlas.fields[chart]
             try:
                 (u0, u1, u2), (e0, e1, e2) = _rk_step(f, y, h, direction)
+                # each modulus once per step; one that overflows raises, and
+                # its step is not finite
+                m0, m1, m2, a0, a1, a2 = abs(u0), abs(u1), abs(u2), abs(e0), abs(e1), abs(e2)
             except (OverflowError, ZeroDivisionError):
                 err_norm = math.inf
             else:
-                if cmath.isfinite(u0) and cmath.isfinite(u1) and cmath.isfinite(u2):
-                    y0, y1, y2 = y
+                if math.isfinite(m0) and math.isfinite(m1) and math.isfinite(m2):
                     err_norm = max(
                         0.0,
-                        abs(e0) / (tol + tol * max(abs(y0), abs(u0))),
-                        abs(e1) / (tol + tol * max(abs(y1), abs(u1))),
-                        abs(e2) / (tol + tol * max(abs(y2), abs(u2))),
+                        a0 / (tol + tol * max(ym0, m0)),
+                        a1 / (tol + tol * max(ym1, m1)),
+                        a2 / (tol + tol * max(ym2, m2)),
                     )
                 else:
                     err_norm = math.inf
@@ -397,12 +402,14 @@ def integrate(
                 s += h
                 t_here = seg_start + direction * s
                 y = (u0, u1, u2)
+                ym0, ym1, ym2 = m0, m1, m2
                 traj.steps_accepted += 1
-                local_err = max(abs(e0), abs(e1), abs(e2))
+                local_err = max(a0, a1, a2)
                 traj.error_estimate += local_err
-                norm = max(abs(u0), abs(u1), abs(u2))
+                norm = max(m0, m1, m2)
                 if norm > SWITCH_THRESHOLD:
                     chart, y = _switch(atlas, traj, t_here, chart, y, norm)
+                    ym0, ym1, ym2 = abs(y[0]), abs(y[1]), abs(y[2])
                 traj.points.append(TrajectoryPoint(t_here, y, chart, local_err))
                 # PI controller (order-5 propagation)
                 fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5) if err_norm > 0 else 5.0

@@ -197,9 +197,24 @@ def _named_point(system, params, point: str) -> tuple[VectorField, LogPoleForm, 
     return found[point]
 
 
-def index_report(system, params=None, point: str = "P1") -> dict:
+def _point_linear_part(system, params, point: str):
+    """The field, the point ``point`` and the point's linear part at
+    ``params``; with every parameter symbolic, once per model and label
+    (``_symbolic_linear_part``)."""
+    if not models.bind_parameters(system, params):
+        return _symbolic_linear_part(models.model(system), point)
     v, form, p = _named_point(system, params, point)
-    A = linear_part(form, p)
+    return v, p, linear_part(form, p)
+
+
+@lru_cache(maxsize=64)  # keyed by identity: the model and the label
+def _symbolic_linear_part(m: ModelFile, point: str):
+    v, form, p = _named_point(m, None, point)
+    return v, p, tuple(map(tuple, linear_part(form, p)))  # rows no caller can change
+
+
+def index_report(system, params=None, point: str = "P1") -> dict:
+    v, p, A = _point_linear_part(system, params, point)
     idx = index_of_linear_part(A, v.table)
     return {
         "point": point,
@@ -215,8 +230,8 @@ def index_report(system, params=None, point: str = "P1") -> dict:
 
 
 def alpha_report(system, params=None, point: str = "P4_2") -> dict:
-    _, form, p = _named_point(system, params, point)
-    rep = classify_alpha_matrix(linear_part(form, p))
+    _, p, A = _point_linear_part(system, params, point)
+    rep = classify_alpha_matrix(A)
     return {
         "point": point,
         "chart": p.chart.name,

@@ -11,20 +11,23 @@ read entry by entry.
 The text renderer is the one that printed ``Fraction`` parts and walked
 every table symbol of every term.
 The numeric references are the interpreted kernel the generated one replaced:
-a term loop per polynomial and a list-based Cash-Karp step.
+a term loop per polynomial and a list-based Cash-Karp step, and an integration
+loop on them that computes every modulus where it reads it.
 These stay independent of the code they check. The seeded inputs of the differential tests (random
 fields, every built-in map and a blow-up chart) live here too.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
-from threewave import models
-from threewave.errors import DenominatorVanishes
+from threewave import models, numerics
+from threewave.errors import DenominatorVanishes, StepUnderflow
 from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.poly import MultiPoly
@@ -400,6 +403,132 @@ def reference_rk_step(f, y, h, direction):
             if _CK_B4[j]:
                 y4[c] += h * _CK_B4[j] * k[j][c]
     return tuple(y5), [y5[c] - y4[c] for c in range(3)]
+
+
+def reference_atlas(v: VectorField, maps) -> dict:
+    """Per chart of ``maps``, in their order: the pushed field, the map to the
+    base chart and the map from it, each a ``reference_triple``."""
+    base_vars = [s.name for s in v.chart.vars]
+    out = {}
+    for cmap in maps:
+        tvars = [s.name for s in cmap.target.vars]
+        out[cmap.target.name] = (
+            reference_triple(models.pushed_field(v, cmap).components, tvars),
+            reference_triple(cmap.inverse, tvars),
+            reference_triple(cmap.forward, base_vars),
+        )
+    return out
+
+
+def _reference_transition(atlas, state, frm, to):
+    if frm == to:
+        return tuple(state)
+    return atlas[to][2](*atlas[frm][1](*state))
+
+
+def _reference_switch(atlas, traj, t, chart, y, norm):
+    """The chart of smallest max-norm, trying every other chart in atlas
+    order, when it is at least ``SWITCH_GAIN`` times smaller."""
+    best, bstate, bnorm = chart, tuple(y), max(abs(c) for c in y)
+    for name in atlas:
+        if name == chart:
+            continue
+        try:
+            cand = _reference_transition(atlas, y, chart, name)
+            cnorm = max(abs(c) for c in cand)
+        except (ZeroDivisionError, OverflowError):
+            continue
+        if math.isfinite(cnorm) and cnorm < bnorm:
+            best, bstate, bnorm = name, cand, cnorm
+    if best != chart and bnorm * numerics.SWITCH_GAIN <= norm:
+        traj.events.append(numerics.SwitchEvent(t, chart, best, norm, bnorm))
+        return best, tuple(bstate)
+    return chart, y
+
+
+def reference_integrate(v, maps, start, path, tol=1e-10):
+    """``numerics.integrate`` as a plain loop on ``reference_atlas``: each
+    modulus computed where it is read, the steps by ``reference_rk_step``.
+    A step with a component of overflowing modulus is not finite, like one
+    with an infinite or nan part, and is rejected."""
+    atlas = reference_atlas(v, maps)
+    chart, y = start.chart, tuple(start.state)
+    traj = numerics.Trajectory()
+    traj.points.append(numerics.TrajectoryPoint(start.t, y, chart))
+    t_here = complex(start.t)
+    waypoints = [complex(p) for p in path]
+    if waypoints and waypoints[0] != t_here:
+        waypoints = [t_here] + waypoints
+    err_prev = 1.0
+    for seg_end in waypoints[1:]:
+        seg_start = t_here
+        delta = seg_end - seg_start
+        length = abs(delta)
+        if length <= 1e-14 * (1.0 + abs(seg_start)):
+            continue
+        direction = delta / length
+        s = 0.0
+        h = min(length, 0.1 * (1 + length))
+        hmin = 1e-13 * max(1.0, length)
+        end_slack = 1e-14 * max(1.0, length)
+        while length - s > end_slack:
+            h = min(h, length - s)
+            if h < hmin:
+                stuck = chart
+                chart, y = _reference_switch(atlas, traj, t_here, chart, y, max(abs(c) for c in y))
+                if chart == stuck:
+                    raise StepUnderflow(
+                        f"step size collapsed at t = {t_here}: no chart keeps the state finite", traj
+                    )
+                h = hmin * 10
+                continue
+            if traj.steps_accepted + traj.steps_rejected > numerics.MAX_STEPS:
+                raise StepUnderflow(f"step budget exhausted at t = {t_here}", traj)
+            try:
+                u, e = reference_rk_step(atlas[chart][0], y, h, direction)
+                finite = all(cmath.isfinite(c) and math.isfinite(abs(c)) for c in u)
+                if finite:
+                    err_norm = max(0.0, *(abs(e[k]) / (tol + tol * max(abs(y[k]), abs(u[k])))
+                                          for k in range(3)))
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            if not finite:
+                err_norm = math.inf
+            if err_norm <= 1.0:
+                s += h
+                t_here = seg_start + direction * s
+                y = tuple(u)
+                traj.steps_accepted += 1
+                local_err = max(abs(c) for c in e)
+                traj.error_estimate += local_err
+                norm = max(abs(c) for c in y)
+                if norm > numerics.SWITCH_THRESHOLD:
+                    chart, y = _reference_switch(atlas, traj, t_here, chart, y, norm)
+                traj.points.append(numerics.TrajectoryPoint(t_here, y, chart, local_err))
+                fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5) if err_norm > 0 else 5.0
+                h *= min(5.0, max(0.2, fac))
+                err_prev = max(err_norm, 1e-4)
+            else:
+                traj.steps_rejected += 1
+                h *= max(0.1, 0.9 * err_norm ** (-1 / 4)) if math.isfinite(err_norm) else 0.1
+        t_here = seg_end
+    return traj
+
+
+def reference_monodromy(v, maps, start, center, tol=1e-12):
+    """The relative deviation of ``reference_integrate`` around the closed
+    loop of ``numerics.LOOP_SEGMENTS`` chords about ``center`` through
+    ``start.t``, and its trajectory."""
+    atlas = reference_atlas(v, maps)
+    radius = abs(start.t - center)
+    phase = cmath.phase(start.t - center)
+    n = numerics.LOOP_SEGMENTS
+    path = [center + radius * cmath.exp(1j * (phase + 2 * math.pi * k / n)) for k in range(n + 1)]
+    path[0] = path[-1] = start.t
+    traj = reference_integrate(v, maps, start, path, tol)
+    end = _reference_transition(atlas, traj.end.state, traj.end.chart, start.chart)
+    scale = max(1.0, max(abs(c) for c in start.state))
+    return max(abs(a - b) for a, b in zip(end, start.state)) / scale, traj
 
 
 def dense_nullspace(matrix) -> tuple[int, dict[int, list[GaussianRational]]]:

@@ -529,6 +529,45 @@ def test_usage_errors_are_one_line(tmp_path, capsys, argv):
             assert message in lines[0]
 
 
+HUGE = "1.5e308+1.5e308i"  # both parts finite, the modulus beyond the largest float
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["integrate", "--system", "modified", "--start=1.5e308+1.5e308j;0;0", "--path", "1"],
+     "--start component '1.5e308+1.5e308j'"),
+    (["integrate", "--system", "modified", "--start=1;0;0", f"--t0={HUGE}", "--path", "1"],
+     f"--t0 {HUGE!r}"),
+    (["integrate", "--system", "modified", "--start=1;0;0", f"--path=1;{HUGE}"],
+     f"--path waypoint {HUGE!r}"),
+    (["monodromy", "--system", "modified", "--start=1;0;0", "--t0=1", f"--center={HUGE}"],
+     f"--center {HUGE!r}"),
+], ids=["start", "t0", "waypoint", "center"])
+def test_a_numeric_input_of_overflowing_modulus_is_a_usage_error(capsys, argv, what):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {what} has a modulus too large for a float"]
+
+
+# a coefficient of 309 digits: the first step from x = 1.7e308 has finite
+# parts and a modulus beyond the largest float
+OVERFLOWING_STEP_MODEL = "chart U0 : x y z\nsystem U0 : 1" + "0" * 308 + "*i ; 0 ; 0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["integrate", "--path", "10"],
+    ["monodromy", "--t0", "0", "--center", "1"],
+], ids=["integrate", "monodromy"])
+def test_a_step_of_overflowing_modulus_is_rejected_without_a_traceback(tmp_path, capsys, command):
+    path = tmp_path / "overflow.model"
+    path.write_text(OVERFLOWING_STEP_MODEL)
+    code = run([command[0], "--system", str(path), "--start=1.7e308;0;0", *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: step size collapsed at t = ")
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [
@@ -838,9 +877,12 @@ def test_missing_label_is_a_usage_error_beside_a_refused_chart(tmp_path, capsys,
 def test_named_point_scans_one_chart(capsys, monkeypatch):
     from functools import lru_cache
 
-    # an empty memo of symbolic scans, so that the chart is scanned again
+    # empty memos of symbolic scans and linear parts, so that the chart is
+    # scanned again
     monkeypatch.setattr(reports, "_symbolic_scan",
                         lru_cache(maxsize=64)(reports._symbolic_scan.__wrapped__))
+    monkeypatch.setattr(reports, "_symbolic_linear_part",
+                        lru_cache(maxsize=64)(reports._symbolic_linear_part.__wrapped__))
     calls = []
     real = reports.find_accessible
 

@@ -23,8 +23,19 @@ CASES = {
     "singularities-modified": ["singularities", "--system", "modified"],
     "singularities-three-wave-chart-W": ["singularities", "--system", "three-wave", "--chart", "W"],
     "index-P1": ["index", "--system", "three-wave", "--point", "P1"],
+    "index-P2": ["index", "--system", "three-wave", "--point", "P2"],
+    "index-P3": ["index", "--system", "three-wave", "--point", "P3"],
+    "index-P4": ["index", "--system", "three-wave", "--point", "P4"],
+    "index-P4_1": ["index", "--system", "three-wave", "--point", "P4_1"],
     "index-P4_2": ["index", "--system", "three-wave", "--point", "P4_2"],
+    **{f"index-modified-{label}": ["index", "--system", "modified", "--point", label]
+       for label in ("P1", "P2", "P3", "P4", "P4_1", "P4_2")},
+    "alpha-test-P1": ["alpha-test", "--system", "three-wave", "--point", "P1"],
+    "alpha-test-P2": ["alpha-test", "--system", "three-wave", "--point", "P2"],
+    "alpha-test-P3": ["alpha-test", "--system", "three-wave", "--point", "P3"],
     "alpha-test-P4_2": ["alpha-test", "--system", "three-wave", "--point", "P4_2"],
+    "alpha-test-modified-P2": ["alpha-test", "--system", "modified", "--point", "P2"],
+    "alpha-test-modified-P3": ["alpha-test", "--system", "modified", "--point", "P3"],
     "alpha-test-modified-P4_2": ["alpha-test", "--system", "modified", "--point", "P4_2"],
     "painleve": ["painleve", "--system", "three-wave", "--bound", "2"],
     "painleve-modified": ["painleve", "--system", "modified", "--bound", "2"],

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_poly, reference_rk_step, reference_triple
+from oracles import (
+    reference_integrate, reference_monodromy, reference_poly, reference_rk_step, reference_triple,
+)
 from threewave import models, numerics
 from threewave.errors import FitAmbiguous, StepUnderflow
 from threewave.gaussian import GaussianRational
@@ -396,6 +398,74 @@ def test_trajectory_records_format(modified_zero):
     assert lines[0] == "t_re,t_im,chart,x_re,x_im,y_re,y_im,z_re,z_im,err_est"
     assert len(lines) == len(traj.points) + 1
     assert all(line.split(",")[2] == "U0" for line in lines[1:])
+
+# -- the integration loop against the reference loop, bit for bit ---------------------
+
+
+def _outcome_of_run(run):
+    """Every point, every switch, the counts and the error estimate of a run,
+    as text, and the message of a ``StepUnderflow`` that ends it (its partial
+    trajectory read instead)."""
+    try:
+        traj, message = run(), None
+    except StepUnderflow as exc:
+        traj, message = exc.trajectory, str(exc)
+    return ([repr(p) for p in traj.points], [repr(e) for e in traj.events],
+            traj.steps_accepted, traj.steps_rejected, repr(traj.error_estimate), message)
+
+
+def _loop_cases():
+    """Runs on both built-ins: through a movable pole and back, a step that
+    collapses after a switch, and seeded starts and paths near a pole."""
+    rng = random.Random(4040)
+    cases = [
+        ("modified", (-2, 0.1, -3), [0, 1.2], 1e-12),
+        ("modified", (-2, 0.05, -3), [0, 0.8, 0.8 + 0.3j, 2.5 + 0.3j, 2.5, 3.5], 1e-11),
+        ("modified", (-8, 0.001, -64), [0, 0.01], 1e-30),
+        ("three-wave", (-3, 1.02, -3), [0, 1.5], 1e-12),
+    ]
+    for kind, near in (("modified", (-2, 0.1, -3)), ("three-wave", (-3, 1.02, -3))):
+        for _ in range(3):
+            state = tuple(complex(c + rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for c in near)
+            end = cmath.rect(rng.uniform(1, 2), rng.uniform(-0.5, 0.5))
+            cases.append((kind, state, [0, end], 10.0 ** -rng.randint(8, 12)))
+    return cases
+
+
+def test_integration_matches_the_reference_loop(modified_zero, three_wave_20):
+    numeric = {"modified": modified_zero, "three-wave": three_wave_20}
+    outcomes = []
+    for kind, state, path, tol in _loop_cases():
+        v, maps, atlas = numeric[kind]
+        start = TrajectoryPoint(0j, tuple(complex(c) for c in state), "U0")
+        got = _outcome_of_run(lambda: integrate(v, maps, start, path, tol=tol, atlas=atlas))
+        assert got == _outcome_of_run(lambda: reference_integrate(v, maps, start, path, tol)), \
+            (kind, state, path, tol)
+        outcomes.append(got)
+    # the cases switch charts, reject steps and end in a collapsed step
+    assert all(any(o[k] for o in outcomes) for k in (1, 3, 5))
+    # with only the base chart the pole cannot be crossed: the partial runs agree
+    v, maps, _ = modified_zero
+    base_only = maps[:1]
+    atlas = NumericAtlas(v, base_only, {})
+    start = TrajectoryPoint(0j, (-2 + 0j, 0j, -3 + 0j), "U0")
+    got = _outcome_of_run(lambda: integrate(v, base_only, start, [0, 1.2], atlas=atlas))
+    assert got == _outcome_of_run(lambda: reference_integrate(v, base_only, start, [0, 1.2]))
+    assert got[5].startswith("step size collapsed")
+
+
+def test_monodromy_matches_the_reference_loop(modified_zero, three_wave_20):
+    for (v, maps, atlas), base, t0, center in [
+        (modified_zero, (-2 + 0j, 0.1 + 0j, -3 + 0j), 0.15 + 0j, 0.05 + 0j),  # no pole inside
+        (modified_zero, (-2 + 0j, 0.1 + 0j, -3 + 0j), 0.9 + 0j, 0.55 + 0j),  # around the pole
+        (three_wave_20, (-3 + 0j, 1.02 + 0j, -3 + 0j), 0.0 + 0.3j, 0.5 + 0j),
+    ]:
+        start = TrajectoryPoint(t0, base, "U0")
+        rep = monodromy_check(v, maps, start, center, atlas=atlas)
+        deviation, traj = reference_monodromy(v, maps, start, center)
+        assert repr(rep["deviation"]) == repr(deviation)
+        assert _outcome_of_run(lambda: rep["trajectory"]) == _outcome_of_run(lambda: traj)
+
 
 # -- the generated kernel against the interpreted reference, bit for bit ---------------
 

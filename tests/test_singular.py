@@ -290,6 +290,7 @@ def test_symbolic_scans_are_kept_per_model_and_map(kind):
         if cmap is not None:
             assert reports.reciprocal_slot(cmap) is reports.reciprocal_slot(cmap)
     reports._symbolic_scan.cache_clear()
+    reports._symbolic_linear_part.cache_clear()
     reports.reciprocal_slot.cache_clear()
     assert _symbolic_reports(kind) == warm
 
@@ -315,6 +316,100 @@ def test_a_report_at_a_point_never_reads_the_symbolic_scans(monkeypatch, params)
     monkeypatch.setattr(reports, "_symbolic_scan", refused)
     reports.singularities_report("three-wave", params)
     reports.index_report("three-wave", params, "P4_2")
+
+
+# -- one linear part per model and named point -------------------------------------------
+
+
+def _counted_linear_parts(monkeypatch):
+    """A list that records the point of every ``linear_part`` call of the
+    reports, starting from an empty memo of symbolic linear parts."""
+    reports._symbolic_linear_part.cache_clear()
+    calls = []
+    real = reports.linear_part
+    monkeypatch.setattr(reports, "linear_part", lambda form, p: calls.append(p) or real(form, p))
+    return calls
+
+
+def _point_reports(m):
+    """The JSON of the index and alpha reports of every label of ``m`` with
+    every parameter symbolic, a refusal as its message."""
+    out = []
+    for label in reports.POINT_CHARTS:
+        for build in (reports.index_report, reports.alpha_report):
+            try:
+                out.append(build(m, None, label))
+            except AnalysisFailed as exc:
+                out.append(f"AnalysisFailed: {exc}")
+    return json.dumps(out, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", ["three-wave", "modified"])
+def test_linear_parts_are_kept_per_model_and_label(monkeypatch, kind):
+    m = models.model(kind)
+    calls = _counted_linear_parts(monkeypatch)
+    warm = _point_reports(m)
+    assert _point_reports(kind) == warm
+    assert len(calls) == len(reports.POINT_CHARTS)  # one per label, over 24 reports
+    none = [None] * len(m.table.parameters())
+    for label in reports.POINT_CHARTS:
+        first = reports._point_linear_part(m, None, label)
+        again = reports._point_linear_part(kind, none, label)
+        assert all(a is b for a, b in zip(again, first))
+    reports._symbolic_linear_part.cache_clear()
+    assert _point_reports(m) == warm
+    assert len(calls) == 2 * len(reports.POINT_CHARTS)
+
+
+def test_a_model_loaded_twice_gets_its_own_linear_parts(monkeypatch):
+    text = models.export_model("three-wave")
+    first, second = (parse_model(text, name) for name in ("first", "second"))
+    calls = _counted_linear_parts(monkeypatch)
+    parts = [reports._point_linear_part(m, None, "P4_2") for m in (first, second, first)]
+    assert len(calls) == 2
+    assert parts[0] is parts[2] and parts[1] is not parts[0]
+    assert reports.index_report(second, None, "P4_2") == reports.index_report(first, None, "P4_2")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("params", [[1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]])
+def test_a_report_at_a_point_never_reads_the_symbolic_linear_parts(monkeypatch, params):
+    def refused(*args):
+        raise AssertionError("read the symbolic linear parts at a parameter point")
+
+    monkeypatch.setattr(reports, "_symbolic_linear_part", refused)
+    calls = []
+    real = reports.linear_part
+    monkeypatch.setattr(reports, "linear_part", lambda form, p: calls.append(p) or real(form, p))
+    for _ in range(2):
+        reports.index_report("three-wave", params, "P4_2")
+        reports.alpha_report("three-wave", params, "P4_2")
+    assert len(calls) == 4
+
+
+def test_refused_linear_parts_are_raised_on_every_call(monkeypatch):
+    m = models.model("three-wave")
+    calls = _counted_linear_parts(monkeypatch)
+    # the classification refuses; the linear part it read is kept
+    for _ in range(2):
+        with pytest.raises(AnalysisFailed, match="needs a_11 != 0"):
+            reports.alpha_report(m, None, "P1")
+    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(KeyError, match="unknown point 'P9'"):
+            reports.index_report(m, None, "P9")
+    # a linear part that fails its re-verification is computed and refused again
+    failed = []
+
+    def failing(form, p):
+        failed.append(p)
+        raise VerificationFailed(f"point {p.text()} is not accessible")
+
+    monkeypatch.setattr(reports, "linear_part", failing)
+    for _ in range(2):
+        with pytest.raises(VerificationFailed, match="is not accessible"):
+            reports.index_report(m, None, "P4_2")
+    assert len(failed) == 2
 
 
 # -- linear part / local index ----------------------------------------------------
