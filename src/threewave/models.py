@@ -23,8 +23,8 @@ built-in name, a model-file path or a parsed
 from __future__ import annotations
 
 import os
-from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Sequence
+from functools import lru_cache, reduce, wraps
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .gaussian import GaussianRational
 from .geometry import (
@@ -108,6 +108,22 @@ def model(system: str | ModelFile) -> ModelFile:
     raise KeyError(f"unknown system {system!r} (not a built-in, not a file)")
 
 
+def per_model(fn: Callable) -> Callable:
+    """``fn(m, *args)`` once per parsed model ``m = model(system)`` and
+    arguments, kept in ``m._derived`` under ``(fn, *args)`` for as long as
+    the model lives. A raised failure is not kept, so it is raised again."""
+
+    @wraps(fn)
+    def memo(system, *args):
+        m = model(system)
+        key = (fn, *args)
+        if key not in m._derived:
+            m._derived[key] = fn(m, *args)
+        return m._derived[key]
+
+    return memo
+
+
 def param_symbols(system) -> tuple[Symbol, ...]:
     return model(system).table.parameters()
 
@@ -169,14 +185,10 @@ def pushed_field(v: VectorField, cmap: ChartMap) -> VectorField:
     return pushforward(v, cmap)
 
 
-def chart_jacobian(system, cmap: ChartMap, params: Sequence | None = None) -> RationalFn:
-    """The Jacobian determinant of ``cmap`` at ``params``: computed once per
-    map with every parameter symbolic, then specialized like ``chart_field``."""
-    return _chart_jacobian(cmap).specialize(bind_parameters(system, params))
-
-
-@lru_cache(maxsize=64)
-def _chart_jacobian(cmap: ChartMap) -> RationalFn:
+@per_model
+def chart_jacobian(m: ModelFile, cmap: ChartMap) -> RationalFn:
+    """The Jacobian determinant of ``cmap``, a map of the model, with every
+    parameter symbolic; a point specializes it like ``chart_field``."""
     return jacobian_determinant(cmap)
 
 
@@ -185,7 +197,8 @@ def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
     return atlas(system, "resolved", params)
 
 
-def weighted_chart(system) -> tuple[Balance, ChartMap]:
+@per_model
+def weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
     """The model's dominant balance with a pole in x, and the weighted chart
     W = (1/x, y/x^n, z/x^p) of its pole orders (m, n, p).
 
@@ -193,13 +206,8 @@ def weighted_chart(system) -> tuple[Balance, ChartMap]:
     symbolic, so the singularity scan and the blow-up pipeline use one chart
     at every parameter value. The chart's variables are those of the model's
     chart ``W``; a model without one gets fresh variables XW YW ZW on an
-    extension of its table.
+    extension of its table. Both are kept on the parsed model.
     """
-    return _weighted_chart(model(system))
-
-
-@lru_cache(maxsize=16)  # keyed by identity: each load of a model file is a new key
-def _weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
     from .singular import weighted_balance
 
     balance = weighted_balance(m.fields[m.base.name])

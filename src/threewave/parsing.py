@@ -216,7 +216,9 @@ class ModelFile:
     """Parsed contents of a model/atlas file over one symbol table.
 
     ``name`` is the built-in name or the path the file was loaded from. A
-    model hashes by identity, so results derived from it can be memoized.
+    model hashes by identity, and the results derived from it live on it,
+    in ``_derived`` (``models.per_model``). Editing a parsed model is
+    unsupported: its derived results would not follow the edit.
     """
 
     table: SymbolTable
@@ -227,6 +229,7 @@ class ModelFile:
     atlases: dict[str, tuple[str, ...]] = field(default_factory=dict)  # name -> charts
     symmetries: dict[str, SymmetryMap] = field(default_factory=dict)
     relations: dict[str, tuple[str, ...]] = field(default_factory=dict)  # word -> letters
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def chart(self, name: str) -> Chart:
         if name not in self.charts:

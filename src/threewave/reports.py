@@ -7,7 +7,6 @@ identical inputs.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from . import models
@@ -36,8 +35,8 @@ def _point_dict(p: AccessiblePoint) -> dict:
     }
 
 
-@lru_cache(maxsize=64)  # keyed by the map's identity
-def reciprocal_slot(cmap: ChartMap) -> int | None:
+@models.per_model
+def reciprocal_slot(m: ModelFile, cmap: ChartMap) -> int | None:
     """Slot b of the boundary when the chart's inverse is the reciprocal map
     of that slot (base_b = 1/X_b, base_k = X_k/X_b), else None; once per map."""
     target = cmap.target
@@ -86,12 +85,12 @@ def _scan(system, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
     specializes it and scans. With every parameter symbolic the scan too
     is made once per model and chart (``_symbolic_scan``)."""
     if not models.bind_parameters(system, params):
-        return _symbolic_scan(models.model(system), cmap)
+        return _symbolic_scan(system, cmap)
     w = models.chart_field(system, cmap, params)
     return w, find_accessible(w)
 
 
-@lru_cache(maxsize=64)  # keyed by identity: the model and the map
+@models.per_model
 def _symbolic_scan(m: ModelFile, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
     w = models.chart_field(m, cmap)
     return w, find_accessible(w)
@@ -110,7 +109,7 @@ def singularities_report(system, params=None, charts: Sequence[str] | None = Non
             "points": [_point_dict(p) for p in scan.points],
             "residual_branches": list(scan.residuals),
         }
-        slot = reciprocal_slot(known[name]) if known[name] else None
+        slot = reciprocal_slot(m, known[name]) if known[name] else None
         if slot is not None:
             for p in scan.points:
                 key = homogeneous_key(p, slot)
@@ -169,16 +168,6 @@ def _chart_labels(
     return out
 
 
-def named_points(system, params=None) -> dict[str, tuple[VectorField, AccessiblePoint]]:
-    """The classical labels: P1..P3 on U1, P4 on U3, P4_1/P4_2 on the
-    weighted chart W; a label whose chart the model lacks is left out."""
-    m = models.model(system)
-    out = {}
-    for chart in dict.fromkeys(POINT_CHARTS.values()):
-        out.update((label, (v, p)) for label, (v, _, p) in _chart_labels(m, params, chart).items())
-    return out
-
-
 def _named_point(system, params, point: str) -> tuple[VectorField, LogPoleForm, AccessiblePoint]:
     """One label, scanning only the chart it lives on (nothing for a label
     that is not one of ``POINT_CHARTS``)."""
@@ -202,12 +191,12 @@ def _point_linear_part(system, params, point: str):
     ``params``; with every parameter symbolic, once per model and label
     (``_symbolic_linear_part``)."""
     if not models.bind_parameters(system, params):
-        return _symbolic_linear_part(models.model(system), point)
+        return _symbolic_linear_part(system, point)
     v, form, p = _named_point(system, params, point)
     return v, p, linear_part(form, p)
 
 
-@lru_cache(maxsize=64)  # keyed by identity: the model and the label
+@models.per_model
 def _symbolic_linear_part(m: ModelFile, point: str):
     v, form, p = _named_point(m, None, point)
     return v, p, tuple(map(tuple, linear_part(form, p)))  # rows no caller can change
@@ -307,9 +296,10 @@ def atlas_report(system, params=None, atlas_name: str = "resolved") -> dict:
     models.atlas(m, atlas_name, params)
     maps = m.atlas(atlas_name)
     verdicts = models.verify_atlas_holomorphy([models.chart_field(m, cm, params) for cm in maps])
+    bindings = models.bind_parameters(m, params)
     jacobians = [
         {"chart": cm.target.name,
-         "jacobian_determinant": models.chart_jacobian(m, cm, params).text()}
+         "jacobian_determinant": models.chart_jacobian(m, cm).specialize(bindings).text()}
         for cm in maps
     ]
     return {

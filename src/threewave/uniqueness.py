@@ -8,9 +8,10 @@ the field, so those coefficients are read off the images of the 30 single
 terms m_j * e_k, each the product of a Jacobian entry of the chart map and a
 monomial, both composed with the inverse map once. They are linear in the
 ansatz unknowns with polynomial coefficients in the model's parameters, so
-the ansatz is never written down: the rows are built once per model, over
-the model's own symbol table from its own verified chart maps, and the
-classification reduces to one exact linear solve, also made once per model.
+the ansatz is never written down: the rows are built over the model's own
+symbol table from its own verified chart maps, and the classification
+reduces to one exact linear solve. Both are kept on the parsed model
+(``models.per_model``), so each is made once per model.
 
 Polynomiality is scale invariant (any constant multiple of a solution is a
 solution), so a one-dimensional null space is the best possible answer (the
@@ -25,13 +26,12 @@ claim is checked, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import AnalysisFailed
 from .gaussian import ONE
 from .geometry import VectorField, jacobian_matrix
 from .linalg import linear_solve
-from .models import model, system_field
+from .models import per_model, system_field
 from .parsing import ModelFile
 from .poly import MultiPoly
 from .ratfunc import RationalFn, pole_coefficients, substitute
@@ -81,10 +81,11 @@ def _monomials(m: ModelFile) -> list[RationalFn]:
     return [RationalFn.from_poly(x**a * y**b * z**c) for a, b, c in MONOMIAL_EXPONENTS]
 
 
-def build_constraints(system="modified") -> ConstraintSystem:
+@per_model
+def build_constraints(m: ModelFile) -> ConstraintSystem:
     """Linear conditions in the ansatz coefficients from every twisted chart,
-    built once per model (memoized on the parsed model's identity, so a model
-    file loaded again gets fresh rows).
+    built once per parsed model and kept on it (a model file loaded again
+    gets fresh rows).
 
     The pushforward is linear in the field, so column (k, j) of component i
     on the chart of phi is the pushforward of the single term m_j * e_k:
@@ -96,11 +97,6 @@ def build_constraints(system="modified") -> ConstraintSystem:
     chart, component by component, and by ascending exponent vector of mu
     in the model table's symbol order; the identity chart contributes nothing.
     """
-    return _constraints(model(system))
-
-
-@lru_cache(maxsize=16)  # keyed by identity: each load of a model file is a new key
-def _constraints(m: ModelFile) -> ConstraintSystem:
     twisted = m.atlas("resolved")[1:]
     for cmap in twisted:
         if cmap.target.boundary is None:
@@ -136,15 +132,11 @@ def _constraints(m: ModelFile) -> ConstraintSystem:
     return ConstraintSystem(m, tuple(rows), tuple(origins))
 
 
-def classify(system="modified") -> UniquenessReport:
-    """``solve_ansatz(build_constraints(system))``, solved once per model
-    (memoized on the parsed model's identity, like its rows)."""
-    return _classification(model(system))
-
-
-@lru_cache(maxsize=16)  # keyed by identity: each load of a model file is a new key
-def _classification(m: ModelFile) -> UniquenessReport:
-    return solve_ansatz(_constraints(m))
+@per_model
+def classify(m: ModelFile) -> UniquenessReport:
+    """``solve_ansatz(build_constraints(m))``, solved once per parsed model
+    and kept on it, like its rows."""
+    return solve_ansatz(build_constraints(m))
 
 
 def solve_ansatz(constraints: ConstraintSystem) -> UniquenessReport:

@@ -30,6 +30,7 @@ from threewave import models, numerics
 from threewave.errors import DenominatorVanishes, StepUnderflow
 from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
+from threewave.parsing import ModelFile, parse_model
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute, value_at
 from threewave.singular import Balance, blow_up, solve_branches
@@ -59,6 +60,12 @@ def bench_workloads():
         if saved is not None:
             sys.modules["oracles"] = saved
     return module
+
+
+def fresh_model(kind: str) -> ModelFile:
+    """The built-in ``kind`` parsed again: a model none of whose results is
+    derived yet, for a test that watches or times the cold computation."""
+    return parse_model(models.BUILTINS[kind], kind)
 
 
 def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import oracles
 from threewave import models, reports
 from threewave.gaussian import gr
 from threewave.geometry import Chart, ChartMap, VectorField, jacobian_determinant, pushforward
@@ -38,14 +39,15 @@ def _report(num, desc, budget, fn):
 
 
 def test_criterion_1_accessible_points():
-    # the symbolic scans are memoized per model and chart: time cold scans
-    reports._symbolic_scan.cache_clear()
+    # the symbolic scans are kept on the parsed model: time cold scans, and
+    # the pushes and the weighted chart they read, of a model parsed again
+    m = oracles.fresh_model("three-wave")
 
     def body():
-        w1, scan1 = reports.scan_chart("three-wave", None, "U1")
+        w1, scan1 = reports.scan_chart(m, None, "U1")
         assert {p.text() for p in scan1.points} == {"(0, 0, 0)", "(0, i, 0)", "(0, -i, 0)"}
         assert scan1.residuals == ()
-        ww, scanw = reports.scan_chart("three-wave", None, "W")
+        ww, scanw = reports.scan_chart(m, None, "W")
         assert {p.text() for p in scanw.points} == {"(0, 1/2*delta, 0)", "(0, 1/2*delta, -1)"}
         assert scanw.residuals == ()
 
@@ -53,20 +55,21 @@ def test_criterion_1_accessible_points():
 
 
 def test_criterion_2_local_index_tables():
-    # the symbolic scans are memoized per model and chart: time cold scans
-    reports._symbolic_scan.cache_clear()
+    # the symbolic scans are kept on the parsed model: time cold scans of U1,
+    # U3 and W, and the pushes they read, of a model parsed again
+    m = oracles.fresh_model("three-wave")
 
     def body():
-        pts = reports.named_points("three-wave", None)
         expected = {
             "P1": ("0", "2", "-2"),
             "P2": ("-2", "-4", "-4"),
             "P3": ("-2", "-4", "-4"),
+            "P4": ("0", "0", "0"),
             "P4_1": ("0", "2", "-2"),
             "P4_2": ("1", "2", "2"),
         }
         for name, eig in expected.items():
-            v, p = pts[name]
+            v, _, p = reports._named_point(m, None, name)
             idx = local_index(v, p)
             assert tuple(e.text() for e in idx.eigenvalues) == eig, name
 
@@ -161,11 +164,12 @@ def test_criterion_6_symmetry():
 def test_criterion_7_uniqueness():
     from threewave import uniqueness
 
-    # the rows are memoized per model: time a cold build, not a memo hit
-    uniqueness._constraints.cache_clear()
+    # the rows are kept on the parsed model: time a cold build on a model
+    # parsed again, not a memo hit
+    m = oracles.fresh_model("modified")
 
     def body():
-        rep = uniqueness.solve_ansatz(uniqueness.build_constraints())
+        rep = uniqueness.solve_ansatz(uniqueness.build_constraints(m))
         assert rep.normalized_consistent
         assert rep.normalized_nullity == 0
         assert rep.matches_reference
@@ -309,7 +313,9 @@ def test_pipeline_at_new_points_after_the_symbolic_run():
 
 def test_singularities_at_new_points_after_the_first():
     # each distinct boundary pair is solved once per process: after one
-    # report the U1-U3 pairs of a new parameter point are already solved
+    # report the U1-U3 pairs of a new parameter point are already solved;
+    # the reports run on a model parsed again, so its pushes and census
+    # slots are timed too
     rng = random.Random(2026)
 
     def value():
@@ -318,7 +324,7 @@ def test_singularities_at_new_points_after_the_first():
 
     for kind, n, budget in (("three-wave", 2, 0.2), ("modified", 5, 0.2)):
         reports.singularities_report(kind)
-        reports.reciprocal_slot.cache_clear()  # the census slots are timed too
+        m = oracles.fresh_model(kind)
         points = [[value() for _ in range(n)] for _ in range(20)]
         _report(f"{kind} singularities", f"singularities_report at 20 new {kind} points",
-                budget, lambda: [reports.singularities_report(kind, p) for p in points])
+                budget, lambda: [reports.singularities_report(m, p) for p in points])

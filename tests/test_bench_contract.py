@@ -7,7 +7,7 @@ import types
 from pathlib import Path
 
 import oracles
-from threewave import poly, singular
+from threewave import poly, reports, singular
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -42,3 +42,22 @@ def test_first_op_of_each_kind_passes_its_oracle():
                 ran.add(kind)
                 assert op.check(op.run()) is None, kind
     assert ("continuation", "NumericAtlas.compile", "three-wave") in ran
+
+
+def test_a_traced_cold_classification_counts_its_rows_once(monkeypatch):
+    # the classification reads its rows through uniqueness.build_constraints,
+    # so that layer counts each cold build, and a kept classification none
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    m = oracles.fresh_model("modified")
+    tr = tracer.new_tracer()
+    try:
+        tr.install()
+        for _ in range(2):
+            reports.uniqueness_report(m)
+    finally:
+        tr.uninstall()
+    stats = tr.snapshot()
+    assert stats["uniqueness.build_constraints"]["calls"] == 1
+    assert stats["uniqueness.solve_ansatz"]["calls"] == 1

@@ -792,19 +792,16 @@ def test_uniqueness_needs_a_boundary_on_every_resolved_chart(tmp_path, capsys):
     assert captured.err.strip() == "error: chart C1 of the resolved atlas has no boundary"
 
 
-def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch):
-    from functools import lru_cache
-
+def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch, tmp_path):
     from threewave import singular
 
-    # empty memos of boundary points and symbolic scans, so that each point
-    # is verified again
-    monkeypatch.setattr(singular, "_boundary_points",
-                        lru_cache(maxsize=256)(singular._boundary_points.__wrapped__))
-    monkeypatch.setattr(reports, "_symbolic_scan",
-                        lru_cache(maxsize=64)(reports._symbolic_scan.__wrapped__))
+    # a model file, scanned afresh, and an empty memo of boundary points, so
+    # that each point is verified again
+    path = tmp_path / "three-wave.model"
+    path.write_text(models.export_model("three-wave"))
+    singular._boundary_points.cache_clear()
     monkeypatch.setattr(singular, "vanishes", lambda polys, bindings, table: False)
-    code = run(["singularities", "--system", "three-wave"])
+    code = run(["singularities", "--system", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
@@ -874,15 +871,10 @@ def test_missing_label_is_a_usage_error_beside_a_refused_chart(tmp_path, capsys,
     assert run(["singularities", "--system", str(path), "--chart", "U3"]) == 0
 
 
-def test_named_point_scans_one_chart(capsys, monkeypatch):
-    from functools import lru_cache
-
-    # empty memos of symbolic scans and linear parts, so that the chart is
-    # scanned again
-    monkeypatch.setattr(reports, "_symbolic_scan",
-                        lru_cache(maxsize=64)(reports._symbolic_scan.__wrapped__))
-    monkeypatch.setattr(reports, "_symbolic_linear_part",
-                        lru_cache(maxsize=64)(reports._symbolic_linear_part.__wrapped__))
+def test_named_point_scans_one_chart(capsys, monkeypatch, tmp_path):
+    # a model file is parsed afresh by the command, so its charts are scanned
+    path = tmp_path / "three-wave.model"
+    path.write_text(models.export_model("three-wave"))
     calls = []
     real = reports.find_accessible
 
@@ -891,7 +883,7 @@ def test_named_point_scans_one_chart(capsys, monkeypatch):
         return real(v, *args, **kwargs)
 
     monkeypatch.setattr(reports, "find_accessible", counting)
-    code, _ = _capture(capsys, ["index", "--system", "three-wave", "--point", "P1"])
+    code, _ = _capture(capsys, ["index", "--system", str(path), "--point", "P1"])
     assert code == 0
     assert calls == ["U1"]
 

@@ -1,9 +1,11 @@
 """Golden reports: the README's symbolic CLI examples, byte for byte.
 
 Each case's stdout is stored in ``tests/golden/<name>.out`` and its exit code
-in ``tests/golden/exit_codes.json``. A change that moves a report on purpose
-(a fixed defect) regenerates them with ``PYTHONPATH=src python
-tests/test_golden.py`` and the diff of ``tests/golden/`` shows what moved.
+in ``tests/golden/exit_codes.json``; ``tests/models/modified.model`` is the
+built-in ``modified`` exported, for a case that reads a model file by path.
+A change that moves a report on purpose (a fixed defect) regenerates them
+with ``PYTHONPATH=src python tests/test_golden.py`` and the diff of
+``tests/golden/`` shows what moved.
 """
 
 import json
@@ -13,10 +15,12 @@ import sys
 
 import pytest
 
+from threewave import models
 from threewave.cli import run
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
+MODIFIED_FILE = pathlib.Path(__file__).with_name("models") / "modified.model"
 
 CASES = {
     "singularities": ["singularities", "--system", "three-wave"],
@@ -28,6 +32,7 @@ CASES = {
     "index-P4": ["index", "--system", "three-wave", "--point", "P4"],
     "index-P4_1": ["index", "--system", "three-wave", "--point", "P4_1"],
     "index-P4_2": ["index", "--system", "three-wave", "--point", "P4_2"],
+    "index-P1-text": ["index", "--system", "three-wave", "--point", "P1", "--format", "text"],
     **{f"index-modified-{label}": ["index", "--system", "modified", "--point", label]
        for label in ("P1", "P2", "P3", "P4", "P4_1", "P4_2")},
     "alpha-test-P1": ["alpha-test", "--system", "three-wave", "--point", "P1"],
@@ -53,6 +58,7 @@ CASES = {
     "verify-atlas-modified": ["verify-atlas", "--system", "modified"],
     "verify-symmetry": ["verify-symmetry", "--system", "modified"],
     "uniqueness": ["uniqueness", "--system", "modified"],
+    "uniqueness-model-file": ["uniqueness", "--system", str(MODIFIED_FILE)],
 }
 
 
@@ -62,6 +68,13 @@ def test_report_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_a_model_file_reports_as_its_built_in():
+    # the uniqueness report names no system, so the file's is the built-in's
+    assert MODIFIED_FILE.read_text() == models.export_model("modified")
+    by_path, by_name = (GOLDEN / f"{name}.out" for name in ("uniqueness-model-file", "uniqueness"))
+    assert by_path.read_bytes() == by_name.read_bytes()
 
 
 def regenerate() -> None:

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from threewave import models, reports
 from threewave.errors import DenominatorVanishes
 from threewave.gaussian import gr
 from threewave.geometry import ChartMap, jacobian_determinant, pushforward
-from threewave.parsing import parse_expr
+from threewave.parsing import parse_expr, render_model
 from threewave.ratfunc import RationalFn, substitute
 
 
@@ -236,7 +238,7 @@ def _assert_chart_fields_match(m, maps, points):
                 point,
             )
             jac = jacobian_determinant(cm.specialize(bindings)).text()
-            assert models.chart_jacobian(m, cm, point).text() == jac, (cm, point)
+            assert models.chart_jacobian(m, cm).specialize(bindings).text() == jac, (cm, point)
 
 
 def test_chart_field_equals_the_specialized_pushforward(tmp_path):
@@ -262,6 +264,35 @@ def test_chart_field_of_the_base_chart_is_the_field():
     m = models.model("modified")
     assert models.chart_field(m, m.atlas("resolved")[0]) is m.fields["U0"]
     assert models.atlas(m, "resolved", [1, 2, 3, 4, 5])[0] is m.identity
+
+
+def test_results_derived_from_a_model_are_kept_on_it():
+    # computed once per parsed model and arguments, whether the model is
+    # named or passed; a model parsed again derives its own
+    m = oracles.fresh_model("three-wave")
+    t21 = m.atlas("resolved")[1]
+    assert models.weighted_chart(m) is models.weighted_chart(m)
+    assert models.chart_jacobian(m, t21) is models.chart_jacobian(m, t21)
+    assert models.weighted_chart("three-wave") is models.weighted_chart(models.model("three-wave"))
+    assert models.weighted_chart("three-wave") is not models.weighted_chart(m)
+    # they are left out of the model's repr and rendering
+    assert "_derived" not in repr(m)
+    assert render_model(m) == models.export_model("three-wave")
+
+
+def test_a_dropped_model_is_freed():
+    # nothing outside a parsed model holds it once its reports are made, so
+    # it and every result derived from it are freed with it
+    m = oracles.fresh_model("modified")
+    reports.singularities_report(m)
+    reports.uniqueness_report(m)
+    reports.index_report(m, None, "P1")
+    reports.atlas_report(m)
+    assert m._derived
+    dropped = weakref.ref(m)
+    del m
+    gc.collect()
+    assert dropped() is None
 
 
 def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, monkeypatch):

@@ -270,14 +270,14 @@ def test_fit_exponents_match_local_index_at_entry_point(three_wave_20):
     # the (1, *, 2) pole orders agree with the (1, 2, 2) index at the entry
     # point: the boundary eigenvalue gives the x-order, the z-resonance the
     # z-order
-    from threewave.reports import named_points
+    from threewave.reports import _named_point
     from threewave.singular import local_index
 
     v, maps, atlas = three_wave_20
     start = TrajectoryPoint(0j, (-3 + 0j, 1.02 + 0j, -3 + 0j), "U0")
     traj = integrate(v, maps, start, [0, 1.5], tol=1e-12, atlas=atlas)
     fit = fit_pole(traj.points, atlas)
-    vw, p42 = named_points("three-wave", [2, 0])["P4_2"]
+    vw, _, p42 = _named_point("three-wave", [2, 0], "P4_2")
     idx = local_index(vw, p42)
     assert fit.exponents[0] == int(idx.eigenvalues[0].constant_value().re)
     assert fit.exponents[2] == int(idx.eigenvalues[2].constant_value().re)

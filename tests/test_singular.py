@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    LEAD_VANISHES, bench_workloads, naive_balance_equations, naive_balance_holds,
+    LEAD_VANISHES, bench_workloads, fresh_model, naive_balance_equations, naive_balance_holds,
     naive_linear_part, naive_specialize, on_branch, random_polynomial_field,
     unpruned_balance_search,
 )
@@ -167,9 +167,8 @@ def test_every_reported_point_satisfies_definition():
 
 def _pair_solves(monkeypatch):
     """A list that records the (u, w) names of every call of the unmemoized
-    boundary-pair solver, starting from empty memos."""
+    boundary-pair solver, starting from an empty memo of boundary points."""
     singular._boundary_points.cache_clear()
-    reports._symbolic_scan.cache_clear()
     calls = []
     real = singular._solve_boundary_pair
     monkeypatch.setattr(singular, "_solve_boundary_pair",
@@ -240,30 +239,31 @@ def _differential_points():
     return points
 
 
-def _census_text(kind, params):
+def _census_text(system, params):
     try:
-        return json.dumps(reports.singularities_report(kind, params), sort_keys=True)
+        return json.dumps(reports.singularities_report(system, params), sort_keys=True)
     except PositiveDimensional as exc:
         return f"PositiveDimensional: {exc}"
 
 
 def test_scans_from_the_memo_equal_cold_scans(monkeypatch):
     # differential: each scan and census read from a warm memo equals the one
-    # computed after the memo is emptied
+    # computed after the memo of boundary points is emptied, the census on a
+    # model parsed again
     calls = _pair_solves(monkeypatch)
+    parsed = {kind: fresh_model(kind) for kind in ("three-wave", "modified")}
     for kind, params in _differential_points():
-        warm_text = _census_text(kind, params)
-        fields = [reports.scan_chart(kind, params, name)[0] for name in reports.scan_charts(kind)]
+        m = parsed[kind]
+        warm_text = _census_text(m, params)
+        fields = [reports.scan_chart(m, params, name)[0] for name in reports.scan_charts(m)]
         calls.clear()
         warm = [find_accessible(w) for w in fields]
         assert calls == [], (kind, params)
         singular._boundary_points.cache_clear()
-        reports._symbolic_scan.cache_clear()
         cold = [find_accessible(w) for w in fields]
         assert cold == warm, (kind, params)
         singular._boundary_points.cache_clear()
-        reports._symbolic_scan.cache_clear()
-        assert _census_text(kind, params) == warm_text, (kind, params)
+        assert _census_text(fresh_model(kind), params) == warm_text, (kind, params)
 
 
 # -- one symbolic scan per model and chart, one census slot per map ----------------------
@@ -288,11 +288,9 @@ def test_symbolic_scans_are_kept_per_model_and_map(kind):
         assert reports.scan_chart(m, none, name) is first
         assert reports.scan_chart(kind, None, name)[1] is first[1]
         if cmap is not None:
-            assert reports.reciprocal_slot(cmap) is reports.reciprocal_slot(cmap)
-    reports._symbolic_scan.cache_clear()
-    reports._symbolic_linear_part.cache_clear()
-    reports.reciprocal_slot.cache_clear()
-    assert _symbolic_reports(kind) == warm
+            assert reports.reciprocal_slot(m, cmap) is reports.reciprocal_slot(kind, cmap)
+    # a model parsed again scans, slots and reads its linear parts cold
+    assert _symbolic_reports(fresh_model(kind)) == warm
 
 
 def test_a_model_loaded_twice_is_scanned_twice(monkeypatch):
@@ -323,8 +321,7 @@ def test_a_report_at_a_point_never_reads_the_symbolic_scans(monkeypatch, params)
 
 def _counted_linear_parts(monkeypatch):
     """A list that records the point of every ``linear_part`` call of the
-    reports, starting from an empty memo of symbolic linear parts."""
-    reports._symbolic_linear_part.cache_clear()
+    reports."""
     calls = []
     real = reports.linear_part
     monkeypatch.setattr(reports, "linear_part", lambda form, p: calls.append(p) or real(form, p))
@@ -346,19 +343,18 @@ def _point_reports(m):
 
 @pytest.mark.parametrize("kind", ["three-wave", "modified"])
 def test_linear_parts_are_kept_per_model_and_label(monkeypatch, kind):
-    m = models.model(kind)
+    m = fresh_model(kind)
     calls = _counted_linear_parts(monkeypatch)
     warm = _point_reports(m)
-    assert _point_reports(kind) == warm
+    assert _point_reports(m) == warm
     assert len(calls) == len(reports.POINT_CHARTS)  # one per label, over 24 reports
     none = [None] * len(m.table.parameters())
     for label in reports.POINT_CHARTS:
-        first = reports._point_linear_part(m, None, label)
+        first = reports._point_linear_part(models.model(kind), None, label)
         again = reports._point_linear_part(kind, none, label)
         assert all(a is b for a, b in zip(again, first))
-    reports._symbolic_linear_part.cache_clear()
-    assert _point_reports(m) == warm
-    assert len(calls) == 2 * len(reports.POINT_CHARTS)
+    # the built-in, warm or cold, reads the same linear parts
+    assert _point_reports(kind) == warm
 
 
 def test_a_model_loaded_twice_gets_its_own_linear_parts(monkeypatch):
@@ -388,7 +384,7 @@ def test_a_report_at_a_point_never_reads_the_symbolic_linear_parts(monkeypatch, 
 
 
 def test_refused_linear_parts_are_raised_on_every_call(monkeypatch):
-    m = models.model("three-wave")
+    m = fresh_model("three-wave")
     calls = _counted_linear_parts(monkeypatch)
     # the classification refuses; the linear part it read is kept
     for _ in range(2):
@@ -415,10 +411,14 @@ def test_refused_linear_parts_are_raised_on_every_call(monkeypatch):
 # -- linear part / local index ----------------------------------------------------
 
 
-def _named(kind="three-wave", params=None):
-    from threewave.reports import named_points
-
-    return named_points(kind, params)
+def _named(system="three-wave"):
+    """Every classical label of ``system``, parameters symbolic, with the
+    field of its chart and its point."""
+    out = {}
+    for label in reports.POINT_CHARTS:
+        v, _, p = reports._named_point(system, None, label)
+        out[label] = (v, p)
+    return out
 
 
 def test_linear_part_matches_tables():
@@ -1329,7 +1329,11 @@ def test_linear_part_matches_the_per_entry_oracle():
 def test_linear_part_is_one_composition(monkeypatch):
     real, calls = ratfunc.compose, []
     monkeypatch.setattr(ratfunc, "compose", lambda *args: calls.append(1) or real(*args))
-    for name, (v, p) in _named().items():
+    # the boundary points are kept by value, so a model parsed before with an
+    # equal table may have left points on its own table, which would be
+    # retabled first; a model parsed again, scanned afresh, has none
+    singular._boundary_points.cache_clear()
+    for name, (v, p) in _named(fresh_model("three-wave")).items():
         lp = log_pole_decomposition(v)
         calls.clear()
         linear_part(lp, p)
