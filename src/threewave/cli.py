@@ -134,15 +134,31 @@ def _render_text(report: dict, indent: int = 0) -> str:
             lines.append(_render_text(val, indent + 1))
         elif isinstance(val, list):
             lines.append(f"{pad}{key}:")
-            for item in val:
-                if isinstance(item, dict):
-                    lines.append(_render_text(item, indent + 1))
-                    lines.append(f"{pad}  -")
-                else:
-                    lines.append(f"{pad}  - {item}")
+            lines.append(_render_list(val, indent))
         else:
-            lines.append(f"{pad}{key}: {val}")
+            lines.append(f"{pad}{key}: {_render_scalar(val)}")
     return "\n".join(l for l in lines if l)
+
+
+def _render_list(items: list, indent: int) -> str:
+    """One ``- `` entry per line; a nested list opens with a bare ``-`` and
+    lists its entries one level deeper, and a dict is followed by one."""
+    lines = []
+    pad = "  " * indent
+    for item in items:
+        if isinstance(item, dict):
+            lines.append(_render_text(item, indent + 1))
+            lines.append(f"{pad}  -")
+        elif isinstance(item, list):
+            lines.append(f"{pad}  -")
+            lines.append(_render_list(item, indent + 1))
+        else:
+            lines.append(f"{pad}  - {_render_scalar(item)}")
+    return "\n".join(l for l in lines if l)
+
+
+def _render_scalar(val) -> str:
+    return "null" if val is None else str(val)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,24 +1,26 @@
-"""Adaptive integration over complex time with chart switching.
+"""Taylor-series integration over complex time with chart switching.
 
-The integrator follows a piecewise-linear path in the complex time plane
-with an embedded Cash-Karp 5(4) pair and PI step-size control. Whenever the
-state grows beyond a switch threshold it is mapped through the atlas and
-continued in the chart where its norm is smallest -- that is what carries a
-trajectory straight through a movable pole. Chart transitions go through
-the base chart, which is harmless because switches happen while every
-representation is still O(10). :class:`NumericAtlas` specializes the push of
-the field through each map, made once, at parameter values bound exactly (as
-on the command line). Fields and maps compile to generated straight-line
-functions that fold each polynomial's terms in canonical order, so rounding
-depends on its value alone, and compute each power once per call, at its first
-use (earlier, an overflow could raise before a vanishing denominator); they and
-the unrolled Runge-Kutta step do the same float operations, in the same order,
-as the references in ``tests/oracles.py``.
+Every chart of a resolved atlas carries a polynomial field, so the Taylor
+coefficients of a solution follow exactly from Cauchy-product recurrences
+(Corliss and Chang 1982; Jorba and Zou 2005). The integrator follows a
+piecewise-linear path in the complex time plane by Taylor steps of order
+about -ln(tol)/2, each as long as the last two coefficients allow: its last
+term kept, ``err_est``, which bounds the dropped terms, stays below ``tol``
+times max(1, |y|). Whenever the state grows beyond a switch threshold it is
+mapped through the atlas and continued in the chart where its norm is
+smallest -- that is what carries a trajectory straight through a movable
+pole. Chart transitions go through the base chart, which is harmless because
+switches happen while every representation is still O(10).
+:class:`NumericAtlas` specializes the push of the field through each map, made
+once, at parameter values bound exactly (as on the command line). Maps compile
+to generated straight-line functions that fold each polynomial's terms in
+canonical order, computing each power once, at its first use; fields to a
+generated coefficient recurrence. They and the Taylor step do the same float
+operations in the same order as the references in ``tests/oracles.py``.
 
 Pole diagnostics: :func:`fit_pole` reads a movable pole off the chart that
-resolves it, and :func:`monodromy_check` integrates a closed loop and
-reports the relative deviation between start and end states (small
-deviation evidences single-valuedness).
+resolves it; :func:`monodromy_check` reports the relative deviation between
+the start and end states of a closed loop (small: single-valued).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
@@ -39,23 +43,13 @@ SWITCH_THRESHOLD = 10.0
 SWITCH_GAIN = 4.0
 MAX_STEPS = 200_000  # accepted plus rejected steps of one integrate call
 LOOP_SEGMENTS = 24  # chords of the monodromy loop
+STEP_SAFETY = 0.8  # a step is this fraction of the radius at which the last term kept reaches tol
 
 # the pole read-out (fit_pole)
 _NEWTON_STEPS = 12  # Newton steps allowed
-_NEWTON_SUBSTEPS = 100  # Runge-Kutta substeps allowed in one Newton step
+_NEWTON_SUBSTEPS = 100  # Taylor substeps allowed in one Newton step
 _ROUNDING = 4 * sys.float_info.epsilon  # a Newton step this small, relative to max(1, |t|), has converged
 _VANISHING = 1e-9  # a coefficient this small, relative to its component's largest, vanishes
-
-# Cash-Karp embedded pair: 6 stages, propagating order 5, embedded order 4.
-# _Asj weighs stage j in stage s; _B5j and _B4j weigh stage j in the order-5
-# and order-4 results (_B51, _B54 and _B41 are zero).
-_A10 = 1 / 5
-_A20, _A21 = 3 / 40, 9 / 40
-_A30, _A31, _A32 = 3 / 10, -9 / 10, 6 / 5
-_A40, _A41, _A42, _A43 = -11 / 54, 5 / 2, -70 / 27, 35 / 27
-_A50, _A51, _A52, _A53, _A54 = 1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096
-_B50, _B52, _B53, _B55 = 37 / 378, 250 / 621, 125 / 594, 512 / 1771
-_B40, _B42, _B43, _B44, _B45 = 2825 / 27648, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class TrajectoryPoint:
     t: complex
     state: tuple[complex, complex, complex]
     chart: str
-    err: float = 0.0  # local error estimate of the step that produced this point
+    err: float = 0.0  # err_est: the last term kept by the step that produced this point
 
 
 @dataclass(frozen=True)
@@ -148,11 +142,11 @@ def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict, power
     return lines
 
 
-def _function(lines: list[str], result: str, consts: dict) -> Callable:
-    """``def ev(a, b, c)`` of straight-line ``lines`` returning ``result``,
-    with ``consts`` as its namespace."""
+def _function(lines: list[str], result: str, consts: dict, params: str = "a, b, c") -> Callable:
+    """``def ev(params)`` of ``lines`` returning ``result``, with ``consts``
+    as its namespace."""
     body = "".join(f"    {line}\n" for line in lines)
-    exec(_code(f"def ev(a, b, c):\n{body}    return {result}\n"), consts)
+    exec(_code(f"def ev({params}):\n{body}    return {result}\n"), consts)
     return consts["ev"]
 
 
@@ -181,6 +175,57 @@ def compile_triple(rfs, var_names):
             lines += _sum_source(rf.den, var_names, f"d{i}", consts, powers)
             lines.append(f"s{i} /= d{i}")
     return _function(lines, "(s0, s1, s2)", consts)
+
+
+def compile_series(rfs, var_names) -> Callable:
+    """``series(a, b, c, n)``: the Taylor coefficients, orders 0 to n, of the
+    solution of the field ``rfs`` through (a, b, c), as three lists; order
+    k + 1 is the order-k coefficient of each component over k + 1. A monomial
+    of degree 2 or more is the Cauchy product ``sum(map(mul, A, reversed(B)))``
+    of the monomial A without one factor of its last variable B and B, once
+    per order. A component folds its terms from 0j in canonical order, the
+    constant at order 0 only; a rational one divides by the recurrence
+    q_k = (n_k - sum_{j>=1} d_j q_{k-j}) / d_0. One loop serves every order."""
+    consts: dict = {"mul": mul}
+    products: dict = {}  # exponents -> the name of the monomial's coefficient list
+    lists, loop, sums, constants, tail = [], [], [], [], []
+
+    def series_of(exps):
+        if sum(exps) == 1:
+            return _ARGS[exps.index(1)]
+        if exps not in products:
+            last = max(k for k, e in enumerate(exps) if e)
+            lower = series_of(tuple(e - (k == last) for k, e in enumerate(exps)))
+            products[exps] = name = f"p{len(products)}"
+            lists.append(name)
+            loop.append(f"{name}.append(sum(map(mul, {lower}, reversed({_ARGS[last]}))))")
+        return products[exps]
+
+    def fold(poly, target):
+        terms = ""
+        for coeff, exps in _fold_terms(poly, var_names):
+            name = f"k{len(consts)}"
+            consts[name] = coeff
+            if any(exps):
+                terms += f" + {name} * {series_of(exps)}[k]"
+            else:  # the last term in canonical order
+                constants.append(f"        {target} += {name}")
+        sums.append(f"{target} = 0j{terms}")
+
+    for i, (rf, arg) in enumerate(zip(rfs, _ARGS)):
+        fold(rf.num, f"s{i}")
+        if rf.is_polynomial():
+            tail.append(f"{arg}.append(s{i} / m)")
+        else:
+            fold(rf.den, f"d{i}")
+            lists += [f"e{i}", f"f{i}"]
+            tail += [f"e{i}.append(d{i})",
+                     f"f{i}.append((s{i} - sum(map(mul, e{i}[1:], reversed(f{i})))) / e{i}[0])",
+                     f"{arg}.append(f{i}[k] / m)"]
+    lines = ["a, b, c = [a], [b], [c]"] + [f"{name} = []" for name in lists]
+    lines += ["for k in range(n):", "    m = k + 1"] + [f"    {line}" for line in loop + sums]
+    lines += (["    if not k:"] + constants) if constants else []
+    return _function(lines + [f"    {line}" for line in tail], "a, b, c", consts, "a, b, c, n")
 
 
 class PoleChart(NamedTuple):
@@ -216,13 +261,8 @@ class NumericAtlas:
     ``poles`` holds the charts whose boundary coordinate reads a pole.
     """
 
-    def __init__(
-        self,
-        v: VectorField,
-        maps: Sequence[ChartMap],
-        params: Mapping[str, complex],
-        require_polynomial: bool = True,
-    ):
+    def __init__(self, v: VectorField, maps: Sequence[ChartMap], params: Mapping[str, complex],
+                 require_polynomial: bool = True):
         syms = {s.name: s for s in v.table.parameters()}
         bindings = {}
         for name, value in params.items():
@@ -236,7 +276,7 @@ class NumericAtlas:
         if require_polynomial and (bad := [w.chart.name for w in fields if not w.is_polynomial()]):
             raise AnalysisFailed(f"field is not polynomial on charts {bad}")
         self.base = v.chart.name
-        self.fields: dict[str, Callable] = {}
+        self.series: dict[str, Callable] = {}
         self.to_base: dict[str, Callable] = {}
         self.from_base: dict[str, Callable] = {}
         self.poles: dict[str, PoleChart] = {}
@@ -244,14 +284,14 @@ class NumericAtlas:
         for cmap, w in zip(bound_maps, fields):
             name = cmap.target.name
             tvars = tuple(s.name for s in cmap.target.vars)
-            self.fields[name] = compile_triple(w.components, tvars)
+            self.series[name] = compile_series(w.components, tvars)
             self.to_base[name] = compile_triple(cmap.inverse, tvars)
             self.from_base[name] = compile_triple(cmap.forward, base_vars)
             if pole := _pole_chart(cmap, tvars):
                 self.poles[name] = pole
 
     def charts(self) -> list[str]:
-        return list(self.fields)
+        return list(self.series)
 
     def transition(self, state, frm: str, to: str):
         if frm == to:
@@ -260,100 +300,87 @@ class NumericAtlas:
         return self.from_base[to](*base)
 
     def best_chart(self, state, frm: str):
-        """Chart minimizing the max-norm of the transported state."""
+        """Chart minimizing the max-norm of the transported state; a candidate
+        with a modulus that is not finite is skipped."""
         best_name, best_state, best_norm = frm, tuple(state), max(abs(c) for c in state)
-        for name in self.fields:
+        for name in self.series:
             if name == frm:
                 continue
             try:
                 cand = self.transition(state, frm, name)
-                norm = max(abs(c) for c in cand)  # a modulus that overflows raises
+                moduli = [abs(c) for c in cand]  # a modulus that overflows raises
             except (ZeroDivisionError, OverflowError):
                 continue
-            if math.isfinite(norm) and norm < best_norm:
-                best_name, best_state, best_norm = name, cand, norm
+            if all(map(math.isfinite, moduli)) and max(moduli) < best_norm:  # max drops a nan
+                best_name, best_state, best_norm = name, cand, max(moduli)
         return best_name, best_state, best_norm
 
 
 # -- the integrator -------------------------------------------------------------------
 
 
-def _rk_step(f, y, h, direction):
-    """One Cash-Karp step of dy/ds = direction * f(y): the order-5 state and
-    its difference from the order-4 one. Stage j enters as (h * a_sj) * k_j,
-    left to right, with the zero weights left out."""
-    y0, y1, y2 = y
-    d0, d1, d2 = f(y0, y1, y2)
-    k00, k01, k02 = direction * d0, direction * d1, direction * d2
-    w0 = h * _A10
-    d0, d1, d2 = f(y0 + w0 * k00, y1 + w0 * k01, y2 + w0 * k02)
-    k10, k11, k12 = direction * d0, direction * d1, direction * d2
-    w0, w1 = h * _A20, h * _A21
-    d0, d1, d2 = f(y0 + w0 * k00 + w1 * k10, y1 + w0 * k01 + w1 * k11, y2 + w0 * k02 + w1 * k12)
-    k20, k21, k22 = direction * d0, direction * d1, direction * d2
-    w0, w1, w2 = h * _A30, h * _A31, h * _A32
-    d0, d1, d2 = f(
-        y0 + w0 * k00 + w1 * k10 + w2 * k20,
-        y1 + w0 * k01 + w1 * k11 + w2 * k21,
-        y2 + w0 * k02 + w1 * k12 + w2 * k22,
-    )
-    k30, k31, k32 = direction * d0, direction * d1, direction * d2
-    w0, w1, w2, w3 = h * _A40, h * _A41, h * _A42, h * _A43
-    d0, d1, d2 = f(
-        y0 + w0 * k00 + w1 * k10 + w2 * k20 + w3 * k30,
-        y1 + w0 * k01 + w1 * k11 + w2 * k21 + w3 * k31,
-        y2 + w0 * k02 + w1 * k12 + w2 * k22 + w3 * k32,
-    )
-    k40, k41, k42 = direction * d0, direction * d1, direction * d2
-    w0, w1, w2, w3, w4 = h * _A50, h * _A51, h * _A52, h * _A53, h * _A54
-    d0, d1, d2 = f(
-        y0 + w0 * k00 + w1 * k10 + w2 * k20 + w3 * k30 + w4 * k40,
-        y1 + w0 * k01 + w1 * k11 + w2 * k21 + w3 * k31 + w4 * k41,
-        y2 + w0 * k02 + w1 * k12 + w2 * k22 + w3 * k32 + w4 * k42,
-    )
-    k50, k51, k52 = direction * d0, direction * d1, direction * d2
-    w0, w2, w3, w5 = h * _B50, h * _B52, h * _B53, h * _B55
-    u0 = y0 + w0 * k00 + w2 * k20 + w3 * k30 + w5 * k50
-    u1 = y1 + w0 * k01 + w2 * k21 + w3 * k31 + w5 * k51
-    u2 = y2 + w0 * k02 + w2 * k22 + w3 * k32 + w5 * k52
-    w0, w2, w3, w4, w5 = h * _B40, h * _B42, h * _B43, h * _B44, h * _B45
-    v0 = y0 + w0 * k00 + w2 * k20 + w3 * k30 + w4 * k40 + w5 * k50
-    v1 = y1 + w0 * k01 + w2 * k21 + w3 * k31 + w4 * k41 + w5 * k51
-    v2 = y2 + w0 * k02 + w2 * k22 + w3 * k32 + w4 * k42 + w5 * k52
-    return (u0, u1, u2), (u0 - v0, u1 - v1, u2 - v2)
+def _taylor_order(tol: float) -> tuple[int, float]:
+    """The order p = ceil(-ln(tol) / 2) + 1, at least 2, of a Taylor step at ``tol`` (Jorba
+    and Zou), and its reach ``STEP_SAFETY * tol**(1/p)``, in radii of its coefficients."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    order = max(2, math.ceil(-math.log(tol) / 2) + 1)
+    return order, STEP_SAFETY * tol ** (1 / order)
 
 
-def integrate(
-    v: VectorField,
-    maps: Sequence[ChartMap],
-    start: TrajectoryPoint,
-    path: Sequence[complex],
-    tol: float = 1e-10,
-    atlas: NumericAtlas | None = None,
-) -> Trajectory:
-    """Integrate along the piecewise-linear complex-time path, on ``atlas``
-    (by default the parameter-free ``NumericAtlas(v, maps, {})``).
+def _taylor_step(series, y, scale: float, direction: complex, h: float, order: int, reach: float):
+    """One Taylor step from ``y`` along ``direction``: the state, the sum of
+    X_k (direction * step)^k by rising k; the moduli of its last terms, its
+    ``err_est``, which bound the dropped terms; and the step, the least of ``h``
+    and ``reach`` times the radii (scale / |X_j|)^(1/j), in max-norm, of the
+    last two orders j, with ``scale`` = max(1, |y|)."""
+    a, b, c = series(*y, order)
+    for j in (order - 1, order):
+        top = max(abs(a[j]), abs(b[j]), abs(c[j]))
+        if top:
+            h = min(h, reach * (scale / top) ** (1 / j))
+    w = list(accumulate(repeat(direction * h, order), mul, initial=1.0))  # the powers of the step
+    last = w[-1]
+    return ((sum(map(mul, a, w)), sum(map(mul, b, w)), sum(map(mul, c, w))),
+            (abs(a[-1] * last), abs(b[-1] * last), abs(c[-1] * last)), h)
+
+
+def _finite_start(start: TrajectoryPoint):
+    """The start state and its max-norm; ``ValueError`` unless the start time
+    and state are finite, with moduli a float holds."""
+    try:
+        moduli = [abs(c) for c in (start.t, *start.state)]
+    except OverflowError:
+        moduli = [math.inf]
+    if not all(map(math.isfinite, moduli)):
+        raise ValueError(f"start time {start.t!r} or state {start.state!r} is not finite")
+    return tuple(start.state), max(moduli[1:])
+
+
+def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, path: Sequence[complex],
+              tol: float = 1e-10, atlas: NumericAtlas | None = None) -> Trajectory:
+    """Integrate along the piecewise-linear complex-time path by Taylor steps
+    at ``tol``, on ``atlas`` (by default ``NumericAtlas(v, maps, {})``).
 
     The state follows the chart whose representation stays O(1); switch
-    events are recorded. When no chart keeps the state finite (an unresolved
-    singularity or a genuinely bad path) or ``MAX_STEPS`` steps do not reach
-    the end, a :class:`StepUnderflow` carrying the partial trajectory is
-    raised.
+    events are recorded. A step that is not finite, or shorter than the
+    segment's least step, is rejected and tried again at a tenth of it.
+    When no chart keeps the state finite (an unresolved singularity or a
+    genuinely bad path) or ``MAX_STEPS`` steps do not reach the end, a
+    :class:`StepUnderflow` carrying the partial trajectory is raised. A start
+    that is not finite raises ``ValueError`` before any step.
     """
+    y, norm = _finite_start(start)
     if atlas is None:
         atlas = NumericAtlas(v, maps, {})
+    order, reach = _taylor_order(tol)
     chart = start.chart
-    y = tuple(start.state)
-    # the moduli of y, each computed once, when y is made
-    ym0, ym1, ym2 = abs(y[0]), abs(y[1]), abs(y[2])
-    traj = Trajectory()
-    traj.points.append(TrajectoryPoint(start.t, y, chart))
+    traj = Trajectory([TrajectoryPoint(start.t, y, chart)])
     t_here = complex(start.t)
     waypoints = [complex(p) for p in path]
     if waypoints and waypoints[0] != t_here:
         waypoints = [t_here] + waypoints
 
-    err_prev = 1.0
     for seg_end in waypoints[1:]:
         seg_start = t_here
         delta = seg_end - seg_start
@@ -361,8 +388,7 @@ def integrate(
         if length <= 1e-14 * (1.0 + abs(seg_start)):
             continue
         direction = delta / length
-        s = 0.0
-        h = min(length, 0.1 * (1 + length))
+        s, h = 0.0, length
         hmin = 1e-13 * max(1.0, length)
         end_slack = 1e-14 * max(1.0, length)
         while length - s > end_slack:
@@ -370,70 +396,52 @@ def integrate(
             if h < hmin:
                 # before giving up, try continuing in a better chart
                 stuck = chart
-                chart, y = _switch(atlas, traj, t_here, chart, y, max(ym0, ym1, ym2))
+                chart, y, norm = _switch(atlas, traj, t_here, chart, y, norm)
                 if chart == stuck:
-                    raise StepUnderflow(
-                        f"step size collapsed at t = {t_here}: no chart keeps the state finite", traj
-                    )
-                ym0, ym1, ym2 = abs(y[0]), abs(y[1]), abs(y[2])
+                    raise StepUnderflow(f"step size collapsed at t = {t_here}: "
+                                        "no chart keeps the state finite", traj)
                 h = hmin * 10
                 continue
             if traj.steps_accepted + traj.steps_rejected > MAX_STEPS:
                 raise StepUnderflow(f"step budget exhausted at t = {t_here}", traj)
-            f = atlas.fields[chart]
             try:
-                (u0, u1, u2), (e0, e1, e2) = _rk_step(f, y, h, direction)
+                (u0, u1, u2), (e0, e1, e2), h = _taylor_step(atlas.series[chart], y, max(1.0, norm),
+                                                             direction, h, order, reach)
                 # each modulus once per step; one that overflows raises, and
                 # its step is not finite
-                m0, m1, m2, a0, a1, a2 = abs(u0), abs(u1), abs(u2), abs(e0), abs(e1), abs(e2)
+                m0, m1, m2 = abs(u0), abs(u1), abs(u2)
             except (OverflowError, ZeroDivisionError):
-                err_norm = math.inf
+                finite = False
             else:
-                if math.isfinite(m0) and math.isfinite(m1) and math.isfinite(m2):
-                    err_norm = max(
-                        0.0,
-                        a0 / (tol + tol * max(ym0, m0)),
-                        a1 / (tol + tol * max(ym1, m1)),
-                        a2 / (tol + tol * max(ym2, m2)),
-                    )
-                else:
-                    err_norm = math.inf
-            if err_norm <= 1.0:
+                finite = all(map(math.isfinite, (m0, m1, m2, e0, e1, e2)))
+            if finite and h >= hmin:
                 s += h
                 t_here = seg_start + direction * s
-                y = (u0, u1, u2)
-                ym0, ym1, ym2 = m0, m1, m2
+                y, norm = (u0, u1, u2), max(m0, m1, m2)
                 traj.steps_accepted += 1
-                local_err = max(a0, a1, a2)
+                local_err = max(e0, e1, e2)
                 traj.error_estimate += local_err
-                norm = max(m0, m1, m2)
                 if norm > SWITCH_THRESHOLD:
-                    chart, y = _switch(atlas, traj, t_here, chart, y, norm)
-                    ym0, ym1, ym2 = abs(y[0]), abs(y[1]), abs(y[2])
+                    chart, y, norm = _switch(atlas, traj, t_here, chart, y, norm)
                 traj.points.append(TrajectoryPoint(t_here, y, chart, local_err))
-                # PI controller (order-5 propagation)
-                fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5) if err_norm > 0 else 5.0
-                h *= min(5.0, max(0.2, fac))
-                err_prev = max(err_norm, 1e-4)
+                h = length
             else:
                 traj.steps_rejected += 1
-                if math.isfinite(err_norm):
-                    h *= max(0.1, 0.9 * err_norm ** (-1 / 4))
-                else:
-                    h *= 0.1
+                h *= 0.1
         t_here = seg_end
     return traj
 
 
 def _switch(atlas: NumericAtlas, traj: Trajectory, t: complex, chart: str, y, norm: float):
-    """``chart`` and the state ``y`` on it, of max-norm ``norm``, or the
-    chart where the state is smallest and the state there when that is at
-    least ``SWITCH_GAIN`` times smaller; a switch is recorded in ``traj``."""
+    """``chart``, the state ``y`` on it and its max-norm ``norm``, or the
+    chart where the state is smallest, the state there and its norm when that
+    is at least ``SWITCH_GAIN`` times smaller; a switch is recorded in
+    ``traj``."""
     best, bstate, bnorm = atlas.best_chart(y, chart)
     if best != chart and bnorm * SWITCH_GAIN <= norm:
         traj.events.append(SwitchEvent(t, chart, best, norm, bnorm))
-        return best, tuple(bstate)
-    return chart, y
+        return best, tuple(bstate), bnorm
+    return chart, y, norm
 
 
 # -- pole read-out -----------------------------------------------------------------------
@@ -451,7 +459,8 @@ def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
     """Read a movable pole off the chart of ``atlas.poles`` that resolves it.
 
     From the point with the smallest |x_b|, Newton steps t <- t - x_b / x_b'
-    (the state following by Runge-Kutta substeps in that chart) find x_b = 0.
+    (the state following by Taylor steps in that chart, at the rounding
+    tolerance ``_ROUNDING``) find x_b = 0.
     Component k behaves like leading_k * (t - t1)^(-m_k), m_k = d_k - j for the
     lowest x_b^j whose coefficient in n_k does not vanish there, and leading_k
     is that coefficient over x_b'^m_k (both 0 if all vanish). ``residual`` is
@@ -464,23 +473,26 @@ def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
         raise FitAmbiguous("no point of the segment lies in a chart with a boundary coordinate")
     i = min(near)[1]
     t, y, chart = points[i].t, points[i].state, points[i].chart
-    (slot, terms), f = atlas.poles[chart], atlas.fields[chart]
-    # substeps no longer than the accepted step that reached the point
-    h = abs(t - points[i - 1].t) if i else abs(points[1].t - t) if len(points) > 1 else 0.0
+    (slot, terms), series = atlas.poles[chart], atlas.series[chart]
+    order, reach = _taylor_order(_ROUNDING)
     diverged = f"Newton steps on the boundary coordinate of {chart} do not converge"
     try:
         for _ in range(_NEWTON_STEPS):
-            rate = f(*y)[slot]
+            rate = series(*y, 1)[slot][1]
             if rate == 0:
                 raise FitAmbiguous(f"the boundary coordinate of {chart} is stationary at t = {t}")
             dt = -y[slot] / rate
             if abs(dt) <= _ROUNDING * max(1.0, abs(t)):
                 break
-            if not math.isfinite(abs(dt)) or (h and abs(dt) > _NEWTON_SUBSTEPS * h):
+            if not math.isfinite(abs(dt)):
                 raise FitAmbiguous(diverged)
-            n = math.ceil(abs(dt) / h) if h else 1
-            for _ in range(n):
-                y = _rk_step(f, y, abs(dt) / n, dt / abs(dt))[0]
+            left, direction = abs(dt), dt / abs(dt)
+            for _ in range(_NEWTON_SUBSTEPS):
+                y, _, h = _taylor_step(series, y, max(1.0, *map(abs, y)), direction, left, order, reach)
+                if (left := left - h) <= 0:
+                    break
+            else:
+                raise FitAmbiguous(diverged)
             t += dt
         else:
             raise FitAmbiguous(diverged)
@@ -499,17 +511,12 @@ def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
 # -- monodromy ---------------------------------------------------------------------------
 
 
-def monodromy_check(
-    v: VectorField,
-    maps: Sequence[ChartMap],
-    start: TrajectoryPoint,
-    center: complex,
-    tol: float = 1e-12,
-    atlas: NumericAtlas | None = None,
-) -> dict:
+def monodromy_check(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, center: complex,
+                    tol: float = 1e-12, atlas: NumericAtlas | None = None) -> dict:
     """Integrate a closed circular loop of ``LOOP_SEGMENTS`` chords around
     ``center`` through ``start.t`` (on ``atlas`` as in :func:`integrate`) and
     report the relative deviation between the end and start states."""
+    _finite_start(start)
     if atlas is None:
         atlas = NumericAtlas(v, maps, {})
     radius = abs(start.t - center)
@@ -520,17 +527,10 @@ def monodromy_check(
         center + radius * cmath.exp(1j * (phase + 2 * math.pi * k / LOOP_SEGMENTS))
         for k in range(LOOP_SEGMENTS + 1)
     ]
-    path[0] = start.t
-    path[-1] = start.t  # close the loop exactly
+    path[0] = path[-1] = start.t  # close the loop exactly
     traj = integrate(v, maps, start, path, tol=tol, atlas=atlas)
-    end = traj.end
-    end_state = atlas.transition(end.state, end.chart, start.chart)
+    end_state = atlas.transition(traj.end.state, traj.end.chart, start.chart)
     scale = max(1.0, max(abs(c) for c in start.state))
     deviation = max(abs(a - b) for a, b in zip(end_state, start.state)) / scale
-    return {
-        "deviation": deviation,
-        "radius": radius,
-        "center": center,
-        "switch_events": len(traj.events),
-        "trajectory": traj,
-    }
+    return {"deviation": deviation, "radius": radius, "center": center,
+            "switch_events": len(traj.events), "trajectory": traj}

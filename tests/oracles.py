@@ -11,8 +11,9 @@ read entry by entry.
 The text renderer is the one that printed ``Fraction`` parts and walked
 every table symbol of every term.
 The numeric references are the interpreted kernel the generated one replaced:
-a term loop per polynomial and a list-based Cash-Karp step, and an integration
-loop on them that computes every modulus where it reads it.
+a term loop per polynomial, a Cauchy-product loop over a dictionary of
+monomial coefficient lists per Taylor step, and an integration loop on them
+that computes every modulus where it reads it.
 These stay independent of the code they check. The seeded inputs of the differential tests (random
 fields, every built-in map and a blow-up chart) live here too.
 """
@@ -377,50 +378,103 @@ def reference_triple(rfs, var_names):
     return lambda a, b, c: tuple(fn(a, b, c) for fn in fns)
 
 
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+def _lower(exps):
+    """The monomial ``exps`` without one factor of its last variable, and that
+    variable as a unit exponent tuple."""
+    last = max(k for k, e in enumerate(exps) if e)
+    unit = tuple(int(k == last) for k in range(3))
+    return tuple(e - u for e, u in zip(exps, unit)), unit
 
 
-def reference_rk_step(f, y, h, direction):
-    """One Cash-Karp 5(4) step of dy/ds = direction * f(y) with lists:
-    the order-5 state and the order-5 minus order-4 difference."""
-    k = []
-    for s in range(6):
-        ys = list(y)
-        for j, a in enumerate(_CK_A[s]):
-            if a:
-                for c in range(3):
-                    ys[c] += h * a * k[j][c]
-        deriv = f(*ys)
-        k.append([direction * d for d in deriv])
-    y5 = list(y)
-    y4 = list(y)
-    for j in range(6):
-        for c in range(3):
-            if _CK_B5[j]:
-                y5[c] += h * _CK_B5[j] * k[j][c]
-            if _CK_B4[j]:
-                y4[c] += h * _CK_B4[j] * k[j][c]
-    return tuple(y5), [y5[c] - y4[c] for c in range(3)]
+def reference_series(rfs, var_names):
+    """``numerics.compile_series`` as an interpreted loop: per order k, each
+    monomial's coefficient as the Cauchy product sum_j P_j V_(k-j) of its
+    lower monomial P and its last variable V, lowest degree first; each
+    component's terms summed from 0j in canonical order, the constant at
+    order 0 only; a rational component by the quotient recurrence."""
+    slots = {name: k for k, name in enumerate(var_names)}
+
+    def terms(poly):
+        out = []
+        for e, c in poly.sorted_terms():
+            exps = [0, 0, 0]
+            for sym, d in zip(poly.table.symbols, e):
+                if d:
+                    exps[slots[sym.name]] = d
+            out.append((complex(c), tuple(exps)))
+        return out
+
+    comps = [(terms(rf.num), None if rf.is_polynomial() else terms(rf.den)) for rf in rfs]
+    monomials = set()
+    for num, den in comps:
+        for _, exps in num + (den or []):
+            while sum(exps) >= 2:
+                monomials.add(exps)
+                exps = _lower(exps)[0]
+    monomials = sorted(monomials, key=sum)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def fold(poly_terms, ser, k):
+        s = 0j
+        for coeff, exps in poly_terms:
+            if any(exps):
+                s += coeff * ser[exps][k]
+            elif k == 0:
+                s += coeff
+        return s
+
+    def series(a, b, c, n):
+        ser = {units[0]: [a], units[1]: [b], units[2]: [c]}
+        ser.update((e, []) for e in monomials)
+        dens, quots = [[], [], []], [[], [], []]
+        for k in range(n):
+            for e in monomials:
+                lower, unit = _lower(e)
+                P, V = ser[lower], ser[unit]
+                ser[e].append(sum(P[j] * V[k - j] for j in range(k + 1)))
+            nxt = []
+            for i, (num, den) in enumerate(comps):
+                s = fold(num, ser, k)
+                if den is not None:
+                    d, q = dens[i], quots[i]
+                    d.append(fold(den, ser, k))
+                    q.append((s - sum(d[j] * q[k - j] for j in range(1, k + 1))) / d[0])
+                    s = q[k]
+                nxt.append(s / (k + 1))
+            for unit, x in zip(units, nxt):
+                ser[unit].append(x)
+        return tuple(ser[unit] for unit in units)
+
+    return series
+
+
+def reference_taylor_step(series, y, scale, direction, h, order, reach):
+    """One Taylor step as ``numerics._taylor_step`` takes it: the step is the
+    least of ``h`` and ``reach`` times (scale / |X_j|)^(1/j) for the last two
+    orders j, the state sums X_k hc^k with hc^k by repeated products, and the
+    error estimate is the modulus of each last term."""
+    coeffs = series(*y, order)
+    for j in (order - 1, order):
+        top = max(abs(x[j]) for x in coeffs)
+        if top:
+            h = min(h, reach * (scale / top) ** (1 / j))
+    powers = [1.0]
+    for _ in range(order):
+        powers.append(powers[-1] * (direction * h))
+    state = tuple(sum(x[k] * powers[k] for k in range(order + 1)) for x in coeffs)
+    return state, tuple(abs(x[order] * powers[order]) for x in coeffs), h
 
 
 def reference_atlas(v: VectorField, maps) -> dict:
-    """Per chart of ``maps``, in their order: the pushed field, the map to the
-    base chart and the map from it, each a ``reference_triple``."""
+    """Per chart of ``maps``, in their order: the ``reference_series`` of the
+    pushed field, and the map to the base chart and the map from it, each a
+    ``reference_triple``."""
     base_vars = [s.name for s in v.chart.vars]
     out = {}
     for cmap in maps:
         tvars = [s.name for s in cmap.target.vars]
         out[cmap.target.name] = (
-            reference_triple(models.pushed_field(v, cmap).components, tvars),
+            reference_series(models.pushed_field(v, cmap).components, tvars),
             reference_triple(cmap.inverse, tvars),
             reference_triple(cmap.forward, base_vars),
         )
@@ -435,29 +489,31 @@ def _reference_transition(atlas, state, frm, to):
 
 def _reference_switch(atlas, traj, t, chart, y, norm):
     """The chart of smallest max-norm, trying every other chart in atlas
-    order, when it is at least ``SWITCH_GAIN`` times smaller."""
+    order and skipping one with a modulus that is not finite, when it is at
+    least ``SWITCH_GAIN`` times smaller."""
     best, bstate, bnorm = chart, tuple(y), max(abs(c) for c in y)
     for name in atlas:
         if name == chart:
             continue
         try:
             cand = _reference_transition(atlas, y, chart, name)
-            cnorm = max(abs(c) for c in cand)
+            moduli = [abs(c) for c in cand]
         except (ZeroDivisionError, OverflowError):
             continue
-        if math.isfinite(cnorm) and cnorm < bnorm:
-            best, bstate, bnorm = name, cand, cnorm
+        if all(math.isfinite(m) for m in moduli) and max(moduli) < bnorm:
+            best, bstate, bnorm = name, cand, max(moduli)
     if best != chart and bnorm * numerics.SWITCH_GAIN <= norm:
         traj.events.append(numerics.SwitchEvent(t, chart, best, norm, bnorm))
         return best, tuple(bstate)
     return chart, y
 
 
-def reference_integrate(v, maps, start, path, tol=1e-10):
+def reference_taylor(v, maps, start, path, tol=1e-10):
     """``numerics.integrate`` as a plain loop on ``reference_atlas``: each
-    modulus computed where it is read, the steps by ``reference_rk_step``.
-    A step with a component of overflowing modulus is not finite, like one
-    with an infinite or nan part, and is rejected."""
+    modulus computed where it is read, the steps by ``reference_taylor_step``
+    at the order ceil(-ln(tol) / 2) + 1. A step with a state or error
+    component of modulus that is not finite (an infinite or nan part, or an
+    overflow) is rejected, as is one shorter than the segment's least step."""
     atlas = reference_atlas(v, maps)
     chart, y = start.chart, tuple(start.state)
     traj = numerics.Trajectory()
@@ -466,7 +522,8 @@ def reference_integrate(v, maps, start, path, tol=1e-10):
     waypoints = [complex(p) for p in path]
     if waypoints and waypoints[0] != t_here:
         waypoints = [t_here] + waypoints
-    err_prev = 1.0
+    order = max(2, math.ceil(-math.log(tol) / 2) + 1)
+    reach = numerics.STEP_SAFETY * tol ** (1 / order)
     for seg_end in waypoints[1:]:
         seg_start = t_here
         delta = seg_end - seg_start
@@ -475,7 +532,7 @@ def reference_integrate(v, maps, start, path, tol=1e-10):
             continue
         direction = delta / length
         s = 0.0
-        h = min(length, 0.1 * (1 + length))
+        h = length
         hmin = 1e-13 * max(1.0, length)
         end_slack = 1e-14 * max(1.0, length)
         while length - s > end_slack:
@@ -491,40 +548,34 @@ def reference_integrate(v, maps, start, path, tol=1e-10):
                 continue
             if traj.steps_accepted + traj.steps_rejected > numerics.MAX_STEPS:
                 raise StepUnderflow(f"step budget exhausted at t = {t_here}", traj)
+            scale = max(1.0, max(abs(c) for c in y))
             try:
-                u, e = reference_rk_step(atlas[chart][0], y, h, direction)
-                finite = all(cmath.isfinite(c) and math.isfinite(abs(c)) for c in u)
-                if finite:
-                    err_norm = max(0.0, *(abs(e[k]) / (tol + tol * max(abs(y[k]), abs(u[k])))
-                                          for k in range(3)))
+                u, e, h = reference_taylor_step(atlas[chart][0], y, scale, direction, h, order, reach)
+                finite = all(math.isfinite(abs(c)) for c in u) and all(math.isfinite(x) for x in e)
             except (OverflowError, ZeroDivisionError):
                 finite = False
-            if not finite:
-                err_norm = math.inf
-            if err_norm <= 1.0:
+            if finite and h >= hmin:
                 s += h
                 t_here = seg_start + direction * s
                 y = tuple(u)
                 traj.steps_accepted += 1
-                local_err = max(abs(c) for c in e)
+                local_err = max(e)
                 traj.error_estimate += local_err
                 norm = max(abs(c) for c in y)
                 if norm > numerics.SWITCH_THRESHOLD:
                     chart, y = _reference_switch(atlas, traj, t_here, chart, y, norm)
                 traj.points.append(numerics.TrajectoryPoint(t_here, y, chart, local_err))
-                fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5) if err_norm > 0 else 5.0
-                h *= min(5.0, max(0.2, fac))
-                err_prev = max(err_norm, 1e-4)
+                h = length
             else:
                 traj.steps_rejected += 1
-                h *= max(0.1, 0.9 * err_norm ** (-1 / 4)) if math.isfinite(err_norm) else 0.1
+                h *= 0.1
         t_here = seg_end
     return traj
 
 
 def reference_monodromy(v, maps, start, center, tol=1e-12):
-    """The relative deviation of ``reference_integrate`` around the closed
-    loop of ``numerics.LOOP_SEGMENTS`` chords about ``center`` through
+    """The relative deviation of ``reference_taylor`` around the closed loop
+    of ``numerics.LOOP_SEGMENTS`` chords about ``center`` through
     ``start.t``, and its trajectory."""
     atlas = reference_atlas(v, maps)
     radius = abs(start.t - center)
@@ -532,7 +583,7 @@ def reference_monodromy(v, maps, start, center, tol=1e-12):
     n = numerics.LOOP_SEGMENTS
     path = [center + radius * cmath.exp(1j * (phase + 2 * math.pi * k / n)) for k in range(n + 1)]
     path[0] = path[-1] = start.t
-    traj = reference_integrate(v, maps, start, path, tol)
+    traj = reference_taylor(v, maps, start, path, tol)
     end = _reference_transition(atlas, traj.end.state, traj.end.chart, start.chart)
     scale = max(1.0, max(abs(c) for c in start.state))
     return max(abs(a - b) for a, b in zip(end, start.state)) / scale, traj
