@@ -335,10 +335,9 @@ def naive_evaluate(p: MultiPoly, point: dict) -> GaussianRational:
     return total
 
 
-def reference_poly(poly, var_names):
-    """``poly`` at three complex values, bound to ``var_names`` by symbol name:
-    each term ``coeff * a**e1 * b**e2 * c**e3`` (zero exponents skipped),
-    summed from 0j term by term in canonical order (graded-lex descending)."""
+def _reference_terms(poly, var_names):
+    """(coefficient, exponents in ``var_names`` order) per term of ``poly``,
+    the symbols bound by name, in canonical order (graded-lex descending)."""
     slots = {name: k for k, name in enumerate(var_names)}
     terms = []
     for e, c in poly.sorted_terms():
@@ -346,7 +345,15 @@ def reference_poly(poly, var_names):
         for sym, d in zip(poly.table.symbols, e):
             if d:
                 exps[slots[sym.name]] = d
-        terms.append((complex(c), exps))
+        terms.append((complex(c), tuple(exps)))
+    return terms
+
+
+def reference_poly(poly, var_names):
+    """``poly`` at three complex values, bound to ``var_names`` by symbol name:
+    each term ``coeff * a**e1 * b**e2 * c**e3`` (zero exponents skipped),
+    summed from 0j term by term in canonical order."""
+    terms = _reference_terms(poly, var_names)
 
     def ev(a, b, c):
         s = 0j
@@ -392,19 +399,8 @@ def reference_series(rfs, var_names):
     lower monomial P and its last variable V, lowest degree first; each
     component's terms summed from 0j in canonical order, the constant at
     order 0 only; a rational component by the quotient recurrence."""
-    slots = {name: k for k, name in enumerate(var_names)}
-
-    def terms(poly):
-        out = []
-        for e, c in poly.sorted_terms():
-            exps = [0, 0, 0]
-            for sym, d in zip(poly.table.symbols, e):
-                if d:
-                    exps[slots[sym.name]] = d
-            out.append((complex(c), tuple(exps)))
-        return out
-
-    comps = [(terms(rf.num), None if rf.is_polynomial() else terms(rf.den)) for rf in rfs]
+    comps = [(_reference_terms(rf.num, var_names),
+              None if rf.is_polynomial() else _reference_terms(rf.den, var_names)) for rf in rfs]
     monomials = set()
     for num, den in comps:
         for _, exps in num + (den or []):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import re
@@ -750,8 +751,8 @@ def test_taylor_step_is_bit_identical_to_the_reference():
                           cmath.exp(1j * rng.uniform(-math.pi, math.pi)),
                           rng.choice((rng.uniform(1e-6, 0.5), 0.0, 1e300)), order,
                           numerics.STEP_SAFETY * (10.0 ** -rng.randint(4, 14)) ** (1 / order)))
-        step = lambda *args: _taylor_step(series, *args)  # noqa: E731
-        kinds |= _same_outcomes(step, lambda *args: reference_taylor_step(ref, *args), calls)
+        step = functools.partial(_taylor_step, series)
+        kinds |= _same_outcomes(step, functools.partial(reference_taylor_step, ref), calls)
         finite |= _finiteness(step, calls)
     assert kinds == {"value", ZeroDivisionError} and finite == {True, False}
 
