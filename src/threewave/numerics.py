@@ -18,9 +18,9 @@ canonical order, computing each power once, at its first use; fields to a
 generated coefficient recurrence. They and the Taylor step do the same float
 operations in the same order as the references in ``tests/oracles.py``.
 
-Pole diagnostics: :func:`fit_pole` reads a movable pole off the chart that
-resolves it; :func:`monodromy_check` reports the relative deviation between
-the start and end states of a closed loop (small: single-valued).
+Pole diagnostics: :func:`fit_pole` reads a movable pole off one Taylor series
+in the chart that resolves it; :func:`monodromy_check` reports the relative
+deviation between the start and end states of a closed loop (small: single-valued).
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ LOOP_SEGMENTS = 24  # chords of the monodromy loop
 STEP_SAFETY = 0.8  # a step is this fraction of the radius at which the last term kept reaches tol
 
 # the pole read-out (fit_pole)
-_NEWTON_STEPS = 12  # Newton steps allowed
-_NEWTON_SUBSTEPS = 100  # Taylor substeps allowed in one Newton step
+_NEWTON_STEPS = 12  # Newton steps allowed; one whose iterate leaves the series' disc counts too
 _ROUNDING = 4 * sys.float_info.epsilon  # a Newton step this small, relative to max(1, |t|), has converged
 _VANISHING = 1e-9  # a coefficient this small, relative to its component's largest, vanishes
 
@@ -81,30 +80,22 @@ class Trajectory:
     def end(self) -> TrajectoryPoint:
         return self.points[-1]
 
-    def records(self) -> list[str]:
-        out = []
-        for p in self.points:
-            vals = [p.t.real, p.t.imag]
-            for c in p.state:
-                vals.extend((c.real, c.imag))
-            vals.append(p.err)
-            out.append(",".join(f"{v:.17g}" for v in vals[:2]) + f",{p.chart}," +
-                       ",".join(f"{v:.17g}" for v in vals[2:]))
-        return out
-
     def to_csv(self) -> str:
-        header = "t_re,t_im,chart,x_re,x_im,y_re,y_im,z_re,z_im,err_est"
-        return "\n".join([header] + self.records()) + "\n"
+        def numbers(*vals):
+            return ",".join(f"{v:.17g}" for v in vals)
+        rows = [f"{numbers(p.t.real, p.t.imag)},{p.chart},"
+                f"{numbers(*(u for c in p.state for u in (c.real, c.imag)), p.err)}" for p in self.points]
+        return "\n".join(["t_re,t_im,chart,x_re,x_im,y_re,y_im,z_re,z_im,err_est"] + rows) + "\n"
 
 
 # -- compilation --------------------------------------------------------------------
 
 
-def _fold_terms(poly, var_names: Sequence[str]):
-    """(coefficient, exponents in ``var_names`` order) per term, in canonical order."""
+def _fold_terms(poly, var_names: Sequence[str], consts: dict):
+    """Yield (kN, exponents in ``var_names`` order) per term in canonical order, the
+    coefficient bound in ``consts`` as kN; ``ValueError`` if it is too large for a float."""
     syms = poly.table.symbols
     var_slots = {name: k for k, name in enumerate(var_names)}
-    out = []
     for e, c in poly.sorted_terms():
         exps = [0, 0, 0]
         for k, d in enumerate(e):
@@ -113,8 +104,11 @@ def _fold_terms(poly, var_names: Sequence[str]):
                 if name not in var_slots:
                     raise KeyError(f"symbol {name!r} has no numeric value")
                 exps[var_slots[name]] = d
-        out.append((complex(c), tuple(exps)))
-    return out
+        try:
+            consts[name := f"k{len(consts)}"] = complex(c)
+        except OverflowError:
+            raise ValueError(f"coefficient {c} is too large for a float") from None
+        yield name, tuple(exps)
 
 
 _ARGS = ("a", "b", "c")
@@ -132,9 +126,7 @@ def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict, power
     included. An exponent 1 stays a power: ``a**1`` raises OverflowError where
     ``a`` is infinite, which a bare ``a`` would not."""
     lines = [f"{target} = 0j"]
-    for coeff, exps in _fold_terms(poly, var_names):
-        name = f"k{len(consts)}"
-        consts[name] = coeff
+    for name, exps in _fold_terms(poly, var_names, consts):
         factors = [(arg, e) for arg, e in zip(_ARGS, exps) if e]
         lines += [f"{arg}{e} = {arg}**{e}" for arg, e in factors if (arg, e) not in powers]
         powers.update(factors)
@@ -166,9 +158,7 @@ def compile_triple(rfs, var_names):
     """One function of a, b, c returning the three rational functions
     ``rfs``, evaluated in turn, each numerator before its denominator; a
     power is computed once for all six."""
-    consts: dict = {}
-    lines: list[str] = []
-    powers: set = set()
+    consts, lines, powers = {}, [], set()
     for i, rf in enumerate(rfs):
         lines += _sum_source(rf.num, var_names, f"s{i}", consts, powers)
         if not rf.is_polynomial():  # a reduced denominator is monic: a polynomial's is 1
@@ -203,9 +193,7 @@ def compile_series(rfs, var_names) -> Callable:
 
     def fold(poly, target):
         terms = ""
-        for coeff, exps in _fold_terms(poly, var_names):
-            name = f"k{len(consts)}"
-            consts[name] = coeff
+        for name, exps in _fold_terms(poly, var_names, consts):
             if any(exps):
                 terms += f" + {name} * {series_of(exps)}[k]"
             else:  # the last term in canonical order
@@ -284,11 +272,14 @@ class NumericAtlas:
         for cmap, w in zip(bound_maps, fields):
             name = cmap.target.name
             tvars = tuple(s.name for s in cmap.target.vars)
-            self.series[name] = compile_series(w.components, tvars)
-            self.to_base[name] = compile_triple(cmap.inverse, tvars)
-            self.from_base[name] = compile_triple(cmap.forward, base_vars)
-            if pole := _pole_chart(cmap, tvars):
-                self.poles[name] = pole
+            try:
+                self.series[name] = compile_series(w.components, tvars)
+                self.to_base[name] = compile_triple(cmap.inverse, tvars)
+                self.from_base[name] = compile_triple(cmap.forward, base_vars)
+                if pole := _pole_chart(cmap, tvars):
+                    self.poles[name] = pole
+            except ValueError as exc:
+                raise ValueError(f"chart {name}: {exc}") from None
 
     def charts(self) -> list[str]:
         return list(self.series)
@@ -296,16 +287,13 @@ class NumericAtlas:
     def transition(self, state, frm: str, to: str):
         if frm == to:
             return tuple(state)
-        base = self.to_base[frm](*state)
-        return self.from_base[to](*base)
+        return self.from_base[to](*self.to_base[frm](*state))
 
     def best_chart(self, state, frm: str):
         """Chart minimizing the max-norm of the transported state; a candidate
         with a modulus that is not finite is skipped."""
         best_name, best_state, best_norm = frm, tuple(state), max(abs(c) for c in state)
-        for name in self.series:
-            if name == frm:
-                continue
+        for name in self.series:  # frm itself is no smaller
             try:
                 cand = self.transition(state, frm, name)
                 moduli = [abs(c) for c in cand]  # a modulus that overflows raises
@@ -328,17 +316,24 @@ def _taylor_order(tol: float) -> tuple[int, float]:
     return order, STEP_SAFETY * tol ** (1 / order)
 
 
+def _radius(coeffs, scale: float, h: float, reach: float) -> float:
+    """The least of ``h`` and ``reach`` times the radii (scale / |X_j|)^(1/j),
+    in max-norm, of the last two orders j of the series ``coeffs``."""
+    a, b, c = coeffs
+    for j in (len(a) - 2, len(a) - 1):
+        top = max(abs(a[j]), abs(b[j]), abs(c[j]))
+        if top:
+            h = min(h, reach * (scale / top) ** (1 / j))
+    return h
+
+
 def _taylor_step(series, y, scale: float, direction: complex, h: float, order: int, reach: float):
     """One Taylor step from ``y`` along ``direction``: the state, the sum of
     X_k (direction * step)^k by rising k; the moduli of its last terms, its
     ``err_est``, which bound the dropped terms; and the step, the least of ``h``
-    and ``reach`` times the radii (scale / |X_j|)^(1/j), in max-norm, of the
-    last two orders j, with ``scale`` = max(1, |y|)."""
-    a, b, c = series(*y, order)
-    for j in (order - 1, order):
-        top = max(abs(a[j]), abs(b[j]), abs(c[j]))
-        if top:
-            h = min(h, reach * (scale / top) ** (1 / j))
+    and the :func:`_radius` of its series, with ``scale`` = max(1, |y|)."""
+    a, b, c = coeffs = series(*y, order)
+    h = _radius(coeffs, scale, h, reach)
     w = list(accumulate(repeat(direction * h, order), mul, initial=1.0))  # the powers of the step
     last = w[-1]
     return ((sum(map(mul, a, w)), sum(map(mul, b, w)), sum(map(mul, c, w))),
@@ -380,17 +375,14 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
     waypoints = [complex(p) for p in path]
     if waypoints and waypoints[0] != t_here:
         waypoints = [t_here] + waypoints
-
     for seg_end in waypoints[1:]:
-        seg_start = t_here
-        delta = seg_end - seg_start
+        seg_start, delta = t_here, seg_end - t_here
         length = abs(delta)
         if length <= 1e-14 * (1.0 + abs(seg_start)):
             continue
         direction = delta / length
-        s, h = 0.0, length
-        hmin = 1e-13 * max(1.0, length)
-        end_slack = 1e-14 * max(1.0, length)
+        s, h, allowed = 0.0, length, 0.0  # allowed: the last finite step the series allowed
+        hmin, end_slack = 1e-13 * max(1.0, length), 1e-14 * max(1.0, length)
         while length - s > end_slack:
             h = min(h, length - s)
             if h < hmin:
@@ -398,8 +390,9 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
                 stuck = chart
                 chart, y, norm = _switch(atlas, traj, t_here, chart, y, norm)
                 if chart == stuck:
-                    raise StepUnderflow(f"step size collapsed at t = {t_here}: "
-                                        "no chart keeps the state finite", traj)
+                    reason = (f"the series allows a step of {allowed:.3g}, below the segment's least step "
+                              f"{hmin:.3g}" if 0 < allowed < hmin else "no chart keeps the state finite")
+                    raise StepUnderflow(f"step size collapsed at t = {t_here}: {reason}", traj)
                 h = hmin * 10
                 continue
             if traj.steps_accepted + traj.steps_rejected > MAX_STEPS:
@@ -407,13 +400,13 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
             try:
                 (u0, u1, u2), (e0, e1, e2), h = _taylor_step(atlas.series[chart], y, max(1.0, norm),
                                                              direction, h, order, reach)
-                # each modulus once per step; one that overflows raises, and
-                # its step is not finite
+                # each modulus once per step; one that overflows raises: the step is not finite
                 m0, m1, m2 = abs(u0), abs(u1), abs(u2)
             except (OverflowError, ZeroDivisionError):
                 finite = False
             else:
                 finite = all(map(math.isfinite, (m0, m1, m2, e0, e1, e2)))
+            allowed = h if finite else 0.0
             if finite and h >= hmin:
                 s += h
                 t_here = seg_start + direction * s
@@ -455,47 +448,56 @@ class PoleFit:
     residual: float
 
 
+def _horner(coeffs, tau: complex) -> tuple[complex, complex]:
+    """The value and the slope at ``tau`` of the polynomial sum X_k tau^k."""
+    value = slope = 0j
+    for x in reversed(coeffs):
+        value, slope = value * tau + x, slope * tau + value
+    return value, slope
+
+
 def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
     """Read a movable pole off the chart of ``atlas.poles`` that resolves it.
 
-    From the point with the smallest |x_b|, Newton steps t <- t - x_b / x_b'
-    (the state following by Taylor steps in that chart, at the rounding
-    tolerance ``_ROUNDING``) find x_b = 0.
-    Component k behaves like leading_k * (t - t1)^(-m_k), m_k = d_k - j for the
-    lowest x_b^j whose coefficient in n_k does not vanish there, and leading_k
-    is that coefficient over x_b'^m_k (both 0 if all vanish). ``residual`` is
-    |x_b| at the location. :class:`FitAmbiguous` means no point lies in such a
-    chart, x_b' vanishes, or Newton does not converge.
+    The solution is expanded once, at the point of smallest |x_b|, to the
+    order of the rounding tolerance ``_ROUNDING``. Newton steps on that series
+    of x_b find x_b = 0, and the state and x_b' there are read off it; an
+    iterate that leaves the disc of :func:`_radius` moves the expansion to the
+    disc's edge towards it. Component k behaves like leading_k * (t - t1)^(-m_k),
+    m_k = d_k - j for the lowest x_b^j whose coefficient in n_k does not vanish
+    there, and leading_k is that coefficient over x_b'^m_k (both 0 if all
+    vanish). ``residual`` is |x_b| at the location. :class:`FitAmbiguous` means
+    no point lies in such a chart, x_b' vanishes, or Newton does not converge.
     """
-    near = [(abs(p.state[atlas.poles[p.chart].slot]), i)
+    near = [(abs(p.state[atlas.poles[p.chart].slot]), i, p.t, p.state, p.chart)
             for i, p in enumerate(points) if p.chart in atlas.poles]
     if not near:
         raise FitAmbiguous("no point of the segment lies in a chart with a boundary coordinate")
-    i = min(near)[1]
-    t, y, chart = points[i].t, points[i].state, points[i].chart
+    _, _, t, y, chart = min(near)  # the first of equal |x_b|
     (slot, terms), series = atlas.poles[chart], atlas.series[chart]
     order, reach = _taylor_order(_ROUNDING)
     diverged = f"Newton steps on the boundary coordinate of {chart} do not converge"
     try:
+        tau, disc, coeffs = 0j, 0.0, None
         for _ in range(_NEWTON_STEPS):
-            rate = series(*y, 1)[slot][1]
+            if abs(tau) >= disc:  # expand at the point, then at the disc's edge towards the iterate
+                if coeffs is not None:
+                    edge = tau * (disc / abs(tau))
+                    t, y, tau = t + edge, tuple(_horner(xs, edge)[0] for xs in coeffs), 0j
+                coeffs = series(*y, order)
+                disc = _radius(coeffs, max(1.0, *map(abs, y)), math.inf, reach)
+            x, rate = _horner(coeffs[slot], tau)
             if rate == 0:
-                raise FitAmbiguous(f"the boundary coordinate of {chart} is stationary at t = {t}")
-            dt = -y[slot] / rate
-            if abs(dt) <= _ROUNDING * max(1.0, abs(t)):
+                raise FitAmbiguous(f"the boundary coordinate of {chart} is stationary at t = {t + tau}")
+            dt = -x / rate
+            if abs(dt) <= _ROUNDING * max(1.0, abs(t + tau)):
                 break
             if not math.isfinite(abs(dt)):
                 raise FitAmbiguous(diverged)
-            left, direction = abs(dt), dt / abs(dt)
-            for _ in range(_NEWTON_SUBSTEPS):
-                y, _, h = _taylor_step(series, y, max(1.0, *map(abs, y)), direction, left, order, reach)
-                if (left := left - h) <= 0:
-                    break
-            else:
-                raise FitAmbiguous(diverged)
-            t += dt
+            tau += dt
         else:
             raise FitAmbiguous(diverged)
+        t, y = t + tau, tuple(_horner(xs, tau)[0] for xs in coeffs)
         exponents, leading = [], []
         for component in terms:
             values = [(m, c(*y)) for m, c in component]
@@ -523,10 +525,8 @@ def monodromy_check(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryP
     if radius == 0:
         raise ValueError("start time coincides with the loop center")
     phase = cmath.phase(start.t - center)
-    path = [
-        center + radius * cmath.exp(1j * (phase + 2 * math.pi * k / LOOP_SEGMENTS))
-        for k in range(LOOP_SEGMENTS + 1)
-    ]
+    path = [center + radius * cmath.exp(1j * (phase + 2 * math.pi * k / LOOP_SEGMENTS))
+            for k in range(LOOP_SEGMENTS + 1)]
     path[0] = path[-1] = start.t  # close the loop exactly
     traj = integrate(v, maps, start, path, tol=tol, atlas=atlas)
     end_state = atlas.transition(traj.end.state, traj.end.chart, start.chart)

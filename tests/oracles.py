@@ -12,8 +12,9 @@ The text renderer is the one that printed ``Fraction`` parts and walked
 every table symbol of every term.
 The numeric references are the interpreted kernel the generated one replaced:
 a term loop per polynomial, a Cauchy-product loop over a dictionary of
-monomial coefficient lists per Taylor step, and an integration loop on them
-that computes every modulus where it reads it.
+monomial coefficient lists per Taylor step, an integration loop on them
+that computes every modulus where it reads it, and the pole fit by Newton
+steps with Taylor substeps that Newton on one series replaced.
 These stay independent of the code they check. The seeded inputs of the differential tests (random
 fields, every built-in map and a blow-up chart) live here too.
 """
@@ -28,7 +29,7 @@ import sys
 from pathlib import Path
 
 from threewave import models, numerics
-from threewave.errors import DenominatorVanishes, StepUnderflow
+from threewave.errors import DenominatorVanishes, FitAmbiguous, StepUnderflow
 from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.parsing import ModelFile, parse_model
@@ -509,7 +510,8 @@ def reference_taylor(v, maps, start, path, tol=1e-10):
     modulus computed where it is read, the steps by ``reference_taylor_step``
     at the order ceil(-ln(tol) / 2) + 1. A step with a state or error
     component of modulus that is not finite (an infinite or nan part, or an
-    overflow) is rejected, as is one shorter than the segment's least step."""
+    overflow) is rejected, as is one shorter than the segment's least step;
+    a collapse names that least step when the last step tried was finite."""
     atlas = reference_atlas(v, maps)
     chart, y = start.chart, tuple(start.state)
     traj = numerics.Trajectory()
@@ -529,6 +531,7 @@ def reference_taylor(v, maps, start, path, tol=1e-10):
         direction = delta / length
         s = 0.0
         h = length
+        allowed = 0.0  # the step the series allowed at the last attempt, 0 if it was not finite
         hmin = 1e-13 * max(1.0, length)
         end_slack = 1e-14 * max(1.0, length)
         while length - s > end_slack:
@@ -537,9 +540,12 @@ def reference_taylor(v, maps, start, path, tol=1e-10):
                 stuck = chart
                 chart, y = _reference_switch(atlas, traj, t_here, chart, y, max(abs(c) for c in y))
                 if chart == stuck:
-                    raise StepUnderflow(
-                        f"step size collapsed at t = {t_here}: no chart keeps the state finite", traj
-                    )
+                    if 0 < allowed < hmin:
+                        reason = (f"the series allows a step of {allowed:.3g}, "
+                                  f"below the segment's least step {hmin:.3g}")
+                    else:
+                        reason = "no chart keeps the state finite"
+                    raise StepUnderflow(f"step size collapsed at t = {t_here}: {reason}", traj)
                 h = hmin * 10
                 continue
             if traj.steps_accepted + traj.steps_rejected > numerics.MAX_STEPS:
@@ -550,6 +556,7 @@ def reference_taylor(v, maps, start, path, tol=1e-10):
                 finite = all(math.isfinite(abs(c)) for c in u) and all(math.isfinite(x) for x in e)
             except (OverflowError, ZeroDivisionError):
                 finite = False
+            allowed = h if finite else 0.0
             if finite and h >= hmin:
                 s += h
                 t_here = seg_start + direction * s
@@ -583,6 +590,65 @@ def reference_monodromy(v, maps, start, center, tol=1e-12):
     end = _reference_transition(atlas, traj.end.state, traj.end.chart, start.chart)
     scale = max(1.0, max(abs(c) for c in start.state))
     return max(abs(a - b) for a, b in zip(end, start.state)) / scale, traj
+
+
+# a chart T of the base chart's reciprocal x, u = 1/x, with no other chart;
+# ``field`` is the base chart's field: x' = 0 leaves u stationary, x' = 1 makes
+# u = 1/(t + x0), which recedes from 0 under every Newton step
+RECIPROCAL_MODEL = ("chart U0 : x y z\nchart T : u v w @ u\nsystem U0 : {field}\n"
+                    "map U0 T : 1/(x) ; y ; z | 1/(u) ; v ; w\natlas resolved : T\n")
+
+
+def reference_fit_pole(points, atlas):
+    """``numerics.fit_pole`` as Newton steps that move the state: from the
+    point of smallest |x_b| in a chart of ``atlas.poles``, each step
+    t <- t - x_b / x_b' takes x_b' from an order-1 series and follows it by
+    ``reference_taylor_step`` substeps at the rounding tolerance, at most 100
+    of them, for at most 12 Newton steps; the exponents and leading
+    coefficients are read off the state and x_b' of the last step.
+    ``FitAmbiguous`` where the library raises it."""
+    rounding = numerics._ROUNDING
+    near = [(abs(p.state[atlas.poles[p.chart].slot]), i)
+            for i, p in enumerate(points) if p.chart in atlas.poles]
+    if not near:
+        raise FitAmbiguous("no point lies in a chart with a boundary coordinate")
+    point = points[min(near)[1]]
+    t, y = point.t, point.state
+    (slot, terms), series = atlas.poles[point.chart], atlas.series[point.chart]
+    order = max(2, math.ceil(-math.log(rounding) / 2) + 1)
+    reach = numerics.STEP_SAFETY * rounding ** (1 / order)
+    try:
+        for _ in range(12):
+            rate = series(*y, 1)[slot][1]
+            if rate == 0:
+                raise FitAmbiguous("stationary")
+            dt = -y[slot] / rate
+            if abs(dt) <= rounding * max(1.0, abs(t)):
+                break
+            if not math.isfinite(abs(dt)):
+                raise FitAmbiguous("diverged")
+            left = abs(dt)
+            for _ in range(100):
+                scale = max(1.0, max(abs(c) for c in y))
+                y, _, h = reference_taylor_step(series, y, scale, dt / abs(dt), left, order, reach)
+                left -= h
+                if left <= 0:
+                    break
+            else:
+                raise FitAmbiguous("diverged")
+            t += dt
+        else:
+            raise FitAmbiguous("diverged")
+        exponents, leading = [], []
+        for component in terms:
+            values = [(m, c(*y)) for m, c in component]
+            scale = max((abs(v) for _, v in values), default=0.0)
+            m, v = next(((m, v) for m, v in values if abs(v) > numerics._VANISHING * scale), (0, 0j))
+            exponents.append(m)
+            leading.append(v / rate**m)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise FitAmbiguous("diverged") from exc
+    return numerics.PoleFit(t, tuple(exponents), tuple(leading), abs(y[slot]))
 
 
 def dense_nullspace(matrix) -> tuple[int, dict[int, list[GaussianRational]]]:

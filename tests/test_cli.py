@@ -579,6 +579,43 @@ def test_a_step_of_overflowing_modulus_is_rejected_without_a_traceback(tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error: step size collapsed at t = ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--system", "modified", "--params",
+     "alpha1=1e200,alpha2=0,alpha3=0,alpha4=0,alpha5=1e200", "--start=-2;0.1;-3", "--path", "1.2"],
+    ["integrate", "--system", "{model}", "--start=1;0;0", "--path", "1"],
+], ids=["params", "model"])
+def test_a_coefficient_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, argv):
+    # alpha1 * alpha5 = 1e400 in the field, or a coefficient of 310 digits
+    path = tmp_path / "huge.model"
+    path.write_text("chart U0 : x y z\nsystem U0 : 1" + "0" * 309 + " ; 0 ; 0\n")
+    code = run([arg.format(model=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: chart U0: coefficient ") and line.endswith(" is too large for a float")
+
+
+def test_a_step_shorter_than_the_least_step_is_named(capsys):
+    # every step the series allows is far shorter than 1e-13 of a path of 1e300
+    code = run(["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", "1e300"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: step size collapsed at t = 0j: the series allows a step of ")
+    assert line.endswith(", below the segment's least step 1e+287")
+
+
+@pytest.mark.parametrize("field", ["0 ; 1 ; 0", "1 ; 0 ; 0"], ids=["stationary", "receding"])
+def test_integrate_reports_no_fit_where_newton_finds_no_pole(tmp_path, capsys, field):
+    path = tmp_path / "reciprocal.model"
+    path.write_text(oracles.RECIPROCAL_MODEL.format(field=field))
+    code = run(["integrate", "--system", str(path), "--start=20;0;0", "--path", "1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["end_chart"] == "T" and rep["pole_fit"] is None
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [

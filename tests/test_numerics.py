@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    reference_monodromy, reference_poly, reference_series, reference_taylor, reference_taylor_step,
-    reference_triple,
+    RECIPROCAL_MODEL, reference_fit_pole, reference_monodromy, reference_poly, reference_series,
+    reference_taylor, reference_taylor_step, reference_triple,
 )
 from threewave import models, numerics
 from threewave.errors import FitAmbiguous, StepUnderflow
@@ -293,6 +293,87 @@ def test_fit_pole_rejects_poleless_segment(modified_zero):
     traj = integrate(v, maps, start, [0, 0.5], tol=1e-10, atlas=atlas)
     with pytest.raises(FitAmbiguous):
         fit_pole(traj.points, atlas)
+
+
+def _assert_same_fit(got, want):
+    assert got.exponents == want.exponents
+    assert abs(got.location - want.location) <= 1e-14 * max(1.0, abs(want.location))
+    for g, w in zip(got.leading, want.leading):
+        assert abs(g - w) <= 1e-10 * max(1.0, abs(w))
+
+
+def _counted_series(monkeypatch, atlas) -> list:
+    """The (chart, order) of each series call of ``atlas`` until the test ends."""
+    calls = []
+    for chart, series in list(atlas.series.items()):
+        def counted(*args, chart=chart, series=series):
+            calls.append((chart, args[-1]))
+            return series(*args)
+        monkeypatch.setitem(atlas.series, chart, counted)
+    return calls
+
+
+def test_fit_pole_matches_the_substep_newton_reference(modified_zero, three_wave_20):
+    # Newton on one series finds the pole that Newton steps followed by
+    # Taylor substeps found, on seeded starts towards poles of both built-ins
+    rng = random.Random(43)
+    for (v, maps, atlas), base in ((modified_zero, (-2, 0.1, -3)), (three_wave_20, (-3, 1.02, -3))):
+        for _ in range(12):
+            state = tuple(complex(b * (1 + rng.uniform(-0.1, 0.1)), rng.uniform(-0.1, 0.1)) for b in base)
+            traj = integrate(v, maps, TrajectoryPoint(0j, state, "U0"), [0, 1.5], tol=1e-12, atlas=atlas)
+            _assert_same_fit(fit_pole(traj.points, atlas), reference_fit_pole(traj.points, atlas))
+
+
+def test_fit_pole_expands_once_on_criterion_8c(monkeypatch, three_wave_20):
+    v, maps, atlas = three_wave_20
+    start = TrajectoryPoint(0j, (-3 + 0j, 1.02 + 0j, -3 + 0j), "U0")
+    traj = integrate(v, maps, start, [0, 1.5], tol=1e-12, atlas=atlas)
+    calls = _counted_series(monkeypatch, atlas)
+    assert fit_pole(traj.points, atlas).exponents == (1, 0, 2)
+    assert calls == [(traj.end.chart, numerics._taylor_order(numerics._ROUNDING)[0])]
+
+
+def test_fit_pole_expands_again_beyond_the_series_reach(monkeypatch, modified_zero):
+    # the path stops at t = 0.3, short of the pole near 0.549: the series at
+    # the nearest point does not reach the pole, so the expansion moves once
+    v, maps, atlas = modified_zero
+    start = TrajectoryPoint(0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")
+    traj = integrate(v, maps, start, [0, 0.3], tol=1e-12, atlas=atlas)
+    near = min((p for p in traj.points if p.chart in atlas.poles),
+               key=lambda p: abs(p.state[atlas.poles[p.chart].slot]))
+    order, reach = numerics._taylor_order(numerics._ROUNDING)
+    disc = numerics._radius(atlas.series[near.chart](*near.state, order),
+                            max(1.0, *map(abs, near.state)), math.inf, reach)
+    calls = _counted_series(monkeypatch, atlas)
+    fit = fit_pole(traj.points, atlas)
+    assert abs(fit.location - near.t) > disc
+    assert calls == [(near.chart, order)] * 2
+    _assert_same_fit(fit, reference_fit_pole(traj.points, atlas))
+    assert fit.exponents == (1, -2, 2) and fit.residual <= 1e-15
+
+
+@pytest.mark.parametrize("field, message", [
+    ("0 ; 1 ; 0", "the boundary coordinate of T is stationary at t = (1+0j)"),
+    ("1 ; 0 ; 0", "Newton steps on the boundary coordinate of T do not converge"),
+], ids=["stationary", "receding"])
+def test_fit_pole_refuses_a_boundary_coordinate_without_a_zero(field, message):
+    m = parse_model(RECIPROCAL_MODEL.format(field=field), "reciprocal")
+    v, maps = models.system_field(m, []), models.resolved_atlas(m, [])
+    atlas = NumericAtlas(v, maps, {})
+    traj = integrate(v, maps, TrajectoryPoint(0j, (20 + 0j, 0j, 0j), "U0"), [0, 1], atlas=atlas)
+    assert traj.end.chart == "T"
+    with pytest.raises(FitAmbiguous) as exc:
+        fit_pole(traj.points, atlas)
+    assert str(exc.value) == message
+    with pytest.raises(FitAmbiguous):
+        reference_fit_pole(traj.points, atlas)
+
+
+def test_a_coefficient_too_large_for_a_float_names_its_chart():
+    m = parse_model("chart U0 : x y z\nsystem U0 : 1" + "0" * 309 + " ; 0 ; 0\n", "huge")
+    with pytest.raises(ValueError) as exc:
+        NumericAtlas(models.system_field(m, []), models.resolved_atlas(m, []), {})
+    assert str(exc.value) == "chart U0: coefficient 1" + "0" * 309 + " is too large for a float"
 
 
 def test_monodromy_no_pole(modified_zero):
