@@ -40,7 +40,7 @@ from .ratfunc import RationalFn
 from .symbols import Symbol, names_apart, state
 
 if TYPE_CHECKING:
-    from .singular import Balance
+    from .singular import Balance, BalanceSearch
 
 _THREE_WAVE_SRC = """
 params delta gamma
@@ -198,19 +198,30 @@ def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
 
 
 @per_model
+def balance_search(m: ModelFile, bound: int) -> BalanceSearch:
+    """The dominant-balance search to ``bound`` on the model's field with
+    every parameter symbolic (``singular.painleve_leading_orders``), read by
+    the ``painleve`` report without parameter values and, at bound 2, by
+    ``weighted_chart``."""
+    from .singular import painleve_leading_orders
+
+    return painleve_leading_orders(m.fields[m.base.name], bound)
+
+
+@per_model
 def weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
     """The model's dominant balance with a pole in x, and the weighted chart
     W = (1/x, y/x^n, z/x^p) of its pole orders (m, n, p).
 
-    The balance is searched once, on the model's field with every parameter
-    symbolic, so the singularity scan and the blow-up pipeline use one chart
-    at every parameter value. The chart's variables are those of the model's
-    chart ``W``; a model without one gets fresh variables XW YW ZW on an
-    extension of its table. Both are kept on the parsed model.
+    The balance is picked from the bound-2 ``balance_search``, on the
+    model's field with every parameter symbolic, so the singularity scan and
+    the blow-up pipeline use one chart at every parameter value. The chart's
+    variables are those of the model's chart ``W``; a model without one gets
+    fresh variables XW YW ZW on an extension of its table.
     """
     from .singular import weighted_balance
 
-    balance = weighted_balance(m.fields[m.base.name])
+    balance = weighted_balance(balance_search(m, 2))
     table = m.table
     if "W" in m.charts:
         wvars = m.charts["W"].vars

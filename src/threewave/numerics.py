@@ -358,8 +358,10 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
     at ``tol``, on ``atlas`` (by default ``NumericAtlas(v, maps, {})``).
 
     The state follows the chart whose representation stays O(1); switch
-    events are recorded. A step that is not finite, or shorter than the
-    segment's least step, is rejected and tried again at a tenth of it.
+    events are recorded. A segment's least step is the larger of 1e-13 *
+    max(1, length) and 1e-14 * (1 + |t|) at its start; a shorter segment is
+    skipped, and a step that is not finite, or shorter, is rejected and
+    tried again at a tenth of it.
     When no chart keeps the state finite (an unresolved singularity or a
     genuinely bad path) or ``MAX_STEPS`` steps do not reach the end, a
     :class:`StepUnderflow` carrying the partial trajectory is raised. A start
@@ -378,11 +380,12 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
     for seg_end in waypoints[1:]:
         seg_start, delta = t_here, seg_end - t_here
         length = abs(delta)
-        if length <= 1e-14 * (1.0 + abs(seg_start)):
+        hmin = max(1e-13 * max(1.0, length), 1e-14 * (1.0 + abs(seg_start)))
+        if length < hmin:
             continue
         direction = delta / length
         s, h, allowed = 0.0, length, 0.0  # allowed: the last finite step the series allowed
-        hmin, end_slack = 1e-13 * max(1.0, length), 1e-14 * max(1.0, length)
+        end_slack = 1e-14 * max(1.0, length)
         while length - s > end_slack:
             h = min(h, length - s)
             if h < hmin:

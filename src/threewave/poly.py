@@ -390,19 +390,6 @@ class MultiPoly:
         """Exact constant values put in for some symbols (``self`` when none occurs)."""
         return compose((self,), {self.table.index(s): v for s, v in bindings.items()}, self.table)[0]
 
-    def eval_complex(self, values: Mapping[str, complex]) -> complex:
-        total = 0j
-        syms = self.table.symbols
-        shifts = self._lay.shifts
-        for e, c in self._terms.items():
-            t = complex(c)
-            for k, s in enumerate(shifts):
-                d = e >> s & MAX_DEGREE
-                if d:
-                    t *= values[syms[k].name] ** d
-            total += t
-        return total
-
     # -- calculus --------------------------------------------------------------
 
     def derivative(self, sym: Symbol | str) -> "MultiPoly":
@@ -414,12 +401,6 @@ class MultiPoly:
             if d:
                 out[e - unit] = c * d
         return self._like(out)
-
-    # -- table migration ---------------------------------------------------------
-
-    def retable(self, new_table: SymbolTable) -> "MultiPoly":
-        """Re-keyed by name onto ``new_table`` (SymbolTableMismatch if it lacks a symbol that occurs)."""
-        return compose((self,), {}, new_table)[0]
 
     # -- comparison / printing -----------------------------------------------------
 

@@ -183,9 +183,6 @@ class RationalFn:
         """Exact constant values put in for some symbols (``self`` when none occurs)."""
         return specialize_all((self,), bindings)[0]
 
-    def eval_complex(self, values: Mapping[str, complex]) -> complex:
-        return self.num.eval_complex(values) / self.den.eval_complex(values)
-
     def retable(self, new_table: SymbolTable) -> "RationalFn":
         """Re-keyed by name onto ``new_table``. Renaming keeps num and den
         coprime, but a new symbol order can change which term of den leads,

@@ -234,9 +234,13 @@ def alpha_report(system, params=None, point: str = "P4_2") -> dict:
 
 
 def painleve_report(system, params=None, bound: int = 2) -> dict:
+    """The dominant balances to ``bound`` at ``params``; with every
+    parameter symbolic, the model's one search (``models.balance_search``)."""
     m = models.model(system)
-    v = models.system_field(m, params)
-    search = painleve_leading_orders(v, bound)
+    if models.bind_parameters(m, params):
+        search = painleve_leading_orders(models.system_field(m, params), bound)
+    else:
+        search = models.balance_search(m, bound)
     return {
         "system": m.name,
         "bound": bound,
@@ -260,9 +264,9 @@ def pipeline_report(system, params=None) -> dict:
     """The blow-up pipeline at ``params``, specializing the model's run with
     every parameter symbolic wherever it can (``resolution_pipeline``)."""
     m = models.model(system)
-    balance, weighted_map = models.weighted_chart(m)
+    rep = resolution_pipeline(m, params)
+    balance = models.weighted_chart(m)[0]
     bindings = models.bind_parameters(m, params)
-    rep = resolution_pipeline(models.chart_field(m, weighted_map), weighted_map, bindings)
     return {
         "system": m.name,
         "balance": {

@@ -15,16 +15,19 @@ divisor gets resolved:
    classifies the point and predicts how many blow-ups are needed,
 3. :func:`painleve_leading_orders` searches dominant balances, solving
    only the pole orders that integer weights leave open and certifying each
-   balance once, in the solver; it runs once per field and bound, and
-   :func:`weighted_balance` reads the bound-2 search and picks the balance
-   whose pole orders fix the weighted chart suited to a multiple point (a
-   model chooses it once, on its field with every parameter symbolic, and
-   uses it at every parameter value),
+   balance once, in the solver, and :func:`weighted_balance` picks from a
+   bound-2 search the balance whose pole orders fix the weighted chart
+   suited to a multiple point (a model chooses it once, on its field with
+   every parameter symbolic, and uses it at every parameter value),
 4. :func:`blow_up` produces the chart of a point blow-up along one
    direction (the pipeline follows the exceptional direction) with the
    transformed field, and
 5. :func:`holomorphy_obstructions` reads off the parameter conditions under
    which the final field is polynomial.
+
+:func:`resolution_pipeline` runs steps 1, 2, 4 and 5 on a model's weighted
+chart; its run with every parameter symbolic, like the model's balance
+search, is kept on the parsed model (``models.per_model``).
 
 Steps 3 and 5 both end in a small polynomial system: the nonzero leading
 coefficients of a balance, and the parameter values on which the
@@ -42,7 +45,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     AnalysisFailed, DenominatorVanishes, PositiveDimensional, ThreeWaveError, UnresolvedSpectrum,
@@ -52,6 +55,8 @@ from .gaussian import GaussianRational
 from .geometry import (
     Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
 )
+from .models import bind_parameters, chart_field, model, per_model, weighted_chart
+from .parsing import ModelFile
 from .poly import MultiPoly, compose, content_in, poly_gcd, resultant
 from .ratfunc import (
     RationalFn, images, pole_coefficients, specialize_all, substitute, value_at, vanishes,
@@ -337,7 +342,6 @@ class BalanceSearch:
     residual_branches: tuple[tuple[tuple[int, int, int], ConditionBranch], ...]
 
 
-@lru_cache(maxsize=64)  # keyed by the field's value and the bound, passed positionally
 def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     """Search integer pole orders (m, n, p), |each| <= bound, max >= 1, with
     nonzero leading coefficients solving the dominant balance.
@@ -351,8 +355,8 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     without residuals is a :class:`Balance`, its unpinned coefficients free,
     and any other a residual branch. The solver certifies each balance by
     putting its coefficients into the balance equations, so every listed
-    balance holds exactly. The search runs once per field value and bound,
-    so the ``painleve`` report and :func:`weighted_balance` read one result.
+    balance holds exactly. A model's search with every parameter symbolic
+    is kept on the model (``models.balance_search``).
     """
     if not v.is_polynomial():
         raise AnalysisFailed("dominant-balance search expects a polynomial field")
@@ -707,65 +711,63 @@ class ResolutionReport:
         return self.fields[-1]
 
 
-def weighted_balance(v: VectorField) -> Balance:
+def weighted_balance(search: BalanceSearch) -> Balance:
     """The dominant balance with a pole in the first variable, whose pole
-    orders select the weighted chart: of the balances of
-    :func:`painleve_leading_orders` to bound 2 with m >= 1, the first one
-    with the largest order sum."""
-    balances = [b for b in painleve_leading_orders(v, 2).balances if b.exponents[0] >= 1]
+    orders select the weighted chart: of the balances of a
+    :func:`painleve_leading_orders` search to bound 2 with m >= 1, the first
+    one with the largest order sum."""
+    balances = [b for b in search.balances if b.exponents[0] >= 1]
     if not balances:
         raise AnalysisFailed("no dominant balance with a pole in the first variable")
     return max(balances, key=lambda b: sum(b.exponents))
 
 
-def resolution_pipeline(
-    v: VectorField,
-    weighted_map: ChartMap,
-    bindings: Mapping[Symbol, GaussianRational] | None = None,
-) -> ResolutionReport:
-    """Resolve the degenerate boundary point of ``v``, the field already on
-    the weighted chart (``models.chart_field`` of ``weighted_map``),
-    specialized at ``bindings``, and read off the parameter conditions for
-    polynomiality.
+def resolution_pipeline(system, params: Sequence | None = None) -> ResolutionReport:
+    """Resolve the degenerate boundary point of the model's field on its
+    weighted chart (``models.weighted_chart``) at ``params``, and read off
+    the parameter conditions for polynomiality.
 
     The accessible point there with a nonzero first index entry is blown up
     repeatedly (the resonance ratio fixes the number of steps), each time at
     the unique accessible point of the exceptional divisor and only in the
     chart of the exceptional direction; only these blow-ups push a field
-    forward. ``weighted_map`` starts the chart lineage, and each blow-up's
+    forward. The weighted map starts the chart lineage, and each blow-up's
     forward map is composed onto it as it is made. The final field's
     holomorphy obstructions and their solution branches are returned.
 
-    The run on ``v`` itself, every parameter symbolic, is made once per
-    field and map and is the lineage; without ``bindings`` it is the result.
-    At a parameter point the scans are run on the specialized field and
-    every other step is the lineage's, specialized: the linear parts at the
-    weighted points, each blow-up's pushed field, and the composed forward
-    map. The blow-up's map is not needed: its halves ((x_j - c_j)/(x_k -
-    c_k), x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are inverse to each
-    other for every center c. A point takes the whole lineage or none of
-    it: when a scanned point has no lineage linear part, the step count
-    differs, a center is not the specialization of the lineage's, or a
-    specialization has a vanishing denominator, every step is computed on
-    the specialized field, as it is when the symbolic run fails. Both
-    routes give the same record: where the specialized inputs are defined,
-    specialization commutes with the pipeline's rational operations, and
-    reduced forms are canonical.
+    The run with every parameter symbolic is made once per parsed model and
+    kept on it (:func:`_symbolic_lineage`); when ``params`` bind nothing it
+    is the result. At a parameter point the scans are run on the specialized
+    field and every other step is the lineage's, specialized: the linear
+    parts at the weighted points, each blow-up's pushed field, and the
+    composed forward map. The blow-up's map is not needed: its halves
+    ((x_j - c_j)/(x_k - c_k), x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are
+    inverse to each other for every center c. A point takes the whole
+    lineage or none of it: when a scanned point has no lineage linear part,
+    the step count differs, a center is not the specialization of the
+    lineage's, or a specialization has a vanishing denominator, every step
+    is computed on the specialized field, as it is when the symbolic run
+    fails. Both routes give the same record: where the specialized inputs
+    are defined, specialization commutes with the pipeline's rational
+    operations, and reduced forms are canonical.
     """
-    if v.chart != weighted_map.target:
-        raise ValueError(f"field lives on {v.chart.name}, not on {weighted_map.target.name}")
-    lineage = _symbolic_lineage(v, weighted_map)
+    m = model(system)
+    weighted_map = weighted_chart(m)[1]
+    bindings = bind_parameters(m, params)
+    lineage = _symbolic_lineage(m)
     if lineage is not None and not bindings:
         return lineage
-    vw = v.specialize(bindings or {})
+    vw = chart_field(m, weighted_map, params)
     taken = _resolve(vw, weighted_map, lineage, bindings) if lineage is not None else None
     return taken or _resolve(vw, weighted_map, None, {})
 
 
-@lru_cache(maxsize=16)  # keyed by the field's value and the map's identity
-def _symbolic_lineage(v: VectorField, weighted_map: ChartMap) -> ResolutionReport | None:
-    """The pipeline's run on ``v`` with every parameter symbolic, or None
-    when it fails there."""
+@per_model
+def _symbolic_lineage(m: ModelFile) -> ResolutionReport | None:
+    """The pipeline's run with every parameter symbolic, or None when it
+    fails there."""
+    weighted_map = weighted_chart(m)[1]
+    v = chart_field(m, weighted_map)
     try:
         return _resolve(v, weighted_map, None, {})
     except ThreeWaveError:

@@ -33,7 +33,7 @@ from threewave.errors import DenominatorVanishes, FitAmbiguous, StepUnderflow
 from threewave.gaussian import ONE, GaussianRational
 from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.parsing import ModelFile, parse_model
-from threewave.poly import MultiPoly
+from threewave.poly import MultiPoly, compose
 from threewave.ratfunc import RationalFn, substitute, value_at
 from threewave.singular import Balance, blow_up, solve_branches
 from threewave.symbols import SymbolTable, names_apart, parameter, table as make_table
@@ -526,13 +526,13 @@ def reference_taylor(v, maps, start, path, tol=1e-10):
         seg_start = t_here
         delta = seg_end - seg_start
         length = abs(delta)
-        if length <= 1e-14 * (1.0 + abs(seg_start)):
+        hmin = max(1e-13 * max(1.0, length), 1e-14 * (1.0 + abs(seg_start)))
+        if length < hmin:  # a segment shorter than its least step is skipped
             continue
         direction = delta / length
         s = 0.0
         h = length
         allowed = 0.0  # the step the series allowed at the last attempt, 0 if it was not finite
-        hmin = 1e-13 * max(1.0, length)
         end_slack = 1e-14 * max(1.0, length)
         while length - s > end_slack:
             h = min(h, length - s)
@@ -855,7 +855,7 @@ def ansatz_pushforward_rows(system) -> list[tuple]:
                 # every coefficient is a linear form in the unknowns
                 assert poly.terms and all(sum(e[s] for s in slots) == 1 and not c.is_zero()
                                           for e, c in poly.terms.items())
-                row = tuple(poly.derivative(c).retable(m.table) for c in unknowns)
+                row = tuple(compose([poly.derivative(c) for c in unknowns], {}, m.table))
                 monomial = MultiPoly(table, {key: ONE}).text()
                 out.append((pos, ci, key, f"{cmap.target.name}:component{ci + 1}:{monomial}", row))
     return out

@@ -78,7 +78,6 @@ def test_criterion_2_local_index_tables():
 
 def test_criterion_3_painleve_exponents():
     def body():
-        painleve_leading_orders.cache_clear()  # time the search, not a memo hit
         balances = painleve_leading_orders(models.three_wave_system(), 2).balances
         assert any(b.exponents == (1, 0, 2) for b in balances)
 
@@ -89,20 +88,22 @@ def test_painleve_report_at_bound_4():
     # 279 pole-order triples, most skipped on their integer weights: about
     # 20 ms per built-in once the model is parsed (2-vCPU x86-64 VM)
     for kind in ("three-wave", "modified"):
-        models.system_field(kind)
+        m = oracles.fresh_model(kind)  # the search is kept on the model: time a cold one
 
-        def body(kind=kind):
-            painleve_leading_orders.cache_clear()  # time the search, not a memo hit
-            rep = reports.painleve_report(kind, None, 4)
+        def body(m=m):
+            rep = reports.painleve_report(m, None, 4)
             assert rep["residual_branches"] == [] and all(b["verified"] for b in rep["balances"])
 
         _report(f"{kind} painleve", f"painleve_report of {kind} at bound 4", 0.06, body)
 
 
 def test_criterion_4_obstruction_conditions():
+    # the symbolic run is kept on the parsed model: time a cold one, with the
+    # balance search and the push it reads, on a model parsed again
+    m = oracles.fresh_model("three-wave")
+
     def body():
-        wmap = models.weighted_chart("three-wave")[1]
-        rep = resolution_pipeline(models.chart_field("three-wave", wmap), wmap)
+        rep = resolution_pipeline(m)
         assert rep.obstruction.texts() == ["delta*gamma", "gamma^2+gamma"]
         assert [b.text() for b in rep.branches] == [
             "{delta = 0, gamma = -1}",

@@ -605,6 +605,15 @@ def test_a_step_shorter_than_the_least_step_is_named(capsys):
     assert line.endswith(", below the segment's least step 1e+287")
 
 
+@pytest.mark.parametrize("length", ["5e-15", "5e-14", "2e-13"])
+def test_a_path_shorter_than_its_least_step_is_skipped(capsys, length):
+    # 5e-14 is longer than 1e-14 * (1 + |t|) and shorter than the least step, 1e-13
+    code = run(["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", length])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["steps_accepted"] == (1 if length == "2e-13" else 0)
+
+
 @pytest.mark.parametrize("field", ["0 ; 1 ; 0", "1 ; 0 ; 0"], ids=["stationary", "receding"])
 def test_integrate_reports_no_fit_where_newton_finds_no_pole(tmp_path, capsys, field):
     path = tmp_path / "reciprocal.model"
@@ -1004,7 +1013,7 @@ def test_pipeline_refusals_on_model_files(tmp_path, capsys, field, message):
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-def test_points_resolve_where_the_symbolic_pipeline_fails(tmp_path, capsys):
+def test_points_resolve_where_the_symbolic_pipeline_fails(tmp_path, capsys, monkeypatch):
     from fractions import Fraction
 
     from threewave import singular
@@ -1015,14 +1024,20 @@ def test_points_resolve_where_the_symbolic_pipeline_fails(tmp_path, capsys):
         code, out = _capture(capsys, ["blowup", "--system", str(path), "--params", f"a={a}"])
         assert code == 0
         assert json.loads(out)["chart_lineage"] == ["W", "W.b1XW"]
-    # the failed symbolic run is memoized as such: one parsed model attempts it once
+    # the failed symbolic run is kept as such: one parsed model attempts it once
     m = models.model(str(path))
-    memo = singular._symbolic_lineage
-    misses = memo.cache_info().misses
+    symbolic = models.chart_field(m, models.weighted_chart(m)[1])
+    attempts = []
+    real = singular._resolve
+
+    def resolve(vw, *args):
+        attempts.append(vw == symbolic)
+        return real(vw, *args)
+
+    monkeypatch.setattr(singular, "_resolve", resolve)
     assert reports.pipeline_report(m, [2])["chart_lineage"] == ["W", "W.b1XW"]
-    assert memo.cache_info().misses == misses + 1
     assert reports.pipeline_report(m, [Fraction(-5, 2)])["chart_lineage"] == ["W", "W.b1XW"]
-    assert memo.cache_info().misses == misses + 1
+    assert attempts.count(True) == 1 and len(attempts) == 3
 
 
 RESIDUAL_FIELD = ("(1)*x*z + (-1)*y^2 + (1)*z ; (2)*x^2 + (-2)*x*z + (1/2)*y^2 + (-1)*y + "

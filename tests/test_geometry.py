@@ -20,6 +20,7 @@ from threewave.geometry import (
     power_scaled_chart,
     pushforward,
 )
+from threewave.numerics import compile_triple
 from threewave.parsing import parse_expr
 from threewave.ratfunc import RationalFn, vanishes
 from threewave.symbols import table
@@ -219,14 +220,16 @@ def test_numeric_chain_rule_spot_check():
             m for m in models.resolved_atlas("three-wave", [1, 2]) if m.target.name == chart_name
         )
         w = pushforward(v, cmap)
-        jac = [[f.derivative(s) for s in cmap.source.vars] for f in cmap.forward]
+        source, target = [s.name for s in cmap.source.vars], [s.name for s in cmap.target.vars]
+        forward, field = compile_triple(cmap.forward, source), compile_triple(v.components, source)
+        jac = [compile_triple([f.derivative(s) for s in cmap.source.vars], source)
+               for f in cmap.forward]
+        pushed = compile_triple(w.components, target)
         for _ in range(5):
-            pt = {n: complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3)) for n in ("x", "y", "z")}
-            img = {s.name: f.eval_complex(pt) for s, f in zip(cmap.target.vars, cmap.forward)}
-            vvals = [c.eval_complex(pt) for c in v.components]
-            for k in range(3):
-                chain = sum(jac[k][j].eval_complex(pt) * vvals[j] for j in range(3))
-                got = w.components[k].eval_complex(img)
+            pt = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3)) for _ in range(3)]
+            vvals = field(*pt)
+            for k, got in enumerate(pushed(*forward(*pt))):
+                chain = sum(d * vj for d, vj in zip(jac[k](*pt), vvals))
                 assert abs(got - chain) <= 1e-12 * max(1.0, abs(got))
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from oracles import naive_mul, naive_retable, naive_substitute_poly, naive_text
 from threewave.errors import NotDivisible, SymbolTableMismatch
 from threewave.gaussian import GaussianRational, gr
-from threewave.poly import MultiPoly, _layout
+from threewave.poly import MultiPoly, _layout, compose
 from threewave.ratfunc import RationalFn, value_at, vanishes
 from threewave.symbols import SymbolTable, parameter, table
 
@@ -185,9 +185,10 @@ def test_specialize_matches_substitute_of_the_same_constants(p, values):
 @KERNEL
 @given(polys, st.permutations(T.symbols))
 def test_retable_matches_a_naive_rekey_by_name(p, order):
-    # an extension (the old table a prefix), a permutation with a new symbol
-    # first, and the restriction to the symbols that occur; each goes back
-    # onto T unchanged, and a table without an occurring symbol is refused
+    # compose with nothing bound re-keys by name: onto an extension (the old
+    # table a prefix), a permutation with a new symbol first, and the
+    # restriction to the symbols that occur; each goes back onto T
+    # unchanged, and a table without an occurring symbol is refused
     used = p.variables()
     targets = [
         T.extend([parameter("lead1")]),
@@ -195,12 +196,12 @@ def test_retable_matches_a_naive_rekey_by_name(p, order):
         SymbolTable([s for s in order if s in used]),
     ]
     for target in targets:
-        moved = p.retable(target)
+        (moved,) = compose((p,), {}, target)
         assert moved == naive_retable(p, target)
-        assert moved.retable(T) == p
+        assert compose((moved,), {}, T) == [p]
     if used:
         with pytest.raises(SymbolTableMismatch, match=repr(used[-1].name)):
-            p.retable(SymbolTable([s for s in order if s != used[-1]]))
+            compose((p,), {}, SymbolTable([s for s in order if s != used[-1]]))
 
 
 @KERNEL
@@ -254,8 +255,8 @@ def test_text_matches_the_naive_renderer_and_is_never_stale(p, c):
     k = MultiPoly.const(t, c)
     derived = [
         -p, p * c, p * k, k * p,
-        p.retable(SymbolTable(reversed(t.symbols))),
-        p.retable(t.extend([parameter("new")])),
+        *compose((p,), {}, SymbolTable(reversed(t.symbols))),
+        *compose((p,), {}, t.extend([parameter("new")])),
         p.specialize({s: c for s in p.variables()[:2]}),
     ]
     for q in derived:

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import oracles
 import pytest
-from threewave import models, reports
+from threewave import models, reports, singular
 from threewave.errors import DenominatorVanishes
-from threewave.gaussian import gr
+from threewave.gaussian import GaussianRational, gr
 from threewave.geometry import ChartMap, jacobian_determinant, pushforward
 from threewave.parsing import parse_expr, render_model
-from threewave.ratfunc import RationalFn, substitute
+from threewave.numerics import compile_triple
+from threewave.ratfunc import RationalFn, specialize_all, substitute
 
 
 def test_three_wave_specializations():
@@ -168,19 +169,18 @@ def test_group_relations():
 def test_s_fixed_point_numerically():
     # applying s twice returns a random specialized point (the relation made numeric)
     s = models.model("modified").symmetries["s"]
-    table = s.table
-    alphas = {"alpha1": 0.3, "alpha2": -1.1, "alpha3": 0.7, "alpha4": 2.0, "alpha5": 0.25}
-    point = {"x": 0.8 + 0.1j, "y": 1.7 - 0.2j, "z": -0.6 + 0.05j}
-    env = dict(alphas)
-    env.update(point)
-    once = {v.name: comp.eval_complex(env) for v, comp in zip(s.chart.vars, s.state)}
-    swapped = dict(alphas)
-    swapped["alpha2"], swapped["alpha4"] = alphas["alpha4"], alphas["alpha2"]
-    env2 = dict(swapped)
-    env2.update(once)
-    twice = {v.name: comp.eval_complex(env2) for v, comp in zip(s.chart.vars, s.state)}
-    for name in ("x", "y", "z"):
-        assert abs(twice[name] - point[name]) < 1e-12
+    alphas = {"alpha1": "3/10", "alpha2": "-11/10", "alpha3": "7/10", "alpha4": "2", "alpha5": "1/4"}
+    swapped = dict(alphas, alpha2=alphas["alpha4"], alpha4=alphas["alpha2"])
+    names = [v.name for v in s.chart.vars]
+
+    def s_at(values):
+        bindings = {s.table.get(n): GaussianRational(Fraction(q)) for n, q in values.items()}
+        return compile_triple(specialize_all(s.state, bindings), names)
+
+    point = (0.8 + 0.1j, 1.7 - 0.2j, -0.6 + 0.05j)
+    twice = s_at(swapped)(*s_at(alphas)(*point))
+    for got, want in zip(twice, point):
+        assert abs(got - want) < 1e-12
 
 
 def test_export_model_round_trip():
@@ -288,11 +288,25 @@ def test_a_dropped_model_is_freed():
     reports.uniqueness_report(m)
     reports.index_report(m, None, "P1")
     reports.atlas_report(m)
+    reports.pipeline_report(m, [1, 2, 3, 4, 0])
+    reports.painleve_report(m)
     assert m._derived
-    dropped = weakref.ref(m)
+    derived = [weakref.ref(m), weakref.ref(singular._symbolic_lineage(m)),
+               weakref.ref(models.balance_search(m, 2))]
     del m
     gc.collect()
-    assert dropped() is None
+    assert [ref() for ref in derived] == [None, None, None]
+
+
+def test_each_parse_derives_its_own_balance_search():
+    # the search on the model's symbolic field is kept on the model, not
+    # shared by value with another parse of the same text
+    m1, m2 = oracles.fresh_model("three-wave"), oracles.fresh_model("three-wave")
+    assert models.balance_search(m1, 2) is models.balance_search(m1, 2)
+    assert models.balance_search(m1, 2) is not models.balance_search(m2, 2)
+    assert models.balance_search(m1, 2) == models.balance_search(m2, 2)
+    assert models.weighted_chart(m1)[0] is not models.weighted_chart(m2)[0]
+    assert any(b is models.weighted_chart(m1)[0] for b in models.balance_search(m1, 2).balances)
 
 
 def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, monkeypatch):

@@ -613,6 +613,23 @@ def test_integration_matches_the_reference_loop(modified_zero, three_wave_20):
     assert got[5].startswith("step size collapsed")
 
 
+@pytest.mark.parametrize("path, steps", [([5e-15], 0), ([5e-14], 0), ([2e-13], 1),
+                                         ([0.1, 0.1 + 5e-14, 0.2], None)])
+def test_a_segment_shorter_than_its_least_step_is_skipped(modified_zero, path, steps):
+    # one rule skips a segment and bounds its steps from below: a segment
+    # shorter than its least step, 1e-13 * max(1, length) or 1e-14 * (1 + |t|)
+    # if larger, is skipped, so none is refused for its length alone
+    v, maps, atlas = modified_zero
+    start = TrajectoryPoint(0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")
+    got = _outcome_of_run(lambda: integrate(v, maps, start, path, atlas=atlas))
+    assert got == _outcome_of_run(lambda: reference_taylor(v, maps, start, path))
+    assert got[5] is None
+    if steps is None:  # the skipped segment's end is not reached: the next one starts where it did
+        assert got == _outcome_of_run(lambda: integrate(v, maps, start, [0.1, 0.2], atlas=atlas))
+    else:
+        assert got[2] == steps and got[3] == 0
+
+
 # integrate's true global error: the relative max-norm distance, on U0, of its
 # end from that of reference_taylor at tol 1e-16, on the paths of criteria 8b-8d
 # (8a integrates nothing) and through and around poles of both built-ins.

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from threewave.gaussian import gr
 from threewave.geometry import (
     Chart, ChartMap, VectorField, det3, log_pole_decomposition, power_scaled_chart, pushforward,
 )
+from threewave.numerics import compile_triple
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute, value_at
 from threewave.singular import (
@@ -41,11 +43,6 @@ def _chart_field(kind, chart_name, params=None):
     else:
         cmap = next(m for m in models.atlas(kind, "projective") if m.target.name == chart_name)
     return pushforward(models.system_field(kind, params), cmap)
-
-
-def _pipeline(kind, params=None):
-    wmap = models.weighted_chart(kind)[1]
-    return resolution_pipeline(models.chart_field(kind, wmap, params), wmap)
 
 
 # -- accessible points ---------------------------------------------------------
@@ -122,14 +119,15 @@ def test_paper_point_resolves_on_the_model_chart():
     # two points there, and the pipeline resolves through it
     m = models.model("three-wave")
     v = models.system_field(m, [0, -1])
-    assert weighted_balance(v).exponents == (1, -2, 2)
+    assert weighted_balance(painleve_leading_orders(v, 2)).exponents == (1, -2, 2)
     degenerate = power_scaled_chart(m.base, m.table, "W", m.charts["W"].vars, (1, -2, 2))
     with pytest.raises(PositiveDimensional):
         find_accessible(pushforward(v, degenerate))
     balance, wmap = models.weighted_chart(m)
     assert balance.exponents == (1, 0, 2)
     _, scan = reports.scan_chart(m, [0, -1], "W")
-    rep = resolution_pipeline(models.chart_field(m, wmap, [0, -1]), wmap)
+    rep = resolution_pipeline(m, [0, -1])
+    assert rep.fields[0].chart == wmap.target
     assert [p.text() for p, _ in rep.weighted_points] == [p.text() for p in scan.points]
     assert [p.text() for p in scan.points] == ["(0, 0, -1)", "(0, 0, 0)"]
     assert rep.obstruction.is_empty()
@@ -618,7 +616,7 @@ def test_painleve_returns_only_verified_balances():
 
 def test_painleve_report_certifies_each_balance_once(monkeypatch):
     # the report lists the search's balances as they come out of the solver,
-    # whose certificate is the only exact check: a warm report makes as many
+    # whose certificate is the only exact check: a cold report makes as many
     # calls to it as the search alone
     calls = []
     vanishes = singular.vanishes
@@ -629,12 +627,9 @@ def test_painleve_report_certifies_each_balance_once(monkeypatch):
 
     monkeypatch.setattr(singular, "vanishes", counted)
     for kind in models.BUILTINS:
-        reports.painleve_report(kind)
-        painleve_leading_orders.cache_clear()
         calls.clear()
-        rep = reports.painleve_report(kind)
+        rep = reports.painleve_report(fresh_model(kind))
         in_report = len(calls)
-        painleve_leading_orders.cache_clear()
         calls.clear()
         search = painleve_leading_orders(models.system_field(kind), 2)
         assert in_report == len(calls) > 0, kind
@@ -642,8 +637,8 @@ def test_painleve_report_certifies_each_balance_once(monkeypatch):
 
 
 def test_painleve_and_the_weighted_chart_share_one_search(monkeypatch):
-    # the search is kept per field value and bound: after one report, neither
-    # a second report nor the weighted chart's balance solves a triple again
+    # the search is kept per model and bound: after one report, neither a
+    # second report nor the weighted chart's balance solves a triple again
     calls = []
     solve = singular.solve_branches
 
@@ -653,14 +648,13 @@ def test_painleve_and_the_weighted_chart_share_one_search(monkeypatch):
 
     monkeypatch.setattr(singular, "solve_branches", counted)
     for kind in models.BUILTINS:
-        painleve_leading_orders.cache_clear()
+        m = fresh_model(kind)
         calls.clear()
-        reports.painleve_report(kind)
+        reports.painleve_report(m)
         assert len(calls) > 0, kind
         calls.clear()
-        reports.painleve_report(kind)
-        m = models.model(kind)
-        weighted_balance(m.fields[m.base.name])
+        reports.painleve_report(m)
+        models.weighted_chart(m)
         assert calls == [], kind
 
 
@@ -764,7 +758,8 @@ def test_pipeline_balance_is_the_top_sum_balance():
         for params in points:
             v = models.system_field(kind, params)
             full = _balances(v, 2, pole_in_x)
-            assert weighted_balance(v) == max(full, key=lambda b: sum(b.exponents)), (kind, params)
+            want = max(full, key=lambda b: sum(b.exponents))
+            assert weighted_balance(painleve_leading_orders(v, 2)) == want, (kind, params)
     # a toy whose top sum 3 has two triples with balances, (1, 1, 1) before
     # (1, 2, 0) in product order: the tie goes to the first
     t = table("x", "y", "z")
@@ -772,7 +767,7 @@ def test_pipeline_balance_is_the_top_sum_balance():
     v = VectorField(chart, parse_triple("z^2 - 2*y*z ; -x*y ; -x^2 - 2*y", t))
     top = [b.exponents for b in _balances(v, 2, pole_in_x) if sum(b.exponents) == 3]
     assert top[0] == (1, 1, 1) and (1, 2, 0) in top
-    assert weighted_balance(v).exponents == (1, 1, 1)
+    assert weighted_balance(painleve_leading_orders(v, 2)).exponents == (1, 1, 1)
 
 
 def test_pruned_balance_search_matches_the_unpruned_oracle():
@@ -876,18 +871,19 @@ def test_blow_up_map_round_trip_numeric():
     target = next(p for p in scan.points if p.coords[2].text() == "-1")
     piece = blow_up(w, target.coords, 0)
     cmap = piece.cmap
-    pt = {s.name: v for s, v in zip(cmap.source.vars, (0.37 + 0.1j, 1.9, -0.55))}
-    img = {s.name: f.eval_complex(pt) for s, f in zip(cmap.target.vars, cmap.forward)}
-    back = [g.eval_complex(img) for g in cmap.inverse]
-    for name, value in zip(("XW", "YW", "ZW"), back):
-        assert abs(value - pt[name]) < 1e-12
+    assert [s.name for s in cmap.source.vars] == ["XW", "YW", "ZW"]
+    pt = (0.37 + 0.1j, 1.9, -0.55)
+    forward = compile_triple(cmap.forward, [s.name for s in cmap.source.vars])
+    back = compile_triple(cmap.inverse, [s.name for s in cmap.target.vars])(*forward(*pt))
+    for value, want in zip(back, pt):
+        assert abs(value - want) < 1e-12
 
 
 # -- obstructions ------------------------------------------------------------------------
 
 
 def test_pipeline_reproduces_conditions():
-    rep = _pipeline("three-wave")
+    rep = resolution_pipeline("three-wave")
     assert rep.obstruction.texts() == ["delta*gamma", "gamma^2+gamma"]
     assert [b.text() for b in rep.branches] == ["{delta = 0, gamma = -1}", "{gamma = 0}"]
     assert [c.text() for c in rep.centers] == ["(0, -1/2*delta*gamma, -2*gamma-2)"]
@@ -915,21 +911,40 @@ def test_pipeline_report_refuses_a_wrong_parameter_count():
         reports.pipeline_report("three-wave", [1])
 
 
+@pytest.mark.parametrize("system, params", [("three-wave", [1]), ("modified", [1, 2]),
+                                            ("no-such-system", None)])
+def test_pipeline_refuses_what_its_report_refuses(system, params):
+    # the pipeline resolves the model and binds the parameters itself
+    with pytest.raises((KeyError, ValueError)) as want:
+        reports.pipeline_report(system, params)
+    with pytest.raises(want.type) as got:
+        resolution_pipeline(system, params)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("params", [None, [1, 2, 3, 2, 5]])
+def test_pipeline_report_of_the_exported_model_file(params):
+    # the exported built-in, read from its file, resolves as the built-in does
+    path = str(Path(__file__).with_name("models") / "modified.model")
+    got = reports.pipeline_report(path, params)
+    want = reports.pipeline_report("modified", params)
+    assert got.pop("system") == path and want.pop("system") == "modified"
+    assert got == want
+
+
 def test_pipeline_pushes_forward_only_along_its_blow_up_charts(monkeypatch):
     # the field on W and the symbolic pipeline are computed once per model,
     # so after a warm-up point a second point whose points all specialize the
     # symbolic ones pushes nothing, blows nothing up and reads no linear part
     reports.pipeline_report("three-wave", [1, 0])
-    wmap = models.weighted_chart("three-wave")[1]
     calls = []
     _count_calls(monkeypatch, calls, *_PIPELINE_STEPS)
     rep = reports.pipeline_report("three-wave", [2, 0])
     assert rep["chart_lineage"][0] == "W"
     assert calls == []
     # a pipeline without a lineage pushes exactly along its blow-up charts
-    bindings = models.bind_parameters("three-wave", [2, 0])
-    monkeypatch.setattr(singular, "_symbolic_lineage", lambda v, wmap: None)
-    own = resolution_pipeline(models.chart_field("three-wave", wmap), wmap, bindings)
+    monkeypatch.setattr(singular, "_symbolic_lineage", lambda m: None)
+    own = resolution_pipeline("three-wave", [2, 0])
     pushes = [c for c in calls if c not in ("blow_up", "linear_part")]
     assert pushes == [f.chart.name for f in own.fields[1:]] == rep["chart_lineage"][1:]
 
@@ -972,7 +987,7 @@ def _direct_report(monkeypatch, kind, params):
     """``pipeline_report`` run on the specialized field alone, with no lineage,
     as a report or the error it raises."""
     with monkeypatch.context() as patch:
-        patch.setattr(singular, "_symbolic_lineage", lambda v, wmap: None)
+        patch.setattr(singular, "_symbolic_lineage", lambda m: None)
         return _outcome(kind, params)
 
 
@@ -1012,7 +1027,7 @@ def _doctored_lineages():
     were the symbolic one, each failing to match there in one way."""
     import dataclasses
 
-    symbolic = _pipeline("three-wave")
+    symbolic = resolution_pipeline("three-wave")
     delta = symbolic.final_field.table.get("delta")
 
     def pole(fns):
@@ -1054,7 +1069,7 @@ def test_pipeline_falls_back_where_the_lineage_does_not_match(monkeypatch):
     for label, lineage in _doctored_lineages():
         calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(singular, "_symbolic_lineage", lambda v, wmap, lineage=lineage: lineage)
+            patch.setattr(singular, "_symbolic_lineage", lambda m, lineage=lineage: lineage)
             _count_calls(patch, calls, *_PIPELINE_STEPS)
             got = reports.pipeline_report("three-wave", [2, 0])
         assert got == want, label
@@ -1082,17 +1097,11 @@ def test_each_scanned_field_is_decomposed_once(monkeypatch):
         assert len(set(fields)) == len(fields)
 
 
-def test_pipeline_refuses_a_field_off_the_weighted_chart():
-    wmap = models.weighted_chart("three-wave")[1]
-    with pytest.raises(ValueError, match="field lives on U0, not on W"):
-        resolution_pipeline(models.three_wave_system(), wmap)
-
-
 def test_pipeline_composed_chart_equals_resolved_chart_three():
     # two independent routes to the same coordinate change: the weighted
     # chart followed by the two blow-ups composes to the atlas's third
     # twisted chart, up to flipping the sign of the middle coordinate
-    rep = _pipeline("three-wave")
+    rep = resolution_pipeline("three-wave")
     composed = rep.composed_forward
     big = rep.final_field.table
     t23 = next(m for m in models.resolved_atlas("three-wave") if m.target.name == "T2-3")
@@ -1118,7 +1127,7 @@ def test_pipeline_composed_chart_equals_resolved_chart_three():
 
 
 def test_pipeline_modified_system_resolves_cleanly():
-    rep = _pipeline("modified")
+    rep = resolution_pipeline("modified")
     assert rep.obstruction.is_empty()
 
 
@@ -1154,7 +1163,7 @@ def test_obstruction_specialization_both_directions():
     # the pipeline runs on symbolic parameters; specializing its final field
     # at values satisfying the conditions must give polynomials, and values
     # violating them must leave a genuine pole
-    rep = _pipeline("three-wave")
+    rep = resolution_pipeline("three-wave")
     table = rep.final_field.table
     d, g = table.get("delta"), table.get("gamma")
 
@@ -1272,7 +1281,7 @@ def test_lineage_specializations_match_the_per_component_oracle():
     # pole at delta = 2 at (2, 0)
     defined = []
     for kind, params in _differential_points():
-        defined += _lineage_outcomes(_pipeline(kind), models.bind_parameters(kind, params))
+        defined += _lineage_outcomes(resolution_pipeline(kind), models.bind_parameters(kind, params))
     for _, lineage in _doctored_lineages():
         defined += _lineage_outcomes(lineage, models.bind_parameters("three-wave", [2, 0]))
     assert True in defined and False in defined
