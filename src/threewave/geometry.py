@@ -5,6 +5,8 @@ analysis session live in a single shared symbol table together with the
 parameters. A :class:`ChartMap` carries both directions of a birational map
 and *proves itself* at construction by composing them symbolically -- a map
 that is not exactly invertible is rejected at load time, not at use time.
+The composites' denominators are kept as a certificate, which decides the
+map at parameter values without composing again.
 
 A :class:`SymmetryMap` pairs a state map of one chart with an action on the
 parameters; it proves itself only when asked, through :meth:`as_chart_map`.
@@ -103,9 +105,15 @@ class VectorField:
 
 
 class ChartMap:
-    """A birational map between charts, verified invertible at construction."""
+    """A birational map between charts, verified invertible at construction.
 
-    __slots__ = ("source", "target", "forward", "inverse")
+    ``certificate`` holds the six composite denominators D of that
+    verification, as polynomial functions (each composite component is x*D
+    over D): a specialization that leaves every D nonzero is invertible
+    without composing again.
+    """
+
+    __slots__ = ("source", "target", "forward", "inverse", "certificate")
 
     def __init__(
         self,
@@ -131,33 +139,49 @@ class ChartMap:
         return self.forward[0].table
 
     def specialize(self, bindings: Mapping[Symbol, GaussianRational]) -> "ChartMap":
-        """The map at exact parameter values, both directions specialized in
-        one batch: itself when nothing bound occurs, else verified again,
-        since a value can make it singular."""
+        """The map at exact parameter values, both directions and the
+        certificate specialized in one batch: itself when nothing bound
+        occurs. The composites' identity num = x*D is polynomial, so it holds
+        at the values too; where no D vanishes there each composite is x, and
+        where one does the map is singular at the values (a composition there
+        would refuse it), which raises DenominatorVanishes."""
         fns = self.forward + self.inverse
         try:
-            out = specialize_all(fns, bindings)
+            out = specialize_all(fns + self.certificate, bindings)
         except DenominatorVanishes as exc:
             direction, k = ("forward", "inverse")[exc.position // 3], exc.position % 3
             raise DenominatorVanishes(
                 f"chart map {self.source.name}->{self.target.name}: {direction} "
                 f"component {k + 1} ({fns[exc.position].text()}): {exc}"
             ) from None
-        if _same(out, fns):
+        if _same(out[:6], fns):
             return self
-        return ChartMap(self.source, self.target, out[:3], out[3:])
+        certificate = tuple(out[6:])
+        for k, d in enumerate(certificate):
+            if d.is_zero():
+                name, _, outer, _, outer_vars = self._composites()[k // 3]
+                outer_name, inner_name = name.split(" o ")
+                raise DenominatorVanishes(
+                    f"chart map {self.source.name}->{self.target.name}: {name} for "
+                    f"{outer_vars[k % 3].name}: the denominator of {outer_name} component "
+                    f"{k % 3 + 1} ({outer[k % 3].text()}) vanishes on the image of the "
+                    f"{inner_name} map at the given values"
+                )
+        cmap = object.__new__(ChartMap)
+        for slot, value in zip(ChartMap.__slots__,
+                               (self.source, self.target, tuple(out[:3]), tuple(out[3:6]), certificate)):
+            object.__setattr__(cmap, slot, value)
+        return cmap
 
     def _verify(self):
         """Each composite is the identity: every component composed with the
         other direction is a fraction num/den of its variable x, num == x*den.
         The three components of a direction are composed in one batch, which
         puts each fraction over the same nonzero factor more and so decides
-        the same."""
+        the same. The six den are kept as the map's certificate."""
         table = self.table
-        for name, inner, outer, inner_vars, outer_vars in (
-            ("inverse o forward", self.forward, self.inverse, self.target.vars, self.source.vars),
-            ("forward o inverse", self.inverse, self.forward, self.source.vars, self.target.vars),
-        ):
+        dens = []
+        for name, inner, outer, inner_vars, outer_vars in self._composites():
             parts = images([p for f in outer for p in (f.num, f.den)],
                            dict(zip(inner_vars, inner)), table)
             for k, var in enumerate(outer_vars):
@@ -169,6 +193,16 @@ class ChartMap:
                         f"chart map {self.source.name}->{self.target.name} is not invertible: "
                         f"{name} gives {RationalFn(num, den).text()} for {var.name}"
                     )
+                dens.append(RationalFn.from_poly(den))
+        object.__setattr__(self, "certificate", tuple(dens))
+
+    def _composites(self):
+        """(name, inner, outer, inner variables, outer variables) of the two
+        composites, in the order of the certificate."""
+        return (
+            ("inverse o forward", self.forward, self.inverse, self.target.vars, self.source.vars),
+            ("forward o inverse", self.inverse, self.forward, self.source.vars, self.target.vars),
+        )
 
     def __repr__(self):
         return f"ChartMap({self.source.name} -> {self.target.name})"

@@ -167,8 +167,9 @@ def chart_field(system, cmap: ChartMap, params: Sequence | None = None) -> Vecto
     and specialized at ``params``: wherever the map is defined there, that is
     the specialized field pushed through the specialized map, since the
     reduced denominators of the symbolic push divide a product of the field's
-    and the map's denominators. Verifying the map at ``params`` is left to
-    ``atlas``.
+    and the map's denominators. Whether the map is invertible at ``params``
+    is left to ``atlas``: its certificate, the composite denominators D with
+    N = x*D, is specialized there, and the map is refused where a D vanishes.
     """
     m = model(system)
     return pushed_field(m.fields[m.base.name], cmap).specialize(bind_parameters(m, params))

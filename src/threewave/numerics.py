@@ -241,7 +241,10 @@ class NumericAtlas:
 
     ``maps`` are base-to-chart maps (the identity chart included). Finite
     ``params`` by parameter name of ``v`` are bound exactly, as on the command
-    line; each map that changes there is verified again, and the memoized
+    line; each map is specialized there with its certificate, the composite
+    denominators D of its construction: N = x*D holds at the point, so the
+    map is invertible where no D vanishes and raises DenominatorVanishes
+    where one does. The memoized
     push of ``v`` through each is specialized there. A parameter without a
     value, or a name that is no parameter, raises ``KeyError``. Unless
     ``require_polynomial`` is false, a field not polynomial on some chart

@@ -784,6 +784,29 @@ def differential_maps() -> list[ChartMap]:
     return maps
 
 
+def singular_map_model_text() -> str:
+    """three-wave with a fourth resolved chart T9 whose inverse divides by
+    delta, so that the map is singular at delta = 0."""
+    return models.export_model("three-wave").replace(
+        "atlas resolved : T2-1 T2-2 T2-3",
+        "chart T9 : p q r @ p\n"
+        "map U0 T9 : x ; y ; delta*z | p ; q ; r/delta\n"
+        "atlas resolved : T2-1 T2-2 T2-3 T9",
+    )
+
+
+# every component of the map stays defined at a = 0, where the forward map
+# lands on Y = X, the pole of the inverse's second component: at a = 0 the
+# map is not invertible
+SINGULAR_COMPOSITE_MODEL = """params a
+chart U0 : x y z
+chart C1 : X Y Z @ X
+system U0 : x^2 ; -y ; z
+map U0 C1 : x ; x + a/y ; z | X ; a/(Y - X) ; Z
+atlas resolved : C1
+"""
+
+
 def random_model_text(rng) -> str:
     """A model file with parameters a and b: a field of random quadratic
     components whose coefficients carry them, and a resolved atlas of two

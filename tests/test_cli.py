@@ -774,14 +774,8 @@ def test_painleve_on_a_field_with_a_vanishing_back_substitution(tmp_path, capsys
 
 
 def test_singular_chart_map_error_names_the_map(tmp_path, capsys):
-    text = models.export_model("three-wave").replace(
-        "atlas resolved : T2-1 T2-2 T2-3",
-        "chart T9 : p q r @ p\n"
-        "map U0 T9 : x ; y ; delta*z | p ; q ; r/delta\n"
-        "atlas resolved : T2-1 T2-2 T2-3 T9",
-    )
     path = tmp_path / "singular-map.model"
-    path.write_text(text)
+    path.write_text(oracles.singular_map_model_text())
     code = run(["verify-atlas", "--system", str(path), "--params", "delta=0,gamma=-1"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -789,6 +783,26 @@ def test_singular_chart_map_error_names_the_map(tmp_path, capsys):
         "error: chart map U0->T9: inverse component 3 (r/(delta)): "
         "denominator vanishes at the given values"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-atlas"],
+    ["integrate", "--start", "1;1;1", "--path", "0.5"],
+])
+def test_a_map_not_invertible_at_the_point_exits_1(tmp_path, capsys, argv):
+    # the map stays defined at a = 0 but is singular there: an analysis
+    # verdict naming the map, the composite and the component, not a usage error
+    path = tmp_path / "composite.model"
+    path.write_text(oracles.SINGULAR_COMPOSITE_MODEL)
+    code = run([*argv, "--system", str(path), "--params", "a=0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: chart map U0->C1: inverse o forward for y: the denominator of inverse "
+        "component 2 (-a/(X-Y)) vanishes on the image of the forward map at the given values\n"
+    )
+    assert run([*argv, "--system", str(path), "--params", "a=1"]) == 0
+    capsys.readouterr()
 
 
 def test_unknown_point_label_is_a_usage_error(tmp_path, capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    differential_maps, naive_specialize, naive_substitute, oracle_pushforward, random_ratfn,
+    SINGULAR_COMPOSITE_MODEL, differential_maps, naive_specialize, naive_substitute,
+    oracle_pushforward, random_ratfn, singular_map_model_text,
 )
 from threewave import models, poly, ratfunc
 from threewave.errors import DenominatorVanishes, PoleTooHigh
@@ -22,7 +23,7 @@ from threewave.geometry import (
 )
 from threewave.numerics import compile_triple
 from threewave.parsing import parse_expr
-from threewave.ratfunc import RationalFn, vanishes
+from threewave.ratfunc import RationalFn, specialize_all, vanishes
 from threewave.symbols import table
 
 
@@ -315,6 +316,36 @@ def test_field_specialization_matches_the_per_component_oracle():
                 assert (got is v) == all(g is c for g, c in zip(got.components, v.components))
 
 
+def _first_refused_composite(cmap, fwd, inv):
+    """(name, position, variable, value) of the first composite component of
+    the map (fwd, inv), between the charts of ``cmap``, that is not its
+    variable when composed term by term; the value is None where the
+    composed denominator vanishes."""
+    for name, inner, outer, inner_vars, outer_vars in (
+        ("inverse o forward", fwd, inv, cmap.target.vars, cmap.source.vars),
+        ("forward o inverse", inv, fwd, cmap.source.vars, cmap.target.vars),
+    ):
+        binding = dict(zip(inner_vars, inner))
+        for k, (f, var) in enumerate(zip(outer, outer_vars)):
+            try:
+                value = naive_substitute(f, binding)
+            except ZeroDivisionError:
+                return name, k, var, None
+            if value != RationalFn.var(cmap.table, var):
+                return name, k, var, value
+    return None
+
+
+def _composite_refusal(cmap, name, k, var) -> str:
+    """The refusal of ``cmap`` at a point where composite ``name`` loses the
+    denominator of its component k."""
+    outer, inner = name.split(" o ")
+    text = (cmap.inverse if outer == "inverse" else cmap.forward)[k].text()
+    return (f"chart map {cmap.source.name}->{cmap.target.name}: {name} for {var.name}: "
+            f"the denominator of {outer} component {k + 1} ({text}) vanishes on the image "
+            f"of the {inner} map at the given values")
+
+
 def _maps_with_parameter_denominators(t, src, dst) -> list[ChartMap]:
     """(x, y, mu*z) with its inverse, singular at mu = 0, and a Moebius map
     in z whose composite loses its denominator at mu = 1."""
@@ -329,7 +360,7 @@ def test_map_specialization_matches_the_per_component_oracle(simple):
     # every built-in map, three blow-up charts and two maps singular at some
     # values, at seeded points: the one batch of both directions against each
     # component specialized alone, the same map where nothing bound occurs,
-    # else the map verified again
+    # else the map certified at the point, refused where a composition refuses it
     rng = random.Random(3802)
     cases = [(cmap, _seeded_bindings(rng, cmap.table)) for cmap in differential_maps()]
     mu = simple[0].get("mu")
@@ -352,8 +383,11 @@ def test_map_specialization_matches_the_per_component_oracle(simple):
                 continue
             expected = _outcome(lambda: ChartMap(cmap.source, cmap.target, want[:3], want[3:]))
             if isinstance(expected, str):
+                # a composition at the point refuses the map; the certificate
+                # names the first composite that term-by-term composition refuses
                 failures.add("composite")
-                assert got == expected
+                name, k, var, _ = _first_refused_composite(cmap, want[:3], want[3:])
+                assert got == f"DenominatorVanishes: {_composite_refusal(cmap, name, k, var)}"
                 continue
             assert got.forward + got.inverse == tuple(want), (cmap, bindings)
             _check_unchanged_kept(fns, got.forward + got.inverse, bindings)
@@ -390,16 +424,8 @@ def test_the_verifier_refuses_the_first_wrong_component_as_per_component_composi
             half = rng.choice((fwd, inv))
             k = rng.randrange(3)
             half[k] = half[k] * 2 + rng.choice((0, 1))
-            message = None
-            for name, inner, outer, inner_vars, outer_vars in (
-                ("inverse o forward", fwd, inv, cmap.target.vars, cmap.source.vars),
-                ("forward o inverse", inv, fwd, cmap.source.vars, cmap.target.vars),
-            ):
-                binding = dict(zip(inner_vars, inner))
-                for f, var in zip(outer, outer_vars):
-                    value = naive_substitute(f, binding)
-                    if message is None and value != RationalFn.var(cmap.table, var):
-                        message = f"{name} gives {value.text()} for {var.name}"
+            name, _, var, value = _first_refused_composite(cmap, fwd, inv)
+            message = f"{name} gives {value.text()} for {var.name}"
             with pytest.raises(ValueError) as info:
                 ChartMap(cmap.source, cmap.target, fwd, inv)
             assert str(info.value).endswith(f"is not invertible: {message}"), cmap
@@ -423,7 +449,102 @@ def test_each_field_and_map_is_specialized_in_one_composition(monkeypatch):
         for cmap in m.atlas("resolved")[1:]:
             calls.clear()
             got = cmap.specialize(bindings)
-            # a map that changed is verified again: one composition per direction
-            assert len(calls) == (1 if got is cmap else 3), cmap
+            # a map that changed is certified by its specialized certificate,
+            # in the same composition as its components: none is composed again
+            assert len(calls) == 1, cmap
             changed.append(got is not cmap)
     assert True in changed and False in changed
+
+
+def _composed_at(cmap: ChartMap, bindings) -> ChartMap:
+    """``cmap`` at ``bindings`` by full composition: its components
+    specialized, then verified as a new map."""
+    fns = specialize_all(cmap.forward + cmap.inverse, bindings)
+    return ChartMap(cmap.source, cmap.target, fns[:3], fns[3:])
+
+
+def _check_certified(cmap: ChartMap, bindings):
+    """``cmap.specialize`` against full composition at ``bindings``: both
+    refuse, or both give the same components; the certified map or None."""
+    got = _outcome(lambda: cmap.specialize(bindings))
+    want = _outcome(lambda: _composed_at(cmap, bindings))
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(
+            f"DenominatorVanishes: chart map {cmap.source.name}->{cmap.target.name}: "
+        ), (cmap, bindings, got, want)
+        return None
+    assert not isinstance(got, str), (cmap, bindings, got)
+    assert got.forward + got.inverse == want.forward + want.inverse, (cmap, bindings)
+    return got
+
+
+# named points of the built-ins, in parameter order; None leaves a parameter symbolic
+_NAMED_POINTS = {
+    "three-wave": [[0, 0], [0, -1], [1, 0], [2, -1], [gr(0, 1), -1], [0, None], [None, -1], [None, 0]],
+    "modified": [[0, 0, 0, 0, 0], [0, 0, 0, 0, 2], [1, 2, 3, 4, 0], [1, 2, 3, 2, 5], [3, -1, 3, -1, 0],
+                 [1, Fraction(-1, 2), gr(0, 1), 2, 3], [None, 2, None, 2, None], [0, None, 0, None, 0],
+                 [None, None, None, None, 0]],
+}
+
+
+def test_certified_specialization_equals_full_composition():
+    # the resolved maps of both built-ins at named and seeded points, and
+    # every partial point completed by a second specialization of the map it
+    # gave, which reads the carried certificate
+    rng = random.Random(4501)
+    refused, completed = 0, 0
+    for kind, named in _NAMED_POINTS.items():
+        m = models.model(kind)
+        syms = m.table.parameters()
+        points = named + [[rng.choice(_VALUES) for _ in syms] for _ in range(8)]
+        for values in points:
+            bindings = models.bind_parameters(m, values)
+            rest = {s: gr(rng.choice(_VALUES[:-1])) for s in syms if s not in bindings}
+            for cmap in m.atlas("resolved")[1:]:
+                got = _check_certified(cmap, bindings)
+                if got is None:
+                    refused += 1
+                    continue
+                if rest:
+                    completed += got is not cmap
+                    twice = _check_certified(got, rest)
+                    once = _outcome(lambda: cmap.specialize({**bindings, **rest}))
+                    assert isinstance(once, str) == (twice is None), (cmap, bindings, rest)
+                    if twice is not None:
+                        assert twice.forward + twice.inverse == once.forward + once.inverse
+    assert refused == 0  # every resolved map of the built-ins is defined at every point
+    assert completed  # some partial points changed a map, which carries a certificate
+
+
+def test_a_certified_map_refuses_a_point_where_it_is_singular(tmp_path):
+    # T9 divides by delta, and SINGULAR_COMPOSITE_MODEL's map stays defined at
+    # a = 0 but is no longer invertible there: both routes refuse both points
+    t9_file, composite_file = tmp_path / "t9.model", tmp_path / "composite.model"
+    t9_file.write_text(singular_map_model_text())
+    composite_file.write_text(SINGULAR_COMPOSITE_MODEL)
+    t9 = models.model(str(t9_file)).atlas("resolved")[-1]
+    c1 = models.model(str(composite_file)).atlas("resolved")[-1]
+    for cmap, bindings, message in (
+        (t9, {t9.table.get("delta"): gr(0)},
+         "chart map U0->T9: inverse component 3 (r/(delta)): denominator vanishes at the given values"),
+        (c1, {c1.table.get("a"): gr(0)},
+         "chart map U0->C1: inverse o forward for y: the denominator of inverse component 2 "
+         "(-a/(X-Y)) vanishes on the image of the forward map at the given values"),
+    ):
+        assert _check_certified(cmap, bindings) is None
+        with pytest.raises(DenominatorVanishes) as info:
+            cmap.specialize(bindings)
+        assert str(info.value) == message
+    assert _check_certified(c1, {c1.table.get("a"): gr(1)}) is not None
+    # singular where a = b: bound one at a time, the carried certificate refuses
+    two_file = tmp_path / "two.model"
+    two_file.write_text(SINGULAR_COMPOSITE_MODEL.replace("params a", "params a b")
+                        .replace("a/", "(a - b)/"))
+    c2 = models.model(str(two_file)).atlas("resolved")[-1]
+    a, b = c2.table.get("a"), c2.table.get("b")
+    half = _check_certified(c2, {a: gr(1)})
+    assert half is not None and _check_certified(half, {b: gr(1)}) is None
+    with pytest.raises(DenominatorVanishes) as info:
+        half.specialize({b: gr(1)})
+    assert str(info.value) == _composite_refusal(half, "inverse o forward", 1, c2.source.vars[1])
+    assert _check_certified(half, {b: gr(2)}) is not None

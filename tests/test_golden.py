@@ -56,6 +56,9 @@ CASES = {
     ],
     "verify-atlas-three-wave": ["verify-atlas", "--system", "three-wave", "--params", "delta=0,gamma=-1"],
     "verify-atlas-modified": ["verify-atlas", "--system", "modified"],
+    "verify-atlas-modified-point": [
+        "verify-atlas", "--system", "modified", "--params", "alpha1=1,alpha2=-1/2,alpha3=i,alpha4=2,alpha5=3"
+    ],
     "verify-symmetry": ["verify-symmetry", "--system", "modified"],
     "uniqueness": ["uniqueness", "--system", "modified"],
     "uniqueness-model-file": ["uniqueness", "--system", str(MODIFIED_FILE)],
@@ -68,6 +71,12 @@ def test_report_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_every_golden_file_belongs_to_a_case():
+    # a dropped case must take its output and its exit code with it
+    assert {path.name for path in GOLDEN.iterdir()} == {f"{name}.out" for name in CASES} | {EXIT_CODES.name}
+    assert sorted(json.loads(EXIT_CODES.read_text())) == sorted(CASES)
 
 
 def test_a_model_file_reports_as_its_built_in():

@@ -312,14 +312,8 @@ def test_each_parse_derives_its_own_balance_search():
 def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, monkeypatch):
     # a resolved map dividing by delta is not defined at delta = 0: the
     # report fails with the map's own error, as when the map alone is bound
-    text = models.export_model("three-wave").replace(
-        "atlas resolved : T2-1 T2-2 T2-3",
-        "chart T9 : p q r @ p\n"
-        "map U0 T9 : x ; y ; delta*z | p ; q ; r/delta\n"
-        "atlas resolved : T2-1 T2-2 T2-3 T9",
-    )
     path = tmp_path / "singular-map.model"
-    path.write_text(text)
+    path.write_text(oracles.singular_map_model_text())
     m = models.model(str(path))
     t9 = m.atlas("resolved")[-1]
     with pytest.raises(DenominatorVanishes) as want:
@@ -327,9 +321,9 @@ def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, m
     with pytest.raises(DenominatorVanishes) as got:
         reports.atlas_report(m, [0, 1])
     assert str(got.value) == str(want.value)
-    # at a point where every map is defined, each map a parameter occurs in is
-    # verified there again; T2-1 and T2-2 hold no parameter and come back as
-    # the maps verified when the model was parsed
+    # at a point where every map is defined, no map is composed again: T2-1
+    # and T2-2 hold no parameter and come back as the maps verified when the
+    # model was parsed, and T2-3 and T9 are certified by their certificates
     t21 = m.atlas("resolved")[1]
     assert t21.target.name == "T2-1"
     assert t21.specialize(models.bind_parameters(m, [1, 1])) is t21
@@ -342,7 +336,7 @@ def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, m
 
     monkeypatch.setattr(ChartMap, "_verify", counting)
     rep = reports.atlas_report(m, [1, 1])
-    assert verified == ["T2-3", "T9"]
+    assert verified == []
     assert rep["jacobians"][-1]["jacobian_determinant"] == "1"
 
 
