@@ -1,26 +1,21 @@
 """Taylor-series integration over complex time with chart switching.
 
-Every chart of a resolved atlas carries a polynomial field, so the Taylor
-coefficients of a solution follow exactly from Cauchy-product recurrences
-(Corliss and Chang 1982; Jorba and Zou 2005). The integrator follows a
-piecewise-linear path in the complex time plane by Taylor steps of order
-about -ln(tol)/2, each as long as the last two coefficients allow: its last
-term kept, ``err_est``, which bounds the dropped terms, stays below ``tol``
-times max(1, |y|). Whenever the state grows beyond a switch threshold it is
-mapped through the atlas and continued in the chart where its norm is
-smallest -- that is what carries a trajectory straight through a movable
-pole. Chart transitions go through the base chart, which is harmless because
-switches happen while every representation is still O(10).
-:class:`NumericAtlas` specializes the push of the field through each map, made
-once, at parameter values bound exactly (as on the command line). Maps compile
-to generated straight-line functions that fold each polynomial's terms in
-canonical order, computing each power once, at its first use; fields to a
-generated coefficient recurrence. They and the Taylor step do the same float
-operations in the same order as the references in ``tests/oracles.py``.
+Every chart of a resolved atlas carries a polynomial field, so the Taylor coefficients
+of a solution follow exactly from Cauchy-product recurrences (Corliss and Chang 1982;
+Jorba and Zou 2005). The integrator follows a piecewise-linear path in the complex time
+plane by Taylor steps of order about -ln(tol)/2, each as long as the last two
+coefficients allow: its last term kept, ``err_est``, which bounds the dropped terms,
+stays below ``tol`` times max(1, |y|). Whenever the state grows beyond a switch
+threshold it is mapped through the atlas and continued in the chart where its norm is
+smallest -- that is what carries a trajectory straight through a movable pole. Chart
+transitions go through the base chart, which is harmless because switches happen while
+every representation is still O(10). :class:`NumericAtlas` compiles, at exactly bound
+parameter values, each map to a straight-line function and each pushed field to a
+coefficient recurrence that builds a monomial as the product of two built before it.
+They do the same float operations in the same order as ``tests/oracles.py``.
 
-Pole diagnostics: :func:`fit_pole` reads a movable pole off one Taylor series
-in the chart that resolves it; :func:`monodromy_check` reports the relative
-deviation between the start and end states of a closed loop (small: single-valued).
+:func:`fit_pole` reads a movable pole off a Taylor series in the chart that resolves it;
+:func:`monodromy_check` reports how far a closed loop ends from its start (small: single-valued).
 """
 
 from __future__ import annotations
@@ -49,6 +44,9 @@ STEP_SAFETY = 0.8  # a step is this fraction of the radius at which the last ter
 _NEWTON_STEPS = 12  # Newton steps allowed; one whose iterate leaves the series' disc counts too
 _ROUNDING = 4 * sys.float_info.epsilon  # a Newton step this small, relative to max(1, |t|), has converged
 _VANISHING = 1e-9  # a coefficient this small, relative to its component's largest, vanishes
+# the least order whose reach at _ROUNDING is half a Taylor step's least, STEP_SAFETY / e^2 radii
+_FIT_ORDER = math.ceil(math.log(_ROUNDING) / math.log(math.exp(-2) / 2))
+_FIT_REACH = STEP_SAFETY * _ROUNDING ** (1 / _FIT_ORDER)
 
 
 @dataclass(frozen=True)
@@ -112,19 +110,15 @@ def _fold_terms(poly, var_names: Sequence[str], consts: dict):
 
 
 _ARGS = ("a", "b", "c")
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # their exponents
 
 
 def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict, powers: set) -> list[str]:
-    """Statements that leave ``poly`` at the arguments a, b, c in ``target``:
-    from ``target = 0j``, one ``target += kN * a3 * b1 ...`` per term in
-    canonical order (zero exponents left out), the coefficient kN bound in
-    ``consts``. ``powers`` holds the (argument, exponent) pairs the enclosing
-    function has computed so far: a power not among them is computed once, as
-    ``a3 = a**3``, directly before the first term that reads it, and added.
-    Not earlier: a power that overflows must raise after everything the term
-    loop of ``tests/oracles.py`` evaluates first, a vanishing denominator
-    included. An exponent 1 stays a power: ``a**1`` raises OverflowError where
-    ``a`` is infinite, which a bare ``a`` would not."""
+    """Statements that leave ``poly`` at a, b, c in ``target``: from ``target = 0j``, one
+    ``target += kN * a3 * b1 ...`` per term in canonical order, kN bound in ``consts``. A power
+    not yet in ``powers``, the (argument, exponent) pairs computed so far, is computed as ``a3 =
+    a**3`` directly before the first term that reads it, so that one that overflows raises where
+    the term loop of ``tests/oracles.py`` does; ``a**1`` too: it overflows where ``a`` is infinite."""
     lines = [f"{target} = 0j"]
     for name, exps in _fold_terms(poly, var_names, consts):
         factors = [(arg, e) for arg, e in zip(_ARGS, exps) if e]
@@ -135,8 +129,7 @@ def _sum_source(poly, var_names: Sequence[str], target: str, consts: dict, power
 
 
 def _function(lines: list[str], result: str, consts: dict, params: str = "a, b, c") -> Callable:
-    """``def ev(params)`` of ``lines`` returning ``result``, with ``consts``
-    as its namespace."""
+    """``def ev(params)`` of ``lines`` returning ``result``, with ``consts`` as its namespace."""
     body = "".join(f"    {line}\n" for line in lines)
     exec(_code(f"def ev({params}):\n{body}    return {result}\n"), consts)
     return consts["ev"]
@@ -155,9 +148,8 @@ def compile_poly(poly, var_names: Sequence[str]) -> Callable[[complex, complex, 
 
 
 def compile_triple(rfs, var_names):
-    """One function of a, b, c returning the three rational functions
-    ``rfs``, evaluated in turn, each numerator before its denominator; a
-    power is computed once for all six."""
+    """One function of a, b, c returning the three rational functions ``rfs``, evaluated in
+    turn, each numerator before its denominator; a power is computed once for all six."""
     consts, lines, powers = {}, [], set()
     for i, rf in enumerate(rfs):
         lines += _sum_source(rf.num, var_names, f"s{i}", consts, powers)
@@ -167,51 +159,67 @@ def compile_triple(rfs, var_names):
     return _function(lines, "(s0, s1, s2)", consts)
 
 
+def _product_chain(monomials) -> dict:
+    """Per monomial e of degree 2 or more in ``monomials`` (exponent triples) or built on the way,
+    in the order built: its split (f, g), f + g = e, into two built before it (a unit is built),
+    walking e by rising degree, each in canonical order. The greedy chain takes f the largest built
+    divisor whose cofactor is built, else the largest, its cofactor built first; the last-variable
+    chain takes g the last variable of e (Knuth, TAOCP 2, 4.6.3). The shorter is kept, greedy on a tie."""
+    walk = sorted(sorted((e for e in monomials if sum(e) >= 2), reverse=True), key=sum)  # a stable sort
+
+    def chain_by(greedy: bool) -> dict:
+        chain = dict.fromkeys(_UNITS)  # exponents -> split, None for a unit
+
+        def build(e):
+            a, b, c = e
+            if greedy:
+                divisors = sorted((sum(d), d) for d in chain if d[0] <= a and d[1] <= b and d[2] <= c)
+                f = next((d for _, d in reversed(divisors) if (a - d[0], b - d[1], c - d[2]) in chain),
+                         divisors[-1][1])
+            else:
+                f = (a - 1, b, c) if not (b or c) else (a, b - 1, c) if not c else (a, b, c - 1)
+            g = (a - f[0], b - f[1], c - f[2])
+            for part in {f, g} - chain.keys():  # at most one: the other is a built divisor or a unit
+                build(part)
+            chain[e] = f, g
+
+        for e in walk:
+            if e not in chain:
+                build(e)
+        return {e: split for e, split in chain.items() if split}
+
+    return min(chain_by(True), chain_by(False), key=len)
+
+
 def compile_series(rfs, var_names) -> Callable:
-    """``series(a, b, c, n)``: the Taylor coefficients, orders 0 to n, of the
-    solution of the field ``rfs`` through (a, b, c), as three lists; order
-    k + 1 is the order-k coefficient of each component over k + 1. A monomial
-    of degree 2 or more is the Cauchy product ``sum(map(mul, A, reversed(B)))``
-    of the monomial A without one factor of its last variable B and B, once
-    per order. A component folds its terms from 0j in canonical order, the
-    constant at order 0 only; a rational one divides by the recurrence
-    q_k = (n_k - sum_{j>=1} d_j q_{k-j}) / d_0. One loop serves every order."""
+    """``series(a, b, c, n)``: the Taylor coefficients, orders 0 to n, of the solution of the
+    field ``rfs`` through (a, b, c), as three lists. One loop serves every order k: each monomial
+    of the numerators and denominators is the Cauchy product ``sum(map(mul, F, reversed(G)))`` of
+    its split (F, G) by :func:`_product_chain`; a component folds its terms from 0j in canonical
+    order, the constant at order 0 only, a rational one by the recurrence q_k = (n_k - sum_{j>=1}
+    d_j q_{k-j}) / d_0; over k + 1 it is the order-(k + 1) coefficient."""
     consts: dict = {"mul": mul}
-    products: dict = {}  # exponents -> the name of the monomial's coefficient list
-    lists, loop, sums, constants, tail = [], [], [], [], []
-
-    def series_of(exps):
-        if sum(exps) == 1:
-            return _ARGS[exps.index(1)]
-        if exps not in products:
-            last = max(k for k, e in enumerate(exps) if e)
-            lower = series_of(tuple(e - (k == last) for k, e in enumerate(exps)))
-            products[exps] = name = f"p{len(products)}"
-            lists.append(name)
-            loop.append(f"{name}.append(sum(map(mul, {lower}, reversed({_ARGS[last]}))))")
-        return products[exps]
-
-    def fold(poly, target):
-        terms = ""
-        for name, exps in _fold_terms(poly, var_names, consts):
-            if any(exps):
-                terms += f" + {name} * {series_of(exps)}[k]"
-            else:  # the last term in canonical order
-                constants.append(f"        {target} += {name}")
-        sums.append(f"{target} = 0j{terms}")
-
+    folds, lists, tail = [], [], []  # folds: (target, its terms)
     for i, (rf, arg) in enumerate(zip(rfs, _ARGS)):
-        fold(rf.num, f"s{i}")
+        folds.append((f"s{i}", list(_fold_terms(rf.num, var_names, consts))))
         if rf.is_polynomial():
             tail.append(f"{arg}.append(s{i} / m)")
         else:
-            fold(rf.den, f"d{i}")
+            folds.append((f"d{i}", list(_fold_terms(rf.den, var_names, consts))))
             lists += [f"e{i}", f"f{i}"]
             tail += [f"e{i}.append(d{i})",
                      f"f{i}.append((s{i} - sum(map(mul, e{i}[1:], reversed(f{i})))) / e{i}[0])",
                      f"{arg}.append(f{i}[k] / m)"]
+    series, loop = dict(zip(_UNITS, _ARGS)), []  # series: exponents -> the name of its coefficient list
+    for e, (f, g) in _product_chain({e for _, terms in folds for _, e in terms}).items():
+        series[e] = name = f"p{len(loop)}"
+        lists.append(name)
+        loop.append(f"{name}.append(sum(map(mul, {series[f]}, reversed({series[g]}))))")
+    loop += [f"{target} = 0j" + "".join(f" + {c} * {series[e]}[k]" for c, e in terms if any(e))
+             for target, terms in folds]
+    constants = [f"        {target} += {c}" for target, terms in folds for c, e in terms if not any(e)]
     lines = ["a, b, c = [a], [b], [c]"] + [f"{name} = []" for name in lists]
-    lines += ["for k in range(n):", "    m = k + 1"] + [f"    {line}" for line in loop + sums]
+    lines += ["for k in range(n):", "    m = k + 1"] + [f"    {line}" for line in loop]
     lines += (["    if not k:"] + constants) if constants else []
     return _function(lines + [f"    {line}" for line in tail], "a, b, c", consts, "a, b, c, n")
 
@@ -241,15 +249,13 @@ class NumericAtlas:
 
     ``maps`` are base-to-chart maps (the identity chart included). Finite
     ``params`` by parameter name of ``v`` are bound exactly, as on the command
-    line; each map is specialized there with its certificate, the composite
-    denominators D of its construction: N = x*D holds at the point, so the
-    map is invertible where no D vanishes and raises DenominatorVanishes
-    where one does. The memoized
-    push of ``v`` through each is specialized there. A parameter without a
-    value, or a name that is no parameter, raises ``KeyError``. Unless
-    ``require_polynomial`` is false, a field not polynomial on some chart
-    raises ``AnalysisFailed``.
-    ``poles`` holds the charts whose boundary coordinate reads a pole.
+    line. Each map is specialized there with its certificate, the composite
+    denominators D of its construction (N = x*D), so it raises
+    DenominatorVanishes where some D vanishes; so is the memoized push of
+    ``v`` through it. A parameter without a value, or a name that is no
+    parameter, raises ``KeyError``. Unless ``require_polynomial`` is false, a
+    field not polynomial on some chart raises ``AnalysisFailed``. ``poles``
+    holds the charts whose boundary coordinate reads a pole.
     """
 
     def __init__(self, v: VectorField, maps: Sequence[ChartMap], params: Mapping[str, complex],
@@ -331,10 +337,9 @@ def _radius(coeffs, scale: float, h: float, reach: float) -> float:
 
 
 def _taylor_step(series, y, scale: float, direction: complex, h: float, order: int, reach: float):
-    """One Taylor step from ``y`` along ``direction``: the state, the sum of
-    X_k (direction * step)^k by rising k; the moduli of its last terms, its
-    ``err_est``, which bound the dropped terms; and the step, the least of ``h``
-    and the :func:`_radius` of its series, with ``scale`` = max(1, |y|)."""
+    """One Taylor step from ``y`` along ``direction``: the state, the sum of X_k (direction *
+    step)^k by rising k; the moduli of its last terms, its ``err_est``, which bound the dropped
+    terms; and the step, the least of ``h`` and the :func:`_radius` of its series at ``scale``."""
     a, b, c = coeffs = series(*y, order)
     h = _radius(coeffs, scale, h, reach)
     w = list(accumulate(repeat(direction * h, order), mul, initial=1.0))  # the powers of the step
@@ -360,31 +365,29 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
     """Integrate along the piecewise-linear complex-time path by Taylor steps
     at ``tol``, on ``atlas`` (by default ``NumericAtlas(v, maps, {})``).
 
-    The state follows the chart whose representation stays O(1); switch
-    events are recorded. A segment's least step is the larger of 1e-13 *
-    max(1, length) and 1e-14 * (1 + |t|) at its start; a shorter segment is
-    skipped, and a step that is not finite, or shorter, is rejected and
-    tried again at a tenth of it.
-    When no chart keeps the state finite (an unresolved singularity or a
+    The state follows the chart whose representation stays O(1); switch events are
+    recorded. A segment's least step is the larger of 1e-13 * max(1, length) and 1e-14 *
+    (1 + |t|) at its start; a shorter segment is skipped, its end recorded with the state
+    unchanged, and a step that is not finite, or shorter, is rejected and tried again at
+    a tenth of it. When no chart keeps the state finite (an unresolved singularity or a
     genuinely bad path) or ``MAX_STEPS`` steps do not reach the end, a
-    :class:`StepUnderflow` carrying the partial trajectory is raised. A start
-    that is not finite raises ``ValueError`` before any step.
+    :class:`StepUnderflow` carrying the partial trajectory is raised. A start that is
+    not finite raises ``ValueError`` before any step.
     """
     y, norm = _finite_start(start)
-    if atlas is None:
-        atlas = NumericAtlas(v, maps, {})
+    atlas = atlas or NumericAtlas(v, maps, {})
     order, reach = _taylor_order(tol)
     chart = start.chart
     traj = Trajectory([TrajectoryPoint(start.t, y, chart)])
     t_here = complex(start.t)
-    waypoints = [complex(p) for p in path]
-    if waypoints and waypoints[0] != t_here:
-        waypoints = [t_here] + waypoints
-    for seg_end in waypoints[1:]:
+    for seg_end in map(complex, path):  # a first waypoint at the start is a segment of length 0
         seg_start, delta = t_here, seg_end - t_here
         length = abs(delta)
         hmin = max(1e-13 * max(1.0, length), 1e-14 * (1.0 + abs(seg_start)))
-        if length < hmin:
+        if length < hmin:  # skipped: its end is recorded, the state unchanged
+            if length:
+                traj.points.append(TrajectoryPoint(seg_end, y, chart))
+            t_here = seg_end
             continue
         direction = delta / length
         s, h, allowed = 0.0, length, 0.0  # allowed: the last finite step the series allowed
@@ -392,8 +395,7 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
         while length - s > end_slack:
             h = min(h, length - s)
             if h < hmin:
-                # before giving up, try continuing in a better chart
-                stuck = chart
+                stuck = chart  # before giving up, try continuing in a better chart
                 chart, y, norm = _switch(atlas, traj, t_here, chart, y, norm)
                 if chart == stuck:
                     reason = (f"the series allows a step of {allowed:.3g}, below the segment's least step "
@@ -432,10 +434,9 @@ def integrate(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryPoint, 
 
 
 def _switch(atlas: NumericAtlas, traj: Trajectory, t: complex, chart: str, y, norm: float):
-    """``chart``, the state ``y`` on it and its max-norm ``norm``, or the
-    chart where the state is smallest, the state there and its norm when that
-    is at least ``SWITCH_GAIN`` times smaller; a switch is recorded in
-    ``traj``."""
+    """``chart``, the state ``y`` on it and its max-norm ``norm``, or, where it is at least
+    ``SWITCH_GAIN`` times smaller, those of the chart where the state is smallest, recorded
+    in ``traj``."""
     best, bstate, bnorm = atlas.best_chart(y, chart)
     if best != chart and bnorm * SWITCH_GAIN <= norm:
         traj.events.append(SwitchEvent(t, chart, best, norm, bnorm))
@@ -465,15 +466,16 @@ def _horner(coeffs, tau: complex) -> tuple[complex, complex]:
 def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
     """Read a movable pole off the chart of ``atlas.poles`` that resolves it.
 
-    The solution is expanded once, at the point of smallest |x_b|, to the
-    order of the rounding tolerance ``_ROUNDING``. Newton steps on that series
-    of x_b find x_b = 0, and the state and x_b' there are read off it; an
-    iterate that leaves the disc of :func:`_radius` moves the expansion to the
-    disc's edge towards it. Component k behaves like leading_k * (t - t1)^(-m_k),
-    m_k = d_k - j for the lowest x_b^j whose coefficient in n_k does not vanish
-    there, and leading_k is that coefficient over x_b'^m_k (both 0 if all
-    vanish). ``residual`` is |x_b| at the location. :class:`FitAmbiguous` means
-    no point lies in such a chart, x_b' vanishes, or Newton does not converge.
+    The solution is expanded at the point of smallest |x_b| to ``_FIT_ORDER``, whose disc
+    of :func:`_radius` at the rounding tolerance reaches a pole within about half a step of
+    the integrator, the farthest that point lies from a pole the path crossed. Newton steps
+    on that series find x_b = 0, and the state and x_b' there are read off it; an iterate
+    that leaves the disc moves the expansion to the disc's edge towards it. Component k
+    behaves like leading_k * (t - t1)^(-m_k), m_k = d_k - j for the lowest x_b^j whose
+    coefficient in n_k does not vanish there, and leading_k is that coefficient over
+    x_b'^m_k (both 0 if all vanish). ``residual`` is |x_b| at the location.
+    :class:`FitAmbiguous` means no point lies in such a chart, x_b' vanishes, or Newton
+    does not converge.
     """
     near = [(abs(p.state[atlas.poles[p.chart].slot]), i, p.t, p.state, p.chart)
             for i, p in enumerate(points) if p.chart in atlas.poles]
@@ -481,7 +483,6 @@ def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
         raise FitAmbiguous("no point of the segment lies in a chart with a boundary coordinate")
     _, _, t, y, chart = min(near)  # the first of equal |x_b|
     (slot, terms), series = atlas.poles[chart], atlas.series[chart]
-    order, reach = _taylor_order(_ROUNDING)
     diverged = f"Newton steps on the boundary coordinate of {chart} do not converge"
     try:
         tau, disc, coeffs = 0j, 0.0, None
@@ -490,8 +491,8 @@ def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
                 if coeffs is not None:
                     edge = tau * (disc / abs(tau))
                     t, y, tau = t + edge, tuple(_horner(xs, edge)[0] for xs in coeffs), 0j
-                coeffs = series(*y, order)
-                disc = _radius(coeffs, max(1.0, *map(abs, y)), math.inf, reach)
+                coeffs = series(*y, _FIT_ORDER)
+                disc = _radius(coeffs, max(1.0, *map(abs, y)), math.inf, _FIT_REACH)
             x, rate = _horner(coeffs[slot], tau)
             if rate == 0:
                 raise FitAmbiguous(f"the boundary coordinate of {chart} is stationary at t = {t + tau}")
@@ -525,8 +526,7 @@ def monodromy_check(v: VectorField, maps: Sequence[ChartMap], start: TrajectoryP
     ``center`` through ``start.t`` (on ``atlas`` as in :func:`integrate`) and
     report the relative deviation between the end and start states."""
     _finite_start(start)
-    if atlas is None:
-        atlas = NumericAtlas(v, maps, {})
+    atlas = atlas or NumericAtlas(v, maps, {})
     radius = abs(start.t - center)
     if radius == 0:
         raise ValueError("start time coincides with the loop center")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -386,30 +387,71 @@ def reference_triple(rfs, var_names):
     return lambda a, b, c: tuple(fn(a, b, c) for fn in fns)
 
 
-def _lower(exps):
-    """The monomial ``exps`` without one factor of its last variable, and that
-    variable as a unit exponent tuple."""
-    last = max(k for k, e in enumerate(exps) if e)
-    unit = tuple(int(k == last) for k in range(3))
-    return tuple(e - u for e, u in zip(exps, unit)), unit
+UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def reference_series(rfs, var_names):
+def greedy_split_chain(monomials):
+    """(e, f, g) per monomial e of degree 2 or more that ``monomials`` needs,
+    and per one built on the way, in the order built, f + g = e and both built
+    before e (a unit is built): by brute force over every exponent triple
+    below e. Degrees rise and each degree is walked from its largest exponent
+    triple down; f is the largest built divisor, by degree then exponents,
+    whose cofactor g is built, or failing that the largest built divisor, g
+    built first by the same rule."""
+    built, chain = list(UNITS), []
+
+    def build(e):
+        below = [d for d in itertools.product(*(range(x + 1) for x in e)) if d != e and d in built]
+        below.sort(key=lambda d: (sum(d), d), reverse=True)
+        for f in below:
+            g = tuple(x - y for x, y in zip(e, f))
+            if g in built:
+                break
+        else:
+            f = below[0]
+            g = tuple(x - y for x, y in zip(e, f))
+            build(g)
+        chain.append((e, f, g))
+        built.append(e)
+
+    for degree in range(2, 1 + max(map(sum, monomials), default=0)):
+        for e in sorted((e for e in monomials if sum(e) == degree), reverse=True):
+            if e not in built:
+                build(e)
+    return chain
+
+
+def last_variable_chain(monomials):
+    """(e, f, g) per monomial of degree 2 or more, each built from its last
+    variable: f is e without one factor of its last variable, g that
+    variable; every such f is built too, lowest degree first."""
+    chain = {}
+    for e in monomials:
+        while sum(e) >= 2:
+            last = max(k for k, x in enumerate(e) if x)
+            g = UNITS[last]
+            f = tuple(x - y for x, y in zip(e, g))
+            chain[e] = (e, f, g)
+            e = f
+    return sorted(chain.values(), key=lambda step: sum(step[0]))
+
+
+def product_chain(monomials):
+    """The shorter of ``greedy_split_chain`` and ``last_variable_chain``, the
+    greedy one on a tie."""
+    greedy, last = greedy_split_chain(monomials), last_variable_chain(monomials)
+    return greedy if len(greedy) <= len(last) else last
+
+
+def reference_series(rfs, var_names, chain=product_chain):
     """``numerics.compile_series`` as an interpreted loop: per order k, each
-    monomial's coefficient as the Cauchy product sum_j P_j V_(k-j) of its
-    lower monomial P and its last variable V, lowest degree first; each
-    component's terms summed from 0j in canonical order, the constant at
-    order 0 only; a rational component by the quotient recurrence."""
+    monomial's coefficient as the Cauchy product sum_j F_j G_(k-j) of its
+    split (F, G) by ``chain``, in the order it lists them; each component's
+    terms summed from 0j in canonical order, the constant at order 0 only; a
+    rational component by the quotient recurrence."""
     comps = [(_reference_terms(rf.num, var_names),
               None if rf.is_polynomial() else _reference_terms(rf.den, var_names)) for rf in rfs]
-    monomials = set()
-    for num, den in comps:
-        for _, exps in num + (den or []):
-            while sum(exps) >= 2:
-                monomials.add(exps)
-                exps = _lower(exps)[0]
-    monomials = sorted(monomials, key=sum)
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    steps = chain({exps for num, den in comps for _, exps in num + (den or [])})
 
     def fold(poly_terms, ser, k):
         s = 0j
@@ -421,14 +463,13 @@ def reference_series(rfs, var_names):
         return s
 
     def series(a, b, c, n):
-        ser = {units[0]: [a], units[1]: [b], units[2]: [c]}
-        ser.update((e, []) for e in monomials)
+        ser = {UNITS[0]: [a], UNITS[1]: [b], UNITS[2]: [c]}
+        ser.update((e, []) for e, _, _ in steps)
         dens, quots = [[], [], []], [[], [], []]
         for k in range(n):
-            for e in monomials:
-                lower, unit = _lower(e)
-                P, V = ser[lower], ser[unit]
-                ser[e].append(sum(P[j] * V[k - j] for j in range(k + 1)))
+            for e, f, g in steps:
+                F, G = ser[f], ser[g]
+                ser[e].append(sum(F[j] * G[k - j] for j in range(k + 1)))
             nxt = []
             for i, (num, den) in enumerate(comps):
                 s = fold(num, ser, k)
@@ -438,9 +479,9 @@ def reference_series(rfs, var_names):
                     q.append((s - sum(d[j] * q[k - j] for j in range(1, k + 1))) / d[0])
                     s = q[k]
                 nxt.append(s / (k + 1))
-            for unit, x in zip(units, nxt):
+            for unit, x in zip(UNITS, nxt):
                 ser[unit].append(x)
-        return tuple(ser[unit] for unit in units)
+        return tuple(ser[unit] for unit in UNITS)
 
     return series
 
@@ -527,7 +568,10 @@ def reference_taylor(v, maps, start, path, tol=1e-10):
         delta = seg_end - seg_start
         length = abs(delta)
         hmin = max(1e-13 * max(1.0, length), 1e-14 * (1.0 + abs(seg_start)))
-        if length < hmin:  # a segment shorter than its least step is skipped
+        if length < hmin:  # a segment shorter than its least step is skipped, its end recorded
+            if length:
+                traj.points.append(numerics.TrajectoryPoint(seg_end, y, chart))
+            t_here = seg_end
             continue
         direction = delta / length
         s = 0.0

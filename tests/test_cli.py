@@ -611,7 +611,9 @@ def test_a_path_shorter_than_its_least_step_is_skipped(capsys, length):
     code = run(["integrate", "--system", "modified", "--start=-2;0.1;-3", "--path", length])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
-    assert json.loads(captured.out)["steps_accepted"] == (1 if length == "2e-13" else 0)
+    rep = json.loads(captured.out)
+    assert rep["steps_accepted"] == (1 if length == "2e-13" else 0)
+    assert rep["end_time"] == str(complex(float(length)))  # a skipped path still ends at its end
 
 
 @pytest.mark.parametrize("field", ["0 ; 1 ; 0", "1 ; 0 ; 0"], ids=["stationary", "receding"])

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    RECIPROCAL_MODEL, reference_fit_pole, reference_monodromy, reference_poly, reference_series,
-    reference_taylor, reference_taylor_step, reference_triple,
+    RECIPROCAL_MODEL, UNITS, greedy_split_chain, last_variable_chain, product_chain, reference_fit_pole,
+    reference_monodromy, reference_poly, reference_series, reference_taylor, reference_taylor_step,
+    reference_triple,
 )
 from threewave import models, numerics
 from threewave.errors import FitAmbiguous, StepUnderflow
@@ -330,24 +331,24 @@ def test_fit_pole_expands_once_on_criterion_8c(monkeypatch, three_wave_20):
     traj = integrate(v, maps, start, [0, 1.5], tol=1e-12, atlas=atlas)
     calls = _counted_series(monkeypatch, atlas)
     assert fit_pole(traj.points, atlas).exponents == (1, 0, 2)
-    assert calls == [(traj.end.chart, numerics._taylor_order(numerics._ROUNDING)[0])]
+    assert calls == [(traj.end.chart, numerics._FIT_ORDER)]
 
 
 def test_fit_pole_expands_again_beyond_the_series_reach(monkeypatch, modified_zero):
     # the path stops at t = 0.3, short of the pole near 0.549: the series at
-    # the nearest point does not reach the pole, so the expansion moves once
+    # the nearest point does not reach the pole, so the expansion moves, twice
     v, maps, atlas = modified_zero
     start = TrajectoryPoint(0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")
     traj = integrate(v, maps, start, [0, 0.3], tol=1e-12, atlas=atlas)
     near = min((p for p in traj.points if p.chart in atlas.poles),
                key=lambda p: abs(p.state[atlas.poles[p.chart].slot]))
-    order, reach = numerics._taylor_order(numerics._ROUNDING)
+    order = numerics._FIT_ORDER
     disc = numerics._radius(atlas.series[near.chart](*near.state, order),
-                            max(1.0, *map(abs, near.state)), math.inf, reach)
+                            max(1.0, *map(abs, near.state)), math.inf, numerics._FIT_REACH)
     calls = _counted_series(monkeypatch, atlas)
     fit = fit_pole(traj.points, atlas)
     assert abs(fit.location - near.t) > disc
-    assert calls == [(near.chart, order)] * 2
+    assert calls == [(near.chart, order)] * 3
     _assert_same_fit(fit, reference_fit_pole(traj.points, atlas))
     assert fit.exponents == (1, -2, 2) and fit.residual <= 1e-15
 
@@ -618,16 +619,21 @@ def test_integration_matches_the_reference_loop(modified_zero, three_wave_20):
 def test_a_segment_shorter_than_its_least_step_is_skipped(modified_zero, path, steps):
     # one rule skips a segment and bounds its steps from below: a segment
     # shorter than its least step, 1e-13 * max(1, length) or 1e-14 * (1 + |t|)
-    # if larger, is skipped, so none is refused for its length alone
+    # if larger, is skipped, so none is refused for its length alone; its end
+    # is recorded with the state unchanged, and the next segment starts there
     v, maps, atlas = modified_zero
     start = TrajectoryPoint(0j, (-2 + 0j, 0.1 + 0j, -3 + 0j), "U0")
     got = _outcome_of_run(lambda: integrate(v, maps, start, path, atlas=atlas))
     assert got == _outcome_of_run(lambda: reference_taylor(v, maps, start, path))
     assert got[5] is None
-    if steps is None:  # the skipped segment's end is not reached: the next one starts where it did
-        assert got == _outcome_of_run(lambda: integrate(v, maps, start, [0.1, 0.2], atlas=atlas))
+    points = integrate(v, maps, start, path, atlas=atlas).points
+    if steps is None:
+        (i,) = [i for i, p in enumerate(points) if p.t == path[1]]
+        assert points[i] == TrajectoryPoint(path[1], points[i - 1].state, points[i - 1].chart)
+        assert integrate(v, maps, points[i], path[2:], atlas=atlas).points == points[i:]
     else:
         assert got[2] == steps and got[3] == 0
+        assert points[-1].t == path[-1]
 
 
 # integrate's true global error: the relative max-norm distance, on U0, of its
@@ -876,6 +882,74 @@ def test_compiled_code_is_shared_by_structure_and_keeps_its_coefficients():
         assert f.__code__ is g.__code__
         calls = [(*point, n) for point, n in zip(points, range(10))]
         _same_outcomes(g, reference_series([RationalFn.from_poly(p) for p in twice], KERNEL_VARS), calls)
+
+
+def test_generated_series_agrees_with_the_last_variable_chain():
+    # the same products associated another way, each monomial times one of its
+    # variables: the two series differ in their last bits, within rounding of
+    # the majorant series (the field's coefficient moduli at the point's moduli)
+    rng = random.Random(39)
+    differ = 0
+    for _ in range(100):
+        polys = [_random_sparse_poly(rng, 8, 4, huge=False) for _ in range(3)]
+        majorant = [p.map_coefficients(lambda c: GaussianRational.from_complex(abs(complex(c)))) for p in polys]
+        point = [cmath.rect(rng.uniform(0, 1), rng.uniform(-math.pi, math.pi)) for _ in range(3)]
+        got = compile_series([RationalFn.from_poly(p) for p in polys], KERNEL_VARS)(*point, 12)
+        want = reference_series([RationalFn.from_poly(p) for p in polys], KERNEL_VARS,
+                                 last_variable_chain)(*point, 12)
+        bound = reference_series([RationalFn.from_poly(p) for p in majorant], KERNEL_VARS)(*map(abs, point), 12)
+        for xs, ys, ms in zip(got, want, bound):
+            assert all(abs(x - y) <= 1e-14 * abs(m) for x, y, m in zip(xs, ys, ms))
+            differ += xs != ys
+    assert differ
+
+
+# Cauchy products per order on each chart: the last-variable chain takes 19,
+# 19, 18 on T3-1..3 at generic alpha and 18 on each of T2-1..3 at
+# (delta, gamma) = (2, 0); an exhaustive search finds 14, 14, 10 on T2-1..3
+PRODUCTS = {"modified": {"U0": 3, "T3-1": 14, "T3-2": 14, "T3-3": 14},
+            "three-wave": {"U0": 3, "T2-1": 14, "T2-2": 14, "T2-3": 11}}
+
+
+def test_each_chart_builds_its_monomials_by_the_product_chain(monkeypatch):
+    sources = []
+    code = numerics._code
+    monkeypatch.setattr(numerics, "_code", lambda source: sources.append(source) or code(source))
+    rng = random.Random(46)
+    alphas = {f"alpha{k}": complex(round(rng.uniform(-0.1, 0.1), 3), round(rng.uniform(-0.1, 0.1), 3))
+              for k in range(1, 6)}
+    for kind, atlas in (("modified", lambda: NumericAtlas(models.model("modified").fields["U0"],
+                                                          models.resolved_atlas("modified", None), alphas)),
+                        ("three-wave", lambda: NumericAtlas(models.three_wave_system(2, 0),
+                                                            models.resolved_atlas("three-wave", [2, 0]), {}))):
+        sources.clear()
+        charts = atlas().charts()
+        series = [src for src in sources if src.startswith("def ev(a, b, c, n):")]
+        assert dict(zip(charts, (len(re.findall(r"^ +p\d+\.append", src, re.M)) for src in series))) \
+            == PRODUCTS[kind]
+
+
+def test_every_product_multiplies_two_series_built_before_it():
+    # on random supports: each product is a split e = f + g of two monomials
+    # built earlier, every needed monomial is built, the split is the one the
+    # reference's rule takes, and no chain is longer than the last-variable one
+    rng = random.Random(47)
+    greedy_longer = 0
+    for _ in range(1000):
+        degree = rng.randint(2, 8)
+        monomials = {tuple(rng.randint(0, degree) if rng.random() < 0.6 else 0 for _ in range(3))
+                     for _ in range(rng.randint(0, 14))}
+        chain = numerics._product_chain(monomials)
+        built = set(UNITS)
+        for e, (f, g) in chain.items():
+            assert f in built and g in built and tuple(x + y for x, y in zip(f, g)) == e
+            built.add(e)
+        assert {e for e in monomials if sum(e) >= 2} <= built
+        assert chain == {e: (f, g) for e, f, g in product_chain(monomials)}
+        last = len(last_variable_chain(monomials))
+        assert len(chain) <= last
+        greedy_longer += len(greedy_split_chain(monomials)) > last
+    assert greedy_longer  # the greedy split alone is longer now and then
 
 
 @pytest.mark.parametrize("vanishing", [(5,), (6,), (5, 6)])
