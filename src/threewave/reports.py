@@ -87,13 +87,13 @@ def _scan(system, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
     if not models.bind_parameters(system, params):
         return _symbolic_scan(system, cmap)
     w = models.chart_field(system, cmap, params)
-    return w, find_accessible(w)
+    return w, find_accessible(system, w)
 
 
 @models.per_model
 def _symbolic_scan(m: ModelFile, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
     w = models.chart_field(m, cmap)
-    return w, find_accessible(w)
+    return w, find_accessible(m, w)
 
 
 def singularities_report(system, params=None, charts: Sequence[str] | None = None) -> dict:

@@ -26,7 +26,6 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .gaussian import GaussianRational
 from .poly import MultiPoly, poly_sqrt, primitive_part
@@ -43,15 +42,14 @@ class RootsResult:
         return self.residual.is_constant()
 
 
-@lru_cache(maxsize=256)  # keyed by value: the polynomial and the variable
 def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
     """All roots of ``p`` in ``var`` expressible in the parameter field.
 
     ``p`` must involve no state symbols other than ``var``. Roots are listed
     with multiplicity, sorted by text (so repeated roots are adjacent); the
-    leftover factor is returned monic and unfactored. Each polynomial is
-    solved and certified once: a dominant-balance search meets the same
-    equation on several pole-order triples and in every report.
+    leftover factor is returned monic and unfactored. Nothing is kept: the
+    boundary solve reads the roots through its model's memo
+    (``singular._roots``), and every other caller solves afresh.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every value as a root")

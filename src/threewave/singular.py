@@ -9,7 +9,7 @@ divisor gets resolved:
    they are finitely many exactly when those two components share no factor
    in the divisor's coordinates, which one gcd decides; the points depend
    only on the chart and those two components restricted to the divisor,
-   so each distinct restriction is solved and certified once per process,
+   so each distinct restriction is solved and certified once per model,
 2. :func:`linear_part` reads each point's linear part off the scan's
    log-pole form, and :func:`index_of_linear_part` its eigenvalue data, which
    classifies the point and predicts how many blow-ups are needed,
@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -90,9 +89,9 @@ class AccessibleScan:
     form: LogPoleForm
 
 
-def find_accessible(v: VectorField) -> AccessibleScan:
+def find_accessible(system, v: VectorField) -> AccessibleScan:
     """All points of the chart's boundary divisor where the transverse
-    log-pole parts vanish.
+    log-pole parts of ``v``, a field of the model ``system``, vanish.
 
     The two transverse polynomials restricted to the divisor are solved by
     resultant elimination plus exact root extraction; solutions outside the
@@ -100,24 +99,24 @@ def find_accessible(v: VectorField) -> AccessibleScan:
     Raises :class:`PositiveDimensional` when the two polynomials share a factor
     in the divisor's coordinates, so that the solution set contains a curve.
     The points depend only on the chart and that restricted pair, so each
-    distinct pair is solved and certified once (:func:`_boundary_points`).
+    distinct pair is solved and certified once per model (:func:`_boundary_points`).
     """
     chart = v.chart
     lp = log_pole_decomposition(v)
     syms, gs = zip(*lp.transverse)
     on_divisor = compose(gs, {v.table.index(chart.boundary): GaussianRational(0)}, v.table)
-    points, residuals = _boundary_points(chart, tuple(zip(syms, on_divisor)))
+    points, residuals = _boundary_points(system, chart, tuple(zip(syms, on_divisor)))
     return AccessibleScan(points, residuals, lp)
 
 
-@lru_cache(maxsize=256)  # keyed by value: the chart and the restricted pair
-def _boundary_points(chart: Chart, gs) -> tuple[tuple[AccessiblePoint, ...], tuple[str, ...]]:
+@per_model
+def _boundary_points(m: ModelFile, chart: Chart, gs):
     """The accessible points of ``chart`` on which both polynomials of the
     pair ``gs`` = ((u, gu), (w, gw)) vanish, each re-verified by substitution
     and sorted by text, and the residual branches. A raised failure is not
     kept, so it is raised again on every call."""
     (u_sym, gu), (w_sym, gw) = gs
-    solutions, residuals = _solve_boundary_pair(gu, gw, u_sym, w_sym)
+    solutions, residuals = _solve_boundary_pair(m, gu, gw, u_sym, w_sym)
     zero = RationalFn.const(gu.table, 0)
     points = []
     for sol, mult in solutions:
@@ -130,7 +129,7 @@ def _boundary_points(chart: Chart, gs) -> tuple[tuple[AccessiblePoint, ...], tup
     return tuple(points), residuals
 
 
-def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
+def _solve_boundary_pair(system, gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
     """Common zeros of two polynomials in (u, w) over the parameter field.
 
     Two polynomials without a common factor in (u, w) meet in finitely many
@@ -147,7 +146,7 @@ def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
     elim = resultant(gu, gw, u)
     if elim.is_constant():
         return [], ()
-    wroots = find_roots(elim, w)
+    wroots = _roots(system, elim, w)
     if not wroots.fully_split():
         residuals.append(f"eliminant residual in {w.name}: {wroots.residual.text()}")
 
@@ -157,7 +156,7 @@ def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
         g = poly_gcd(value_at(gu, {w: w0}, gu.table).num, value_at(gw, {w: w0}, gw.table).num)
         if g.is_constant():
             continue  # spurious eliminant root
-        uroots = find_roots(g, u)
+        uroots = _roots(system, g, u)
         if not uroots.fully_split():
             residuals.append(
                 f"{w.name} = {w0.text()}: residual in {u.name}: {uroots.residual.text()}"
@@ -167,6 +166,13 @@ def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
             mult = max(1, (wmult * umult) // len(uroots.roots))
             solutions.append(({u: u0, w: w0}, mult))
     return solutions, tuple(residuals)
+
+
+@per_model
+def _roots(m: ModelFile, p: MultiPoly, var: Symbol):
+    """``find_roots(p, var)`` once per model: distinct boundary pairs of a
+    model often share an eliminant."""
+    return find_roots(p, var)
 
 
 # -- linear part and local index ----------------------------------------------------
@@ -758,8 +764,8 @@ def resolution_pipeline(system, params: Sequence | None = None) -> ResolutionRep
     if lineage is not None and not bindings:
         return lineage
     vw = chart_field(m, weighted_map, params)
-    taken = _resolve(vw, weighted_map, lineage, bindings) if lineage is not None else None
-    return taken or _resolve(vw, weighted_map, None, {})
+    taken = _resolve(m, vw, weighted_map, lineage, bindings) if lineage is not None else None
+    return taken or _resolve(m, vw, weighted_map, None, {})
 
 
 @per_model
@@ -769,17 +775,17 @@ def _symbolic_lineage(m: ModelFile) -> ResolutionReport | None:
     weighted_map = weighted_chart(m)[1]
     v = chart_field(m, weighted_map)
     try:
-        return _resolve(v, weighted_map, None, {})
+        return _resolve(m, v, weighted_map, None, {})
     except ThreeWaveError:
         return None
 
 
-def _resolve(vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
-    """The pipeline on ``vw``, the weighted field at ``bindings``. Without a
-    ``lineage`` every step is computed. With one, every step but the scans
-    is the lineage's, specialized, and the result is None at the first step
-    that does not match."""
-    scan = find_accessible(vw)
+def _resolve(m, vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
+    """The pipeline on ``vw``, the weighted field of the model ``m`` at
+    ``bindings``. Without a ``lineage`` every step is computed. With one,
+    every step but the scans is the lineage's, specialized, and the result
+    is None at the first step that does not match."""
+    scan = find_accessible(m, vw)
     # the lineage's linear parts, specialized, keyed by their points'
     # specialized coordinates; a point with a vanishing denominator is left out
     known = {}
@@ -830,7 +836,7 @@ def _resolve(vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
                 return None
             fields.append(field)
         if step < steps - 1:
-            inner = find_accessible(fields[-1])
+            inner = find_accessible(m, fields[-1])
             if len(inner.points) != 1:
                 raise AnalysisFailed(
                     f"expected a unique accessible point on the exceptional divisor, got "

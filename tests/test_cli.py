@@ -868,11 +868,10 @@ def test_uniqueness_needs_a_boundary_on_every_resolved_chart(tmp_path, capsys):
 def test_failed_reverification_exits_1_without_traceback(capsys, monkeypatch, tmp_path):
     from threewave import singular
 
-    # a model file, scanned afresh, and an empty memo of boundary points, so
-    # that each point is verified again
+    # a model file, parsed and scanned afresh by the command, so that each
+    # point is verified again
     path = tmp_path / "three-wave.model"
     path.write_text(models.export_model("three-wave"))
-    singular._boundary_points.cache_clear()
     monkeypatch.setattr(singular, "vanishes", lambda polys, bindings, table: False)
     code = run(["singularities", "--system", str(path)])
     captured = capsys.readouterr()
@@ -951,9 +950,9 @@ def test_named_point_scans_one_chart(capsys, monkeypatch, tmp_path):
     calls = []
     real = reports.find_accessible
 
-    def counting(v, *args, **kwargs):
+    def counting(system, v):
         calls.append(v.chart.name)
-        return real(v, *args, **kwargs)
+        return real(system, v)
 
     monkeypatch.setattr(reports, "find_accessible", counting)
     code, _ = _capture(capsys, ["index", "--system", str(path), "--point", "P1"])
@@ -1046,9 +1045,9 @@ def test_points_resolve_where_the_symbolic_pipeline_fails(tmp_path, capsys, monk
     attempts = []
     real = singular._resolve
 
-    def resolve(vw, *args):
+    def resolve(m, vw, *args):
         attempts.append(vw == symbolic)
-        return real(vw, *args)
+        return real(m, vw, *args)
 
     monkeypatch.setattr(singular, "_resolve", resolve)
     assert reports.pipeline_report(m, [2])["chart_lineage"] == ["W", "W.b1XW"]

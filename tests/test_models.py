@@ -14,7 +14,7 @@ from threewave.errors import DenominatorVanishes
 from threewave.gaussian import GaussianRational, gr
 from threewave.geometry import ChartMap, jacobian_determinant, pushforward
 from threewave.parsing import parse_expr, render_model
-from threewave.numerics import compile_triple
+from threewave.numerics import TrajectoryPoint, compile_triple, integrate
 from threewave.ratfunc import RationalFn, specialize_all, substitute
 
 
@@ -290,12 +290,18 @@ def test_a_dropped_model_is_freed():
     reports.atlas_report(m)
     reports.pipeline_report(m, [1, 2, 3, 4, 0])
     reports.painleve_report(m)
+    # a point scanned at a parameter point, and the model integrated once
+    params = [1, 2, 3, 4, 0]
+    point = reports.scan_chart(m, params, "U1")[1].points[0]
+    v = models.system_field(m, params)
+    integrate(v, models.resolved_atlas(m, params), TrajectoryPoint(0j, (0.1, 0.2, 0.3), "U0"),
+              [0, 0.5])
     assert m._derived
     derived = [weakref.ref(m), weakref.ref(singular._symbolic_lineage(m)),
-               weakref.ref(models.balance_search(m, 2))]
-    del m
+               weakref.ref(models.balance_search(m, 2)), weakref.ref(point)]
+    del m, point, v
     gc.collect()
-    assert [ref() for ref in derived] == [None, None, None]
+    assert [ref() for ref in derived] == [None, None, None, None]
 
 
 def test_each_parse_derives_its_own_balance_search():

@@ -115,7 +115,6 @@ def _certified_roots(monkeypatch):
     """Record, as text, every value the root finder's certificate accepts."""
     import threewave.roots as roots_module
 
-    find_roots.cache_clear()  # a cached result was certified before
     certified = []
 
     def recording(polys, bindings, table):

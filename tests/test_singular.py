@@ -45,12 +45,18 @@ def _chart_field(kind, chart_name, params=None):
     return pushforward(models.system_field(kind, params), cmap)
 
 
+def _scan(v):
+    """The accessible points of ``v``, a field made by a test, kept on a
+    model parsed afresh for it."""
+    return find_accessible(fresh_model("three-wave"), v)
+
+
 # -- accessible points ---------------------------------------------------------
 
 
 def test_accessible_points_reciprocal_chart():
     w = _chart_field("three-wave", "U1")
-    scan = find_accessible(w)
+    scan = find_accessible("three-wave", w)
     got = {p.text() for p in scan.points}
     assert got == {"(0, 0, 0)", "(0, i, 0)", "(0, -i, 0)"}
     assert scan.residuals == ()
@@ -58,14 +64,14 @@ def test_accessible_points_reciprocal_chart():
 
 def test_accessible_points_weighted_chart():
     w = _chart_field("three-wave", "W")
-    scan = find_accessible(w)
+    scan = find_accessible("three-wave", w)
     got = {p.text() for p in scan.points}
     assert got == {"(0, 1/2*delta, 0)", "(0, 1/2*delta, -1)"}
 
 
 def test_accessible_point_multiplicity_four():
     w = _chart_field("three-wave", "U3")
-    scan = find_accessible(w)
+    scan = find_accessible("three-wave", w)
     assert len(scan.points) == 1
     p = scan.points[0]
     assert p.text() == "(0, 0, 0)"
@@ -78,7 +84,7 @@ def test_zero_field_positive_dimensional():
     zero = RationalFn.const(t, 0)
     v = VectorField(chart, [zero, zero, zero])
     with pytest.raises(PositiveDimensional):
-        find_accessible(v)
+        _scan(v)
 
 
 def _boundary_x_field(gy, gz):
@@ -103,11 +109,11 @@ def _boundary_x_field(gy, gz):
 )
 def test_degenerate_boundary_pairs_are_positive_dimensional(gy, gz):
     with pytest.raises(PositiveDimensional):
-        find_accessible(_boundary_x_field(gy, gz))
+        _scan(_boundary_x_field(gy, gz))
 
 
 def test_shared_parameter_factor_keeps_the_point():
-    scan = find_accessible(_boundary_x_field("delta*(Y-1)", "delta*(Z-2)"))
+    scan = _scan(_boundary_x_field("delta*(Y-1)", "delta*(Z-2)"))
     assert [p.text() for p in scan.points] == ["(0, 1, 2)"]
     assert scan.residuals == ()
 
@@ -122,7 +128,7 @@ def test_paper_point_resolves_on_the_model_chart():
     assert weighted_balance(painleve_leading_orders(v, 2)).exponents == (1, -2, 2)
     degenerate = power_scaled_chart(m.base, m.table, "W", m.charts["W"].vars, (1, -2, 2))
     with pytest.raises(PositiveDimensional):
-        find_accessible(pushforward(v, degenerate))
+        find_accessible(m, pushforward(v, degenerate))
     balance, wmap = models.weighted_chart(m)
     assert balance.exponents == (1, 0, 2)
     _, scan = reports.scan_chart(m, [0, -1], "W")
@@ -140,7 +146,7 @@ def test_chart_without_boundary_is_rejected():
     chart = Chart("C", (t.get("X"), t.get("Y"), t.get("Z")))
     X = RationalFn.var(t, "X")
     v = VectorField(chart, [X, 1 / X, X])
-    for analysis in (find_accessible, holomorphy_obstructions, log_pole_decomposition):
+    for analysis in (_scan, holomorphy_obstructions, log_pole_decomposition):
         with pytest.raises(ValueError, match="has no boundary variable"):
             analysis(v)
 
@@ -153,7 +159,7 @@ def test_every_reported_point_satisfies_definition():
 
         lp = log_pole_decomposition(w)
         zero = {w.table.get(w.chart.boundary.name): gr(0)}
-        for p in find_accessible(w).points:
+        for p in find_accessible("three-wave", w).points:
             bindings = {s: p.coords[k] for k, s in enumerate(p.chart.vars)}
             for _, g in lp.transverse:
                 val = substitute(RationalFn.from_poly(g.specialize(zero)), bindings, w.table)
@@ -165,12 +171,12 @@ def test_every_reported_point_satisfies_definition():
 
 def _pair_solves(monkeypatch):
     """A list that records the (u, w) names of every call of the unmemoized
-    boundary-pair solver, starting from an empty memo of boundary points."""
-    singular._boundary_points.cache_clear()
+    boundary-pair solver; a model parsed afresh starts with no pair solved."""
     calls = []
     real = singular._solve_boundary_pair
     monkeypatch.setattr(singular, "_solve_boundary_pair",
-                        lambda gu, gw, u, w: calls.append((u.name, w.name)) or real(gu, gw, u, w))
+                        lambda m, gu, gw, u, w: calls.append((u.name, w.name))
+                        or real(m, gu, gw, u, w))
     return calls
 
 
@@ -178,27 +184,29 @@ def _pair_solves(monkeypatch):
     ("three-wave", [1, 0], [gr(3, -1), Fraction(2, 7)]),
     ("modified", [1, 2, 3, 4, 5], [gr(0, 2), -1, Fraction(5, 3), 7, gr(1, 1)]),
 ])
-def test_projective_pairs_are_solved_once_per_process(monkeypatch, kind, first, second):
+def test_projective_pairs_are_solved_once_per_model(monkeypatch, kind, first, second):
     # on U1-U3 the boundary pair comes from the field's top-degree part, the
     # same at every parameter point, so a second point solves none of them
     calls = _pair_solves(monkeypatch)
-    projective = {s.name for cm in models.atlas(kind, "projective") for s in cm.target.vars}
-    reports.singularities_report(kind, first)
+    m = fresh_model(kind)
+    projective = {s.name for cm in models.atlas(m, "projective") for s in cm.target.vars}
+    reports.singularities_report(m, first)
     assert len([c for c in calls if c[0] in projective]) == 3
     calls.clear()
-    reports.singularities_report(kind, second)
+    reports.singularities_report(m, second)
     assert [c for c in calls if c[0] in projective] == []
 
 
 def test_equal_pairs_on_another_chart_or_table_are_solved_again(monkeypatch):
     calls = _pair_solves(monkeypatch)
+    m = fresh_model("three-wave")
     v = _boundary_x_field("delta*(Y-1)", "Z-2")
-    scan = find_accessible(v)
-    assert find_accessible(v) == scan and len(calls) == 1
+    scan = find_accessible(m, v)
+    assert find_accessible(m, v) == scan and len(calls) == 1
     renamed = Chart("D", v.chart.vars, boundary=v.chart.boundary)
-    on_d = find_accessible(VectorField(renamed, v.components))
+    on_d = find_accessible(m, VectorField(renamed, v.components))
     wider = v.table.extend([parameter("eps")])
-    on_wider = find_accessible(v.retable(wider))
+    on_wider = find_accessible(m, v.retable(wider))
     assert len(calls) == 3
     assert [p.chart.name for p in on_d.points] == ["D"]
     assert [c.table for p in on_wider.points for c in p.coords] == [wider] * 3
@@ -216,7 +224,8 @@ def test_equal_pairs_on_another_chart_or_table_are_solved_again(monkeypatch):
 def test_boundary_pair_without_points(gu, gw, want):
     t = table("u", "w")
     u, w = t.get("u"), t.get("w")
-    assert singular._solve_boundary_pair(parse_expr(gu, t).num, parse_expr(gw, t).num, u, w) == want
+    gu, gw = parse_expr(gu, t).num, parse_expr(gw, t).num
+    assert singular._solve_boundary_pair(fresh_model("three-wave"), gu, gw, u, w) == want
 
 
 def _differential_points():
@@ -246,8 +255,7 @@ def _census_text(system, params):
 
 def test_scans_from_the_memo_equal_cold_scans(monkeypatch):
     # differential: each scan and census read from a warm memo equals the one
-    # computed after the memo of boundary points is emptied, the census on a
-    # model parsed again
+    # computed on a model parsed again
     calls = _pair_solves(monkeypatch)
     parsed = {kind: fresh_model(kind) for kind in ("three-wave", "modified")}
     for kind, params in _differential_points():
@@ -255,12 +263,10 @@ def test_scans_from_the_memo_equal_cold_scans(monkeypatch):
         warm_text = _census_text(m, params)
         fields = [reports.scan_chart(m, params, name)[0] for name in reports.scan_charts(m)]
         calls.clear()
-        warm = [find_accessible(w) for w in fields]
+        warm = [find_accessible(m, w) for w in fields]
         assert calls == [], (kind, params)
-        singular._boundary_points.cache_clear()
-        cold = [find_accessible(w) for w in fields]
+        cold = [find_accessible(fresh_model(kind), w) for w in fields]
         assert cold == warm, (kind, params)
-        singular._boundary_points.cache_clear()
         assert _census_text(fresh_model(kind), params) == warm_text, (kind, params)
 
 
@@ -297,11 +303,24 @@ def test_a_model_loaded_twice_is_scanned_twice(monkeypatch):
     calls = []
     real = reports.find_accessible
     monkeypatch.setattr(reports, "find_accessible",
-                        lambda v: calls.append(v.chart.name) or real(v))
+                        lambda system, v: calls.append(v.chart.name) or real(system, v))
     scans = [reports.scan_chart(m, None, "U1") for m in (first, second, first)]
     assert calls == ["U1", "U1"]
     assert scans[0] is scans[2] and scans[1] is not scans[0]
     assert [p.text() for p in scans[1][1].points] == [p.text() for p in scans[0][1].points]
+
+
+def test_a_model_parsed_twice_gets_its_own_points():
+    # the boundary solve is kept on each parsed model, not shared by value
+    # across parses: the second parse's points sit on its own table
+    first, second = fresh_model("three-wave"), fresh_model("three-wave")
+    (w1, scan1), (w2, scan2) = (reports.scan_chart(m, [2, 0], "W") for m in (first, second))
+    assert [p.text() for p in scan2.points] == [p.text() for p in scan1.points]
+    assert w2.table is not w1.table
+    assert all(c.table is w2.table for p in scan2.points for c in p.coords)
+    first_ids, second_ids = ({id(x) for p in scan.points for x in (p, *p.coords)}
+                             for scan in (scan1, scan2))
+    assert not first_ids & second_ids
 
 
 @pytest.mark.parametrize("params", [[1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]])
@@ -490,7 +509,7 @@ def test_linear_part_rejects_a_point_that_is_not_accessible():
 def test_linear_part_at_a_point_with_parameter_denominators():
     # at Y = 1/delta the Z row's Y coefficient is 2*Y0*(delta*Y0-1) + delta*Y0^2 = 1/delta
     v = _boundary_x_field("delta*Y-1", "Z-2+Y^2*(delta*Y-1)")
-    (p,) = find_accessible(v).points
+    (p,) = _scan(v).points
     assert p.text() == "(0, 1/(delta), 2)"
     A = linear_part(log_pole_decomposition(v), p)
     assert [[e.text() for e in row] for row in A] == [
@@ -829,7 +848,7 @@ def test_painleve_lists_the_euler_top_residual_branch(tmp_path):
 
 def test_blow_up_directional_charts():
     w = _chart_field("three-wave", "W")
-    scan = find_accessible(w)
+    scan = find_accessible("three-wave", w)
     target = next(p for p in scan.points if p.coords[2].text() == "-1")
     charts = [blow_up(w, target.coords, k) for k in range(3)]
     assert len(charts) == 3
@@ -867,7 +886,7 @@ def test_blow_up_of_zero_field_is_zero():
 
 def test_blow_up_map_round_trip_numeric():
     w = _chart_field("three-wave", "W", params=[3, 2])
-    scan = find_accessible(w)
+    scan = find_accessible("three-wave", w)
     target = next(p for p in scan.points if p.coords[2].text() == "-1")
     piece = blow_up(w, target.coords, 0)
     cmap = piece.cmap
@@ -1311,7 +1330,7 @@ def test_linear_part_matches_the_per_entry_oracle():
              for name in reports.scan_charts(kind)]
     for v in _random_boundary_fields():
         try:
-            scans.append((v, find_accessible(v)))
+            scans.append((v, _scan(v)))
         except PositiveDimensional:
             pass
     points = denominators = 0
@@ -1338,10 +1357,9 @@ def test_linear_part_matches_the_per_entry_oracle():
 def test_linear_part_is_one_composition(monkeypatch):
     real, calls = ratfunc.compose, []
     monkeypatch.setattr(ratfunc, "compose", lambda *args: calls.append(1) or real(*args))
-    # the boundary points are kept by value, so a model parsed before with an
-    # equal table may have left points on its own table, which would be
-    # retabled first; a model parsed again, scanned afresh, has none
-    singular._boundary_points.cache_clear()
+    # another parse of the same text scans the same points first; each
+    # parse keeps its own points, on its own table, so none is retabled
+    _named(fresh_model("three-wave"))
     for name, (v, p) in _named(fresh_model("three-wave")).items():
         lp = log_pole_decomposition(v)
         calls.clear()
