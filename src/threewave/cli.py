@@ -30,6 +30,7 @@ from .parsing import ModelFile, parse_expr
 
 REPORT_DIR_ENV = "THREEWAVE_REPORT_DIR"
 NUMERIC_COMMANDS = ("integrate", "monodromy")
+CHECK_COMMANDS = ("verify-atlas", "verify-symmetry", "uniqueness")
 
 
 class UsageError(Exception):
@@ -272,10 +273,38 @@ def _dispatch(args) -> int:
     params = _parse_params(system, args.params, numeric)
     if numeric:
         return _run_numeric(args, system, params)
-    # only the symbolic subcommands load the reports and the exact analyses
+    if cmd in CHECK_COMMANDS:
+        rep, ok = _run_check(args, system, params)
+    else:
+        rep, ok = _run_analysis(args, system, params)
+    _emit(rep, args, cmd)
+    return 0 if ok else 1
+
+
+def _run_check(args, system: ModelFile, params) -> tuple[dict, bool]:
+    """The report of a check and its verdict; the checks need no singularity
+    analysis, so ``singular`` and ``roots`` stay unloaded."""
+    from . import checks
+
+    cmd = args.command
+    if cmd == "verify-atlas":
+        rep = checks.atlas_report(system, params, args.atlas)
+        # the reciprocal charts are informational: they make no holomorphy claim
+        return rep, args.atlas != "resolved" or rep["all_polynomial"]
+    if cmd == "verify-symmetry":
+        rep = checks.symmetry_report(system)
+        return rep, rep["all_invariant"] and rep["relations"]["all_hold"]
+    rep = checks.uniqueness_report(system)
+    return rep, rep["matches_reference"] and rep["normalized_nullity"] == 0
+
+
+def _run_analysis(args, system: ModelFile, params) -> tuple[dict, bool]:
+    """The report of a singularity analysis, with the verdict True: an
+    analysis makes no claim, and one that does not apply raises."""
+    # only these subcommands load the reports and the exact analyses
     from . import reports
 
-    ok = True  # the report's verdict, for commands that make a claim
+    cmd = args.command
     if cmd == "singularities":
         rep = reports.singularities_report(system, params, (args.chart,) if args.chart else None)
     elif cmd == "index":
@@ -289,18 +318,7 @@ def _dispatch(args) -> int:
         if cmd == "obstructions":
             keys = ("system", "obstructions", "solution_branches", "resolvable_without_conditions")
             rep = {k: rep[k] for k in keys}
-    elif cmd == "verify-atlas":
-        rep = reports.atlas_report(system, params, args.atlas)
-        # the reciprocal charts are informational: they make no holomorphy claim
-        ok = args.atlas != "resolved" or rep["all_polynomial"]
-    elif cmd == "verify-symmetry":
-        rep = reports.symmetry_report(system)
-        ok = rep["all_invariant"] and rep["relations"]["all_hold"]
-    else:
-        rep = reports.uniqueness_report(system)
-        ok = rep["matches_reference"] and rep["normalized_nullity"] == 0
-    _emit(rep, args, cmd)
-    return 0 if ok else 1
+    return rep, True
 
 
 def _run_numeric(args, system: ModelFile, params: list[GaussianRational]) -> int:

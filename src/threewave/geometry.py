@@ -19,33 +19,32 @@ a separate, cheap query).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DenominatorVanishes, PoleTooHigh, VerificationFailed
 from .gaussian import GaussianRational
 from .poly import MultiPoly
 from .ratfunc import RationalFn, clear_denominators, images, specialize_all, substitute
+from .records import Record
 from .symbols import Symbol, SymbolTable
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """A named coordinate patch with its three state symbols.
 
     ``boundary`` marks the local equation of the divisor at infinity (or of
     the exceptional divisor for blow-up charts), when there is one.
     """
 
-    name: str
-    vars: tuple[Symbol, Symbol, Symbol]
-    boundary: Symbol | None = None
+    __slots__ = ("name", "vars", "boundary")  # str, three Symbols, Symbol or None
 
-    def __post_init__(self):
-        if len(self.vars) != 3:
+    def __init__(self, name: str, vars: tuple[Symbol, Symbol, Symbol],
+                 boundary: Symbol | None = None):
+        if len(vars) != 3:
             raise ValueError("charts are three-dimensional")
-        if self.boundary is not None and self.boundary not in self.vars:
+        if boundary is not None and boundary not in vars:
             raise ValueError("boundary symbol must be one of the chart variables")
+        Record.__init__(self, name, vars, boundary)
 
     def var_index(self, sym: Symbol) -> int:
         return self.vars.index(sym)
@@ -213,8 +212,7 @@ def _same(new: Sequence, old: Sequence) -> bool:
     return all(a is b for a, b in zip(new, old))
 
 
-@dataclass(frozen=True)
-class SymmetryMap:
+class SymmetryMap(Record):
     """A birational state map of one chart combined with an action on the
     parameters: (x; alpha) -> (state(x; alpha); param_map(alpha)).
 
@@ -223,10 +221,8 @@ class SymmetryMap:
     which is the inverse :meth:`as_chart_map` verifies.
     """
 
-    name: str
-    chart: Chart
-    state: tuple[RationalFn, RationalFn, RationalFn]
-    param_map: Mapping[Symbol, RationalFn]
+    # str, Chart, three RationalFns, Mapping[Symbol, RationalFn]
+    __slots__ = ("name", "chart", "state", "param_map")
 
     @property
     def table(self) -> SymbolTable:
@@ -312,14 +308,15 @@ def pushforward(v: VectorField, cmap: ChartMap) -> VectorField:
     return VectorField(cmap.target, out)
 
 
-@dataclass(frozen=True)
-class LogPoleForm:
+class LogPoleForm(Record):
     """Certificate that a field has at worst a simple log pole on its chart's
     boundary divisor: the boundary component is polynomial and every
-    transverse component times the boundary variable is polynomial."""
+    transverse component times the boundary variable is polynomial.
 
-    boundary_part: MultiPoly  # g for the boundary variable itself
-    transverse: tuple[tuple[Symbol, MultiPoly], ...]  # (variable, g) pairs
+    ``boundary_part`` is the MultiPoly g of the boundary variable itself,
+    ``transverse`` the (variable, g) pairs of the others."""
+
+    __slots__ = ("boundary_part", "transverse")
 
 
 def log_pole_decomposition(v: VectorField) -> LogPoleForm:

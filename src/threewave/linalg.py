@@ -14,17 +14,15 @@ degree, term count, then the row's nonzero count), which makes the frequent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import MultiPoly, poly_gcd_many, symbols_in
 from .ratfunc import RationalFn
+from .records import Record
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    rank: int
-    nullspace: tuple[tuple[RationalFn, ...], ...]
+class LinearSolution(Record):
+    __slots__ = ("rank", "nullspace")  # int, a tuple of basis vectors (tuples of RationalFn)
 
     @property
     def nullity(self) -> int:

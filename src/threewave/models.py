@@ -244,13 +244,14 @@ def verify_atlas_holomorphy(pushed: Sequence[VectorField]) -> list[dict]:
     poles sit on the chart's boundary divisor, the parameter conditions
     whose vanishing would make the components polynomial.
     """
-    from .singular import holomorphy_obstructions
-
     out = []
     for w in pushed:
         witnesses = [c.den.text() for c in w.components if not c.is_polynomial()]
         conditions: list[str] = []
         if witnesses:
+            # only a chart that is not polynomial loads the singularity analysis
+            from .singular import holomorphy_obstructions
+
             try:
                 conditions = holomorphy_obstructions(w).texts()
             except ValueError:  # no boundary, or a pole off it

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
@@ -49,16 +48,14 @@ _FIT_ORDER = math.ceil(math.log(_ROUNDING) / math.log(math.exp(-2) / 2))
 _FIT_REACH = STEP_SAFETY * _ROUNDING ** (1 / _FIT_ORDER)
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     t: complex
     state: tuple[complex, complex, complex]
     chart: str
     err: float = 0.0  # err_est: the last term kept by the step that produced this point
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
     t: complex
     from_chart: str
     to_chart: str
@@ -66,13 +63,20 @@ class SwitchEvent:
     norm_after: float
 
 
-@dataclass
 class Trajectory:
-    points: list[TrajectoryPoint] = field(default_factory=list)
-    events: list[SwitchEvent] = field(default_factory=list)
-    error_estimate: float = 0.0
-    steps_accepted: int = 0
-    steps_rejected: int = 0
+    """The points and chart switches of one run, growing as it integrates,
+    with its step counts and the sum of its steps' error estimates."""
+
+    __slots__ = ("points", "events", "error_estimate", "steps_accepted", "steps_rejected")
+
+    def __init__(self, points: list[TrajectoryPoint] | None = None,
+                 events: list[SwitchEvent] | None = None, error_estimate: float = 0.0,
+                 steps_accepted: int = 0, steps_rejected: int = 0):
+        self.points = [] if points is None else points
+        self.events = [] if events is None else events
+        self.error_estimate = error_estimate
+        self.steps_accepted = steps_accepted
+        self.steps_rejected = steps_rejected
 
     @property
     def end(self) -> TrajectoryPoint:
@@ -447,8 +451,7 @@ def _switch(atlas: NumericAtlas, traj: Trajectory, t: complex, chart: str, y, no
 # -- pole read-out -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoleFit:
+class PoleFit(NamedTuple):
     location: complex
     exponents: tuple[int, int, int]
     leading: tuple[complex, complex, complex]

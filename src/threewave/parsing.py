@@ -35,7 +35,6 @@ should compose to the identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection
 
@@ -211,7 +210,6 @@ def parse_word(text: str, names: Collection[str]) -> tuple[str, ...]:
 # -- model files ------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class ModelFile:
     """Parsed contents of a model/atlas file over one symbol table.
 
@@ -221,15 +219,26 @@ class ModelFile:
     unsupported: its derived results would not follow the edit.
     """
 
-    table: SymbolTable
-    name: str = "<model>"
-    charts: dict[str, Chart] = field(default_factory=dict)
-    maps: list[ChartMap] = field(default_factory=list)
-    fields: dict[str, VectorField] = field(default_factory=dict)  # chart name -> field
-    atlases: dict[str, tuple[str, ...]] = field(default_factory=dict)  # name -> charts
-    symmetries: dict[str, SymmetryMap] = field(default_factory=dict)
-    relations: dict[str, tuple[str, ...]] = field(default_factory=dict)  # word -> letters
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(
+        self,
+        table: SymbolTable,
+        name: str = "<model>",
+        charts: dict[str, Chart] | None = None,
+        maps: list[ChartMap] | None = None,
+        fields: dict[str, VectorField] | None = None,  # chart name -> field
+        atlases: dict[str, tuple[str, ...]] | None = None,  # name -> charts
+        symmetries: dict[str, SymmetryMap] | None = None,
+        relations: dict[str, tuple[str, ...]] | None = None,  # word -> letters
+    ):
+        self.table = table
+        self.name = name
+        self.charts = {} if charts is None else charts
+        self.maps = [] if maps is None else maps
+        self.fields = {} if fields is None else fields
+        self.atlases = {} if atlases is None else atlases
+        self.symmetries = {} if symmetries is None else symmetries
+        self.relations = {} if relations is None else relations
+        self._derived: dict = {}
 
     def chart(self, name: str) -> Chart:
         if name not in self.charts:

@@ -24,19 +24,19 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational
 from .poly import MultiPoly, poly_sqrt, primitive_part
 from .ratfunc import RationalFn, vanishes
+from .records import Record
 from .symbols import Symbol
 
 
-@dataclass(frozen=True)
-class RootsResult:
-    roots: tuple[RationalFn, ...]
-    residual: MultiPoly  # monic; constant 1 when the polynomial split completely
+class RootsResult(Record):
+    # the roots (RationalFn), and the residual MultiPoly: monic, constant 1
+    # when the polynomial split completely
+    __slots__ = ("roots", "residual")
 
     def fully_split(self) -> bool:
         return self.residual.is_constant()

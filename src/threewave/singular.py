@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -60,15 +59,15 @@ from .poly import MultiPoly, compose, content_in, poly_gcd, resultant
 from .ratfunc import (
     RationalFn, images, pole_coefficients, specialize_all, substitute, value_at, vanishes,
 )
+from .records import Record
 from .roots import find_roots
 from .symbols import Symbol, names_apart, parameter
 
 
-@dataclass(frozen=True)
-class AccessiblePoint:
-    chart: Chart
-    coords: tuple[RationalFn, RationalFn, RationalFn]  # chart-variable order
-    multiplicity: int = 1
+class AccessiblePoint(Record):
+    # Chart, three RationalFns in chart-variable order, int
+    __slots__ = ("chart", "coords", "multiplicity")
+    _defaults = {"multiplicity": 1}
 
     @property
     def boundary(self) -> Symbol:
@@ -79,14 +78,11 @@ class AccessiblePoint:
         return f"({inner})"
 
 
-@dataclass(frozen=True)
-class AccessibleScan:
+class AccessibleScan(Record):
     """Search result: verified points plus any unresolved residual branches,
     and the field's log-pole form they were found on."""
 
-    points: tuple[AccessiblePoint, ...]
-    residuals: tuple[str, ...]
-    form: LogPoleForm
+    __slots__ = ("points", "residuals", "form")  # AccessiblePoints, strs, LogPoleForm
 
 
 def find_accessible(system, v: VectorField) -> AccessibleScan:
@@ -211,12 +207,13 @@ def linear_part(lp: LogPoleForm, p: AccessiblePoint) -> list[list[RationalFn]]:
     return [entries[k:k + 3] for k in (0, 3, 6)]
 
 
-@dataclass(frozen=True)
-class LocalIndex:
-    eigenvalues: tuple[RationalFn, RationalFn, RationalFn]
-    ratios: tuple[RationalFn, RationalFn, RationalFn] | None
-    integrality: tuple[bool, ...] | None
-    ordering: str  # "permutation (i,j,k)" over boundary-first axes, or "spectral"
+class LocalIndex(Record):
+    __slots__ = (
+        "eigenvalues",  # three RationalFns
+        "ratios",  # three RationalFns, or None
+        "integrality",  # bools, or None
+        "ordering",  # "permutation (i,j,k)" over boundary-first axes, or "spectral"
+    )
 
 
 def _triangular_permutation(A: list[list[RationalFn]]) -> tuple[int, ...] | None:
@@ -277,14 +274,9 @@ def _spectrum(A: list[list[RationalFn]], table) -> tuple[RationalFn, ...]:
 # -- scaling-limit (alpha) test ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaTestReport:
-    matrix: tuple[tuple, ...]
-    triangular: bool
-    ratios: tuple
-    component_single_valued: tuple[bool, ...]
-    log_detected: bool
-    single_valued: bool
+class AlphaTestReport(Record):
+    __slots__ = ("matrix", "triangular", "ratios", "component_single_valued", "log_detected",
+                 "single_valued")
 
 
 def classify_alpha_matrix(A) -> AlphaTestReport:
@@ -331,21 +323,18 @@ def classify_alpha_matrix(A) -> AlphaTestReport:
 # -- dominant balance search ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Balance:
-    exponents: tuple[int, int, int]
-    coefficients: tuple[RationalFn, RationalFn, RationalFn]
-    free: tuple[str, ...] = ()  # names of leading coefficients left free
+class Balance(Record):
+    # three ints, three RationalFns, the names of leading coefficients left free
+    __slots__ = ("exponents", "coefficients", "free")
+    _defaults = {"free": ()}
 
 
-@dataclass(frozen=True)
-class BalanceSearch:
+class BalanceSearch(Record):
     """The balances of a pole-order search, and the branches it could not
     settle: each pole-order triple with a branch of :func:`solve_branches`
-    that keeps a residual factor."""
+    that keeps a residual factor, as (triple, ConditionBranch) pairs."""
 
-    balances: tuple[Balance, ...]
-    residual_branches: tuple[tuple[tuple[int, int, int], ConditionBranch], ...]
+    __slots__ = ("balances", "residual_branches")
 
 
 def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
@@ -361,21 +350,23 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     without residuals is a :class:`Balance`, its unpinned coefficients free,
     and any other a residual branch. The solver certifies each balance by
     putting its coefficients into the balance equations, so every listed
-    balance holds exactly. A model's search with every parameter symbolic
-    is kept on the model (``models.balance_search``).
+    balance holds exactly. Triples share equations, so the search solves
+    each (equation, unknown) once for all of them. A model's search with
+    every parameter symbolic is kept on the model (``models.balance_search``).
     """
     if not v.is_polynomial():
         raise AnalysisFailed("dominant-balance search expects a polynomial field")
     table, leads, components = _lead_setup(v)
     span = range(-bound, bound + 1)
     balances, residuals = [], []
+    solved: dict = {}
     for orders in itertools.product(span, repeat=3):
         if max(orders) < 1:
             continue
         eqs = _balance_equations(table, leads, components, orders)
         if eqs is None:
             continue
-        for branch in solve_branches(eqs, leads, table, nonzero=True):
+        for branch in solve_branches(eqs, leads, table, nonzero=True, solved=solved):
             if branch.residuals:
                 residuals.append((orders, branch))
                 continue
@@ -443,10 +434,10 @@ def _balance_equations(table, leads, components, orders) -> list[MultiPoly] | No
 # -- blow-ups ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowUpChart:
-    cmap: ChartMap
-    field: VectorField  # on cmap.target, whose boundary is the exceptional divisor
+class BlowUpChart(Record):
+    # the ChartMap, and the VectorField on its target, whose boundary is the
+    # exceptional divisor
+    __slots__ = ("cmap", "field")
 
 
 def blow_up(v: VectorField, center: Sequence, k: int) -> BlowUpChart:
@@ -483,11 +474,10 @@ def blow_up(v: VectorField, center: Sequence, k: int) -> BlowUpChart:
 # -- holomorphy obstructions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """Parameter conditions equivalent to polynomiality of a blown-up field."""
 
-    conditions: tuple[MultiPoly, ...]  # monic, deduplicated, sorted by text
+    __slots__ = ("conditions",)  # MultiPolys: monic, deduplicated, sorted by text
 
     def is_empty(self) -> bool:
         return not self.conditions
@@ -522,14 +512,13 @@ def holomorphy_obstructions(v: VectorField) -> Obstruction:
 # -- parametric solving -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionBranch:
+class ConditionBranch(Record):
     """One solution branch: unknowns pinned to exact values, in the order the
     unknowns were given; unpinned unknowns are free; factors that do not
     split stay as residual constraints."""
 
-    pinned: tuple[tuple[Symbol, RationalFn], ...]
-    residuals: tuple[MultiPoly, ...] = ()
+    __slots__ = ("pinned", "residuals")  # (Symbol, RationalFn) pairs, MultiPolys
+    _defaults = {"residuals": ()}
 
     def text(self) -> str:
         parts = [f"{s.name} = {v.text()}" for s, v in self.pinned]
@@ -538,7 +527,7 @@ class ConditionBranch:
 
 
 def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
-                   nonzero: bool = False) -> list[ConditionBranch]:
+                   nonzero: bool = False, solved: dict | None = None) -> list[ConditionBranch]:
     """Every branch of the solutions of ``eqs`` in ``unknowns``: each solution
     lies on one. Any other symbol is a parameter taken generically, so an
     equation free of the unknowns that does not vanish has no solution. With
@@ -559,9 +548,12 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
     has no such content. Each pin is put into the earlier pins' values, and a
     vanishing denominator there, or a zero value under ``nonzero``, drops the
     branch. A branch without residuals is returned only when its pins solve
-    ``eqs`` exactly.
+    ``eqs`` exactly. The roots are kept in ``solved`` by (equation, unknown),
+    so a caller that solves many systems over one table can hand every call
+    the same dict.
     """
     unknowns = tuple(unknowns)
+    solved = {} if solved is None else solved
     results: list[ConditionBranch] = []
 
     def keep(pins, residuals):
@@ -655,7 +647,9 @@ def solve_branches(eqs: Sequence[MultiPoly], unknowns: Sequence[Symbol], table,
             lead = split_content(lead, rest + [eq], pins, tried)
             if any(s in unknowns for s in lead.variables()):
                 keep(pins, tuple(q.monic() for q in rest + [eq, lead]))
-        roots = find_roots(eq, sym)
+        if (eq, sym) not in solved:
+            solved[eq, sym] = find_roots(eq, sym)
+        roots = solved[eq, sym]
         for r in dict.fromkeys(roots.roots):
             pin(rest, pins, tried, sym, r)
         if not roots.fully_split():
@@ -691,8 +685,7 @@ def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[Conditio
     return sorted(minimal, key=lambda b: b.text())
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(Record):
     """End-to-end record of resolving the multiple boundary point.
 
     ``fields`` holds the field on the weighted chart, then the field on the
@@ -703,14 +696,16 @@ class ResolutionReport:
     lineage that a run at a parameter point specializes
     (:func:`resolution_pipeline`)."""
 
-    weighted_points: tuple[tuple[AccessiblePoint, LocalIndex], ...]
-    linear_parts: tuple[tuple[tuple[RationalFn, ...], ...], ...]
-    entry_point: AccessiblePoint
-    centers: tuple[AccessiblePoint, ...]
-    obstruction: Obstruction
-    branches: tuple[ConditionBranch, ...]
-    fields: tuple[VectorField, ...]
-    composed_forward: tuple[RationalFn, RationalFn, RationalFn]
+    __slots__ = (
+        "weighted_points",  # (AccessiblePoint, LocalIndex) pairs
+        "linear_parts",  # one 3x3 tuple of RationalFn rows per weighted point
+        "entry_point",  # AccessiblePoint
+        "centers",  # AccessiblePoints
+        "obstruction",  # Obstruction
+        "branches",  # ConditionBranches
+        "fields",  # VectorFields
+        "composed_forward",  # three RationalFns
+    )
 
     @property
     def final_field(self) -> VectorField:

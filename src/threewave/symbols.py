@@ -13,8 +13,9 @@ prefixes and can be migrated by zero-padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+from .records import Record, set_values
 
 STATE = "state"
 PARAMETER = "parameter"
@@ -23,16 +24,20 @@ PARAMETER = "parameter"
 RESERVED_NAMES = {"i"}
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    kind: str = STATE
+class Symbol(Record):
+    __slots__ = ("name", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (STATE, PARAMETER):
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if not self.name or self.name in RESERVED_NAMES:
-            raise ValueError(f"invalid symbol name {self.name!r}")
+    def __init__(self, name: str, kind: str = STATE):
+        if kind not in (STATE, PARAMETER):
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        if not name or name in RESERVED_NAMES:
+            raise ValueError(f"invalid symbol name {name!r}")
+        # the slots set directly, without the generic constructor's argument
+        # binding: symbols are the records built most often
+        set_name, set_kind = self._setters
+        set_name(self, name)
+        set_kind(self, kind)
+        set_values(self, (name, kind))
 
     def __str__(self):
         return self.name

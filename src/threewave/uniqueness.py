@@ -25,8 +25,6 @@ claim is checked, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AnalysisFailed
 from .gaussian import ONE
 from .geometry import VectorField, jacobian_matrix
@@ -35,6 +33,7 @@ from .models import per_model, system_field
 from .parsing import ModelFile
 from .poly import MultiPoly
 from .ratfunc import RationalFn, pole_coefficients, substitute
+from .records import Record
 
 # monomial basis per component: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
 MONOMIAL_EXPONENTS = (
@@ -51,24 +50,26 @@ MONOMIAL_EXPONENTS = (
 )
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    model: ModelFile
-    rows: tuple[tuple[MultiPoly, ...], ...]  # over the model's table, 30 columns
-    row_origins: tuple[str, ...]  # chart/component/monomial labels
+class ConstraintSystem(Record):
+    __slots__ = (
+        "model",  # ModelFile
+        "rows",  # tuples of MultiPoly over the model's table, 30 columns
+        "row_origins",  # chart/component/monomial labels
+    )
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    constraints: int
-    homogeneous_rank: int
-    homogeneous_nullity: int
-    normalized_consistent: bool  # whether the normalization meets the solutions
-    normalized_nullity: int  # free directions left after normalizing
-    recovered: VectorField | None
-    difference: tuple[RationalFn, ...] | None  # recovered minus the model's field
-    quadratic_part_nonzero: bool
-    coefficient_values: tuple[RationalFn, ...] | None
+class UniquenessReport(Record):
+    __slots__ = (
+        "constraints",  # int
+        "homogeneous_rank",  # int
+        "homogeneous_nullity",  # int
+        "normalized_consistent",  # whether the normalization meets the solutions
+        "normalized_nullity",  # free directions left after normalizing
+        "recovered",  # VectorField or None
+        "difference",  # recovered minus the model's field (RationalFns), or None
+        "quadratic_part_nonzero",  # bool
+        "coefficient_values",  # RationalFns or None
+    )
 
     @property
     def matches_reference(self) -> bool:

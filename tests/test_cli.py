@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -448,6 +449,33 @@ def test_numeric_commands_leave_the_exact_analyses_unloaded(argv):
                    "'threewave.roots') if m in sys.modules), file=sys.stderr)", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.decode().splitlines()[-1] == "0 []"
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argument lists of the README's CLI examples."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("threewave ")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_examples_load_only_the_analyses_they_read(argv):
+    # no example loads dataclasses; the checks (verify-atlas on a polynomial
+    # atlas, verify-symmetry, uniqueness), like the numeric commands, leave
+    # the singularity analysis unloaded
+    proc = _python("-c", "import sys; from threewave.cli import run; code = run(sys.argv[1:]); "
+                   "print(code, sorted(m for m in ('dataclasses', 'threewave.singular', "
+                   "'threewave.roots') if m in sys.modules), file=sys.stderr)", *argv)
+    assert proc.returncode == 0, proc.stderr
+    unread = argv[0] in cli.CHECK_COMMANDS + cli.NUMERIC_COMMANDS
+    loaded = [] if unread else ["threewave.roots", "threewave.singular"]
+    assert proc.stderr.decode().splitlines()[-1] == f"0 {loaded}"
+
+
+def test_the_readme_shows_every_check_and_both_numeric_commands():
+    commands = {argv[0] for argv in _readme_examples()}
+    assert set(cli.CHECK_COMMANDS + cli.NUMERIC_COMMANDS) <= commands
+    assert sum(argv[0] == "verify-atlas" for argv in _readme_examples()) == 2
 
 
 def test_the_module_entry_point_prints_the_report_and_exits_with_its_code():

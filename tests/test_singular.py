@@ -677,6 +677,20 @@ def test_painleve_and_the_weighted_chart_share_one_search(monkeypatch):
         assert calls == [], kind
 
 
+def test_a_balance_search_solves_each_equation_once(monkeypatch):
+    # triples share root equations (-2*lead2^2+lead1 and 4*lead2^3+lead2 come
+    # up again and again); a cold search solves each once for all its triples
+    calls = []
+    find_roots = singular.find_roots
+    monkeypatch.setattr(singular, "find_roots",
+                        lambda p, var: calls.append((p, var)) or find_roots(p, var))
+    for kind, bound in [("three-wave", 2), ("modified", 2), ("three-wave", 4)]:
+        calls.clear()
+        models.balance_search(fresh_model(kind), bound)
+        assert len(calls) == len(set(calls)) > 0, kind
+        assert "-2*lead2^2+lead1" in {p.text() for p, _ in calls}, kind
+
+
 def test_branch_whose_back_substitution_vanishes_is_solved_again():
     # a = (c-1)/(b-1) would vanish its denominator at the solution b = c = 1;
     # the solver pins b through its monomial leading coefficient a instead,
@@ -1041,11 +1055,15 @@ def test_pipeline_at_a_point_equals_the_pipeline_on_the_specialized_field(monkey
         assert calls == [], (kind, params)  # every step came from the lineage
 
 
+def _replaced(record, **changes):
+    """A record like ``record`` with ``changes`` to some of its fields, built
+    by its constructor."""
+    return type(record)(**{**{name: getattr(record, name) for name in record.__slots__}, **changes})
+
+
 def _doctored_lineages():
     """Lineages handed to the pipeline at (delta, gamma) = (2, 0) as if they
     were the symbolic one, each failing to match there in one way."""
-    import dataclasses
-
     symbolic = resolution_pipeline("three-wave")
     delta = symbolic.final_field.table.get("delta")
 
@@ -1055,26 +1073,26 @@ def _doctored_lineages():
     last = symbolic.final_field
     last = VectorField(last.chart, pole(last.components))
     point, index = symbolic.weighted_points[0]
-    moved = dataclasses.replace(point, coords=tuple(c + 1 for c in point.coords))
+    moved = _replaced(point, coords=tuple(c + 1 for c in point.coords))
     (row, *rows), *parts = symbolic.linear_parts
     return [
         # a weighted point moved, so the scanned one has no lineage linear part
-        ("moved weighted point", dataclasses.replace(
+        ("moved weighted point", _replaced(
             symbolic, weighted_points=((moved, index),) + symbolic.weighted_points[1:])),
         # a linear part has a pole at delta = 2
-        ("pole in a linear part", dataclasses.replace(
+        ("pole in a linear part", _replaced(
             symbolic, linear_parts=((tuple(pole(row)), *rows), *parts))),
         # the entry point moved
-        ("moved entry", dataclasses.replace(
+        ("moved entry", _replaced(
             symbolic, entry_point=symbolic.weighted_points[1][0])),
         # the lineage lacks the second blow-up
-        ("one blow-up", dataclasses.replace(symbolic, centers=(), fields=symbolic.fields[:2])),
+        ("one blow-up", _replaced(symbolic, centers=(), fields=symbolic.fields[:2])),
         # the composed map has a pole at delta = 2
-        ("pole in the composed map", dataclasses.replace(
+        ("pole in the composed map", _replaced(
             symbolic, composed_forward=tuple(pole(symbolic.composed_forward)))),
         # the last blow-up's field has a pole at delta = 2, so a route that
         # took the first blow-up from the lineage would compute only one
-        ("pole in a field", dataclasses.replace(symbolic, fields=symbolic.fields[:-1] + (last,))),
+        ("pole in a field", _replaced(symbolic, fields=symbolic.fields[:-1] + (last,))),
     ]
 
 
