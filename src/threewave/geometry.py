@@ -53,7 +53,7 @@ class Chart(Record):
 class VectorField:
     """An autonomous rational vector field attached to a chart."""
 
-    __slots__ = ("chart", "components")
+    __slots__ = ("chart", "components", "__weakref__")
 
     def __init__(self, chart: Chart, components: Sequence[RationalFn]):
         comps = tuple(components)
@@ -109,10 +109,11 @@ class ChartMap:
     ``certificate`` holds the six composite denominators D of that
     verification, as polynomial functions (each composite component is x*D
     over D): a specialization that leaves every D nonzero is invertible
-    without composing again.
+    without composing again. ``pushed`` keeps the fields pushed through the
+    map (``models.pushed_field``), so they are freed with it.
     """
 
-    __slots__ = ("source", "target", "forward", "inverse", "certificate")
+    __slots__ = ("source", "target", "forward", "inverse", "certificate", "pushed")
 
     def __init__(
         self,
@@ -128,6 +129,7 @@ class ChartMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "pushed", {})
         self._verify()
 
     def __setattr__(self, name, value):
@@ -167,8 +169,8 @@ class ChartMap:
                     f"{inner_name} map at the given values"
                 )
         cmap = object.__new__(ChartMap)
-        for slot, value in zip(ChartMap.__slots__,
-                               (self.source, self.target, tuple(out[:3]), tuple(out[3:6]), certificate)):
+        values = (self.source, self.target, tuple(out[:3]), tuple(out[3:6]), certificate, {})
+        for slot, value in zip(ChartMap.__slots__, values):
             object.__setattr__(cmap, slot, value)
         return cmap
 

@@ -124,6 +124,20 @@ def per_model(fn: Callable) -> Callable:
     return memo
 
 
+def per_point(fn: Callable) -> Callable:
+    """``fn(m, params, *args)`` at ``params`` when they bind a parameter;
+    otherwise the model's one result with every parameter symbolic,
+    ``fn(m, None, *args)``, kept like a ``per_model`` result."""
+    kept = per_model(fn)
+
+    @wraps(fn)
+    def at(system, params=None, *args):
+        m = model(system)
+        return fn(m, params, *args) if bind_parameters(m, params) else kept(m, None, *args)
+
+    return at
+
+
 def param_symbols(system) -> tuple[Symbol, ...]:
     return model(system).table.parameters()
 
@@ -132,9 +146,9 @@ def bind_parameters(system, values: Sequence | None) -> dict[Symbol, GaussianRat
     """Turn user parameter values, in the model's parameter order, into exact
     bindings for ``specialize`` (None, as a whole or per value, leaves the
     parameter symbolic)."""
-    syms = param_symbols(system)
     if values is None:
         return {}
+    syms = param_symbols(system)
     if len(values) != len(syms):
         raise ValueError(f"expected {len(syms)} parameters, got {len(values)}")
     return {sym: GaussianRational(val) for sym, val in zip(syms, values) if val is not None}
@@ -175,15 +189,18 @@ def chart_field(system, cmap: ChartMap, params: Sequence | None = None) -> Vecto
     return pushed_field(m.fields[m.base.name], cmap).specialize(bind_parameters(m, params))
 
 
-@lru_cache(maxsize=64)  # keyed by the field's value and the map's identity
 def pushed_field(v: VectorField, cmap: ChartMap) -> VectorField:
-    """``pushforward(v, cmap)`` once per field and map (``v`` for an identity map)."""
-    coords = tuple(RationalFn.var(cmap.table, s) for s in v.chart.vars)
-    if cmap.source == cmap.target == v.chart and cmap.forward == coords:
-        return v
-    if v.table != cmap.table:  # the target chart's variables may extend it (chart W)
-        v = v.retable(cmap.table)
-    return pushforward(v, cmap)
+    """``pushforward(v, cmap)`` once per field and map, kept on the map by
+    the field's value (``v`` for an identity map)."""
+    w = cmap.pushed.get(v)
+    if w is None:
+        coords = tuple(RationalFn.var(cmap.table, s) for s in v.chart.vars)
+        if cmap.source == cmap.target == v.chart and cmap.forward == coords:
+            w = v
+        else:  # the target chart's variables may extend the field's table (chart W)
+            w = pushforward(v if v.table == cmap.table else v.retable(cmap.table), cmap)
+        cmap.pushed[v] = w
+    return w
 
 
 @per_model
@@ -198,15 +215,15 @@ def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
     return atlas(system, "resolved", params)
 
 
-@per_model
-def balance_search(m: ModelFile, bound: int) -> BalanceSearch:
-    """The dominant-balance search to ``bound`` on the model's field with
-    every parameter symbolic (``singular.painleve_leading_orders``), read by
-    the ``painleve`` report without parameter values and, at bound 2, by
+@per_point
+def balance_search(m: ModelFile, params: Sequence | None, bound: int) -> BalanceSearch:
+    """The dominant-balance search to ``bound`` on the model's field at
+    ``params`` (``singular.painleve_leading_orders``), read by the
+    ``painleve`` report and, with every parameter symbolic at bound 2, by
     ``weighted_chart``."""
     from .singular import painleve_leading_orders
 
-    return painleve_leading_orders(m.fields[m.base.name], bound)
+    return painleve_leading_orders(system_field(m, params), bound)
 
 
 @per_model
@@ -222,7 +239,7 @@ def weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
     """
     from .singular import weighted_balance
 
-    balance = weighted_balance(balance_search(m, 2))
+    balance = weighted_balance(balance_search(m, None, 2))
     table = m.table
     if "W" in m.charts:
         wvars = m.charts["W"].vars

@@ -255,11 +255,11 @@ class NumericAtlas:
     ``params`` by parameter name of ``v`` are bound exactly, as on the command
     line. Each map is specialized there with its certificate, the composite
     denominators D of its construction (N = x*D), so it raises
-    DenominatorVanishes where some D vanishes; so is the memoized push of
-    ``v`` through it. A parameter without a value, or a name that is no
-    parameter, raises ``KeyError``. Unless ``require_polynomial`` is false, a
-    field not polynomial on some chart raises ``AnalysisFailed``. ``poles``
-    holds the charts whose boundary coordinate reads a pole.
+    DenominatorVanishes where some D vanishes; so is the push of ``v``
+    through it, which the map keeps. A parameter without a value, or a name
+    that is no parameter, raises ``KeyError``. Unless ``require_polynomial``
+    is false, a field not polynomial on some chart raises ``AnalysisFailed``.
+    ``poles`` holds the charts whose boundary coordinate reads a pole.
     """
 
     def __init__(self, v: VectorField, maps: Sequence[ChartMap], params: Mapping[str, complex],

@@ -24,7 +24,6 @@ from .singular import (
     find_accessible,
     index_of_linear_part,
     linear_part,
-    painleve_leading_orders,
     resolution_pipeline,
 )
 
@@ -81,21 +80,13 @@ def scan_chart(system, params, chart_name: str) -> tuple[VectorField, Accessible
     return _scan(m, params, charts[chart_name] or models.weighted_chart(m)[1])
 
 
-def _scan(system, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
+@models.per_point
+def _scan(m: ModelFile, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
     """The system's field pushed through ``cmap`` at ``params`` and its
     accessible points. The push runs once per model and chart with the
     parameters symbolic (``models.chart_field``); each point only
-    specializes it and scans. With every parameter symbolic the scan too
-    is made once per model and chart (``_symbolic_scan``)."""
-    if not models.bind_parameters(system, params):
-        return _symbolic_scan(system, cmap)
-    w = models.chart_field(system, cmap, params)
-    return w, find_accessible(system, w)
-
-
-@models.per_model
-def _symbolic_scan(m: ModelFile, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
-    w = models.chart_field(m, cmap)
+    specializes it and scans."""
+    w = models.chart_field(m, cmap, params)
     return w, find_accessible(m, w)
 
 
@@ -189,19 +180,11 @@ def _named_point(system, params, point: str) -> tuple[VectorField, LogPoleForm, 
     return found[point]
 
 
-def _point_linear_part(system, params, point: str):
+@models.per_point
+def _point_linear_part(m: ModelFile, params, point: str):
     """The field, the point ``point`` and the point's linear part at
-    ``params``; with every parameter symbolic, once per model and label
-    (``_symbolic_linear_part``)."""
-    if not models.bind_parameters(system, params):
-        return _symbolic_linear_part(system, point)
-    v, form, p = _named_point(system, params, point)
-    return v, p, linear_part(form, p)
-
-
-@models.per_model
-def _symbolic_linear_part(m: ModelFile, point: str):
-    v, form, p = _named_point(m, None, point)
+    ``params``."""
+    v, form, p = _named_point(m, params, point)
     return v, p, tuple(map(tuple, linear_part(form, p)))  # rows no caller can change
 
 
@@ -237,13 +220,10 @@ def alpha_report(system, params=None, point: str = "P4_2") -> dict:
 
 
 def painleve_report(system, params=None, bound: int = 2) -> dict:
-    """The dominant balances to ``bound`` at ``params``; with every
-    parameter symbolic, the model's one search (``models.balance_search``)."""
+    """The dominant balances to ``bound`` at ``params``
+    (``models.balance_search``)."""
     m = models.model(system)
-    if models.bind_parameters(m, params):
-        search = painleve_leading_orders(models.system_field(m, params), bound)
-    else:
-        search = models.balance_search(m, bound)
+    search = models.balance_search(m, params, bound)
     return {
         "system": m.name,
         "bound": bound,

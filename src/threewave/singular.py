@@ -27,7 +27,7 @@ divisor gets resolved:
 
 :func:`resolution_pipeline` runs steps 1, 2, 4 and 5 on a model's weighted
 chart; its run with every parameter symbolic, like the model's balance
-search, is kept on the parsed model (``models.per_model``).
+search, is kept on the parsed model (``models.per_point``).
 
 Steps 3 and 5 both end in a small polynomial system: the nonzero leading
 coefficients of a balance, and the parameter values on which the
@@ -53,7 +53,7 @@ from .gaussian import GaussianRational
 from .geometry import (
     Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
 )
-from .models import bind_parameters, chart_field, model, per_model, weighted_chart
+from .models import bind_parameters, chart_field, per_model, per_point, weighted_chart
 from .parsing import ModelFile
 from .poly import MultiPoly, compose, content_in, poly_gcd, resultant
 from .ratfunc import (
@@ -723,7 +723,8 @@ def weighted_balance(search: BalanceSearch) -> Balance:
     return max(balances, key=lambda b: sum(b.exponents))
 
 
-def resolution_pipeline(system, params: Sequence | None = None) -> ResolutionReport:
+@per_point
+def resolution_pipeline(m: ModelFile, params: Sequence | None = None) -> ResolutionReport:
     """Resolve the degenerate boundary point of the model's field on its
     weighted chart (``models.weighted_chart``) at ``params``, and read off
     the parameter conditions for polynomiality.
@@ -737,11 +738,12 @@ def resolution_pipeline(system, params: Sequence | None = None) -> ResolutionRep
     holomorphy obstructions and their solution branches are returned.
 
     The run with every parameter symbolic is made once per parsed model and
-    kept on it (:func:`_symbolic_lineage`); when ``params`` bind nothing it
-    is the result. At a parameter point the scans are run on the specialized
-    field and every other step is the lineage's, specialized: the linear
-    parts at the weighted points, each blow-up's pushed field, and the
-    composed forward map. The blow-up's map is not needed: its halves
+    kept on it (``models.per_point``; :func:`_symbolic_lineage` reads it), and
+    when ``params`` bind nothing it is the result. At a parameter point the
+    scans are run on the specialized field and every other step is the
+    lineage's, specialized: the linear parts at the weighted points, each
+    blow-up's pushed field, and the composed forward map. The blow-up's map
+    is not needed: its halves
     ((x_j - c_j)/(x_k - c_k), x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are
     inverse to each other for every center c. A point takes the whole
     lineage or none of it: when a scanned point has no lineage linear part,
@@ -752,13 +754,10 @@ def resolution_pipeline(system, params: Sequence | None = None) -> ResolutionRep
     are defined, specialization commutes with the pipeline's rational
     operations, and reduced forms are canonical.
     """
-    m = model(system)
     weighted_map = weighted_chart(m)[1]
-    bindings = bind_parameters(m, params)
-    lineage = _symbolic_lineage(m)
-    if lineage is not None and not bindings:
-        return lineage
     vw = chart_field(m, weighted_map, params)
+    lineage = None if params is None else _symbolic_lineage(m)
+    bindings = bind_parameters(m, params)
     taken = _resolve(m, vw, weighted_map, lineage, bindings) if lineage is not None else None
     return taken or _resolve(m, vw, weighted_map, None, {})
 
@@ -767,10 +766,8 @@ def resolution_pipeline(system, params: Sequence | None = None) -> ResolutionRep
 def _symbolic_lineage(m: ModelFile) -> ResolutionReport | None:
     """The pipeline's run with every parameter symbolic, or None when it
     fails there."""
-    weighted_map = weighted_chart(m)[1]
-    v = chart_field(m, weighted_map)
     try:
-        return _resolve(m, v, weighted_map, None, {})
+        return resolution_pipeline(m)
     except ThreeWaveError:
         return None
 

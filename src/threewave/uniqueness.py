@@ -10,7 +10,7 @@ monomial, both composed with the inverse map once. They are linear in the
 ansatz unknowns with polynomial coefficients in the model's parameters, so
 the ansatz is never written down: the rows are built over the model's own
 symbol table from its own verified chart maps, and the classification
-reduces to one exact linear solve. Both are kept on the parsed model
+reduces to one exact linear solve, kept on the parsed model
 (``models.per_model``), so each is made once per model.
 
 Polynomiality is scale invariant (any constant multiple of a solution is a
@@ -29,7 +29,7 @@ from .errors import AnalysisFailed
 from .gaussian import ONE
 from .geometry import VectorField, jacobian_matrix
 from .linalg import linear_solve
-from .models import per_model, system_field
+from .models import model, per_model, system_field
 from .parsing import ModelFile
 from .poly import MultiPoly
 from .ratfunc import RationalFn, pole_coefficients, substitute
@@ -82,11 +82,10 @@ def _monomials(m: ModelFile) -> list[RationalFn]:
     return [RationalFn.from_poly(x**a * y**b * z**c) for a, b, c in MONOMIAL_EXPONENTS]
 
 
-@per_model
-def build_constraints(m: ModelFile) -> ConstraintSystem:
-    """Linear conditions in the ansatz coefficients from every twisted chart,
-    built once per parsed model and kept on it (a model file loaded again
-    gets fresh rows).
+def build_constraints(system) -> ConstraintSystem:
+    """Linear conditions in the ansatz coefficients from every twisted chart
+    of the model ``system``, built afresh on each call (``classify`` keeps
+    what it solves).
 
     The pushforward is linear in the field, so column (k, j) of component i
     on the chart of phi is the pushforward of the single term m_j * e_k:
@@ -98,6 +97,7 @@ def build_constraints(m: ModelFile) -> ConstraintSystem:
     chart, component by component, and by ascending exponent vector of mu
     in the model table's symbol order; the identity chart contributes nothing.
     """
+    m = model(system)
     twisted = m.atlas("resolved")[1:]
     for cmap in twisted:
         if cmap.target.boundary is None:
@@ -136,7 +136,7 @@ def build_constraints(m: ModelFile) -> ConstraintSystem:
 @per_model
 def classify(m: ModelFile) -> UniquenessReport:
     """``solve_ansatz(build_constraints(m))``, solved once per parsed model
-    and kept on it, like its rows."""
+    and kept on it."""
     return solve_ansatz(build_constraints(m))
 
 

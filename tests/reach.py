@@ -14,9 +14,9 @@ and prints, one a line, each function defined in ``src/threewave`` whose
 code none of them entered, with its length, then the totals. Only the
 operations run, not the benchmark's oracles. A function listed is reached,
 if at all, by the tests only: a candidate for deletion, or a sign that no
-report covers it. The script writes no bytecode and keeps the model files of
-the ``cli`` block in a temporary directory. It is not a test and pytest does
-not collect it.
+report covers it. It exits 1 when an operation raised, 0 otherwise. The
+script writes no bytecode and keeps the model files of the ``cli`` block in
+a temporary directory. It is not a test and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def main() -> int:
         print(f"{name}  {Path(path).relative_to(PACKAGE.parent.parent)}:{line}  ({length} lines)")
     print(f"{len(missed)} functions ({sum(n for _, (_, n) in missed)} lines) not reached; "
           f"{failed} operations raised")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

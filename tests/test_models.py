@@ -14,7 +14,7 @@ from threewave.errors import DenominatorVanishes
 from threewave.gaussian import GaussianRational, gr
 from threewave.geometry import ChartMap, jacobian_determinant, pushforward
 from threewave.parsing import parse_expr, render_model
-from threewave.numerics import TrajectoryPoint, compile_triple, integrate
+from threewave.numerics import NumericAtlas, TrajectoryPoint, compile_triple, integrate
 from threewave.ratfunc import RationalFn, specialize_all, substitute
 
 
@@ -266,6 +266,24 @@ def test_chart_field_of_the_base_chart_is_the_field():
     assert models.atlas(m, "resolved", [1, 2, 3, 4, 5])[0] is m.identity
 
 
+def test_a_push_through_a_specialized_map_is_freed_with_it(monkeypatch):
+    # a field and an atlas bound at one point, compiled: each map is a new
+    # specialized map, which keeps its push until it is dropped
+    calls = []
+    real = models.pushforward
+    monkeypatch.setattr(models, "pushforward", lambda v, cm: calls.append(cm) or real(v, cm))
+    m = oracles.fresh_model("modified")
+    point = [1, 2, 3, 4, 5]
+    v, maps = models.system_field(m, point), models.resolved_atlas(m, point)
+    NumericAtlas(v, maps, {})
+    assert [cm.target.name for cm in calls] == ["T3-1", "T3-2", "T3-3"]
+    assert not set(calls) & set(m.atlas("resolved"))  # each map specialized
+    pushed = [weakref.ref(cm.pushed[v]) for cm in maps[1:]]
+    del maps, calls[:]
+    gc.collect()
+    assert [ref() for ref in pushed] == [None, None, None]
+
+
 def test_results_derived_from_a_model_are_kept_on_it():
     # computed once per parsed model and arguments, whether the model is
     # named or passed; a model parsed again derives its own
@@ -298,7 +316,7 @@ def test_a_dropped_model_is_freed():
               [0, 0.5])
     assert m._derived
     derived = [weakref.ref(m), weakref.ref(singular._symbolic_lineage(m)),
-               weakref.ref(models.balance_search(m, 2)), weakref.ref(point)]
+               weakref.ref(models.balance_search(m, None, 2)), weakref.ref(point)]
     del m, point, v
     gc.collect()
     assert [ref() for ref in derived] == [None, None, None, None]
@@ -308,11 +326,11 @@ def test_each_parse_derives_its_own_balance_search():
     # the search on the model's symbolic field is kept on the model, not
     # shared by value with another parse of the same text
     m1, m2 = oracles.fresh_model("three-wave"), oracles.fresh_model("three-wave")
-    assert models.balance_search(m1, 2) is models.balance_search(m1, 2)
-    assert models.balance_search(m1, 2) is not models.balance_search(m2, 2)
-    assert models.balance_search(m1, 2) == models.balance_search(m2, 2)
+    assert models.balance_search(m1, None, 2) is models.balance_search(m1, None, 2)
+    assert models.balance_search(m1, None, 2) is not models.balance_search(m2, None, 2)
+    assert models.balance_search(m1, None, 2) == models.balance_search(m2, None, 2)
     assert models.weighted_chart(m1)[0] is not models.weighted_chart(m2)[0]
-    assert any(b is models.weighted_chart(m1)[0] for b in models.balance_search(m1, 2).balances)
+    assert any(b is models.weighted_chart(m1)[0] for b in models.balance_search(m1, None, 2).balances)
 
 
 def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, monkeypatch):

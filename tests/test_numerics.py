@@ -92,8 +92,9 @@ def test_numeric_atlas_rejects_unknown_and_non_finite_parameters():
 
 
 def test_numeric_atlas_specializes_the_memoized_push(monkeypatch):
-    # the symbolic push of each (field, map) pair is shared with chart_field:
-    # a second parameter point, or a point after chart_field, pushes nothing
+    # the symbolic push of each (field, map) pair is kept on the map and
+    # shared with chart_field: a second parameter point, or a point after
+    # chart_field, pushes nothing; a model parsed again pushes through its own maps
     calls = []
     real = models.pushforward
 
@@ -107,6 +108,8 @@ def test_numeric_atlas_specializes_the_memoized_push(monkeypatch):
     v, maps = m.fields[m.base.name], models.resolved_atlas(m)
     NumericAtlas(v, maps, MODIFIED_POINT)
     assert calls == ["T3-1", "T3-2", "T3-3"]  # the identity chart reads the field itself
+    assert all(models.pushed_field(v, cmap) is cmap.pushed[v] for cmap in maps)
+    assert models.pushed_field(v, maps[0]) is v
     calls.clear()
     NumericAtlas(v, maps, second)
     assert calls == []

@@ -323,14 +323,39 @@ def test_a_model_parsed_twice_gets_its_own_points():
     assert not first_ids & second_ids
 
 
-@pytest.mark.parametrize("params", [[1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]])
-def test_a_report_at_a_point_never_reads_the_symbolic_scans(monkeypatch, params):
-    def refused(*args):
-        raise AssertionError("read the symbolic scans at a parameter point")
+# the four results a model keeps with every parameter symbolic (models.per_point),
+# each with the arguments that follow the parameters on a given model
+KEPT_AT_NO_POINT = {
+    "scan": (reports._scan, lambda m: (m.atlas("projective")[1],)),
+    "linear_part": (reports._point_linear_part, lambda m: ("P4_2",)),
+    "balance_search": (models.balance_search, lambda m: (2,)),
+    "pipeline": (resolution_pipeline, lambda m: ()),
+}
 
-    monkeypatch.setattr(reports, "_symbolic_scan", refused)
-    reports.singularities_report("three-wave", params)
-    reports.index_report("three-wave", params, "P4_2")
+
+@pytest.mark.parametrize("name", KEPT_AT_NO_POINT)
+def test_a_result_is_kept_only_with_every_parameter_symbolic(name):
+    fn, args = KEPT_AT_NO_POINT[name]
+    kept_key = (fn.__wrapped__, None)
+    for params in ([1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]):
+        m, cold = fresh_model("three-wave"), fresh_model("three-wave")
+        got = fn(m, params, *args(m))
+        # the pipeline specializes its symbolic run, which it keeps as that run
+        kept = [key for key in m._derived if key[:2] == kept_key]
+        assert len(kept) == (name == "pipeline"), params
+        assert all(m._derived[key] is not got for key in kept)
+        assert got == fn.__wrapped__(cold, params, *args(cold)), params
+    # without values, or with none bound, the result is the kept one
+    m = fresh_model("three-wave")
+    first = fn(m, None, *args(m))
+    assert m._derived[(*kept_key, *args(m))] is first
+    assert fn(m, [None, None], *args(m)) is first
+    builtin = models.model("three-wave")
+    assert fn("three-wave", None, *args(builtin)) is fn(builtin, [None, None], *args(builtin))
+    # a model parsed again keeps its own
+    other = fresh_model("three-wave")
+    again = fn(other, None, *args(other))
+    assert again is not first and again == first
 
 
 # -- one linear part per model and named point -------------------------------------------
@@ -383,21 +408,6 @@ def test_a_model_loaded_twice_gets_its_own_linear_parts(monkeypatch):
     assert parts[0] is parts[2] and parts[1] is not parts[0]
     assert reports.index_report(second, None, "P4_2") == reports.index_report(first, None, "P4_2")
     assert len(calls) == 2
-
-
-@pytest.mark.parametrize("params", [[1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]])
-def test_a_report_at_a_point_never_reads_the_symbolic_linear_parts(monkeypatch, params):
-    def refused(*args):
-        raise AssertionError("read the symbolic linear parts at a parameter point")
-
-    monkeypatch.setattr(reports, "_symbolic_linear_part", refused)
-    calls = []
-    real = reports.linear_part
-    monkeypatch.setattr(reports, "linear_part", lambda form, p: calls.append(p) or real(form, p))
-    for _ in range(2):
-        reports.index_report("three-wave", params, "P4_2")
-        reports.alpha_report("three-wave", params, "P4_2")
-    assert len(calls) == 4
 
 
 def test_refused_linear_parts_are_raised_on_every_call(monkeypatch):
@@ -686,7 +696,7 @@ def test_a_balance_search_solves_each_equation_once(monkeypatch):
                         lambda p, var: calls.append((p, var)) or find_roots(p, var))
     for kind, bound in [("three-wave", 2), ("modified", 2), ("three-wave", 4)]:
         calls.clear()
-        models.balance_search(fresh_model(kind), bound)
+        models.balance_search(fresh_model(kind), None, bound)
         assert len(calls) == len(set(calls)) > 0, kind
         assert "-2*lead2^2+lead1" in {p.text() for p, _ in calls}, kind
 

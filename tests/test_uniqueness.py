@@ -152,16 +152,15 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_second_build_is_the_memoized_one(monkeypatch):
-    first = build_constraints("modified")
+def test_a_cold_classification_composes_each_map_once(monkeypatch):
+    # each map's Jacobian once, and its 9 entries and 10 monomials once each;
+    # the classification is then kept on the model, and its rows with it
+    m = oracles.fresh_model("modified")
     subs = _counting(monkeypatch, "substitute")
     jac = _counting(monkeypatch, "jacobian_matrix")
-    assert build_constraints("modified") is first
-    assert subs == [] and jac == []
-    # a fresh model composes again: each map's Jacobian once, and its 9
-    # entries and 10 monomials once each
-    fresh = build_constraints(parse_model(models.export_model("modified"), "copy"))
-    assert fresh is not first
+    first = uniqueness.classify(m)
+    assert len(jac) == 3 and len(subs) == 3 * 19
+    assert uniqueness.classify(m) is first
     assert len(jac) == 3 and len(subs) == 3 * 19
 
 
