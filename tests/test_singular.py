@@ -358,6 +358,20 @@ def test_a_result_is_kept_only_with_every_parameter_symbolic(name):
     assert again is not first and again == first
 
 
+def _symbolic_keys(m, fn):
+    """The keys under which ``m`` keeps results of ``fn`` with every
+    parameter symbolic; a read of one on a fresh model leaves its key."""
+    return [key for key in m._derived if key[:2] == (fn.__wrapped__, None)]
+
+
+@pytest.mark.parametrize("params", [[1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]])
+def test_a_report_at_a_point_never_reads_the_symbolic_scans(params):
+    m = fresh_model("three-wave")
+    reports.singularities_report(m, params)
+    reports.index_report(m, params, "P4_2")
+    assert _symbolic_keys(m, reports._scan) == []
+
+
 # -- one linear part per model and named point -------------------------------------------
 
 
@@ -408,6 +422,17 @@ def test_a_model_loaded_twice_gets_its_own_linear_parts(monkeypatch):
     assert parts[0] is parts[2] and parts[1] is not parts[0]
     assert reports.index_report(second, None, "P4_2") == reports.index_report(first, None, "P4_2")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("params", [[1, 0], [gr(3, -1), Fraction(2, 7)], [None, 0]])
+def test_a_report_at_a_point_never_reads_the_symbolic_linear_parts(monkeypatch, params):
+    m = fresh_model("three-wave")
+    calls = _counted_linear_parts(monkeypatch)
+    for _ in range(2):
+        reports.index_report(m, params, "P4_2")
+        reports.alpha_report(m, params, "P4_2")
+    assert len(calls) == 4
+    assert _symbolic_keys(m, reports._point_linear_part) == []
 
 
 def test_refused_linear_parts_are_raised_on_every_call(monkeypatch):
