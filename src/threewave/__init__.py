@@ -2,10 +2,11 @@
 
 The package splits into an exact computer-algebra kernel (gaussian, symbols,
 poly, ratfunc, linalg, roots), a geometric layer (geometry: charts, fields,
-pushforwards), the singularity-analysis engine (singular), concrete model
-families with their atlases and symmetries (models), the quadratic-ansatz
-classification (uniqueness), adaptive numeric continuation through movable
-poles (numerics), and a CLI (cli) emitting deterministic JSON reports.
+pushforwards, holomorphy obstructions), concrete model families with their
+atlases and symmetries (models), the singularity-analysis engine on top of
+them (singular), the quadratic-ansatz classification (uniqueness), adaptive
+numeric continuation through movable poles (numerics), and a CLI (cli)
+emitting deterministic JSON reports.
 """
 
 from .gaussian import GaussianRational, gr

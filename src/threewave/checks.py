@@ -2,10 +2,9 @@
 holomorphy of an atlas, the invariance of the symmetries, and the uniqueness
 of the field on its resolved atlas.
 
-They load neither :mod:`threewave.singular` nor :mod:`threewave.roots` (an
-atlas that is not polynomial reads its obstructions from ``singular``, which
-``models.verify_atlas_holomorphy`` imports then), so the CLI's
-``verify-atlas``, ``verify-symmetry`` and ``uniqueness`` start without them.
+They load neither :mod:`threewave.singular` nor :mod:`threewave.roots`, so
+the CLI's ``verify-atlas``, ``verify-symmetry`` and ``uniqueness`` start
+without them.
 :mod:`threewave.reports` re-exports the three builders.
 """
 

@@ -268,7 +268,10 @@ def _dispatch(args) -> int:
         raise UsageError(f"{cmd} checks a claim for symbolic parameters; it takes no --params")
     if args.format == "csv" and cmd != "integrate":
         raise UsageError("csv output is only available for 'integrate'")
-    system = models.model(args.system)
+    try:
+        system = models.model(args.system)
+    except OSError as exc:
+        raise UsageError(f"cannot read model file {args.system!r}: {exc.strerror or exc}") from None
     numeric = cmd in NUMERIC_COMMANDS
     params = _parse_params(system, args.params, numeric)
     if numeric:

@@ -14,7 +14,11 @@ parameters; it proves itself only when asked, through :meth:`as_chart_map`.
 The pushforward of a vector field transforms the components with the chain
 rule and re-expresses them in the target coordinates; results stay reduced
 rational functions even when they happen to be polynomial (polynomiality is
-a separate, cheap query).
+a separate, cheap query). A map keeps each field pushed through it.
+
+Two readers of a field's poles along its chart's boundary divisor close the
+module: the log-pole form of a field, and the holomorphy obstructions, the
+parameter conditions under which the field is polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from typing import Mapping, Sequence
 from .errors import DenominatorVanishes, PoleTooHigh, VerificationFailed
 from .gaussian import GaussianRational
 from .poly import MultiPoly
-from .ratfunc import RationalFn, clear_denominators, images, specialize_all, substitute
+from .ratfunc import (
+    RationalFn, clear_denominators, images, pole_coefficients, specialize_all, substitute,
+)
 from .records import Record
 from .symbols import Symbol, SymbolTable
 
@@ -110,7 +116,7 @@ class ChartMap:
     verification, as polynomial functions (each composite component is x*D
     over D): a specialization that leaves every D nonzero is invertible
     without composing again. ``pushed`` keeps the fields pushed through the
-    map (``models.pushed_field``), so they are freed with it.
+    map (:meth:`push`), so they are freed with it.
     """
 
     __slots__ = ("source", "target", "forward", "inverse", "certificate", "pushed")
@@ -173,6 +179,19 @@ class ChartMap:
         for slot, value in zip(ChartMap.__slots__, values):
             object.__setattr__(cmap, slot, value)
         return cmap
+
+    def push(self, v: VectorField) -> VectorField:
+        """``pushforward(v, self)`` once per field, kept in ``pushed`` by the
+        field's value (``v`` itself for an identity map)."""
+        w = self.pushed.get(v)
+        if w is None:
+            coords = tuple(RationalFn.var(self.table, s) for s in v.chart.vars)
+            if self.source == self.target == v.chart and self.forward == coords:
+                w = v
+            else:  # the target chart's variables may extend the field's table (chart W)
+                w = pushforward(v if v.table == self.table else v.retable(self.table), self)
+            self.pushed[v] = w
+        return w
 
     def _verify(self):
         """Each composite is the identity: every component composed with the
@@ -359,6 +378,41 @@ def log_pole_decomposition(v: VectorField) -> LogPoleForm:
             )
         transverse.append((sym, comp.num.shift_var(boundary, 1 - order)))
     return LogPoleForm(boundary_part=bpart, transverse=tuple(transverse))
+
+
+class Obstruction(Record):
+    """Parameter conditions equivalent to polynomiality of a blown-up field."""
+
+    __slots__ = ("conditions",)  # MultiPolys: monic, deduplicated, sorted by text
+
+    def is_empty(self) -> bool:
+        return not self.conditions
+
+    def texts(self) -> list[str]:
+        return [c.text() for c in self.conditions]
+
+
+def holomorphy_obstructions(v: VectorField) -> Obstruction:
+    """Coefficients of the negative powers of the chart's boundary variable
+    (the exceptional variable of a blow-up chart).
+
+    The components' pole part is read by :func:`pole_coefficients`, so each
+    denominator must be a power of that variable (guaranteed for fields
+    produced by the blow-up pipeline) and any other raises ValueError; the
+    parameter-polynomial coefficient of every state monomial in every
+    component is normalized monic and deduplicated. An empty condition set
+    means the field is already polynomial. A chart without a boundary
+    variable raises ValueError.
+    """
+    boundary = v.chart.boundary
+    if boundary is None:
+        raise ValueError(f"chart {v.chart.name} has no boundary variable")
+    conditions: dict[str, MultiPoly] = {}
+    for group in pole_coefficients(dict(enumerate(v.components)), boundary).values():
+        for param_poly in group.values():
+            normalized = param_poly.monic()
+            conditions[normalized.text()] = normalized
+    return Obstruction(tuple(conditions[k] for k in sorted(conditions)))
 
 
 def power_scaled_chart(

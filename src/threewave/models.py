@@ -18,29 +18,32 @@ format, and every chart map proves its own invertibility on load. A built-in
 is one model file among others: every function taking a ``system`` accepts a
 built-in name, a model-file path or a parsed
 :class:`~threewave.parsing.ModelFile`.
+
+Results derived from a model are kept on the parsed model by two rules:
+:func:`per_model`, once per model and arguments, and :func:`per_point`,
+computed at a parameter point and kept once with every parameter symbolic.
+The singularity analysis keeps its results by them too (the balance search,
+the weighted chart, the blow-up pipeline); this module loads none of it.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache, reduce, wraps
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .gaussian import GaussianRational
 from .geometry import (
     ChartMap,
     SymmetryMap,
     VectorField,
+    holomorphy_obstructions,
     jacobian_determinant,
-    power_scaled_chart,
     pushforward,
 )
 from .parsing import ModelFile, load_model, parse_model, render_model
 from .ratfunc import RationalFn
-from .symbols import Symbol, names_apart, state
-
-if TYPE_CHECKING:
-    from .singular import Balance, BalanceSearch
+from .symbols import Symbol
 
 _THREE_WAVE_SRC = """
 params delta gamma
@@ -177,7 +180,7 @@ def chart_field(system, cmap: ChartMap, params: Sequence | None = None) -> Vecto
     """The model's field pushed through ``cmap``, a map out of its base chart,
     parameters bound.
 
-    The field with every parameter symbolic is pushed once (``pushed_field``)
+    The field with every parameter symbolic is pushed once (``ChartMap.push``)
     and specialized at ``params``: wherever the map is defined there, that is
     the specialized field pushed through the specialized map, since the
     reduced denominators of the symbolic push divide a product of the field's
@@ -186,21 +189,7 @@ def chart_field(system, cmap: ChartMap, params: Sequence | None = None) -> Vecto
     N = x*D, is specialized there, and the map is refused where a D vanishes.
     """
     m = model(system)
-    return pushed_field(m.fields[m.base.name], cmap).specialize(bind_parameters(m, params))
-
-
-def pushed_field(v: VectorField, cmap: ChartMap) -> VectorField:
-    """``pushforward(v, cmap)`` once per field and map, kept on the map by
-    the field's value (``v`` for an identity map)."""
-    w = cmap.pushed.get(v)
-    if w is None:
-        coords = tuple(RationalFn.var(cmap.table, s) for s in v.chart.vars)
-        if cmap.source == cmap.target == v.chart and cmap.forward == coords:
-            w = v
-        else:  # the target chart's variables may extend the field's table (chart W)
-            w = pushforward(v if v.table == cmap.table else v.retable(cmap.table), cmap)
-        cmap.pushed[v] = w
-    return w
+    return cmap.push(m.fields[m.base.name]).specialize(bind_parameters(m, params))
 
 
 @per_model
@@ -213,41 +202,6 @@ def chart_jacobian(m: ModelFile, cmap: ChartMap) -> RationalFn:
 def resolved_atlas(system, params: Sequence | None = None) -> list[ChartMap]:
     """The glued-phase-space atlas (identity chart plus the twisted charts)."""
     return atlas(system, "resolved", params)
-
-
-@per_point
-def balance_search(m: ModelFile, params: Sequence | None, bound: int) -> BalanceSearch:
-    """The dominant-balance search to ``bound`` on the model's field at
-    ``params`` (``singular.painleve_leading_orders``), read by the
-    ``painleve`` report and, with every parameter symbolic at bound 2, by
-    ``weighted_chart``."""
-    from .singular import painleve_leading_orders
-
-    return painleve_leading_orders(system_field(m, params), bound)
-
-
-@per_model
-def weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
-    """The model's dominant balance with a pole in x, and the weighted chart
-    W = (1/x, y/x^n, z/x^p) of its pole orders (m, n, p).
-
-    The balance is picked from the bound-2 ``balance_search``, on the
-    model's field with every parameter symbolic, so the singularity scan and
-    the blow-up pipeline use one chart at every parameter value. The chart's
-    variables are those of the model's chart ``W``; a model without one gets
-    fresh variables XW YW ZW on an extension of its table.
-    """
-    from .singular import weighted_balance
-
-    balance = weighted_balance(balance_search(m, None, 2))
-    table = m.table
-    if "W" in m.charts:
-        wvars = m.charts["W"].vars
-    else:
-        names = names_apart(table, lambda pad: [f"{a}W{pad}" for a in "XYZ"])
-        table = table.extend(state(n) for n in names)
-        wvars = tuple(table.get(n) for n in names)
-    return balance, power_scaled_chart(m.base, table, "W", wvars, balance.exponents)
 
 
 # -- holomorphy verification --------------------------------------------------------
@@ -266,9 +220,6 @@ def verify_atlas_holomorphy(pushed: Sequence[VectorField]) -> list[dict]:
         witnesses = [c.den.text() for c in w.components if not c.is_polynomial()]
         conditions: list[str] = []
         if witnesses:
-            # only a chart that is not polynomial loads the singularity analysis
-            from .singular import holomorphy_obstructions
-
             try:
                 conditions = holomorphy_obstructions(w).texts()
             except ValueError:  # no boundary, or a pole off it

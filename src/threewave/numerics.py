@@ -31,7 +31,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
 from .gaussian import GaussianRational
 from .geometry import ChartMap, VectorField
-from .models import pushed_field
 
 SWITCH_THRESHOLD = 10.0
 SWITCH_GAIN = 4.0
@@ -69,14 +68,12 @@ class Trajectory:
 
     __slots__ = ("points", "events", "error_estimate", "steps_accepted", "steps_rejected")
 
-    def __init__(self, points: list[TrajectoryPoint] | None = None,
-                 events: list[SwitchEvent] | None = None, error_estimate: float = 0.0,
-                 steps_accepted: int = 0, steps_rejected: int = 0):
-        self.points = [] if points is None else points
-        self.events = [] if events is None else events
-        self.error_estimate = error_estimate
-        self.steps_accepted = steps_accepted
-        self.steps_rejected = steps_rejected
+    def __init__(self, points: list[TrajectoryPoint]):
+        self.points = points
+        self.events: list[SwitchEvent] = []
+        self.error_estimate = 0.0
+        self.steps_accepted = 0
+        self.steps_rejected = 0
 
     @property
     def end(self) -> TrajectoryPoint:
@@ -166,33 +163,24 @@ def compile_triple(rfs, var_names):
 def _product_chain(monomials) -> dict:
     """Per monomial e of degree 2 or more in ``monomials`` (exponent triples) or built on the way,
     in the order built: its split (f, g), f + g = e, into two built before it (a unit is built),
-    walking e by rising degree, each in canonical order. The greedy chain takes f the largest built
-    divisor whose cofactor is built, else the largest, its cofactor built first; the last-variable
-    chain takes g the last variable of e (Knuth, TAOCP 2, 4.6.3). The shorter is kept, greedy on a tie."""
-    walk = sorted(sorted((e for e in monomials if sum(e) >= 2), reverse=True), key=sum)  # a stable sort
+    walking e by rising degree, each in canonical order. f is the largest built divisor whose
+    cofactor is built, else the largest, its cofactor built first."""
+    chain = dict.fromkeys(_UNITS)  # exponents -> split, None for a unit
 
-    def chain_by(greedy: bool) -> dict:
-        chain = dict.fromkeys(_UNITS)  # exponents -> split, None for a unit
+    def build(e):
+        a, b, c = e
+        divisors = sorted((sum(d), d) for d in chain if d[0] <= a and d[1] <= b and d[2] <= c)
+        f = next((d for _, d in reversed(divisors) if (a - d[0], b - d[1], c - d[2]) in chain),
+                 divisors[-1][1])
+        g = (a - f[0], b - f[1], c - f[2])
+        for part in {f, g} - chain.keys():  # at most one: the other is a built divisor or a unit
+            build(part)
+        chain[e] = f, g
 
-        def build(e):
-            a, b, c = e
-            if greedy:
-                divisors = sorted((sum(d), d) for d in chain if d[0] <= a and d[1] <= b and d[2] <= c)
-                f = next((d for _, d in reversed(divisors) if (a - d[0], b - d[1], c - d[2]) in chain),
-                         divisors[-1][1])
-            else:
-                f = (a - 1, b, c) if not (b or c) else (a, b - 1, c) if not c else (a, b, c - 1)
-            g = (a - f[0], b - f[1], c - f[2])
-            for part in {f, g} - chain.keys():  # at most one: the other is a built divisor or a unit
-                build(part)
-            chain[e] = f, g
-
-        for e in walk:
-            if e not in chain:
-                build(e)
-        return {e: split for e, split in chain.items() if split}
-
-    return min(chain_by(True), chain_by(False), key=len)
+    for e in sorted(sorted((e for e in monomials if sum(e) >= 2), reverse=True), key=sum):  # a stable sort
+        if e not in chain:
+            build(e)
+    return {e: split for e, split in chain.items() if split}
 
 
 def compile_series(rfs, var_names) -> Callable:
@@ -273,7 +261,7 @@ class NumericAtlas:
                 raise ValueError(f"parameter {name!r} is not finite: {value!r}")
             bindings[syms[name]] = GaussianRational.from_complex(value)
         bound_maps = [cmap.specialize(bindings) for cmap in maps]  # a map singular here fails as the map
-        fields = [pushed_field(v, cmap).specialize(bindings) for cmap in maps]
+        fields = [cmap.push(v).specialize(bindings) for cmap in maps]
         if require_polynomial and (bad := [w.chart.name for w in fields if not w.is_polynomial()]):
             raise AnalysisFailed(f"field is not polynomial on charts {bad}")
         self.base = v.chart.name

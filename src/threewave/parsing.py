@@ -219,25 +219,15 @@ class ModelFile:
     unsupported: its derived results would not follow the edit.
     """
 
-    def __init__(
-        self,
-        table: SymbolTable,
-        name: str = "<model>",
-        charts: dict[str, Chart] | None = None,
-        maps: list[ChartMap] | None = None,
-        fields: dict[str, VectorField] | None = None,  # chart name -> field
-        atlases: dict[str, tuple[str, ...]] | None = None,  # name -> charts
-        symmetries: dict[str, SymmetryMap] | None = None,
-        relations: dict[str, tuple[str, ...]] | None = None,  # word -> letters
-    ):
+    def __init__(self, table: SymbolTable, name: str):
         self.table = table
         self.name = name
-        self.charts = {} if charts is None else charts
-        self.maps = [] if maps is None else maps
-        self.fields = {} if fields is None else fields
-        self.atlases = {} if atlases is None else atlases
-        self.symmetries = {} if symmetries is None else symmetries
-        self.relations = {} if relations is None else relations
+        self.charts: dict[str, Chart] = {}
+        self.maps: list[ChartMap] = []
+        self.fields: dict[str, VectorField] = {}  # chart name -> field
+        self.atlases: dict[str, tuple[str, ...]] = {}  # name -> charts
+        self.symmetries: dict[str, SymmetryMap] = {}
+        self.relations: dict[str, tuple[str, ...]] = {}  # word -> letters
         self._derived: dict = {}
 
     def chart(self, name: str) -> Chart:
@@ -300,7 +290,7 @@ def parse_model(text: str, name: str = "<model>") -> ModelFile:
 
     states = [state(n) for _, names, _ in chart_specs for n in names]
     table = SymbolTable(tuple(states) + tuple(symbols))
-    model = ModelFile(table=table, name=name)
+    model = ModelFile(table, name)
     for chart_name, var_names, boundary in chart_specs:
         vars3 = tuple(table.get(n) for n in var_names)
         bsym = table.get(boundary) if boundary else None

@@ -20,11 +20,13 @@ from .ratfunc import RationalFn
 from .singular import (
     AccessiblePoint,
     AccessibleScan,
+    balance_search,
     classify_alpha_matrix,
     find_accessible,
     index_of_linear_part,
     linear_part,
     resolution_pipeline,
+    weighted_chart,
 )
 
 
@@ -77,7 +79,7 @@ def scan_chart(system, params, chart_name: str) -> tuple[VectorField, Accessible
     charts = scan_charts(m)
     if chart_name not in charts:
         raise KeyError(f"unknown chart {chart_name!r}; known: {list(charts)}")
-    return _scan(m, params, charts[chart_name] or models.weighted_chart(m)[1])
+    return _scan(m, params, charts[chart_name] or weighted_chart(m)[1])
 
 
 @models.per_point
@@ -133,10 +135,10 @@ def _chart_labels(
     """The classical labels on one chart of the system's field at ``params``,
     matched by computed coordinates (never hardcoded), each with the field and
     the log-pole form its scan read. W is the model's weighted chart
-    (``models.weighted_chart``), whether or not the model declares a chart W;
+    (``singular.weighted_chart``), whether or not the model declares a chart W;
     U1 and U3 give no label when the model's projective atlas lacks them."""
     if chart == "W":
-        cmap = models.weighted_chart(system)[1]
+        cmap = weighted_chart(system)[1]
     else:
         cmap = scan_charts(system).get(chart)
         if cmap is None:
@@ -221,9 +223,9 @@ def alpha_report(system, params=None, point: str = "P4_2") -> dict:
 
 def painleve_report(system, params=None, bound: int = 2) -> dict:
     """The dominant balances to ``bound`` at ``params``
-    (``models.balance_search``)."""
+    (``singular.balance_search``)."""
     m = models.model(system)
-    search = models.balance_search(m, params, bound)
+    search = balance_search(m, params, bound)
     return {
         "system": m.name,
         "bound": bound,
@@ -248,7 +250,7 @@ def pipeline_report(system, params=None) -> dict:
     every parameter symbolic wherever it can (``resolution_pipeline``)."""
     m = models.model(system)
     rep = resolution_pipeline(m, params)
-    balance = models.weighted_chart(m)[0]
+    balance = weighted_chart(m)[0]
     bindings = models.bind_parameters(m, params)
     return {
         "system": m.name,

@@ -18,16 +18,18 @@ divisor gets resolved:
    balance once, in the solver, and :func:`weighted_balance` picks from a
    bound-2 search the balance whose pole orders fix the weighted chart
    suited to a multiple point (a model chooses it once, on its field with
-   every parameter symbolic, and uses it at every parameter value),
+   every parameter symbolic, and uses it at every parameter value:
+   :func:`weighted_chart`),
 4. :func:`blow_up` produces the chart of a point blow-up along one
    direction (the pipeline follows the exceptional direction) with the
    transformed field, and
-5. :func:`holomorphy_obstructions` reads off the parameter conditions under
-   which the final field is polynomial.
+5. ``geometry.holomorphy_obstructions`` reads off the parameter conditions
+   under which the final field is polynomial.
 
 :func:`resolution_pipeline` runs steps 1, 2, 4 and 5 on a model's weighted
-chart; its run with every parameter symbolic, like the model's balance
-search, is kept on the parsed model (``models.per_point``).
+chart. Its run with every parameter symbolic, like the model's balance
+search (:func:`balance_search`), is kept on the parsed model
+(``models.per_point``).
 
 Steps 3 and 5 both end in a small polynomial system: the nonzero leading
 coefficients of a balance, and the parameter values on which the
@@ -51,17 +53,16 @@ from .errors import (
 )
 from .gaussian import GaussianRational
 from .geometry import (
-    Chart, ChartMap, LogPoleForm, VectorField, det3, log_pole_decomposition, pushforward,
+    Chart, ChartMap, LogPoleForm, VectorField, det3, holomorphy_obstructions,
+    log_pole_decomposition, power_scaled_chart, pushforward,
 )
-from .models import bind_parameters, chart_field, per_model, per_point, weighted_chart
+from .models import bind_parameters, chart_field, per_model, per_point, system_field
 from .parsing import ModelFile
 from .poly import MultiPoly, compose, content_in, poly_gcd, resultant
-from .ratfunc import (
-    RationalFn, images, pole_coefficients, specialize_all, substitute, value_at, vanishes,
-)
+from .ratfunc import RationalFn, images, specialize_all, substitute, value_at, vanishes
 from .records import Record
 from .roots import find_roots
-from .symbols import Symbol, names_apart, parameter
+from .symbols import Symbol, names_apart, parameter, state
 
 
 class AccessiblePoint(Record):
@@ -352,7 +353,7 @@ def painleve_leading_orders(v: VectorField, bound: int = 2) -> BalanceSearch:
     putting its coefficients into the balance equations, so every listed
     balance holds exactly. Triples share equations, so the search solves
     each (equation, unknown) once for all of them. A model's search with
-    every parameter symbolic is kept on the model (``models.balance_search``).
+    every parameter symbolic is kept on the model (:func:`balance_search`).
     """
     if not v.is_polynomial():
         raise AnalysisFailed("dominant-balance search expects a polynomial field")
@@ -431,6 +432,49 @@ def _balance_equations(table, leads, components, orders) -> list[MultiPoly] | No
     return eqs
 
 
+@per_point
+def balance_search(m: ModelFile, params: Sequence | None, bound: int) -> BalanceSearch:
+    """The dominant-balance search to ``bound`` on the model's field at
+    ``params`` (:func:`painleve_leading_orders`), read by the ``painleve``
+    report and, with every parameter symbolic at bound 2, by
+    :func:`weighted_chart`."""
+    return painleve_leading_orders(system_field(m, params), bound)
+
+
+def weighted_balance(search: BalanceSearch) -> Balance:
+    """The dominant balance with a pole in the first variable, whose pole
+    orders select the weighted chart: of the balances of a
+    :func:`painleve_leading_orders` search to bound 2 with m >= 1, the first
+    one with the largest order sum."""
+    balances = [b for b in search.balances if b.exponents[0] >= 1]
+    if not balances:
+        raise AnalysisFailed("no dominant balance with a pole in the first variable")
+    return max(balances, key=lambda b: sum(b.exponents))
+
+
+@per_model
+def weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
+    """The model's dominant balance with a pole in x, and the weighted chart
+    W = (1/x, y/x^n, z/x^p) of its pole orders (m, n, p).
+
+    The balance is picked from the bound-2 ``balance_search``, on the
+    model's field with every parameter symbolic, so the singularity scan and
+    the blow-up pipeline use one chart at every parameter value. The chart's
+    variables are those of the model's chart ``W``; a model without one gets
+    fresh variables XW YW ZW on an extension of its table.
+    """
+    balance = weighted_balance(balance_search(m, None, 2))
+    table = m.table
+    if "W" in m.charts:
+        wvars = m.charts["W"].vars
+    else:
+        names = names_apart(table, lambda pad: [f"{a}W{pad}" for a in "XYZ"])
+        table = table.extend(state(n) for n in names)
+        wvars = tuple(table.get(n) for n in names)
+    return balance, power_scaled_chart(m.base, table, "W", wvars, balance.exponents)
+
+
+
 # -- blow-ups ---------------------------------------------------------------------------
 
 
@@ -469,44 +513,6 @@ def blow_up(v: VectorField, center: Sequence, k: int) -> BlowUpChart:
     ]
     cmap = ChartMap(chart, target, fwd, inv)
     return BlowUpChart(cmap, pushforward(v.retable(new_table), cmap))
-
-
-# -- holomorphy obstructions ----------------------------------------------------------------
-
-
-class Obstruction(Record):
-    """Parameter conditions equivalent to polynomiality of a blown-up field."""
-
-    __slots__ = ("conditions",)  # MultiPolys: monic, deduplicated, sorted by text
-
-    def is_empty(self) -> bool:
-        return not self.conditions
-
-    def texts(self) -> list[str]:
-        return [c.text() for c in self.conditions]
-
-
-def holomorphy_obstructions(v: VectorField) -> Obstruction:
-    """Coefficients of the negative powers of the chart's boundary variable
-    (the exceptional variable of a blow-up chart).
-
-    The components' pole part is read by :func:`pole_coefficients`, so each
-    denominator must be a power of that variable (guaranteed for fields
-    produced by the blow-up pipeline) and any other raises ValueError; the
-    parameter-polynomial coefficient of every state monomial in every
-    component is normalized monic and deduplicated. An empty condition set
-    means the field is already polynomial. A chart without a boundary
-    variable raises ValueError.
-    """
-    boundary = v.chart.boundary
-    if boundary is None:
-        raise ValueError(f"chart {v.chart.name} has no boundary variable")
-    conditions: dict[str, MultiPoly] = {}
-    for group in pole_coefficients(dict(enumerate(v.components)), boundary).values():
-        for param_poly in group.values():
-            normalized = param_poly.monic()
-            conditions[normalized.text()] = normalized
-    return Obstruction(tuple(conditions[k] for k in sorted(conditions)))
 
 
 # -- parametric solving -------------------------------------------------------------------
@@ -712,21 +718,10 @@ class ResolutionReport(Record):
         return self.fields[-1]
 
 
-def weighted_balance(search: BalanceSearch) -> Balance:
-    """The dominant balance with a pole in the first variable, whose pole
-    orders select the weighted chart: of the balances of a
-    :func:`painleve_leading_orders` search to bound 2 with m >= 1, the first
-    one with the largest order sum."""
-    balances = [b for b in search.balances if b.exponents[0] >= 1]
-    if not balances:
-        raise AnalysisFailed("no dominant balance with a pole in the first variable")
-    return max(balances, key=lambda b: sum(b.exponents))
-
-
 @per_point
 def resolution_pipeline(m: ModelFile, params: Sequence | None = None) -> ResolutionReport:
     """Resolve the degenerate boundary point of the model's field on its
-    weighted chart (``models.weighted_chart``) at ``params``, and read off
+    weighted chart (:func:`weighted_chart`) at ``params``, and read off
     the parameter conditions for polynomiality.
 
     The accessible point there with a nonzero first index entry is blown up

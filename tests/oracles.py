@@ -36,7 +36,7 @@ from threewave.geometry import Chart, ChartMap, VectorField, pushforward
 from threewave.parsing import ModelFile, parse_model
 from threewave.poly import MultiPoly, compose
 from threewave.ratfunc import RationalFn, substitute, value_at
-from threewave.singular import Balance, blow_up, solve_branches
+from threewave.singular import Balance, blow_up, solve_branches, weighted_chart
 from threewave.symbols import SymbolTable, names_apart, parameter, table as make_table
 
 
@@ -436,14 +436,7 @@ def last_variable_chain(monomials):
     return sorted(chain.values(), key=lambda step: sum(step[0]))
 
 
-def product_chain(monomials):
-    """The shorter of ``greedy_split_chain`` and ``last_variable_chain``, the
-    greedy one on a tie."""
-    greedy, last = greedy_split_chain(monomials), last_variable_chain(monomials)
-    return greedy if len(greedy) <= len(last) else last
-
-
-def reference_series(rfs, var_names, chain=product_chain):
+def reference_series(rfs, var_names, chain=greedy_split_chain):
     """``numerics.compile_series`` as an interpreted loop: per order k, each
     monomial's coefficient as the Cauchy product sum_j F_j G_(k-j) of its
     split (F, G) by ``chain``, in the order it lists them; each component's
@@ -512,7 +505,7 @@ def reference_atlas(v: VectorField, maps) -> dict:
     for cmap in maps:
         tvars = [s.name for s in cmap.target.vars]
         out[cmap.target.name] = (
-            reference_series(models.pushed_field(v, cmap).components, tvars),
+            reference_series(cmap.push(v).components, tvars),
             reference_triple(cmap.inverse, tvars),
             reference_triple(cmap.forward, base_vars),
         )
@@ -555,8 +548,7 @@ def reference_taylor(v, maps, start, path, tol=1e-10):
     a collapse names that least step when the last step tried was finite."""
     atlas = reference_atlas(v, maps)
     chart, y = start.chart, tuple(start.state)
-    traj = numerics.Trajectory()
-    traj.points.append(numerics.TrajectoryPoint(start.t, y, chart))
+    traj = numerics.Trajectory([numerics.TrajectoryPoint(start.t, y, chart)])
     t_here = complex(start.t)
     waypoints = [complex(p) for p in path]
     if waypoints and waypoints[0] != t_here:
@@ -822,7 +814,7 @@ def differential_maps() -> list[ChartMap]:
     for kind in ("three-wave", "modified"):
         m = models.model(kind)
         maps += [cm for name in ("projective", "resolved") for cm in m.atlas(name)[1:]]
-        maps.append(models.weighted_chart(kind)[1])
+        maps.append(weighted_chart(kind)[1])
     v = models.system_field("three-wave")
     maps += [blow_up(v, [1, 0, -1], k).cmap for k in range(3)]
     return maps

@@ -9,7 +9,7 @@ from pathlib import Path
 import oracles
 import pytest
 
-from threewave import cli, models, numerics, reports
+from threewave import cli, geometry, models, numerics, reports
 from threewave.cli import run
 from threewave.numerics import NumericAtlas, TrajectoryPoint, integrate
 
@@ -245,6 +245,24 @@ map C0 C1 : 1/x ; y ; z | 1/X ; Y ; Z
     assert "charts" in rep2
 
 
+def test_an_unreadable_model_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a file that exists but cannot be read: one error line naming it, exit 2
+    model = tmp_path / "locked.model"
+    model.write_text(models.export_model("three-wave"))
+    real_open = open
+
+    def refusing(file, *args, **kwargs):
+        if str(file) == str(model):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing)
+    assert run(["verify-atlas", "--system", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read model file {str(model)!r}: Permission denied\n"
+
+
 def test_exported_model_reanalyzed_through_cli(tmp_path, capsys):
     # export the built-in system, perturb nothing, and drive the CLI on the
     # file: the analyses must reproduce the built-in results
@@ -470,6 +488,23 @@ def test_readme_examples_load_only_the_analyses_they_read(argv):
     unread = argv[0] in cli.CHECK_COMMANDS + cli.NUMERIC_COMMANDS
     loaded = [] if unread else ["threewave.roots", "threewave.singular"]
     assert proc.stderr.decode().splitlines()[-1] == f"0 {loaded}"
+
+
+@pytest.mark.parametrize("case", ["three-wave", "projective", "model file"])
+def test_verify_atlas_off_a_polynomial_atlas_leaves_the_analyses_unloaded(tmp_path, case):
+    # a chart that is not polynomial reads its obstructions in geometry, so
+    # verify-atlas loads neither singular nor roots on any atlas
+    path = tmp_path / "random.model"
+    path.write_text(oracles.random_model_text(random.Random(5)))
+    argv, code = {"three-wave": (["--system", "three-wave"], 1),
+                  "projective": (["--system", "modified", "--atlas", "projective"], 0),
+                  "model file": (["--system", str(path)], 1)}[case]
+    proc = _python("-c", "import sys; from threewave.cli import run; code = run(sys.argv[1:]); "
+                   "print(code, sorted(m for m in ('threewave.singular', 'threewave.roots') "
+                   "if m in sys.modules), file=sys.stderr)", "verify-atlas", *argv)
+    assert proc.stderr.decode().splitlines()[-1] == f"{code} []"
+    charts = json.loads(proc.stdout)["charts"]
+    assert any(c["obstruction_conditions"] for c in charts)
 
 
 def test_the_readme_shows_every_check_and_both_numeric_commands():
@@ -994,13 +1029,13 @@ def test_second_parameter_point_pushes_no_scan_chart(capsys, monkeypatch, tmp_pa
     code, _ = _capture(capsys, ["singularities", "--system", "three-wave", "--params", "delta=1"])
     assert code == 0
     calls = []
-    real = models.pushforward
+    real = geometry.pushforward
 
     def counting(v, cmap):
         calls.append(cmap.target.name)
         return real(v, cmap)
 
-    monkeypatch.setattr(models, "pushforward", counting)
+    monkeypatch.setattr(geometry, "pushforward", counting)
     for argv in (
         ["singularities", "--system", "three-wave", "--params", "delta=2"],
         ["index", "--system", "three-wave", "--params", "delta=2", "--point", "P4_2"],
@@ -1069,7 +1104,7 @@ def test_points_resolve_where_the_symbolic_pipeline_fails(tmp_path, capsys, monk
         assert json.loads(out)["chart_lineage"] == ["W", "W.b1XW"]
     # the failed symbolic run is kept as such: one parsed model attempts it once
     m = models.model(str(path))
-    symbolic = models.chart_field(m, models.weighted_chart(m)[1])
+    symbolic = models.chart_field(m, singular.weighted_chart(m)[1])
     attempts = []
     real = singular._resolve
 

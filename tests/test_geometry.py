@@ -300,7 +300,7 @@ def test_field_specialization_matches_the_per_component_oracle():
         m = models.model(kind)
         base = m.fields[m.base.name]
         fields = list(m.fields.values())
-        fields += [models.pushed_field(base, cm) for name in ("projective", "resolved")
+        fields += [cm.push(base) for name in ("projective", "resolved")
                    for cm in m.atlas(name)[1:]]
         for bindings in _seeded_bindings(rng, m.table, 6):
             for v in fields:

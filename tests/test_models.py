@@ -9,7 +9,7 @@ from pathlib import Path
 
 import oracles
 import pytest
-from threewave import models, reports, singular
+from threewave import geometry, models, reports, singular
 from threewave.errors import DenominatorVanishes
 from threewave.gaussian import GaussianRational, gr
 from threewave.geometry import ChartMap, jacobian_determinant, pushforward
@@ -248,7 +248,7 @@ def test_chart_field_equals_the_specialized_pushforward(tmp_path):
         path.write_text(models.export_model(kind))
         points = _differential_points(kind, rng)
         for m in (models.model(kind), models.model(str(path))):
-            maps = m.atlas("projective")[1:] + [models.weighted_chart(m)[1]] + m.atlas("resolved")
+            maps = m.atlas("projective")[1:] + [singular.weighted_chart(m)[1]] + m.atlas("resolved")
             assert [cm.target.name for cm in maps][:4] == ["U1", "U2", "U3", "W"]
             _assert_chart_fields_match(m, maps, points)
     # a random model file whose resolved maps carry the parameters
@@ -270,8 +270,8 @@ def test_a_push_through_a_specialized_map_is_freed_with_it(monkeypatch):
     # a field and an atlas bound at one point, compiled: each map is a new
     # specialized map, which keeps its push until it is dropped
     calls = []
-    real = models.pushforward
-    monkeypatch.setattr(models, "pushforward", lambda v, cm: calls.append(cm) or real(v, cm))
+    real = geometry.pushforward
+    monkeypatch.setattr(geometry, "pushforward", lambda v, cm: calls.append(cm) or real(v, cm))
     m = oracles.fresh_model("modified")
     point = [1, 2, 3, 4, 5]
     v, maps = models.system_field(m, point), models.resolved_atlas(m, point)
@@ -289,10 +289,10 @@ def test_results_derived_from_a_model_are_kept_on_it():
     # named or passed; a model parsed again derives its own
     m = oracles.fresh_model("three-wave")
     t21 = m.atlas("resolved")[1]
-    assert models.weighted_chart(m) is models.weighted_chart(m)
+    assert singular.weighted_chart(m) is singular.weighted_chart(m)
     assert models.chart_jacobian(m, t21) is models.chart_jacobian(m, t21)
-    assert models.weighted_chart("three-wave") is models.weighted_chart(models.model("three-wave"))
-    assert models.weighted_chart("three-wave") is not models.weighted_chart(m)
+    assert singular.weighted_chart("three-wave") is singular.weighted_chart(models.model("three-wave"))
+    assert singular.weighted_chart("three-wave") is not singular.weighted_chart(m)
     # they are left out of the model's repr and rendering
     assert "_derived" not in repr(m)
     assert render_model(m) == models.export_model("three-wave")
@@ -316,7 +316,7 @@ def test_a_dropped_model_is_freed():
               [0, 0.5])
     assert m._derived
     derived = [weakref.ref(m), weakref.ref(singular._symbolic_lineage(m)),
-               weakref.ref(models.balance_search(m, None, 2)), weakref.ref(point)]
+               weakref.ref(singular.balance_search(m, None, 2)), weakref.ref(point)]
     del m, point, v
     gc.collect()
     assert [ref() for ref in derived] == [None, None, None, None]
@@ -326,11 +326,11 @@ def test_each_parse_derives_its_own_balance_search():
     # the search on the model's symbolic field is kept on the model, not
     # shared by value with another parse of the same text
     m1, m2 = oracles.fresh_model("three-wave"), oracles.fresh_model("three-wave")
-    assert models.balance_search(m1, None, 2) is models.balance_search(m1, None, 2)
-    assert models.balance_search(m1, None, 2) is not models.balance_search(m2, None, 2)
-    assert models.balance_search(m1, None, 2) == models.balance_search(m2, None, 2)
-    assert models.weighted_chart(m1)[0] is not models.weighted_chart(m2)[0]
-    assert any(b is models.weighted_chart(m1)[0] for b in models.balance_search(m1, None, 2).balances)
+    assert singular.balance_search(m1, None, 2) is singular.balance_search(m1, None, 2)
+    assert singular.balance_search(m1, None, 2) is not singular.balance_search(m2, None, 2)
+    assert singular.balance_search(m1, None, 2) == singular.balance_search(m2, None, 2)
+    assert singular.weighted_chart(m1)[0] is not singular.weighted_chart(m2)[0]
+    assert any(b is singular.weighted_chart(m1)[0] for b in singular.balance_search(m1, None, 2).balances)
 
 
 def test_atlas_report_keeps_the_error_of_a_map_singular_at_the_point(tmp_path, monkeypatch):

@@ -11,11 +11,12 @@ from oracles import (
     naive_linear_part, naive_specialize, on_branch, random_polynomial_field,
     unpruned_balance_search,
 )
-from threewave import models, ratfunc, reports, singular
+from threewave import geometry, models, ratfunc, reports, singular
 from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
 from threewave.gaussian import gr
 from threewave.geometry import (
-    Chart, ChartMap, VectorField, det3, log_pole_decomposition, power_scaled_chart, pushforward,
+    Chart, ChartMap, VectorField, det3, holomorphy_obstructions, log_pole_decomposition,
+    power_scaled_chart, pushforward,
 )
 from threewave.numerics import compile_triple
 from threewave.poly import MultiPoly
@@ -24,7 +25,6 @@ from threewave.singular import (
     blow_up,
     classify_alpha_matrix,
     find_accessible,
-    holomorphy_obstructions,
     index_of_linear_part,
     linear_part,
     local_index,
@@ -39,7 +39,7 @@ from threewave.symbols import parameter, table
 
 def _chart_field(kind, chart_name, params=None):
     if chart_name == "W":
-        cmap = models.weighted_chart(kind)[1]
+        cmap = singular.weighted_chart(kind)[1]
     else:
         cmap = next(m for m in models.atlas(kind, "projective") if m.target.name == chart_name)
     return pushforward(models.system_field(kind, params), cmap)
@@ -129,7 +129,7 @@ def test_paper_point_resolves_on_the_model_chart():
     degenerate = power_scaled_chart(m.base, m.table, "W", m.charts["W"].vars, (1, -2, 2))
     with pytest.raises(PositiveDimensional):
         find_accessible(m, pushforward(v, degenerate))
-    balance, wmap = models.weighted_chart(m)
+    balance, wmap = singular.weighted_chart(m)
     assert balance.exponents == (1, 0, 2)
     _, scan = reports.scan_chart(m, [0, -1], "W")
     rep = resolution_pipeline(m, [0, -1])
@@ -328,7 +328,7 @@ def test_a_model_parsed_twice_gets_its_own_points():
 KEPT_AT_NO_POINT = {
     "scan": (reports._scan, lambda m: (m.atlas("projective")[1],)),
     "linear_part": (reports._point_linear_part, lambda m: ("P4_2",)),
-    "balance_search": (models.balance_search, lambda m: (2,)),
+    "balance_search": (singular.balance_search, lambda m: (2,)),
     "pipeline": (resolution_pipeline, lambda m: ()),
 }
 
@@ -708,7 +708,7 @@ def test_painleve_and_the_weighted_chart_share_one_search(monkeypatch):
         assert len(calls) > 0, kind
         calls.clear()
         reports.painleve_report(m)
-        models.weighted_chart(m)
+        singular.weighted_chart(m)
         assert calls == [], kind
 
 
@@ -721,7 +721,7 @@ def test_a_balance_search_solves_each_equation_once(monkeypatch):
                         lambda p, var: calls.append((p, var)) or find_roots(p, var))
     for kind, bound in [("three-wave", 2), ("modified", 2), ("three-wave", 4)]:
         calls.clear()
-        models.balance_search(fresh_model(kind), None, bound)
+        singular.balance_search(fresh_model(kind), None, bound)
         assert len(calls) == len(set(calls)) > 0, kind
         assert "-2*lead2^2+lead1" in {p.text() for p, _ in calls}, kind
 
@@ -970,7 +970,7 @@ def _count_calls(monkeypatch, calls, *targets):
         monkeypatch.setattr(module, name, counting)
 
 
-_PIPELINE_STEPS = ((singular, "pushforward"), (models, "pushforward"),
+_PIPELINE_STEPS = ((singular, "pushforward"), (geometry, "pushforward"),
                    (singular, "blow_up"), (singular, "linear_part"))
 
 
