@@ -474,7 +474,6 @@ def weighted_chart(m: ModelFile) -> tuple[Balance, ChartMap]:
     return balance, power_scaled_chart(m.base, table, "W", wvars, balance.exponents)
 
 
-
 # -- blow-ups ---------------------------------------------------------------------------
 
 
