@@ -272,6 +272,9 @@ def _dispatch(args) -> int:
         system = models.model(args.system)
     except OSError as exc:
         raise UsageError(f"cannot read model file {args.system!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read model file {args.system!r}: not UTF-8 at byte "
+                         f"{exc.start} ({exc.reason})") from None
     numeric = cmd in NUMERIC_COMMANDS
     params = _parse_params(system, args.params, numeric)
     if numeric:

@@ -21,8 +21,8 @@ from .singular import (
     AccessiblePoint,
     AccessibleScan,
     balance_search,
+    chart_scan,
     classify_alpha_matrix,
-    find_accessible,
     index_of_linear_part,
     linear_part,
     resolution_pipeline,
@@ -79,17 +79,7 @@ def scan_chart(system, params, chart_name: str) -> tuple[VectorField, Accessible
     charts = scan_charts(m)
     if chart_name not in charts:
         raise KeyError(f"unknown chart {chart_name!r}; known: {list(charts)}")
-    return _scan(m, params, charts[chart_name] or weighted_chart(m)[1])
-
-
-@models.per_point
-def _scan(m: ModelFile, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
-    """The system's field pushed through ``cmap`` at ``params`` and its
-    accessible points. The push runs once per model and chart with the
-    parameters symbolic (``models.chart_field``); each point only
-    specializes it and scans."""
-    w = models.chart_field(m, cmap, params)
-    return w, find_accessible(m, w)
+    return chart_scan(m, params, charts[chart_name] or weighted_chart(m)[1])
 
 
 def singularities_report(system, params=None, charts: Sequence[str] | None = None) -> dict:
@@ -143,7 +133,7 @@ def _chart_labels(
         cmap = scan_charts(system).get(chart)
         if cmap is None:
             return {}
-    v, scan = _scan(system, params, cmap)
+    v, scan = chart_scan(system, params, cmap)
     out = {}
     if chart == "U1":
         zeros = [p for p in scan.points if all(c.is_zero() for c in p.coords)]

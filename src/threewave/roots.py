@@ -48,8 +48,8 @@ def find_roots(p: MultiPoly, var: Symbol) -> RootsResult:
     ``p`` must involve no state symbols other than ``var``. Roots are listed
     with multiplicity, sorted by text (so repeated roots are adjacent); the
     leftover factor is returned monic and unfactored. Nothing is kept: the
-    boundary solve reads the roots through its model's memo
-    (``singular._roots``), and every other caller solves afresh.
+    boundary solve keeps each pair's points on its model
+    (``singular._boundary_points``), and every other caller solves afresh.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every value as a root")

@@ -9,7 +9,8 @@ divisor gets resolved:
    they are finitely many exactly when those two components share no factor
    in the divisor's coordinates, which one gcd decides; the points depend
    only on the chart and those two components restricted to the divisor,
-   so each distinct restriction is solved and certified once per model,
+   so each distinct restriction is solved and certified once per model
+   (a model chart is scanned by one helper, :func:`chart_scan`),
 2. :func:`linear_part` reads each point's linear part off the scan's
    log-pole form, and :func:`index_of_linear_part` its eigenvalue data, which
    classifies the point and predicts how many blow-ups are needed,
@@ -106,6 +107,16 @@ def find_accessible(system, v: VectorField) -> AccessibleScan:
     return AccessibleScan(points, residuals, lp)
 
 
+@per_point
+def chart_scan(m: ModelFile, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
+    """The model's field pushed through ``cmap`` at ``params`` and its
+    accessible points. The push runs once per model and chart with the
+    parameters symbolic (``models.chart_field``); each point only
+    specializes it and scans."""
+    w = chart_field(m, cmap, params)
+    return w, find_accessible(m, w)
+
+
 @per_model
 def _boundary_points(m: ModelFile, chart: Chart, gs):
     """The accessible points of ``chart`` on which both polynomials of the
@@ -113,7 +124,7 @@ def _boundary_points(m: ModelFile, chart: Chart, gs):
     and sorted by text, and the residual branches. A raised failure is not
     kept, so it is raised again on every call."""
     (u_sym, gu), (w_sym, gw) = gs
-    solutions, residuals = _solve_boundary_pair(m, gu, gw, u_sym, w_sym)
+    solutions, residuals = _solve_boundary_pair(gu, gw, u_sym, w_sym)
     zero = RationalFn.const(gu.table, 0)
     points = []
     for sol, mult in solutions:
@@ -126,7 +137,7 @@ def _boundary_points(m: ModelFile, chart: Chart, gs):
     return tuple(points), residuals
 
 
-def _solve_boundary_pair(system, gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
+def _solve_boundary_pair(gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Symbol):
     """Common zeros of two polynomials in (u, w) over the parameter field.
 
     Two polynomials without a common factor in (u, w) meet in finitely many
@@ -143,7 +154,7 @@ def _solve_boundary_pair(system, gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Sym
     elim = resultant(gu, gw, u)
     if elim.is_constant():
         return [], ()
-    wroots = _roots(system, elim, w)
+    wroots = find_roots(elim, w)
     if not wroots.fully_split():
         residuals.append(f"eliminant residual in {w.name}: {wroots.residual.text()}")
 
@@ -153,7 +164,7 @@ def _solve_boundary_pair(system, gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Sym
         g = poly_gcd(value_at(gu, {w: w0}, gu.table).num, value_at(gw, {w: w0}, gw.table).num)
         if g.is_constant():
             continue  # spurious eliminant root
-        uroots = _roots(system, g, u)
+        uroots = find_roots(g, u)
         if not uroots.fully_split():
             residuals.append(
                 f"{w.name} = {w0.text()}: residual in {u.name}: {uroots.residual.text()}"
@@ -163,13 +174,6 @@ def _solve_boundary_pair(system, gu: MultiPoly, gw: MultiPoly, u: Symbol, w: Sym
             mult = max(1, (wmult * umult) // len(uroots.roots))
             solutions.append(({u: u0, w: w0}, mult))
     return solutions, tuple(residuals)
-
-
-@per_model
-def _roots(m: ModelFile, p: MultiPoly, var: Symbol):
-    """``find_roots(p, var)`` once per model: distinct boundary pairs of a
-    model often share an eliminant."""
-    return find_roots(p, var)
 
 
 # -- linear part and local index ----------------------------------------------------
@@ -733,27 +737,28 @@ def resolution_pipeline(m: ModelFile, params: Sequence | None = None) -> Resolut
 
     The run with every parameter symbolic is made once per parsed model and
     kept on it (``models.per_point``; :func:`_symbolic_lineage` reads it), and
-    when ``params`` bind nothing it is the result. At a parameter point the
-    scans are run on the specialized field and every other step is the
-    lineage's, specialized: the linear parts at the weighted points, each
-    blow-up's pushed field, and the composed forward map. The blow-up's map
-    is not needed: its halves
+    when ``params`` bind nothing it is the result. The weighted chart is
+    scanned once (:func:`chart_scan`, the scan the reports keep), and every
+    other scan is of an exceptional divisor. At a parameter point every step
+    but the scans is the lineage's, specialized: the linear parts at the
+    weighted points, each blow-up's pushed field, and the composed forward
+    map. The blow-up's map is not needed: its halves
     ((x_j - c_j)/(x_k - c_k), x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are
     inverse to each other for every center c. A point takes the whole
     lineage or none of it: when a scanned point has no lineage linear part,
     the step count differs, a center is not the specialization of the
     lineage's, or a specialization has a vanishing denominator, every step
-    is computed on the specialized field, as it is when the symbolic run
-    fails. Both routes give the same record: where the specialized inputs
-    are defined, specialization commutes with the pipeline's rational
-    operations, and reduced forms are canonical.
+    after the weighted scan is computed on the specialized field, as it is
+    when the symbolic run fails. Both routes give the same record: where the
+    specialized inputs are defined, specialization commutes with the
+    pipeline's rational operations, and reduced forms are canonical.
     """
     weighted_map = weighted_chart(m)[1]
-    vw = chart_field(m, weighted_map, params)
+    vw, scan = chart_scan(m, params, weighted_map)
     lineage = None if params is None else _symbolic_lineage(m)
     bindings = bind_parameters(m, params)
-    taken = _resolve(m, vw, weighted_map, lineage, bindings) if lineage is not None else None
-    return taken or _resolve(m, vw, weighted_map, None, {})
+    taken = _resolve(m, vw, scan, weighted_map, lineage, bindings) if lineage is not None else None
+    return taken or _resolve(m, vw, scan, weighted_map, None, {})
 
 
 @per_model
@@ -766,12 +771,12 @@ def _symbolic_lineage(m: ModelFile) -> ResolutionReport | None:
         return None
 
 
-def _resolve(m, vw, weighted_map, lineage, bindings) -> ResolutionReport | None:
+def _resolve(m, vw, scan, weighted_map, lineage, bindings) -> ResolutionReport | None:
     """The pipeline on ``vw``, the weighted field of the model ``m`` at
-    ``bindings``. Without a ``lineage`` every step is computed. With one,
-    every step but the scans is the lineage's, specialized, and the result
-    is None at the first step that does not match."""
-    scan = find_accessible(m, vw)
+    ``bindings``, whose accessible points are ``scan``. Without a
+    ``lineage`` every step is computed. With one, every step but the scans
+    is the lineage's, specialized, and the result is None at the first step
+    that does not match."""
     # the lineage's linear parts, specialized, keyed by their points'
     # specialized coordinates; a point with a vanishing denominator is left out
     known = {}

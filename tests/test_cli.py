@@ -9,7 +9,7 @@ from pathlib import Path
 import oracles
 import pytest
 
-from threewave import cli, geometry, models, numerics, reports
+from threewave import cli, geometry, models, numerics, reports, singular
 from threewave.cli import run
 from threewave.numerics import NumericAtlas, TrajectoryPoint, integrate
 
@@ -261,6 +261,17 @@ def test_an_unreadable_model_file_is_a_usage_error(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot read model file {str(model)!r}: Permission denied\n"
+
+
+def test_a_model_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    # byte 0xff starts no UTF-8 sequence: one error line naming the file, exit 2
+    model = tmp_path / "latin.model"
+    model.write_bytes(b"chart U0 : x y z\nsystem U0 : x ; y ; \xff\n")
+    assert run(["verify-atlas", "--system", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read model file {str(model)!r}: "
+                            "not UTF-8 at byte 37 (invalid start byte)\n")
 
 
 def test_exported_model_reanalyzed_through_cli(tmp_path, capsys):
@@ -962,7 +973,6 @@ map U0 U3 : x/z ; y/z ; 1/z | X3/Z3 ; Y3/Z3 ; 1/Z3
 def test_boundary_curve_is_refused_on_every_call(capsys, monkeypatch, tmp_path):
     # the verdict is right, and a refusal is never memoized: it is solved
     # and raised again on every call
-    from threewave import singular
     from threewave.errors import PositiveDimensional
 
     path = tmp_path / "curve.model"
@@ -1011,13 +1021,13 @@ def test_named_point_scans_one_chart(capsys, monkeypatch, tmp_path):
     path = tmp_path / "three-wave.model"
     path.write_text(models.export_model("three-wave"))
     calls = []
-    real = reports.find_accessible
+    real = singular.find_accessible
 
     def counting(system, v):
         calls.append(v.chart.name)
         return real(system, v)
 
-    monkeypatch.setattr(reports, "find_accessible", counting)
+    monkeypatch.setattr(singular, "find_accessible", counting)
     code, _ = _capture(capsys, ["index", "--system", str(path), "--point", "P1"])
     assert code == 0
     assert calls == ["U1"]

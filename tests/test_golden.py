@@ -1,8 +1,11 @@
 """Golden reports: the README's symbolic CLI examples, byte for byte.
 
 Each case's stdout is stored in ``tests/golden/<name>.out`` and its exit code
-in ``tests/golden/exit_codes.json``; ``tests/models/modified.model`` is the
-built-in ``modified`` exported, for a case that reads a model file by path.
+in ``tests/golden/exit_codes.json``. The cases that read a model file by path
+read it from ``tests/models/``: ``modified.model`` is the built-in
+``modified`` exported, and three files pin a refusal each, with exit 1 and
+no report (a chart map singular at a parameter point, a pole beyond the
+boundary after a blow-up, a step size that collapses at a pole).
 A change that moves a report on purpose (a fixed defect) regenerates them
 with ``PYTHONPATH=src python tests/test_golden.py`` and the diff of
 ``tests/golden/`` shows what moved.
@@ -13,6 +16,7 @@ import pathlib
 import subprocess
 import sys
 
+import oracles
 import pytest
 
 from threewave import models
@@ -20,7 +24,9 @@ from threewave.cli import run
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
-MODIFIED_FILE = pathlib.Path(__file__).with_name("models") / "modified.model"
+MODELS = pathlib.Path(__file__).with_name("models")
+MODIFIED_FILE = MODELS / "modified.model"
+SINGULAR_MAP_FILE = MODELS / "three-wave-singular-map.model"
 
 CASES = {
     "singularities": ["singularities", "--system", "three-wave"],
@@ -62,6 +68,17 @@ CASES = {
     "verify-symmetry": ["verify-symmetry", "--system", "modified"],
     "uniqueness": ["uniqueness", "--system", "modified"],
     "uniqueness-model-file": ["uniqueness", "--system", str(MODIFIED_FILE)],
+    # DenominatorVanishes: the map U0 -> T9 divides by delta
+    "verify-atlas-singular-map-delta0": [
+        "verify-atlas", "--system", str(SINGULAR_MAP_FILE), "--params", "delta=0"
+    ],
+    # PoleTooHigh: component dbu1_2/dt has a pole beyond 1/bu1_1
+    "blowup-lorenz": ["blowup", "--system", str(MODELS / "lorenz.model")],
+    # StepUnderflow: x' = x^2 from x = 1 has a pole at t = 1 and no chart past it
+    "integrate-finite-time-pole": [
+        "integrate", "--system", str(MODELS / "finite-time-pole.model"),
+        "--start=1;0;0", "--path", "2",
+    ],
 }
 
 
@@ -71,6 +88,22 @@ def test_report_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# the one error line each refusal case writes, up to its first figures
+REFUSALS = {
+    "verify-atlas-singular-map-delta0":
+        "error: chart map U0->T9: inverse component 3 (r/(delta)): denominator vanishes",
+    "blowup-lorenz": "error: component dbu1_2/dt has a pole beyond 1/bu1_1",
+    "integrate-finite-time-pole": "error: step size collapsed at t = (1.0000000000",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_a_refusal_case_writes_one_error_line(capsys, name):
+    assert run(CASES[name]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(REFUSALS[name])
 
 
 def test_every_golden_file_belongs_to_a_case():
@@ -84,6 +117,10 @@ def test_a_model_file_reports_as_its_built_in():
     assert MODIFIED_FILE.read_text() == models.export_model("modified")
     by_path, by_name = (GOLDEN / f"{name}.out" for name in ("uniqueness-model-file", "uniqueness"))
     assert by_path.read_bytes() == by_name.read_bytes()
+
+
+def test_the_singular_map_file_is_the_oracle_model():
+    assert SINGULAR_MAP_FILE.read_text() == oracles.singular_map_model_text()
 
 
 def regenerate() -> None:

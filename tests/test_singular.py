@@ -175,8 +175,7 @@ def _pair_solves(monkeypatch):
     calls = []
     real = singular._solve_boundary_pair
     monkeypatch.setattr(singular, "_solve_boundary_pair",
-                        lambda m, gu, gw, u, w: calls.append((u.name, w.name))
-                        or real(m, gu, gw, u, w))
+                        lambda gu, gw, u, w: calls.append((u.name, w.name)) or real(gu, gw, u, w))
     return calls
 
 
@@ -225,7 +224,7 @@ def test_boundary_pair_without_points(gu, gw, want):
     t = table("u", "w")
     u, w = t.get("u"), t.get("w")
     gu, gw = parse_expr(gu, t).num, parse_expr(gw, t).num
-    assert singular._solve_boundary_pair(fresh_model("three-wave"), gu, gw, u, w) == want
+    assert singular._solve_boundary_pair(gu, gw, u, w) == want
 
 
 def _differential_points():
@@ -301,13 +300,40 @@ def test_a_model_loaded_twice_is_scanned_twice(monkeypatch):
     text = models.export_model("three-wave")
     first, second = (parse_model(text, name) for name in ("first", "second"))
     calls = []
-    real = reports.find_accessible
-    monkeypatch.setattr(reports, "find_accessible",
+    real = singular.find_accessible
+    monkeypatch.setattr(singular, "find_accessible",
                         lambda system, v: calls.append(v.chart.name) or real(system, v))
     scans = [reports.scan_chart(m, None, "U1") for m in (first, second, first)]
     assert calls == ["U1", "U1"]
     assert scans[0] is scans[2] and scans[1] is not scans[0]
     assert [p.text() for p in scans[1][1].points] == [p.text() for p in scans[0][1].points]
+
+
+# three-wave without its chart W: the weighted chart gets fresh variables
+NO_CHART_W_MODEL = models.export_model("three-wave").replace("chart W : XW YW ZW @ XW\n", "")
+
+
+@pytest.mark.parametrize("source", ["built-in", "file without chart W"])
+def test_the_weighted_chart_has_one_kept_scan(monkeypatch, source):
+    # the pipeline's symbolic run, the W labels and, where the model declares
+    # W, the singularity scan all read the scan kept by chart_scan
+    m = fresh_model("three-wave") if source == "built-in" else parse_model(NO_CHART_W_MODEL, "f")
+    assert ("W" in m.charts) == (source == "built-in")
+    read = []
+    real = singular._resolve
+    monkeypatch.setattr(singular, "_resolve",
+                        lambda m, vw, scan, *rest: read.append(scan) or real(m, vw, scan, *rest))
+    resolution_pipeline(m)
+    kept = singular.chart_scan(m, None, singular.weighted_chart(m)[1])
+    assert len(read) == 1 and read[0] is kept[1]
+    labels = reports._chart_labels(m, None, "W")
+    assert sorted(labels) == ["P4_1", "P4_2"]
+    assert all(v is kept[0] and form is kept[1].form for v, form, _ in labels.values())
+    if "W" in m.charts:
+        assert reports.scan_chart(m, None, "W") is kept
+    else:
+        with pytest.raises(KeyError, match="unknown chart 'W'"):
+            reports.scan_chart(m, None, "W")
 
 
 def test_a_model_parsed_twice_gets_its_own_points():
@@ -326,7 +352,7 @@ def test_a_model_parsed_twice_gets_its_own_points():
 # the four results a model keeps with every parameter symbolic (models.per_point),
 # each with the arguments that follow the parameters on a given model
 KEPT_AT_NO_POINT = {
-    "scan": (reports._scan, lambda m: (m.atlas("projective")[1],)),
+    "scan": (singular.chart_scan, lambda m: (m.atlas("projective")[1],)),
     "linear_part": (reports._point_linear_part, lambda m: ("P4_2",)),
     "balance_search": (singular.balance_search, lambda m: (2,)),
     "pipeline": (resolution_pipeline, lambda m: ()),
@@ -369,7 +395,7 @@ def test_a_report_at_a_point_never_reads_the_symbolic_scans(params):
     m = fresh_model("three-wave")
     reports.singularities_report(m, params)
     reports.index_report(m, params, "P4_2")
-    assert _symbolic_keys(m, reports._scan) == []
+    assert _symbolic_keys(m, singular.chart_scan) == []
 
 
 # -- one linear part per model and named point -------------------------------------------
@@ -1149,6 +1175,20 @@ def test_pipeline_falls_back_where_the_lineage_does_not_match(monkeypatch):
         assert calls.count("linear_part") == len(want["weighted_points"]), label
         pushed = [c for c in calls if c.startswith("W.")]
         assert pushed == lineage_charts[1:], label
+
+
+def test_a_point_off_the_lineage_scans_the_weighted_chart_once(monkeypatch):
+    # both routes read the one weighted scan; a dropped lineage repeats at
+    # most the scans of the exceptional divisors
+    for label, lineage in _doctored_lineages():
+        charts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(singular, "_symbolic_lineage", lambda m, lineage=lineage: lineage)
+            real = singular.find_accessible
+            patch.setattr(singular, "find_accessible",
+                          lambda system, v: charts.append(v.chart.name) or real(system, v))
+            resolution_pipeline("three-wave", [2, 0])
+        assert charts[0] == "W" and charts.count("W") == 1, label
 
 
 def test_each_scanned_field_is_decomposed_once(monkeypatch):
