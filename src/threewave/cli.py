@@ -31,6 +31,8 @@ from .parsing import ModelFile, parse_expr
 REPORT_DIR_ENV = "THREEWAVE_REPORT_DIR"
 NUMERIC_COMMANDS = ("integrate", "monodromy")
 CHECK_COMMANDS = ("verify-atlas", "verify-symmetry", "uniqueness")
+# painleve walks (2 * bound + 1)^3 pole-order triples: about 5 s at 64
+MAX_BOUND = 64
 
 
 class UsageError(Exception):
@@ -194,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("painleve", help="dominant-balance search for pole orders")
     common(p)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=int, default=2,
+                   help=f"largest |pole order| searched, 1 to {MAX_BOUND} (default 2)")
 
     p = sub.add_parser("blowup", help="blow-up pipeline at the degenerate point")
     common(p)
@@ -257,8 +260,8 @@ def _check_numbers(args) -> None:
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"--tol must be a finite number > 0, got {tol!r}")
     bound = getattr(args, "bound", None)
-    if bound is not None and bound < 1:
-        raise UsageError(f"--bound must be at least 1, got {bound}")
+    if bound is not None and not 1 <= bound <= MAX_BOUND:
+        raise UsageError(f"--bound must be from 1 to {MAX_BOUND}, got {bound}")
 
 
 def _dispatch(args) -> int:

@@ -45,7 +45,10 @@ def _ratio(v) -> tuple[int, int]:
 
 
 class GaussianRational:
-    """A number (a + b*i)/d with integers a, b and d > 0 in lowest terms."""
+    """A number (a + b*i)/d with integers a, b and d > 0 in lowest terms.
+
+    It is no :class:`~threewave.records.Record`: the exact kernel builds one
+    per coefficient operation, which sets its three slots directly."""
 
     __slots__ = ("_a", "_b", "_d")
 

@@ -2,9 +2,11 @@
 
 A chart is a named copy of C^3 with three state symbols; all charts of one
 analysis session live in a single shared symbol table together with the
-parameters. A :class:`ChartMap` carries both directions of a birational map
-and *proves itself* at construction by composing them symbolically -- a map
-that is not exactly invertible is rejected at load time, not at use time.
+parameters. Charts and the vector fields on them are records
+(:mod:`threewave.records`), equal by value. A :class:`ChartMap` carries both
+directions of a birational map and *proves itself* at construction by
+composing them symbolically -- a map that is not exactly invertible is
+rejected at load time, not at use time.
 The composites' denominators are kept as a certificate, which decides the
 map at parameter values without composing again.
 
@@ -56,10 +58,10 @@ class Chart(Record):
         return self.vars.index(sym)
 
 
-class VectorField:
+class VectorField(Record):
     """An autonomous rational vector field attached to a chart."""
 
-    __slots__ = ("chart", "components", "__weakref__")
+    __slots__ = ("chart", "components")  # Chart, three RationalFns on one table
 
     def __init__(self, chart: Chart, components: Sequence[RationalFn]):
         comps = tuple(components)
@@ -72,11 +74,7 @@ class VectorField:
         for s in chart.vars:
             if s not in table:
                 raise ValueError(f"chart variable {s.name!r} missing from component table")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
+        Record.__init__(self, chart, comps)
 
     @property
     def table(self) -> SymbolTable:
@@ -96,18 +94,6 @@ class VectorField:
     def retable(self, new_table: SymbolTable) -> "VectorField":
         return VectorField(self.chart, [c.retable(new_table) for c in self.components])
 
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.chart, self.components))
-
-    def __repr__(self):
-        comps = ", ".join(c.text() for c in self.components)
-        return f"VectorField[{self.chart.name}]({comps})"
-
 
 class ChartMap:
     """A birational map between charts, verified invertible at construction.
@@ -116,7 +102,9 @@ class ChartMap:
     verification, as polynomial functions (each composite component is x*D
     over D): a specialization that leaves every D nonzero is invertible
     without composing again. ``pushed`` keeps the fields pushed through the
-    map (:meth:`push`), so they are freed with it.
+    map (:meth:`push`), so they are freed with it. A map is no
+    :class:`~threewave.records.Record`: it equals only itself, and ``pushed``
+    grows.
     """
 
     __slots__ = ("source", "target", "forward", "inverse", "certificate", "pushed")

@@ -10,9 +10,10 @@ threshold it is mapped through the atlas and continued in the chart where its no
 smallest -- that is what carries a trajectory straight through a movable pole. Chart
 transitions go through the base chart, which is harmless because switches happen while
 every representation is still O(10). :class:`NumericAtlas` compiles, at exactly bound
-parameter values, each map to a straight-line function and each pushed field to a
-coefficient recurrence that builds a monomial as the product of two built before it.
-They do the same float operations in the same order as ``tests/oracles.py``.
+parameter values, each map and each pole chart's Laurent tail to one straight-line function
+(:func:`compile_values`) and each pushed field to a coefficient recurrence that builds a
+monomial as the product of two built before it. They do the same float operations in
+the same order as ``tests/oracles.py``.
 
 :func:`fit_pole` reads a movable pole off a Taylor series in the chart that resolves it;
 :func:`monodromy_check` reports how far a closed loop ends from its start (small: single-valued).
@@ -31,6 +32,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .errors import AnalysisFailed, FitAmbiguous, StepUnderflow
 from .gaussian import GaussianRational
 from .geometry import ChartMap, VectorField
+from .ratfunc import RationalFn
 
 SWITCH_THRESHOLD = 10.0
 SWITCH_GAIN = 4.0
@@ -143,21 +145,16 @@ def _code(source: str):
     return compile(source, "<string>", "exec")
 
 
-def compile_poly(poly, var_names: Sequence[str]) -> Callable[[complex, complex, complex], complex]:
-    consts: dict = {}
-    return _function(_sum_source(poly, var_names, "s", consts, set()), "s", consts)
-
-
-def compile_triple(rfs, var_names):
-    """One function of a, b, c returning the three rational functions ``rfs``, evaluated in
-    turn, each numerator before its denominator; a power is computed once for all six."""
+def compile_values(rfs, var_names):
+    """One function of a, b, c returning the tuple of the rational functions ``rfs``, evaluated
+    in turn, each numerator before its denominator; a power is computed once for all of them."""
     consts, lines, powers = {}, [], set()
     for i, rf in enumerate(rfs):
         lines += _sum_source(rf.num, var_names, f"s{i}", consts, powers)
         if not rf.is_polynomial():  # a reduced denominator is monic: a polynomial's is 1
             lines += _sum_source(rf.den, var_names, f"d{i}", consts, powers)
             lines.append(f"s{i} /= d{i}")
-    return _function(lines, "(s0, s1, s2)", consts)
+    return _function(lines, "(" + "".join(f"s{i}, " for i in range(len(rfs))) + ")", consts)
 
 
 def _product_chain(monomials) -> dict:
@@ -221,7 +218,8 @@ class PoleChart(NamedTuple):
     its boundary coordinate: a pole of the base chart is a point of x_b = 0."""
 
     slot: int  # position of x_b among the chart variables
-    terms: tuple  # per component, (-k, Laurent coefficient of x_b^k) for rising k
+    orders: tuple  # per component, -k per Laurent coefficient of x_b^k, for rising k
+    tail: Callable  # of the chart's coordinates: every Laurent coefficient, in that order
 
 
 def _pole_chart(cmap: ChartMap, tvars: Sequence[str]) -> PoleChart | None:
@@ -229,11 +227,12 @@ def _pole_chart(cmap: ChartMap, tvars: Sequence[str]) -> PoleChart | None:
     if b is None:
         return None
     try:
-        tails = [rf.laurent(b) for rf in cmap.inverse]
+        tails = [sorted(rf.laurent(b).items()) for rf in cmap.inverse]
     except ValueError:  # some denominator is not a power of x_b
         return None
-    terms = tuple(tuple((-k, compile_poly(tail[k], tvars)) for k in sorted(tail)) for tail in tails)
-    return PoleChart(cmap.target.vars.index(b), terms)
+    coefficients = [RationalFn.from_poly(c) for tail in tails for _, c in tail]
+    return PoleChart(cmap.target.vars.index(b), tuple(tuple(-k for k, _ in tail) for tail in tails),
+                     compile_values(coefficients, tvars))
 
 
 class NumericAtlas:
@@ -275,8 +274,8 @@ class NumericAtlas:
             tvars = tuple(s.name for s in cmap.target.vars)
             try:
                 self.series[name] = compile_series(w.components, tvars)
-                self.to_base[name] = compile_triple(cmap.inverse, tvars)
-                self.from_base[name] = compile_triple(cmap.forward, base_vars)
+                self.to_base[name] = compile_values(cmap.inverse, tvars)
+                self.from_base[name] = compile_values(cmap.forward, base_vars)
                 if pole := _pole_chart(cmap, tvars):
                     self.poles[name] = pole
             except ValueError as exc:
@@ -473,7 +472,7 @@ def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
     if not near:
         raise FitAmbiguous("no point of the segment lies in a chart with a boundary coordinate")
     _, _, t, y, chart = min(near)  # the first of equal |x_b|
-    (slot, terms), series = atlas.poles[chart], atlas.series[chart]
+    (slot, orders, tail), series = atlas.poles[chart], atlas.series[chart]
     diverged = f"Newton steps on the boundary coordinate of {chart} do not converge"
     try:
         tau, disc, coeffs = 0j, 0.0, None
@@ -496,9 +495,9 @@ def fit_pole(points: Sequence[TrajectoryPoint], atlas: NumericAtlas) -> PoleFit:
         else:
             raise FitAmbiguous(diverged)
         t, y = t + tau, tuple(_horner(xs, tau)[0] for xs in coeffs)
-        exponents, leading = [], []
-        for component in terms:
-            values = [(m, c(*y)) for m, c in component]
+        exponents, leading, coefficients = [], [], iter(tail(*y))
+        for component in orders:
+            values = [(m, next(coefficients)) for m in component]
             scale = max((abs(v) for _, v in values), default=0.0)
             m, v = next(((m, v) for m, v in values if abs(v) > _VANISHING * scale), (0, 0j))
             exponents.append(m)

@@ -89,6 +89,10 @@ def _drop_zeros(terms: dict) -> dict:
 
 
 class MultiPoly:
+    """A sparse polynomial over one symbol table. It is no
+    :class:`~threewave.records.Record`: arithmetic builds one on the hot path
+    from packed keys, and its hash and text are cached on first use."""
+
     # _terms maps packed keys to nonzero coefficients; _view, _hash and _text
     # are filled on first use
     __slots__ = ("table", "_lay", "_terms", "_view", "_hash", "_text")

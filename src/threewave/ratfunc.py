@@ -37,6 +37,10 @@ from .symbols import Symbol, SymbolTable
 
 
 class RationalFn:
+    """A reduced fraction num/den of polynomials on one table. It is no
+    :class:`~threewave.records.Record`: arithmetic builds one on the hot
+    path, which sets its two slots directly."""
+
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None, _reduced: bool = False):

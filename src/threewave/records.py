@@ -1,10 +1,12 @@
 """Immutable value records whose methods are written once, here.
 
 A record class lists its fields in ``__slots__``, in constructor order, and
-the defaults of trailing fields in ``_defaults``. :class:`Record` gives each
-such class a constructor taking the fields by position or by name,
-immutability, equality and hashing by the tuple of field values (a record
-equals only records of its own class), and a ``Name(field=value, ...)``
+the defaults of trailing fields in ``_defaults``. A slot whose name starts
+with ``_`` holds a value derived from the fields, which the class's own
+constructor sets; it is no field. :class:`Record` gives each such class a
+constructor taking the fields by position or by name, immutability,
+equality and hashing by the tuple of field values (a record equals only
+records of its own class), weak references, and a ``Name(field=value, ...)``
 repr. A dataclass compiles these methods afresh for every class at every
 import, and no bytecode cache keeps them; a record class costs no more to
 import than any other class.
@@ -21,8 +23,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__slots__)
-        # each slot's own setter, which bypasses the refusing __setattr__
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # each field's own setter, which bypasses the refusing __setattr__
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs):

@@ -4,7 +4,9 @@ A symbol is a named unknown, either a ``state`` variable (a phase-space or
 chart coordinate) or a ``parameter`` (a constant of the system, an ansatz
 coefficient, an eigenvalue unknown...). A symbol table is an immutable ordered
 tuple of symbols; the position of a symbol fixes its slot in every exponent
-vector and its weight in the graded-lexicographic monomial order.
+vector and its weight in the graded-lexicographic monomial order. Both are
+records (:class:`~threewave.records.Record`): a table's one field is its
+tuple of symbols, and its index by name is derived from it.
 
 Tables only grow: :meth:`SymbolTable.extend` returns a fresh table with the
 new symbols appended, so exponent vectors of existing polynomials stay valid
@@ -51,21 +53,18 @@ def parameter(name: str) -> Symbol:
     return Symbol(name, PARAMETER)
 
 
-class SymbolTable:
+class SymbolTable(Record):
     """Immutable ordered collection of symbols with unique names."""
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_index")  # a tuple of Symbols; derived: name -> position
 
     def __init__(self, symbols: Iterable[Symbol]):
         syms = tuple(symbols)
-        names = [s.name for s in syms]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate symbol names in table: {names}")
-        object.__setattr__(self, "symbols", syms)
-        object.__setattr__(self, "_index", {s.name: k for k, s in enumerate(syms)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolTable is immutable")
+        index = {s.name: k for k, s in enumerate(syms)}
+        if len(index) != len(syms):
+            raise ValueError(f"duplicate symbol names in table: {[s.name for s in syms]}")
+        Record.__init__(self, syms)
+        SymbolTable._index.__set__(self, index)
 
     def __len__(self):
         return len(self.symbols)
@@ -97,13 +96,7 @@ class SymbolTable:
     def parameters(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self.symbols if s.kind == PARAMETER)
 
-    def __eq__(self, other):
-        return isinstance(other, SymbolTable) and self.symbols == other.symbols
-
-    def __hash__(self):
-        return hash(self.symbols)
-
-    def __repr__(self):
+    def __repr__(self):  # the names only: SymbolTableMismatch messages print it
         return f"SymbolTable({', '.join(s.name for s in self.symbols)})"
 
 

@@ -35,19 +35,11 @@ from .poly import MultiPoly
 from .ratfunc import RationalFn, pole_coefficients, substitute
 from .records import Record
 
-# monomial basis per component: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
-MONOMIAL_EXPONENTS = (
-    (0, 0, 0),
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
-    (2, 0, 0),
-    (1, 1, 0),
-    (1, 0, 1),
-    (0, 2, 0),
-    (0, 1, 1),
-    (0, 0, 2),
-)
+# monomial basis per component, by rising degree, each degree from the
+# largest exponents down: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2
+MONOMIAL_EXPONENTS = tuple(sorted(
+    ((a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2),
+    key=lambda e: (sum(e), [-x for x in e])))
 
 
 class ConstraintSystem(Record):

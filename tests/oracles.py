@@ -373,9 +373,10 @@ def reference_poly(poly, var_names):
     return ev
 
 
-def reference_triple(rfs, var_names):
-    """Three rational functions evaluated in turn, each numerator before its
-    denominator (a polynomial's denominator is 1 and is not evaluated)."""
+def reference_values(rfs, var_names):
+    """The tuple of the rational functions ``rfs``, evaluated in turn, each
+    numerator before its denominator (a polynomial's denominator is 1 and is
+    not evaluated)."""
     fns = []
     for rf in rfs:
         num = reference_poly(rf.num, var_names)
@@ -499,15 +500,15 @@ def reference_taylor_step(series, y, scale, direction, h, order, reach):
 def reference_atlas(v: VectorField, maps) -> dict:
     """Per chart of ``maps``, in their order: the ``reference_series`` of the
     pushed field, and the map to the base chart and the map from it, each a
-    ``reference_triple``."""
+    ``reference_values``."""
     base_vars = [s.name for s in v.chart.vars]
     out = {}
     for cmap in maps:
         tvars = [s.name for s in cmap.target.vars]
         out[cmap.target.name] = (
             reference_series(cmap.push(v).components, tvars),
-            reference_triple(cmap.inverse, tvars),
-            reference_triple(cmap.forward, base_vars),
+            reference_values(cmap.inverse, tvars),
+            reference_values(cmap.forward, base_vars),
         )
     return out
 
@@ -650,7 +651,7 @@ def reference_fit_pole(points, atlas):
         raise FitAmbiguous("no point lies in a chart with a boundary coordinate")
     point = points[min(near)[1]]
     t, y = point.t, point.state
-    (slot, terms), series = atlas.poles[point.chart], atlas.series[point.chart]
+    (slot, orders, tail), series = atlas.poles[point.chart], atlas.series[point.chart]
     order = max(2, math.ceil(-math.log(rounding) / 2) + 1)
     reach = numerics.STEP_SAFETY * rounding ** (1 / order)
     try:
@@ -675,9 +676,9 @@ def reference_fit_pole(points, atlas):
             t += dt
         else:
             raise FitAmbiguous("diverged")
-        exponents, leading = [], []
-        for component in terms:
-            values = [(m, c(*y)) for m, c in component]
+        exponents, leading, coefficients = [], [], iter(tail(*y))
+        for component in orders:
+            values = [(m, next(coefficients)) for m in component]
             scale = max((abs(v) for _, v in values), default=0.0)
             m, v = next(((m, v) for m, v in values if abs(v) > numerics._VANISHING * scale), (0, 0j))
             exponents.append(m)

@@ -540,6 +540,20 @@ def test_help_prints_the_usage_and_returns_0(capsys):
     assert "painleve" in captured.out
 
 
+@pytest.mark.parametrize("bound", [cli.MAX_BOUND + 1, 10**11])
+def test_a_bound_above_the_ceiling_is_a_usage_error(capsys, bound):
+    # the search walks (2 * bound + 1)^3 pole-order triples: at 10^11 building
+    # the range ran out of memory, and bounds below that ran for hours
+    assert run(["painleve", "--system", "three-wave", "--bound", str(bound)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --bound must be from 1 to {cli.MAX_BOUND}, got {bound}\n"
+    # the ceiling itself passes the check, and the help states it
+    cli._check_numbers(cli.build_parser().parse_args(["painleve", "--bound", str(cli.MAX_BOUND)]))
+    assert run(["painleve", "--help"]) == 0
+    assert f"1 to {cli.MAX_BOUND}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [["nosuch"], ["painleve", "--bound", "x"]])
 def test_bad_arguments_return_2_without_a_traceback(capsys, argv):
     assert run(argv) == 2

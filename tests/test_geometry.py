@@ -21,7 +21,7 @@ from threewave.geometry import (
     power_scaled_chart,
     pushforward,
 )
-from threewave.numerics import compile_triple
+from threewave.numerics import compile_values
 from threewave.parsing import parse_expr
 from threewave.ratfunc import RationalFn, specialize_all, vanishes
 from threewave.symbols import table
@@ -222,10 +222,10 @@ def test_numeric_chain_rule_spot_check():
         )
         w = pushforward(v, cmap)
         source, target = [s.name for s in cmap.source.vars], [s.name for s in cmap.target.vars]
-        forward, field = compile_triple(cmap.forward, source), compile_triple(v.components, source)
-        jac = [compile_triple([f.derivative(s) for s in cmap.source.vars], source)
+        forward, field = compile_values(cmap.forward, source), compile_values(v.components, source)
+        jac = [compile_values([f.derivative(s) for s in cmap.source.vars], source)
                for f in cmap.forward]
-        pushed = compile_triple(w.components, target)
+        pushed = compile_values(w.components, target)
         for _ in range(5):
             pt = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3)) for _ in range(3)]
             vvals = field(*pt)

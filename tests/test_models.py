@@ -14,7 +14,7 @@ from threewave.errors import DenominatorVanishes
 from threewave.gaussian import GaussianRational, gr
 from threewave.geometry import ChartMap, jacobian_determinant, pushforward
 from threewave.parsing import parse_expr, render_model
-from threewave.numerics import NumericAtlas, TrajectoryPoint, compile_triple, integrate
+from threewave.numerics import NumericAtlas, TrajectoryPoint, compile_values, integrate
 from threewave.ratfunc import RationalFn, specialize_all, substitute
 
 
@@ -175,7 +175,7 @@ def test_s_fixed_point_numerically():
 
     def s_at(values):
         bindings = {s.table.get(n): GaussianRational(Fraction(q)) for n, q in values.items()}
-        return compile_triple(specialize_all(s.state, bindings), names)
+        return compile_values(specialize_all(s.state, bindings), names)
 
     point = (0.8 + 0.1j, 1.7 - 0.2j, -0.6 + 0.05j)
     twice = s_at(swapped)(*s_at(alphas)(*point))

@@ -10,7 +10,7 @@ import pytest
 from oracles import (
     RECIPROCAL_MODEL, UNITS, greedy_split_chain, last_variable_chain, reference_fit_pole,
     reference_monodromy, reference_poly, reference_series, reference_taylor, reference_taylor_step,
-    reference_triple,
+    reference_values,
 )
 from threewave import geometry, models, numerics
 from threewave.errors import FitAmbiguous, StepUnderflow
@@ -20,9 +20,8 @@ from threewave.numerics import (
     NumericAtlas,
     TrajectoryPoint,
     _taylor_step,
-    compile_poly,
     compile_series,
-    compile_triple,
+    compile_values,
     fit_pole,
     integrate,
     monodromy_check,
@@ -71,8 +70,8 @@ def test_numeric_atlas_binds_parameters_exactly(kind, params):
             for table in ("to_base", "from_base"):
                 assert getattr(atlas, table)[chart](*state) == getattr(bound, table)[chart](*state)
             if chart in atlas.poles:
-                for got, want in zip(atlas.poles[chart].terms, bound.poles[chart].terms):
-                    assert [(m, c(*state)) for m, c in got] == [(m, c(*state)) for m, c in want]
+                got, want = atlas.poles[chart], bound.poles[chart]
+                assert got.orders == want.orders and got.tail(*state) == want.tail(*state)
     with pytest.raises(KeyError, match="no numeric value"):
         NumericAtlas(models.system_field(kind), models.resolved_atlas(kind),
                      dict(list(params.items())[1:]), require_polynomial=False)
@@ -752,12 +751,18 @@ def _same_outcomes(got, want, calls) -> set:
     return kinds
 
 
+def _alone(poly):
+    """``poly`` as the one rational function of ``compile_values``."""
+    return [RationalFn.from_poly(poly)]
+
+
 def test_compiled_poly_is_bit_identical_to_the_term_loop():
     rng = random.Random(31)
     kinds = set()
     for _ in range(200):
         poly = _random_sparse_poly(rng)
-        kinds |= _same_outcomes(compile_poly(poly, KERNEL_VARS), reference_poly(poly, KERNEL_VARS),
+        kinds |= _same_outcomes(compile_values(_alone(poly), KERNEL_VARS),
+                                reference_values(_alone(poly), KERNEL_VARS),
                                 [_random_point(rng) for _ in range(10)])
     assert kinds == {"value", OverflowError}
 
@@ -767,7 +772,7 @@ def test_compiled_triple_is_bit_identical_to_the_reference():
     kinds = set()
     for _ in range(120):
         rfs = _random_triple(rng, 4)
-        kinds |= _same_outcomes(compile_triple(rfs, KERNEL_VARS), reference_triple(rfs, KERNEL_VARS),
+        kinds |= _same_outcomes(compile_values(rfs, KERNEL_VARS), reference_values(rfs, KERNEL_VARS),
                                 [_random_point(rng) for _ in range(10)])
     assert kinds == {"value", OverflowError, ZeroDivisionError}
 
@@ -789,12 +794,12 @@ def test_each_power_is_computed_once_per_function(monkeypatch):
     sources = []
     real = numerics._code
     monkeypatch.setattr(numerics, "_code", lambda source: sources.append(source) or real(source))
-    fn = compile_triple(rfs, KERNEL_VARS)
+    fn = compile_values(rfs, KERNEL_VARS)
     raised = re.findall(r"\b([abc])\*\*(\d+)", sources[-1])
     assert sorted(raised) == [("a", "2"), ("a", "3"), ("b", "1"), ("c", "1"), ("c", "2")]
     rng = random.Random(37)
     points = [(0j, 0j, 1 + 0j), (complex(math.inf, 0), 1 + 0j, 1 + 0j)]  # a vanishing denominator; an overflow
-    kinds = _same_outcomes(fn, reference_triple(rfs, KERNEL_VARS), points + [_random_point(rng) for _ in range(100)])
+    kinds = _same_outcomes(fn, reference_values(rfs, KERNEL_VARS), points + [_random_point(rng) for _ in range(100)])
     assert kinds == {"value", OverflowError, ZeroDivisionError}
 
 
@@ -807,8 +812,8 @@ def test_a_power_is_raised_where_it_is_first_read():
         RationalFn.from_poly(_kernel_poly({(0, 0, 0): 1})),
     ]
     point = (0j, 1e200 + 0j, 1 + 0j)
-    assert _outcome(reference_triple(rfs, KERNEL_VARS), *point) is ZeroDivisionError
-    assert _outcome(compile_triple(rfs, KERNEL_VARS), *point) is ZeroDivisionError
+    assert _outcome(reference_values(rfs, KERNEL_VARS), *point) is ZeroDivisionError
+    assert _outcome(compile_values(rfs, KERNEL_VARS), *point) is ZeroDivisionError
 
 
 def _finite(value) -> bool:
@@ -872,11 +877,11 @@ def test_compiled_code_is_shared_by_structure_and_keeps_its_coefficients():
     for _ in range(60):
         poly = _random_sparse_poly(rng, huge=False)
         other = poly.map_coefficients(lambda c: c * GaussianRational(2, -1))
-        f, g = compile_poly(poly, KERNEL_VARS), compile_poly(other, KERNEL_VARS)
+        f, g = compile_values(_alone(poly), KERNEL_VARS), compile_values(_alone(other), KERNEL_VARS)
         assert f.__code__ is g.__code__
         points = [_random_point(rng) for _ in range(10)]
-        _same_outcomes(f, reference_poly(poly, KERNEL_VARS), points)
-        _same_outcomes(g, reference_poly(other, KERNEL_VARS), points)
+        _same_outcomes(f, reference_values(_alone(poly), KERNEL_VARS), points)
+        _same_outcomes(g, reference_values(_alone(other), KERNEL_VARS), points)
         # so do the series of fields, at every order
         rfs = [RationalFn.from_poly(poly), RationalFn.from_poly(other), RationalFn.from_poly(poly)]
         twice = [rf.num.map_coefficients(lambda c: 2 * c) for rf in rfs]
@@ -988,12 +993,12 @@ def test_compiled_functions_do_not_depend_on_term_order():
         poly = _random_sparse_poly(rng, 8, huge=False)
         points = [_random_point(rng) for _ in range(10)]
         assert _reordered(poly) == poly
-        _same_outcomes(compile_poly(_reordered(poly), KERNEL_VARS), compile_poly(poly, KERNEL_VARS),
-                       points)
+        _same_outcomes(compile_values(_alone(_reordered(poly)), KERNEL_VARS),
+                       compile_values(_alone(poly), KERNEL_VARS), points)
         rfs = _random_triple(rng, 4)
         flipped = [RationalFn(_reordered(rf.num), _reordered(rf.den), _reduced=True) for rf in rfs]
         assert flipped == rfs
-        _same_outcomes(compile_triple(flipped, KERNEL_VARS), compile_triple(rfs, KERNEL_VARS), points)
+        _same_outcomes(compile_values(flipped, KERNEL_VARS), compile_values(rfs, KERNEL_VARS), points)
 
 
 def test_long_polynomial_compiles():
@@ -1004,7 +1009,30 @@ def test_long_polynomial_compiles():
     poly = MultiPoly(KERNEL_TABLE, terms)
     assert poly.term_count() == 1000
     point = (0.9 - 0.2j, -0.7 + 0.5j, 0.3 + 0.95j)
-    assert repr(compile_poly(poly, KERNEL_VARS)(*point)) == repr(reference_poly(poly, KERNEL_VARS)(*point))
+    assert (repr(compile_values(_alone(poly), KERNEL_VARS)(*point))
+            == repr(reference_values(_alone(poly), KERNEL_VARS)(*point)))
     rfs = [RationalFn.from_poly(poly)] * 3
-    assert (repr(compile_triple(rfs, KERNEL_VARS)(*point))
-            == repr(reference_triple(rfs, KERNEL_VARS)(*point)))
+    assert (repr(compile_values(rfs, KERNEL_VARS)(*point))
+            == repr(reference_values(rfs, KERNEL_VARS)(*point)))
+
+
+def test_each_pole_chart_reads_its_laurent_tail_in_one_function(modified_zero, three_wave_20):
+    # one compiled function per pole chart returns every Laurent coefficient of
+    # its inverse map, component by component in rising powers of x_b, each
+    # bit for bit the term loop of that coefficient alone
+    rng = random.Random(48)
+    kinds, charts = set(), 0
+    for _, maps, atlas in (modified_zero, three_wave_20):
+        for cmap in maps:
+            pole = atlas.poles.get(cmap.target.name)
+            if pole is None:
+                continue
+            charts += 1
+            assert callable(pole.tail) and pole.tail.__name__ == "ev"
+            tvars = [s.name for s in cmap.target.vars]
+            tails = [sorted(rf.laurent(cmap.target.boundary).items()) for rf in cmap.inverse]
+            assert pole.orders == tuple(tuple(-k for k, _ in tail) for tail in tails)
+            refs = [reference_poly(c, tvars) for tail in tails for _, c in tail]
+            kinds |= _same_outcomes(pole.tail, lambda a, b, c: tuple(ref(a, b, c) for ref in refs),
+                                    [_random_point(rng) for _ in range(60)])
+    assert charts == 6 and kinds == {"value", OverflowError}

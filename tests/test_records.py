@@ -2,12 +2,12 @@ import weakref
 
 import pytest
 
-from threewave.geometry import Chart
+from threewave.geometry import Chart, VectorField
 from threewave.numerics import TrajectoryPoint
 from threewave.ratfunc import RationalFn
 from threewave.records import Record
 from threewave.singular import AccessiblePoint, Balance
-from threewave.symbols import Symbol, table
+from threewave.symbols import Symbol, SymbolTable, table
 
 T = table("x", "y", "z", "a:parameter")
 X, Y, Z, A = T.symbols
@@ -36,6 +36,13 @@ class Triple(Record):
 CASES = {
     "Symbol": (Symbol("a", "parameter"), Symbol(name="a", kind="parameter"), Symbol("a"), "name"),
     "Chart": (CHART, Chart("U1", (X, Y, Z), X), Chart("U1", (X, Y, Z)), "boundary"),
+    "SymbolTable": (T, SymbolTable(iter([X, Y, Z, A])), table("x", "y", "z"), "symbols"),
+    "VectorField": (
+        VectorField(CHART, (_one(0), _one(1), _one(2))),
+        VectorField(CHART, [_one(0), _one(1), _one(2)]),
+        VectorField(CHART, (_one(0), _one(1), _one(3))),
+        "components",
+    ),
     "AccessiblePoint": (
         AccessiblePoint(CHART, (_one(0), _one(1), _one(2))),
         AccessiblePoint(chart=CHART, coords=(_one(0), _one(1), _one(2)), multiplicity=1),
@@ -69,6 +76,22 @@ def test_records_compare_and_hash_by_value_and_refuse_assignment(name):
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert getattr(record, field) is before
+
+
+# a NamedTuple is a tuple, which takes no weak reference
+@pytest.mark.parametrize("name", [name for name in CASES if name != "TrajectoryPoint"])
+def test_records_may_be_weakly_referenced(name):
+    record = CASES[name][0]
+    assert weakref.ref(record)() is record
+
+
+def test_a_symbol_tables_name_index_is_derived_and_no_field():
+    assert SymbolTable._fields == ("symbols",) and T.index("z") == 2 and T.get("w") is None
+    assert repr(T) == "SymbolTable(x, y, z, a)"
+    with pytest.raises(AttributeError):
+        T._index = {}
+    with pytest.raises(ValueError, match="duplicate symbol names"):
+        SymbolTable([X, Symbol("x")])
 
 
 def test_a_record_equals_only_records_of_its_own_class():

@@ -18,7 +18,7 @@ from threewave.geometry import (
     Chart, ChartMap, VectorField, det3, holomorphy_obstructions, log_pole_decomposition,
     power_scaled_chart, pushforward,
 )
-from threewave.numerics import compile_triple
+from threewave.numerics import compile_values
 from threewave.poly import MultiPoly
 from threewave.ratfunc import RationalFn, substitute, value_at
 from threewave.singular import (
@@ -967,8 +967,8 @@ def test_blow_up_map_round_trip_numeric():
     cmap = piece.cmap
     assert [s.name for s in cmap.source.vars] == ["XW", "YW", "ZW"]
     pt = (0.37 + 0.1j, 1.9, -0.55)
-    forward = compile_triple(cmap.forward, [s.name for s in cmap.source.vars])
-    back = compile_triple(cmap.inverse, [s.name for s in cmap.target.vars])(*forward(*pt))
+    forward = compile_values(cmap.forward, [s.name for s in cmap.source.vars])
+    back = compile_values(cmap.inverse, [s.name for s in cmap.target.vars])(*forward(*pt))
     for value, want in zip(back, pt):
         assert abs(value - want) < 1e-12
 
