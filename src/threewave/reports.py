@@ -21,6 +21,7 @@ from .singular import (
     AccessiblePoint,
     AccessibleScan,
     balance_search,
+    chart_form,
     chart_scan,
     classify_alpha_matrix,
     index_of_linear_part,
@@ -72,9 +73,9 @@ def scan_charts(system) -> dict[str, ChartMap | None]:
     return out
 
 
-def scan_chart(system, params, chart_name: str) -> tuple[VectorField, AccessibleScan]:
-    """The system's field on one chart of ``scan_charts`` at ``params``, and
-    its accessible points there."""
+def scan_chart(system, params, chart_name: str) -> AccessibleScan:
+    """The accessible points of the system's field on one chart of
+    ``scan_charts`` at ``params``."""
     m = models.model(system)
     charts = scan_charts(m)
     if chart_name not in charts:
@@ -83,14 +84,30 @@ def scan_chart(system, params, chart_name: str) -> tuple[VectorField, Accessible
 
 
 def singularities_report(system, params=None, charts: Sequence[str] | None = None) -> dict:
-    """Accessible points per chart, plus the deduplicated projective census."""
+    """Accessible points per chart, plus the deduplicated projective census;
+    a fresh copy of the report kept with every parameter symbolic."""
     m = models.model(system)
+    charts = tuple(charts) if charts else tuple(scan_charts(m))
+    return _fresh(_singularities(m, params, charts))
+
+
+def _fresh(value):
+    """A copy of a JSON-ready value in which every dict and list is new."""
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fresh(v) for v in value]
+    return value
+
+
+@models.per_point
+def _singularities(m: ModelFile, params, charts: tuple[str, ...]) -> dict:
+    """The body of :func:`singularities_report` for the charts ``charts``."""
     known = scan_charts(m)
-    charts = tuple(charts) if charts else tuple(known)
     per_chart = {}
     census: dict[str, dict] = {}
     for name in charts:
-        _, scan = scan_chart(m, params, name)
+        scan = scan_chart(m, params, name)
         per_chart[name] = {
             "points": [_point_dict(p) for p in scan.points],
             "residual_branches": list(scan.residuals),
@@ -133,24 +150,25 @@ def _chart_labels(
         cmap = scan_charts(system).get(chart)
         if cmap is None:
             return {}
-    v, scan = chart_scan(system, params, cmap)
+    scan = chart_scan(system, params, cmap)
+    v, form = chart_form(system, params, cmap)
     out = {}
     if chart == "U1":
         zeros = [p for p in scan.points if all(c.is_zero() for c in p.coords)]
         others = [p for p in scan.points if p not in zeros]
         if zeros:
-            out["P1"] = (v, scan.form, zeros[0])
+            out["P1"] = (v, form, zeros[0])
         # sort the pair off the origin by the sign of the imaginary part (i first)
         others.sort(key=lambda p: p.coords[1].text(), reverse=True)
         for label, p in zip(("P2", "P3"), others):
-            out[label] = (v, scan.form, p)
+            out[label] = (v, form, p)
     elif chart == "U3":
         for p in scan.points:
             if all(c.is_zero() for c in p.coords):
-                out["P4"] = (v, scan.form, p)
+                out["P4"] = (v, form, p)
     else:
         for p in scan.points:
-            out["P4_1" if p.coords[2].is_zero() else "P4_2"] = (v, scan.form, p)
+            out["P4_1" if p.coords[2].is_zero() else "P4_2"] = (v, form, p)
     return out
 
 

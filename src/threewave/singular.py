@@ -9,8 +9,11 @@ divisor gets resolved:
    they are finitely many exactly when those two components share no factor
    in the divisor's coordinates, which one gcd decides; the points depend
    only on the chart and those two components restricted to the divisor,
-   so each distinct restriction is solved and certified once per model
-   (a model chart is scanned by one helper, :func:`chart_scan`),
+   so each distinct restriction is solved and certified once per model.
+   A field of the model with every parameter symbolic keeps its restricted
+   pair, and a parameter point specializes that pair and solves it
+   (:func:`scan_at`) without specializing the field; a model chart is
+   scanned by one helper, :func:`chart_scan`,
 2. :func:`linear_part` reads each point's linear part off the scan's
    log-pole form, and :func:`index_of_linear_part` its eigenvalue data, which
    classifies the point and predicts how many blow-ups are needed,
@@ -49,8 +52,8 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import (
-    AnalysisFailed, DenominatorVanishes, PositiveDimensional, ThreeWaveError, UnresolvedSpectrum,
-    VerificationFailed,
+    AnalysisFailed, DenominatorVanishes, PoleTooHigh, PositiveDimensional, ThreeWaveError,
+    UnresolvedSpectrum, VerificationFailed,
 )
 from .gaussian import GaussianRational
 from .geometry import (
@@ -81,10 +84,9 @@ class AccessiblePoint(Record):
 
 
 class AccessibleScan(Record):
-    """Search result: verified points plus any unresolved residual branches,
-    and the field's log-pole form they were found on."""
+    """Search result: verified points plus any unresolved residual branches."""
 
-    __slots__ = ("points", "residuals", "form")  # AccessiblePoints, strs, LogPoleForm
+    __slots__ = ("points", "residuals")  # AccessiblePoints, strs
 
 
 def find_accessible(system, v: VectorField) -> AccessibleScan:
@@ -99,22 +101,72 @@ def find_accessible(system, v: VectorField) -> AccessibleScan:
     The points depend only on the chart and that restricted pair, so each
     distinct pair is solved and certified once per model (:func:`_boundary_points`).
     """
-    chart = v.chart
-    lp = log_pole_decomposition(v)
+    pair = _restricted_pair(v, log_pole_decomposition(v))
+    return AccessibleScan(*_boundary_points(system, v.chart, pair))
+
+
+def _restricted_pair(v: VectorField, lp: LogPoleForm) -> tuple:
+    """The transverse polynomials of ``lp``, the log-pole form of ``v``,
+    restricted to the boundary divisor, with their variables:
+    ((u, gu), (w, gw))."""
     syms, gs = zip(*lp.transverse)
-    on_divisor = compose(gs, {v.table.index(chart.boundary): GaussianRational(0)}, v.table)
-    points, residuals = _boundary_points(system, chart, tuple(zip(syms, on_divisor)))
-    return AccessibleScan(points, residuals, lp)
+    on_divisor = compose(gs, {v.table.index(v.chart.boundary): GaussianRational(0)}, v.table)
+    return tuple(zip(syms, on_divisor))
+
+
+@per_model
+def _kept_form(m: ModelFile, v: VectorField) -> tuple[LogPoleForm, tuple] | None:
+    """The log-pole form of ``v``, a field of the model with every parameter
+    symbolic, and its restricted pair (:func:`_restricted_pair`); None where
+    the form raises (a pole beyond the log pole, or no boundary), so that a
+    point computes both from its specialized field."""
+    try:
+        lp = log_pole_decomposition(v)
+    except (PoleTooHigh, ValueError):
+        return None
+    return lp, _restricted_pair(v, lp)
+
+
+def scan_at(m: ModelFile, v: VectorField, bindings) -> AccessibleScan:
+    """The accessible points of ``v``, a field of the model with every
+    parameter symbolic, at ``bindings``: its kept restricted pair
+    (:func:`_kept_form`) specialized in one composition and solved.
+
+    Where the symbolic log-pole form exists, its denominators are powers of
+    the boundary variable, of order at most 1, so each transverse polynomial
+    num * x^(1 - order) specializes to the one the specialized field gives,
+    whatever the numerator's order at the boundary there; and restricting to
+    the divisor is one more constant put in. The solve is then that of the
+    specialized field (:func:`find_accessible`), which is scanned instead
+    where no symbolic form exists."""
+    kept = _kept_form(m, v)
+    if kept is None:
+        return find_accessible(m, v.specialize(bindings))
+    pair = kept[1]
+    if bindings:
+        syms, gs = zip(*pair)
+        index = v.table.index
+        pair = tuple(zip(syms, compose(gs, {index(s): x for s, x in bindings.items()}, v.table)))
+    return AccessibleScan(*_boundary_points(m, v.chart, pair))
 
 
 @per_point
-def chart_scan(m: ModelFile, params, cmap: ChartMap) -> tuple[VectorField, AccessibleScan]:
+def chart_scan(m: ModelFile, params, cmap: ChartMap) -> AccessibleScan:
+    """The accessible points of the model's field pushed through ``cmap`` at
+    ``params``. The push runs once per model and chart with the parameters
+    symbolic (``models.chart_field``), and each point specializes and solves
+    its kept restricted pair (:func:`scan_at`)."""
+    return scan_at(m, chart_field(m, cmap), bind_parameters(m, params))
+
+
+def chart_form(system, params, cmap: ChartMap) -> tuple[VectorField, LogPoleForm]:
     """The model's field pushed through ``cmap`` at ``params`` and its
-    accessible points. The push runs once per model and chart with the
-    parameters symbolic (``models.chart_field``); each point only
-    specializes it and scans."""
-    w = chart_field(m, cmap, params)
-    return w, find_accessible(m, w)
+    log-pole form, which the linear parts at the points of
+    :func:`chart_scan` are read from; with every parameter symbolic, the
+    form the scan keeps."""
+    v = chart_field(system, cmap, params)
+    kept = None if bind_parameters(system, params) else _kept_form(system, v)
+    return v, kept[0] if kept else log_pole_decomposition(v)
 
 
 @per_model
@@ -185,7 +237,7 @@ def boundary_first_order(chart: Chart, boundary: Symbol) -> tuple[Symbol, ...]:
 
 def linear_part(lp: LogPoleForm, p: AccessiblePoint) -> list[list[RationalFn]]:
     """Degree-1 truncation of the boundary-scaled field at ``p``, read off the
-    field's log-pole form ``lp`` (``AccessibleScan.form``).
+    field's log-pole form ``lp`` (:func:`chart_form`).
 
     The Jacobian of the log-pole polynomials (the boundary part times the
     boundary variable, then the transverse parts) evaluated at ``p``, in
@@ -740,9 +792,12 @@ def resolution_pipeline(m: ModelFile, params: Sequence | None = None) -> Resolut
     when ``params`` bind nothing it is the result. The weighted chart is
     scanned once (:func:`chart_scan`, the scan the reports keep), and every
     other scan is of an exceptional divisor. At a parameter point every step
-    but the scans is the lineage's, specialized: the linear parts at the
-    weighted points, each blow-up's pushed field, and the composed forward
-    map. The blow-up's map is not needed: its halves
+    is the lineage's, specialized: the linear parts at the weighted points,
+    each blow-up's pushed field, the composed forward map, and the scan of
+    each exceptional divisor, which solves the specialized restricted pair
+    that the lineage's field keeps (:func:`scan_at`); the point's unique
+    accessible point there must still be the specialized center. The
+    blow-up's map is not needed: its halves
     ((x_j - c_j)/(x_k - c_k), x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are
     inverse to each other for every center c. A point takes the whole
     lineage or none of it: when a scanned point has no lineage linear part,
@@ -754,11 +809,10 @@ def resolution_pipeline(m: ModelFile, params: Sequence | None = None) -> Resolut
     pipeline's rational operations, and reduced forms are canonical.
     """
     weighted_map = weighted_chart(m)[1]
-    vw, scan = chart_scan(m, params, weighted_map)
+    scan = chart_scan(m, params, weighted_map)
     lineage = None if params is None else _symbolic_lineage(m)
-    bindings = bind_parameters(m, params)
-    taken = _resolve(m, vw, scan, weighted_map, lineage, bindings) if lineage is not None else None
-    return taken or _resolve(m, vw, scan, weighted_map, None, {})
+    taken = _resolve(m, params, scan, weighted_map, lineage) if lineage is not None else None
+    return taken or _resolve(m, params, scan, weighted_map, None)
 
 
 @per_model
@@ -771,16 +825,19 @@ def _symbolic_lineage(m: ModelFile) -> ResolutionReport | None:
         return None
 
 
-def _resolve(m, vw, scan, weighted_map, lineage, bindings) -> ResolutionReport | None:
-    """The pipeline on ``vw``, the weighted field of the model ``m`` at
-    ``bindings``, whose accessible points are ``scan``. Without a
-    ``lineage`` every step is computed. With one, every step but the scans
-    is the lineage's, specialized, and the result is None at the first step
-    that does not match."""
-    # the lineage's linear parts, specialized, keyed by their points'
-    # specialized coordinates; a point with a vanishing denominator is left out
+def _resolve(m, params, scan, weighted_map, lineage) -> ResolutionReport | None:
+    """The pipeline on the weighted field of the model ``m`` at ``params``,
+    whose accessible points are ``scan``. Without a ``lineage`` every step
+    is computed on that field. With one, every step is the lineage's,
+    specialized, and the result is None at the first step that does not
+    match."""
     known = {}
-    if lineage is not None:
+    if lineage is None:
+        vw, form = chart_form(m, params, weighted_map)
+    else:
+        vw, bindings = chart_field(m, weighted_map, params), bind_parameters(m, params)
+        # the lineage's linear parts, specialized, keyed by their points'
+        # specialized coordinates; a point with a vanishing denominator is left out
         for (q, _), A in zip(lineage.weighted_points, lineage.linear_parts):
             at_q = _specialized((*q.coords, *(x for row in A for x in row)), bindings)
             if at_q is not None:
@@ -788,7 +845,7 @@ def _resolve(m, vw, scan, weighted_map, lineage, bindings) -> ResolutionReport |
     linear_parts = []
     for p in scan.points:
         if lineage is None:
-            rows = tuple(map(tuple, linear_part(scan.form, p)))
+            rows = tuple(map(tuple, linear_part(form, p)))
         else:
             rows = known.get(p.coords)
             if rows is None:
@@ -827,7 +884,12 @@ def _resolve(m, vw, scan, weighted_map, lineage, bindings) -> ResolutionReport |
                 return None
             fields.append(field)
         if step < steps - 1:
-            inner = find_accessible(m, fields[-1])
+            if lineage is not None:
+                inner = scan_at(m, lineage.fields[step + 1], bindings)
+            elif params is None:  # the symbolic run keeps the pair that points solve
+                inner = scan_at(m, fields[-1], {})
+            else:
+                inner = find_accessible(m, fields[-1])
             if len(inner.points) != 1:
                 raise AnalysisFailed(
                     f"expected a unique accessible point on the exceptional divisor, got "

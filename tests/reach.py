@@ -4,7 +4,8 @@
 
 Under ``sys.setprofile`` it runs, in this process,
 
-* the golden cases (``test_golden.CASES``) through ``cli.run``;
+* the golden cases (``test_golden.CASES``) through ``cli.run``, the first
+  through the console script's ``cli.main``;
 * one block each of the benchmark's ``resolve``, ``verify`` and
   ``continuation`` workloads (``bench/workloads.py``, seed 1);
 * one block of its ``cli`` workload, each command through ``cli.run``
@@ -47,11 +48,23 @@ class InProcessEnv:
         self.trace = False
         self.cont_err_max = 0.0
 
-    def run_cli(self, argv):
+    def run_cli(self, argv, main=False):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(list(argv))
+            code = run_main(argv) if main else cli.run(list(argv))
         return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def run_main(argv) -> int:
+    """The code ``cli.main`` exits with when ``sys.argv`` holds ``argv``."""
+    saved, sys.argv = sys.argv, ["threewave", *argv]
+    try:
+        cli.main()
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        sys.argv = saved
+    raise RuntimeError("cli.main returned without exiting")
 
 
 def defined_functions() -> dict[tuple[str, int], tuple[str, int]]:
@@ -93,8 +106,8 @@ def run_everything() -> int:
     workloads = oracles.bench_workloads()
     with tempfile.TemporaryDirectory(prefix="threewave-reach-") as tmpdir:
         env = InProcessEnv(tmpdir)
-        for argv in test_golden.CASES.values():
-            attempt(lambda argv=argv: env.run_cli(argv), " ".join(argv))
+        for k, argv in enumerate(test_golden.CASES.values()):
+            attempt(lambda argv=argv, main=k == 0: env.run_cli(argv, main), " ".join(argv))
         for name in ("resolve", "verify", "continuation", "cli"):
             for op in next(workloads.WORKLOADS[name](SEED, env)):
                 attempt(op.run, f"{name} {op.name} {op.label}")

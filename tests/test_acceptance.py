@@ -44,10 +44,10 @@ def test_criterion_1_accessible_points():
     m = oracles.fresh_model("three-wave")
 
     def body():
-        w1, scan1 = reports.scan_chart(m, None, "U1")
+        scan1 = reports.scan_chart(m, None, "U1")
         assert {p.text() for p in scan1.points} == {"(0, 0, 0)", "(0, i, 0)", "(0, -i, 0)"}
         assert scan1.residuals == ()
-        ww, scanw = reports.scan_chart(m, None, "W")
+        scanw = reports.scan_chart(m, None, "W")
         assert {p.text() for p in scanw.points} == {"(0, 1/2*delta, 0)", "(0, 1/2*delta, -1)"}
         assert scanw.residuals == ()
 

@@ -1030,18 +1030,33 @@ def test_missing_label_is_a_usage_error_beside_a_refused_chart(tmp_path, capsys,
     assert run(["singularities", "--system", str(path), "--chart", "U3"]) == 0
 
 
+def test_main_exits_with_the_code_of_run(capsys, monkeypatch, tmp_path):
+    # cli.main is the console script: it runs the command of sys.argv
+    path = tmp_path / "curve.model"
+    path.write_text(CURVE_AT_INFINITY_MODEL)
+    for argv, code in ((["singularities", "--system", "three-wave"], 0),
+                       (["singularities", "--system", str(path)], 1),
+                       (["index", "--system", "three-wave", "--point", "P9"], 2)):
+        monkeypatch.setattr(sys, "argv", ["threewave", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        by_main = capsys.readouterr()
+        assert exited.value.code == run(argv) == code
+        assert capsys.readouterr() == by_main
+
+
 def test_named_point_scans_one_chart(capsys, monkeypatch, tmp_path):
     # a model file is parsed afresh by the command, so its charts are scanned
     path = tmp_path / "three-wave.model"
     path.write_text(models.export_model("three-wave"))
     calls = []
-    real = singular.find_accessible
+    real = singular.scan_at
 
-    def counting(system, v):
+    def counting(system, v, bindings):
         calls.append(v.chart.name)
-        return real(system, v)
+        return real(system, v, bindings)
 
-    monkeypatch.setattr(singular, "find_accessible", counting)
+    monkeypatch.setattr(singular, "scan_at", counting)
     code, _ = _capture(capsys, ["index", "--system", str(path), "--point", "P1"])
     assert code == 0
     assert calls == ["U1"]
@@ -1128,13 +1143,12 @@ def test_points_resolve_where_the_symbolic_pipeline_fails(tmp_path, capsys, monk
         assert json.loads(out)["chart_lineage"] == ["W", "W.b1XW"]
     # the failed symbolic run is kept as such: one parsed model attempts it once
     m = models.model(str(path))
-    symbolic = models.chart_field(m, singular.weighted_chart(m)[1])
     attempts = []
     real = singular._resolve
 
-    def resolve(m, vw, *args):
-        attempts.append(vw == symbolic)
-        return real(m, vw, *args)
+    def resolve(m, params, *args):
+        attempts.append(params is None)
+        return real(m, params, *args)
 
     monkeypatch.setattr(singular, "_resolve", resolve)
     assert reports.pipeline_report(m, [2])["chart_lineage"] == ["W", "W.b1XW"]

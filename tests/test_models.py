@@ -310,7 +310,7 @@ def test_a_dropped_model_is_freed():
     reports.painleve_report(m)
     # a point scanned at a parameter point, and the model integrated once
     params = [1, 2, 3, 4, 0]
-    point = reports.scan_chart(m, params, "U1")[1].points[0]
+    point = reports.scan_chart(m, params, "U1").points[0]
     v = models.system_field(m, params)
     integrate(v, models.resolved_atlas(m, params), TrajectoryPoint(0j, (0.1, 0.2, 0.3), "U0"),
               [0, 0.5])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from oracles import (
     unpruned_balance_search,
 )
 from threewave import geometry, models, ratfunc, reports, singular
-from threewave.errors import AnalysisFailed, PositiveDimensional, VerificationFailed
+from threewave.errors import AnalysisFailed, PositiveDimensional, ThreeWaveError, VerificationFailed
 from threewave.gaussian import gr
 from threewave.geometry import (
     Chart, ChartMap, VectorField, det3, holomorphy_obstructions, log_pole_decomposition,
@@ -131,7 +132,7 @@ def test_paper_point_resolves_on_the_model_chart():
         find_accessible(m, pushforward(v, degenerate))
     balance, wmap = singular.weighted_chart(m)
     assert balance.exponents == (1, 0, 2)
-    _, scan = reports.scan_chart(m, [0, -1], "W")
+    scan = reports.scan_chart(m, [0, -1], "W")
     rep = resolution_pipeline(m, [0, -1])
     assert rep.fields[0].chart == wmap.target
     assert [p.text() for p, _ in rep.weighted_points] == [p.text() for p in scan.points]
@@ -260,13 +261,103 @@ def test_scans_from_the_memo_equal_cold_scans(monkeypatch):
     for kind, params in _differential_points():
         m = parsed[kind]
         warm_text = _census_text(m, params)
-        fields = [reports.scan_chart(m, params, name)[0] for name in reports.scan_charts(m)]
+        fields = [models.chart_field(m, cmap or singular.weighted_chart(m)[1], params)
+                  for cmap in reports.scan_charts(m).values()]
         calls.clear()
         warm = [find_accessible(m, w) for w in fields]
         assert calls == [], (kind, params)
         cold = [find_accessible(fresh_model(kind), w) for w in fields]
         assert cold == warm, (kind, params)
         assert _census_text(fresh_model(kind), params) == warm_text, (kind, params)
+
+
+# the three-wave field with eps*x^3 added: no symbolic log-pole form on U1-U3
+CUBIC_MODEL = str(Path(__file__).with_name("models") / "three-wave-cubic.model")
+
+
+def _pair_route_points():
+    """Parameter points of the pair-route differential: on three-wave the
+    delta, gamma grid of the paper-predicate test, on modified the strata
+    alpha = 0 and alpha5 = 0, on both 50 seeded Gaussian rationals, and on
+    the cubic model points with eps = 0 and without."""
+    rng = random.Random(5309)
+
+    def value():
+        return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    grid = [0, 1, -1, Fraction(1, 2), None]
+    points = [("three-wave", list(p)) for p in itertools.product(grid, repeat=2)]
+    points += [("three-wave", [value(), value()]) for _ in range(50)]
+    points += [("modified", p) for p in ([0, 0, 0, 0, 0], [None, None, None, None, 0],
+                                         [1, 2, 3, 4, 0], [0, 0, 0, 0, None])]
+    points += [("modified", [value() for _ in range(4)] + [0]) for _ in range(5)]
+    points += [("modified", [value() for _ in range(5)]) for _ in range(50)]
+    points += [(CUBIC_MODEL, [value(), value(), eps]) for eps in (0, 0, 0, 1, gr(0, 2))]
+    return points
+
+
+def _scan_outcome(scan):
+    """The points (chart, coordinates and multiplicity) and residual texts
+    of a scan, or the kind and message of its refusal."""
+    try:
+        got = scan()
+    except ThreeWaveError as exc:
+        return type(exc).__name__, str(exc)
+    return got.points, got.residuals
+
+
+def test_the_pair_route_equals_the_scan_of_the_specialized_field():
+    # differential: a point's scan from the kept symbolic pair against the
+    # scan of the field specialized there, solved on a model parsed again, on
+    # every scan chart (W included); the cubic model keeps no pair, so its
+    # points scan the specialized field, and refuse where eps != 0
+    parsed, routes = {}, Counter()
+    for system, params in _pair_route_points():
+        if system not in parsed:
+            parsed[system] = [fresh_model(system) if system in models.BUILTINS
+                              else models.model(system) for _ in range(2)]
+        m, cold = parsed[system]
+        for name, cmap in reports.scan_charts(m).items():
+            cmap = cmap or singular.weighted_chart(m)[1]
+            got = _scan_outcome(lambda: singular.chart_scan(m, params, cmap))
+            want = _scan_outcome(lambda: find_accessible(cold, models.chart_field(m, cmap, params)))
+            assert got == want, (system, params, name)
+            kept = singular._kept_form(m, models.chart_field(m, cmap)) is not None
+            routes[kept, isinstance(got[0], str)] += 1
+    assert routes[True, False] > 500 and routes[False, False] >= 9 and routes[False, True] >= 6
+
+
+def test_a_scan_at_a_new_point_specializes_and_decomposes_no_field(monkeypatch):
+    calls = []
+    real_specialize, real_decomposition = VectorField.specialize, singular.log_pole_decomposition
+    for kind, warm_up, point in (("three-wave", [1, 0], [2, 0]),
+                                 ("modified", [1, 2, 3, 4, 0], [1, 2, 3, 2, 5])):
+        reports.singularities_report(kind, warm_up)
+        with monkeypatch.context() as patch:
+            patch.setattr(VectorField, "specialize", lambda v, bindings: (
+                bindings and calls.append("specialize")) or real_specialize(v, bindings))
+            patch.setattr(singular, "log_pole_decomposition",
+                          lambda v: calls.append("decomposition") or real_decomposition(v))
+            reports.singularities_report(kind, point)
+        assert calls == [], kind
+
+
+def test_the_symbolic_census_is_kept_and_each_call_gets_a_copy(monkeypatch):
+    m = fresh_model("three-wave")
+    first = reports.singularities_report(m)
+    keys = []
+    real = reports.homogeneous_key
+    monkeypatch.setattr(reports, "homogeneous_key", lambda p, slot: keys.append(p) or real(p, slot))
+    second = reports.singularities_report(m)
+    assert keys == [] and second == first and second is not first
+    # a caller that changes its copy changes no later report
+    second["projective_census"][0]["seen_in"].append("X")
+    second["charts"]["U1"]["points"].clear()
+    assert reports.singularities_report(m) == first
+    # at a point the census is computed
+    reports.singularities_report(m, [1, 0])
+    assert len(keys) == 6
 
 
 # -- one symbolic scan per model and chart, one census slot per map ----------------------
@@ -289,7 +380,7 @@ def test_symbolic_scans_are_kept_per_model_and_map(kind):
         first = reports.scan_chart(m, None, name)
         none = [None] * len(m.table.parameters())
         assert reports.scan_chart(m, none, name) is first
-        assert reports.scan_chart(kind, None, name)[1] is first[1]
+        assert reports.scan_chart(kind, None, name) is first
         if cmap is not None:
             assert reports.reciprocal_slot(m, cmap) is reports.reciprocal_slot(kind, cmap)
     # a model parsed again scans, slots and reads its linear parts cold
@@ -300,13 +391,13 @@ def test_a_model_loaded_twice_is_scanned_twice(monkeypatch):
     text = models.export_model("three-wave")
     first, second = (parse_model(text, name) for name in ("first", "second"))
     calls = []
-    real = singular.find_accessible
-    monkeypatch.setattr(singular, "find_accessible",
-                        lambda system, v: calls.append(v.chart.name) or real(system, v))
+    real = singular.scan_at
+    monkeypatch.setattr(singular, "scan_at", lambda system, v, bindings:
+                        calls.append(v.chart.name) or real(system, v, bindings))
     scans = [reports.scan_chart(m, None, "U1") for m in (first, second, first)]
     assert calls == ["U1", "U1"]
     assert scans[0] is scans[2] and scans[1] is not scans[0]
-    assert [p.text() for p in scans[1][1].points] == [p.text() for p in scans[0][1].points]
+    assert [p.text() for p in scans[1].points] == [p.text() for p in scans[0].points]
 
 
 # three-wave without its chart W: the weighted chart gets fresh variables
@@ -321,14 +412,18 @@ def test_the_weighted_chart_has_one_kept_scan(monkeypatch, source):
     assert ("W" in m.charts) == (source == "built-in")
     read = []
     real = singular._resolve
-    monkeypatch.setattr(singular, "_resolve",
-                        lambda m, vw, scan, *rest: read.append(scan) or real(m, vw, scan, *rest))
+    monkeypatch.setattr(singular, "_resolve", lambda m, params, scan, *rest:
+                        read.append(scan) or real(m, params, scan, *rest))
     resolution_pipeline(m)
-    kept = singular.chart_scan(m, None, singular.weighted_chart(m)[1])
-    assert len(read) == 1 and read[0] is kept[1]
+    wmap = singular.weighted_chart(m)[1]
+    kept = singular.chart_scan(m, None, wmap)
+    assert len(read) == 1 and read[0] is kept
+    # the field and the one log-pole form of it that the scan keeps
+    field, form = singular.chart_form(m, None, wmap)
+    assert field is models.chart_field(m, wmap) and form is singular._kept_form(m, field)[0]
     labels = reports._chart_labels(m, None, "W")
     assert sorted(labels) == ["P4_1", "P4_2"]
-    assert all(v is kept[0] and form is kept[1].form for v, form, _ in labels.values())
+    assert all(v is field and f is form for v, f, _ in labels.values())
     if "W" in m.charts:
         assert reports.scan_chart(m, None, "W") is kept
     else:
@@ -340,10 +435,11 @@ def test_a_model_parsed_twice_gets_its_own_points():
     # the boundary solve is kept on each parsed model, not shared by value
     # across parses: the second parse's points sit on its own table
     first, second = fresh_model("three-wave"), fresh_model("three-wave")
-    (w1, scan1), (w2, scan2) = (reports.scan_chart(m, [2, 0], "W") for m in (first, second))
+    scan1, scan2 = (reports.scan_chart(m, [2, 0], "W") for m in (first, second))
+    t1, t2 = (singular.weighted_chart(m)[1].table for m in (first, second))
     assert [p.text() for p in scan2.points] == [p.text() for p in scan1.points]
-    assert w2.table is not w1.table
-    assert all(c.table is w2.table for p in scan2.points for c in p.coords)
+    assert t2 is not t1
+    assert all(c.table is t2 for p in scan2.points for c in p.coords)
     first_ids, second_ids = ({id(x) for p in scan.points for x in (p, *p.coords)}
                              for scan in (scan1, scan2))
     assert not first_ids & second_ids
@@ -1184,7 +1280,9 @@ def test_a_point_off_the_lineage_scans_the_weighted_chart_once(monkeypatch):
         charts = []
         with monkeypatch.context() as patch:
             patch.setattr(singular, "_symbolic_lineage", lambda m, lineage=lineage: lineage)
-            real = singular.find_accessible
+            real_at, real = singular.scan_at, singular.find_accessible
+            patch.setattr(singular, "scan_at", lambda system, v, bindings:
+                          charts.append(v.chart.name) or real_at(system, v, bindings))
             patch.setattr(singular, "find_accessible",
                           lambda system, v: charts.append(v.chart.name) or real(system, v))
             resolution_pipeline("three-wave", [2, 0])
@@ -1192,20 +1290,24 @@ def test_a_point_off_the_lineage_scans_the_weighted_chart_once(monkeypatch):
 
 
 def test_each_scanned_field_is_decomposed_once(monkeypatch):
-    # the scan's log-pole form is the one the linear parts are read from
+    # a point scans the kept symbolic pairs, so only a report that reads
+    # linear parts off the point's field decomposes it, once: the pipeline
+    # that takes the lineage decomposes no field
     reports.pipeline_report("three-wave")  # the symbolic run
+    reports.pipeline_report("three-wave", [1, 0])  # the lineage's divisor pairs
     fields = []
     real = singular.log_pole_decomposition
     monkeypatch.setattr(singular, "log_pole_decomposition", lambda v: fields.append(v) or real(v))
-    for report in (
-        lambda: reports.pipeline_report("three-wave", [2, 0]),
-        lambda: _direct_report(monkeypatch, "three-wave", [3, 0]),
-        lambda: reports.index_report("three-wave", [2, 0], "P4_2"),
-        lambda: reports.alpha_report("three-wave", [2, 0]),
+    for report, decomposed in (
+        (lambda: reports.pipeline_report("three-wave", [2, 0]), []),
+        (lambda: reports.singularities_report("three-wave", [2, 0]), []),
+        (lambda: _direct_report(monkeypatch, "three-wave", [3, 0]), ["W", "W.b1XW"]),
+        (lambda: reports.index_report("three-wave", [2, 0], "P4_2"), ["W"]),
+        (lambda: reports.alpha_report("three-wave", [2, 0]), ["W"]),
     ):
         fields.clear()
         report()
-        assert [v.chart.name for v in fields].count("W") == 1
+        assert [v.chart.name for v in fields] == decomposed
         assert len(set(fields)) == len(fields)
 
 
@@ -1417,31 +1519,32 @@ def test_linear_part_matches_the_per_entry_oracle():
     # the batched linear part against each entry put in alone, at every
     # accessible point of both built-ins' scan charts and of seeded fields;
     # a point moved off the divisor's zeros fails with the per-entry message
-    scans = [reports.scan_chart(kind, params, name)
+    scans = [(singular.chart_form(kind, params, cmap or singular.weighted_chart(kind)[1])[1],
+              reports.scan_chart(kind, params, name))
              for kind, params in (("three-wave", None), ("three-wave", [1, 0]), ("modified", None),
                                   ("modified", [1, 2, 3, 2, 5]))
-             for name in reports.scan_charts(kind)]
+             for name, cmap in reports.scan_charts(kind).items()]
     for v in _random_boundary_fields():
         try:
-            scans.append((v, _scan(v)))
+            scans.append((log_pole_decomposition(v), _scan(v)))
         except PositiveDimensional:
             pass
     points = denominators = 0
-    for v, scan in scans:
+    for form, scan in scans:
         for p in scan.points:
-            assert linear_part(scan.form, p) == naive_linear_part(scan.form, p), p.text()
+            assert linear_part(form, p) == naive_linear_part(form, p), p.text()
             points += 1
             denominators += any(not c.is_polynomial() for c in p.coords)
             k = next(k for k, s in enumerate(p.chart.vars) if s != p.boundary)
             coords = list(p.coords)
             coords[k] = coords[k] + 1
             moved = singular.AccessiblePoint(p.chart, tuple(coords))
-            table = scan.form.boundary_part.table
+            table = form.boundary_part.table
             at = dict(zip(p.chart.vars, moved.coords))
-            sym, g = next((s, g) for s, g in scan.form.transverse
+            sym, g = next((s, g) for s, g in form.transverse
                           if not value_at(g, at, table).is_zero())
             with pytest.raises(VerificationFailed) as info:
-                linear_part(scan.form, moved)
+                linear_part(form, moved)
             assert str(info.value) == (f"point {moved.text()} is not accessible: d{sym.name}/dt "
                                        f"has constant part {value_at(g, at, table).text()}")
     assert points > 20 and denominators > 5
