@@ -128,15 +128,16 @@ def per_model(fn: Callable) -> Callable:
 
 
 def per_point(fn: Callable) -> Callable:
-    """``fn(m, params, *args)`` at ``params`` when they bind a parameter;
-    otherwise the model's one result with every parameter symbolic,
-    ``fn(m, None, *args)``, kept like a ``per_model`` result."""
+    """``fn(m, bindings, *args)`` when ``params`` bind a parameter, which
+    ``fn`` hands on bound; otherwise the model's one result with every
+    parameter symbolic, ``fn(m, None, *args)``, kept like a ``per_model`` result."""
     kept = per_model(fn)
 
     @wraps(fn)
     def at(system, params=None, *args):
         m = model(system)
-        return fn(m, params, *args) if bind_parameters(m, params) else kept(m, None, *args)
+        bindings = bind_parameters(m, params)
+        return fn(m, bindings, *args) if bindings else kept(m, None, *args)
 
     return at
 
@@ -145,12 +146,14 @@ def param_symbols(system) -> tuple[Symbol, ...]:
     return model(system).table.parameters()
 
 
-def bind_parameters(system, values: Sequence | None) -> dict[Symbol, GaussianRational]:
+def bind_parameters(system, values: Sequence | dict | None) -> dict[Symbol, GaussianRational]:
     """Turn user parameter values, in the model's parameter order, into exact
     bindings for ``specialize`` (None, as a whole or per value, leaves the
-    parameter symbolic)."""
+    parameter symbolic); bindings made here before are returned as they are."""
     if values is None:
         return {}
+    if isinstance(values, dict):
+        return values
     syms = param_symbols(system)
     if len(values) != len(syms):
         raise ValueError(f"expected {len(syms)} parameters, got {len(values)}")

@@ -16,7 +16,7 @@ from .checks import atlas_report, symmetry_report, uniqueness_report  # re-expor
 from .errors import ThreeWaveError
 from .geometry import ChartMap, LogPoleForm, VectorField
 from .parsing import ModelFile
-from .ratfunc import RationalFn
+from .ratfunc import RationalFn, specialize_all
 from .singular import (
     AccessiblePoint,
     AccessibleScan,
@@ -257,14 +257,14 @@ def pipeline_report(system, params=None) -> dict:
     """The blow-up pipeline at ``params``, specializing the model's run with
     every parameter symbolic wherever it can (``resolution_pipeline``)."""
     m = models.model(system)
-    rep = resolution_pipeline(m, params)
-    balance = weighted_chart(m)[0]
     bindings = models.bind_parameters(m, params)
+    rep = resolution_pipeline(m, bindings)
+    balance = weighted_chart(m)[0]
     return {
         "system": m.name,
         "balance": {
             "exponents": list(balance.exponents),
-            "coefficients": [c.specialize(bindings).text() for c in balance.coefficients],
+            "coefficients": [c.text() for c in specialize_all(balance.coefficients, bindings)],
         },
         "weighted_points": [
             {
@@ -276,7 +276,7 @@ def pipeline_report(system, params=None) -> dict:
         ],
         "entry_point": _point_dict(rep.entry_point),
         "blowup_centers": [_point_dict(c) for c in rep.centers],
-        "chart_lineage": [f.chart.name for f in rep.fields],
+        "chart_lineage": [c.name for c in rep.charts],
         "composed_forward": [f.text() for f in rep.composed_forward],
         "final_chart": rep.final_field.chart.name,
         "final_components": [c.text() for c in rep.final_field.components],

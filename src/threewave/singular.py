@@ -749,13 +749,14 @@ def solve_parameter_conditions(conditions: Sequence[MultiPoly]) -> list[Conditio
 class ResolutionReport(Record):
     """End-to-end record of resolving the multiple boundary point.
 
-    ``fields`` holds the field on the weighted chart, then the field on the
-    target chart of each blow-up, and ``composed_forward`` the forward half
-    of the one map from the base chart to the final field's chart, over
-    that field's table. ``linear_parts`` holds the linear part at each
-    weighted point. Run with every parameter symbolic, the record is the
-    lineage that a run at a parameter point specializes
-    (:func:`resolution_pipeline`)."""
+    ``charts`` holds the weighted chart, then the target chart of each
+    blow-up, ``final_field`` the field on the last, and ``composed_forward``
+    the forward half of the one map from the base chart to it, over that
+    field's table. ``linear_parts`` holds the linear part at each weighted
+    point. Run with every parameter symbolic, the record is the lineage that
+    a run at a parameter point specializes (:func:`resolution_pipeline`),
+    and ``lineage_fields``, the fields of the blow-ups before the last, is
+    what that run scans; at a point it is empty."""
 
     __slots__ = (
         "weighted_points",  # (AccessiblePoint, LocalIndex) pairs
@@ -764,13 +765,11 @@ class ResolutionReport(Record):
         "centers",  # AccessiblePoints
         "obstruction",  # Obstruction
         "branches",  # ConditionBranches
-        "fields",  # VectorFields
+        "charts",  # Charts
+        "final_field",  # VectorField
         "composed_forward",  # three RationalFns
+        "lineage_fields",  # VectorFields, with every parameter symbolic; () at a point
     )
-
-    @property
-    def final_field(self) -> VectorField:
-        return self.fields[-1]
 
 
 @per_point
@@ -792,21 +791,23 @@ def resolution_pipeline(m: ModelFile, params: Sequence | None = None) -> Resolut
     when ``params`` bind nothing it is the result. The weighted chart is
     scanned once (:func:`chart_scan`, the scan the reports keep), and every
     other scan is of an exceptional divisor. At a parameter point every step
-    is the lineage's, specialized: the linear parts at the weighted points,
-    each blow-up's pushed field, the composed forward map, and the scan of
-    each exceptional divisor, which solves the specialized restricted pair
-    that the lineage's field keeps (:func:`scan_at`); the point's unique
-    accessible point there must still be the specialized center. The
-    blow-up's map is not needed: its halves
+    is the lineage's, and only what the record holds is specialized: the
+    linear parts at the weighted points, the centers, the composed forward
+    map and the final field. A blow-up before the last is scanned on the
+    lineage's field, by solving the specialized restricted pair it keeps
+    (:func:`scan_at`); the point's unique accessible point there must still
+    be the specialized center. The blow-up's map is not needed: its halves
     ((x_j - c_j)/(x_k - c_k), x_k - c_k) and (u_k*u_j + c_j, u_k + c_k) are
     inverse to each other for every center c. A point takes the whole
     lineage or none of it: when a scanned point has no lineage linear part,
     the step count differs, a center is not the specialization of the
-    lineage's, or a specialization has a vanishing denominator, every step
-    after the weighted scan is computed on the specialized field, as it is
-    when the symbolic run fails. Both routes give the same record: where the
-    specialized inputs are defined, specialization commutes with the
-    pipeline's rational operations, and reduced forms are canonical.
+    lineage's, or a denominator of a specialized value or of a field the run
+    scans vanishes, every step after the weighted scan is computed on the
+    specialized field, as it is when the symbolic run fails (no parameter
+    divides the weighted field, a polynomial field under a monomial map).
+    Both routes give the same record: where the specialized inputs are
+    defined, specialization commutes with the pipeline's rational
+    operations, and reduced forms are canonical.
     """
     weighted_map = weighted_chart(m)[1]
     scan = chart_scan(m, params, weighted_map)
@@ -829,13 +830,14 @@ def _resolve(m, params, scan, weighted_map, lineage) -> ResolutionReport | None:
     """The pipeline on the weighted field of the model ``m`` at ``params``,
     whose accessible points are ``scan``. Without a ``lineage`` every step
     is computed on that field. With one, every step is the lineage's,
-    specialized, and the result is None at the first step that does not
-    match."""
+    specialized where the record reads it, and the result is None at the
+    first step that does not match."""
+    bindings = bind_parameters(m, params)
     known = {}
     if lineage is None:
-        vw, form = chart_form(m, params, weighted_map)
+        vw, form = chart_form(m, bindings, weighted_map)
     else:
-        vw, bindings = chart_field(m, weighted_map, params), bind_parameters(m, params)
+        vw = chart_field(m, weighted_map)  # for its table
         # the lineage's linear parts, specialized, keyed by their points'
         # specialized coordinates; a point with a vanishing denominator is left out
         for (q, _), A in zip(lineage.weighted_points, lineage.linear_parts):
@@ -863,7 +865,7 @@ def _resolve(m, params, scan, weighted_map, lineage) -> ResolutionReport | None:
         for r in entry_index.ratios[1:]:
             if r.is_integer():
                 steps = max(steps, int(r.constant_value().re))
-    if lineage is not None and steps != len(lineage.fields) - 1:
+    if lineage is not None and steps != len(lineage.charts) - 1:
         return None
     current_point = entry
     centers = []
@@ -879,14 +881,13 @@ def _resolve(m, params, scan, weighted_map, lineage) -> ResolutionReport | None:
             ours = ((lineage.entry_point,) + lineage.centers)[step]
             if _specialized(ours.coords, bindings) != current_point.coords:
                 return None
-            field = _specialized(lineage.fields[step + 1], bindings)
-            if field is None:
-                return None
-            fields.append(field)
         if step < steps - 1:
             if lineage is not None:
-                inner = scan_at(m, lineage.fields[step + 1], bindings)
-            elif params is None:  # the symbolic run keeps the pair that points solve
+                field = lineage.lineage_fields[step]
+                if _denominator_vanishes(field, bindings):
+                    return None
+                inner = scan_at(m, field, bindings)
+            elif not bindings:  # the symbolic run keeps the pair that points solve
                 inner = scan_at(m, fields[-1], {})
             else:
                 inner = find_accessible(m, fields[-1])
@@ -897,11 +898,15 @@ def _resolve(m, params, scan, weighted_map, lineage) -> ResolutionReport | None:
                 )
             current_point = inner.points[0]
             centers.append(current_point)
-    if lineage is not None:
+    if lineage is None:
+        charts, final = tuple(f.chart for f in fields), fields[-1]
+    else:
+        charts = lineage.charts
+        final = _specialized(lineage.final_field, bindings)
         composed = _specialized(lineage.composed_forward, bindings)
-        if composed is None:
+        if final is None or composed is None:
             return None
-    obstruction = holomorphy_obstructions(fields[-1])
+    obstruction = holomorphy_obstructions(final)
     branches = tuple(solve_parameter_conditions(list(obstruction.conditions)))
     return ResolutionReport(
         weighted_points=decorated,
@@ -910,9 +915,18 @@ def _resolve(m, params, scan, weighted_map, lineage) -> ResolutionReport | None:
         centers=tuple(centers),
         obstruction=obstruction,
         branches=branches,
-        fields=tuple(fields),
+        charts=charts,
+        final_field=final,
         composed_forward=composed,
+        lineage_fields=() if bindings else tuple(fields[1:-1]),
     )
+
+
+def _denominator_vanishes(v: VectorField, bindings) -> bool:
+    """Whether a denominator of ``v`` vanishes at ``bindings``: its three
+    denominators alone put in one composition."""
+    bound = {v.table.index(s): x for s, x in bindings.items()}
+    return any(d.is_zero() for d in compose([c.den for c in v.components], bound, v.table))
 
 
 def _specialized(values, bindings):

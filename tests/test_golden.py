@@ -55,7 +55,11 @@ CASES = {
     "blowup-modified": ["blowup", "--system", "modified"],
     "blowup-three-wave-delta1-gamma0": ["blowup", "--system", "three-wave", "--params", "delta=1,gamma=0"],
     "blowup-three-wave-delta0-gamma-1": ["blowup", "--system", "three-wave", "--params", "delta=0,gamma=-1"],
+    "blowup-modified-alpha2-1-alpha4-half": [
+        "blowup", "--system", "modified", "--params", "alpha2=1,alpha4=-1/2"
+    ],
     "obstructions": ["obstructions", "--system", "three-wave"],
+    "obstructions-gamma-1": ["obstructions", "--system", "three-wave", "--params", "gamma=-1"],
     "obstructions-modified": ["obstructions", "--system", "modified"],
     "obstructions-modified-alpha5-0": [
         "obstructions", "--system", "modified", "--params", "alpha1=1,alpha2=2,alpha3=3,alpha4=4,alpha5=0"

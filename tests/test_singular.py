@@ -134,7 +134,7 @@ def test_paper_point_resolves_on_the_model_chart():
     assert balance.exponents == (1, 0, 2)
     scan = reports.scan_chart(m, [0, -1], "W")
     rep = resolution_pipeline(m, [0, -1])
-    assert rep.fields[0].chart == wmap.target
+    assert rep.charts[0] == wmap.target
     assert [p.text() for p, _ in rep.weighted_points] == [p.text() for p in scan.points]
     assert [p.text() for p in scan.points] == ["(0, 0, -1)", "(0, 0, 0)"]
     assert rep.obstruction.is_empty()
@@ -1136,7 +1136,7 @@ def test_pipeline_pushes_forward_only_along_its_blow_up_charts(monkeypatch):
     monkeypatch.setattr(singular, "_symbolic_lineage", lambda m: None)
     own = resolution_pipeline("three-wave", [2, 0])
     pushes = [c for c in calls if c not in ("blow_up", "linear_part")]
-    assert pushes == [f.chart.name for f in own.fields[1:]] == rep["chart_lineage"][1:]
+    assert pushes == [c.name for c in own.charts[1:]] == rep["chart_lineage"][1:]
 
 
 def _calls_at_a_second_point(monkeypatch, cls, name, counted=lambda *args: True):
@@ -1167,10 +1167,11 @@ def test_pipeline_at_a_second_point_verifies_no_chart_map(monkeypatch):
 
 
 def test_pipeline_at_a_second_point_specializes_the_weighted_field_once(monkeypatch):
-    # the weighted field once, then the pushed field of each of the two blow-ups
+    # the final field only: the report reads the weighted field's table and
+    # the first blow-up's chart, neither of which a specialization changes
     got = _calls_at_a_second_point(monkeypatch, VectorField, "specialize",
                                    lambda v, bindings: bool(bindings))
-    assert got == {"three-wave": 3, "modified": 3}
+    assert got == {"three-wave": 1, "modified": 1}
 
 
 def _direct_report(monkeypatch, kind, params):
@@ -1229,6 +1230,8 @@ def _doctored_lineages():
 
     last = symbolic.final_field
     last = VectorField(last.chart, pole(last.components))
+    (first,) = symbolic.lineage_fields
+    first = VectorField(first.chart, pole(first.components))
     point, index = symbolic.weighted_points[0]
     moved = _replaced(point, coords=tuple(c + 1 for c in point.coords))
     (row, *rows), *parts = symbolic.linear_parts
@@ -1243,13 +1246,17 @@ def _doctored_lineages():
         ("moved entry", _replaced(
             symbolic, entry_point=symbolic.weighted_points[1][0])),
         # the lineage lacks the second blow-up
-        ("one blow-up", _replaced(symbolic, centers=(), fields=symbolic.fields[:2])),
+        ("one blow-up", _replaced(symbolic, centers=(), charts=symbolic.charts[:2],
+                                  final_field=symbolic.lineage_fields[0], lineage_fields=())),
         # the composed map has a pole at delta = 2
         ("pole in the composed map", _replaced(
             symbolic, composed_forward=tuple(pole(symbolic.composed_forward)))),
         # the last blow-up's field has a pole at delta = 2, so a route that
         # took the first blow-up from the lineage would compute only one
-        ("pole in a field", _replaced(symbolic, fields=symbolic.fields[:-1] + (last,))),
+        ("pole in a field", _replaced(symbolic, final_field=last)),
+        # the first blow-up's field has a pole at delta = 2 and the centers
+        # are unchanged, so only its denominators tell the point to leave
+        ("pole in the first blow-up's field", _replaced(symbolic, lineage_fields=(first,))),
     ]
 
 
@@ -1468,17 +1475,20 @@ def test_generic_pin_whose_denominator_vanishes_is_dropped():
 # -- one composition per object ----------------------------------------------------------
 
 
-def _lineage_outcomes(lineage, bindings) -> list[bool]:
+def _lineage_outcomes(kind, lineage, bindings) -> list[bool]:
     """Whether each object a run at ``bindings`` takes from ``lineage`` (each
-    weighted point with its linear part, each center, the composed map, each
-    pushed field) is defined there, asserting that its one-batch
-    specialization equals its values specialized one by one."""
+    weighted point with its linear part, each center, the composed map, the
+    field on each chart of the lineage) is defined there, asserting that its
+    one-batch specialization equals its values specialized one by one, and
+    that a field's denominator test agrees with both."""
     batches = [(*q.coords, *(x for row in A for x in row))
                for (q, _), A in zip(lineage.weighted_points, lineage.linear_parts)]
     batches += [p.coords for p in (lineage.entry_point, *lineage.centers)]
     batches.append(lineage.composed_forward)
+    weighted = models.chart_field(kind, singular.weighted_chart(kind)[1])
+    fields = [weighted, *lineage.lineage_fields, lineage.final_field]
     defined = []
-    for values in batches + list(lineage.fields):
+    for values in batches + fields:
         fns = values.components if isinstance(values, VectorField) else values
         want = [naive_specialize(f, bindings) for f in fns]
         if None not in want:
@@ -1486,6 +1496,8 @@ def _lineage_outcomes(lineage, bindings) -> list[bool]:
         else:
             want = None
         assert singular._specialized(values, bindings) == want
+        if isinstance(values, VectorField):
+            assert singular._denominator_vanishes(values, bindings) == (want is None)
         defined.append(want is not None)
     return defined
 
@@ -1495,9 +1507,11 @@ def test_lineage_specializations_match_the_per_component_oracle():
     # pole at delta = 2 at (2, 0)
     defined = []
     for kind, params in _differential_points():
-        defined += _lineage_outcomes(resolution_pipeline(kind), models.bind_parameters(kind, params))
+        bindings = models.bind_parameters(kind, params)
+        defined += _lineage_outcomes(kind, resolution_pipeline(kind), bindings)
+    bindings = models.bind_parameters("three-wave", [2, 0])
     for _, lineage in _doctored_lineages():
-        defined += _lineage_outcomes(lineage, models.bind_parameters("three-wave", [2, 0]))
+        defined += _lineage_outcomes("three-wave", lineage, bindings)
     assert True in defined and False in defined
 
 
